@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Union
 import sympy as sp
 
 from .errors import ChartMismatchError, ExprError, SingularMetricError
-from .symexpr import ScalarExpr, canon
+from .symexpr import ScalarExpr, canon, trig_reduce_rational
 
 Scalarish = Union[ScalarExpr, int, Fraction, str]
 
@@ -560,30 +560,19 @@ def symmetric_product(a: OneForm, b: OneForm):
 
 
 def tidy_trig(chart: ChartManifold, x) -> ScalarExpr:
-    """Pick a smaller trig representative of a derived expression.
+    """Pick the smaller of x and its Pythagorean normal form.
 
     Used when *constructing* objects on parametric (angle) charts, where raw
-    pullbacks swell badly.  Verdicts still flow through the trig-opaque zero
-    test, so this choice affects expression size (and whether some checks
-    reach Proved instead of NumericallySupported), never soundness.  Falls
-    back to the input whenever the rewrite leaves the expression grammar.
+    pullbacks swell.  The candidate is :func:`trig_reduce_rational` (sum and
+    multiple-angle expansion, then reduction modulo sin^2 + cos^2 - 1 of the
+    numerator and the denominator), an exact rewrite that stays inside the
+    expression grammar; it replaces x only when ``count_ops`` shrinks.
     """
     e = x.expr if isinstance(x, ScalarExpr) else sp.sympify(x)
-    if e.has(sp.sin, sp.cos) and sp.count_ops(e) <= 600:
-        try:
-            t = sp.trigsimp(e)
-            if t.has(sp.tan, sp.cot, sp.sec, sp.csc):
-                from sympy.simplify.fu import TR1, TR2
-
-                t = TR2(TR1(t))
-            bad = any(
-                isinstance(n, sp.Function) and not isinstance(n, (sp.sin, sp.cos, sp.exp))
-                for n in sp.preorder_traversal(t)
-            )
-            if not bad and sp.count_ops(t) < sp.count_ops(e):
-                e = t
-        except Exception:
-            pass
+    if e.has(sp.sin, sp.cos):
+        t = trig_reduce_rational(e)
+        if sp.count_ops(t) < sp.count_ops(e):
+            e = t
     return _S(chart, e)
 
 

@@ -32,7 +32,14 @@ from .structures.classical import AlmostContact, check_almost_contact, nijenhuis
 from .structures.genf import GenF, build_genF_from_quadruple
 from .structures.genmetric import GenMetric, build_gen_metric
 from .structures.twoone import TwoOneGAC, build_21gac
-from .symexpr import DEFAULT_POLICY, ScalarExpr, ZeroPolicy, is_zero, is_zero_all
+from .symexpr import (
+    DEFAULT_POLICY,
+    ScalarExpr,
+    ZeroPolicy,
+    is_zero,
+    is_zero_all,
+    trig_reduce_rational,
+)
 from .verdict import CheckResult, Verdict
 
 
@@ -129,18 +136,18 @@ def _apply_matrix(m_res, v, chart):
 def _sqrt_positive(q: ScalarExpr, chart: ChartManifold, policy: ZeroPolicy) -> ScalarExpr:
     """A grammar-expressible square root of q, positive at the base point.
 
-    Tries perfect-square extraction on several sound rewrites of q (plain,
-    factored, trig-simplified); the caller re-verifies unit length through
-    the zero test, so the rewrites here only steer the *search*.
+    Tries perfect-square extraction (which factors) on q and, with sin/cos
+    atoms, on its Pythagorean normal form, built only when q fails; the
+    caller re-verifies unit length through the zero test, so the rewrites
+    here only steer the *search*.
     """
-    candidates = [q.expr, sp.factor(q.expr)]
-    if not q.is_rational_function:
-        try:
-            ts = sp.trigsimp(q.expr)
-            candidates += [ts, sp.factor(ts)]
-        except Exception:
-            pass
-    for cand in candidates:
+
+    def candidates():
+        yield q.expr
+        if q.expr.has(sp.sin, sp.cos):
+            yield trig_reduce_rational(q.expr)
+
+    for cand in candidates():
         root = _halve_exponents(cand)
         if root is None:
             continue
@@ -590,7 +597,7 @@ def check_gen_kahler(
     out.add(
         "(relpsiJ) <=> (relpsiOmega)",
         Verdict.proved() if v_j.ok == v_om.ok else Verdict.failed(
-            f"(relpsiJ) says {v_j.kind.value}, (relpsiOmega) says {v_om.kind.value}"
+            detail=f"(relpsiJ) says {v_j.kind.value}, (relpsiOmega) says {v_om.kind.value}"
         ),
     )
     return out
@@ -702,7 +709,7 @@ def check_fundamental_form_property(
     out.add(
         "(LXi) equivalent to the first (eqCRF2) condition",
         Verdict.proved() if v.ok == first.ok else Verdict.failed(
-            f"(LXi) says {v.kind.value}, (eqCRF2) line 1 says {first.kind.value}"
+            detail=f"(LXi) says {v.kind.value}, (eqCRF2) line 1 says {first.kind.value}"
         ),
     )
     return out

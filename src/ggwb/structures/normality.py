@@ -239,13 +239,22 @@ def check_binormal(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckRe
     out.add("(indbin1) [Z_pm, F_mp X_mp] = mp (1/2) F_mp sharp rho_pm", is_zero_all(exprs_b, policy))
 
     direct = combine(*(v for _, v in out.items))
-    both = combine(check_normal_21(s, policy).verdict, check_normal_21(second_structure(s), policy).verdict)
-    out.add(
-        "cross-check: binormal iff both the structure and its companion are normal",
-        Verdict.proved() if direct.ok == both.ok else Verdict.failed(
-            f"(indbin1) says {direct.kind.value}, normality of the pair says {both.kind.value}"
-        ),
-    )
+    sides = [
+        ("normal21 of the structure", check_normal_21(s, policy).verdict),
+        ("normal21 of the companion", check_normal_21(second_structure(s), policy).verdict),
+    ]
+    both = combine(*(v for _, v in sides))
+    cross = Verdict.proved()
+    if direct.ok != both.ok:
+        # carry the witness of the side that failed
+        side, failed = next(((n, v) for n, v in sides if not v.ok), ("(indbin1)", direct))
+        w = failed.witness
+        cross = Verdict.failed(
+            witness=w and Witness(w.point, w.value, f"{side} failed"),
+            detail=f"(indbin1) says {direct.kind.value}, "
+            f"normality of the pair says {both.kind.value}",
+        )
+    out.add("cross-check: binormal iff both the structure and its companion are normal", cross)
     return out
 
 

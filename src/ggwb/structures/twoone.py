@@ -182,11 +182,11 @@ def check_two_one(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckRes
     corank, neg = corank_and_negative_index(s.genf() if s.G else GenF(s.Fcal), policy)
     out.add(
         "corank(Fcal) = 2",
-        Verdict.numeric() if corank == 2 else Verdict.failed(f"corank = {corank}"),
+        Verdict.numeric() if corank == 2 else Verdict.failed(detail=f"corank = {corank}"),
     )
     out.add(
         "neg(Fcal) = 1",
-        Verdict.numeric() if neg == 1 else Verdict.failed(f"neg = {neg}"),
+        Verdict.numeric() if neg == 1 else Verdict.failed(detail=f"neg = {neg}"),
     )
     return out
 
@@ -372,7 +372,7 @@ def check_normal_21(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckR
     out.add(
         "agreement of (normaltotal) and (normtotal2)",
         Verdict.proved() if agree else Verdict.failed(
-            f"(normaltotal) says {three.kind.value}, (normtotal2) says {unified.kind.value}"
+            detail=f"(normaltotal) says {three.kind.value}, (normtotal2) says {unified.kind.value}"
         ),
     )
     return out
@@ -424,7 +424,7 @@ def check_phi(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
                 ranks_ok = False
     out.add(
         "(eqGY) eigenprojections of Phi have rank n at sample points",
-        Verdict.numeric() if ranks_ok else Verdict.failed("(eqGY) rank defect"),
+        Verdict.numeric() if ranks_ok else Verdict.failed(detail="(eqGY) rank defect"),
     )
     return out
 

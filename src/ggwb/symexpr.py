@@ -5,12 +5,22 @@ opaque ``sin``/``cos``/``exp`` atoms, with exact rational (or Gaussian
 rational) coefficients.  Every constructor canonicalizes: the canonical form
 is the multivariate rational normal form over Q produced by :func:`sympy.cancel`,
 with transcendental atoms treated as independent generators whose arguments
-are themselves canonical.  No trigonometric rewriting is performed, so
-``sin(x)**2 + cos(x)**2 - 1`` is *not* syntactically zero; the sampling
-zero-test certifies such identities as ``NumericallySupported`` only.
+are themselves canonical.  The canonical form does no trigonometric
+rewriting, so ``sin(x)**2 + cos(x)**2 - 1`` is not syntactically zero.
 
-Soundness contract: ``is_zero`` answers ``Proved`` exactly when the canonical
-form is the literal zero, which implies the expression vanishes identically.
+The zero test decides such identities with :func:`trig_reduce`: after
+sum and multiple-angle expansion it reduces a polynomial modulo the ideal
+generated by ``sin(u)**2 + cos(u)**2 - 1``.  Those relations are a Groebner
+basis for the lex order with every ``cos(u)`` first, so the remainder is a
+normal form and a zero remainder proves the identity.  The reduction does not
+relate atoms whose arguments differ by a non-integer factor (``sin(x)`` and
+``sin(x/2)``) or by a factor above ``_MAX_MULTIPLE``; such identities still
+go to sampling.
+
+Soundness contract: ``is_zero`` answers ``Proved`` only when the canonical
+form is the literal zero, or when its numerator reduces to zero modulo the
+Pythagorean relations while its denominator does not; either implies the
+expression vanishes identically.
 """
 
 from __future__ import annotations
@@ -106,6 +116,78 @@ def canon(expr: sp.Expr, max_passes: int = 2) -> sp.Expr:
             break
         cur = new
     return cur
+
+
+# cos(k*u) expands to a polynomial of degree k in cos(u), sin(u).  An atom
+# whose argument has a larger integer multiple stays one generator: that
+# bounds the work on hostile input and stays sound, since the atom keeps its
+# own Pythagorean relation.
+_MAX_MULTIPLE = 8
+
+
+def _small_multiples(u: sp.Expr) -> bool:
+    return all(
+        t.is_number or abs(t.as_coeff_Mul(rational=True)[0].p) <= _MAX_MULTIPLE
+        for t in sp.Add.make_args(u)
+    )
+
+
+def trig_reduce(poly_expr: sp.Expr) -> sp.Expr:
+    """Normal form of a polynomial modulo ``sin(u)**2 + cos(u)**2 - 1``.
+
+    ``poly_expr`` is a polynomial in the coordinates and in ``sin``/``cos``/
+    ``exp`` atoms.  ``sp.expand_trig`` first splits sums and integer multiples
+    (up to ``_MAX_MULTIPLE``) in the arguments; then every ``cos(u)**2`` is
+    rewritten as ``1 - sin(u)**2`` until each ``cos(u)`` has degree at most 1.
+    With the generators ordered cos atoms, sin atoms, exp atoms, coordinates
+    (lex), this is the remainder modulo a Groebner basis, so it is canonical
+    for those generators and idempotent.
+    """
+    expr = poly_expr.xreplace({
+        a: sp.expand_trig(a, deep=False)
+        for a in poly_expr.atoms(sp.sin, sp.cos)
+        if _small_multiples(a.args[0])
+    })
+    args = sorted({t.args[0] for t in expr.atoms(sp.sin, sp.cos)}, key=sp.default_sort_key)
+    n = len(args)
+    atoms = (
+        [sp.cos(u) for u in args]
+        + [sp.sin(u) for u in args]
+        + sorted(expr.atoms(sp.exp), key=sp.default_sort_key)
+    )
+    # Poly would read exp(2*u) as a power of exp(u); dummies keep every atom
+    # an independent generator
+    dummies = [sp.Dummy() for _ in atoms]
+    gens = dummies + sorted(expr.free_symbols, key=sp.default_sort_key)
+    if not gens:
+        return expr
+    terms = sp.Poly(expr.xreplace(dict(zip(atoms, dummies))), *gens).as_dict()
+    for c in range(n):
+        s = n + c
+        out: dict = {}
+        for monom, coeff in terms.items():
+            q, r = divmod(monom[c], 2)
+            for j in range(q + 1):
+                m = list(monom)
+                m[c], m[s] = r, m[s] + 2 * j
+                key = tuple(m)
+                out[key] = out.get(key, 0) + (-1) ** j * sp.binomial(q, j) * coeff
+        terms = {m: v for m, v in out.items() if v != 0}
+    if not terms:
+        return sp.Integer(0)
+    return sp.Poly.from_dict(terms, *gens).as_expr().xreplace(dict(zip(dummies, atoms)))
+
+
+def trig_reduce_rational(expr: sp.Expr) -> sp.Expr:
+    """:func:`trig_reduce` applied to the numerator and the denominator of
+    the canonical form, then cancelled.  Raises :class:`ExprError` when the
+    denominator reduces to zero."""
+    num, den = sp.fraction(canon(expr))
+    den = trig_reduce(den)
+    if den == 0:
+        raise ExprError("denominator vanishes identically (sin^2 + cos^2 = 1)")
+    num = trig_reduce(num)
+    return num if num == 0 else sp.cancel(num / den)
 
 
 def _validate_nodes(expr: sp.Expr, chart) -> None:
@@ -288,7 +370,9 @@ _POLE = object()
 
 
 def _eval_exact(expr: sp.Expr, point: dict) -> object:
-    v = expr.subs(point, simultaneous=True)
+    # symbols map to Rationals, so rebuilding the tree evaluates it exactly;
+    # a pole comes out as zoo or nan
+    v = expr.xreplace(point)
     if v.has(*_BAD_VALUES):
         return _POLE
     return v
@@ -336,7 +420,9 @@ def is_zero(
 ) -> Verdict:
     """Three-valued zero test, deterministic for a fixed policy seed.
 
-    ``Proved`` iff the canonical form is literally 0.  Otherwise the
+    ``Proved`` when the canonical form is literally 0, or when it has
+    sin/cos atoms and its numerator reduces to 0 under :func:`trig_reduce`.
+    A denominator that reduces to 0 raises :class:`ExprError`.  Otherwise the
     expression is evaluated at ``policy.samples`` random rational points:
     rational expressions must vanish exactly, transcendental ones within
     ``policy.tol``.  Any other value yields ``Failed`` with a witness.
@@ -344,6 +430,8 @@ def is_zero(
     """
     expr = canon(e.expr, policy.max_passes)
     if expr == 0:
+        return Verdict.proved(criterion)
+    if expr.has(sp.sin, sp.cos) and trig_reduce_rational(expr) == 0:
         return Verdict.proved(criterion)
     chart = e.chart
     rng = rng if rng is not None else policy.rng()

@@ -2,7 +2,8 @@
 
 Every identity the engine tests resolves to one of
 
-* ``Proved`` — the canonical form is literally zero,
+* ``Proved`` — the canonical form is literally zero, or its numerator
+  reduces to zero modulo sin^2 + cos^2 - 1,
 * ``NumericallySupported`` — nonzero canonical form, but vanishing at every
   random sample point (exactly for rational values, within tolerance when
   transcendental atoms are involved),
@@ -14,7 +15,7 @@ Compound checks aggregate to their weakest member.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -66,11 +67,17 @@ class Witness:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of one identity check, with provenance of what was tested."""
+    """Outcome of one identity check, with provenance of what was tested.
+
+    ``detail`` is the reason a verdict was reached when no zero test
+    produced it (a rank count, a disagreement between two routes); it
+    survives relabelling, so reports can show it.
+    """
 
     kind: VerdictKind
     criterion: str = ""
     witness: Optional[Witness] = None
+    detail: str = ""
 
     @staticmethod
     def proved(criterion: str = "") -> "Verdict":
@@ -81,8 +88,10 @@ class Verdict:
         return Verdict(VerdictKind.NUMERIC, criterion)
 
     @staticmethod
-    def failed(criterion: str = "", witness: Optional[Witness] = None) -> "Verdict":
-        return Verdict(VerdictKind.FAILED, criterion, witness)
+    def failed(
+        criterion: str = "", witness: Optional[Witness] = None, detail: str = ""
+    ) -> "Verdict":
+        return Verdict(VerdictKind.FAILED, criterion, witness, detail)
 
     @property
     def ok(self) -> bool:
@@ -93,7 +102,7 @@ class Verdict:
         return self.kind is VerdictKind.PROVED
 
     def relabel(self, criterion: str) -> "Verdict":
-        return Verdict(self.kind, criterion, self.witness)
+        return replace(self, criterion=criterion)
 
     def __and__(self, other: "Verdict") -> "Verdict":
         return combine(self, other)
@@ -104,15 +113,17 @@ class Verdict:
             s = f"{self.criterion}: {s}"
         if self.witness is not None:
             s += f" ({self.witness})"
+        if self.detail:
+            s += f" ({self.detail})"
         return s
 
 
 def combine(*verdicts: Verdict, criterion: str = "") -> Verdict:
-    """Weakest-member aggregation; keeps the first failing witness."""
+    """Weakest-member aggregation; keeps the first failing witness and detail."""
     if not verdicts:
         return Verdict.proved(criterion)
     worst = min(verdicts, key=lambda v: _STRENGTH[v.kind])
-    return Verdict(worst.kind, criterion or worst.criterion, worst.witness)
+    return replace(worst, criterion=criterion or worst.criterion)
 
 
 @dataclass
@@ -148,5 +159,6 @@ class CheckResult:
             return f"{self.name}: skipped ({self.skipped})"
         lines = [f"{self.name}: {self.verdict.kind.value}"]
         for label, v in self.items:
-            lines.append(f"  {label}: {v.kind.value}" + (f" ({v.witness})" if v.witness else ""))
+            line = f"  {label}: {v.kind.value}" + (f" ({v.witness})" if v.witness else "")
+            lines.append(line + (f" ({v.detail})" if v.detail else ""))
         return "\n".join(lines)

@@ -435,7 +435,9 @@ def run_checks(scenario: Scenario) -> "Report":
             result = CheckResult(req.check, skipped=str(exc))
         except StructureError as exc:
             result = CheckResult(req.check)
-            failures = exc.failures or [("structure validation", Verdict.failed(str(exc)))]
+            failures = exc.failures or [
+                ("structure validation", Verdict.failed(detail=str(exc)))
+            ]
             for lbl, v in failures:
                 result.add(lbl, v)
         runs.append(CheckRun(req.check, decl.name, result, time.perf_counter() - t0))

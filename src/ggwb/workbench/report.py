@@ -51,6 +51,8 @@ class Report:
                     item = {"label": label, "verdict": v.kind.value}
                     if v.witness is not None:
                         item["witness"] = v.witness.as_dict()
+                    if v.detail:
+                        item["detail"] = v.detail
                     items.append(item)
                 entry["items"] = items
             checks.append(entry)
@@ -94,6 +96,8 @@ class Report:
                 line = f"    {mark} {label}: {item.kind.value}"
                 if item.witness is not None:
                     line += f"  [{item.witness}]"
+                if item.detail:
+                    line += f"  ({item.detail})"
                 lines.append(line)
         lines.append("")
         lines.append(f"overall: {self.overall}")

@@ -130,6 +130,19 @@ def test_binormal_s5_paper_defect(s5_t21, pol):
     assert integrability_product(pj.J, pol).kind is VerdictKind.FAILED
 
 
+def test_binormal_s5_cross_check_names_the_failed_side(s5_t21, pol):
+    """The failing cross-check carries the companion's normal21 witness and
+    says why it failed."""
+    v = check_binormal(s5_t21, pol).subverdict(
+        "cross-check: binormal iff both the structure and its companion are normal"
+    )
+    assert v.kind is VerdictKind.FAILED
+    assert v.witness is not None
+    assert v.witness.detail == "normal21 of the companion failed"
+    assert v.witness.value != 0
+    assert v.detail.endswith("normality of the pair says Failed")
+
+
 def test_product_metric_s5(s5_t21, pol):
     res = check_product_metric(s5_t21, pol)
     assert res.ok

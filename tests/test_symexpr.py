@@ -213,7 +213,7 @@ def test_is_zero_trivial_cases(chart):
     pol = ZeroPolicy(samples=16, seed=0)
     assert is_zero(chart.scalar("x - x"), pol).kind is VerdictKind.PROVED
     v = is_zero(chart.scalar("sin(x)^2 + cos(x)^2 - 1"), pol)
-    assert v.kind is VerdictKind.NUMERIC
+    assert v.kind is VerdictKind.PROVED
     v = is_zero(chart.scalar("x*y - y"), pol)
     assert v.kind is VerdictKind.FAILED
     point = dict(v.witness.point)

@@ -251,3 +251,18 @@ def test_cli_json_byte_identical(capsys):
                  "--check", "normal", "--check", "normal21"]) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_failed_item_keeps_its_detail_in_reports():
+    from ggwb.symexpr import ZeroPolicy
+    from ggwb.verdict import CheckResult, Verdict
+    from ggwb.workbench.checks import CheckRun
+
+    res = CheckResult("demo")
+    res.add("rank", Verdict.failed(detail="corank = 1"))
+    res.add("identity", Verdict.proved())
+    report = Report("demo", ZeroPolicy(), [CheckRun("demo", "s", res, 0.0)])
+    items = report.as_dict()["checks"][0]["items"]
+    assert items[0]["detail"] == "corank = 1"
+    assert "detail" not in items[1]
+    assert "rank: Failed  (corank = 1)" in report.to_text()
