@@ -20,7 +20,6 @@ from .calculus import (
     ThreeForm,
     TwoForm,
     VectorField,
-    cov_deriv,
     ext_d,
     euclidean_metric,
     frame,

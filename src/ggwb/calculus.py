@@ -8,9 +8,14 @@ Conventions follow Cartan throughout (no 1/(k+1) factors):
                      - w([X,Y],U) + w([X,U],Y) - w([Y,U],X)
 
 All fields are stored in coordinate-frame components and are immutable after
-construction.  Charts are global (R^n-like); compact factors are represented
-by periodic or parametric coordinate expressions on a single chart, with
-sampling ranges keeping random points away from chart boundaries.
+construction.  Every partial derivative (directional derivatives, brackets,
+exterior and Lie derivatives, Christoffel symbols, covariant derivatives)
+goes through :func:`ggwb.symexpr.pdiff`, which skips sympy when the
+component does not contain the coordinate.
+
+Charts are global (R^n-like); compact factors are represented by periodic
+or parametric coordinate expressions on a single chart, with sampling ranges
+keeping random points away from chart boundaries.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from typing import Optional, Sequence, Union
 import sympy as sp
 
 from .errors import ChartMismatchError, ExprError, SingularMetricError
-from .symexpr import ScalarExpr, canon, trig_reduce_rational
+from .symexpr import ScalarExpr, canon, pdiff, trig_reduce_rational
 
 Scalarish = Union[ScalarExpr, int, Fraction, str]
 
@@ -236,7 +241,7 @@ class VectorField(_Components):
             raise ChartMismatchError("scalar lives on a different chart")
         total = sp.Integer(0)
         for comp, sym in zip(self.components, self.chart.symbols):
-            total += comp.expr * sp.diff(f.expr, sym)
+            total += comp.expr * pdiff(f.expr, sym)
         return _S(self.chart, total)
 
     def __repr__(self):
@@ -546,15 +551,6 @@ def tensor_oneform_vector(xi: OneForm, Z: VectorField) -> EndoTM:
     )
 
 
-def symmetric_product(a: OneForm, b: OneForm):
-    """Matrix of the symmetric product a (x) b + b (x) a over 2 ... i.e. entries
-    a_i b_j + a_j b_i is *not* what metrics like xi (x) xi need; this returns
-    the plain tensor-product matrix a_i b_j, symmetric when a == b."""
-    _same_chart(a, b)
-    n = a.chart.dim
-    return [[a.components[i] * b.components[j] for j in range(n)] for i in range(n)]
-
-
 # ---------------------------------------------------------------------------
 # exterior and Lie calculus
 
@@ -584,8 +580,8 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     for k in range(chart.dim):
         total = sp.Integer(0)
         for i in range(chart.dim):
-            total += X.components[i].expr * sp.diff(Y.components[k].expr, syms[i])
-            total -= Y.components[i].expr * sp.diff(X.components[k].expr, syms[i])
+            total += X.components[i].expr * pdiff(Y.components[k].expr, syms[i])
+            total -= Y.components[i].expr * pdiff(X.components[k].expr, syms[i])
         comps.append(total)
     return VectorField(chart, comps)
 
@@ -601,7 +597,7 @@ def ext_d(w: Union[ScalarExpr, OneForm, TwoForm]):
         n = chart.dim
         grid = [
             [
-                sp.diff(w.components[j].expr, syms[i]) - sp.diff(w.components[i].expr, syms[j])
+                pdiff(w.components[j].expr, syms[i]) - pdiff(w.components[i].expr, syms[j])
                 for j in range(n)
             ]
             for i in range(n)
@@ -615,7 +611,7 @@ def ext_d(w: Union[ScalarExpr, OneForm, TwoForm]):
         cube = [
             [
                 [
-                    sp.diff(m[j][k], syms[i]) - sp.diff(m[i][k], syms[j]) + sp.diff(m[i][j], syms[k])
+                    pdiff(m[j][k], syms[i]) - pdiff(m[i][k], syms[j]) + pdiff(m[i][j], syms[k])
                     for k in range(n)
                 ]
                 for j in range(n)
@@ -681,7 +677,7 @@ def lie_derivative(X: VectorField, T):
     if isinstance(T, OneForm):
         a = [c.expr for c in T.components]
         comps = [
-            sum(Xc[i] * sp.diff(a[j], syms[i]) + a[i] * sp.diff(Xc[i], syms[j]) for i in range(n))
+            sum(Xc[i] * pdiff(a[j], syms[i]) + a[i] * pdiff(Xc[i], syms[j]) for i in range(n))
             for j in range(n)
         ]
         return OneForm(chart, comps)
@@ -690,9 +686,9 @@ def lie_derivative(X: VectorField, T):
         grid = [
             [
                 sum(
-                    Xc[i] * sp.diff(m[j][k], syms[i])
-                    + m[i][k] * sp.diff(Xc[i], syms[j])
-                    + m[j][i] * sp.diff(Xc[i], syms[k])
+                    Xc[i] * pdiff(m[j][k], syms[i])
+                    + m[i][k] * pdiff(Xc[i], syms[j])
+                    + m[j][i] * pdiff(Xc[i], syms[k])
                     for i in range(n)
                 )
                 for k in range(n)
@@ -706,9 +702,9 @@ def lie_derivative(X: VectorField, T):
         grid = [
             [
                 sum(
-                    Xc[k] * sp.diff(f[i][j], syms[k])
-                    - f[k][j] * sp.diff(Xc[i], syms[k])
-                    + f[i][k] * sp.diff(Xc[k], syms[j])
+                    Xc[k] * pdiff(f[i][j], syms[k])
+                    - f[k][j] * pdiff(Xc[i], syms[k])
+                    + f[i][k] * pdiff(Xc[k], syms[j])
                     for k in range(n)
                 )
                 for j in range(n)
@@ -801,7 +797,7 @@ class Connection:
         ginv = [[e.expr for e in row] for row in gamma.inverse_matrix()]
         chr_ = [[[sp.Integer(0)] * n for _ in range(n)] for _ in range(n)]
         dg = [
-            [[sp.diff(g[i][j], syms[k]) for j in range(n)] for i in range(n)] for k in range(n)
+            [[pdiff(g[i][j], syms[k]) for j in range(n)] for i in range(n)] for k in range(n)
         ]
         for k in range(n):
             for i in range(n):
@@ -827,7 +823,7 @@ class Connection:
         if isinstance(T, VectorField):
             Y = [c.expr for c in T.components]
             comps = [
-                sum(Xc[i] * sp.diff(Y[k], syms[i]) for i in range(n))
+                sum(Xc[i] * pdiff(Y[k], syms[i]) for i in range(n))
                 + sum(G[k][i][j] * Xc[i] * Y[j] for i in range(n) for j in range(n))
                 for k in range(n)
             ]
@@ -835,7 +831,7 @@ class Connection:
         if isinstance(T, OneForm):
             a = [c.expr for c in T.components]
             comps = [
-                sum(Xc[i] * sp.diff(a[j], syms[i]) for i in range(n))
+                sum(Xc[i] * pdiff(a[j], syms[i]) for i in range(n))
                 - sum(G[k][i][j] * Xc[i] * a[k] for i in range(n) for k in range(n))
                 for j in range(n)
             ]
@@ -844,7 +840,7 @@ class Connection:
             f = [[e.expr for e in row] for row in T.matrix]
             grid = [
                 [
-                    sum(Xc[k] * sp.diff(f[i][j], syms[k]) for k in range(n))
+                    sum(Xc[k] * pdiff(f[i][j], syms[k]) for k in range(n))
                     + sum(G[i][k][m] * Xc[k] * f[m][j] for k in range(n) for m in range(n))
                     - sum(G[m][k][j] * Xc[k] * f[i][m] for k in range(n) for m in range(n))
                     for j in range(n)
@@ -864,7 +860,7 @@ class Connection:
         for k in range(n):
             for i in range(n):
                 for j in range(i, n):
-                    expr = sp.diff(g[i][j], syms[k])
+                    expr = pdiff(g[i][j], syms[k])
                     expr -= sum(G[l][k][i] * g[l][j] for l in range(n))
                     expr -= sum(G[l][k][j] * g[i][l] for l in range(n))
                     out.append(ScalarExpr(expr, self.chart))
@@ -879,16 +875,8 @@ def levi_civita(gamma: MetricField) -> Connection:
     return gamma.connection()
 
 
-def cov_deriv(conn: Connection, X: VectorField, T):
-    return conn.nabla(X, T)
-
-
 # ---------------------------------------------------------------------------
 # product with a line, and lifts
-
-
-def lift_scalar(f: ScalarExpr, product: ChartManifold) -> ScalarExpr:
-    return ScalarExpr(f.expr, product)
 
 
 def lift_vector(X: VectorField, product: ChartManifold) -> VectorField:

@@ -30,7 +30,7 @@ from .calculus import (
     zero_vector,
 )
 from .errors import ChartMismatchError, ExprError
-from .symexpr import ScalarExpr
+from .symexpr import ScalarExpr, pdiff
 
 
 class BigSection:
@@ -130,7 +130,7 @@ def courant_bracket(A: BigSection, B: BigSection) -> BigSection:
     ac = [c.expr for c in A.alpha.components]
     bc = [c.expr for c in B.alpha.components]
     vec = [
-        sum(Xc[i] * sp.diff(Yc[k], syms[i]) - Yc[i] * sp.diff(Xc[k], syms[i]) for i in range(n))
+        sum(Xc[i] * pdiff(Yc[k], syms[i]) - Yc[i] * pdiff(Xc[k], syms[i]) for i in range(n))
         for k in range(n)
     ]
     # L_X b - L_Y a + (1/2) d(a(Y) - b(X))
@@ -138,13 +138,13 @@ def courant_bracket(A: BigSection, B: BigSection) -> BigSection:
     cov = []
     for j in range(n):
         t = sum(
-            Xc[i] * sp.diff(bc[j], syms[i])
-            + bc[i] * sp.diff(Xc[i], syms[j])
-            - Yc[i] * sp.diff(ac[j], syms[i])
-            - ac[i] * sp.diff(Yc[i], syms[j])
+            Xc[i] * pdiff(bc[j], syms[i])
+            + bc[i] * pdiff(Xc[i], syms[j])
+            - Yc[i] * pdiff(ac[j], syms[i])
+            - ac[i] * pdiff(Yc[i], syms[j])
             for i in range(n)
         )
-        cov.append(t + sp.Rational(1, 2) * sp.diff(corr, syms[j]))
+        cov.append(t + sp.Rational(1, 2) * pdiff(corr, syms[j]))
     return BigSection(VectorField(chart, vec), OneForm(chart, cov))
 
 
@@ -288,7 +288,7 @@ class BigEndo:
 
     def skew_defect(self) -> list[ScalarExpr]:
         """Entries of A^T G0 + G0 A where G0 is the pairing Gram matrix."""
-        g0 = _pairing_gram(self.chart)
+        g0 = pairing_gram(self.chart)
         m = self._sym()
         d = m.T * g0 + g0 * m
         return [ScalarExpr(e, self.chart) for e in d]
@@ -300,7 +300,7 @@ class BigEndo:
         return [ScalarExpr(e, self.chart) for e in d]
 
 
-def _pairing_gram(chart: ChartManifold) -> sp.Matrix:
+def pairing_gram(chart: ChartManifold) -> sp.Matrix:
     n = chart.dim
     half = sp.Rational(1, 2)
     return sp.Matrix(
@@ -309,10 +309,6 @@ def _pairing_gram(chart: ChartManifold) -> sp.Matrix:
             for i in range(2 * n)
         ]
     )
-
-
-def pairing_gram(chart: ChartManifold) -> sp.Matrix:
-    return _pairing_gram(chart)
 
 
 def nijenhuis_big(A: BigEndo, S: BigSection, T: BigSection) -> BigSection:

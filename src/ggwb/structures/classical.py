@@ -23,7 +23,7 @@ from ..calculus import (
 from ..courant import BigEndo
 from ..errors import ChartMismatchError, StructureError
 from ..symexpr import DEFAULT_POLICY, ScalarExpr, ZeroPolicy, is_zero, is_zero_all, random_poly
-from ..verdict import CheckResult, Verdict
+from ..verdict import CheckResult
 
 
 @dataclass(frozen=True)
@@ -64,20 +64,16 @@ class AlmostContact:
         )
 
 
-def _vanishes(exprs, policy, label) -> Verdict:
-    return is_zero_all(exprs, policy, label)
-
-
 def check_almost_contact(s: AlmostContact, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
     """All four (almcont) identities; (clasmetric) too when a metric is given."""
     out = CheckResult("almost_contact")
     chart = s.chart
     ident = EndoTM.identity(chart)
     defect = (s.F @ s.F) - (tensor_oneform_vector(s.xi, s.Z) - ident)
-    out.add("(almcont) F^2 = -Id + xi(x)Z", _vanishes(
+    out.add("(almcont) F^2 = -Id + xi(x)Z", is_zero_all(
         [e for row in defect.matrix for e in row], policy, "(almcont) F^2"))
-    out.add("(almcont) F Z = 0", _vanishes(s.F(s.Z).components, policy, "(almcont) FZ"))
-    out.add("(almcont) xi o F = 0", _vanishes(
+    out.add("(almcont) F Z = 0", is_zero_all(s.F(s.Z).components, policy, "(almcont) FZ"))
+    out.add("(almcont) xi o F = 0", is_zero_all(
         s.xi.compose_endo(s.F).components, policy, "(almcont) xi o F"))
     out.add("(almcont) xi(Z) = 1", is_zero(s.xi(s.Z) - 1, policy, "(almcont) xi(Z)"))
     if s.gamma is not None:
@@ -85,7 +81,7 @@ def check_almost_contact(s: AlmostContact, policy: ZeroPolicy = DEFAULT_POLICY) 
         f = sp.Matrix([[e.expr for e in row] for row in s.F.matrix])
         xiv = sp.Matrix([c.expr for c in s.xi.components])
         d = f.T * g * f - g + xiv * xiv.T
-        out.add("(clasmetric) s(FX,FY) = s(X,Y) - xi(X)xi(Y)", _vanishes(
+        out.add("(clasmetric) s(FX,FY) = s(X,Y) - xi(X)xi(Y)", is_zero_all(
             [ScalarExpr(e, chart) for e in d], policy, "(clasmetric)"))
     return out
 
@@ -112,7 +108,7 @@ def check_normal_classical(s: AlmostContact, policy: ZeroPolicy = DEFAULT_POLICY
         for j in range(i + 1, chart.dim):
             t = nijenhuis_classical(s.F, fr[i], fr[j]) + s.Z * dxi(fr[i], fr[j])
             exprs.extend(t.components)
-    out.add("(normal) N_F + dxi (x) Z = 0", _vanishes(exprs, policy, "(normal)"))
+    out.add("(normal) N_F + dxi (x) Z = 0", is_zero_all(exprs, policy, "(normal)"))
     return out
 
 
@@ -131,7 +127,7 @@ def eigen_projections(A: Union[EndoTM, BigEndo], policy: ZeroPolicy = DEFAULT_PO
         make = lambda g: EndoTM(chart, g.tolist())
         dim = chart.dim
     cube_defect = m * m * m + m
-    v = _vanishes([ScalarExpr(e, chart) for e in cube_defect], policy, "A^3 + A = 0")
+    v = is_zero_all([ScalarExpr(e, chart) for e in cube_defect], policy, "A^3 + A = 0")
     if not v.ok:
         raise StructureError(
             "eigen_projections requires an F structure", [("A^3 + A = 0", v)]
@@ -160,7 +156,7 @@ def _cr_condition_items(F: EndoTM, policy: ZeroPolicy, out: CheckResult) -> None
         for j in range(i + 1, n):
             d = nijenhuis_classical(F, span[i], span[j]) - pr_q(lie_bracket(span[i], span[j]))
             exprs.extend(d.components)
-    out.add("(CRcond) N_F(X,Y) = pr_Q [X,Y] on P", _vanishes(exprs, policy, "(CRcond)"))
+    out.add("(CRcond) N_F(X,Y) = pr_Q [X,Y] on P", is_zero_all(exprs, policy, "(CRcond)"))
     rng = random.Random(policy.seed + 101)
     f = random_poly(chart, rng)
     X, Y = span[0], span[1 % n]
@@ -169,7 +165,7 @@ def _cr_condition_items(F: EndoTM, policy: ZeroPolicy, out: CheckResult) -> None
         - pr_q(lie_bracket(X * f, Y))
         - (nijenhuis_classical(F, X, Y) - pr_q(lie_bracket(X, Y))) * f
     )
-    out.add("(CRcond) scalar-invariance under X -> fX", _vanishes(
+    out.add("(CRcond) scalar-invariance under X -> fX", is_zero_all(
         fd.components, policy, "(CRcond) invariance"))
 
 
@@ -179,7 +175,7 @@ def check_classical_CRF(s: AlmostContact, policy: ZeroPolicy = DEFAULT_POLICY) -
     _cr_condition_items(s.F, policy, out)
     lzf = lie_derivative(s.Z, s.F)
     comp = s.F @ lzf
-    out.add("(CRFcuLie) F o (L_Z F) = 0", _vanishes(
+    out.add("(CRFcuLie) F o (L_Z F) = 0", is_zero_all(
         [e for row in comp.matrix for e in row], policy, "(CRFcuLie)"))
     return out
 
@@ -198,7 +194,7 @@ def check_crf_endo(F: EndoTM, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResul
     for X in span_p:
         for Y in span_q:
             exprs.extend(nijenhuis_classical(F, X, Y).components)
-    out.add("(CRF0) N_F(X,Y) = 0 for X in P, Y in Q", _vanishes(exprs, policy, "(CRF0)"))
+    out.add("(CRF0) N_F(X,Y) = 0 for X in P, Y in Q", is_zero_all(exprs, policy, "(CRF0)"))
     return out
 
 
@@ -217,7 +213,7 @@ def check_kernel_nabla_F(
         nf = conn.nabla(X, F)
         comp = F @ nf
         exprs.extend(e for row in comp.matrix for e in row)
-    out.add("F o (nabla_X F) = 0", _vanishes(exprs, policy, "kernel"))
+    out.add("F o (nabla_X F) = 0", is_zero_all(exprs, policy, "kernel"))
     return out
 
 
@@ -244,12 +240,12 @@ def check_product_complex(
     out = CheckResult("normal_via_product")
     product, J = product_J_classical(s, t)
     sq = (J @ J) + EndoTM.identity(product)
-    out.add("(JF) J^2 = -Id", _vanishes(
+    out.add("(JF) J^2 = -Id", is_zero_all(
         [e for row in sq.matrix for e in row], policy, "(JF) square"))
     fr = frame(product)
     exprs = []
     for i in range(product.dim):
         for j in range(i + 1, product.dim):
             exprs.extend(nijenhuis_classical(J, fr[i], fr[j]).components)
-    out.add("(JF) N_J = 0 on MxR", _vanishes(exprs, policy, "(JF) N_J"))
+    out.add("(JF) N_J = 0 on MxR", is_zero_all(exprs, policy, "(JF) N_J"))
     return out

@@ -18,7 +18,7 @@ from ..calculus import (
 from ..courant import BigEndo, BigSection, pairing_gram
 from ..errors import ChartMismatchError, ExprError, StructureError
 from ..numeric import symmetric_eigenvalues_at
-from ..symexpr import DEFAULT_POLICY, ScalarExpr, ZeroPolicy, is_zero_all
+from ..symexpr import DEFAULT_POLICY, ScalarExpr, ZeroPolicy, is_zero_all, pdiff
 from ..verdict import CheckResult, Verdict, Witness
 
 
@@ -171,7 +171,7 @@ def courant_bracket_Vpm(
     p = [[e.expr for e in row] for row in G.psi.components]
     dp = G.dpsi.components
     br = [
-        sum(Xc[i] * sp.diff(Yc[k], syms[i]) - Yc[i] * sp.diff(Xc[k], syms[i]) for i in range(n))
+        sum(Xc[i] * pdiff(Yc[k], syms[i]) - Yc[i] * pdiff(Xc[k], syms[i]) for i in range(n))
         for k in range(n)
     ]
     flat_gY = [sum(Yc[i] * g[i][j] for i in range(n)) for j in range(n)]
@@ -179,7 +179,7 @@ def courant_bracket_Vpm(
 
     def lie_x_of(w, Vc):  # (L_V w)_j for a 1-form w given by raw components
         return [
-            sum(Vc[i] * sp.diff(w[j], syms[i]) + w[i] * sp.diff(Vc[i], syms[j]) for i in range(n))
+            sum(Vc[i] * pdiff(w[j], syms[i]) + w[i] * pdiff(Vc[i], syms[j]) for i in range(n))
             for j in range(n)
         ]
 
@@ -196,9 +196,9 @@ def courant_bracket_Vpm(
         lie_y_gamma = [
             [
                 sum(
-                    Yc[k] * sp.diff(g[i][j], syms[k])
-                    + g[k][j] * sp.diff(Yc[k], syms[i])
-                    + g[i][k] * sp.diff(Yc[k], syms[j])
+                    Yc[k] * pdiff(g[i][j], syms[k])
+                    + g[k][j] * pdiff(Yc[k], syms[i])
+                    + g[i][k] * pdiff(Yc[k], syms[j])
                     for k in range(n)
                 )
                 for j in range(n)
@@ -222,7 +222,7 @@ def courant_bracket_Vpm(
         + ixiy_dpsi[j]
         - lxw[j]
         - lyw[j]
-        + sp.diff(gxy, syms[j])
+        + pdiff(gxy, syms[j])
         for j in range(n)
     ]
     return BigSection(VectorField(chart, br), OneForm(chart, cov))

@@ -9,6 +9,8 @@ X in P_{-s}.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from ..calculus import (
     OneForm,
     VectorField,
@@ -201,9 +203,17 @@ def _rho_antiholomorphy(data: _PairData, policy: ZeroPolicy) -> Verdict:
 # (indbin1): binormality
 
 
-def check_binormal(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
+def check_binormal(
+    s: TwoOneGAC,
+    policy: ZeroPolicy = DEFAULT_POLICY,
+    normal21: Optional[CheckResult] = None,
+) -> CheckResult:
     """The (indbin1) condition system, with the definitional cross-check that binormality is
-    exactly normality of the structure and of its companion."""
+    exactly normality of the structure and of its companion.
+
+    ``normal21`` is an already computed ``check_normal_21(s, policy)``; when
+    it is None the structure side is computed here.
+    """
     from .twoone import check_normal_21
 
     data = _PairData(s)
@@ -239,8 +249,10 @@ def check_binormal(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckRe
     out.add("(indbin1) [Z_pm, F_mp X_mp] = mp (1/2) F_mp sharp rho_pm", is_zero_all(exprs_b, policy))
 
     direct = combine(*(v for _, v in out.items))
+    if normal21 is None:
+        normal21 = check_normal_21(s, policy)
     sides = [
-        ("normal21 of the structure", check_normal_21(s, policy).verdict),
+        ("normal21 of the structure", normal21.verdict),
         ("normal21 of the companion", check_normal_21(second_structure(s), policy).verdict),
     ]
     both = combine(*(v for _, v in sides))

@@ -429,7 +429,7 @@ def check_phi(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
     return out
 
 
-def _nijenhuis_defects(A: BigEndo, policy: ZeroPolicy):
+def _nijenhuis_defects(A: BigEndo):
     bf = big_frame(A.chart)
     out = []
     for i in range(len(bf)):
@@ -445,8 +445,8 @@ def check_gen_contact(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> Chec
     out = CheckResult("gen_contact")
     phi = phi_endo(s)
     phibar = phi.conjugate()
-    n_phi = _nijenhuis_defects(phi, policy)
-    n_phibar = _nijenhuis_defects(phibar, policy)
+    n_phi = _nijenhuis_defects(phi)
+    n_phibar = _nijenhuis_defects(phibar)
     out.add("N_Phi = 0 (strong generalized contact)", is_zero_all(
         (c for d in n_phi for c in d.components()), policy))
     out.add("N_Phi + N_Phibar = 0", is_zero_all(

@@ -353,6 +353,23 @@ class ScalarExpr:
 # differentiation
 
 
+def pdiff(expr: sp.Expr, sym: sp.Symbol) -> sp.Expr:
+    """Partial derivative of a raw expression by one coordinate symbol.
+
+    The one derivative kernel of the package: every tensor operation
+    differentiates through it.  When ``sym`` is not a free symbol of
+    ``expr`` the answer is ``S.Zero`` without calling sympy.  The skip is
+    exact: coordinates are plain symbols and the ``sin``/``cos``/``exp``
+    atoms only contain coordinates, so an expression without ``sym`` does
+    not depend on it, and ``sympy.diff`` would return the same ``S.Zero``.
+    Frame sections and many structure entries are constants, so most
+    derivatives the tensor layer asks for take this branch.
+    """
+    if sym not in expr.free_symbols:
+        return sp.S.Zero
+    return sp.diff(expr, sym)
+
+
 def differentiate(e: ScalarExpr, coord) -> ScalarExpr:
     """Partial derivative with respect to one chart coordinate.
 
@@ -360,7 +377,7 @@ def differentiate(e: ScalarExpr, coord) -> ScalarExpr:
     expression's chart.
     """
     sym = e.chart.symbol(coord)
-    return ScalarExpr(sp.diff(e.expr, sym), e.chart)
+    return ScalarExpr(pdiff(e.expr, sym), e.chart)
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,23 @@ class ScenarioContext:
         self.scenario = scenario
         self.policy = scenario.policy
         self._built = {}
+        self._results = {}  # (check, id(target)) -> (target, CheckResult)
+
+    def run_once(self, check: str, target, run: Callable[[], CheckResult]) -> CheckResult:
+        """The result of ``check`` on ``target``, computed on first request.
+
+        Verdicts are deterministic (every zero test draws from a fresh
+        ``policy.rng()``), so a repeated request may reuse the first result.
+        """
+        key = (check, id(target))
+        if key not in self._results:
+            self._results[key] = (target, run())
+        return self._results[key][1]
+
+    def earlier_result(self, check: str, target) -> Optional[CheckResult]:
+        """The result ``run_once`` already holds for ``check`` on ``target``."""
+        hit = self._results.get((check, id(target)))
+        return hit[1] if hit is not None else None
 
     def field(self, name: str):
         return self.scenario.fields[name]
@@ -207,6 +224,18 @@ def _two_one_target(ctx, obj):
     return obj
 
 
+def _run_normal21(ctx, obj) -> CheckResult:
+    s = _two_one_target(ctx, obj)
+    return ctx.run_once("normal21", s, lambda: check_normal_21(s, ctx.policy))
+
+
+def _run_binormal(ctx, obj) -> CheckResult:
+    # binormality cross-checks normal21 of the structure: reuse the verdict
+    # when the scenario already ran that check
+    s = _two_one_target(ctx, obj)
+    return check_binormal(s, ctx.policy, normal21=ctx.earlier_result("normal21", s))
+
+
 _HYP = ("hypersurface",)
 _C21 = ("two_one", "hypersurface")
 
@@ -281,21 +310,13 @@ _register(
     lambda ctx, obj: check_product_J(_two_one_target(ctx, obj), ctx.policy),
     aliases=("JptFrond", "fKrond"),
 )
-_register(
-    "normal21", _C21,
-    lambda ctx, obj: check_normal_21(_two_one_target(ctx, obj), ctx.policy),
-    aliases=("normaltotal", "normtotal2"),
-)
+_register("normal21", _C21, _run_normal21, aliases=("normaltotal", "normtotal2"))
 _register(
     "normal_explicit", _C21,
     lambda ctx, obj: check_normal_explicit(_two_one_target(ctx, obj), ctx.policy),
     aliases=("indbin0", "zetarho"),
 )
-_register(
-    "binormal", _C21,
-    lambda ctx, obj: check_binormal(_two_one_target(ctx, obj), ctx.policy),
-    aliases=("indbin1",),
-)
+_register("binormal", _C21, _run_binormal, aliases=("indbin1",))
 _register(
     "product_metric", _C21,
     lambda ctx, obj: check_product_metric(_two_one_target(ctx, obj), ctx.policy),

@@ -266,3 +266,26 @@ def test_failed_item_keeps_its_detail_in_reports():
     assert items[0]["detail"] == "corank = 1"
     assert "detail" not in items[1]
     assert "rank: Failed  (corank = 1)" in report.to_text()
+
+
+def test_binormal_reuses_the_scenario_normal21_result(monkeypatch):
+    from ggwb.structures import twoone
+    from ggwb.workbench import checks as checks_mod
+
+    calls = []
+    original = twoone.check_normal_21
+
+    def counted(s, policy):
+        calls.append(s.name)
+        return original(s, policy)
+
+    monkeypatch.setattr(twoone, "check_normal_21", counted)
+    monkeypatch.setattr(checks_mod, "check_normal_21", counted)
+    sc = load_builtin("S1", 0)
+    wanted = [r.check for r in sc.checks]
+    assert wanted.index("normal21") < wanted.index("binormal")
+    report = run_checks(sc)
+    # normal21 of the structure runs once; binormal adds only the companion
+    assert len(calls) == 2
+    by_name = {r.check: r.result for r in report.runs}
+    assert by_name["binormal"].ok and by_name["normal21"].ok
