@@ -8,10 +8,21 @@ Conventions follow Cartan throughout (no 1/(k+1) factors):
                      - w([X,Y],U) + w([X,U],Y) - w([Y,U],X)
 
 All fields are stored in coordinate-frame components and are immutable after
-construction.  Every partial derivative (directional derivatives, brackets,
-exterior and Lie derivatives, Christoffel symbols, covariant derivatives)
-goes through :func:`ggwb.symexpr.pdiff`, which skips sympy when the
-component does not contain the coordinate.
+construction.  Every tensor class (and :class:`ggwb.courant.BigEndo`) is one
+core, :class:`_Components`: a nested tuple of ScalarExpr of a fixed shape
+with a cached ``sympy.ImmutableMatrix`` view, ``_sym()``.  The core defines
+the elementwise algebra, the matrix product, the evaluation of a covariant
+tensor on vectors, ``is_syntactic_zero`` and ``repr`` once.
+
+Every sum over indices goes through :func:`contract`, written in index
+notation: ``contract("ij,i,j->", g, X, Y)`` is g(X, Y), ``"i,ij->j"``
+contracts one slot, ``"ij,j->i"`` applies an endomorphism.  It builds each
+entry as one Add of left-to-right products and skips terms with a
+syntactically zero factor.  Every partial derivative goes through
+:func:`ggwb.symexpr.pdiff`, which skips sympy when the component does not
+contain the coordinate; brackets, exterior, Lie and covariant derivatives
+take the derivative array of each field once (:func:`_partials`) and
+contract it.
 
 Charts are global (R^n-like); compact factors are represented by periodic
 or parametric coordinate expressions on a single chart, with sampling ranges
@@ -20,6 +31,10 @@ keeping random points away from chart boundaries.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
+import operator
 import random
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -154,7 +169,7 @@ class ChartManifold:
 
 
 # ---------------------------------------------------------------------------
-# fields
+# the component-array core and the one contraction
 
 
 def _same_chart(*objs):
@@ -178,24 +193,165 @@ def _S(chart, v) -> ScalarExpr:
     return chart.scalar(v)
 
 
-def _wrap_list(chart, exprs) -> tuple:
-    return tuple(_S(chart, e) for e in exprs)
+def _wrap(chart, comps, shape, kind: str) -> tuple:
+    """Nested tuples of ScalarExpr of exactly ``shape``."""
+    if not shape:
+        return _S(chart, comps)
+    try:
+        comps = tuple(comps)
+    except TypeError:
+        comps = ()
+    if len(comps) != shape[0]:
+        raise ExprError(f"{kind} needs a {'x'.join(map(str, shape))} component array")
+    return tuple(_wrap(chart, c, shape[1:], kind) for c in comps)
 
 
-def _wrap_grid(chart, grid) -> tuple:
-    return tuple(tuple(_S(chart, e) for e in row) for row in grid)
+def _zipmap(f, *arrays):
+    """f applied entrywise to equally shaped nested arrays."""
+    if not isinstance(arrays[0], (list, tuple)):
+        return f(*arrays)
+    return [_zipmap(f, *parts) for parts in zip(*arrays)]
 
 
-def _grid_exprs(grid):
-    return [[e.expr for e in row] for row in grid]
+def _nest(flat: list, shape: list):
+    if not shape:
+        return flat[0]
+    step = len(flat) // shape[0]
+    return [_nest(flat[k * step:(k + 1) * step], shape[1:]) for k in range(shape[0])]
+
+
+def contract(spec: str, *operands):
+    """Sum of products of component arrays over repeated indices.
+
+    The one contraction path of the package, in index notation:
+    ``"ij,i,j->"`` evaluates a 2-tensor on two vectors, ``"i,ij->j"``
+    contracts one slot, ``"ij,j->i"`` applies an endomorphism and
+    ``"i,j->ij"`` is an outer product.  An operand is a tensor field, a
+    nested sequence of ScalarExpr or of raw sympy expressions.  Each term
+    multiplies one entry per operand from left to right, in operand order,
+    and the terms of one result entry are summed by a single ``Add``: the
+    Add-of-Mul sum an index loop builds.  Terms with a syntactically zero
+    factor are skipped.  The result is raw sympy, a scalar when nothing
+    follows ``->`` and nested lists otherwise; the caller wraps it.
+    """
+    ins, out = spec.split("->")
+    ins = ins.split(",")
+    if len(ins) != len(operands):
+        raise ExprError(f"contract '{spec}' takes {len(ins)} operands, got {len(operands)}")
+    fields = [o for o in operands if isinstance(o, _Components)]
+    if fields:
+        _same_chart(*fields)
+    arrays = [o.components if isinstance(o, _Components) else o for o in operands]
+    dims = {}
+    for idx, arr in zip(ins, arrays):
+        for letter in idx:
+            if dims.setdefault(letter, len(arr)) != len(arr):
+                raise ExprError(f"index '{letter}' of '{spec}' has two sizes")
+            arr = arr[0]
+    summed = [c for c in dict.fromkeys("".join(ins)) if c not in out]
+    letters = list(out) + summed
+    slots = [[letters.index(c) for c in idx] for idx in ins]
+    chunk = math.prod(dims[c] for c in summed)
+    flat, terms = [], []
+    for count, ix in enumerate(itertools.product(*(range(dims[c]) for c in letters)), 1):
+        factors = []
+        for arr, slot in zip(arrays, slots):
+            for s in slot:
+                arr = arr[ix[s]]
+            if isinstance(arr, ScalarExpr):
+                arr = arr.expr
+            if arr is sp.S.Zero:
+                break
+            factors.append(arr)
+        else:
+            terms.append(functools.reduce(operator.mul, factors))
+        if count % chunk == 0:
+            flat.append(sp.Add(*terms))
+            terms = []
+    return _nest(flat, [dims[c] for c in out])
+
+
+def _partials(t) -> list:
+    """Raw first derivatives of a field's components: one more slot, last,
+    holding d_k of the entry."""
+    syms = t.chart.symbols
+    return _zipmap(lambda e: [pdiff(e.expr, s) for s in syms], t.components)
 
 
 class _Components:
-    __slots__ = ("chart", "components")
+    """The one core of every tensor field: a component array in the
+    coordinate frame.
+
+    ``components`` are nested tuples of ScalarExpr of ``shape``; ``_sym()``
+    is the cached ``sympy.ImmutableMatrix`` view of a rank-1 or rank-2
+    array.  The elementwise algebra (``+ - neg`` and scalar ``*``),
+    ``conjugate``, ``@`` (matrix product), the evaluation of a covariant
+    tensor on vectors and ``repr`` are defined here once; subclasses fix the
+    shape and add their own invariants.
+    """
+
+    __slots__ = ("chart", "components", "shape", "_sym_cache")
+    _kind = "tensor"
+    _rank = 2
 
     def __init__(self, chart: ChartManifold, components):
+        self.shape = self._shape(chart)
         self.chart = chart
-        self.components = components
+        self.components = _wrap(chart, components, self.shape, self._kind)
+        self._sym_cache = None
+
+    @classmethod
+    def _shape(cls, chart) -> tuple:
+        return (chart.dim,) * cls._rank
+
+    @property
+    def matrix(self):
+        return self.components
+
+    def _sym(self) -> sp.ImmutableMatrix:
+        if self._sym_cache is None:
+            self._sym_cache = sp.ImmutableMatrix(_zipmap(lambda e: e.expr, self.components))
+        return self._sym_cache
+
+    def _like(self, components):
+        return type(self)(self.chart, components)
+
+    def _zip(self, f, other):
+        _same_chart(self, other)
+        if other.shape != self.shape:
+            raise ExprError(f"cannot combine a {self._kind} with a {other._kind}")
+        return self._like(_zipmap(f, self.components, other.components))
+
+    def __add__(self, other):
+        return self._zip(operator.add, other)
+
+    def __sub__(self, other):
+        return self._zip(operator.sub, other)
+
+    def __neg__(self):
+        return self._like(_zipmap(operator.neg, self.components))
+
+    def __mul__(self, f: Scalarish):
+        f = self.chart.scalar(f)
+        return self._like(_zipmap(lambda a: a * f, self.components))
+
+    __rmul__ = __mul__
+
+    def __matmul__(self, other):
+        _same_chart(self, other)
+        return self._like((self._sym() * other._sym()).tolist())
+
+    def conjugate(self):
+        return self._like(_zipmap(ScalarExpr.conjugate, self.components))
+
+    def __call__(self, *vectors) -> ScalarExpr:
+        """A covariant tensor evaluated on vectors, one per slot."""
+        idx = "ijk"[: len(self.shape)]
+        return _S(self.chart, contract(",".join([idx, *idx]) + "->", self, *vectors))
+
+    @property
+    def is_syntactic_zero(self) -> bool:
+        return all(e.is_syntactic_zero for e in _flatten(self.components))
 
     def __eq__(self, other):
         return (
@@ -207,269 +363,107 @@ class _Components:
     def __hash__(self):
         return hash((type(self).__name__, self.chart, self.components))
 
+    def __repr__(self):
+        return f"{type(self).__name__}({_zipmap(str, self.components)})"
+
+
+def _flatten(array):
+    if isinstance(array, ScalarExpr):
+        yield array
+        return
+    for part in array:
+        yield from _flatten(part)
+
+
+# ---------------------------------------------------------------------------
+# fields
+
 
 class VectorField(_Components):
     """Contravariant components X^i."""
 
-    def __init__(self, chart, components: Sequence[Scalarish]):
-        if len(components) != chart.dim:
-            raise ExprError(
-                f"vector field needs {chart.dim} components, got {len(components)}"
-            )
-        super().__init__(chart, tuple(_S(chart, c) for c in components))
-
-    def __add__(self, other):
-        _same_chart(self, other)
-        return VectorField(self.chart, [a + b for a, b in zip(self.components, other.components)])
-
-    def __sub__(self, other):
-        _same_chart(self, other)
-        return VectorField(self.chart, [a - b for a, b in zip(self.components, other.components)])
-
-    def __neg__(self):
-        return VectorField(self.chart, [-a for a in self.components])
-
-    def __mul__(self, f: Scalarish):
-        f = self.chart.scalar(f)
-        return VectorField(self.chart, [a * f for a in self.components])
-
-    __rmul__ = __mul__
+    _kind = "vector field"
+    _rank = 1
 
     def apply(self, f: ScalarExpr) -> ScalarExpr:
         """Directional derivative X(f)."""
         if f.chart != self.chart:
             raise ChartMismatchError("scalar lives on a different chart")
-        total = sp.Integer(0)
-        for comp, sym in zip(self.components, self.chart.symbols):
-            total += comp.expr * pdiff(f.expr, sym)
-        return _S(self.chart, total)
-
-    def __repr__(self):
-        return f"VectorField({[str(c) for c in self.components]})"
+        df = [pdiff(f.expr, s) for s in self.chart.symbols]
+        return _S(self.chart, contract("i,i->", self, df))
 
 
 class OneForm(_Components):
     """Covariant components a_i."""
 
-    def __init__(self, chart, components: Sequence[Scalarish]):
-        if len(components) != chart.dim:
-            raise ExprError(f"1-form needs {chart.dim} components, got {len(components)}")
-        super().__init__(chart, tuple(_S(chart, c) for c in components))
-
-    def __add__(self, other):
-        _same_chart(self, other)
-        return OneForm(self.chart, [a + b for a, b in zip(self.components, other.components)])
-
-    def __sub__(self, other):
-        _same_chart(self, other)
-        return OneForm(self.chart, [a - b for a, b in zip(self.components, other.components)])
-
-    def __neg__(self):
-        return OneForm(self.chart, [-a for a in self.components])
-
-    def __mul__(self, f: Scalarish):
-        f = self.chart.scalar(f)
-        return OneForm(self.chart, [a * f for a in self.components])
-
-    __rmul__ = __mul__
-
-    def __call__(self, X: VectorField) -> ScalarExpr:
-        _same_chart(self, X)
-        total = sp.Integer(0)
-        for a, x in zip(self.components, X.components):
-            total += a.expr * x.expr
-        return _S(self.chart, total)
+    _kind = "1-form"
+    _rank = 1
 
     def compose_endo(self, F: "EndoTM") -> "OneForm":
         """a o F, i.e. (a o F)(X) = a(FX)."""
-        _same_chart(self, F)
-        n = self.chart.dim
-        comps = [
-            sum(self.components[i].expr * F.matrix[i][j].expr for i in range(n))
-            for j in range(n)
-        ]
-        return OneForm(self.chart, comps)
-
-    def __repr__(self):
-        return f"OneForm({[str(c) for c in self.components]})"
+        return OneForm(self.chart, contract("i,ij->j", self, F))
 
 
 class TwoForm(_Components):
     """Antisymmetric matrix w_ij = w(e_i, e_j); antisymmetry is enforced."""
 
+    _kind = "2-form"
+
     def __init__(self, chart, matrix):
-        n = chart.dim
-        grid = _wrap_grid(chart, matrix)
-        if len(grid) != n or any(len(r) != n for r in grid):
-            raise ExprError(f"2-form needs a {n}x{n} matrix")
-        for i in range(n):
-            for j in range(i, n):
+        super().__init__(chart, matrix)
+        grid = self.components
+        for i in range(chart.dim):
+            for j in range(i, chart.dim):
                 if not (grid[i][j] + grid[j][i]).is_syntactic_zero:
                     raise ExprError(
                         f"2-form matrix is not antisymmetric at ({i},{j})"
                     )
-        super().__init__(chart, grid)
-
-    @property
-    def matrix(self):
-        return self.components
-
-    def __add__(self, other):
-        _same_chart(self, other)
-        return TwoForm(
-            self.chart,
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.components, other.components)
-            ],
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return TwoForm(self.chart, [[-a for a in row] for row in self.components])
-
-    def __mul__(self, f: Scalarish):
-        f = self.chart.scalar(f)
-        return TwoForm(self.chart, [[a * f for a in row] for row in self.components])
-
-    __rmul__ = __mul__
-
-    def __call__(self, X: VectorField, Y: VectorField) -> ScalarExpr:
-        _same_chart(self, X, Y)
-        total = sp.Integer(0)
-        for i, xi in enumerate(X.components):
-            if xi.is_syntactic_zero:
-                continue
-            for j, yj in enumerate(Y.components):
-                total += self.components[i][j].expr * xi.expr * yj.expr
-        return _S(self.chart, total)
-
-    def __repr__(self):
-        return f"TwoForm({[[str(c) for c in row] for row in self.components]})"
 
 
 class ThreeForm(_Components):
     """Fully antisymmetric w_ijk; highest degree the engine needs."""
 
-    def __init__(self, chart, cube):
-        n = chart.dim
-        wrapped = tuple(
-            tuple(tuple(_S(chart, e) for e in row) for row in plane) for plane in cube
-        )
-        super().__init__(chart, wrapped)
-        if len(wrapped) != n or any(len(p) != n or any(len(r) != n for r in p) for p in wrapped):
-            raise ExprError(f"3-form needs a {n}x{n}x{n} array")
-
-    def __call__(self, X: VectorField, Y: VectorField, U: VectorField) -> ScalarExpr:
-        _same_chart(self, X, Y, U)
-        total = sp.Integer(0)
-        c = self.components
-        for i, xi in enumerate(X.components):
-            if xi.is_syntactic_zero:
-                continue
-            for j, yj in enumerate(Y.components):
-                if yj.is_syntactic_zero:
-                    continue
-                for k, uk in enumerate(U.components):
-                    total += c[i][j][k].expr * xi.expr * yj.expr * uk.expr
-        return ScalarExpr(total, self.chart)
-
-    @property
-    def is_syntactic_zero(self) -> bool:
-        return all(
-            e.is_syntactic_zero for plane in self.components for row in plane for e in row
-        )
+    _kind = "3-form"
+    _rank = 3
 
 
 class EndoTM(_Components):
     """Mixed tensor F^i_j acting on vectors by F(X)^i = F^i_j X^j."""
 
-    def __init__(self, chart, matrix):
-        n = chart.dim
-        grid = _wrap_grid(chart, matrix)
-        if len(grid) != n or any(len(r) != n for r in grid):
-            raise ExprError(f"endomorphism needs a {n}x{n} matrix")
-        super().__init__(chart, grid)
-
-    @property
-    def matrix(self):
-        return self.components
+    _kind = "endomorphism"
 
     @staticmethod
     def identity(chart) -> "EndoTM":
         n = chart.dim
         return EndoTM(chart, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    def __add__(self, other):
-        _same_chart(self, other)
-        return EndoTM(
-            self.chart,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.matrix, other.matrix)],
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return EndoTM(self.chart, [[-a for a in row] for row in self.matrix])
-
-    def __mul__(self, f: Scalarish):
-        f = self.chart.scalar(f)
-        return EndoTM(self.chart, [[a * f for a in row] for row in self.matrix])
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "EndoTM") -> "EndoTM":
-        _same_chart(self, other)
-        a = sp.Matrix(_grid_exprs(self.matrix))
-        b = sp.Matrix(_grid_exprs(other.matrix))
-        return EndoTM(self.chart, (a * b).tolist())
-
     def __call__(self, X: VectorField) -> VectorField:
-        _same_chart(self, X)
-        n = self.chart.dim
-        comps = [
-            sum(self.matrix[i][j].expr * X.components[j].expr for j in range(n))
-            for i in range(n)
-        ]
-        return VectorField(self.chart, comps)
+        return VectorField(self.chart, contract("ij,j->i", self, X))
 
     def transpose(self) -> "EndoTM":
         n = self.chart.dim
         return EndoTM(self.chart, [[self.matrix[j][i] for j in range(n)] for i in range(n)])
-
-    def conjugate(self) -> "EndoTM":
-        return EndoTM(self.chart, [[a.conjugate() for a in row] for row in self.matrix])
-
-    def __repr__(self):
-        return f"EndoTM({[[str(c) for c in row] for row in self.matrix]})"
 
 
 class MetricField(_Components):
     """Symmetric 2-tensor, nondegenerate at the chart base point."""
 
     __slots__ = ("_inverse", "_connection")
+    _kind = "metric"
 
-    def __init__(self, chart, matrix, _skip_nondegeneracy: bool = False):
-        n = chart.dim
-        grid = _wrap_grid(chart, matrix)
-        if len(grid) != n or any(len(r) != n for r in grid):
-            raise ExprError(f"metric needs a {n}x{n} matrix")
-        for i in range(n):
-            for j in range(i + 1, n):
+    def __init__(self, chart, matrix):
+        super().__init__(chart, matrix)
+        grid = self.components
+        for i in range(chart.dim):
+            for j in range(i + 1, chart.dim):
                 if not (grid[i][j] - grid[j][i]).is_syntactic_zero:
                     raise ExprError(f"metric matrix is not symmetric at ({i},{j})")
-        super().__init__(chart, grid)
         self._inverse = None
         self._connection = None
-        if not _skip_nondegeneracy:
-            self._check_nondegenerate()
+        self._check_nondegenerate()
 
     def _check_nondegenerate(self):
-        det = sp.Matrix(_grid_exprs(self.components)).det()
-        d = ScalarExpr(det, self.chart)
+        d = ScalarExpr(self._sym().det(), self.chart)
         from .symexpr import evaluate, _POLE  # local import to avoid cycle noise
 
         v = evaluate(d, self.chart.base_point())
@@ -479,26 +473,13 @@ class MetricField(_Components):
                 f"metric is degenerate at the base point of chart '{self.chart.name}'"
             )
 
-    @property
-    def matrix(self):
-        return self.components
-
-    def __call__(self, X: VectorField, Y: VectorField) -> ScalarExpr:
-        _same_chart(self, X, Y)
-        total = sp.Integer(0)
-        for i, xi in enumerate(X.components):
-            for j, yj in enumerate(Y.components):
-                total += self.components[i][j].expr * xi.expr * yj.expr
-        return ScalarExpr(total, self.chart)
-
     def inverse_matrix(self):
         if self._inverse is None:
-            m = sp.Matrix(_grid_exprs(self.components))
             try:
-                inv = m.inv(method="ADJ")
+                inv = self._sym().inv(method="ADJ")
             except Exception as exc:  # singular or non-invertible symbolically
                 raise SingularMetricError(f"metric not symbolically invertible: {exc}") from exc
-            self._inverse = _wrap_grid(self.chart, inv.tolist())
+            self._inverse = _wrap(self.chart, inv.tolist(), self.shape, self._kind)
         return self._inverse
 
     def connection(self) -> "Connection":
@@ -506,8 +487,11 @@ class MetricField(_Components):
             self._connection = Connection(self)
         return self._connection
 
-    def __repr__(self):
-        return f"MetricField({[[str(c) for c in row] for row in self.matrix]})"
+
+class _SymBilinear(_Components):
+    """Symmetric 2-tensor that need not be nondegenerate (e.g. L_X gamma)."""
+
+    _kind = "symmetric 2-tensor"
 
 
 # ---------------------------------------------------------------------------
@@ -543,12 +527,7 @@ def euclidean_metric(chart: ChartManifold) -> MetricField:
 
 def tensor_oneform_vector(xi: OneForm, Z: VectorField) -> EndoTM:
     """xi (x) Z as an endomorphism: X -> xi(X) Z."""
-    _same_chart(xi, Z)
-    n = xi.chart.dim
-    return EndoTM(
-        xi.chart,
-        [[Z.components[i] * xi.components[j] for j in range(n)] for i in range(n)],
-    )
+    return EndoTM(xi.chart, contract("i,j->ij", Z, xi))
 
 
 # ---------------------------------------------------------------------------
@@ -575,15 +554,11 @@ def tidy_trig(chart: ChartManifold, x) -> ScalarExpr:
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     """[X, Y]^k = X^i d_i Y^k - Y^i d_i X^k."""
     chart = _same_chart(X, Y)
-    syms = chart.symbols
-    comps = []
-    for k in range(chart.dim):
-        total = sp.Integer(0)
-        for i in range(chart.dim):
-            total += X.components[i].expr * pdiff(Y.components[k].expr, syms[i])
-            total -= Y.components[i].expr * pdiff(X.components[k].expr, syms[i])
-        comps.append(total)
-    return VectorField(chart, comps)
+    return VectorField(chart, _zipmap(
+        operator.sub,
+        contract("ki,i->k", _partials(Y), X),
+        contract("ki,i->k", _partials(X), Y),
+    ))
 
 
 def ext_d(w: Union[ScalarExpr, OneForm, TwoForm]):
@@ -592,75 +567,35 @@ def ext_d(w: Union[ScalarExpr, OneForm, TwoForm]):
         chart = w.chart
         return OneForm(chart, [w.diff(c) for c in chart.coords])
     if isinstance(w, OneForm):
-        chart = w.chart
-        syms = chart.symbols
-        n = chart.dim
-        grid = [
-            [
-                pdiff(w.components[j].expr, syms[i]) - pdiff(w.components[i].expr, syms[j])
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        return TwoForm(chart, grid)
+        r = range(w.chart.dim)
+        dw = _partials(w)  # dw[j][i] = d_i w_j
+        return TwoForm(w.chart, [[dw[j][i] - dw[i][j] for j in r] for i in r])
     if isinstance(w, TwoForm):
-        chart = w.chart
-        syms = chart.symbols
-        n = chart.dim
-        m = [[e.expr for e in row] for row in w.components]
+        r = range(w.chart.dim)
+        dw = _partials(w)  # dw[j][k][i] = d_i w_jk
         cube = [
-            [
-                [
-                    pdiff(m[j][k], syms[i]) - pdiff(m[i][k], syms[j]) + pdiff(m[i][j], syms[k])
-                    for k in range(n)
-                ]
-                for j in range(n)
-            ]
-            for i in range(n)
+            [[dw[j][k][i] - dw[i][k][j] + dw[i][j][k] for k in r] for j in r] for i in r
         ]
-        return ThreeForm(chart, cube)
+        return ThreeForm(w.chart, cube)
     raise ExprError(f"ext_d is defined for scalars, 1-forms and 2-forms, not {type(w).__name__}")
 
 
 def wedge(a: OneForm, b: OneForm) -> TwoForm:
     """(a ^ b)(X, Y) = a(X) b(Y) - a(Y) b(X)."""
-    chart = _same_chart(a, b)
-    n = chart.dim
-    grid = [
-        [
-            a.components[i].expr * b.components[j].expr
-            - a.components[j].expr * b.components[i].expr
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return TwoForm(chart, grid)
+    ab = contract("i,j->ij", a, b)
+    r = range(a.chart.dim)
+    return TwoForm(a.chart, [[ab[i][j] - ab[j][i] for j in r] for i in r])
 
 
 def interior(X: VectorField, w: Union[OneForm, TwoForm, ThreeForm]):
     """i(X)w: contraction in the first slot."""
     chart = _same_chart(X, w)
-    n = chart.dim
     if isinstance(w, OneForm):
         return w(X)
     if isinstance(w, TwoForm):
-        comps = [
-            sum((X.components[i].expr * w.components[i][j].expr for i in range(n)), sp.Integer(0))
-            for j in range(n)
-        ]
-        return OneForm(chart, comps)
+        return OneForm(chart, contract("i,ij->j", X, w))
     if isinstance(w, ThreeForm):
-        grid = [
-            [
-                sum(
-                    (X.components[i].expr * w.components[i][j][k].expr for i in range(n)),
-                    sp.Integer(0),
-                )
-                for k in range(n)
-            ]
-            for j in range(n)
-        ]
-        return TwoForm(chart, grid)
+        return TwoForm(chart, contract("i,ijk->jk", X, w))
     raise ExprError(f"interior product undefined for {type(w).__name__}")
 
 
@@ -669,69 +604,32 @@ def lie_derivative(X: VectorField, T):
     if isinstance(T, ScalarExpr):
         return X.apply(T)
     chart = _same_chart(X, T)
-    syms = chart.symbols
-    n = chart.dim
-    Xc = [c.expr for c in X.components]
     if isinstance(T, VectorField):
         return lie_bracket(X, T)
+    dX, dT = _partials(X), _partials(T)
     if isinstance(T, OneForm):
-        a = [c.expr for c in T.components]
-        comps = [
-            sum(Xc[i] * pdiff(a[j], syms[i]) + a[i] * pdiff(Xc[i], syms[j]) for i in range(n))
-            for j in range(n)
-        ]
-        return OneForm(chart, comps)
+        # (L_X a)_j = X^i d_i a_j + a_i d_j X^i
+        return OneForm(chart, _zipmap(
+            operator.add, contract("i,ji->j", X, dT), contract("i,ij->j", T, dX)
+        ))
     if isinstance(T, (TwoForm, MetricField)):
-        m = [[e.expr for e in row] for row in T.components]
-        grid = [
-            [
-                sum(
-                    Xc[i] * pdiff(m[j][k], syms[i])
-                    + m[i][k] * pdiff(Xc[i], syms[j])
-                    + m[j][i] * pdiff(Xc[i], syms[k])
-                    for i in range(n)
-                )
-                for k in range(n)
-            ]
-            for j in range(n)
-        ]
-        return TwoForm(chart, grid) if isinstance(T, TwoForm) else _lie_metric(chart, grid)
+        # (L_X m)_jk = X^i d_i m_jk + m_ik d_j X^i + m_ji d_k X^i
+        grid = _zipmap(
+            lambda p, q, r: p + q + r,
+            contract("i,jki->jk", X, dT),
+            contract("ik,ij->jk", T, dX),
+            contract("ji,ik->jk", T, dX),
+        )
+        return TwoForm(chart, grid) if isinstance(T, TwoForm) else _SymBilinear(chart, grid)
     if isinstance(T, EndoTM):
         # (L_X F)^i_j = X^k d_k F^i_j - F^k_j d_k X^i + F^i_k d_j X^k
-        f = [[e.expr for e in row] for row in T.matrix]
-        grid = [
-            [
-                sum(
-                    Xc[k] * pdiff(f[i][j], syms[k])
-                    - f[k][j] * pdiff(Xc[i], syms[k])
-                    + f[i][k] * pdiff(Xc[k], syms[j])
-                    for k in range(n)
-                )
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        return EndoTM(chart, grid)
+        return EndoTM(chart, _zipmap(
+            lambda p, q, r: p - q + r,
+            contract("k,ijk->ij", X, dT),
+            contract("kj,ik->ij", T, dX),
+            contract("ik,kj->ij", T, dX),
+        ))
     raise ExprError(f"lie_derivative undefined for {type(T).__name__}")
-
-
-class _SymBilinear(_Components):
-    """Symmetric 2-tensor that need not be nondegenerate (e.g. L_X gamma)."""
-
-    def __call__(self, X: VectorField, Y: VectorField) -> ScalarExpr:
-        total = sp.Integer(0)
-        for i, xi in enumerate(X.components):
-            for j, yj in enumerate(Y.components):
-                total += self.components[i][j].expr * xi.expr * yj.expr
-        return ScalarExpr(total, self.chart)
-
-    @property
-    def matrix(self):
-        return self.components
-
-
-def _lie_metric(chart, grid) -> _SymBilinear:
-    return _SymBilinear(chart, _wrap_grid(chart, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -740,25 +638,13 @@ def _lie_metric(chart, grid) -> _SymBilinear:
 
 def musical_flat(s, X: VectorField) -> OneForm:
     """(flat_s X)(Y) = s(X, Y) for a metric, 2-form or symmetric tensor s."""
-    chart = _same_chart(s, X)
-    n = chart.dim
-    comps = [
-        sum((X.components[i].expr * s.components[i][j].expr for i in range(n)), sp.Integer(0))
-        for j in range(n)
-    ]
-    return OneForm(chart, comps)
+    return OneForm(s.chart, contract("i,ij->j", X, s))
 
 
 def musical_sharp(gamma: MetricField, a: OneForm) -> VectorField:
     """Inverse of flat_gamma."""
     chart = _same_chart(gamma, a)
-    inv = gamma.inverse_matrix()
-    n = chart.dim
-    comps = [
-        sum((inv[j][k].expr * a.components[k].expr for k in range(n)), sp.Integer(0))
-        for j in range(n)
-    ]
-    return VectorField(chart, comps)
+    return VectorField(chart, contract("jk,k->j", gamma.inverse_matrix(), a))
 
 
 def flat_combination(psi: TwoForm, gamma: MetricField, sign: int, X: VectorField) -> OneForm:
@@ -766,15 +652,9 @@ def flat_combination(psi: TwoForm, gamma: MetricField, sign: int, X: VectorField
     if sign not in (1, -1):
         raise ExprError("sign must be +1 or -1")
     chart = _same_chart(psi, gamma, X)
-    n = chart.dim
-    comps = [
-        sum(
-            X.components[i].expr * (psi.components[i][j].expr + sign * gamma.components[i][j].expr)
-            for i in range(n)
-        )
-        for j in range(n)
-    ]
-    return OneForm(chart, comps)
+    return OneForm(chart, _zipmap(
+        lambda p, g: p + sign * g, contract("i,ij->j", X, psi), contract("i,ij->j", X, gamma)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -792,79 +672,60 @@ class Connection:
         self.gamma = gamma
         self.chart = gamma.chart
         n = self.chart.dim
-        syms = self.chart.symbols
-        g = [[e.expr for e in row] for row in gamma.components]
-        ginv = [[e.expr for e in row] for row in gamma.inverse_matrix()]
-        chr_ = [[[sp.Integer(0)] * n for _ in range(n)] for _ in range(n)]
-        dg = [
-            [[pdiff(g[i][j], syms[k]) for j in range(n)] for i in range(n)] for k in range(n)
-        ]
-        for k in range(n):
-            for i in range(n):
-                for j in range(i, n):
-                    total = sp.Integer(0)
-                    for l in range(n):
-                        total += ginv[k][l] * (dg[i][j][l] + dg[j][i][l] - dg[l][i][j])
-                    val = canon(total / 2)
-                    chr_[k][i][j] = val
-                    chr_[k][j][i] = val
-        self.christoffel = tuple(
-            tuple(tuple(ScalarExpr(chr_[k][i][j], self.chart, _canonical=True) for j in range(n)) for i in range(n))
-            for k in range(n)
-        )
+        dg = _partials(gamma)  # dg[i][j][k] = d_k g_ij
+        ginv = gamma.inverse_matrix()
+        chr_ = [[[None] * n for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                # Gamma^k_ij = (1/2) g^kl (d_i g_jl + d_j g_il - d_l g_ij)
+                v = [dg[j][l][i] + dg[i][l][j] - dg[i][j][l] for l in range(n)]
+                for k, total in enumerate(contract("kl,l->k", ginv, v)):
+                    chr_[k][i][j] = chr_[k][j][i] = ScalarExpr(
+                        canon(total / 2), self.chart, _canonical=True
+                    )
+        self.christoffel = tuple(tuple(tuple(plane) for plane in row) for row in chr_)
 
     def nabla(self, X: VectorField, T):
         """Covariant derivative of a vector field, 1-form, or endomorphism."""
         chart = _same_chart(self.gamma, X, T)
-        n = chart.dim
-        syms = chart.symbols
-        Xc = [c.expr for c in X.components]
-        G = [[[self.christoffel[k][i][j].expr for j in range(n)] for i in range(n)] for k in range(n)]
+        G = self.christoffel
         if isinstance(T, VectorField):
-            Y = [c.expr for c in T.components]
-            comps = [
-                sum(Xc[i] * pdiff(Y[k], syms[i]) for i in range(n))
-                + sum(G[k][i][j] * Xc[i] * Y[j] for i in range(n) for j in range(n))
-                for k in range(n)
-            ]
-            return VectorField(chart, comps)
+            # X^i d_i Y^k + Gamma^k_ij X^i Y^j
+            return VectorField(chart, _zipmap(
+                operator.add,
+                contract("i,ki->k", X, _partials(T)),
+                contract("kij,i,j->k", G, X, T),
+            ))
         if isinstance(T, OneForm):
-            a = [c.expr for c in T.components]
-            comps = [
-                sum(Xc[i] * pdiff(a[j], syms[i]) for i in range(n))
-                - sum(G[k][i][j] * Xc[i] * a[k] for i in range(n) for k in range(n))
-                for j in range(n)
-            ]
-            return OneForm(chart, comps)
+            # X^i d_i a_j - Gamma^k_ij X^i a_k
+            return OneForm(chart, _zipmap(
+                operator.sub,
+                contract("i,ji->j", X, _partials(T)),
+                contract("kij,i,k->j", G, X, T),
+            ))
         if isinstance(T, EndoTM):
-            f = [[e.expr for e in row] for row in T.matrix]
-            grid = [
-                [
-                    sum(Xc[k] * pdiff(f[i][j], syms[k]) for k in range(n))
-                    + sum(G[i][k][m] * Xc[k] * f[m][j] for k in range(n) for m in range(n))
-                    - sum(G[m][k][j] * Xc[k] * f[i][m] for k in range(n) for m in range(n))
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-            return EndoTM(chart, grid)
+            # X^k d_k F^i_j + Gamma^i_km X^k F^m_j - Gamma^m_kj X^k F^i_m
+            return EndoTM(chart, _zipmap(
+                lambda p, q, r: p + q - r,
+                contract("k,ijk->ij", X, _partials(T)),
+                contract("ikm,k,mj->ij", G, X, T),
+                contract("mkj,k,im->ij", G, X, T),
+            ))
         raise ExprError(f"nabla undefined for {type(T).__name__}")
 
     def metric_defect(self) -> list[ScalarExpr]:
         """Components of nabla gamma (all zero for Levi-Civita)."""
         n = self.chart.dim
-        syms = self.chart.symbols
-        g = [[e.expr for e in row] for row in self.gamma.components]
-        G = [[[self.christoffel[kk][i][j].expr for j in range(n)] for i in range(n)] for kk in range(n)]
-        out = []
-        for k in range(n):
-            for i in range(n):
-                for j in range(i, n):
-                    expr = pdiff(g[i][j], syms[k])
-                    expr -= sum(G[l][k][i] * g[l][j] for l in range(n))
-                    expr -= sum(G[l][k][j] * g[i][l] for l in range(n))
-                    out.append(ScalarExpr(expr, self.chart))
-        return out
+        g, G = self.gamma, self.christoffel
+        dg = _partials(g)
+        left = contract("lki,lj->kij", G, g)  # Gamma^l_ki g_lj
+        right = contract("lkj,il->kij", G, g)  # Gamma^l_kj g_il
+        return [
+            ScalarExpr(dg[i][j][k] - left[k][i][j] - right[k][i][j], self.chart)
+            for k in range(n)
+            for i in range(n)
+            for j in range(i, n)
+        ]
 
     def torsion(self, X: VectorField, Y: VectorField) -> VectorField:
         """nabla_X Y - nabla_Y X - [X, Y]."""
@@ -885,28 +746,6 @@ def lift_vector(X: VectorField, product: ChartManifold) -> VectorField:
 
 def lift_oneform(a: OneForm, product: ChartManifold) -> OneForm:
     return OneForm(product, [c.expr for c in a.components] + [0])
-
-
-def lift_endo(F: EndoTM, product: ChartManifold) -> EndoTM:
-    n = F.chart.dim
-    grid = [[F.matrix[i][j].expr for j in range(n)] + [0] for i in range(n)]
-    grid.append([0] * (n + 1))
-    return EndoTM(product, grid)
-
-
-def lift_twoform(w: TwoForm, product: ChartManifold) -> TwoForm:
-    n = w.chart.dim
-    grid = [[w.components[i][j].expr for j in range(n)] + [0] for i in range(n)]
-    grid.append([0] * (n + 1))
-    return TwoForm(product, grid)
-
-
-def lift_metric_product(gamma: MetricField, product: ChartManifold) -> MetricField:
-    """gamma + dt^2 on M x R."""
-    n = gamma.chart.dim
-    grid = [[gamma.components[i][j].expr for j in range(n)] + [0] for i in range(n)]
-    grid.append([0] * n + [1])
-    return MetricField(product, grid)
 
 
 # ---------------------------------------------------------------------------

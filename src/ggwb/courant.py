@@ -13,6 +13,7 @@ rational) entries.
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 import sympy as sp
@@ -22,15 +23,22 @@ from .calculus import (
     EndoTM,
     OneForm,
     VectorField,
+    _Components,
+    _partials,
+    _S,
     _same_chart,
+    _zipmap,
     coframe,
+    contract,
     ext_d,
     frame,
+    lift_oneform,
+    lift_vector,
     zero_oneform,
     zero_vector,
 )
 from .errors import ChartMismatchError, ExprError
-from .symexpr import ScalarExpr, pdiff
+from .symexpr import ScalarExpr
 
 
 class BigSection:
@@ -110,42 +118,33 @@ def big_frame(chart: ChartManifold) -> list[BigSection]:
 def pairing(A: BigSection, B: BigSection) -> ScalarExpr:
     """Neutral pairing g((X,a),(Y,b)) = (a(Y) + b(X)) / 2."""
     chart = _same_chart(A.X, B.X)
-    total = sp.Integer(0)
-    for a, y in zip(A.alpha.components, B.X.components):
-        total += a.expr * y.expr
-    for b, x in zip(B.alpha.components, A.X.components):
-        total += b.expr * x.expr
-    from .calculus import _S
-
-    return _S(chart, total / 2)
+    return _S(chart, (contract("i,i->", A.alpha, B.X) + contract("i,i->", B.alpha, A.X)) / 2)
 
 
 def courant_bracket(A: BigSection, B: BigSection) -> BigSection:
-    """All components assembled at the sympy level and canonicalized once."""
-    chart = _same_chart(A.X, B.X)
-    n = chart.dim
-    syms = chart.symbols
-    Xc = [c.expr for c in A.X.components]
-    Yc = [c.expr for c in B.X.components]
-    ac = [c.expr for c in A.alpha.components]
-    bc = [c.expr for c in B.alpha.components]
-    vec = [
-        sum(Xc[i] * pdiff(Yc[k], syms[i]) - Yc[i] * pdiff(Xc[k], syms[i]) for i in range(n))
-        for k in range(n)
-    ]
+    """All components assembled at the sympy level and canonicalized once.
+
+    The derivative array of each of X, Y, a, b is taken once; the term
+    (1/2) d(a(Y) - b(X)) comes from them by the product rule, so every
+    derivative is of a component of A or B.
+    """
+    _same_chart(A.X, B.X)
+    X, Y, a, b = A.X, B.X, A.alpha, B.alpha
+    dX, dY, da, db = (_partials(t) for t in (X, Y, a, b))  # dX[k][i] = d_i X^k
+    vec = _zipmap(operator.sub, contract("ki,i->k", dY, X), contract("ki,i->k", dX, Y))
     # L_X b - L_Y a + (1/2) d(a(Y) - b(X))
-    corr = sum(ac[i] * Yc[i] - bc[i] * Xc[i] for i in range(n))
-    cov = []
-    for j in range(n):
-        t = sum(
-            Xc[i] * pdiff(bc[j], syms[i])
-            + bc[i] * pdiff(Xc[i], syms[j])
-            - Yc[i] * pdiff(ac[j], syms[i])
-            - ac[i] * pdiff(Yc[i], syms[j])
-            for i in range(n)
-        )
-        cov.append(t + sp.Rational(1, 2) * pdiff(corr, syms[j]))
-    return BigSection(VectorField(chart, vec), OneForm(chart, cov))
+    #   = X^i d_i b_j - Y^i d_i a_j
+    #     + (1/2) (b_i d_j X^i - a_i d_j Y^i + Y^i d_j a_i - X^i d_j b_i)
+    cov = _zipmap(
+        lambda p, q, r, s, t, u: p - q + (r - s + t - u) / 2,
+        contract("i,ji->j", X, db),
+        contract("i,ji->j", Y, da),
+        contract("i,ij->j", b, dX),
+        contract("i,ij->j", a, dY),
+        contract("i,ij->j", Y, da),
+        contract("i,ij->j", X, db),
+    )
+    return BigSection(VectorField(A.chart, vec), OneForm(A.chart, cov))
 
 
 def partial(f: ScalarExpr) -> BigSection:
@@ -166,21 +165,15 @@ def naive_d(U: BigSection, A: BigSection, B: BigSection) -> ScalarExpr:
     )
 
 
-class BigEndo:
-    """Endomorphism of TM + T*M as a 2n x 2n ScalarExpr block matrix."""
+class BigEndo(_Components):
+    """Endomorphism of TM + T*M: a 2n x 2n core tensor in the frame
+    (d_1..d_n ; dx^1..dx^n)."""
 
-    __slots__ = ("chart", "matrix", "_sym_cache")
+    _kind = "big endomorphism"
 
-    def __init__(self, chart: ChartManifold, matrix):
-        from .calculus import _S
-
-        n2 = 2 * chart.dim
-        grid = tuple(tuple(_S(chart, e) for e in row) for row in matrix)
-        if len(grid) != n2 or any(len(r) != n2 for r in grid):
-            raise ExprError(f"big endomorphism needs a {n2}x{n2} matrix")
-        self.chart = chart
-        self.matrix = grid
-        self._sym_cache = None
+    @classmethod
+    def _shape(cls, chart) -> tuple:
+        return (2 * chart.dim,) * 2
 
     # -- constructors ---------------------------------------------------
 
@@ -198,88 +191,26 @@ class BigEndo:
     def from_endo(F: EndoTM) -> "BigEndo":
         """The lift (X, a) -> (F X, -a o F) of a tangent endomorphism."""
         n = F.chart.dim
-        f = sp.Matrix([[e.expr for e in row] for row in F.matrix])
+        f = F._sym()
         top = f.row_join(sp.zeros(n))
         bot = sp.zeros(n).row_join(-f.T)
         return BigEndo(F.chart, top.col_join(bot).tolist())
 
     @staticmethod
-    def from_blocks(chart: ChartManifold, a, b, c, d) -> "BigEndo":
-        n = chart.dim
-        A = sp.Matrix([[chart.scalar(e).expr for e in row] for row in a])
-        B = sp.Matrix([[chart.scalar(e).expr for e in row] for row in b])
-        C = sp.Matrix([[chart.scalar(e).expr for e in row] for row in c])
-        D = sp.Matrix([[chart.scalar(e).expr for e in row] for row in d])
-        return BigEndo(chart, A.row_join(B).col_join(C.row_join(D)).tolist())
-
-    @staticmethod
     def outer(out: BigSection, inner: BigSection) -> "BigEndo":
         """(flat_g inner) (x) out: the endomorphism U -> g(inner, U) out."""
         _same_chart(out.X, inner.X)
-        chart = out.chart
-        n = chart.dim
         # g(inner, frame_j): half alpha-components for vector slots, half
         # X-components for covector slots.
         row = [sp.Rational(1, 2) * c.expr for c in inner.alpha.components] + [
             sp.Rational(1, 2) * c.expr for c in inner.X.components
         ]
-        col = out.column()
-        return BigEndo(chart, [[col[i] * row[j] for j in range(2 * n)] for i in range(2 * n)])
-
-    # -- algebra ---------------------------------------------------------
-
-    def _sym(self) -> sp.Matrix:
-        if self._sym_cache is None:
-            self._sym_cache = sp.ImmutableMatrix([[e.expr for e in row] for row in self.matrix])
-        return self._sym_cache
-
-    def __add__(self, other: "BigEndo") -> "BigEndo":
-        if self.chart != other.chart:
-            raise ChartMismatchError("big endomorphisms on different charts")
-        return BigEndo(self.chart, (self._sym() + other._sym()).tolist())
-
-    def __sub__(self, other: "BigEndo") -> "BigEndo":
-        if self.chart != other.chart:
-            raise ChartMismatchError("big endomorphisms on different charts")
-        return BigEndo(self.chart, (self._sym() - other._sym()).tolist())
-
-    def __neg__(self) -> "BigEndo":
-        return BigEndo(self.chart, (-self._sym()).tolist())
-
-    def __mul__(self, f) -> "BigEndo":
-        fe = self.chart.scalar(f).expr
-        return BigEndo(self.chart, (fe * self._sym()).tolist())
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "BigEndo") -> "BigEndo":
-        if self.chart != other.chart:
-            raise ChartMismatchError("big endomorphisms on different charts")
-        return BigEndo(self.chart, (self._sym() * other._sym()).tolist())
+        return BigEndo(out.chart, contract("i,j->ij", out.column(), row))
 
     def __call__(self, s: BigSection) -> BigSection:
         if s.chart != self.chart:
             raise ChartMismatchError("section on a different chart")
-        n2 = 2 * self.chart.dim
-        col = s.column()
-        m = self.matrix
-        out = [
-            sum(m[i][j].expr * col[j] for j in range(n2) if col[j] is not None)
-            for i in range(n2)
-        ]
-        return BigSection.from_components(self.chart, out)
-
-    def conjugate(self) -> "BigEndo":
-        return BigEndo(
-            self.chart, [[e.conjugate().expr for e in row] for row in self.matrix]
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BigEndo)
-            and self.chart == other.chart
-            and self.matrix == other.matrix
-        )
+        return BigSection.from_components(self.chart, contract("ij,j->i", self, s.column()))
 
     # -- defect matrices (entries to feed the zero test) -----------------
 
@@ -326,8 +257,6 @@ def nijenhuis_big(A: BigEndo, S: BigSection, T: BigSection) -> BigSection:
 
 
 def lift_big_section(s: BigSection, product: ChartManifold) -> BigSection:
-    from .calculus import lift_oneform, lift_vector
-
     return BigSection(lift_vector(s.X, product), lift_oneform(s.alpha, product))
 
 

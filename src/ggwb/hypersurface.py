@@ -22,6 +22,7 @@ from .calculus import (
     TwoForm,
     VectorField,
     _S,
+    contract,
     ext_d,
     frame,
     lie_derivative,
@@ -89,44 +90,15 @@ class Embedding:
 
     def push(self, X: VectorField):
         """Ambient components (along N) of d iota (X)."""
-        jac = self.jacobian()
-        m = self.domain.dim
-        return [
-            _S(self.domain, sum(jac[k][a].expr * X.components[a].expr for a in range(m)))
-            for k in range(self.ambient.dim)
-        ]
+        return _wrap_along(self.domain, contract("ka,a->k", self.jacobian(), X))
 
 
 from .calculus import tidy_trig as _tidy  # noqa: E402
 
 
-def _amb_inner(g_res, v, w, chart) -> ScalarExpr:
-    n = len(v)
-    return _S(
-        chart,
-        sum(g_res[i][j].expr * v[i].expr * w[j].expr for i in range(n) for j in range(n)),
-    )
-
-
-def _amb_three(t_res, v1, v2, v3, chart) -> ScalarExpr:
-    n = len(v1)
-    total = sp.Integer(0)
-    for i in range(n):
-        if v1[i].is_syntactic_zero:
-            continue
-        for j in range(n):
-            if v2[j].is_syntactic_zero:
-                continue
-            for k in range(n):
-                total += t_res[i][j][k].expr * v1[i].expr * v2[j].expr * v3[k].expr
-    return _S(chart, total)
-
-
-def _apply_matrix(m_res, v, chart):
-    n = len(v)
-    return [
-        _S(chart, sum(m_res[i][j].expr * v[j].expr for j in range(n))) for i in range(n)
-    ]
+def _wrap_along(chart, exprs) -> list:
+    """Raw ambient-indexed components as scalars on the domain chart."""
+    return [_S(chart, e) for e in exprs]
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +191,9 @@ def unit_normal(e: Embedding, gamma: MetricField, policy: ZeroPolicy = DEFAULT_P
             [[jac[i][a].expr for a in range(chart.dim)] + [1 if i == k else 0] for i in range(n)]
         )
         cof.append(m.det(method="berkowitz"))
-    ginv = sp.Matrix([[x.expr for x in row] for row in g_res]).inv(method="ADJ")
-    ntilde = [
-        _S(chart, sum(ginv[i, k] * cof[k] for k in range(n))) for i in range(n)
-    ]
-    q = _amb_inner(g_res, ntilde, ntilde, chart)
+    ginv_res = e.restrict_grid(gamma.inverse_matrix())
+    ntilde = _wrap_along(chart, contract("ik,k->i", ginv_res, cof))
+    q = _S(chart, contract("ij,i,j->", g_res, ntilde, ntilde))
     lam = _sqrt_positive(q, chart, policy)
     nu = [_tidy(chart, c / lam) for c in ntilde]
     if e.orientation == -1:
@@ -246,18 +216,10 @@ class HypersurfaceGeometry:
     weingarten: EndoTM
     gamma_res: list  # restricted ambient metric
     jac: list
+    christoffel_res: list  # restricted ambient Christoffel symbols
 
     def b_apply(self, X: VectorField, Y: VectorField) -> ScalarExpr:
-        chart = self.embedding.domain
-        m = chart.dim
-        return _S(
-            chart,
-            sum(
-                self.b[a][c].expr * X.components[a].expr * Y.components[c].expr
-                for a in range(m)
-                for c in range(m)
-            ),
-        )
+        return _S(self.embedding.domain, contract("ac,a,c->", self.b, X, Y))
 
 
 def _ambient_christoffels_restricted(e: Embedding, gamma: MetricField):
@@ -267,6 +229,20 @@ def _ambient_christoffels_restricted(e: Embedding, gamma: MetricField):
         [[e.restrict(conn.christoffel[k][i][j]) for j in range(n)] for i in range(n)]
         for k in range(n)
     ]
+
+
+def _d_along(e: Embedding, jac, gam_res, a: int, v) -> list:
+    """d/du^a v^k + Gamma^k_ij d iota^i/du^a v^j, for v along N."""
+    u = e.domain.coords[a]
+    col = [row[a] for row in jac]
+    return _wrap_along(e.domain, [
+        vk.diff(u).expr + t for vk, t in zip(v, contract("kij,i,j->k", gam_res, col, v))
+    ])
+
+
+def _pullback(t_res, jac) -> list:
+    """Raw iota^* components: t(d iota(d_a), d iota(d_c))."""
+    return contract("ij,ia,jc->ac", t_res, jac, jac)
 
 
 def second_fundamental_form(
@@ -279,78 +255,33 @@ def second_fundamental_form(
     normal, b(X,Y) = gamma(nabla_X d iota(Y), nu) and the Weingarten
     operator with s(W X, Y) = b(X, Y)."""
     chart = e.domain
-    m, n = chart.dim, e.ambient.dim
+    m = chart.dim
     jac = e.jacobian()
     g_res = e.restrict_grid(gamma.matrix)
-    s_grid = [
-        [
-            _tidy(
-                chart,
-                sum(
-                    g_res[i][j].expr * jac[i][a].expr * jac[j][c].expr
-                    for i in range(n)
-                    for j in range(n)
-                ),
-            )
-            for c in range(m)
-        ]
-        for a in range(m)
-    ]
-    s = MetricField(chart, s_grid)
+    s = MetricField(chart, [[_tidy(chart, x) for x in row] for row in _pullback(g_res, jac)])
     kappa = None
     if psi is not None:
         p_res = e.restrict_grid(psi.matrix)
         kappa = TwoForm(
-            chart,
-            [
-                [
-                    _tidy(
-                        chart,
-                        sum(
-                            p_res[i][j].expr * jac[i][a].expr * jac[j][c].expr
-                            for i in range(n)
-                            for j in range(n)
-                        ),
-                    )
-                    for c in range(m)
-                ]
-                for a in range(m)
-            ],
+            chart, [[_tidy(chart, x) for x in row] for row in _pullback(p_res, jac)]
         )
     nu = unit_normal(e, gamma, policy)
     gam_res = _ambient_christoffels_restricted(e, gamma)
-
-    def d_along(a: int, v_comps):
-        """Covariant derivative along d/du^a of an ambient field along N."""
-        out = []
-        for k in range(n):
-            t = v_comps[k].diff(chart.coords[a]).expr
-            t += sum(
-                gam_res[k][i][j].expr * jac[i][a].expr * v_comps[j].expr
-                for i in range(n)
-                for j in range(n)
-            )
-            out.append(_S(chart, t))
-        return out
-
-    cols = [[jac[k][a] for k in range(n)] for a in range(m)]
     b = [[None] * m for _ in range(m)]
     for a in range(m):
         for c in range(m):
-            dv = d_along(a, cols[c])
-            b[a][c] = _tidy(chart, _amb_inner(g_res, dv, nu, chart))
-    s_inv = s.inverse_matrix()
+            dv = _d_along(e, jac, gam_res, a, [row[c] for row in jac])
+            b[a][c] = _tidy(chart, _S(chart, contract("ij,i,j->", g_res, dv, nu)))
+    # W^c_a = -s^cd gamma(nabla_a nu, d iota(d_d))
     w_grid = [[None] * m for _ in range(m)]
+    s_inv = s.inverse_matrix()
     for a in range(m):
-        dnu = d_along(a, nu)
-        for c in range(m):
-            val = -sum(
-                s_inv[c][d].expr * _amb_inner(g_res, dnu, cols[d], chart).expr
-                for d in range(m)
-            )
-            w_grid[c][a] = _tidy(chart, val)
+        dnu = _d_along(e, jac, gam_res, a, nu)
+        inner = _wrap_along(chart, contract("ij,i,jd->d", g_res, dnu, jac))
+        for c, val in enumerate(contract("cd,d->c", s_inv, inner)):
+            w_grid[c][a] = _tidy(chart, -val)
     W = EndoTM(chart, w_grid)
-    return HypersurfaceGeometry(e, gamma, nu, s, kappa, b, W, g_res, jac)
+    return HypersurfaceGeometry(e, gamma, nu, s, kappa, b, W, g_res, jac, gam_res)
 
 
 def check_hyp_geometry(
@@ -360,11 +291,14 @@ def check_hyp_geometry(
     out = CheckResult("hyp_geometry")
     chart = geo.embedding.domain
     m = chart.dim
-    out.add("gamma(nu, nu) = 1", is_zero(
-        _amb_inner(geo.gamma_res, geo.nu, geo.nu, chart) - 1, policy))
-    cols = [[geo.jac[k][a] for k in range(len(geo.nu))] for a in range(m)]
+
+    def inner(v, w) -> ScalarExpr:
+        return _S(chart, contract("ij,i,j->", geo.gamma_res, v, w))
+
+    out.add("gamma(nu, nu) = 1", is_zero(inner(geo.nu, geo.nu) - 1, policy))
+    cols = [[row[a] for row in geo.jac] for a in range(m)]
     out.add("gamma(nu, d iota X) = 0", is_zero_all(
-        (_amb_inner(geo.gamma_res, geo.nu, cols[a], chart) for a in range(m)), policy))
+        (inner(geo.nu, cols[a]) for a in range(m)), policy))
     out.add("b symmetric", is_zero_all(
         (geo.b[a][c] - geo.b[c][a] for a in range(m) for c in range(a + 1, m)), policy))
     sw = []
@@ -374,21 +308,9 @@ def check_hyp_geometry(
             sw.append(geo.s(WX, frame(chart)[c]) - geo.b[a][c])
     out.add("s(W X, Y) = b(X, Y)", is_zero_all(sw, policy))
     # normal connection vanishes: gamma(nabla_a nu, nu) = 0
-    gam_res = _ambient_christoffels_restricted(geo.embedding, geo.gamma)
-    n = len(geo.nu)
-    exprs = []
-    for a in range(m):
-        t = [
-            geo.nu[k].diff(chart.coords[a]).expr
-            + sum(
-                gam_res[k][i][j].expr * geo.jac[i][a].expr * geo.nu[j].expr
-                for i in range(n)
-                for j in range(n)
-            )
-            for k in range(n)
-        ]
-        exprs.append(_amb_inner(geo.gamma_res, [_S(chart, x) for x in t], geo.nu, chart))
-    out.add("nabla^nu nu = 0", is_zero_all(exprs, policy))
+    out.add("nabla^nu nu = 0", is_zero_all(
+        (inner(_d_along(geo.embedding, geo.jac, geo.christoffel_res, a, geo.nu), geo.nu)
+         for a in range(m)), policy))
     return out
 
 
@@ -406,35 +328,25 @@ def induced_almost_contact(
 ) -> AlmostContact:
     """Decompose J X = F X + xi(X) nu and Z = -J nu into tangential data."""
     chart = e.domain
-    m, n = chart.dim, e.ambient.dim
+    m = chart.dim
     geo = geo or second_fundamental_form(e, gamma, None, policy)
     j_res = e.restrict_grid(J.matrix)
-    cols = [[geo.jac[k][a] for k in range(n)] for a in range(m)]
     s_inv = geo.s.inverse_matrix()
+
+    def tangential(v) -> list:
+        """s^cd gamma(v, d iota(d_d)), raw: the TN components of v along N."""
+        inner = _wrap_along(chart, contract("ij,i,jd->d", geo.gamma_res, v, geo.jac))
+        return contract("cd,d->c", s_inv, inner)
+
     f_grid = [[None] * m for _ in range(m)]
     xi_comps = []
     for a in range(m):
-        v = _apply_matrix(j_res, cols[a], chart)
-        for c in range(m):
-            f_grid[c][a] = _tidy(
-                chart,
-                sum(
-                    s_inv[c][d].expr * _amb_inner(geo.gamma_res, v, cols[d], chart).expr
-                    for d in range(m)
-                ),
-            )
-        xi_comps.append(_tidy(chart, _amb_inner(geo.gamma_res, v, geo.nu, chart)))
-    z_amb = [-c for c in _apply_matrix(j_res, geo.nu, chart)]
-    z_comps = [
-        _tidy(
-            chart,
-            sum(
-                s_inv[c][d].expr * _amb_inner(geo.gamma_res, z_amb, cols[d], chart).expr
-                for d in range(m)
-            ),
-        )
-        for c in range(m)
-    ]
+        v = _wrap_along(chart, contract("ij,j->i", j_res, [row[a] for row in geo.jac]))
+        for c, val in enumerate(tangential(v)):
+            f_grid[c][a] = _tidy(chart, val)
+        xi_comps.append(_tidy(chart, _S(chart, contract("ij,i,j->", geo.gamma_res, v, geo.nu))))
+    z_amb = [-c for c in _wrap_along(chart, contract("ij,j->i", j_res, geo.nu))]
+    z_comps = [_tidy(chart, val) for val in tangential(z_amb)]
     return AlmostContact(
         EndoTM(chart, f_grid),
         VectorField(chart, z_comps),
@@ -456,46 +368,40 @@ def check_induced_contact(
     form."""
     out = CheckResult("induced_contact")
     chart = e.domain
-    m, n = chart.dim, e.ambient.dim
+    n = e.ambient.dim
     geo = geo or second_fundamental_form(e, gamma, None, policy)
     ac = induced_almost_contact(e, gamma, J, geo, policy)
     sub = check_almost_contact(ac, policy)
     out.add("(almcont)+(clasmetric) for the induced structure", sub.verdict)
     j_res = e.restrict_grid(J.matrix)
-    cols = [[geo.jac[k][a] for k in range(n)] for a in range(m)]
     resid = []
-    for a in range(m):
-        v = _apply_matrix(j_res, cols[a], chart)
-        pushF = e.push(ac.F(frame(chart)[a]))
+    for a, X in enumerate(frame(chart)):
+        v = _wrap_along(chart, contract("ij,j->i", j_res, [row[a] for row in geo.jac]))
+        pushF = e.push(ac.F(X))
         for k in range(n):
             resid.append(v[k] - pushF[k] - ac.xi.components[a] * geo.nu[k])
     out.add("(strind1) J X = F X + xi(X) nu", is_zero_all(resid, policy))
-    z_amb = [-c for c in _apply_matrix(j_res, geo.nu, chart)]
+    z_amb = [-c for c in _wrap_along(chart, contract("ij,j->i", j_res, geo.nu))]
     pushZ = e.push(ac.Z)
     out.add("(strind1) Z = -J nu is tangent", is_zero_all(
         (z_amb[k] - pushZ[k] for k in range(n)), policy))
     # fundamental form: Xi = iota^* Omega
     omega = _kaehler_form(gamma, J)
     om_res = e.restrict_grid(omega.matrix)
-    xi_fund = ac.fundamental_form()
-    exprs = []
-    for a in range(m):
-        for c in range(a + 1, m):
-            pulled = sum(
-                om_res[i][j].expr * geo.jac[i][a].expr * geo.jac[j][c].expr
-                for i in range(n)
-                for j in range(n)
-            )
-            exprs.append(xi_fund.components[a][c] - _S(chart, pulled))
+    xi_fund = ac.fundamental_form().components
+    pulled = _pullback(om_res, geo.jac)
+    exprs = [
+        xi_fund[a][c] - _S(chart, pulled[a][c])
+        for a in range(chart.dim)
+        for c in range(a + 1, chart.dim)
+    ]
     out.add("Xi = iota^* Omega", is_zero_all(exprs, policy))
     return out
 
 
 def _kaehler_form(gamma: MetricField, J: EndoTM) -> TwoForm:
     """Omega(X, Y) = gamma(J X, Y)."""
-    g = sp.Matrix([[x.expr for x in row] for row in gamma.matrix])
-    j = sp.Matrix([[x.expr for x in row] for row in J.matrix])
-    return TwoForm(gamma.chart, (j.T * g).tolist())
+    return TwoForm(gamma.chart, (J._sym().T * gamma._sym()).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -543,8 +449,7 @@ def check_almost_hermitian(
 ) -> CheckResult:
     out = CheckResult("almost_hermitian")
     chart = gamma.chart
-    j = sp.Matrix([[x.expr for x in row] for row in J.matrix])
-    g = sp.Matrix([[x.expr for x in row] for row in gamma.matrix])
+    j, g = J._sym(), gamma._sym()
     out.add("J^2 = -Id", is_zero_all(
         (_S(chart, x) for x in j * j + sp.eye(chart.dim)), policy))
     out.add("gamma(JX, JY) = gamma(X, Y)", is_zero_all(
@@ -629,7 +534,7 @@ def check_hyp_CRF(
     _require_hermitian(gamma, J, policy)
     out = CheckResult("hyp_normal" if _normal else "hyp_CRF")
     chart = e.domain
-    m, n = chart.dim, e.ambient.dim
+    m = chart.dim
     geo = geo or second_fundamental_form(e, gamma, None, policy)
     ac = induced_almost_contact(e, gamma, J, geo, policy)
     j_res = e.restrict_grid(J.matrix)
@@ -640,16 +545,20 @@ def check_hyp_CRF(
     fr = frame(chart)
     span_p = [ac.F(v) for v in fr]
     push_p = [e.push(X) for X in span_p]
-    jnu = _apply_matrix(j_res, geo.nu, chart)
+
+    def J_along(v) -> list:
+        return _wrap_along(chart, contract("ij,j->i", j_res, v))
+
+    def dom(v1, v2, v3) -> ScalarExpr:
+        return _S(chart, contract("ijk,i,j,k->", dom_res, v1, v2, v3))
+
+    jnu = J_along(geo.nu)
     exprs = []
     for i in range(m):
-        jx = _apply_matrix(j_res, push_p[i], chart)
+        jx = J_along(push_p[i])
         for j in range(i + 1, m):
-            jy = _apply_matrix(j_res, push_p[j], chart)
-            exprs.append(
-                _amb_three(dom_res, jx, jy, jnu, chart)
-                - _amb_three(dom_res, push_p[i], push_p[j], jnu, chart)
-            )
+            jy = J_along(push_p[j])
+            exprs.append(dom(jx, jy, jnu) - dom(push_p[i], push_p[j], jnu))
     out.add("(eqCRF2) dOmega(JX, JY, Jnu) = dOmega(X, Y, Jnu) on P", is_zero_all(exprs, policy))
     exprs = []
     for i in range(m):
@@ -663,10 +572,9 @@ def check_hyp_CRF(
         push_z = e.push(ac.Z)
         exprs = []
         for i in range(m):
-            jx = _apply_matrix(j_res, push_p[i], chart)
             exprs.append(
                 geo.b_apply(ac.Z, span_p[i])
-                + sp.Rational(1, 2) * _amb_three(dom_res, geo.nu, push_z, jx, chart)
+                + sp.Rational(1, 2) * dom(geo.nu, push_z, J_along(push_p[i]))
             )
         out.add("(eqnormal2) b(Z, X) = -(1/2) dOmega(nu, Z, JX) on P", is_zero_all(exprs, policy))
     return out
@@ -769,27 +677,20 @@ def check_hyp_CRFK(
         )
     out = CheckResult("hyp_CRFK")
     chart = e.domain
-    m, n = chart.dim, e.ambient.dim
+    m = chart.dim
     geo = geo or second_fundamental_form(e, gamma, psi, policy)
     dpsi_res = [
         [[e.restrict(x) for x in row] for row in plane] for plane in ext_d(psi).components
     ]
     fr = frame(chart)
-    rho = [[None] * m for _ in range(m)]  # iota^*(i(nu) dpsi)
-    cols = [[geo.jac[k][a] for k in range(n)] for a in range(m)]
-    for a in range(m):
-        for c in range(m):
-            rho[a][c] = _amb_three(dpsi_res, geo.nu, cols[a], cols[c], chart)
+    # iota^*(i(nu) dpsi)
+    rho = [
+        _wrap_along(chart, row)
+        for row in contract("ijk,i,ja,kc->ac", dpsi_res, geo.nu, geo.jac, geo.jac)
+    ]
 
     def rho_apply(X: VectorField, Y: VectorField) -> ScalarExpr:
-        return _S(
-            chart,
-            sum(
-                rho[a][c].expr * X.components[a].expr * Y.components[c].expr
-                for a in range(m)
-                for c in range(m)
-            ),
-        )
+        return _S(chart, contract("ac,a,c->", rho, X, Y))
 
     for sign, J in ((1, J_plus), (-1, J_minus)):
         tag = "+" if sign == 1 else "-"

@@ -56,8 +56,7 @@ class AlmostContact:
 
         if self.gamma is None:
             raise ChartMismatchError("fundamental form needs the structure metric")
-        g = sp.Matrix([[e.expr for e in row] for row in self.gamma.matrix])
-        f = sp.Matrix([[e.expr for e in row] for row in self.F.matrix])
+        g, f = self.gamma._sym(), self.F._sym()
         m = (f.T * g - g * f) / 2
         return TwoForm(
             self.chart, [[tidy_trig(self.chart, e) for e in row] for row in m.tolist()]
@@ -77,9 +76,7 @@ def check_almost_contact(s: AlmostContact, policy: ZeroPolicy = DEFAULT_POLICY) 
         s.xi.compose_endo(s.F).components, policy, "(almcont) xi o F"))
     out.add("(almcont) xi(Z) = 1", is_zero(s.xi(s.Z) - 1, policy, "(almcont) xi(Z)"))
     if s.gamma is not None:
-        g = sp.Matrix([[e.expr for e in row] for row in s.gamma.matrix])
-        f = sp.Matrix([[e.expr for e in row] for row in s.F.matrix])
-        xiv = sp.Matrix([c.expr for c in s.xi.components])
+        g, f, xiv = s.gamma._sym(), s.F._sym(), s.xi._sym()
         d = f.T * g * f - g + xiv * xiv.T
         out.add("(clasmetric) s(FX,FY) = s(X,Y) - xi(X)xi(Y)", is_zero_all(
             [ScalarExpr(e, chart) for e in d], policy, "(clasmetric)"))
@@ -118,14 +115,7 @@ def eigen_projections(A: Union[EndoTM, BigEndo], policy: ZeroPolicy = DEFAULT_PO
     pr_H = -(A^2 + iA)/2, pr_Hbar = -(A^2 - iA)/2, pr_Q = Id + A^2, pr_P = -A^2.
     """
     chart = A.chart
-    if isinstance(A, BigEndo):
-        m = A._sym()
-        make = lambda g: BigEndo(chart, g.tolist())
-        dim = 2 * chart.dim
-    else:
-        m = sp.Matrix([[e.expr for e in row] for row in A.matrix])
-        make = lambda g: EndoTM(chart, g.tolist())
-        dim = chart.dim
+    m = A._sym()
     cube_defect = m * m * m + m
     v = is_zero_all([ScalarExpr(e, chart) for e in cube_defect], policy, "A^3 + A = 0")
     if not v.ok:
@@ -133,13 +123,13 @@ def eigen_projections(A: Union[EndoTM, BigEndo], policy: ZeroPolicy = DEFAULT_PO
             "eigen_projections requires an F structure", [("A^3 + A = 0", v)]
         )
     m2 = m * m
-    eye = sp.eye(dim)
-    return {
-        "pr_H": make(-(m2 + sp.I * m) / 2),
-        "pr_Hbar": make(-(m2 - sp.I * m) / 2),
-        "pr_Q": make(eye + m2),
-        "pr_P": make(-m2),
+    projections = {
+        "pr_H": -(m2 + sp.I * m) / 2,
+        "pr_Hbar": -(m2 - sp.I * m) / 2,
+        "pr_Q": sp.eye(m.rows) + m2,
+        "pr_P": -m2,
     }
+    return {name: A._like(p.tolist()) for name, p in projections.items()}
 
 
 def _cr_condition_items(F: EndoTM, policy: ZeroPolicy, out: CheckResult) -> None:

@@ -8,7 +8,7 @@ from typing import Optional
 
 import sympy as sp
 
-from ..calculus import EndoTM, frame
+from ..calculus import EndoTM, contract, frame
 from ..courant import BigEndo, BigSection, big_frame, courant_bracket, nijenhuis_big
 from ..errors import StructureError
 from ..numeric import kernel_basis_at, rank_at
@@ -42,8 +42,7 @@ class GenF:
 def _metric_F_defect(F: EndoTM, gamma) -> list[ScalarExpr]:
     """(Fmetric): gamma(FX, Y) + gamma(X, FY) = 0 and F^3 + F = 0."""
     chart = F.chart
-    f = sp.Matrix([[e.expr for e in row] for row in F.matrix])
-    g = sp.Matrix([[e.expr for e in row] for row in gamma.matrix])
+    f, g = F._sym(), gamma._sym()
     out = [ScalarExpr(e, chart) for e in f.T * g + g * f]
     out += [ScalarExpr(e, chart) for e in f * f * f + f]
     return out
@@ -64,10 +63,8 @@ def build_genF_from_quadruple(
                 f"{name} is not a classical metric F structure for gamma",
                 [(f"(Fmetric) {name}", v)],
             )
-    fp = sp.Matrix([[e.expr for e in row] for row in F_plus.matrix])
-    fm = sp.Matrix([[e.expr for e in row] for row in F_minus.matrix])
     c = G._frame_matrix
-    m = c * sp.diag(fp, fm) * c.inv(method="LU")
+    m = c * sp.diag(F_plus._sym(), F_minus._sym()) * c.inv(method="LU")
     from ..calculus import tidy_trig
 
     m = m.applyfunc(lambda e: tidy_trig(G.chart, sp.cancel(e)).expr)
@@ -184,28 +181,21 @@ def check_CRFK(genf: GenF, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
 def _crfk6(genf: GenF, policy: ZeroPolicy) -> Verdict:
     chart = genf.chart
     n = chart.dim
-    syms_gamma = genf.G.gamma
-    conn = syms_gamma.connection()
-    dpsi = genf.G.dpsi
-    dp = [
-        [[dpsi.components[i][j][k].expr for k in range(n)] for j in range(n)]
-        for i in range(n)
-    ]
-    g = [[e.expr for e in row] for row in syms_gamma.matrix]
+    gamma = genf.G.gamma
+    conn = gamma.connection()
+    dpsi = genf.G.dpsi.components
     fr = frame(chart)
     exprs = []
     for sign, F in ((1, genf.F_plus), (-1, genf.F_minus)):
-        f = [[e.expr for e in row] for row in F.matrix]
-        f2 = (sp.Matrix(f) * sp.Matrix(f)).tolist()
+        f2 = (F._sym() * F._sym()).tolist()
         for i in range(n):
-            nf = conn.nabla(fr[i], F)
-            fnf = [[e.expr for e in row] for row in (F @ nf).matrix]
-            for j in range(n):
-                for k in range(n):
-                    lhs = sum(g[l][k] * fnf[l][j] for l in range(n))
-                    t1 = sum(dp[i][j][b] * f2[b][k] for b in range(n))
-                    t2 = sum(
-                        dp[i][a][b] * f[a][j] * f[b][k] for a in range(n) for b in range(n)
-                    )
-                    exprs.append(ScalarExpr(lhs - sp.Rational(sign, 2) * (t1 + t2), chart))
+            # gamma(F nabla_i F (d_j), d_k) and dpsi(d_i, d_j, F^2 d_k) + dpsi(d_i, F d_j, F d_k)
+            lhs = contract("lk,lj->jk", gamma, F @ conn.nabla(fr[i], F))
+            t1 = contract("jb,bk->jk", dpsi[i], f2)
+            t2 = contract("ab,aj,bk->jk", dpsi[i], F, F)
+            exprs.extend(
+                ScalarExpr(lhs[j][k] - sp.Rational(sign, 2) * (t1[j][k] + t2[j][k]), chart)
+                for j in range(n)
+                for k in range(n)
+            )
     return is_zero_all(exprs, policy, "(CRFK6)")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from typing import Optional
 
 import sympy as sp
@@ -11,6 +12,9 @@ from ..calculus import (
     OneForm,
     TwoForm,
     VectorField,
+    _partials,
+    _zipmap,
+    contract,
     ext_d,
     flat_combination,
     zero_twoform,
@@ -18,7 +22,7 @@ from ..calculus import (
 from ..courant import BigEndo, BigSection, pairing_gram
 from ..errors import ChartMismatchError, ExprError, StructureError
 from ..numeric import symmetric_eigenvalues_at
-from ..symexpr import DEFAULT_POLICY, ScalarExpr, ZeroPolicy, is_zero_all, pdiff
+from ..symexpr import DEFAULT_POLICY, ScalarExpr, ZeroPolicy, is_zero_all
 from ..verdict import CheckResult, Verdict, Witness
 
 
@@ -39,8 +43,7 @@ class GenMetric:
         self.gamma = gamma
         self.psi = psi
         n = chart.dim
-        g = sp.Matrix([[e.expr for e in row] for row in gamma.matrix])
-        p = sp.Matrix([[e.expr for e in row] for row in psi.matrix])
+        g, p = gamma._sym(), psi._sym()
         # column of the V_s basis section for d_i has covector block
         # (psi + s*gamma)(d_i, .) = (psi^T + s*gamma) e_i = (-psi + s*gamma) e_i
         eye = sp.eye(n)
@@ -65,10 +68,6 @@ class GenMetric:
     def section(self, X: VectorField, sign: int) -> BigSection:
         """(X, flat_{psi + sign*gamma} X) in V_sign."""
         return BigSection(X, flat_combination(self.psi, self.gamma, sign, X))
-
-    def tau(self, s: BigSection) -> VectorField:
-        """Transfer V_pm -> TM (vector part)."""
-        return s.X
 
     @property
     def dpsi(self):
@@ -163,66 +162,51 @@ def courant_bracket_Vpm(
         # antisymmetry of the Courant bracket
         return -courant_bracket_Vpm(G, Y, X, (1, -1))
     chart = G.chart
-    n = chart.dim
-    syms = chart.symbols
-    Xc = [c.expr for c in X.components]
-    Yc = [c.expr for c in Y.components]
-    g = [[e.expr for e in row] for row in G.gamma.components]
-    p = [[e.expr for e in row] for row in G.psi.components]
-    dp = G.dpsi.components
-    br = [
-        sum(Xc[i] * pdiff(Yc[k], syms[i]) - Yc[i] * pdiff(Xc[k], syms[i]) for i in range(n))
-        for k in range(n)
-    ]
-    flat_gY = [sum(Yc[i] * g[i][j] for i in range(n)) for j in range(n)]
-    flat_gX = [sum(Xc[i] * g[i][j] for i in range(n)) for j in range(n)]
+    g, p = G.gamma, G.psi
+    dX, dY, dg = _partials(X), _partials(Y), _partials(g)  # dX[k][i] = d_i X^k
 
-    def lie_x_of(w, Vc):  # (L_V w)_j for a 1-form w given by raw components
-        return [
-            sum(Vc[i] * pdiff(w[j], syms[i]) + w[i] * pdiff(Vc[i], syms[j]) for i in range(n))
-            for j in range(n)
-        ]
-
-    ixiy_dpsi = [
-        sum(
-            Xc[i] * Yc[j] * dp[i][j][k].expr
-            for i in range(n)
-            for j in range(n)
+    def lie_flat(V, W, dV, dW) -> list:
+        """(L_V flat_gamma W)_j, by the product rule on (flat_gamma W)_j = W^l g_lj."""
+        return _zipmap(
+            lambda a, b, c: a + b + c,
+            contract("i,li,lj->j", V, dW, g),
+            contract("i,l,lji->j", V, W, dg),
+            contract("l,li,ij->j", W, g, dV),
         )
-        for k in range(n)
-    ]
+
+    br = _zipmap(operator.sub, contract("ki,i->k", dY, X), contract("ki,i->k", dX, Y))
+    ixiy_dpsi = contract("i,j,ijk->k", X, Y, G.dpsi)
     if s1 == s2:
         s = s1
-        lie_y_gamma = [
-            [
-                sum(
-                    Yc[k] * pdiff(g[i][j], syms[k])
-                    + g[k][j] * pdiff(Yc[k], syms[i])
-                    + g[i][k] * pdiff(Yc[k], syms[j])
-                    for k in range(n)
-                )
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        lxw = lie_x_of(flat_gY, Xc)
-        cov = [
-            sum(br[i] * (p[i][j] + s * g[i][j]) for i in range(n))
-            + ixiy_dpsi[j]
-            + s * (lxw[j] - sum(Xc[i] * lie_y_gamma[i][j] for i in range(n)))
-            for j in range(n)
-        ]
+        # X^i (L_Y gamma)_ij = X^i (Y^k d_k g_ij + g_kj d_i Y^k + g_ik d_j Y^k)
+        x_lie_y_gamma = _zipmap(
+            lambda a, b, c: a + b + c,
+            contract("i,k,ijk->j", X, Y, dg),
+            contract("i,kj,ki->j", X, g, dY),
+            contract("i,ik,kj->j", X, g, dY),
+        )
+        cov = _zipmap(
+            lambda bp, bg, t, lxw, xl: bp + s * bg + t + s * (lxw - xl),
+            contract("i,ij->j", br, p),
+            contract("i,ij->j", br, g),
+            ixiy_dpsi,
+            lie_flat(X, Y, dX, dY),
+            x_lie_y_gamma,
+        )
         return BigSection(VectorField(chart, br), OneForm(chart, cov))
-    # (+, -) mixed-sign case
-    gxy = sum(Xc[i] * g[i][j] * Yc[j] for i in range(n) for j in range(n))
-    lxw = lie_x_of(flat_gY, Xc)
-    lyw = lie_x_of(flat_gX, Yc)
-    cov = [
-        sum(br[i] * p[i][j] for i in range(n))
-        + ixiy_dpsi[j]
-        - lxw[j]
-        - lyw[j]
-        + pdiff(gxy, syms[j])
-        for j in range(n)
-    ]
+    # (+, -) mixed-sign case; d_j gamma(X, Y) by the product rule
+    d_gxy = _zipmap(
+        lambda a, b, c: a + b + c,
+        contract("ij,il,l->j", dX, g, Y),
+        contract("i,ilj,l->j", X, dg, Y),
+        contract("i,il,lj->j", X, g, dY),
+    )
+    cov = _zipmap(
+        lambda bp, t, lxw, lyw, d: bp + t - lxw - lyw + d,
+        contract("i,ij->j", br, p),
+        ixiy_dpsi,
+        lie_flat(X, Y, dX, dY),
+        lie_flat(Y, X, dY, dX),
+        d_gxy,
+    )
     return BigSection(VectorField(chart, br), OneForm(chart, cov))

@@ -1,0 +1,322 @@
+"""The component-array core of the tensor classes and its one contraction.
+
+Every evaluation, slot contraction and endomorphism application is checked
+against an index sum written out in plain sympy on random fields over R^3,
+with and without sin/cos/exp atoms and with zero components mixed in.
+``contract`` must return the very expression the written-out loop builds
+(structural equality), and the public operations its canonical form.
+"""
+
+import itertools
+import random
+import sys
+
+import pytest
+import sympy as sp
+
+from ggwb.calculus import (
+    ChartManifold,
+    EndoTM,
+    MetricField,
+    OneForm,
+    ThreeForm,
+    TwoForm,
+    VectorField,
+    _SymBilinear,
+    contract,
+    flat_combination,
+    interior,
+    musical_flat,
+    musical_sharp,
+    tensor_oneform_vector,
+    wedge,
+)
+from ggwb.courant import BigEndo, BigSection, courant_bracket, pairing
+from ggwb.errors import ChartMismatchError, SingularMetricError
+from ggwb.structures.genmetric import GenMetric, courant_bracket_Vpm
+from ggwb.symexpr import ScalarExpr, canon, pdiff, random_poly
+
+N = 3
+
+
+@pytest.fixture(scope="module")
+def chart():
+    return ChartManifold("core3", ["x", "y", "z"])
+
+
+def _entry(chart, rng, atoms):
+    """Zero, a rational constant or a polynomial, times an atom if asked."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return sp.S.Zero
+    if kind == 1:
+        e = sp.Rational(rng.randint(-5, 5), rng.randint(1, 5))
+    else:
+        e = random_poly(chart, rng, 2).expr
+    if atoms and rng.random() < 0.6:
+        x = rng.choice(chart.symbols)
+        e = e * rng.choice((sp.sin(x), sp.cos(x + 1), sp.exp(-x))) + rng.randint(0, 2)
+    return canon(e)
+
+
+def _array(chart, rng, atoms, shape):
+    if not shape:
+        return _entry(chart, rng, atoms)
+    return [_array(chart, rng, atoms, shape[1:]) for _ in range(shape[0])]
+
+
+def _raw(t):
+    """Raw nested expressions of a field, read entry by entry."""
+    if isinstance(t, ScalarExpr):
+        return t.expr
+    if hasattr(t, "components"):
+        t = t.components
+    return [_raw(e) for e in t]
+
+
+def _loop_sum(terms):
+    total = sp.Integer(0)
+    for t in terms:
+        total += t
+    return total
+
+
+class Fields:
+    def __init__(self, chart, seed, atoms):
+        rng = random.Random(seed)
+        arr = lambda *shape: _array(chart, rng, atoms, shape)  # noqa: E731
+        self.X, self.Y, self.U = (VectorField(chart, arr(N)) for _ in range(3))
+        self.a = OneForm(chart, arr(N))
+        m = arr(N, N)
+        self.w = TwoForm(chart, [[m[i][j] - m[j][i] for j in range(N)] for i in range(N)])
+        c = arr(N, N, N)
+        self.t3 = ThreeForm(chart, [[[
+            c[i][j][k] - c[j][i][k] + c[j][k][i] - c[k][j][i] + c[k][i][j] - c[i][k][j]
+            for k in range(N)] for j in range(N)] for i in range(N)])
+        self.F = EndoTM(chart, arr(N, N))
+        while True:
+            # symbolic inversion with atoms everywhere is slow; one atom
+            # on the diagonal keeps musical_sharp covered
+            m = _array(chart, rng, False, (N, N))
+            sym = [[m[i][j] + m[j][i] + (3 if i == j else 0) for j in range(N)] for i in range(N)]
+            if atoms:
+                sym[0][0] += sp.exp(-chart.symbols[0])
+            try:
+                self.g = MetricField(chart, sym)
+                break
+            except SingularMetricError:
+                continue
+        v = arr(N)
+        self.S = _SymBilinear(chart, [[v[i] * v[j] for j in range(N)] for i in range(N)])
+        self.A = BigEndo(chart, arr(2 * N, 2 * N))
+        self.s1 = BigSection(self.X, self.a)
+        self.s2 = BigSection(self.Y, OneForm(chart, arr(N)))
+
+
+CASES = [(seed, atoms) for atoms in (False, True) for seed in range(4)]
+
+
+@pytest.fixture(scope="module", params=CASES, ids=[f"seed{s}-{'atoms' if a else 'rational'}" for s, a in CASES])
+def f(request, chart):
+    seed, atoms = request.param
+    return Fields(chart, seed, atoms)
+
+
+def _same(chart, got, ref):
+    """A public operation's result equals the canonical form of ``ref``."""
+    if isinstance(got, ScalarExpr):
+        assert got.expr == canon(ref)
+        return
+    got = got.components() if isinstance(got, BigSection) else got.components
+    flat = lambda t: [t] if not isinstance(t, (list, tuple)) else [e for p in t for e in flat(p)]  # noqa: E731
+    assert [e.expr for e in flat(list(got))] == [canon(r) for r in flat(ref)]
+
+
+# -- full evaluation -------------------------------------------------------
+
+
+def test_evaluation_of_covariant_tensors(chart, f):
+    X, Y, U = (_raw(v) for v in (f.X, f.Y, f.U))
+    r = range(N)
+    ref = _loop_sum(_raw(f.a)[i] * X[i] for i in r)
+    assert contract("i,i->", f.a, f.X) == ref
+    _same(chart, f.a(f.X), ref)
+    for T in (f.w, f.g, f.S):
+        t = _raw(T)
+        ref = _loop_sum(t[i][j] * X[i] * Y[j] for i in r for j in r)
+        assert contract("ij,i,j->", T, f.X, f.Y) == ref
+        _same(chart, T(f.X, f.Y), ref)
+    t = _raw(f.t3)
+    ref = _loop_sum(t[i][j][k] * X[i] * Y[j] * U[k] for i in r for j in r for k in r)
+    assert contract("ijk,i,j,k->", f.t3, f.X, f.Y, f.U) == ref
+    _same(chart, f.t3(f.X, f.Y, f.U), ref)
+
+
+def test_nested_sequences_and_raw_entries(chart, f):
+    """Plain nested lists of ScalarExpr or of raw sympy contract the same."""
+    t, X, Y = _raw(f.g), _raw(f.X), _raw(f.Y)
+    ref = _loop_sum(t[i][j] * X[i] * Y[j] for i in range(N) for j in range(N))
+    assert contract("ij,i,j->", f.g.components, list(f.X.components), Y) == ref
+    assert contract("ij,i,j->", t, X, Y) == ref
+
+
+# -- one slot, endomorphisms, outer products ---------------------------------
+
+
+def test_slot_contractions(chart, f):
+    X, a, F = _raw(f.X), _raw(f.a), _raw(f.F)
+    r = range(N)
+    for T in (f.w, f.g, f.S):
+        t = _raw(T)
+        ref = [_loop_sum(X[i] * t[i][j] for i in r) for j in r]
+        assert contract("i,ij->j", f.X, T) == ref
+        _same(chart, musical_flat(T, f.X), ref)
+    w = _raw(f.w)
+    _same(chart, interior(f.X, f.w), [_loop_sum(X[i] * w[i][j] for i in r) for j in r])
+    t = _raw(f.t3)
+    ref = [[_loop_sum(X[i] * t[i][j][k] for i in r) for k in r] for j in r]
+    assert contract("i,ijk->jk", f.X, f.t3) == ref
+    _same(chart, interior(f.X, f.t3), ref)
+    ref = [_loop_sum(a[i] * F[i][j] for i in r) for j in r]
+    assert contract("i,ij->j", f.a, f.F) == ref
+    _same(chart, f.a.compose_endo(f.F), ref)
+    inv = _raw(f.g.inverse_matrix())
+    _same(chart, musical_sharp(f.g, f.a), [_loop_sum(inv[j][k] * a[k] for k in r) for j in r])
+    g = _raw(f.g)
+    for sign in (1, -1):
+        ref = [_loop_sum(X[i] * (w[i][j] + sign * g[i][j]) for i in r) for j in r]
+        _same(chart, flat_combination(f.w, f.g, sign, f.X), ref)
+
+
+def test_endomorphisms_apply(chart, f):
+    X, F = _raw(f.X), _raw(f.F)
+    r = range(N)
+    ref = [_loop_sum(F[i][j] * X[j] for j in r) for i in r]
+    assert contract("ij,j->i", f.F, f.X) == ref
+    _same(chart, f.F(f.X), ref)
+    A, col = _raw(f.A), f.s1.column()
+    ref = [_loop_sum(A[i][j] * col[j] for j in range(2 * N)) for i in range(2 * N)]
+    assert contract("ij,j->i", f.A, col) == ref
+    _same(chart, f.A(f.s1), ref)
+    prod = [[_loop_sum(F[i][k] * F[k][j] for k in r) for j in r] for i in r]
+    _same(chart, f.F @ f.F, prod)
+
+
+def test_outer_products_and_pairing(chart, f):
+    X, a, b = _raw(f.X), _raw(f.a), _raw(f.s2.alpha)
+    r = range(N)
+    _same(chart, tensor_oneform_vector(f.a, f.X), [[X[i] * a[j] for j in r] for i in r])
+    _same(chart, wedge(f.a, f.s2.alpha), [[a[i] * b[j] - a[j] * b[i] for j in r] for i in r])
+    Y = _raw(f.Y)
+    ref = _loop_sum(itertools.chain((a[i] * Y[i] for i in r), (b[i] * X[i] for i in r))) / 2
+    _same(chart, pairing(f.s1, f.s2), ref)
+
+
+# -- the elementwise algebra -----------------------------------------------
+
+
+def test_elementwise_algebra(chart, f):
+    h = random_poly(chart, random.Random(5))
+    for T in (f.X, f.a, f.w, f.t3, f.F, f.S, f.A):
+        t = _raw(T)
+        s = T + T
+        assert type(s) is type(T)
+        assert s == T * 2 == 2 * T
+        assert (T - T).is_syntactic_zero
+        assert (-T + T).is_syntactic_zero
+        assert (T * h).components == type(T)(chart, _scale(t, h.expr)).components
+        assert T.conjugate() == T
+        assert repr(T).startswith(type(T).__name__ + "(")
+
+
+def _scale(t, h):
+    if not isinstance(t, list):
+        return t * h
+    return [_scale(e, h) for e in t]
+
+
+def test_sym_view_is_cached_and_matches_components(f):
+    for T in (f.X, f.F, f.g, f.A):
+        m = T._sym()
+        assert m is T._sym()
+        assert isinstance(m, sp.ImmutableMatrix)
+        expected = [[e] for e in _raw(T)] if len(T.shape) == 1 else _raw(T)
+        assert m.tolist() == expected
+
+
+# -- charts ------------------------------------------------------------------
+
+
+def test_mixing_charts_raises(chart):
+    other = ChartManifold("other3", ["x", "y", "z"])
+    f, g = Fields(chart, 0, False), Fields(other, 0, False)
+    with pytest.raises(ChartMismatchError):
+        contract("ij,i,j->", f.g, f.X, g.Y)
+    calls = [
+        lambda: f.X + g.X,
+        lambda: f.F - g.F,
+        lambda: f.A + g.A,
+        lambda: f.F @ g.F,
+        lambda: f.a(g.X),
+        lambda: f.w(f.X, g.Y),
+        lambda: f.S(g.X, f.Y),
+        lambda: f.g(f.X, g.Y),
+        lambda: f.t3(f.X, f.Y, g.U),
+        lambda: f.F(g.X),
+        lambda: f.A(g.s1),
+        lambda: f.a.compose_endo(g.F),
+        lambda: interior(g.X, f.w),
+        lambda: musical_flat(f.g, g.X),
+        lambda: musical_sharp(f.g, g.a),
+        lambda: pairing(f.s1, g.s2),
+        lambda: f.X * g.X.components[0],
+    ]
+    for call in calls:
+        with pytest.raises(ChartMismatchError):
+            call()
+
+
+# -- derivatives in the Courant brackets -----------------------------------
+
+
+def _record_pdiff(monkeypatch):
+    """Every expression differentiated by any ggwb module, in call order."""
+    seen = []
+
+    def recording(expr, sym):
+        seen.append(expr)
+        return pdiff(expr, sym)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ggwb") and getattr(module, "pdiff", None) is pdiff:
+            monkeypatch.setattr(module, "pdiff", recording)
+    return seen
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_courant_bracket_differentiates_only_components(chart, monkeypatch, seed):
+    f = Fields(chart, seed, atoms=seed % 2 == 1)
+    inputs = {c.expr for s in (f.s1, f.s2) for c in s.components()}
+    seen = _record_pdiff(monkeypatch)
+    courant_bracket(f.s1, f.s2)
+    assert seen
+    assert [e for e in seen if e not in inputs] == []
+
+
+@pytest.mark.parametrize("signs", [(1, 1), (-1, -1), (1, -1)])
+def test_crvpm_differentiates_only_components(chart, monkeypatch, signs):
+    f = Fields(chart, 1, atoms=False)
+    gamma = MetricField(chart, [["1+y^2", "0", "-y"], ["0", "1", "0"], ["-y", "0", "1"]])
+    psi = TwoForm(chart, [["0", "z", "0"], ["-z", "0", "x"], ["0", "-x", "0"]])
+    G = GenMetric(gamma, psi)
+    inputs = {c.expr for T in (f.X, f.Y, gamma, psi) for c in _flat_entries(T.components)}
+    seen = _record_pdiff(monkeypatch)
+    courant_bracket_Vpm(G, f.X, f.Y, signs)
+    assert seen
+    assert [e for e in seen if e not in inputs] == []
+
+
+def _flat_entries(t):
+    if isinstance(t, ScalarExpr):
+        return [t]
+    return [e for p in t for e in _flat_entries(p)]
