@@ -9,20 +9,24 @@ Conventions follow Cartan throughout (no 1/(k+1) factors):
 
 All fields are stored in coordinate-frame components and are immutable after
 construction.  Every tensor class (and :class:`ggwb.courant.BigEndo`) is one
-core, :class:`_Components`: a nested tuple of ScalarExpr of a fixed shape
-with a cached ``sympy.ImmutableMatrix`` view, ``_sym()``.  The core defines
-the elementwise algebra, the matrix product, the evaluation of a covariant
-tensor on vectors, ``is_syntactic_zero`` and ``repr`` once.
+core, :class:`_Components`: a nested tuple of ScalarExpr of a fixed shape.
+The core defines the elementwise algebra, the matrix product, the evaluation
+of a covariant tensor on vectors, ``is_syntactic_zero`` and ``repr`` once.
 
-Every sum over indices goes through :func:`contract`, written in index
-notation: ``contract("ij,i,j->", g, X, Y)`` is g(X, Y), ``"i,ij->j"``
-contracts one slot, ``"ij,j->i"`` applies an endomorphism.  It builds each
-entry as one Add of left-to-right products and skips terms with a
-syntactically zero factor.  Every partial derivative goes through
-:func:`ggwb.symexpr.pdiff`, which skips sympy when the component does not
-contain the coordinate; brackets, exterior, Lie and covariant derivatives
-take the derivative array of each field once (:func:`_partials`) and
-contract it.
+The package has one algebra path.  Every sum over indices, including every
+matrix product, transpose, block assembly and defect matrix of the structure
+modules, goes through :func:`contract`, written in index notation:
+``contract("ij,i,j->", g, X, Y)`` is g(X, Y), ``"i,ij->j"`` contracts one
+slot, ``"ij,j->i"`` applies an endomorphism, ``"ki,kj->ij"`` is the product
+A^T B.  It builds each entry as one Add of left-to-right products and skips
+terms with a syntactically zero factor; only ScalarExpr canonicalizes the
+entries.  The cached ``sympy.ImmutableMatrix`` view ``_sym()`` serves only
+the determinant and the adjugate inverse of :class:`MetricField`.
+
+Every partial derivative goes through :func:`ggwb.symexpr.pdiff`, which
+skips sympy when the component does not contain the coordinate; brackets,
+exterior, Lie and covariant derivatives take the derivative array of each
+field once (:func:`_partials`) and contract it.
 
 Charts are global (R^n-like); compact factors are represented by periodic
 or parametric coordinate expressions on a single chart, with sampling ranges
@@ -42,7 +46,7 @@ from typing import Optional, Sequence, Union
 import sympy as sp
 
 from .errors import ChartMismatchError, ExprError, SingularMetricError
-from .symexpr import ScalarExpr, canon, pdiff, trig_reduce_rational
+from .symexpr import ScalarExpr, pdiff, trig_reduce_rational
 
 Scalarish = Union[ScalarExpr, int, Fraction, str]
 
@@ -284,10 +288,11 @@ class _Components:
 
     ``components`` are nested tuples of ScalarExpr of ``shape``; ``_sym()``
     is the cached ``sympy.ImmutableMatrix`` view of a rank-1 or rank-2
-    array.  The elementwise algebra (``+ - neg`` and scalar ``*``),
-    ``conjugate``, ``@`` (matrix product), the evaluation of a covariant
-    tensor on vectors and ``repr`` are defined here once; subclasses fix the
-    shape and add their own invariants.
+    array, read only by :class:`MetricField`.  The elementwise algebra
+    (``+ - neg`` and scalar ``*``), ``conjugate``, ``@`` (matrix product),
+    the defect lists of skewness and isometry identities, the evaluation of
+    a covariant tensor on vectors and ``repr`` are defined here once;
+    subclasses fix the shape and add their own invariants.
     """
 
     __slots__ = ("chart", "components", "shape", "_sym_cache")
@@ -338,11 +343,27 @@ class _Components:
     __rmul__ = __mul__
 
     def __matmul__(self, other):
-        _same_chart(self, other)
-        return self._like((self._sym() * other._sym()).tolist())
+        return self._like(contract("ij,jk->ik", self, other))
 
     def conjugate(self):
         return self._like(_zipmap(ScalarExpr.conjugate, self.components))
+
+    # -- defect lists of matrix identities, row-major, for the zero test
+
+    def skew_defect(self, form) -> list[ScalarExpr]:
+        """Entries of A^T B + B A: zero when A is skew for the bilinear form B."""
+        return self._defect(contract("ki,kj->ij", self, form), contract("ik,kj->ij", form, self))
+
+    def isometry_defect(self, form, *extra) -> list[ScalarExpr]:
+        """Entries of A^T B A - B + sum(extra): zero when A preserves the
+        bilinear form B up to the ``extra`` arrays."""
+        grid = form.components if isinstance(form, _Components) else form
+        return self._defect(contract("ki,kl,lj->ij", self, form, self), _zipmap(
+            lambda b: -b.expr if isinstance(b, ScalarExpr) else -b, grid
+        ), *extra)
+
+    def _defect(self, *terms) -> list[ScalarExpr]:
+        return list(_flatten(self._like(_zipmap(sp.Add, *terms)).components))
 
     def __call__(self, *vectors) -> ScalarExpr:
         """A covariant tensor evaluated on vectors, one per slot."""
@@ -439,10 +460,6 @@ class EndoTM(_Components):
 
     def __call__(self, X: VectorField) -> VectorField:
         return VectorField(self.chart, contract("ij,j->i", self, X))
-
-    def transpose(self) -> "EndoTM":
-        n = self.chart.dim
-        return EndoTM(self.chart, [[self.matrix[j][i] for j in range(n)] for i in range(n)])
 
 
 class MetricField(_Components):
@@ -680,9 +697,7 @@ class Connection:
                 # Gamma^k_ij = (1/2) g^kl (d_i g_jl + d_j g_il - d_l g_ij)
                 v = [dg[j][l][i] + dg[i][l][j] - dg[i][j][l] for l in range(n)]
                 for k, total in enumerate(contract("kl,l->k", ginv, v)):
-                    chr_[k][i][j] = chr_[k][j][i] = ScalarExpr(
-                        canon(total / 2), self.chart, _canonical=True
-                    )
+                    chr_[k][i][j] = chr_[k][j][i] = _S(self.chart, total / 2)
         self.christoffel = tuple(tuple(tuple(plane) for plane in row) for row in chr_)
 
     def nabla(self, X: VectorField, T):

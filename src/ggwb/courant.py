@@ -26,6 +26,7 @@ from .calculus import (
     _Components,
     _partials,
     _S,
+    _flatten,
     _same_chart,
     _zipmap,
     coframe,
@@ -179,22 +180,16 @@ class BigEndo(_Components):
 
     @staticmethod
     def identity(chart: ChartManifold) -> "BigEndo":
-        n2 = 2 * chart.dim
-        return BigEndo(chart, sp.eye(n2).tolist())
-
-    @staticmethod
-    def zero(chart: ChartManifold) -> "BigEndo":
-        n2 = 2 * chart.dim
-        return BigEndo(chart, sp.zeros(n2).tolist())
+        r = range(2 * chart.dim)
+        return BigEndo(chart, [[1 if i == j else 0 for j in r] for i in r])
 
     @staticmethod
     def from_endo(F: EndoTM) -> "BigEndo":
         """The lift (X, a) -> (F X, -a o F) of a tangent endomorphism."""
-        n = F.chart.dim
-        f = F._sym()
-        top = f.row_join(sp.zeros(n))
-        bot = sp.zeros(n).row_join(-f.T)
-        return BigEndo(F.chart, top.col_join(bot).tolist())
+        n, f = F.chart.dim, F.matrix
+        top = [list(f[i]) + [0] * n for i in range(n)]
+        bot = [[0] * n + [-f[j][i] for j in range(n)] for i in range(n)]
+        return BigEndo(F.chart, top + bot)
 
     @staticmethod
     def outer(out: BigSection, inner: BigSection) -> "BigEndo":
@@ -214,32 +209,25 @@ class BigEndo(_Components):
 
     # -- defect matrices (entries to feed the zero test) -----------------
 
-    def entries(self) -> list[ScalarExpr]:
-        return [e for row in self.matrix for e in row]
-
-    def skew_defect(self) -> list[ScalarExpr]:
-        """Entries of A^T G0 + G0 A where G0 is the pairing Gram matrix."""
-        g0 = pairing_gram(self.chart)
-        m = self._sym()
-        d = m.T * g0 + g0 * m
-        return [ScalarExpr(e, self.chart) for e in d]
+    def skew_defect(self, form=None) -> list[ScalarExpr]:
+        """Entries of A^T B + B A for the bilinear form B, by default the
+        pairing Gram matrix G0."""
+        return super().skew_defect(pairing_gram(self.chart) if form is None else form)
 
     def square_defect(self, scalar) -> list[ScalarExpr]:
         """Entries of A^2 - scalar * Id."""
-        m = self._sym()
-        d = m * m - sp.sympify(scalar) * sp.eye(2 * self.chart.dim)
-        return [ScalarExpr(e, self.chart) for e in d]
+        d = self @ self - BigEndo.identity(self.chart) * scalar
+        return list(_flatten(d.components))
 
 
-def pairing_gram(chart: ChartManifold) -> sp.Matrix:
+def pairing_gram(chart: ChartManifold) -> list[list[sp.Rational]]:
+    """Gram matrix of the neutral pairing in the frame (d_1..d_n ; dx^1..dx^n)."""
     n = chart.dim
     half = sp.Rational(1, 2)
-    return sp.Matrix(
-        [
-            [half if (i + n == j or j + n == i) else 0 for j in range(2 * n)]
-            for i in range(2 * n)
-        ]
-    )
+    return [
+        [half if (i + n == j or j + n == i) else sp.S.Zero for j in range(2 * n)]
+        for i in range(2 * n)
+    ]
 
 
 def nijenhuis_big(A: BigEndo, S: BigSection, T: BigSection) -> BigSection:
@@ -266,11 +254,9 @@ def lift_big_endo(A: BigEndo, product: ChartManifold) -> BigEndo:
     The frame gains d_t at vector slot n and dt at covector slot 2n+1.
     """
     n = A.chart.dim
-    m = A._sym()
-    out = sp.zeros(2 * (n + 1))
-    for i in range(2 * n):
-        for j in range(2 * n):
-            ii = i if i < n else i + 1
-            jj = j if j < n else j + 1
-            out[ii, jj] = m[i, j]
-    return BigEndo(product, out.tolist())
+    slot = list(range(n)) + list(range(n + 1, 2 * n + 1))
+    out = [[0] * (2 * n + 2) for _ in range(2 * n + 2)]
+    for i, row in enumerate(A.matrix):
+        for j, e in enumerate(row):
+            out[slot[i]][slot[j]] = e.expr
+    return BigEndo(product, out)

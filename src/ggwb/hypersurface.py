@@ -21,6 +21,7 @@ from .calculus import (
     OneForm,
     TwoForm,
     VectorField,
+    _flatten,
     _S,
     contract,
     ext_d,
@@ -401,7 +402,7 @@ def check_induced_contact(
 
 def _kaehler_form(gamma: MetricField, J: EndoTM) -> TwoForm:
     """Omega(X, Y) = gamma(J X, Y)."""
-    return TwoForm(gamma.chart, (J._sym().T * gamma._sym()).tolist())
+    return TwoForm(gamma.chart, contract("ki,kj->ij", J, gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -449,11 +450,9 @@ def check_almost_hermitian(
 ) -> CheckResult:
     out = CheckResult("almost_hermitian")
     chart = gamma.chart
-    j, g = J._sym(), gamma._sym()
     out.add("J^2 = -Id", is_zero_all(
-        (_S(chart, x) for x in j * j + sp.eye(chart.dim)), policy))
-    out.add("gamma(JX, JY) = gamma(X, Y)", is_zero_all(
-        (_S(chart, x) for x in j.T * g * j - g), policy))
+        _flatten((J @ J + EndoTM.identity(chart)).components), policy))
+    out.add("gamma(JX, JY) = gamma(X, Y)", is_zero_all(J.isometry_defect(gamma), policy))
     fr = frame(chart)
     exprs = []
     for i in range(chart.dim):

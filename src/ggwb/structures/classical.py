@@ -14,6 +14,9 @@ from ..calculus import (
     MetricField,
     OneForm,
     VectorField,
+    _flatten,
+    _zipmap,
+    contract,
     ext_d,
     frame,
     lie_bracket,
@@ -22,7 +25,7 @@ from ..calculus import (
 )
 from ..courant import BigEndo
 from ..errors import ChartMismatchError, StructureError
-from ..symexpr import DEFAULT_POLICY, ScalarExpr, ZeroPolicy, is_zero, is_zero_all, random_poly
+from ..symexpr import DEFAULT_POLICY, ZeroPolicy, is_zero, is_zero_all, random_poly
 from ..verdict import CheckResult
 
 
@@ -56,11 +59,12 @@ class AlmostContact:
 
         if self.gamma is None:
             raise ChartMismatchError("fundamental form needs the structure metric")
-        g, f = self.gamma._sym(), self.F._sym()
-        m = (f.T * g - g * f) / 2
-        return TwoForm(
-            self.chart, [[tidy_trig(self.chart, e) for e in row] for row in m.tolist()]
+        m = _zipmap(
+            lambda a, b: (a - b) / 2,
+            contract("ki,kj->ij", self.F, self.gamma),
+            contract("ik,kj->ij", self.gamma, self.F),
         )
+        return TwoForm(self.chart, [[tidy_trig(self.chart, e) for e in row] for row in m])
 
 
 def check_almost_contact(s: AlmostContact, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
@@ -76,10 +80,9 @@ def check_almost_contact(s: AlmostContact, policy: ZeroPolicy = DEFAULT_POLICY) 
         s.xi.compose_endo(s.F).components, policy, "(almcont) xi o F"))
     out.add("(almcont) xi(Z) = 1", is_zero(s.xi(s.Z) - 1, policy, "(almcont) xi(Z)"))
     if s.gamma is not None:
-        g, f, xiv = s.gamma._sym(), s.F._sym(), s.xi._sym()
-        d = f.T * g * f - g + xiv * xiv.T
+        d = s.F.isometry_defect(s.gamma, contract("i,j->ij", s.xi, s.xi))
         out.add("(clasmetric) s(FX,FY) = s(X,Y) - xi(X)xi(Y)", is_zero_all(
-            [ScalarExpr(e, chart) for e in d], policy, "(clasmetric)"))
+            d, policy, "(clasmetric)"))
     return out
 
 
@@ -114,22 +117,19 @@ def eigen_projections(A: Union[EndoTM, BigEndo], policy: ZeroPolicy = DEFAULT_PO
 
     pr_H = -(A^2 + iA)/2, pr_Hbar = -(A^2 - iA)/2, pr_Q = Id + A^2, pr_P = -A^2.
     """
-    chart = A.chart
-    m = A._sym()
-    cube_defect = m * m * m + m
-    v = is_zero_all([ScalarExpr(e, chart) for e in cube_defect], policy, "A^3 + A = 0")
+    m2 = A @ A
+    v = is_zero_all(_flatten((m2 @ A + A).components), policy, "A^3 + A = 0")
     if not v.ok:
         raise StructureError(
             "eigen_projections requires an F structure", [("A^3 + A = 0", v)]
         )
-    m2 = m * m
-    projections = {
-        "pr_H": -(m2 + sp.I * m) / 2,
-        "pr_Hbar": -(m2 - sp.I * m) / 2,
-        "pr_Q": sp.eye(m.rows) + m2,
+    half = sp.Rational(1, 2)
+    return {
+        "pr_H": -(m2 + A * sp.I) * half,
+        "pr_Hbar": -(m2 - A * sp.I) * half,
+        "pr_Q": type(A).identity(A.chart) + m2,
         "pr_P": -m2,
     }
-    return {name: A._like(p.tolist()) for name, p in projections.items()}
 
 
 def _cr_condition_items(F: EndoTM, policy: ZeroPolicy, out: CheckResult) -> None:

@@ -8,7 +8,7 @@ from typing import Optional
 
 import sympy as sp
 
-from ..calculus import EndoTM, contract, frame
+from ..calculus import EndoTM, _flatten, _zipmap, contract, frame
 from ..courant import BigEndo, BigSection, big_frame, courant_bracket, nijenhuis_big
 from ..errors import StructureError
 from ..numeric import kernel_basis_at, rank_at
@@ -41,11 +41,7 @@ class GenF:
 
 def _metric_F_defect(F: EndoTM, gamma) -> list[ScalarExpr]:
     """(Fmetric): gamma(FX, Y) + gamma(X, FY) = 0 and F^3 + F = 0."""
-    chart = F.chart
-    f, g = F._sym(), gamma._sym()
-    out = [ScalarExpr(e, chart) for e in f.T * g + g * f]
-    out += [ScalarExpr(e, chart) for e in f * f * f + f]
-    return out
+    return F.skew_defect(gamma) + list(_flatten((F @ F @ F + F).components))
 
 
 def build_genF_from_quadruple(
@@ -63,12 +59,7 @@ def build_genF_from_quadruple(
                 f"{name} is not a classical metric F structure for gamma",
                 [(f"(Fmetric) {name}", v)],
             )
-    c = G._frame_matrix
-    m = c * sp.diag(F_plus._sym(), F_minus._sym()) * c.inv(method="LU")
-    from ..calculus import tidy_trig
-
-    m = m.applyfunc(lambda e: tidy_trig(G.chart, sp.cancel(e)).expr)
-    return GenF(BigEndo(G.chart, m.tolist()), G, F_plus, F_minus)
+    return GenF(G.transfer(F_plus, F_minus), G, F_plus, F_minus)
 
 
 def second_genF(genf: GenF) -> GenF:
@@ -83,14 +74,12 @@ def check_gen_F(genf: GenF, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
     case (G-F) plus the transfer identity (eqJrond)."""
     out = CheckResult("gen_F")
     chart = genf.chart
-    out.add("g-skewness of Fcal", is_zero_all(genf.Fcal.skew_defect(), policy))
-    m = genf.Fcal._sym()
-    out.add("Fcal^3 + Fcal = 0", is_zero_all(
-        (ScalarExpr(e, chart) for e in m * m * m + m), policy))
+    m = genf.Fcal
+    out.add("g-skewness of Fcal", is_zero_all(m.skew_defect(), policy))
+    out.add("Fcal^3 + Fcal = 0", is_zero_all(_flatten((m @ m @ m + m).components), policy))
     if genf.G is not None:
-        gram = genf.G._gram
         out.add("(G-F) G(Fcal X, Y) + G(X, Fcal Y) = 0", is_zero_all(
-            (ScalarExpr(e, chart) for e in m.T * gram + gram * m), policy))
+            m.skew_defect(genf.G._gram), policy))
     if genf.has_quadruple:
         exprs = []
         for sign, F in ((1, genf.F_plus), (-1, genf.F_minus)):
@@ -123,7 +112,7 @@ def corank_and_negative_index(
     from ..courant import pairing_gram
     import numpy as np
 
-    g0 = np.array(pairing_gram(chart).tolist(), dtype=float)
+    g0 = np.array(pairing_gram(chart), dtype=float)
     gram = kernel.conj().T @ g0 @ kernel
     if np.abs(gram.imag).max() > policy.tol:
         raise StructureError("kernel pairing Gram is not real at the base point")
@@ -141,8 +130,7 @@ def check_gen_CRF(genf: GenF, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResul
     L = im Fcal, with a scalar-invariance revalidation."""
     out = CheckResult("gen_CRF")
     chart = genf.chart
-    m = genf.Fcal._sym()
-    pr_s = BigEndo(chart, (sp.eye(2 * chart.dim) + m * m).tolist())
+    pr_s = BigEndo.identity(chart) + genf.Fcal @ genf.Fcal
     span = _spanning_L(genf)
     exprs = []
     for i in range(len(span)):
@@ -187,15 +175,12 @@ def _crfk6(genf: GenF, policy: ZeroPolicy) -> Verdict:
     fr = frame(chart)
     exprs = []
     for sign, F in ((1, genf.F_plus), (-1, genf.F_minus)):
-        f2 = (F._sym() * F._sym()).tolist()
+        f2 = F @ F
         for i in range(n):
             # gamma(F nabla_i F (d_j), d_k) and dpsi(d_i, d_j, F^2 d_k) + dpsi(d_i, F d_j, F d_k)
             lhs = contract("lk,lj->jk", gamma, F @ conn.nabla(fr[i], F))
             t1 = contract("jb,bk->jk", dpsi[i], f2)
             t2 = contract("ab,aj,bk->jk", dpsi[i], F, F)
-            exprs.extend(
-                ScalarExpr(lhs[j][k] - sp.Rational(sign, 2) * (t1[j][k] + t2[j][k]), chart)
-                for j in range(n)
-                for k in range(n)
-            )
+            d = _zipmap(lambda a, b, c: a - sp.Rational(sign, 2) * (b + c), lhs, t1, t2)
+            exprs.extend(_flatten(EndoTM(chart, d).components))
     return is_zero_all(exprs, policy, "(CRFK6)")

@@ -1,4 +1,26 @@
-"""Generalized Riemannian metrics G <-> (gamma, psi) and the V_+/V_- split."""
+"""Generalized Riemannian metrics G <-> (gamma, psi) and the V_+/V_- split.
+
+Every generalized structure is built by transfer through the isomorphisms
+tau_pm: X -> (X, flat_{psi +- gamma} X) onto V_pm.  With g = gamma,
+p = psi and q = gamma^-1, the basis sections of V_+ and V_- are the columns
+of C = [[I, I], [g - p, -g - p]] (the covector block of the V_s section of
+d_i is (psi + s*gamma)(d_i, .) = (-p + s*g) e_i).  Adding and subtracting
+the two block columns gives
+
+    C^-1 = (1/2) [[I + qp, q], [I - qp, -q]],
+
+so the endomorphism acting as F_+ on V_+ and as F_- on V_- is, with
+S = F_+ + F_-, D = F_+ - F_-, M = gS - pD and N = gD - pS,
+
+    C diag(F_+, F_-) C^-1 = (1/2) [[S + D qp, D q], [N + M qp, M q]].
+
+Gcal is the transfer of (I, -I):
+
+    Gcal = [[qp, q], [g - pqp, -pq]].
+
+The closed form needs only the cached inverse of gamma, never the inverse
+of the 2n x 2n frame matrix C.
+"""
 
 from __future__ import annotations
 
@@ -8,15 +30,18 @@ from typing import Optional
 import sympy as sp
 
 from ..calculus import (
+    EndoTM,
     MetricField,
     OneForm,
     TwoForm,
     VectorField,
     _partials,
+    _S,
     _zipmap,
     contract,
     ext_d,
     flat_combination,
+    tidy_trig,
     zero_twoform,
 )
 from ..courant import BigEndo, BigSection, pairing_gram
@@ -42,26 +67,25 @@ class GenMetric:
         self.chart = chart
         self.gamma = gamma
         self.psi = psi
-        n = chart.dim
-        g, p = gamma._sym(), psi._sym()
-        # column of the V_s basis section for d_i has covector block
-        # (psi + s*gamma)(d_i, .) = (psi^T + s*gamma) e_i = (-psi + s*gamma) e_i
-        eye = sp.eye(n)
-        self._frame_matrix = eye.row_join(eye).col_join((g - p).row_join(-g - p))
-        try:
-            inv = self._frame_matrix.inv(method="LU")
-        except Exception as exc:
-            raise StructureError(f"V_+/V_- frame is not invertible: {exc}") from exc
-        d = sp.diag(eye, -eye)
-        gc = self._frame_matrix * d * inv
-        from ..calculus import tidy_trig
-
-        gc = gc.applyfunc(lambda e: tidy_trig(chart, sp.cancel(e)).expr)
-        self.Gcal = BigEndo(chart, gc.tolist())
-        self._gram = (gc.T * pairing_gram(chart)).applyfunc(
-            lambda e: tidy_trig(chart, sp.cancel(e)).expr
-        )
+        ident = EndoTM.identity(chart)
+        self.Gcal = self.transfer(ident, -ident)
+        gram = contract("ki,kj->ij", self.Gcal, pairing_gram(chart))
+        self._gram = tuple(tuple(tidy_trig(chart, _S(chart, e)) for e in row) for row in gram)
         self._dpsi = None
+
+    def transfer(self, F_plus: EndoTM, F_minus: EndoTM) -> BigEndo:
+        """The endomorphism acting as F_pm on V_pm through tau_pm, in the
+        closed form of the module docstring."""
+        chart = self.chart
+        g, p = EndoTM(chart, self.gamma.matrix), EndoTM(chart, self.psi.matrix)
+        q = EndoTM(chart, self.gamma.inverse_matrix())
+        qp = q @ p
+        # halving S and D first keeps the 1/2 out of the large rational entries
+        S, D = (F_plus + F_minus) * sp.Rational(1, 2), (F_plus - F_minus) * sp.Rational(1, 2)
+        M, N = g @ S - p @ D, g @ D - p @ S
+        blocks = ((S + D @ qp, D @ q), (N + M @ qp, M @ q))
+        rows = [a + b for left, right in blocks for a, b in zip(left.matrix, right.matrix)]
+        return BigEndo(chart, [[tidy_trig(chart, e) for e in row] for row in rows])
 
     # -- sections of V_pm -------------------------------------------------
 
@@ -77,13 +101,7 @@ class GenMetric:
 
     def G(self, A: BigSection, B: BigSection) -> ScalarExpr:
         """The positive pairing G(A, B) = g(Gcal A, B)."""
-        a = sp.Matrix(A.column())
-        b = sp.Matrix(B.column())
-        return ScalarExpr((a.T * self._gram * b)[0, 0], self.chart)
-
-    def gram_entries(self):
-        return [[ScalarExpr(self._gram[i, j], self.chart) for j in range(self._gram.cols)]
-                for i in range(self._gram.rows)]
+        return _S(self.chart, contract("i,ij,j->", A.column(), self._gram, B.column()))
 
 
 def build_gen_metric(
@@ -104,12 +122,9 @@ def check_gen_metric(G: GenMetric, policy: ZeroPolicy = DEFAULT_POLICY) -> Check
     out = CheckResult("gen_metric")
     chart = G.chart
     n = chart.dim
-    gc = G.Gcal._sym()
-    g0 = pairing_gram(chart)
-    out.add("(condptGrond) Gcal^2 = Id", is_zero_all(
-        (ScalarExpr(e, chart) for e in gc * gc - sp.eye(2 * n)), policy))
+    out.add("(condptGrond) Gcal^2 = Id", is_zero_all(G.Gcal.square_defect(1), policy))
     out.add("(condptGrond) g(Gcal X, Gcal Y) = g(X, Y)", is_zero_all(
-        (ScalarExpr(e, chart) for e in gc.T * g0 * gc - g0), policy))
+        G.Gcal.isometry_defect(pairing_gram(chart)), policy))
     # V_pm really are the +-1 eigenbundles
     from ..calculus import frame
 
@@ -132,7 +147,7 @@ def check_gen_metric(G: GenMetric, policy: ZeroPolicy = DEFAULT_POLICY) -> Check
 
 
 def _positivity(G: GenMetric, policy: ZeroPolicy, n_points: int = 4) -> Verdict:
-    gram = G.gram_entries()
+    gram = G._gram
     rng = policy.rng()
     points = [G.chart.base_point()] + [G.chart.sample_point(rng) for _ in range(n_points)]
     for pt in points:

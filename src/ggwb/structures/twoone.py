@@ -20,6 +20,9 @@ from ..calculus import (
     OneForm,
     TwoForm,
     VectorField,
+    _flatten,
+    _zipmap,
+    contract,
     frame,
     musical_flat,
 )
@@ -74,12 +77,8 @@ class TwoOneGAC:
             raise PreconditionNotMet("classical pair needs the generalized metric")
         out = []
         for sign in (1, -1):
-            cols = []
-            for e in frame(self.chart):
-                img = self.Fcal(self.G.section(e, sign))
-                cols.append([c.expr for c in img.X.components])
-            n = self.chart.dim
-            out.append(EndoTM(self.chart, [[cols[j][i] for j in range(n)] for i in range(n)]))
+            cols = [self.Fcal(self.G.section(e, sign)).X.components for e in frame(self.chart)]
+            out.append(EndoTM(self.chart, contract("ji->ij", cols)))
         return out[0], out[1]
 
     def classical_pair(self) -> tuple[AlmostContact, AlmostContact, TwoForm]:
@@ -146,34 +145,30 @@ def build_21gac(
 def check_two_one(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
     out = CheckResult("two_one")
     chart = s.chart
-    n = chart.dim
     out.add("(almoctZpm) g(Z+,Z-) = 0", is_zero(pairing(s.Z_plus, s.Z_minus), policy))
     out.add("(almoctZpm) g(Z+,Z+) = 1", is_zero(pairing(s.Z_plus, s.Z_plus) - 1, policy))
     out.add("(almoctZpm) g(Z-,Z-) = -1", is_zero(pairing(s.Z_minus, s.Z_minus) + 1, policy))
     out.add("(almctF2) Fcal Z+- = 0", is_zero_all(
         s.Fcal(s.Z_plus).components() + s.Fcal(s.Z_minus).components(), policy))
-    m = s.Fcal._sym()
-    rank1 = BigEndo.outer(s.Z_plus, s.Z_plus)._sym() - BigEndo.outer(s.Z_minus, s.Z_minus)._sym()
+    m = s.Fcal
+    m2 = m @ m
+    rank1 = BigEndo.outer(s.Z_plus, s.Z_plus) - BigEndo.outer(s.Z_minus, s.Z_minus)
+    # Fcal^2 + Id - rank1 is the defect of both identities
+    frame_defect = list(_flatten((m2 + BigEndo.identity(chart) - rank1).components))
     out.add(
         "(almctF2) Fcal^2 = -Id + flat_g Z+ (x) Z+ - flat_g Z- (x) Z-",
-        is_zero_all((ScalarExpr(e, chart) for e in m * m + sp.eye(2 * n) - rank1), policy),
+        is_zero_all(frame_defect, policy),
     )
-    out.add("(prScuframe) pr_S = g(Z+,.)Z+ - g(Z-,.)Z-", is_zero_all(
-        (ScalarExpr(e, chart) for e in sp.eye(2 * n) + m * m - rank1), policy))
-    out.add("g-skewness of Fcal", is_zero_all(s.Fcal.skew_defect(), policy))
-    out.add("Fcal^3 + Fcal = 0", is_zero_all(
-        (ScalarExpr(e, chart) for e in m * m * m + m), policy))
+    out.add("(prScuframe) pr_S = g(Z+,.)Z+ - g(Z-,.)Z-", is_zero_all(frame_defect, policy))
+    out.add("g-skewness of Fcal", is_zero_all(m.skew_defect(), policy))
+    out.add("Fcal^3 + Fcal = 0", is_zero_all(_flatten((m2 @ m + m).components), policy))
     if s.G is not None:
         gram = s.G._gram
-        g0 = pairing_gram(chart)
-        zp = sp.Matrix(s.Z_plus.column())
-        zm = sp.Matrix(s.Z_minus.column())
-        qp, qm = g0 * zp, g0 * zm
+        qp, qm = (_pairing_row(chart, Z) for Z in (s.Z_plus, s.Z_minus))
         # G(Fcal X, Fcal Y) = G(X,Y) - g(Z+,X)g(Z+,Y) - g(Z-,X)g(Z-,Y);
         # the minus on the Z- term is forced by G(Z-,Z-) = 1 and Fcal Z- = 0.
-        d = m.T * gram * m - gram + qp * qp.T + qm * qm.T
-        out.add("(21metriccuZpm) metric compatibility", is_zero_all(
-            (ScalarExpr(e, chart) for e in d), policy))
+        d = m.isometry_defect(gram, contract("i,j->ij", qp, qp), contract("i,j->ij", qm, qm))
+        out.add("(21metriccuZpm) metric compatibility", is_zero_all(d, policy))
         eig = []
         for sign, Z in ((1, s.Z_plus), (-1, s.Z_minus)):
             dd = s.G.Gcal(Z) - Z * sign
@@ -189,6 +184,11 @@ def check_two_one(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckRes
         Verdict.numeric() if neg == 1 else Verdict.failed(detail=f"neg = {neg}"),
     )
     return out
+
+
+def _pairing_row(chart: ChartManifold, Z: BigSection) -> list:
+    """The components g(Z, .) of the neutral pairing against Z, raw."""
+    return contract("ij,j->i", pairing_gram(chart), Z.column())
 
 
 def second_structure(s: TwoOneGAC) -> TwoOneGAC:
@@ -335,9 +335,7 @@ def check_normal_21(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckR
     tensor (normtotal2), plus the agreement of the two formulations."""
     out = CheckResult("normal21")
     chart = s.chart
-    n2 = 2 * chart.dim
-    m = s.Fcal._sym()
-    pr_s = BigEndo(chart, (sp.eye(n2) + m * m).tolist())
+    pr_s = BigEndo.identity(chart) + s.Fcal @ s.Fcal
     span = [s.Fcal(e) for e in big_frame(chart)]
 
     out.add("(normaltotal) [Z+, Z-] = 0", is_zero_all(
@@ -399,26 +397,26 @@ def check_phi(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
     out.add("(eqPhi) g-skewness", is_zero_all(phi.skew_defect(), policy))
     if s.G is not None:
         gram = s.G._gram
-        p = phi._sym()
-        g0 = pairing_gram(chart)
-        qp = g0 * sp.Matrix(s.Z_plus.column())
-        qm = g0 * sp.Matrix(s.Z_minus.column())
+        qp, qm = (_pairing_row(chart, Z) for Z in (s.Z_plus, s.Z_minus))
         # G(Phi X, Phi Y) = -G(X,Y) + 2[g(Z+,X)g(Z+,Y) + g(Z-,X)g(Z-,Y)];
         # the rank-one terms are forced by Phi Z+- = Z-+ and G(Z+-,Z+-) = 1.
-        d = p.T * gram * p + gram - 2 * (qp * qp.T + qm * qm.T)
+        d = _zipmap(
+            lambda a, b, c, e: a + b.expr - 2 * (c + e),
+            contract("ki,kl,lj->ij", phi, gram, phi),
+            gram,
+            contract("i,j->ij", qp, qp),
+            contract("i,j->ij", qm, qm),
+        )
         out.add("(PhiG) G(Phi X, Phi Y) = -G(X, Y) + 2 kernel terms", is_zero_all(
-            (ScalarExpr(e, chart) for e in d), policy))
+            _flatten(phi._like(d).components), policy))
     # (eqGY): the +-1 eigenprojections of Phi have rank n at sample points.
     from ..numeric import rank_at
 
-    n2 = 2 * chart.dim
-    p = phi._sym()
     ranks_ok = True
     rng = policy.rng()
     points = [chart.base_point()] + [chart.sample_point(rng) for _ in range(2)]
     for sign in (1, -1):
-        proj = (sp.eye(n2) + sign * p) / 2
-        grid = [[ScalarExpr(proj[i, j], chart) for j in range(n2)] for i in range(n2)]
+        grid = ((BigEndo.identity(chart) + phi * sign) * sp.Rational(1, 2)).matrix
         for pt in points:
             if rank_at(grid, pt, policy.tol) != chart.dim:
                 ranks_ok = False
@@ -464,9 +462,8 @@ def conformal_operator(chart: ChartManifold, tau: ScalarExpr) -> BigEndo:
     """C_tau (X, a) = (X, e^tau a)."""
     n = chart.dim
     e = sp.exp(chart.scalar(tau).expr)
-    top = sp.eye(n).row_join(sp.zeros(n))
-    bot = sp.zeros(n).row_join(e * sp.eye(n))
-    return BigEndo(chart, top.col_join(bot).tolist())
+    r = range(2 * n)
+    return BigEndo(chart, [[(1 if i < n else e) if i == j else 0 for j in r] for i in r])
 
 
 def conformal_change(tau: ScalarExpr, A: BigEndo) -> BigEndo:

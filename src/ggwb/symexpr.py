@@ -51,13 +51,11 @@ Number = Union[int, Fraction, sp.Rational]
 class ZeroPolicy:
     """Reproducible configuration for the three-valued zero test.
 
-    ``max_passes`` bounds the canonicalization fixpoint iteration,
     ``samples`` is the number of independent random points, ``tol`` the
     numeric tolerance used when transcendental atoms force float evaluation,
     and ``max_resample`` the per-sample retry budget when a point hits a pole.
     """
 
-    max_passes: int = 2
     samples: int = 32
     seed: int = 0
     tol: float = 1e-9
@@ -92,6 +90,8 @@ def _canon_once(expr: sp.Expr) -> sp.Expr:
 
 @lru_cache(maxsize=65536)
 def _canon_cached(expr: sp.Expr) -> sp.Expr:
+    # one pass is not always a fixed point: with a constant atom, cancel
+    # maps (6*exp(-8/3)*exp(y) + 5)/(8*y) to (6*exp(y) + 5*exp(8/3))*exp(-8/3)/(8*y)
     cur = expr
     for _ in range(3):
         new = _canon_once(cur)
@@ -101,21 +101,10 @@ def _canon_cached(expr: sp.Expr) -> sp.Expr:
     return cur
 
 
-def canon(expr: sp.Expr, max_passes: int = 2) -> sp.Expr:
-    """Rational normal form; idempotent after the first pass.
-
-    ``max_passes`` bounds the fixpoint iteration; the default configuration
-    is served from a cache.
-    """
-    cur = sp.sympify(expr)
-    if max_passes == 2 and isinstance(cur, sp.Basic):
-        return _canon_cached(cur)
-    for _ in range(max(1, max_passes)):
-        new = _canon_once(cur)
-        if new == cur:
-            break
-        cur = new
-    return cur
+def canon(expr: sp.Expr) -> sp.Expr:
+    """Rational normal form: the fixed point of the canonicalization pass,
+    served from a cache."""
+    return _canon_cached(sp.sympify(expr))
 
 
 # cos(k*u) expands to a polynomial of degree k in cos(u), sin(u).  An atom
@@ -445,7 +434,7 @@ def is_zero(
     ``policy.tol``.  Any other value yields ``Failed`` with a witness.
     Sample points that hit a pole are redrawn (bounded retries).
     """
-    expr = canon(e.expr, policy.max_passes)
+    expr = canon(e.expr)
     if expr == 0:
         return Verdict.proved(criterion)
     if expr.has(sp.sin, sp.cos) and trig_reduce_rational(expr) == 0:

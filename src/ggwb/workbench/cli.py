@@ -42,7 +42,6 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--seed", type=int, default=None, help="zero-test RNG seed")
     check.add_argument("--samples", type=int, default=None, help="zero-test sample count")
     check.add_argument("--tol", type=float, default=None, help="numeric tolerance")
-    check.add_argument("--max-passes", type=int, default=None, dest="max_passes")
     return parser
 
 
@@ -82,8 +81,6 @@ def main(argv=None) -> int:
             overrides["samples"] = args.samples
         if args.tol is not None:
             overrides["tol"] = args.tol
-        if args.max_passes is not None:
-            overrides["max_passes"] = args.max_passes
         if overrides:
             scenario.policy = replace(scenario.policy, **overrides)
         if args.check:

@@ -1,4 +1,4 @@
-"""Reports: deterministic JSON (schema 1) and human-readable text.
+"""Reports: deterministic JSON (schema 2) and human-readable text.
 
 JSON output is byte-identical for identical (scenario, seed): keys are
 sorted, numbers rendered canonically, and wall-clock timing is kept out of
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from ..symexpr import ZeroPolicy
 from ..verdict import VerdictKind
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -63,7 +63,6 @@ class Report:
                 "seed": self.policy.seed,
                 "samples": self.policy.samples,
                 "tol": repr(self.policy.tol),
-                "max_passes": self.policy.max_passes,
             },
             "checks": checks,
             "overall": self.overall,
@@ -76,7 +75,7 @@ class Report:
         lines = [
             f"scenario: {self.scenario}",
             f"policy: seed={self.policy.seed} samples={self.policy.samples} "
-            f"tol={self.policy.tol} max_passes={self.policy.max_passes}",
+            f"tol={self.policy.tol}",
             "",
         ]
         for r in self.runs:

@@ -246,11 +246,20 @@ def _load_structure(spec: dict, charts: dict, fields: dict, structures: list, wh
     return StructureDecl(name, stype, data)
 
 
+_POLICY_KEYS = ("samples", "seed", "tol", "max_resample")
+
+
 def _load_policy(spec: Optional[dict], where: str, seed_default: int = 0) -> ZeroPolicy:
     spec = spec or {}
+    if not isinstance(spec, dict):
+        raise ScenarioError("policy must be an object", where)
+    for key in spec:
+        if key not in _POLICY_KEYS:
+            raise ScenarioError(
+                f"unknown policy key (known: {', '.join(_POLICY_KEYS)})", f"{where}.{key}"
+            )
     try:
         return ZeroPolicy(
-            max_passes=int(spec.get("max_passes", 2)),
             samples=int(spec.get("samples", 32)),
             seed=int(spec.get("seed", seed_default)),
             tol=float(spec.get("tol", 1e-9)),

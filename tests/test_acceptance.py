@@ -338,7 +338,7 @@ def test_criterion_12_determinism(capsys):
     first = capsys.readouterr().out
     assert main(args) == 0
     second = capsys.readouterr().out
-    ok = first == second and json.loads(first)["schema"] == 1
+    ok = first == second and json.loads(first)["schema"] == 2
     with capsys.disabled():
         _line(12, "determinism (byte-identical JSON reports for a fixed seed)", ok)
     assert ok

@@ -110,38 +110,58 @@ def test_courant_bracket_matches_plain_sympy_reference(chart, seed):
         assert sp.expand(c.expr - r) == 0
 
 
-# -- one derivative path ----------------------------------------------------
+# -- one derivative path and one algebra path -------------------------------
 
 
-def _diff_call_sites(path: Path) -> list[str]:
-    """Enclosing function names of every ``sp.diff``/``sympy.diff`` use."""
+def _call_sites(path: Path, attr: str, modules=None) -> list[str]:
+    """Qualified enclosing function names (``Class.method``) of every use of
+    the attribute ``attr``; with ``modules``, only ``<module>.attr`` for
+    those module names, plus ``from sympy import attr``."""
     tree = ast.parse(path.read_text())
     found = []
 
-    def visit(node, func):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            func = node.name
-        if isinstance(node, ast.ImportFrom) and node.module == "sympy":
-            if any(alias.name == "diff" for alias in node.names):
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        func = ".".join(scope) or "<module>"
+        if modules and isinstance(node, ast.ImportFrom) and node.module == "sympy":
+            if any(alias.name == attr for alias in node.names):
                 found.append(f"{func} (import)")
         if (
             isinstance(node, ast.Attribute)
-            and node.attr == "diff"
-            and isinstance(node.value, ast.Name)
-            and node.value.id in ("sp", "sympy")
+            and node.attr == attr
+            and (
+                modules is None
+                or isinstance(node.value, ast.Name) and node.value.id in modules
+            )
         ):
             found.append(func)
         for child in ast.iter_child_nodes(node):
-            visit(child, func)
+            visit(child, scope)
 
-    visit(tree, "<module>")
+    visit(tree, ())
     return found
 
 
-def test_sympy_diff_only_inside_the_kernel():
+def _package_sites(attr: str, modules=None) -> dict:
     root = Path(ggwb.__file__).parent
     sites = {}
     for path in sorted(root.rglob("*.py")):
-        for func in _diff_call_sites(path):
+        for func in _call_sites(path, attr, modules):
             sites.setdefault(str(path.relative_to(root)), []).append(func)
-    assert sites == {"symexpr.py": ["pdiff"]}
+    return sites
+
+
+def test_sympy_diff_only_inside_the_kernel():
+    assert _package_sites("diff", ("sp", "sympy")) == {"symexpr.py": ["pdiff"]}
+
+
+def test_one_algebra_path():
+    """Products, transposes and blocks go through ``contract``: the sympy
+    Matrix view serves only the metric's determinant and inverse, and only
+    the canonical form cancels."""
+    assert _package_sites("_sym") == {
+        "calculus.py": ["MetricField._check_nondegenerate", "MetricField.inverse_matrix"]
+    }
+    assert _package_sites("inv") == {"calculus.py": ["MetricField.inverse_matrix"]}
+    assert set(_package_sites("cancel", ("sp", "sympy"))) == {"symexpr.py"}

@@ -4,6 +4,7 @@ import pytest
 import sympy as sp
 
 from ggwb.calculus import (
+    ChartManifold,
     EndoTM,
     MetricField,
     TwoForm,
@@ -13,7 +14,7 @@ from ggwb.calculus import (
     random_vector_field,
     zero_twoform,
 )
-from ggwb.courant import BigEndo, big_frame, courant_bracket, pairing
+from ggwb.courant import BigEndo, big_frame, courant_bracket, pairing, pairing_gram
 from ggwb.errors import StructureError
 from ggwb.structures import (
     GenF,
@@ -43,6 +44,55 @@ def test_gen_metric_flat_closed_form(R3, pol):
     # Gcal(X, a) = (sharp a, flat X): the off-diagonal block swap
     expected = sp.Matrix(sp.BlockMatrix([[sp.zeros(3), sp.eye(3)], [sp.eye(3), sp.zeros(3)]]))
     assert G.Gcal._sym() == expected
+
+
+def _raw(rows):
+    return [[e.expr for e in row] for row in rows]
+
+
+def _lu_transfer(gamma, psi, F_plus, F_minus):
+    """Reference: C diag(F_+, F_-) C^-1 with the 2n x 2n frame matrix C of
+    the V_+/V_- basis sections, inverted by LU."""
+    g, p = sp.Matrix(_raw(gamma.matrix)), sp.Matrix(_raw(psi.matrix))
+    eye = sp.eye(g.rows)
+    c = eye.row_join(eye).col_join((g - p).row_join(-g - p))
+    m = c * sp.diag(sp.Matrix(_raw(F_plus.matrix)), sp.Matrix(_raw(F_minus.matrix)))
+    return (m * c.inv(method="LU")).applyfunc(sp.cancel)
+
+
+def _random_integer_data(chart, rng):
+    """Integer (gamma, psi != 0, F_+, F_-), gamma nondegenerate."""
+    n = chart.dim
+
+    def ints():
+        return [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+
+    while True:
+        m = ints()
+        gamma = [[m[i][j] + m[j][i] + (9 if i == j else 0) for j in range(n)] for i in range(n)]
+        if sp.Matrix(gamma).det() != 0:
+            break
+    while True:
+        m = ints()
+        psi = [[m[i][j] - m[j][i] for j in range(n)] for i in range(n)]
+        if any(any(row) for row in psi):
+            break
+    return MetricField(chart, gamma), TwoForm(chart, psi), EndoTM(chart, ints()), EndoTM(chart, ints())
+
+
+@pytest.mark.parametrize("dim,seed", [(d, k) for d in (2, 3) for k in range(3)])
+def test_closed_form_transfer_matches_lu(dim, seed):
+    """Gcal, the Gram matrix of G and the Fcal transfer in closed form agree
+    entrywise with the LU construction through the frame matrix."""
+    chart = ChartManifold(f"R{dim}", ["x", "y", "z"][:dim])
+    gamma, psi, F_plus, F_minus = _random_integer_data(chart, random.Random(seed))
+    G = GenMetric(gamma, psi)
+    gcal = _lu_transfer(gamma, psi, EndoTM.identity(chart), -EndoTM.identity(chart))
+    assert _raw(G.Gcal.matrix) == gcal.tolist()
+    gram = (gcal.T * sp.Matrix(pairing_gram(chart))).applyfunc(sp.cancel)
+    assert _raw(G._gram) == gram.tolist()
+    fcal = _lu_transfer(gamma, psi, F_plus, F_minus)
+    assert _raw(G.transfer(F_plus, F_minus).matrix) == fcal.tolist()
 
 
 def test_gen_metric_axioms(s2_genmetric, pol):

@@ -303,17 +303,26 @@ def test_courant_bracket_differentiates_only_components(chart, monkeypatch, seed
     assert [e for e in seen if e not in inputs] == []
 
 
-@pytest.mark.parametrize("signs", [(1, 1), (-1, -1), (1, -1)])
-def test_crvpm_differentiates_only_components(chart, monkeypatch, signs):
+@pytest.fixture(scope="module")
+def vpm_metrics(chart):
+    """Fields, and generalized metrics with psi != 0 on the S2 metric and on
+    a random symmetric metric with degree-2 polynomial entries."""
     f = Fields(chart, 1, atoms=False)
-    gamma = MetricField(chart, [["1+y^2", "0", "-y"], ["0", "1", "0"], ["-y", "0", "1"]])
+    s2 = MetricField(chart, [["1+y^2", "0", "-y"], ["0", "1", "0"], ["-y", "0", "1"]])
     psi = TwoForm(chart, [["0", "z", "0"], ["-z", "0", "x"], ["0", "-x", "0"]])
-    G = GenMetric(gamma, psi)
-    inputs = {c.expr for T in (f.X, f.Y, gamma, psi) for c in _flat_entries(T.components)}
-    seen = _record_pdiff(monkeypatch)
-    courant_bracket_Vpm(G, f.X, f.Y, signs)
-    assert seen
-    assert [e for e in seen if e not in inputs] == []
+    return f, [GenMetric(gamma, psi) for gamma in (s2, f.g)]
+
+
+@pytest.mark.parametrize("signs", [(1, 1), (-1, -1), (1, -1)])
+def test_crvpm_differentiates_only_components(vpm_metrics, monkeypatch, signs):
+    f, metrics = vpm_metrics
+    for G in metrics:
+        inputs = {c.expr for T in (f.X, f.Y, G.gamma, G.psi) for c in _flat_entries(T.components)}
+        seen = _record_pdiff(monkeypatch)
+        courant_bracket_Vpm(G, f.X, f.Y, signs)
+        assert seen
+        assert [e for e in seen if e not in inputs] == []
+        monkeypatch.undo()
 
 
 def _flat_entries(t):

@@ -163,7 +163,7 @@ def test_report_json_roundtrip_and_determinism():
     j2 = emit_report(run_checks(sc2), "json")
     assert j1 == j2
     doc = json.loads(j1)
-    assert doc["schema"] == 1
+    assert doc["schema"] == 2
     assert doc["overall"] == "pass"
     assert doc["checks"][0]["check"] == "almost_contact"
 
@@ -217,6 +217,17 @@ def test_cli_config_errors(capsys):
     assert main(["check", "S1", "--check", "bogus"]) == 2
     err = capsys.readouterr().err
     assert "ggwb: error" in err
+
+
+@pytest.mark.parametrize("policy,where", [
+    ({"samples": 8, "max_passes": 2}, "$.policy.max_passes"),
+    (5, "$.policy"),
+])
+def test_cli_rejects_bad_policy(tmp_path, capsys, policy, where):
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(_tiny_scenario(policy=policy)))
+    assert main(["check", str(path)]) == 2
+    assert f"{where}:" in capsys.readouterr().err
 
 
 def test_cli_check_at_structure(capsys):
