@@ -18,15 +18,20 @@ matrix product, transpose, block assembly and defect matrix of the structure
 modules, goes through :func:`contract`, written in index notation:
 ``contract("ij,i,j->", g, X, Y)`` is g(X, Y), ``"i,ij->j"`` contracts one
 slot, ``"ij,j->i"`` applies an endomorphism, ``"ki,kj->ij"`` is the product
-A^T B.  It builds each entry as one Add of left-to-right products and skips
-terms with a syntactically zero factor; only ScalarExpr canonicalizes the
-entries.  The cached ``sympy.ImmutableMatrix`` view ``_sym()`` serves only
-the determinant and the adjugate inverse of :class:`MetricField`.
+A^T B.  It skips terms with a syntactically zero factor.  When every entry
+of every operand is atom-free, it multiplies and sums in the chart's
+rational function field and returns ScalarExpr entries, already canonical.
+When some entry has a ``sin``/``cos``/``exp`` atom, it builds each entry as
+one raw sympy Add of left-to-right products, which the caller wraps (and
+:func:`tidy_trig` may shorten).  The cached ``sympy.ImmutableMatrix`` view
+``_sym()`` serves only the determinant and the adjugate inverse of
+:class:`MetricField`.
 
-Every partial derivative goes through :func:`ggwb.symexpr.pdiff`, which
-skips sympy when the component does not contain the coordinate; brackets,
-exterior, Lie and covariant derivatives take the derivative array of each
-field once (:func:`_partials`) and contract it.
+Every partial derivative goes through :func:`ggwb.symexpr.pdiff`: in the
+field for atom-free components, by ``sympy.diff`` (skipped when the
+component does not contain the coordinate) for the components of a field
+with atoms.  Brackets, exterior, Lie and covariant derivatives take the
+derivative array of each field once (:func:`_partials`) and contract it.
 
 Charts are global (R^n-like); compact factors are represented by periodic
 or parametric coordinate expressions on a single chart, with sampling ranges
@@ -46,7 +51,17 @@ from typing import Optional, Sequence, Union
 import sympy as sp
 
 from .errors import ChartMismatchError, ExprError, SingularMetricError
-from .symexpr import ScalarExpr, pdiff, trig_reduce_rational
+from .symexpr import (
+    ScalarExpr,
+    _constant,
+    _field,
+    _field_op,
+    _fraction,
+    _gaussian,
+    _ring,
+    pdiff,
+    trig_reduce_rational,
+)
 
 Scalarish = Union[ScalarExpr, int, Fraction, str]
 
@@ -191,9 +206,11 @@ def _S(chart, v) -> ScalarExpr:
     raw sympy expressions from internal operations skip the grammar walk,
     strings and numbers get the full validated path."""
     if isinstance(v, ScalarExpr):
+        if v.chart is chart or v.chart == chart:
+            return v
         return ScalarExpr(v, chart)
     if isinstance(v, sp.Basic):
-        return ScalarExpr(v, chart, _trusted=True)
+        return ScalarExpr._of(v, chart)
     return chart.scalar(v)
 
 
@@ -231,12 +248,17 @@ def contract(spec: str, *operands):
     ``"ij,i,j->"`` evaluates a 2-tensor on two vectors, ``"i,ij->j"``
     contracts one slot, ``"ij,j->i"`` applies an endomorphism and
     ``"i,j->ij"`` is an outer product.  An operand is a tensor field, a
-    nested sequence of ScalarExpr or of raw sympy expressions.  Each term
-    multiplies one entry per operand from left to right, in operand order,
-    and the terms of one result entry are summed by a single ``Add``: the
-    Add-of-Mul sum an index loop builds.  Terms with a syntactically zero
-    factor are skipped.  The result is raw sympy, a scalar when nothing
-    follows ``->`` and nested lists otherwise; the caller wraps it.
+    nested sequence of ScalarExpr, of rational numbers or of raw sympy
+    expressions.  Each term multiplies one entry per operand from left to
+    right, in operand order; terms with a syntactically zero factor are
+    skipped.  The result is a scalar when nothing follows ``->`` and nested
+    lists otherwise:
+
+    - when every entry of every operand is an atom-free ScalarExpr or a
+      rational number, the products and sums are taken in the chart's
+      rational function field and the entries are ScalarExpr;
+    - otherwise each entry is raw sympy, the single ``Add`` of ``Mul``s an
+      index loop builds, which the caller wraps.
     """
     ins, out = spec.split("->")
     ins = ins.split(",")
@@ -256,30 +278,114 @@ def contract(spec: str, *operands):
     letters = list(out) + summed
     slots = [[letters.index(c) for c in idx] for idx in ins]
     chunk = math.prod(dims[c] for c in summed)
+    in_field = _in_field(operands, arrays, fields[0].chart if fields else None)
+    if in_field is not None:
+        chart, K, arrays = in_field
+        one = K.ring.one
     flat, terms = [], []
     for count, ix in enumerate(itertools.product(*(range(dims[c]) for c in letters)), 1):
         factors = []
         for arr, slot in zip(arrays, slots):
             for s in slot:
                 arr = arr[ix[s]]
-            if isinstance(arr, ScalarExpr):
+            if in_field is None and isinstance(arr, ScalarExpr):
                 arr = arr.expr
-            if arr is sp.S.Zero:
+            if arr is sp.S.Zero or in_field and not arr:
                 break
             factors.append(arr)
         else:
-            terms.append(functools.reduce(operator.mul, factors))
+            terms.append(factors if in_field else functools.reduce(operator.mul, factors))
         if count % chunk == 0:
-            flat.append(sp.Add(*terms))
+            flat.append(sp.Add(*terms) if in_field is None else _ring(chart, _field_sum(K, one, terms)))
             terms = []
     return _nest(flat, [dims[c] for c in out])
 
 
+class _NotInField(Exception):
+    pass
+
+
+def _field_array(a, K) -> tuple:
+    """(nested list of field elements, Gaussian?) for an array of atom-free
+    ScalarExpr and rational numbers; raises _NotInField otherwise."""
+    gaussian = False
+
+    def convert(e):
+        nonlocal gaussian
+        if isinstance(e, (list, tuple)):
+            return [convert(x) for x in e]
+        if isinstance(e, ScalarExpr):
+            if e.rf is None:
+                raise _NotInField
+            gaussian = gaussian or _gaussian(e.rf)
+            return e.rf
+        if isinstance(e, (int, Fraction, sp.Rational)):
+            return _constant(K, e)
+        raise _NotInField
+
+    return convert(a), gaussian
+
+
+def _in_field(operands, arrays, chart):
+    """(chart, field, arrays of field elements) when every entry is an
+    atom-free ScalarExpr or a rational number, else None."""
+    if chart is None:
+        chart = next((e.chart for e in _flatten(arrays) if isinstance(e, ScalarExpr)), None)
+        if chart is None:
+            return None
+    K = _field(chart.symbols)
+    out, gaussian = [], False
+    try:
+        for o, a in zip(operands, arrays):
+            arr, g = o._in_field() if isinstance(o, _Components) else _field_array(a, K)
+            out.append(arr)
+            gaussian = gaussian or g
+    except _NotInField:
+        return None
+    if gaussian:
+        K = _field(chart.symbols, True)
+        out = [_zipmap(lambda e: e if e.field is K else e.set_field(K), a) for a in out]
+    return chart, K, out
+
+
+def _field_sum(K, one, terms):
+    """Sum of products of field elements, each product a list of factors.
+    Numerators and denominators are multiplied as polynomials; the
+    numerators over one denominator are added, and each denominator class
+    is reduced once."""
+    groups = {}
+    for factors in terms:
+        num, den = factors[0].numer, factors[0].denom
+        for f in factors[1:]:
+            num = num * f.numer
+            if f.denom != one:
+                den = den * f.denom
+        groups[den] = groups[den] + num if den in groups else num
+    total = None
+    for den, num in groups.items():
+        part = _fraction(K, num, den)
+        total = part if total is None else _field_op(operator.add, total, part)
+    return K.zero if total is None else total
+
+
+def _sum(*terms):
+    """Sum of contraction results (signed and scaled by the caller): in the
+    field when every term is an atom-free ScalarExpr, else one raw Add that
+    the caller wraps, so a sum with atoms is canonicalized once, whole."""
+    if all(isinstance(t, ScalarExpr) and t.rf is not None for t in terms):
+        return functools.reduce(operator.add, terms)
+    return sp.Add(*(t.expr if isinstance(t, ScalarExpr) else t for t in terms))
+
+
 def _partials(t) -> list:
-    """Raw first derivatives of a field's components: one more slot, last,
-    holding d_k of the entry."""
+    """First derivatives of a field's (or a scalar's) components: one more
+    slot, last, holding d_k of the entry.  ScalarExpr when every component
+    is atom-free, raw sympy otherwise."""
     syms = t.chart.symbols
-    return _zipmap(lambda e: [pdiff(e.expr, s) for s in syms], t.components)
+    comps = t if isinstance(t, ScalarExpr) else t.components
+    if all(e.rf is not None for e in _flatten(comps)):
+        return _zipmap(lambda e: [pdiff(e, s) for s in syms], comps)
+    return _zipmap(lambda e: [pdiff(e.expr, s) for s in syms], comps)
 
 
 class _Components:
@@ -295,7 +401,7 @@ class _Components:
     subclasses fix the shape and add their own invariants.
     """
 
-    __slots__ = ("chart", "components", "shape", "_sym_cache")
+    __slots__ = ("chart", "components", "shape", "_sym_cache", "_field_cache")
     _kind = "tensor"
     _rank = 2
 
@@ -304,6 +410,7 @@ class _Components:
         self.chart = chart
         self.components = _wrap(chart, components, self.shape, self._kind)
         self._sym_cache = None
+        self._field_cache = None
 
     @classmethod
     def _shape(cls, chart) -> tuple:
@@ -317,6 +424,18 @@ class _Components:
         if self._sym_cache is None:
             self._sym_cache = sp.ImmutableMatrix(_zipmap(lambda e: e.expr, self.components))
         return self._sym_cache
+
+    def _in_field(self) -> tuple:
+        """The components as field elements, converted once for every
+        contraction; raises _NotInField when one has an atom."""
+        if self._field_cache is None:
+            try:
+                self._field_cache = _field_array(self.components, None)
+            except _NotInField:
+                self._field_cache = False
+        if not self._field_cache:
+            raise _NotInField
+        return self._field_cache
 
     def _like(self, components):
         return type(self)(self.chart, components)
@@ -358,12 +477,12 @@ class _Components:
         """Entries of A^T B A - B + sum(extra): zero when A preserves the
         bilinear form B up to the ``extra`` arrays."""
         grid = form.components if isinstance(form, _Components) else form
-        return self._defect(contract("ki,kl,lj->ij", self, form, self), _zipmap(
-            lambda b: -b.expr if isinstance(b, ScalarExpr) else -b, grid
-        ), *extra)
+        return self._defect(
+            contract("ki,kl,lj->ij", self, form, self), _zipmap(operator.neg, grid), *extra
+        )
 
     def _defect(self, *terms) -> list[ScalarExpr]:
-        return list(_flatten(self._like(_zipmap(sp.Add, *terms)).components))
+        return list(_flatten(self._like(_zipmap(_sum, *terms)).components))
 
     def __call__(self, *vectors) -> ScalarExpr:
         """A covariant tensor evaluated on vectors, one per slot."""
@@ -389,11 +508,11 @@ class _Components:
 
 
 def _flatten(array):
-    if isinstance(array, ScalarExpr):
+    if isinstance(array, (list, tuple)):
+        for part in array:
+            yield from _flatten(part)
+    else:
         yield array
-        return
-    for part in array:
-        yield from _flatten(part)
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +529,7 @@ class VectorField(_Components):
         """Directional derivative X(f)."""
         if f.chart != self.chart:
             raise ChartMismatchError("scalar lives on a different chart")
-        df = [pdiff(f.expr, s) for s in self.chart.symbols]
-        return _S(self.chart, contract("i,i->", self, df))
+        return _S(self.chart, contract("i,i->", self, _partials(f)))
 
 
 class OneForm(_Components):
@@ -560,6 +678,8 @@ def tidy_trig(chart: ChartManifold, x) -> ScalarExpr:
     numerator and the denominator), an exact rewrite that stays inside the
     expression grammar; it replaces x only when ``count_ops`` shrinks.
     """
+    if isinstance(x, ScalarExpr) and x.rf is not None:
+        return _S(chart, x)
     e = x.expr if isinstance(x, ScalarExpr) else sp.sympify(x)
     if e.has(sp.sin, sp.cos):
         t = trig_reduce_rational(e)
@@ -572,7 +692,7 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     """[X, Y]^k = X^i d_i Y^k - Y^i d_i X^k."""
     chart = _same_chart(X, Y)
     return VectorField(chart, _zipmap(
-        operator.sub,
+        lambda p, q: _sum(p, -q),
         contract("ki,i->k", _partials(Y), X),
         contract("ki,i->k", _partials(X), Y),
     ))
@@ -627,12 +747,12 @@ def lie_derivative(X: VectorField, T):
     if isinstance(T, OneForm):
         # (L_X a)_j = X^i d_i a_j + a_i d_j X^i
         return OneForm(chart, _zipmap(
-            operator.add, contract("i,ji->j", X, dT), contract("i,ij->j", T, dX)
+            _sum, contract("i,ji->j", X, dT), contract("i,ij->j", T, dX)
         ))
     if isinstance(T, (TwoForm, MetricField)):
         # (L_X m)_jk = X^i d_i m_jk + m_ik d_j X^i + m_ji d_k X^i
         grid = _zipmap(
-            lambda p, q, r: p + q + r,
+            _sum,
             contract("i,jki->jk", X, dT),
             contract("ik,ij->jk", T, dX),
             contract("ji,ik->jk", T, dX),
@@ -641,7 +761,7 @@ def lie_derivative(X: VectorField, T):
     if isinstance(T, EndoTM):
         # (L_X F)^i_j = X^k d_k F^i_j - F^k_j d_k X^i + F^i_k d_j X^k
         return EndoTM(chart, _zipmap(
-            lambda p, q, r: p - q + r,
+            lambda p, q, r: _sum(p, -q, r),
             contract("k,ijk->ij", X, dT),
             contract("kj,ik->ij", T, dX),
             contract("ik,kj->ij", T, dX),
@@ -670,7 +790,7 @@ def flat_combination(psi: TwoForm, gamma: MetricField, sign: int, X: VectorField
         raise ExprError("sign must be +1 or -1")
     chart = _same_chart(psi, gamma, X)
     return OneForm(chart, _zipmap(
-        lambda p, g: p + sign * g, contract("i,ij->j", X, psi), contract("i,ij->j", X, gamma)
+        lambda p, g: _sum(p, sign * g), contract("i,ij->j", X, psi), contract("i,ij->j", X, gamma)
     ))
 
 
@@ -707,21 +827,21 @@ class Connection:
         if isinstance(T, VectorField):
             # X^i d_i Y^k + Gamma^k_ij X^i Y^j
             return VectorField(chart, _zipmap(
-                operator.add,
+                _sum,
                 contract("i,ki->k", X, _partials(T)),
                 contract("kij,i,j->k", G, X, T),
             ))
         if isinstance(T, OneForm):
             # X^i d_i a_j - Gamma^k_ij X^i a_k
             return OneForm(chart, _zipmap(
-                operator.sub,
+                lambda p, q: _sum(p, -q),
                 contract("i,ji->j", X, _partials(T)),
                 contract("kij,i,k->j", G, X, T),
             ))
         if isinstance(T, EndoTM):
             # X^k d_k F^i_j + Gamma^i_km X^k F^m_j - Gamma^m_kj X^k F^i_m
             return EndoTM(chart, _zipmap(
-                lambda p, q, r: p + q - r,
+                lambda p, q, r: _sum(p, q, -r),
                 contract("k,ijk->ij", X, _partials(T)),
                 contract("ikm,k,mj->ij", G, X, T),
                 contract("mkj,k,im->ij", G, X, T),
@@ -736,7 +856,7 @@ class Connection:
         left = contract("lki,lj->kij", G, g)  # Gamma^l_ki g_lj
         right = contract("lkj,il->kij", G, g)  # Gamma^l_kj g_il
         return [
-            ScalarExpr(dg[i][j][k] - left[k][i][j] - right[k][i][j], self.chart)
+            _S(self.chart, _sum(dg[i][j][k], -left[k][i][j], -right[k][i][j]))
             for k in range(n)
             for i in range(n)
             for j in range(i, n)
@@ -756,11 +876,11 @@ def levi_civita(gamma: MetricField) -> Connection:
 
 
 def lift_vector(X: VectorField, product: ChartManifold) -> VectorField:
-    return VectorField(product, [c.expr for c in X.components] + [0])
+    return VectorField(product, [c.lift(product) for c in X.components] + [0])
 
 
 def lift_oneform(a: OneForm, product: ChartManifold) -> OneForm:
-    return OneForm(product, [c.expr for c in a.components] + [0])
+    return OneForm(product, [c.lift(product) for c in a.components] + [0])
 
 
 # ---------------------------------------------------------------------------

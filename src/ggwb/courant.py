@@ -13,7 +13,6 @@ rational) entries.
 
 from __future__ import annotations
 
-import operator
 from typing import Sequence
 
 import sympy as sp
@@ -26,6 +25,7 @@ from .calculus import (
     _Components,
     _partials,
     _S,
+    _sum,
     _flatten,
     _same_chart,
     _zipmap,
@@ -55,10 +55,6 @@ class BigSection:
         self.chart = X.chart
 
     @staticmethod
-    def zero(chart: ChartManifold) -> "BigSection":
-        return BigSection(zero_vector(chart), zero_oneform(chart))
-
-    @staticmethod
     def from_vector(X: VectorField) -> "BigSection":
         return BigSection(X, zero_oneform(X.chart))
 
@@ -82,9 +78,6 @@ class BigSection:
 
     def components(self) -> list[ScalarExpr]:
         return list(self.X.components) + list(self.alpha.components)
-
-    def column(self) -> list[sp.Expr]:
-        return [c.expr for c in self.components()]
 
     @staticmethod
     def from_components(chart: ChartManifold, comps: Sequence) -> "BigSection":
@@ -119,7 +112,7 @@ def big_frame(chart: ChartManifold) -> list[BigSection]:
 def pairing(A: BigSection, B: BigSection) -> ScalarExpr:
     """Neutral pairing g((X,a),(Y,b)) = (a(Y) + b(X)) / 2."""
     chart = _same_chart(A.X, B.X)
-    return _S(chart, (contract("i,i->", A.alpha, B.X) + contract("i,i->", B.alpha, A.X)) / 2)
+    return _S(chart, _sum(contract("i,i->", A.alpha, B.X), contract("i,i->", B.alpha, A.X)) / 2)
 
 
 def courant_bracket(A: BigSection, B: BigSection) -> BigSection:
@@ -132,12 +125,12 @@ def courant_bracket(A: BigSection, B: BigSection) -> BigSection:
     _same_chart(A.X, B.X)
     X, Y, a, b = A.X, B.X, A.alpha, B.alpha
     dX, dY, da, db = (_partials(t) for t in (X, Y, a, b))  # dX[k][i] = d_i X^k
-    vec = _zipmap(operator.sub, contract("ki,i->k", dY, X), contract("ki,i->k", dX, Y))
+    vec = _zipmap(lambda p, q: _sum(p, -q), contract("ki,i->k", dY, X), contract("ki,i->k", dX, Y))
     # L_X b - L_Y a + (1/2) d(a(Y) - b(X))
     #   = X^i d_i b_j - Y^i d_i a_j
     #     + (1/2) (b_i d_j X^i - a_i d_j Y^i + Y^i d_j a_i - X^i d_j b_i)
     cov = _zipmap(
-        lambda p, q, r, s, t, u: p - q + (r - s + t - u) / 2,
+        lambda p, q, r, s, t, u: _sum(p, -q, _sum(r, -s, t, -u) / 2),
         contract("i,ji->j", X, db),
         contract("i,ji->j", Y, da),
         contract("i,ij->j", b, dX),
@@ -197,15 +190,13 @@ class BigEndo(_Components):
         _same_chart(out.X, inner.X)
         # g(inner, frame_j): half alpha-components for vector slots, half
         # X-components for covector slots.
-        row = [sp.Rational(1, 2) * c.expr for c in inner.alpha.components] + [
-            sp.Rational(1, 2) * c.expr for c in inner.X.components
-        ]
-        return BigEndo(out.chart, contract("i,j->ij", out.column(), row))
+        row = [c / 2 for c in inner.alpha.components + inner.X.components]
+        return BigEndo(out.chart, contract("i,j->ij", out.components(), row))
 
     def __call__(self, s: BigSection) -> BigSection:
         if s.chart != self.chart:
             raise ChartMismatchError("section on a different chart")
-        return BigSection.from_components(self.chart, contract("ij,j->i", self, s.column()))
+        return BigSection.from_components(self.chart, contract("ij,j->i", self, s.components()))
 
     # -- defect matrices (entries to feed the zero test) -----------------
 
@@ -258,5 +249,5 @@ def lift_big_endo(A: BigEndo, product: ChartManifold) -> BigEndo:
     out = [[0] * (2 * n + 2) for _ in range(2 * n + 2)]
     for i, row in enumerate(A.matrix):
         for j, e in enumerate(row):
-            out[slot[i]][slot[j]] = e.expr
+            out[slot[i]][slot[j]] = e.lift(product)
     return BigEndo(product, out)

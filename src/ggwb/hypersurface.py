@@ -23,6 +23,7 @@ from .calculus import (
     VectorField,
     _flatten,
     _S,
+    _sum,
     contract,
     ext_d,
     frame,
@@ -174,6 +175,21 @@ def _halve_exponents(expr: sp.Expr) -> Optional[sp.Expr]:
     return out
 
 
+def _det(rows):
+    """Determinant of a small square array of scalars: the Leibniz sum
+    eps_{i_1..i_m} A_{1 i_1} ... A_{m i_m}, contracted like any other
+    index sum (in the field when the entries are atom-free)."""
+    m = len(rows)
+    idx = "abcdefgh"[:m]
+    return contract(f"{idx},{','.join(idx)}->", _levi_civita(m), *rows)
+
+
+def _levi_civita(m: int, prefix: tuple = ()):
+    if len(prefix) == m:
+        return sp.LeviCivita(*prefix)
+    return [_levi_civita(m, prefix + (i,)) for i in range(m)]
+
+
 def unit_normal(e: Embedding, gamma: MetricField, policy: ZeroPolicy = DEFAULT_POLICY):
     """gamma-unit normal along N from the cross-product/cofactor construction,
     oriented so that (frame of N, n) is positively oriented, then flipped by
@@ -185,13 +201,8 @@ def unit_normal(e: Embedding, gamma: MetricField, policy: ZeroPolicy = DEFAULT_P
     # rank audit of the Jacobian at the base point
     if rank_at(jac, chart.base_point(), policy.tol) != chart.dim:
         raise StructureError("embedding Jacobian is rank-deficient at the base point")
-    # omega_k = det [ jac columns | e_k ]
-    cof = []
-    for k in range(n):
-        m = sp.Matrix(
-            [[jac[i][a].expr for a in range(chart.dim)] + [1 if i == k else 0] for i in range(n)]
-        )
-        cof.append(m.det(method="berkowitz"))
+    # omega_k = det [ jac columns | e_k ], expanded along the last column
+    cof = [(-1) ** (k + n - 1) * _det(jac[:k] + jac[k + 1:]) for k in range(n)]
     ginv_res = e.restrict_grid(gamma.inverse_matrix())
     ntilde = _wrap_along(chart, contract("ik,k->i", ginv_res, cof))
     q = _S(chart, contract("ij,i,j->", g_res, ntilde, ntilde))
@@ -237,7 +248,7 @@ def _d_along(e: Embedding, jac, gam_res, a: int, v) -> list:
     u = e.domain.coords[a]
     col = [row[a] for row in jac]
     return _wrap_along(e.domain, [
-        vk.diff(u).expr + t for vk, t in zip(v, contract("kij,i,j->k", gam_res, col, v))
+        _sum(vk.diff(u), t) for vk, t in zip(v, contract("kij,i,j->k", gam_res, col, v))
     ])
 
 

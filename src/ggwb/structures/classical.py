@@ -216,10 +216,10 @@ def product_J_classical(s: AlmostContact, t: str = "t"):
     n = chart.dim
     grid = []
     for i in range(n):
-        row = [s.F.matrix[i][j].expr for j in range(n)]
-        row.append(-s.Z.components[i].expr)  # J d_t = -Z
+        row = [s.F.matrix[i][j].lift(product) for j in range(n)]
+        row.append(-s.Z.components[i].lift(product))  # J d_t = -Z
         grid.append(row)
-    grid.append([c.expr for c in s.xi.components] + [0])  # d_t coefficient is xi(X)
+    grid.append([c.lift(product) for c in s.xi.components] + [0])  # d_t coefficient is xi(X)
     return product, EndoTM(product, grid)
 
 

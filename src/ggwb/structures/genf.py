@@ -8,7 +8,7 @@ from typing import Optional
 
 import sympy as sp
 
-from ..calculus import EndoTM, _flatten, _zipmap, contract, frame
+from ..calculus import EndoTM, _flatten, _sum, _zipmap, contract, frame
 from ..courant import BigEndo, BigSection, big_frame, courant_bracket, nijenhuis_big
 from ..errors import StructureError
 from ..numeric import kernel_basis_at, rank_at
@@ -181,6 +181,7 @@ def _crfk6(genf: GenF, policy: ZeroPolicy) -> Verdict:
             lhs = contract("lk,lj->jk", gamma, F @ conn.nabla(fr[i], F))
             t1 = contract("jb,bk->jk", dpsi[i], f2)
             t2 = contract("ab,aj,bk->jk", dpsi[i], F, F)
-            d = _zipmap(lambda a, b, c: a - sp.Rational(sign, 2) * (b + c), lhs, t1, t2)
+            h = sp.Rational(sign, 2)
+            d = _zipmap(lambda a, b, c: _sum(a, -h * b, -h * c), lhs, t1, t2)
             exprs.extend(_flatten(EndoTM(chart, d).components))
     return is_zero_all(exprs, policy, "(CRFK6)")

@@ -24,7 +24,6 @@ of the 2n x 2n frame matrix C.
 
 from __future__ import annotations
 
-import operator
 from typing import Optional
 
 import sympy as sp
@@ -37,6 +36,7 @@ from ..calculus import (
     VectorField,
     _partials,
     _S,
+    _sum,
     _zipmap,
     contract,
     ext_d,
@@ -101,7 +101,7 @@ class GenMetric:
 
     def G(self, A: BigSection, B: BigSection) -> ScalarExpr:
         """The positive pairing G(A, B) = g(Gcal A, B)."""
-        return _S(self.chart, contract("i,ij,j->", A.column(), self._gram, B.column()))
+        return _S(self.chart, contract("i,ij,j->", A.components(), self._gram, B.components()))
 
 
 def build_gen_metric(
@@ -183,25 +183,25 @@ def courant_bracket_Vpm(
     def lie_flat(V, W, dV, dW) -> list:
         """(L_V flat_gamma W)_j, by the product rule on (flat_gamma W)_j = W^l g_lj."""
         return _zipmap(
-            lambda a, b, c: a + b + c,
+            _sum,
             contract("i,li,lj->j", V, dW, g),
             contract("i,l,lji->j", V, W, dg),
             contract("l,li,ij->j", W, g, dV),
         )
 
-    br = _zipmap(operator.sub, contract("ki,i->k", dY, X), contract("ki,i->k", dX, Y))
+    br = _zipmap(lambda p, q: _sum(p, -q), contract("ki,i->k", dY, X), contract("ki,i->k", dX, Y))
     ixiy_dpsi = contract("i,j,ijk->k", X, Y, G.dpsi)
     if s1 == s2:
         s = s1
         # X^i (L_Y gamma)_ij = X^i (Y^k d_k g_ij + g_kj d_i Y^k + g_ik d_j Y^k)
         x_lie_y_gamma = _zipmap(
-            lambda a, b, c: a + b + c,
+            _sum,
             contract("i,k,ijk->j", X, Y, dg),
             contract("i,kj,ki->j", X, g, dY),
             contract("i,ik,kj->j", X, g, dY),
         )
         cov = _zipmap(
-            lambda bp, bg, t, lxw, xl: bp + s * bg + t + s * (lxw - xl),
+            lambda bp, bg, t, lxw, xl: _sum(bp, s * bg, t, s * lxw, -s * xl),
             contract("i,ij->j", br, p),
             contract("i,ij->j", br, g),
             ixiy_dpsi,
@@ -211,13 +211,13 @@ def courant_bracket_Vpm(
         return BigSection(VectorField(chart, br), OneForm(chart, cov))
     # (+, -) mixed-sign case; d_j gamma(X, Y) by the product rule
     d_gxy = _zipmap(
-        lambda a, b, c: a + b + c,
+        _sum,
         contract("ij,il,l->j", dX, g, Y),
         contract("i,ilj,l->j", X, dg, Y),
         contract("i,il,lj->j", X, g, dY),
     )
     cov = _zipmap(
-        lambda bp, t, lxw, lyw, d: bp + t - lxw - lyw + d,
+        lambda bp, t, lxw, lyw, d: _sum(bp, t, -lxw, -lyw, d),
         contract("i,ij->j", br, p),
         ixiy_dpsi,
         lie_flat(X, Y, dX, dY),

@@ -291,20 +291,20 @@ def check_product_metric(
     gram = gtilde_cal._like(contract("ki,kj->ij", gtilde_cal, pairing_gram(product))).matrix
 
     def gt(a: BigSection, b: BigSection) -> ScalarExpr:
-        return _S(product, contract("i,ij,j->", a.column(), gram, b.column()))
+        return _S(product, contract("i,ij,j->", a.components(), gram, b.components()))
 
     span_L = [s.Fcal(e) for e in big_frame(s.chart)]
     exprs = []
     for i in range(len(span_L)):
         for j in range(i, len(span_L)):
             a, b = lift_big_section(span_L[i], product), lift_big_section(span_L[j], product)
-            exprs.append(gt(a, b) - _S(product, s.G.G(span_L[i], span_L[j]).expr))
+            exprs.append(gt(a, b) - s.G.G(span_L[i], span_L[j]).lift(product))
     out.add("Gtilde|_L = G|_L", is_zero_all(exprs, policy))
     exprs = []
     for A in (s.Z_plus, s.Z_minus):
         for B in (s.Z_plus, s.Z_minus):
             a, b = lift_big_section(A, product), lift_big_section(B, product)
-            exprs.append(gt(a, b) - _S(product, s.G.G(A, B).expr))
+            exprs.append(gt(a, b) - s.G.G(A, B).lift(product))
     out.add("Gtilde|_S = G|_S", is_zero_all(exprs, policy))
     out.add("Gtilde(T+,T+) = 1", is_zero(gt(pj.T_plus, pj.T_plus) - 1, policy))
     out.add("Gtilde(T-,T-) = 1", is_zero(gt(pj.T_minus, pj.T_minus) - 1, policy))

@@ -21,6 +21,7 @@ from ..calculus import (
     TwoForm,
     VectorField,
     _flatten,
+    _sum,
     _zipmap,
     contract,
     frame,
@@ -188,7 +189,7 @@ def check_two_one(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckRes
 
 def _pairing_row(chart: ChartManifold, Z: BigSection) -> list:
     """The components g(Z, .) of the neutral pairing against Z, raw."""
-    return contract("ij,j->i", pairing_gram(chart), Z.column())
+    return contract("ij,j->i", pairing_gram(chart), Z.components())
 
 
 def second_structure(s: TwoOneGAC) -> TwoOneGAC:
@@ -401,7 +402,7 @@ def check_phi(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
         # G(Phi X, Phi Y) = -G(X,Y) + 2[g(Z+,X)g(Z+,Y) + g(Z-,X)g(Z-,Y)];
         # the rank-one terms are forced by Phi Z+- = Z-+ and G(Z+-,Z+-) = 1.
         d = _zipmap(
-            lambda a, b, c, e: a + b.expr - 2 * (c + e),
+            lambda a, b, c, e: _sum(a, b, -2 * c, -2 * e),
             contract("ki,kl,lj->ij", phi, gram, phi),
             gram,
             contract("i,j->ij", qp, qp),

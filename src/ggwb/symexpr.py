@@ -2,11 +2,25 @@
 
 A :class:`ScalarExpr` is a rational function of the chart coordinates and of
 opaque ``sin``/``cos``/``exp`` atoms, with exact rational (or Gaussian
-rational) coefficients.  Every constructor canonicalizes: the canonical form
-is the multivariate rational normal form over Q produced by :func:`sympy.cancel`,
-with transcendental atoms treated as independent generators whose arguments
-are themselves canonical.  The canonical form does no trigonometric
-rewriting, so ``sin(x)**2 + cos(x)**2 - 1`` is not syntactically zero.
+rational) coefficients.  It has one of two representations, chosen by the
+value alone:
+
+- without atoms, an element ``rf`` of the rational function field
+  Q(x_1..x_n) of the chart (a ``sympy.polys`` ``FracField`` in lex order,
+  cached per chart), or of Q(i)(x_1..x_n) when ``I`` occurs.  Arithmetic,
+  derivatives, evaluation and the zero test act on the coefficient dicts
+  of its numerator and denominator.  The reduced fraction is the canonical
+  form; ``expr`` is a sympy view of it, built on first use, equal to what
+  :func:`sympy.cancel` returns.  Values start in Q(x); an operand is
+  promoted to Q(i)(x) only when the other has an imaginary coefficient, and
+  a result whose coefficients are all real moves back to Q(x);
+- with atoms, a sympy expression in the multivariate rational normal form
+  over Q produced by :func:`sympy.cancel`, with transcendental atoms treated
+  as independent generators whose arguments are themselves canonical.  An
+  operation that mixes the two representations works on the view.
+
+The canonical form does no trigonometric rewriting, so
+``sin(x)**2 + cos(x)**2 - 1`` is not syntactically zero.
 
 The zero test decides such identities with :func:`trig_reduce`: after
 sum and multiple-angle expansion it reduces a polynomial modulo the ideal
@@ -17,14 +31,23 @@ relate atoms whose arguments differ by a non-integer factor (``sin(x)`` and
 ``sin(x/2)``) or by a factor above ``_MAX_MULTIPLE``; such identities still
 go to sampling.
 
-Soundness contract: ``is_zero`` answers ``Proved`` only when the canonical
-form is the literal zero, or when its numerator reduces to zero modulo the
-Pythagorean relations while its denominator does not; either implies the
-expression vanishes identically.
+Soundness contract: ``is_zero`` answers ``Proved`` only when the reduced
+fraction of an atom-free scalar is zero (the field is exact, so that is a
+proof of the identity), when the canonical form of a scalar with atoms is
+the literal zero, or when its numerator reduces to zero modulo the
+Pythagorean relations while its denominator does not.  A nonzero reduced
+fraction is never zero as a function, but its ``Failed`` still needs a
+witness: the sampler looks for a rational point where it is nonzero.
+
+The grammar (coordinates, rational literals, integer powers, ``sin``,
+``cos``, ``exp``) is validated once, where a value enters: parsing, or a
+sympy expression or number handed to the constructor.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import random
 import re
 from dataclasses import dataclass
@@ -33,6 +56,10 @@ from functools import lru_cache
 from typing import Iterable, Optional, Union
 
 import sympy as sp
+from sympy.polys.domains import QQ, QQ_I
+from sympy.polys.fields import FracElement, FracField
+from sympy.polys.orderings import lex
+from sympy.polys.polyutils import _sort_gens
 
 from .errors import ChartMismatchError, ExprError, ParseError
 from .verdict import Verdict, Witness
@@ -102,9 +129,16 @@ def _canon_cached(expr: sp.Expr) -> sp.Expr:
 
 
 def canon(expr: sp.Expr) -> sp.Expr:
-    """Rational normal form: the fixed point of the canonicalization pass,
-    served from a cache."""
-    return _canon_cached(sp.sympify(expr))
+    """Rational normal form.  Without atoms it is the reduced fraction of
+    the rational function field in the free symbols (the view a
+    :class:`ScalarExpr` shows); with atoms, the fixed point of the
+    canonicalization pass, served from a cache."""
+    expr = sp.sympify(expr)
+    if not _has_atoms(expr):
+        rf = _to_field(expr, tuple(expr.free_symbols))
+        if rf is not None:
+            return _view(rf)
+    return _canon_cached(expr)
 
 
 # cos(k*u) expands to a polynomial of degree k in cos(u), sin(u).  An atom
@@ -198,107 +232,246 @@ def _validate_nodes(expr: sp.Expr, chart) -> None:
             raise ExprError(f"function '{node.func}' is outside the grammar")
 
 
+# ---------------------------------------------------------------------------
+# the rational function field of a chart
+
+
+@lru_cache(maxsize=256)
+def _field_on(gens: tuple, gaussian: bool) -> FracField:
+    return FracField(gens, QQ_I if gaussian else QQ, lex)
+
+
+@lru_cache(maxsize=256)
+def _field(symbols: tuple, gaussian: bool = False) -> FracField:
+    """Q(x) or Q(i)(x) over the chart symbols, in sympy's own generator
+    order, so that the reduced fraction normalizes like :func:`sympy.cancel`."""
+    return _field_on(_sort_gens(symbols), gaussian)
+
+
+def _gaussian(rf: FracElement) -> bool:
+    return rf.field.domain is QQ_I
+
+
+def _settle(rf: FracElement) -> FracElement:
+    """An element of Q(i)(x) with real coefficients, moved to Q(x): the field
+    of a value depends on the value alone."""
+    K = rf.field
+    if K.domain is not QQ_I or any(c.y for p in (rf.numer, rf.denom) for c in p.values()):
+        return rf
+    Kq = _field_on(K.symbols, False)
+    return Kq.new(rf.numer.set_ring(Kq.ring), rf.denom.set_ring(Kq.ring))
+
+
+def _unify(a: FracElement, b: FracElement) -> tuple:
+    """Both operands in one field: Q(x) is promoted to Q(i)(x) only when the
+    other operand has an imaginary coefficient."""
+    if a.field is b.field or a.field == b.field:
+        return a, b
+    if _gaussian(a):
+        return a, b.set_field(a.field)
+    return a.set_field(b.field), b
+
+
+def _fraction(K: FracField, num, den) -> FracElement:
+    """num/den in lowest terms.  The reduced form sympy keeps is a pair of
+    integer polynomials without common factor, contents coprime, denominator
+    with positive leading coefficient; over Q a constant denominator needs
+    no gcd for it: num/den times the common denominator L, over L."""
+    if K.domain is QQ and den.is_ground:
+        if not num:
+            return K.zero
+        c = den[K.ring.zero_monom]
+        if c != 1:
+            num = num.quo_ground(c)
+        L = math.lcm(*(v.denominator for v in num.values()))
+        if L == 1:
+            return K.raw_new(num, _one(K))
+        return K.raw_new(num.mul_ground(L), K.ring.ground_new(L))
+    return K.new(num, den)
+
+
+@lru_cache(maxsize=256)
+def _one(K: FracField):
+    return K.ring.one
+
+
+def _field_op(op, a: FracElement, b: FracElement) -> FracElement:
+    """``op`` (one of + - * /) on two elements of one field."""
+    K = a.field
+    if op is operator.mul:
+        return _fraction(K, a.numer * b.numer, a.denom * b.denom)
+    if op is operator.truediv:
+        return _fraction(K, a.numer * b.denom, a.denom * b.numer)
+    if a.denom == b.denom:
+        return _fraction(K, op(a.numer, b.numer), a.denom)
+    if a.denom.is_ground and b.denom.is_ground:
+        return _fraction(K, op(a.numer * b.denom, b.numer * a.denom), a.denom * b.denom)
+    return op(a, b)
+
+
+@lru_cache(maxsize=1024)
+def _constant(K: FracField, v) -> FracElement:
+    return K(_qq(v))
+
+
+@lru_cache(maxsize=65536)
+def _has_atoms(expr: sp.Expr) -> bool:
+    return expr.has(*_ATOM_FUNCS)
+
+
+@lru_cache(maxsize=65536)
+def _to_field(expr: sp.Expr, symbols: tuple) -> Optional[FracElement]:
+    """The field element of an expression without ``sin``/``cos``/``exp``
+    atoms; None when it has another constant outside Q(i)."""
+    try:
+        rf = _field(symbols, expr.has(sp.I)).from_expr(expr)
+    except ValueError:  # E, pi: constants outside Q(i)
+        return None
+    return _settle(rf)
+
+
+def _qq(v) -> object:
+    """A rational number as an element of QQ."""
+    if isinstance(v, Fraction):
+        return QQ(v.numerator, v.denominator)
+    if isinstance(v, sp.Rational):
+        return QQ(int(v.p), int(v.q))
+    return QQ(v)
+
+
+_RATIONALS = (int, Fraction, sp.Rational)
+
+
+# ---------------------------------------------------------------------------
+# the scalar
+
+
 class ScalarExpr:
-    """Immutable canonical scalar field tagged with its owning chart."""
+    """Immutable canonical scalar field tagged with its owning chart.
 
-    __slots__ = ("expr", "chart", "_hash")
+    ``rf`` is the element of the chart's rational function field when the
+    value has no transcendental atom, and None otherwise; ``expr`` is the
+    sympy expression, built lazily from ``rf`` for atom-free values.
+    """
 
-    def __init__(self, value, chart, _canonical: bool = False, _trusted: bool = False):
+    __slots__ = ("chart", "rf", "_expr", "_hash")
+
+    def __init__(self, value, chart):
         if isinstance(value, ScalarExpr):
             if value.chart != chart:
                 raise ChartMismatchError(
                     f"scalar from chart '{value.chart.name}' used on '{chart.name}'"
                 )
-            expr = value.expr
-            _canonical = _trusted = True
+            rf, expr = value.rf, value._expr
         elif isinstance(value, float):
             raise ExprError("float literals are not allowed; use exact rationals")
-        elif isinstance(value, Fraction):
-            expr = sp.Rational(value.numerator, value.denominator)
-        elif isinstance(value, str):
-            expr = _parse(value, chart)
+        elif isinstance(value, _RATIONALS):
+            rf, expr = _constant(_field(chart.symbols), value), None
         else:
-            expr = sp.sympify(value)
-        if not _canonical:
-            expr = canon(expr)
-        if not _trusted:
-            # grammar validation at the boundary; arithmetic on validated
-            # expressions stays inside the grammar and skips the walk.
+            # the grammar boundary: parse or sympify, validate, represent
+            expr = _parse(value, chart) if isinstance(value, str) else sp.sympify(value)
             _validate_nodes(expr, chart)
-            den = sp.fraction(expr)[1]
-            if den == 0:
-                raise ExprError("zero denominator after canonicalization")
-        object.__setattr__(self, "expr", expr)
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "_hash", None)
+            rf, expr = _represent(expr, chart)
+        _init(self, chart, rf, expr)
+
+    @classmethod
+    def _of(cls, expr: sp.Expr, chart, atoms: bool = False) -> "ScalarExpr":
+        """A raw expression built by the package from validated scalars:
+        represented without the grammar walk."""
+        return _init(object.__new__(cls), chart, *_represent(expr, chart, atoms))
 
     def __setattr__(self, *a):  # immutability
         raise AttributeError("ScalarExpr is immutable")
 
+    @property
+    def expr(self) -> sp.Expr:
+        if self._expr is None:
+            object.__setattr__(self, "_expr", _view(self.rf))
+        return self._expr
+
     # -- arithmetic ---------------------------------------------------
 
-    def _coerce(self, other) -> sp.Expr:
+    def _op(self, other, op, swap: bool = False) -> "ScalarExpr":
+        """``op(self, other)``, or ``op(other, self)`` with ``swap``: in the
+        field when both operands are atom-free, else on canonical
+        expressions."""
         if isinstance(other, ScalarExpr):
             if other.chart != self.chart:
                 raise ChartMismatchError(
                     f"cannot combine scalars from charts "
                     f"'{self.chart.name}' and '{other.chart.name}'"
                 )
-            return other.expr
-        if isinstance(other, float):
+            if self.rf is not None and other.rf is not None:
+                a, b = _unify(self.rf, other.rf)
+                return _ring(self.chart, _field_op(op, *((b, a) if swap else (a, b))))
+            atom_operand = other.rf is None
+            other = other.expr
+        elif isinstance(other, float):
             raise ExprError("float operands are not allowed; use exact rationals")
-        if isinstance(other, Fraction):
-            return sp.Rational(other.numerator, other.denominator)
-        return sp.sympify(other)
-
-    def _new(self, expr: sp.Expr) -> "ScalarExpr":
-        return ScalarExpr(canon(expr), self.chart, _canonical=True, _trusted=True)
+        elif isinstance(other, _RATIONALS) and self.rf is not None:
+            a, b = self.rf, _constant(self.rf.field, other)
+            return _ring(self.chart, _field_op(op, *((b, a) if swap else (a, b))))
+        else:
+            other = sp.sympify(other)
+            atom_operand = _has_atoms(other)
+        a, b = (other, self.expr) if swap else (self.expr, other)
+        return ScalarExpr._of(op(a, b), self.chart, atoms=self.rf is None or atom_operand)
 
     def __add__(self, other):
-        return self._new(self.expr + self._coerce(other))
+        return self._op(other, operator.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._new(self.expr - self._coerce(other))
+        return self._op(other, operator.sub)
 
     def __rsub__(self, other):
-        return self._new(self._coerce(other) - self.expr)
+        return self._op(other, operator.sub, swap=True)
 
     def __mul__(self, other):
-        return self._new(self.expr * self._coerce(other))
+        return self._op(other, operator.mul)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        div = self._coerce(other)
-        if canon(div) == 0:
+        if _is_zero_operand(other):
             raise ExprError("division by syntactically zero expression")
-        return self._new(self.expr / div)
+        return self._op(other, operator.truediv)
 
     def __rtruediv__(self, other):
-        if self.expr == 0:
+        if self.is_syntactic_zero:
             raise ExprError("division by syntactically zero expression")
-        return self._new(self._coerce(other) / self.expr)
+        return self._op(other, operator.truediv, swap=True)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             raise ExprError("only integer powers are in the grammar")
-        if n < 0 and self.expr == 0:
+        if n < 0 and self.is_syntactic_zero:
             raise ExprError("division by syntactically zero expression")
-        return self._new(self.expr**n)
+        if self.rf is not None:
+            # FracElement.__pow__ leaves a negative power unnormalized
+            num, den = (self.rf.numer, self.rf.denom)[:: 1 if n >= 0 else -1]
+            return _ring(self.chart, _fraction(self.rf.field, num ** abs(n), den ** abs(n)))
+        return ScalarExpr._of(self.expr**n, self.chart, atoms=True)
 
     def __neg__(self):
-        return self._new(-self.expr)
+        if self.rf is not None:
+            return _ring(self.chart, -self.rf)
+        return ScalarExpr._of(-self.expr, self.chart, atoms=True)
 
     def __eq__(self, other):
         if isinstance(other, ScalarExpr):
-            return self.chart == other.chart and self.expr == other.expr
-        return self.expr == self._coerce(other)
+            if self.chart != other.chart or (self.rf is None) != (other.rf is None):
+                return False
+            return self.rf == other.rf if self.rf is not None else self._expr == other._expr
+        if isinstance(other, _RATIONALS) and self.rf is not None:
+            return self.rf == _constant(self.rf.field, other)
+        return self.expr == sp.sympify(other)
 
     def __hash__(self):
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.expr, self.chart.name)))
+            key = self.rf if self.rf is not None else self._expr
+            object.__setattr__(self, "_hash", hash((key, self.chart.name)))
         return self._hash
 
     def __repr__(self):
@@ -311,22 +484,36 @@ class ScalarExpr:
 
     @property
     def is_syntactic_zero(self) -> bool:
-        return self.expr == 0
+        return not self.rf if self.rf is not None else self._expr == 0
 
     @property
     def is_rational_function(self) -> bool:
         """True when no transcendental atom appears (I is still exact)."""
-        return not self.expr.has(*_ATOM_FUNCS)
+        return self.rf is not None or not _has_atoms(self._expr)
 
     def conjugate(self) -> "ScalarExpr":
         # coordinates and atoms are real-valued, so conjugation is the
         # structural substitution I -> -I.
-        if not self.expr.has(sp.I):
+        if self.rf is not None:
+            K = self.rf.field
+            if K.domain is not QQ_I:
+                return self
+            conj = lambda p: K.ring({m: QQ_I(c.x, -c.y) for m, c in p.items()})  # noqa: E731
+            return _ring(self.chart, K.new(conj(self.rf.numer), conj(self.rf.denom)))
+        if not self._expr.has(sp.I):
             return self
-        return self._new(self.expr.subs(sp.I, -sp.I))
+        return ScalarExpr._of(self._expr.subs(sp.I, -sp.I), self.chart, atoms=True)
 
     def diff(self, coord) -> "ScalarExpr":
         return differentiate(self, coord)
+
+    def lift(self, chart) -> "ScalarExpr":
+        """The same function on a chart whose coordinates extend this one's
+        (the product with a line)."""
+        if self.rf is None:
+            return ScalarExpr._of(self._expr, chart)
+        K = _field(chart.symbols, _gaussian(self.rf))
+        return _ring(chart, self.rf.set_field(K))
 
     def subs_chart(self, chart, mapping: dict) -> "ScalarExpr":
         """Composition: replace this chart's symbols by scalars on ``chart``."""
@@ -334,29 +521,138 @@ class ScalarExpr:
         for sym, val in mapping.items():
             if sym not in self.chart.symbols:
                 raise ChartMismatchError(f"'{sym}' is not a coordinate of {self.chart.name}")
-            sub[sym] = val.expr if isinstance(val, ScalarExpr) else sp.sympify(val)
-        return ScalarExpr(self.expr.subs(sub, simultaneous=True), chart)
+            sub[sym] = val if isinstance(val, ScalarExpr) else ScalarExpr(val, chart)
+        if self.rf is not None and set(sub) == set(self.chart.symbols) and all(
+            v.chart == chart and v.rf is not None for v in sub.values()
+        ):
+            return _ring(chart, _compose(self.rf, [sub[g] for g in self.rf.field.symbols]))
+        raw = {sym: v.expr for sym, v in sub.items()}
+        return ScalarExpr(self.expr.subs(raw, simultaneous=True), chart)
+
+
+@lru_cache(maxsize=65536)
+def _view(rf: FracElement) -> sp.Expr:
+    return rf.as_expr()
+
+
+def _init(obj: ScalarExpr, chart, rf, expr) -> ScalarExpr:
+    object.__setattr__(obj, "chart", chart)
+    object.__setattr__(obj, "rf", rf)
+    object.__setattr__(obj, "_expr", expr)
+    object.__setattr__(obj, "_hash", None)
+    return obj
+
+
+def _ring(chart, rf: FracElement) -> ScalarExpr:
+    if rf.field.domain is QQ_I:
+        rf = _settle(rf)
+    return _init(object.__new__(ScalarExpr), chart, rf, None)
+
+
+def _represent(expr: sp.Expr, chart, atoms: bool = False) -> tuple:
+    """(field element, None) for a value without atoms, (None, canonical
+    expression) otherwise.  ``atoms`` says that ``expr`` was built from a
+    scalar with atoms, which skips the first conversion attempt."""
+    rf = None if atoms or _has_atoms(expr) else _to_field(expr, chart.symbols)
+    if rf is None:
+        expr = _canon_cached(expr)
+        if not _has_atoms(expr):  # the atoms may have cancelled
+            rf = _to_field(expr, chart.symbols)
+    if rf is not None:
+        return rf, None
+    if sp.fraction(expr)[1] == 0:
+        raise ExprError("zero denominator after canonicalization")
+    return None, expr
+
+
+def _is_zero_operand(v) -> bool:
+    if isinstance(v, ScalarExpr):
+        return v.is_syntactic_zero
+    if isinstance(v, _RATIONALS):
+        return v == 0
+    return canon(v) == 0
+
+
+def _compose(rf: FracElement, values: list) -> FracElement:
+    """rf with its generators replaced by the atom-free scalars ``values``
+    (one per generator, on one chart), computed in the target field."""
+    fields = [v.rf.field for v in values]
+    gaussian = _gaussian(rf) or any(K.domain is QQ_I for K in fields)
+    K = _field(values[0].chart.symbols, gaussian)
+    vals = [v.rf.set_field(K) for v in values]
+    dom = rf.field.domain
+
+    def at(p):
+        total = K.zero
+        powers = [{} for _ in vals]
+        for monom, c in p.items():
+            term = K(K.domain.convert_from(c, dom))
+            for v, e, cache in zip(vals, monom, powers):
+                if e:
+                    if e not in cache:
+                        cache[e] = v**e
+                    term *= cache[e]
+            total += term
+        return total
+
+    den = at(rf.denom)
+    if not den:
+        raise ExprError("zero denominator after composition")
+    return at(rf.numer) / den
 
 
 # ---------------------------------------------------------------------------
 # differentiation
 
 
-def pdiff(expr: sp.Expr, sym: sp.Symbol) -> sp.Expr:
-    """Partial derivative of a raw expression by one coordinate symbol.
+def pdiff(e, sym: sp.Symbol):
+    """Partial derivative by one coordinate symbol.
 
     The one derivative kernel of the package: every tensor operation
-    differentiates through it.  When ``sym`` is not a free symbol of
-    ``expr`` the answer is ``S.Zero`` without calling sympy.  The skip is
+    differentiates through it.  An atom-free :class:`ScalarExpr` is
+    differentiated in its rational function field by the quotient rule on
+    its numerator and denominator polynomials; a ScalarExpr with atoms by
+    sympy, wrapped again.  A raw expression (the components of a field with
+    atoms) gets a raw derivative: ``S.Zero`` without calling sympy when
+    ``sym`` is not a free symbol of ``e``, ``sympy.diff`` otherwise.  The skip is
     exact: coordinates are plain symbols and the ``sin``/``cos``/``exp``
     atoms only contain coordinates, so an expression without ``sym`` does
     not depend on it, and ``sympy.diff`` would return the same ``S.Zero``.
-    Frame sections and many structure entries are constants, so most
-    derivatives the tensor layer asks for take this branch.
     """
-    if sym not in expr.free_symbols:
+    if isinstance(e, ScalarExpr):
+        if e.rf is None:
+            return ScalarExpr._of(pdiff(e.expr, sym), e.chart, atoms=True)
+        if e.rf.numer.is_ground and e.rf.denom.is_ground:
+            return _ring(e.chart, e.rf.field.zero)
+        return _ring(e.chart, _field_diff(e.rf, sym))
+    if sym not in e.free_symbols:
         return sp.S.Zero
-    return sp.diff(expr, sym)
+    return sp.diff(e, sym)
+
+
+@lru_cache(maxsize=256)
+def _positions(K: FracField) -> dict:
+    return {s: i for i, s in enumerate(K.symbols)}
+
+
+def _poly_diff(p, i: int):
+    out = p.ring.zero
+    for m, c in p.items():
+        if m[i]:
+            out[m[:i] + (m[i] - 1,) + m[i + 1:]] = c * m[i]
+    return out
+
+
+def _field_diff(rf: FracElement, sym: sp.Symbol) -> FracElement:
+    # FracElement.diff fails over QQ_I in sympy 1.14 ("f.denom should be 1");
+    # the quotient rule on the numerator and denominator works over both
+    K = rf.field
+    i = _positions(K)[sym]
+    n, d = rf.numer, rf.denom
+    dn, dd = _poly_diff(n, i), _poly_diff(d, i)
+    if not dd:
+        return _fraction(K, dn, d)
+    return K.new(dn * d - n * dd, d * d)
 
 
 def differentiate(e: ScalarExpr, coord) -> ScalarExpr:
@@ -365,8 +661,7 @@ def differentiate(e: ScalarExpr, coord) -> ScalarExpr:
     ``coord`` may be a coordinate name or sympy symbol; it must belong to the
     expression's chart.
     """
-    sym = e.chart.symbol(coord)
-    return ScalarExpr(pdiff(e.expr, sym), e.chart)
+    return pdiff(e, e.chart.symbol(coord))
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +679,27 @@ def _eval_exact(expr: sp.Expr, point: dict) -> object:
     return v
 
 
+def _eval_field(rf: FracElement, point: dict) -> object:
+    # numerator and denominator evaluated on the coefficient dicts; a pole
+    # is a zero of the reduced denominator
+    dom = rf.field.domain
+    vals = [dom.convert_from(_qq(point[g]), QQ) for g in rf.field.symbols]
+
+    def at(p):
+        total = dom.zero
+        for monom, c in p.items():
+            for v, e in zip(vals, monom):
+                if e:
+                    c *= v**e
+            total += c
+        return total
+
+    den = at(rf.denom)
+    if not den:
+        return _POLE
+    return dom.to_sympy(dom.quo(at(rf.numer), den))
+
+
 def _eval_numeric(expr: sp.Expr, point: dict) -> object:
     v = expr.evalf(30, subs=point)
     if v.has(*_BAD_VALUES) or not v.is_number:
@@ -396,6 +712,8 @@ def evaluate(e: ScalarExpr, point: dict) -> object:
     expressions, a ``complex`` for expressions with transcendental atoms.
     Returns the ``_POLE`` sentinel when the point hits a pole."""
     pt = {e.chart.symbol(k): _to_rational(v) for k, v in point.items()}
+    if e.rf is not None:
+        return _eval_field(e.rf, pt)
     if e.is_rational_function:
         return _eval_exact(e.expr, pt)
     return _eval_numeric(e.expr, pt)
@@ -426,7 +744,8 @@ def is_zero(
 ) -> Verdict:
     """Three-valued zero test, deterministic for a fixed policy seed.
 
-    ``Proved`` when the canonical form is literally 0, or when it has
+    ``Proved`` when the reduced fraction of an atom-free scalar is 0, when
+    the canonical form of a scalar with atoms is literally 0, or when it has
     sin/cos atoms and its numerator reduces to 0 under :func:`trig_reduce`.
     A denominator that reduces to 0 raises :class:`ExprError`.  Otherwise the
     expression is evaluated at ``policy.samples`` random rational points:
@@ -434,11 +753,15 @@ def is_zero(
     ``policy.tol``.  Any other value yields ``Failed`` with a witness.
     Sample points that hit a pole are redrawn (bounded retries).
     """
-    expr = canon(e.expr)
-    if expr == 0:
-        return Verdict.proved(criterion)
-    if expr.has(sp.sin, sp.cos) and trig_reduce_rational(expr) == 0:
-        return Verdict.proved(criterion)
+    if e.rf is not None:
+        if not e.rf:
+            return Verdict.proved(criterion)
+    else:
+        expr = canon(e.expr)
+        if expr == 0:
+            return Verdict.proved(criterion)
+        if expr.has(sp.sin, sp.cos) and trig_reduce_rational(expr) == 0:
+            return Verdict.proved(criterion)
     chart = e.chart
     rng = rng if rng is not None else policy.rng()
     exact = e.is_rational_function
@@ -454,7 +777,10 @@ def is_zero(
         attempts += 1
         point = chart.sample_point(rng)
         sympy_pt = {chart.symbol(k): _to_rational(v) for k, v in point.items()}
-        v = _eval_exact(expr, sympy_pt) if exact else _eval_numeric(expr, sympy_pt)
+        if e.rf is not None:
+            v = _eval_field(e.rf, sympy_pt)
+        else:
+            v = _eval_exact(expr, sympy_pt) if exact else _eval_numeric(expr, sympy_pt)
         if v is _POLE:
             continue
         drawn += 1

@@ -1,10 +1,12 @@
 """The derivative kernel ``symexpr.pdiff`` and its use by the tensor layer.
 
-``pdiff`` answers ``S.Zero`` without calling sympy when the coordinate does
-not occur in the expression, and defers to ``sympy.diff`` otherwise.  The
-tests pin that the skip is exact, that the Courant bracket built on it
-agrees with a bracket written with plain ``sympy.diff``, and that no other
-code path in the package differentiates on its own.
+On a raw expression ``pdiff`` answers ``S.Zero`` without calling sympy
+when the coordinate does not occur in it, and defers to ``sympy.diff``
+otherwise (atom-free scalars are differentiated in their field; see
+``test_ring_scalar``).  The tests pin that the skip is exact, that the
+Courant bracket built on it agrees with a bracket written with plain
+``sympy.diff``, and that no other code path in the package differentiates
+on its own.
 """
 
 import ast
@@ -157,11 +159,16 @@ def test_sympy_diff_only_inside_the_kernel():
 
 
 def test_one_algebra_path():
-    """Products, transposes and blocks go through ``contract``: the sympy
-    Matrix view serves only the metric's determinant and inverse, and only
-    the canonical form cancels."""
+    """Products, transposes, blocks and determinants go through ``contract``
+    and ScalarExpr arithmetic: the sympy Matrix view serves only the
+    metric's determinant and inverse, and only the canonical form cancels."""
     assert _package_sites("_sym") == {
         "calculus.py": ["MetricField._check_nondegenerate", "MetricField.inverse_matrix"]
     }
     assert _package_sites("inv") == {"calculus.py": ["MetricField.inverse_matrix"]}
+    assert _package_sites("Matrix", ("sp", "sympy")) == {}
+    views = _package_sites("ImmutableMatrix", ("sp", "sympy"))
+    assert {path: set(funcs) for path, funcs in views.items()} == {
+        "calculus.py": {"_Components._sym"}
+    }
     assert set(_package_sites("cancel", ("sp", "sympy"))) == {"symexpr.py"}

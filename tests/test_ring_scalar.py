@@ -1,0 +1,230 @@
+"""Atom-free scalars held in the rational function field of their chart.
+
+A scalar without ``sin``/``cos``/``exp`` is an element of Q(x) (or of
+Q(i)(x) when ``I`` occurs), and its reduced fraction is its canonical form.
+These tests pin that the field and the sympy Expr path agree, that
+look-alike non-identities still fail with the witnesses the Expr path
+gave, that Gaussian coefficients work, and that tensor work on atom-free
+data never leaves the field once the inputs are parsed.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.polys.domains import QQ, QQ_I
+from sympy.polys.fields import FracElement, FracField
+
+from ggwb import symexpr
+from ggwb.calculus import ChartManifold, EndoTM, OneForm, VectorField
+from ggwb.courant import BigSection, courant_bracket, pairing, partial
+from ggwb.symexpr import (
+    ScalarExpr,
+    ZeroPolicy,
+    _POLE,
+    canon,
+    evaluate,
+    is_zero,
+    is_zero_all,
+    pdiff,
+)
+from ggwb.verdict import VerdictKind
+
+
+@pytest.fixture(scope="module")
+def chart():
+    return ChartManifold("ring3", ["x", "y", "z"])
+
+
+def _raw_tree(chart, rng, depth):
+    """A random atom-free expression tree, left as sympy builds it."""
+    if depth <= 0 or rng.random() < 0.3:
+        if rng.random() < 0.5:
+            return sp.Rational(rng.randint(-9, 9), rng.randint(1, 9))
+        return rng.choice(chart.symbols)
+    r = rng.random()
+    if r < 0.35:
+        return _raw_tree(chart, rng, depth - 1) + _raw_tree(chart, rng, depth - 1)
+    if r < 0.65:
+        return _raw_tree(chart, rng, depth - 1) * _raw_tree(chart, rng, depth - 1)
+    if r < 0.75:
+        return -_raw_tree(chart, rng, depth - 1)
+    if r < 0.85:
+        return _raw_tree(chart, rng, depth - 1) ** rng.randint(2, 3)
+    den = _raw_tree(chart, rng, depth - 1)
+    if sp.cancel(den) == 0:
+        den = 1 + rng.choice(chart.symbols) ** 2
+    return _raw_tree(chart, rng, depth - 1) / den
+
+
+# -- agreement with the Expr path ------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_view_is_sympy_cancel(chart, seed):
+    rng = random.Random(seed)
+    raw = _raw_tree(chart, rng, 5)
+    e = ScalarExpr(raw, chart)
+    assert e.rf is not None
+    assert e.expr == sp.cancel(raw) == canon(raw)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_arithmetic_and_diff_agree_with_expr_path(chart, seed):
+    rng = random.Random(seed)
+    a, b = (ScalarExpr(_raw_tree(chart, rng, 4), chart) for _ in range(2))
+    A, B = a.expr, b.expr
+    assert (a + b).expr == sp.cancel(A + B)
+    assert (a - b).expr == sp.cancel(A - B)
+    assert (a * b).expr == sp.cancel(A * B)
+    assert (a**2).expr == sp.cancel(A**2)
+    assert (-a).expr == sp.cancel(-A)
+    if not b.is_syntactic_zero:
+        assert (a / b).expr == sp.cancel(A / B)
+        assert (b**-1).expr == sp.cancel(1 / B)
+    for s in chart.symbols:
+        d = pdiff(a, s)
+        assert d.rf is not None
+        assert d.expr == sp.cancel(sp.diff(A, s))
+
+
+# -- soundness on look-alike non-identities ---------------------------------
+
+
+@pytest.mark.parametrize(
+    "text, seed, point, value",
+    [
+        ("(x+y)^2 - x^2 - y^2", 0, (Fraction(1, 54), Fraction(-87, 34), Fraction(11, 21)),
+         Fraction(-29, 306)),
+        ("x/(x+1) - 1 + 1/x", 0, (Fraction(1, 54), Fraction(-87, 34), Fraction(11, 21)),
+         Fraction(2916, 55)),
+        ("(x+y)^2 - x^2 - y^2", 3, (Fraction(-37, 76), Fraction(42, 17), Fraction(-1, 26)),
+         Fraction(-777, 323)),
+        ("x/(x+1) - 1 + 1/x", 3, (Fraction(-37, 76), Fraction(42, 17), Fraction(-1, 26)),
+         Fraction(-5776, 1443)),
+    ],
+)
+def test_look_alike_non_identities_fail_with_the_same_witness(chart, text, seed, point, value):
+    """The witnesses are those the sympy.cancel representation gave."""
+    v = is_zero(chart.scalar(text), ZeroPolicy(seed=seed))
+    assert v.kind is VerdictKind.FAILED
+    assert v.witness.point == tuple(zip(chart.coords, point))
+    assert v.witness.value == value
+
+
+def test_rational_pole_redraws_the_sample(chart):
+    pol = ZeroPolicy(samples=4, seed=7)
+    first = chart.sample_point(pol.rng())
+    e = 1 / (chart.scalar("y") - first["y"]) + chart.scalar("x")
+    assert e.rf is not None
+    assert evaluate(e, first) is _POLE
+    v = is_zero(e, pol)
+    assert v.kind is VerdictKind.FAILED
+    assert v.witness.point != tuple(sorted(first.items()))
+    assert v.witness.point == (("x", Fraction(40, 13)), ("y", Fraction(-4, 75)), ("z", Fraction(-83, 65)))
+    assert v.witness.value == Fraction(-4705, 689)
+
+
+# -- Gaussian coefficients ----------------------------------------------------
+
+
+def test_gaussian_identity_proved(chart):
+    x, y = chart.scalar("x"), chart.scalar("y")
+    i = chart.scalar(sp.I)
+    assert i.rf.field.domain == QQ_I and x.rf.field.domain == QQ
+    d = (x + i * y) * (x - i * y) - (x * x + y * y)
+    assert d.rf.field.domain == QQ  # a real value settles back in Q(x)
+    assert is_zero(d).kind is VerdictKind.PROVED
+    assert (x + i * y) * (x - i * y) == x**2 + y**2
+
+
+def test_gaussian_conjugate_and_derivative(chart):
+    x, y, z = (chart.scalar(c) for c in "xyz")
+    i = chart.scalar(sp.I)
+    w = (x + i * y) / (x - i * z)
+    assert w.rf.field.domain == QQ_I
+    X = chart.symbols[0]
+    assert w.conjugate() == (x - i * y) / (x + i * z)
+    assert w.conjugate().expr == sp.cancel(w.expr.subs(sp.I, -sp.I))
+    assert x.conjugate() is x
+    for s in chart.symbols:
+        assert pdiff(w, s).expr == sp.cancel(sp.diff(w.expr, s))
+    assert is_zero(pdiff(w, X) - (-i * z - i * y) / (x - i * z) ** 2).kind is VerdictKind.PROVED
+
+
+# -- atom-free and atom scalars together --------------------------------------
+
+
+@pytest.mark.parametrize("seed, value", [(0, -0.03764570140573564), (3, -15.23447788928987)])
+def test_mixed_scalars_keep_their_verdicts(chart, seed, value):
+    """Proved stays Proved, and the Failed witness value is the one the
+    sympy.cancel representation gave."""
+    pol = ZeroPolicy(seed=seed)
+    r, ey = chart.scalar("x/(x+1)"), chart.scalar("exp(y)")
+    assert r.rf is not None and ey.rf is None
+    ok = r * ey - ey + chart.scalar("exp(y)/(x+1)")
+    assert ok.rf is not None and is_zero(ok, pol).kind is VerdictKind.PROVED
+    trig = chart.scalar("(x^2+1)*sin(y)^2") + chart.scalar("x^2+1") * chart.scalar("cos(y)^2")
+    assert is_zero(trig - chart.scalar("x^2 + 1"), pol).kind is VerdictKind.PROVED
+    bad = r * ey - ey + chart.scalar("exp(y)/(x+2)")
+    v = is_zero(bad, pol)
+    assert v.kind is VerdictKind.FAILED
+    assert v.witness.value == pytest.approx(value, rel=1e-12)
+
+
+# -- tensor work stays in the field -------------------------------------------
+
+
+def _boom(*args, **kwargs):
+    raise AssertionError("atom-free tensor work left the rational function field")
+
+
+@pytest.fixture
+def sealed(monkeypatch):
+    """``seal()`` makes cancel, diff and both conversions between sympy
+    expressions and the field raise, cached conversions included."""
+
+    def seal():
+        monkeypatch.setattr(sp, "cancel", _boom)
+        monkeypatch.setattr(sp, "diff", _boom)
+        monkeypatch.setattr(FracField, "from_expr", _boom)
+        monkeypatch.setattr(FracElement, "as_expr", _boom)
+        monkeypatch.setattr(symexpr, "_to_field", _boom)
+        monkeypatch.setattr(symexpr, "_view", _boom)
+
+    return seal
+
+
+def test_propofC_never_leaves_the_field(chart, sealed):
+    """The anomaly identity [A, fB] = f[A,B] + pr A(f) B - g(A,B) df."""
+    A = BigSection(
+        VectorField(chart, ["1 + x*y", "z^2", "-3*x + 2"]),
+        OneForm(chart, ["y*z", "2", "x^2 - z"]),
+    )
+    B = BigSection(
+        VectorField(chart, ["x - 4*z", "y^2*x", "1/2"]),
+        OneForm(chart, ["-x", "3*y + z", "x*y*z"]),
+    )
+    f = chart.scalar("x^2*y - 3*z^3 + 1")
+    sealed()
+    lhs = courant_bracket(A, B * f)
+    rhs = courant_bracket(A, B) * f + B * A.X.apply(f) - partial(f) * pairing(A, B)
+    assert is_zero_all((lhs - rhs).components()).kind is VerdictKind.PROVED
+    broken = courant_bracket(A, B) * f + B * A.X.apply(f)
+    assert is_zero_all((lhs - broken).components()).kind is VerdictKind.FAILED
+
+
+def test_gaussian_endomorphism_never_leaves_the_field(chart, sealed):
+    i = chart.scalar(sp.I)
+    F = EndoTM(chart, [["x", "y^2", "0"], ["1", "z", "x*y"], ["0", "2", "-x"]])
+    J = F * i
+    sealed()
+    defect = (J @ J + F @ F).components
+    assert all(e.is_syntactic_zero for row in defect for e in row)
+    assert is_zero(F(J.conjugate()(VectorField(chart, [1, 0, 0]))).components[0]
+                   + F(F(VectorField(chart, [i, 0, 0]))).components[0]).is_proved
