@@ -3,10 +3,10 @@
 Symbolic verification of Courant-algebroid identities, classical and
 generalized almost contact structure axioms, hypersurface-induced
 structures, and CRF/CRFK/normality/binormality criteria on coordinate
-charts.  Every check resolves to a three-valued verdict: Proved (canonical
-form is literally zero, or reduces to zero modulo sin^2 + cos^2 - 1),
-NumericallySupported (vanishes at every random sample point), or Failed
-(with a witness point).
+charts.  Every check resolves to a three-valued verdict: Proved (the
+canonical form, a reduced fraction in the coordinates and the sin/cos/exp
+generators, is zero), NumericallySupported (vanishes at every random sample
+point), or Failed (with a witness point).
 """
 
 from .verdict import CheckResult, Verdict, VerdictKind, Witness

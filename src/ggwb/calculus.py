@@ -14,24 +14,19 @@ The core defines the elementwise algebra, the matrix product, the evaluation
 of a covariant tensor on vectors, ``is_syntactic_zero`` and ``repr`` once.
 
 The package has one algebra path.  Every sum over indices, including every
-matrix product, transpose, block assembly and defect matrix of the structure
-modules, goes through :func:`contract`, written in index notation:
+matrix product, transpose, block assembly, defect matrix and determinant,
+goes through :func:`contract`, written in index notation:
 ``contract("ij,i,j->", g, X, Y)`` is g(X, Y), ``"i,ij->j"`` contracts one
 slot, ``"ij,j->i"`` applies an endomorphism, ``"ki,kj->ij"`` is the product
-A^T B.  It skips terms with a syntactically zero factor.  When every entry
-of every operand is atom-free, it multiplies and sums in the chart's
-rational function field and returns ScalarExpr entries, already canonical.
-When some entry has a ``sin``/``cos``/``exp`` atom, it builds each entry as
-one raw sympy Add of left-to-right products, which the caller wraps (and
-:func:`tidy_trig` may shorten).  The cached ``sympy.ImmutableMatrix`` view
-``_sym()`` serves only the determinant and the adjugate inverse of
-:class:`MetricField`.
+A^T B.  It skips terms with a zero factor, multiplies and sums in the
+rational function field that holds every entry of every operand (the chart
+coordinates and the atom generators of :mod:`ggwb.symexpr`), and returns
+ScalarExpr entries, already canonical.  :class:`MetricField` takes its
+determinant and its adjugate inverse as Leibniz contractions (:func:`_det`).
 
-Every partial derivative goes through :func:`ggwb.symexpr.pdiff`: in the
-field for atom-free components, by ``sympy.diff`` (skipped when the
-component does not contain the coordinate) for the components of a field
-with atoms.  Brackets, exterior, Lie and covariant derivatives take the
-derivative array of each field once (:func:`_partials`) and contract it.
+Every partial derivative goes through :func:`ggwb.symexpr.pdiff`, the chain
+rule in the field.  Brackets, exterior, Lie and covariant derivatives take
+the derivative array of each field once (:func:`_partials`) and contract it.
 
 Charts are global (R^n-like); compact factors are represented by periodic
 or parametric coordinate expressions on a single chart, with sampling ranges
@@ -49,18 +44,21 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import sympy as sp
+from sympy.polys.fields import FracElement
 
 from .errors import ChartMismatchError, ExprError, SingularMetricError
 from .symexpr import (
+    _RATIONALS,
     ScalarExpr,
     _constant,
+    _embed,
     _field,
-    _field_op,
-    _fraction,
-    _gaussian,
+    _join,
+    _sum_over,
     _ring,
+    evaluate,
+    _POLE,
     pdiff,
-    trig_reduce_rational,
 )
 
 Scalarish = Union[ScalarExpr, int, Fraction, str]
@@ -202,16 +200,10 @@ def _same_chart(*objs):
 
 
 def _S(chart, v) -> ScalarExpr:
-    """Wrap a component value: ScalarExpr pass through with a chart check,
-    raw sympy expressions from internal operations skip the grammar walk,
-    strings and numbers get the full validated path."""
-    if isinstance(v, ScalarExpr):
-        if v.chart is chart or v.chart == chart:
-            return v
-        return ScalarExpr(v, chart)
-    if isinstance(v, sp.Basic):
-        return ScalarExpr._of(v, chart)
-    return chart.scalar(v)
+    """A component value as a scalar on ``chart`` (checked unless it is one)."""
+    if isinstance(v, ScalarExpr) and (v.chart is chart or v.chart == chart):
+        return v
+    return ScalarExpr(v, chart)
 
 
 def _wrap(chart, comps, shape, kind: str) -> tuple:
@@ -247,27 +239,27 @@ def contract(spec: str, *operands):
     The one contraction path of the package, in index notation:
     ``"ij,i,j->"`` evaluates a 2-tensor on two vectors, ``"i,ij->j"``
     contracts one slot, ``"ij,j->i"`` applies an endomorphism and
-    ``"i,j->ij"`` is an outer product.  An operand is a tensor field, a
-    nested sequence of ScalarExpr, of rational numbers or of raw sympy
-    expressions.  Each term multiplies one entry per operand from left to
-    right, in operand order; terms with a syntactically zero factor are
-    skipped.  The result is a scalar when nothing follows ``->`` and nested
-    lists otherwise:
-
-    - when every entry of every operand is an atom-free ScalarExpr or a
-      rational number, the products and sums are taken in the chart's
-      rational function field and the entries are ScalarExpr;
-    - otherwise each entry is raw sympy, the single ``Add`` of ``Mul``s an
-      index loop builds, which the caller wraps.
+    ``"i,j->ij"`` is an outer product.  An operand is a tensor field or a
+    nested sequence of ScalarExpr, rational numbers or grammar expressions.
+    Each term multiplies one entry per operand from left to right, in
+    operand order; terms with a zero factor are skipped.  Products and sums
+    are taken in the one field that holds every entry; the result is a
+    ScalarExpr when nothing follows ``->`` and nested lists of ScalarExpr
+    otherwise.
     """
     ins, out = spec.split("->")
     ins = ins.split(",")
     if len(ins) != len(operands):
         raise ExprError(f"contract '{spec}' takes {len(ins)} operands, got {len(operands)}")
     fields = [o for o in operands if isinstance(o, _Components)]
-    if fields:
-        _same_chart(*fields)
-    arrays = [o.components if isinstance(o, _Components) else o for o in operands]
+    chart = _same_chart(*fields) if fields else next(
+        (e.chart for e in _flatten(operands) if isinstance(e, ScalarExpr)), None)
+    if chart is None:
+        raise ExprError(f"contract '{spec}' has no operand on a chart")
+    prepared = [o._prepared() if isinstance(o, _Components) else _prepare(o, chart)
+                for o in operands]
+    K = functools.reduce(_join, (F for _, F in prepared), _field(chart.symbols))
+    arrays = [a if F is K else _elements(a, K) for a, F in prepared]
     dims = {}
     for idx, arr in zip(ins, arrays):
         for letter in idx:
@@ -278,74 +270,52 @@ def contract(spec: str, *operands):
     letters = list(out) + summed
     slots = [[letters.index(c) for c in idx] for idx in ins]
     chunk = math.prod(dims[c] for c in summed)
-    in_field = _in_field(operands, arrays, fields[0].chart if fields else None)
-    if in_field is not None:
-        chart, K, arrays = in_field
-        one = K.ring.one
+    one = K.ring.one
     flat, terms = [], []
     for count, ix in enumerate(itertools.product(*(range(dims[c]) for c in letters)), 1):
         factors = []
         for arr, slot in zip(arrays, slots):
             for s in slot:
                 arr = arr[ix[s]]
-            if in_field is None and isinstance(arr, ScalarExpr):
-                arr = arr.expr
-            if arr is sp.S.Zero or in_field and not arr:
+            if not arr:
                 break
             factors.append(arr)
         else:
-            terms.append(factors if in_field else functools.reduce(operator.mul, factors))
+            terms.append(factors)
         if count % chunk == 0:
-            flat.append(sp.Add(*terms) if in_field is None else _ring(chart, _field_sum(K, one, terms)))
+            flat.append(_ring(chart, _field_sum(K, one, terms)))
             terms = []
     return _nest(flat, [dims[c] for c in out])
 
 
-class _NotInField(Exception):
-    pass
+def _prepare(array, chart) -> tuple:
+    """(nested lists of field elements, their field: the chart's, holding
+    every element) for an array of ScalarExpr on ``chart``, rational numbers
+    and grammar expressions."""
+    fields = set()
+
+    def walk(a):
+        t = type(a)
+        if t is list or t is tuple:
+            return [walk(e) for e in a]
+        if t is int or t is not ScalarExpr and isinstance(a, _RATIONALS):
+            return a
+        rf = a.rf if t is ScalarExpr and a.chart is chart else _S(chart, a).rf
+        fields.add(rf.field)
+        return rf
+
+    out = walk(array)
+    K = functools.reduce(_join, fields, _field(chart.symbols))
+    return _elements(out, K), K
 
 
-def _field_array(a, K) -> tuple:
-    """(nested list of field elements, Gaussian?) for an array of atom-free
-    ScalarExpr and rational numbers; raises _NotInField otherwise."""
-    gaussian = False
-
-    def convert(e):
-        nonlocal gaussian
-        if isinstance(e, (list, tuple)):
-            return [convert(x) for x in e]
-        if isinstance(e, ScalarExpr):
-            if e.rf is None:
-                raise _NotInField
-            gaussian = gaussian or _gaussian(e.rf)
-            return e.rf
-        if isinstance(e, (int, Fraction, sp.Rational)):
-            return _constant(K, e)
-        raise _NotInField
-
-    return convert(a), gaussian
-
-
-def _in_field(operands, arrays, chart):
-    """(chart, field, arrays of field elements) when every entry is an
-    atom-free ScalarExpr or a rational number, else None."""
-    if chart is None:
-        chart = next((e.chart for e in _flatten(arrays) if isinstance(e, ScalarExpr)), None)
-        if chart is None:
-            return None
-    K = _field(chart.symbols)
-    out, gaussian = [], False
-    try:
-        for o, a in zip(operands, arrays):
-            arr, g = o._in_field() if isinstance(o, _Components) else _field_array(a, K)
-            out.append(arr)
-            gaussian = gaussian or g
-    except _NotInField:
-        return None
-    if gaussian:
-        K = _field(chart.symbols, True)
-        out = [_zipmap(lambda e: e if e.field is K else e.set_field(K), a) for a in out]
-    return chart, K, out
+def _elements(array, K) -> list:
+    """The entries of a nested list as elements of the field K."""
+    if type(array) is list:
+        return [_elements(e, K) for e in array]
+    if type(array) is FracElement:
+        return _embed(array, K)
+    return _constant(K, array)
 
 
 def _field_sum(K, one, terms):
@@ -361,47 +331,54 @@ def _field_sum(K, one, terms):
             if f.denom != one:
                 den = den * f.denom
         groups[den] = groups[den] + num if den in groups else num
-    total = None
-    for den, num in groups.items():
-        part = _fraction(K, num, den)
-        total = part if total is None else _field_op(operator.add, total, part)
-    return K.zero if total is None else total
+    return _sum_over(K, groups) if groups else K.zero
 
 
-def _sum(*terms):
-    """Sum of contraction results (signed and scaled by the caller): in the
-    field when every term is an atom-free ScalarExpr, else one raw Add that
-    the caller wraps, so a sum with atoms is canonicalized once, whole."""
-    if all(isinstance(t, ScalarExpr) and t.rf is not None for t in terms):
-        return functools.reduce(operator.add, terms)
-    return sp.Add(*(t.expr if isinstance(t, ScalarExpr) else t for t in terms))
+def _sum(*terms) -> ScalarExpr:
+    """Sum of contraction results, signed and scaled by the caller."""
+    return functools.reduce(operator.add, terms)
 
 
 def _partials(t) -> list:
     """First derivatives of a field's (or a scalar's) components: one more
-    slot, last, holding d_k of the entry.  ScalarExpr when every component
-    is atom-free, raw sympy otherwise."""
+    slot, last, holding d_k of the entry."""
     syms = t.chart.symbols
     comps = t if isinstance(t, ScalarExpr) else t.components
-    if all(e.rf is not None for e in _flatten(comps)):
-        return _zipmap(lambda e: [pdiff(e, s) for s in syms], comps)
-    return _zipmap(lambda e: [pdiff(e.expr, s) for s in syms], comps)
+    return _zipmap(lambda e: [pdiff(e, s) for s in syms], comps)
+
+
+def _det(rows) -> ScalarExpr:
+    """Determinant of a small square array of scalars: the Leibniz sum
+    eps_{i_1..i_m} A_{1 i_1} ... A_{m i_m}, contracted like any other
+    index sum."""
+    m = len(rows)
+    idx = "abcdefgh"[:m]
+    return contract(f"{idx},{','.join(idx)}->", _levi_civita(m), *rows)
+
+
+@functools.lru_cache(maxsize=16)
+def _levi_civita(m: int, prefix: tuple = ()):
+    """eps as nested tuples: the sign of a permutation, 0 on a repeat."""
+    if len(prefix) < m:
+        return tuple(_levi_civita(m, prefix + (i,)) for i in range(m))
+    if len(set(prefix)) < m:
+        return 0
+    return (-1) ** sum(a > b for a, b in itertools.combinations(prefix, 2))
 
 
 class _Components:
     """The one core of every tensor field: a component array in the
     coordinate frame.
 
-    ``components`` are nested tuples of ScalarExpr of ``shape``; ``_sym()``
-    is the cached ``sympy.ImmutableMatrix`` view of a rank-1 or rank-2
-    array, read only by :class:`MetricField`.  The elementwise algebra
+    ``components`` are nested tuples of ScalarExpr of ``shape``; their
+    field elements are kept for :func:`contract`.  The elementwise algebra
     (``+ - neg`` and scalar ``*``), ``conjugate``, ``@`` (matrix product),
     the defect lists of skewness and isometry identities, the evaluation of
     a covariant tensor on vectors and ``repr`` are defined here once;
     subclasses fix the shape and add their own invariants.
     """
 
-    __slots__ = ("chart", "components", "shape", "_sym_cache", "_field_cache")
+    __slots__ = ("chart", "components", "shape", "_prepared_cache")
     _kind = "tensor"
     _rank = 2
 
@@ -409,8 +386,7 @@ class _Components:
         self.shape = self._shape(chart)
         self.chart = chart
         self.components = _wrap(chart, components, self.shape, self._kind)
-        self._sym_cache = None
-        self._field_cache = None
+        self._prepared_cache = None
 
     @classmethod
     def _shape(cls, chart) -> tuple:
@@ -420,22 +396,10 @@ class _Components:
     def matrix(self):
         return self.components
 
-    def _sym(self) -> sp.ImmutableMatrix:
-        if self._sym_cache is None:
-            self._sym_cache = sp.ImmutableMatrix(_zipmap(lambda e: e.expr, self.components))
-        return self._sym_cache
-
-    def _in_field(self) -> tuple:
-        """The components as field elements, converted once for every
-        contraction; raises _NotInField when one has an atom."""
-        if self._field_cache is None:
-            try:
-                self._field_cache = _field_array(self.components, None)
-            except _NotInField:
-                self._field_cache = False
-        if not self._field_cache:
-            raise _NotInField
-        return self._field_cache
+    def _prepared(self) -> tuple:
+        if self._prepared_cache is None:
+            self._prepared_cache = _prepare(self.components, self.chart)
+        return self._prepared_cache
 
     def _like(self, components):
         return type(self)(self.chart, components)
@@ -487,7 +451,7 @@ class _Components:
     def __call__(self, *vectors) -> ScalarExpr:
         """A covariant tensor evaluated on vectors, one per slot."""
         idx = "ijk"[: len(self.shape)]
-        return _S(self.chart, contract(",".join([idx, *idx]) + "->", self, *vectors))
+        return contract(",".join([idx, *idx]) + "->", self, *vectors)
 
     @property
     def is_syntactic_zero(self) -> bool:
@@ -529,7 +493,7 @@ class VectorField(_Components):
         """Directional derivative X(f)."""
         if f.chart != self.chart:
             raise ChartMismatchError("scalar lives on a different chart")
-        return _S(self.chart, contract("i,i->", self, _partials(f)))
+        return contract("i,i->", self, _partials(f))
 
 
 class OneForm(_Components):
@@ -583,7 +547,7 @@ class EndoTM(_Components):
 class MetricField(_Components):
     """Symmetric 2-tensor, nondegenerate at the chart base point."""
 
-    __slots__ = ("_inverse", "_connection")
+    __slots__ = ("_determinant", "_inverse", "_connection")
     _kind = "metric"
 
     def __init__(self, chart, matrix):
@@ -595,26 +559,25 @@ class MetricField(_Components):
                     raise ExprError(f"metric matrix is not symmetric at ({i},{j})")
         self._inverse = None
         self._connection = None
-        self._check_nondegenerate()
-
-    def _check_nondegenerate(self):
-        d = ScalarExpr(self._sym().det(), self.chart)
-        from .symexpr import evaluate, _POLE  # local import to avoid cycle noise
-
-        v = evaluate(d, self.chart.base_point())
-        bad = v is _POLE or (v == 0 if not isinstance(v, complex) else abs(v) <= 1e-9)
-        if bad:
+        self._determinant = _det(grid)
+        v = evaluate(self._determinant, self.chart.base_point())
+        if v is _POLE or (v == 0 if not isinstance(v, complex) else abs(v) <= 1e-9):
             raise SingularMetricError(
                 f"metric is degenerate at the base point of chart '{self.chart.name}'"
             )
 
     def inverse_matrix(self):
+        """The adjugate over the determinant, each cofactor a Leibniz sum."""
         if self._inverse is None:
-            try:
-                inv = self._sym().inv(method="ADJ")
-            except Exception as exc:  # singular or non-invertible symbolically
-                raise SingularMetricError(f"metric not symbolically invertible: {exc}") from exc
-            self._inverse = _wrap(self.chart, inv.tolist(), self.shape, self._kind)
+            # the constructor proved the determinant nonzero at the base point
+            d, rows, n = self._determinant, self.components, self.chart.dim
+            inv = [[None] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    minor = [[rows[r][c] for c in range(n) if c != i] for r in range(n) if r != j]
+                    cof = _det(minor) if minor else self.chart.one
+                    inv[i][j] = inv[j][i] = cof * (-1) ** (i + j) / d
+            self._inverse = tuple(tuple(row) for row in inv)
         return self._inverse
 
     def connection(self) -> "Connection":
@@ -667,25 +630,6 @@ def tensor_oneform_vector(xi: OneForm, Z: VectorField) -> EndoTM:
 
 # ---------------------------------------------------------------------------
 # exterior and Lie calculus
-
-
-def tidy_trig(chart: ChartManifold, x) -> ScalarExpr:
-    """Pick the smaller of x and its Pythagorean normal form.
-
-    Used when *constructing* objects on parametric (angle) charts, where raw
-    pullbacks swell.  The candidate is :func:`trig_reduce_rational` (sum and
-    multiple-angle expansion, then reduction modulo sin^2 + cos^2 - 1 of the
-    numerator and the denominator), an exact rewrite that stays inside the
-    expression grammar; it replaces x only when ``count_ops`` shrinks.
-    """
-    if isinstance(x, ScalarExpr) and x.rf is not None:
-        return _S(chart, x)
-    e = x.expr if isinstance(x, ScalarExpr) else sp.sympify(x)
-    if e.has(sp.sin, sp.cos):
-        t = trig_reduce_rational(e)
-        if sp.count_ops(t) < sp.count_ops(e):
-            e = t
-    return _S(chart, e)
 
 
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
@@ -817,7 +761,7 @@ class Connection:
                 # Gamma^k_ij = (1/2) g^kl (d_i g_jl + d_j g_il - d_l g_ij)
                 v = [dg[j][l][i] + dg[i][l][j] - dg[i][j][l] for l in range(n)]
                 for k, total in enumerate(contract("kl,l->k", ginv, v)):
-                    chr_[k][i][j] = chr_[k][j][i] = _S(self.chart, total / 2)
+                    chr_[k][i][j] = chr_[k][j][i] = total / 2
         self.christoffel = tuple(tuple(tuple(plane) for plane in row) for row in chr_)
 
     def nabla(self, X: VectorField, T):
@@ -856,7 +800,7 @@ class Connection:
         left = contract("lki,lj->kij", G, g)  # Gamma^l_ki g_lj
         right = contract("lkj,il->kij", G, g)  # Gamma^l_kj g_il
         return [
-            _S(self.chart, _sum(dg[i][j][k], -left[k][i][j], -right[k][i][j]))
+            _sum(dg[i][j][k], -left[k][i][j], -right[k][i][j])
             for k in range(n)
             for i in range(n)
             for j in range(i, n)

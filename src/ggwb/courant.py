@@ -24,7 +24,6 @@ from .calculus import (
     VectorField,
     _Components,
     _partials,
-    _S,
     _sum,
     _flatten,
     _same_chart,
@@ -112,11 +111,11 @@ def big_frame(chart: ChartManifold) -> list[BigSection]:
 def pairing(A: BigSection, B: BigSection) -> ScalarExpr:
     """Neutral pairing g((X,a),(Y,b)) = (a(Y) + b(X)) / 2."""
     chart = _same_chart(A.X, B.X)
-    return _S(chart, _sum(contract("i,i->", A.alpha, B.X), contract("i,i->", B.alpha, A.X)) / 2)
+    return _sum(contract("i,i->", A.alpha, B.X), contract("i,i->", B.alpha, A.X)) / 2
 
 
 def courant_bracket(A: BigSection, B: BigSection) -> BigSection:
-    """All components assembled at the sympy level and canonicalized once.
+    """The antisymmetric Courant bracket, every component one contraction.
 
     The derivative array of each of X, Y, a, b is taken once; the term
     (1/2) d(a(Y) - b(X)) comes from them by the product rule, so every

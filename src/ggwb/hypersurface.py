@@ -9,10 +9,12 @@ on the domain chart.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import sympy as sp
+from sympy.polys.domains import QQ
 
 from .calculus import (
     ChartManifold,
@@ -21,8 +23,8 @@ from .calculus import (
     OneForm,
     TwoForm,
     VectorField,
+    _det,
     _flatten,
-    _S,
     _sum,
     contract,
     ext_d,
@@ -39,9 +41,9 @@ from .symexpr import (
     DEFAULT_POLICY,
     ScalarExpr,
     ZeroPolicy,
+    _ring,
     is_zero,
     is_zero_all,
-    trig_reduce_rational,
 )
 from .verdict import CheckResult, Verdict
 
@@ -92,15 +94,7 @@ class Embedding:
 
     def push(self, X: VectorField):
         """Ambient components (along N) of d iota (X)."""
-        return _wrap_along(self.domain, contract("ka,a->k", self.jacobian(), X))
-
-
-from .calculus import tidy_trig as _tidy  # noqa: E402
-
-
-def _wrap_along(chart, exprs) -> list:
-    """Raw ambient-indexed components as scalars on the domain chart."""
-    return [_S(chart, e) for e in exprs]
+        return contract("ka,a->k", self.jacobian(), X)
 
 
 # ---------------------------------------------------------------------------
@@ -108,42 +102,20 @@ def _wrap_along(chart, exprs) -> list:
 
 
 def _sqrt_positive(q: ScalarExpr, chart: ChartManifold, policy: ZeroPolicy) -> ScalarExpr:
-    """A grammar-expressible square root of q, positive at the base point.
+    """The square root of q in its field, positive at the base point.
 
-    Tries perfect-square extraction (which factors) on q and, with sin/cos
-    atoms, on its Pythagorean normal form, built only when q fails; the
-    caller re-verifies unit length through the zero test, so the rewrites
-    here only steer the *search*.
+    q is a perfect square when the square-free decompositions of its
+    numerator and denominator have only even multiplicities and a square
+    rational content; the root halves them, and r*r == q is checked
+    exactly.
     """
-
-    def candidates():
-        yield q.expr
-        if q.expr.has(sp.sin, sp.cos):
-            yield trig_reduce_rational(q.expr)
-
-    for cand in candidates():
-        root = _halve_exponents(cand)
-        if root is None:
-            continue
-        r = _S(chart, root)
-        # quick numeric audit of r^2 = q before accepting
-        ok = True
-        rng = policy.rng()
-        for _ in range(4):
-            pt = chart.sample_point(rng)
-            try:
-                if abs(value_at(r * r - q, pt)) > max(policy.tol, 1e-7):
-                    ok = False
-                    break
-            except ExprError:
-                ok = False
-                break
-        if not ok:
-            continue
-        base_val = value_at(r, chart.base_point())
-        if abs(base_val.imag) > policy.tol or base_val.real == 0:
-            continue
-        return -r if base_val.real < 0 else r
+    num, den = (_halve_exponents(p) for p in (q.rf.numer, q.rf.denom))
+    if num is not None and den is not None:
+        r = _ring(chart, q.rf.field.new(num, den))
+        if r * r == q:
+            base_val = value_at(r, chart.base_point())
+            if abs(base_val.imag) <= policy.tol and base_val.real != 0:
+                return -r if base_val.real < 0 else r
     raise StructureError(
         "cannot express the normal's length in the expression grammar; "
         "use a chart in which gamma(n~, n~) is a perfect square "
@@ -151,43 +123,19 @@ def _sqrt_positive(q: ScalarExpr, chart: ChartManifold, policy: ZeroPolicy) -> S
     )
 
 
-def _halve_exponents(expr: sp.Expr) -> Optional[sp.Expr]:
-    """sqrt of a syntactic perfect square: all factor exponents even and the
-    rational coefficient a square."""
-    coeff, factors = sp.factor(expr).as_coeff_Mul()
-    if coeff == 0:
-        return sp.Integer(0)
-    if coeff < 0:
+def _halve_exponents(p):
+    """The square root of a polynomial that is a square over Q (a square
+    rational content, every square-free factor of even multiplicity), or
+    None."""
+    if p.ring.domain is not QQ:
         return None
-    num, den = sp.Rational(coeff).p, sp.Rational(coeff).q
-    rn, rd = sp.integer_nthroot(num, 2), sp.integer_nthroot(den, 2)
-    if not (rn[1] and rd[1]):
+    coeff, factors = p.sqf_list()
+    rn, rd = (math.isqrt(max(v, 0)) for v in (coeff.numerator, coeff.denominator))
+    if coeff <= 0 or (rn * rn, rd * rd) != (coeff.numerator, coeff.denominator):
         return None
-    root = sp.Rational(rn[0], rd[0])
-    out = root
-    for f in sp.Mul.make_args(factors):
-        if f == 1:
-            continue
-        b, e = f.as_base_exp()
-        if not (e.is_Integer and e % 2 == 0):
-            return None
-        out *= b ** (e // 2)
-    return out
-
-
-def _det(rows):
-    """Determinant of a small square array of scalars: the Leibniz sum
-    eps_{i_1..i_m} A_{1 i_1} ... A_{m i_m}, contracted like any other
-    index sum (in the field when the entries are atom-free)."""
-    m = len(rows)
-    idx = "abcdefgh"[:m]
-    return contract(f"{idx},{','.join(idx)}->", _levi_civita(m), *rows)
-
-
-def _levi_civita(m: int, prefix: tuple = ()):
-    if len(prefix) == m:
-        return sp.LeviCivita(*prefix)
-    return [_levi_civita(m, prefix + (i,)) for i in range(m)]
+    if any(k % 2 for _, k in factors):
+        return None
+    return math.prod((f ** (k // 2) for f, k in factors), start=p.ring.ground_new(QQ(rn, rd)))
 
 
 def unit_normal(e: Embedding, gamma: MetricField, policy: ZeroPolicy = DEFAULT_POLICY):
@@ -204,10 +152,10 @@ def unit_normal(e: Embedding, gamma: MetricField, policy: ZeroPolicy = DEFAULT_P
     # omega_k = det [ jac columns | e_k ], expanded along the last column
     cof = [(-1) ** (k + n - 1) * _det(jac[:k] + jac[k + 1:]) for k in range(n)]
     ginv_res = e.restrict_grid(gamma.inverse_matrix())
-    ntilde = _wrap_along(chart, contract("ik,k->i", ginv_res, cof))
-    q = _S(chart, contract("ij,i,j->", g_res, ntilde, ntilde))
+    ntilde = contract("ik,k->i", ginv_res, cof)
+    q = contract("ij,i,j->", g_res, ntilde, ntilde)
     lam = _sqrt_positive(q, chart, policy)
-    nu = [_tidy(chart, c / lam) for c in ntilde]
+    nu = [c / lam for c in ntilde]
     if e.orientation == -1:
         nu = [-c for c in nu]
     return nu
@@ -231,7 +179,7 @@ class HypersurfaceGeometry:
     christoffel_res: list  # restricted ambient Christoffel symbols
 
     def b_apply(self, X: VectorField, Y: VectorField) -> ScalarExpr:
-        return _S(self.embedding.domain, contract("ac,a,c->", self.b, X, Y))
+        return contract("ac,a,c->", self.b, X, Y)
 
 
 def _ambient_christoffels_restricted(e: Embedding, gamma: MetricField):
@@ -247,9 +195,7 @@ def _d_along(e: Embedding, jac, gam_res, a: int, v) -> list:
     """d/du^a v^k + Gamma^k_ij d iota^i/du^a v^j, for v along N."""
     u = e.domain.coords[a]
     col = [row[a] for row in jac]
-    return _wrap_along(e.domain, [
-        _sum(vk.diff(u), t) for vk, t in zip(v, contract("kij,i,j->k", gam_res, col, v))
-    ])
+    return [_sum(vk.diff(u), t) for vk, t in zip(v, contract("kij,i,j->k", gam_res, col, v))]
 
 
 def _pullback(t_res, jac) -> list:
@@ -270,28 +216,26 @@ def second_fundamental_form(
     m = chart.dim
     jac = e.jacobian()
     g_res = e.restrict_grid(gamma.matrix)
-    s = MetricField(chart, [[_tidy(chart, x) for x in row] for row in _pullback(g_res, jac)])
+    s = MetricField(chart, _pullback(g_res, jac))
     kappa = None
     if psi is not None:
         p_res = e.restrict_grid(psi.matrix)
-        kappa = TwoForm(
-            chart, [[_tidy(chart, x) for x in row] for row in _pullback(p_res, jac)]
-        )
+        kappa = TwoForm(chart, _pullback(p_res, jac))
     nu = unit_normal(e, gamma, policy)
     gam_res = _ambient_christoffels_restricted(e, gamma)
     b = [[None] * m for _ in range(m)]
     for a in range(m):
         for c in range(m):
             dv = _d_along(e, jac, gam_res, a, [row[c] for row in jac])
-            b[a][c] = _tidy(chart, _S(chart, contract("ij,i,j->", g_res, dv, nu)))
+            b[a][c] = contract("ij,i,j->", g_res, dv, nu)
     # W^c_a = -s^cd gamma(nabla_a nu, d iota(d_d))
     w_grid = [[None] * m for _ in range(m)]
     s_inv = s.inverse_matrix()
     for a in range(m):
         dnu = _d_along(e, jac, gam_res, a, nu)
-        inner = _wrap_along(chart, contract("ij,i,jd->d", g_res, dnu, jac))
+        inner = contract("ij,i,jd->d", g_res, dnu, jac)
         for c, val in enumerate(contract("cd,d->c", s_inv, inner)):
-            w_grid[c][a] = _tidy(chart, -val)
+            w_grid[c][a] = -val
     W = EndoTM(chart, w_grid)
     return HypersurfaceGeometry(e, gamma, nu, s, kappa, b, W, g_res, jac, gam_res)
 
@@ -305,7 +249,7 @@ def check_hyp_geometry(
     m = chart.dim
 
     def inner(v, w) -> ScalarExpr:
-        return _S(chart, contract("ij,i,j->", geo.gamma_res, v, w))
+        return contract("ij,i,j->", geo.gamma_res, v, w)
 
     out.add("gamma(nu, nu) = 1", is_zero(inner(geo.nu, geo.nu) - 1, policy))
     cols = [[row[a] for row in geo.jac] for a in range(m)]
@@ -347,18 +291,18 @@ def induced_almost_contact(
 
     def tangential(v) -> list:
         """s^cd gamma(v, d iota(d_d)), raw: the TN components of v along N."""
-        inner = _wrap_along(chart, contract("ij,i,jd->d", geo.gamma_res, v, geo.jac))
+        inner = contract("ij,i,jd->d", geo.gamma_res, v, geo.jac)
         return contract("cd,d->c", s_inv, inner)
 
     f_grid = [[None] * m for _ in range(m)]
     xi_comps = []
     for a in range(m):
-        v = _wrap_along(chart, contract("ij,j->i", j_res, [row[a] for row in geo.jac]))
+        v = contract("ij,j->i", j_res, [row[a] for row in geo.jac])
         for c, val in enumerate(tangential(v)):
-            f_grid[c][a] = _tidy(chart, val)
-        xi_comps.append(_tidy(chart, _S(chart, contract("ij,i,j->", geo.gamma_res, v, geo.nu))))
-    z_amb = [-c for c in _wrap_along(chart, contract("ij,j->i", j_res, geo.nu))]
-    z_comps = [_tidy(chart, val) for val in tangential(z_amb)]
+            f_grid[c][a] = val
+        xi_comps.append(contract("ij,i,j->", geo.gamma_res, v, geo.nu))
+    z_amb = [-c for c in contract("ij,j->i", j_res, geo.nu)]
+    z_comps = tangential(z_amb)
     return AlmostContact(
         EndoTM(chart, f_grid),
         VectorField(chart, z_comps),
@@ -388,12 +332,12 @@ def check_induced_contact(
     j_res = e.restrict_grid(J.matrix)
     resid = []
     for a, X in enumerate(frame(chart)):
-        v = _wrap_along(chart, contract("ij,j->i", j_res, [row[a] for row in geo.jac]))
+        v = contract("ij,j->i", j_res, [row[a] for row in geo.jac])
         pushF = e.push(ac.F(X))
         for k in range(n):
             resid.append(v[k] - pushF[k] - ac.xi.components[a] * geo.nu[k])
     out.add("(strind1) J X = F X + xi(X) nu", is_zero_all(resid, policy))
-    z_amb = [-c for c in _wrap_along(chart, contract("ij,j->i", j_res, geo.nu))]
+    z_amb = [-c for c in contract("ij,j->i", j_res, geo.nu)]
     pushZ = e.push(ac.Z)
     out.add("(strind1) Z = -J nu is tangent", is_zero_all(
         (z_amb[k] - pushZ[k] for k in range(n)), policy))
@@ -403,7 +347,7 @@ def check_induced_contact(
     xi_fund = ac.fundamental_form().components
     pulled = _pullback(om_res, geo.jac)
     exprs = [
-        xi_fund[a][c] - _S(chart, pulled[a][c])
+        xi_fund[a][c] - pulled[a][c]
         for a in range(chart.dim)
         for c in range(a + 1, chart.dim)
     ]
@@ -557,10 +501,10 @@ def check_hyp_CRF(
     push_p = [e.push(X) for X in span_p]
 
     def J_along(v) -> list:
-        return _wrap_along(chart, contract("ij,j->i", j_res, v))
+        return contract("ij,j->i", j_res, v)
 
     def dom(v1, v2, v3) -> ScalarExpr:
-        return _S(chart, contract("ijk,i,j,k->", dom_res, v1, v2, v3))
+        return contract("ijk,i,j,k->", dom_res, v1, v2, v3)
 
     jnu = J_along(geo.nu)
     exprs = []
@@ -694,13 +638,10 @@ def check_hyp_CRFK(
     ]
     fr = frame(chart)
     # iota^*(i(nu) dpsi)
-    rho = [
-        _wrap_along(chart, row)
-        for row in contract("ijk,i,ja,kc->ac", dpsi_res, geo.nu, geo.jac, geo.jac)
-    ]
+    rho = contract("ijk,i,ja,kc->ac", dpsi_res, geo.nu, geo.jac, geo.jac)
 
     def rho_apply(X: VectorField, Y: VectorField) -> ScalarExpr:
-        return _S(chart, contract("ac,a,c->", rho, X, Y))
+        return contract("ac,a,c->", rho, X, Y)
 
     for sign, J in ((1, J_plus), (-1, J_minus)):
         tag = "+" if sign == 1 else "-"

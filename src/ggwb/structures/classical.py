@@ -53,9 +53,9 @@ class AlmostContact:
         """Xi(X, Y) = s(FX, Y); requires the metric.
 
         The matrix is antisymmetrized explicitly: for (Fmetric)-compatible
-        data this changes nothing functionally, but on angle charts the raw
-        F^T g entries need not be *syntactically* antisymmetric."""
-        from ..calculus import TwoForm, tidy_trig
+        data this changes nothing, and for other data it keeps the 2-form
+        constructible."""
+        from ..calculus import TwoForm
 
         if self.gamma is None:
             raise ChartMismatchError("fundamental form needs the structure metric")
@@ -64,7 +64,7 @@ class AlmostContact:
             contract("ki,kj->ij", self.F, self.gamma),
             contract("ik,kj->ij", self.gamma, self.F),
         )
-        return TwoForm(self.chart, [[tidy_trig(self.chart, e) for e in row] for row in m])
+        return TwoForm(self.chart, m)
 
 
 def check_almost_contact(s: AlmostContact, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:

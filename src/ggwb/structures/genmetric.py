@@ -35,13 +35,11 @@ from ..calculus import (
     TwoForm,
     VectorField,
     _partials,
-    _S,
     _sum,
     _zipmap,
     contract,
     ext_d,
     flat_combination,
-    tidy_trig,
     zero_twoform,
 )
 from ..courant import BigEndo, BigSection, pairing_gram
@@ -70,7 +68,7 @@ class GenMetric:
         ident = EndoTM.identity(chart)
         self.Gcal = self.transfer(ident, -ident)
         gram = contract("ki,kj->ij", self.Gcal, pairing_gram(chart))
-        self._gram = tuple(tuple(tidy_trig(chart, _S(chart, e)) for e in row) for row in gram)
+        self._gram = tuple(tuple(row) for row in gram)
         self._dpsi = None
 
     def transfer(self, F_plus: EndoTM, F_minus: EndoTM) -> BigEndo:
@@ -85,7 +83,7 @@ class GenMetric:
         M, N = g @ S - p @ D, g @ D - p @ S
         blocks = ((S + D @ qp, D @ q), (N + M @ qp, M @ q))
         rows = [a + b for left, right in blocks for a, b in zip(left.matrix, right.matrix)]
-        return BigEndo(chart, [[tidy_trig(chart, e) for e in row] for row in rows])
+        return BigEndo(chart, rows)
 
     # -- sections of V_pm -------------------------------------------------
 
@@ -101,7 +99,7 @@ class GenMetric:
 
     def G(self, A: BigSection, B: BigSection) -> ScalarExpr:
         """The positive pairing G(A, B) = g(Gcal A, B)."""
-        return _S(self.chart, contract("i,ij,j->", A.components(), self._gram, B.components()))
+        return contract("i,ij,j->", A.components(), self._gram, B.components())
 
 
 def build_gen_metric(

@@ -14,7 +14,6 @@ from typing import Optional
 from ..calculus import (
     OneForm,
     VectorField,
-    _S,
     contract,
     ext_d,
     frame,
@@ -291,7 +290,7 @@ def check_product_metric(
     gram = gtilde_cal._like(contract("ki,kj->ij", gtilde_cal, pairing_gram(product))).matrix
 
     def gt(a: BigSection, b: BigSection) -> ScalarExpr:
-        return _S(product, contract("i,ij,j->", a.components(), gram, b.components()))
+        return contract("i,ij,j->", a.components(), gram, b.components())
 
     span_L = [s.Fcal(e) for e in big_frame(s.chart)]
     exprs = []

@@ -462,7 +462,7 @@ def check_gen_contact(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> Chec
 def conformal_operator(chart: ChartManifold, tau: ScalarExpr) -> BigEndo:
     """C_tau (X, a) = (X, e^tau a)."""
     n = chart.dim
-    e = sp.exp(chart.scalar(tau).expr)
+    e = chart.scalar(tau).exp()
     r = range(2 * n)
     return BigEndo(chart, [[(1 if i < n else e) if i == j else 0 for j in r] for i in r])
 

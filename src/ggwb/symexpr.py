@@ -1,47 +1,38 @@
 """Exact symbolic scalar fields on a coordinate chart.
 
-A :class:`ScalarExpr` is a rational function of the chart coordinates and of
-opaque ``sin``/``cos``/``exp`` atoms, with exact rational (or Gaussian
-rational) coefficients.  It has one of two representations, chosen by the
-value alone:
+A :class:`ScalarExpr` has one representation: ``rf``, an element of a
+``sympy.polys`` ``FracField`` over Q (over Q(i) only when ``I`` occurs) in
+lex order.  Its generators are the chart coordinates and one generator per
+transcendental atom: ``E_m = exp(m)``, or ``T_m = tan(m/2)`` with
+``sin(m) = 2 T_m / (1 + T_m^2)`` and ``cos(m) = (1 - T_m^2) / (1 + T_m^2)``;
+the circle is rational, so ``sin^2 + cos^2 = 1`` holds in the field.
 
-- without atoms, an element ``rf`` of the rational function field
-  Q(x_1..x_n) of the chart (a ``sympy.polys`` ``FracField`` in lex order,
-  cached per chart), or of Q(i)(x_1..x_n) when ``I`` occurs.  Arithmetic,
-  derivatives, evaluation and the zero test act on the coefficient dicts
-  of its numerator and denominator.  The reduced fraction is the canonical
-  form; ``expr`` is a sympy view of it, built on first use, equal to what
-  :func:`sympy.cancel` returns.  Values start in Q(x); an operand is
-  promoted to Q(i)(x) only when the other has an imaginary coefficient, and
-  a result whose coefficients are all real moves back to Q(x);
-- with atoms, a sympy expression in the multivariate rational normal form
-  over Q produced by :func:`sympy.cancel`, with transcendental atoms treated
-  as independent generators whose arguments are themselves canonical.  An
-  operation that mixes the two representations works on the view.
-
-The canonical form does no trigonometric rewriting, so
-``sin(x)**2 + cos(x)**2 - 1`` is not syntactically zero.
-
-The zero test decides such identities with :func:`trig_reduce`: after
-sum and multiple-angle expansion it reduces a polynomial modulo the ideal
-generated by ``sin(u)**2 + cos(u)**2 - 1``.  Those relations are a Groebner
-basis for the lex order with every ``cos(u)`` first, so the remainder is a
-normal form and a zero remainder proves the identity.  The reduction does not
-relate atoms whose arguments differ by a non-integer factor (``sin(x)`` and
-``sin(x/2)``) or by a factor above ``_MAX_MULTIPLE``; such identities still
-go to sampling.
+An atom's argument is split into its constant and its additive terms
+``q*m``.  A term with an integer ``q`` is the ``q``-th multiple of the
+generator of ``m`` (a power of ``E_m``; for sin/cos the multiple angle in
+``T_m``, up to ``_MAX_MULTIPLE``).  Every other term, every constant (an
+integer constant of ``exp`` is a power of ``E_1``) and an argument that is
+not a polynomial in the coordinates get a generator of their own; signs
+are pulled out, so ``f(-m)`` uses the generator of ``m``.  The terms are
+combined by the sum formulas, so the Pythagorean, sum and multiple-angle
+identities, ``exp(x) exp(y) = exp(x + y)`` and constant atoms such as
+``exp(-8/3)`` reduce inside the fraction.  The reduced fraction is the
+canonical form that ``==``, ``hash`` and the zero test read.  A value's
+field is the chart coordinates plus exactly the generators that occur in
+it, in one fixed order that does not depend on hash order.
 
 Soundness contract: ``is_zero`` answers ``Proved`` only when the reduced
-fraction of an atom-free scalar is zero (the field is exact, so that is a
-proof of the identity), when the canonical form of a scalar with atoms is
-the literal zero, or when its numerator reduces to zero modulo the
-Pythagorean relations while its denominator does not.  A nonzero reduced
-fraction is never zero as a function, but its ``Failed`` still needs a
-witness: the sampler looks for a rational point where it is nonzero.
+fraction is zero; the generators stand for the true functions in a ring
+homomorphism, so a zero fraction is zero as a function.  A nonzero fraction
+may still vanish (``sin(x)`` and ``sin(x/2)`` have independent generators,
+and so do multiples above ``_MAX_MULTIPLE``); the sampler decides those,
+and a ``Failed`` always carries a witness.
 
-The grammar (coordinates, rational literals, integer powers, ``sin``,
-``cos``, ``exp``) is validated once, where a value enters: parsing, or a
-sympy expression or number handed to the constructor.
+``expr`` is a sympy display view in the input grammar (``T_m`` shows as
+``sin(m)/(1 + cos(m))``); without atoms it is what :func:`sympy.cancel`
+returns.  No package code reads it back.  Grammar expressions (coordinates,
+rational literals, integer powers, ``sin``, ``cos``, ``exp``) are checked
+where they enter, by the conversion of a parsed or sympy value.
 """
 
 from __future__ import annotations
@@ -52,22 +43,27 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Optional, Union
+from functools import lru_cache, reduce
+from typing import Iterable, Optional
 
+import mpmath
 import sympy as sp
 from sympy.polys.domains import QQ, QQ_I
 from sympy.polys.fields import FracElement, FracField
 from sympy.polys.orderings import lex
 from sympy.polys.polyutils import _sort_gens
 
-from .errors import ChartMismatchError, ExprError, ParseError
+from .errors import ChartMismatchError, ExprError, GgwbError, ParseError
 from .verdict import Verdict, Witness
 
-_BAD_VALUES = (sp.zoo, sp.nan, sp.oo, -sp.oo)
 _ATOM_FUNCS = (sp.sin, sp.cos, sp.exp)
 
-Number = Union[int, Fraction, sp.Rational]
+# sin/cos of k*m for an integer k with |k| <= _MAX_MULTIPLE is a polynomial
+# of degree 2|k| in T_m over (1 + T_m^2)^|k|.  A larger multiple gets its own
+# generator: that bounds the work on hostile input and stays sound.
+_MAX_MULTIPLE = 8
+
+_DPS = 30  # digits of the float evaluation of scalars with atoms
 
 
 # ---------------------------------------------------------------------------
@@ -96,147 +92,39 @@ DEFAULT_POLICY = ZeroPolicy()
 
 
 # ---------------------------------------------------------------------------
-# canonical form
+# generators and fields
 
 
-def _canon_once(expr: sp.Expr) -> sp.Expr:
-    if expr.has(*_ATOM_FUNCS):
-        expr = expr.replace(
-            lambda n: isinstance(n, _ATOM_FUNCS),
-            lambda n: n.func(_canon_cached(n.args[0])),
-        )
-        return sp.cancel(expr)
-    # atom-free: pure rational function of the coordinates.  Polynomials
-    # (unit denominator) take the cheap expand route, which agrees with
-    # cancel's normal form on that subclass.
-    num, den = expr.as_numer_denom()
-    if den is sp.S.One:
-        return sp.expand(num)
-    return sp.cancel(expr)
+class _Gen:
+    """One atom generator: ``E_m`` (kind "exp") or ``T_m`` (kind "tan"),
+    with ``arg`` = m in its minimal field."""
+
+    __slots__ = ("symbol", "kind", "arg", "order")
+
+    def __init__(self, kind: str, arg: FracElement, index: int):
+        self.kind = kind
+        self.arg = arg
+        self.symbol = sp.Dummy("E" if kind == "exp" else "T")
+        self.order = (kind, str(_view(arg)), index)
 
 
-@lru_cache(maxsize=65536)
-def _canon_cached(expr: sp.Expr) -> sp.Expr:
-    # one pass is not always a fixed point: with a constant atom, cancel
-    # maps (6*exp(-8/3)*exp(y) + 5)/(8*y) to (6*exp(y) + 5*exp(8/3))*exp(-8/3)/(8*y)
-    cur = expr
-    for _ in range(3):
-        new = _canon_once(cur)
-        if new == cur:
-            return cur
-        cur = new
-    return cur
+# Generators are interned for the life of the process, like sympy's own
+# symbols: equal arguments must give the one generator, and a generator never
+# changes.  Their order does not depend on which was made first.
+_GEN_OF_KEY: dict = {}
+_GEN_OF_SYMBOL: dict = {}
 
 
-def canon(expr: sp.Expr) -> sp.Expr:
-    """Rational normal form.  Without atoms it is the reduced fraction of
-    the rational function field in the free symbols (the view a
-    :class:`ScalarExpr` shows); with atoms, the fixed point of the
-    canonicalization pass, served from a cache."""
-    expr = sp.sympify(expr)
-    if not _has_atoms(expr):
-        rf = _to_field(expr, tuple(expr.free_symbols))
-        if rf is not None:
-            return _view(rf)
-    return _canon_cached(expr)
+def _gen(kind: str, arg: FracElement) -> _Gen:
+    g = _GEN_OF_KEY.get((kind, arg))
+    if g is None:
+        g = _Gen(kind, arg, len(_GEN_OF_KEY))
+        _GEN_OF_KEY[(kind, arg)] = g
+        _GEN_OF_SYMBOL[g.symbol] = g
+    return g
 
 
-# cos(k*u) expands to a polynomial of degree k in cos(u), sin(u).  An atom
-# whose argument has a larger integer multiple stays one generator: that
-# bounds the work on hostile input and stays sound, since the atom keeps its
-# own Pythagorean relation.
-_MAX_MULTIPLE = 8
-
-
-def _small_multiples(u: sp.Expr) -> bool:
-    return all(
-        t.is_number or abs(t.as_coeff_Mul(rational=True)[0].p) <= _MAX_MULTIPLE
-        for t in sp.Add.make_args(u)
-    )
-
-
-def trig_reduce(poly_expr: sp.Expr) -> sp.Expr:
-    """Normal form of a polynomial modulo ``sin(u)**2 + cos(u)**2 - 1``.
-
-    ``poly_expr`` is a polynomial in the coordinates and in ``sin``/``cos``/
-    ``exp`` atoms.  ``sp.expand_trig`` first splits sums and integer multiples
-    (up to ``_MAX_MULTIPLE``) in the arguments; then every ``cos(u)**2`` is
-    rewritten as ``1 - sin(u)**2`` until each ``cos(u)`` has degree at most 1.
-    With the generators ordered cos atoms, sin atoms, exp atoms, coordinates
-    (lex), this is the remainder modulo a Groebner basis, so it is canonical
-    for those generators and idempotent.
-    """
-    expr = poly_expr.xreplace({
-        a: sp.expand_trig(a, deep=False)
-        for a in poly_expr.atoms(sp.sin, sp.cos)
-        if _small_multiples(a.args[0])
-    })
-    args = sorted({t.args[0] for t in expr.atoms(sp.sin, sp.cos)}, key=sp.default_sort_key)
-    n = len(args)
-    atoms = (
-        [sp.cos(u) for u in args]
-        + [sp.sin(u) for u in args]
-        + sorted(expr.atoms(sp.exp), key=sp.default_sort_key)
-    )
-    # Poly would read exp(2*u) as a power of exp(u); dummies keep every atom
-    # an independent generator
-    dummies = [sp.Dummy() for _ in atoms]
-    gens = dummies + sorted(expr.free_symbols, key=sp.default_sort_key)
-    if not gens:
-        return expr
-    terms = sp.Poly(expr.xreplace(dict(zip(atoms, dummies))), *gens).as_dict()
-    for c in range(n):
-        s = n + c
-        out: dict = {}
-        for monom, coeff in terms.items():
-            q, r = divmod(monom[c], 2)
-            for j in range(q + 1):
-                m = list(monom)
-                m[c], m[s] = r, m[s] + 2 * j
-                key = tuple(m)
-                out[key] = out.get(key, 0) + (-1) ** j * sp.binomial(q, j) * coeff
-        terms = {m: v for m, v in out.items() if v != 0}
-    if not terms:
-        return sp.Integer(0)
-    return sp.Poly.from_dict(terms, *gens).as_expr().xreplace(dict(zip(dummies, atoms)))
-
-
-def trig_reduce_rational(expr: sp.Expr) -> sp.Expr:
-    """:func:`trig_reduce` applied to the numerator and the denominator of
-    the canonical form, then cancelled.  Raises :class:`ExprError` when the
-    denominator reduces to zero."""
-    num, den = sp.fraction(canon(expr))
-    den = trig_reduce(den)
-    if den == 0:
-        raise ExprError("denominator vanishes identically (sin^2 + cos^2 = 1)")
-    num = trig_reduce(num)
-    return num if num == 0 else sp.cancel(num / den)
-
-
-def _validate_nodes(expr: sp.Expr, chart) -> None:
-    symbols = set(chart.symbols)
-    for node in sp.preorder_traversal(expr):
-        if node in _BAD_VALUES:
-            raise ExprError(f"expression contains an undefined value: {node}")
-        if isinstance(node, sp.Symbol):
-            if node not in symbols:
-                raise ChartMismatchError(
-                    f"symbol '{node}' does not belong to chart '{chart.name}'"
-                )
-        elif isinstance(node, sp.Float):
-            raise ExprError("float literals are not allowed; use exact rationals")
-        elif isinstance(node, sp.Pow):
-            if not (node.exp.is_Integer or node.base is sp.E):
-                raise ExprError(f"non-integer power is outside the grammar: {node}")
-        elif isinstance(node, sp.Function) and not isinstance(node, _ATOM_FUNCS):
-            raise ExprError(f"function '{node.func}' is outside the grammar")
-
-
-# ---------------------------------------------------------------------------
-# the rational function field of a chart
-
-
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=4096)
 def _field_on(gens: tuple, gaussian: bool) -> FracField:
     return FracField(gens, QQ_I if gaussian else QQ, lex)
 
@@ -245,31 +133,98 @@ def _field_on(gens: tuple, gaussian: bool) -> FracField:
 def _field(symbols: tuple, gaussian: bool = False) -> FracField:
     """Q(x) or Q(i)(x) over the chart symbols, in sympy's own generator
     order, so that the reduced fraction normalizes like :func:`sympy.cancel`."""
-    return _field_on(_sort_gens(symbols), gaussian)
+    return _field_on(tuple(_sort_gens(symbols)), gaussian)
 
 
-def _gaussian(rf: FracElement) -> bool:
-    return rf.field.domain is QQ_I
+@lru_cache(maxsize=4096)
+def _layout(K: FracField) -> tuple:
+    """(coordinate symbols, atom generators) of a field; the coordinates
+    come first."""
+    gens = tuple(_GEN_OF_SYMBOL[s] for s in K.symbols if s in _GEN_OF_SYMBOL)
+    return K.symbols[: len(K.symbols) - len(gens)], gens
+
+
+def _assemble(coords, gens, gaussian: bool) -> FracField:
+    """The field over ``coords`` and ``gens`` in the one global order."""
+    ordered = sorted(set(gens), key=lambda g: g.order)
+    return _field_on(tuple(_sort_gens(set(coords))) + tuple(g.symbol for g in ordered), gaussian)
+
+
+@lru_cache(maxsize=4096)
+def _join(K1: FracField, K2: FracField) -> FracField:
+    (c1, g1), (c2, g2) = _layout(K1), _layout(K2)
+    return _assemble(c1 + c2, g1 + g2, K1.domain is QQ_I or K2.domain is QQ_I)
+
+
+def _embed(rf: FracElement, K: FracField) -> FracElement:
+    """rf in a field with more symbols, in the same relative order.  Lex
+    order does not see absent variables, so the reduced fraction stays
+    reduced and normalized."""
+    return rf if rf.field is K else _moved(rf, K)
+
+
+@lru_cache(maxsize=65536)
+def _moved(rf: FracElement, K: FracField) -> FracElement:
+    F = rf.field
+    where, n = [K.symbols.index(s) for s in F.symbols], len(K.symbols)
+
+    def move(p):
+        out = []
+        for m, c in p.items():
+            new = [0] * n
+            for j, e in zip(where, m):
+                new[j] = e
+            out.append((tuple(new), K.domain.convert_from(c, F.domain)))
+        return K.ring.dtype(out)
+
+    return K.raw_new(move(rf.numer), move(rf.denom))
+
+
+def _shrink(rf: FracElement, keep_coords: bool = True) -> FracElement:
+    """rf in the field of exactly the generators that occur in it (and of
+    the coordinates that occur, without ``keep_coords``)."""
+    K = rf.field
+    coords, gens = _layout(K)
+    if keep_coords and not gens:
+        return rf
+    n, start = len(K.symbols), len(coords) if keep_coords else 0
+    keep = list(range(start)) + [
+        i for i in range(start, n) if any(m[i] for p in (rf.numer, rf.denom) for m in p)
+    ]
+    if len(keep) == n:
+        return rf
+    Ks = _field_on(tuple(K.symbols[i] for i in keep), K.domain is QQ_I)
+
+    def pick(p):
+        return Ks.ring.dtype([(tuple(m[i] for i in keep), c) for m, c in p.items()])
+
+    return Ks.raw_new(pick(rf.numer), pick(rf.denom))
 
 
 def _settle(rf: FracElement) -> FracElement:
-    """An element of Q(i)(x) with real coefficients, moved to Q(x): the field
-    of a value depends on the value alone."""
+    """An element of a Q(i) field with real coefficients, moved to the Q
+    field: the field of a value depends on the value alone."""
     K = rf.field
     if K.domain is not QQ_I or any(c.y for p in (rf.numer, rf.denom) for c in p.values()):
         return rf
     Kq = _field_on(K.symbols, False)
-    return Kq.new(rf.numer.set_ring(Kq.ring), rf.denom.set_ring(Kq.ring))
+    move = lambda p: Kq.ring.dtype([(m, c.x) for m, c in p.items()])  # noqa: E731
+    return Kq.raw_new(move(rf.numer), move(rf.denom))
+
+
+def _canonical(rf: FracElement, keep_coords: bool = True) -> FracElement:
+    if rf.field.domain is QQ_I:
+        rf = _settle(rf)
+    return _shrink(rf, keep_coords)
 
 
 def _unify(a: FracElement, b: FracElement) -> tuple:
-    """Both operands in one field: Q(x) is promoted to Q(i)(x) only when the
-    other operand has an imaginary coefficient."""
-    if a.field is b.field or a.field == b.field:
+    """Both operands in one field: the union of their generators, over Q(i)
+    only when one of them is Gaussian."""
+    if a.field is b.field:
         return a, b
-    if _gaussian(a):
-        return a, b.set_field(a.field)
-    return a.set_field(b.field), b
+    K = _join(a.field, b.field)
+    return _embed(a, K), _embed(b, K)
 
 
 def _fraction(K: FracField, num, den) -> FracElement:
@@ -285,14 +240,15 @@ def _fraction(K: FracField, num, den) -> FracElement:
             num = num.quo_ground(c)
         L = math.lcm(*(v.denominator for v in num.values()))
         if L == 1:
-            return K.raw_new(num, _one(K))
+            return K.raw_new(num, K.one.numer)
         return K.raw_new(num.mul_ground(L), K.ring.ground_new(L))
-    return K.new(num, den)
-
-
-@lru_cache(maxsize=256)
-def _one(K: FracField):
-    return K.ring.one
+    if den.is_ground:
+        return K.new(num, den)
+    # the gcd costs per variable of the ring, absent ones included
+    pair = _shrink(K.raw_new(num, den), keep_coords=False)
+    if pair.field is K:
+        return K.new(num, den)
+    return _embed(pair.field.new(pair.numer, pair.denom), K)
 
 
 def _field_op(op, a: FracElement, b: FracElement) -> FracElement:
@@ -302,32 +258,52 @@ def _field_op(op, a: FracElement, b: FracElement) -> FracElement:
         return _fraction(K, a.numer * b.numer, a.denom * b.denom)
     if op is operator.truediv:
         return _fraction(K, a.numer * b.denom, a.denom * b.numer)
+    bn = b.numer if op is operator.add else -b.numer
     if a.denom == b.denom:
-        return _fraction(K, op(a.numer, b.numer), a.denom)
-    if a.denom.is_ground and b.denom.is_ground:
-        return _fraction(K, op(a.numer * b.denom, b.numer * a.denom), a.denom * b.denom)
-    return op(a, b)
+        return _fraction(K, a.numer + bn, a.denom)
+    return _sum_over(K, {a.denom: a.numer, b.denom: bn})
 
 
-@lru_cache(maxsize=1024)
+def _sum_over(K: FracField, parts: dict) -> FracElement:
+    """The sum of numerators over their denominators (``parts``, each
+    fraction reduced), over the least common denominator: one gcd of the
+    large numerator, against the lcm, reduces it."""
+    if len(parts) == 1:
+        (den, num), = parts.items()
+        return _fraction(K, num, den)
+    dens = list(parts)
+    L = dens[0]
+    for d in dens[1:]:
+        if not d.is_ground and d != L:
+            L = d * L.exquo(L.gcd(d)) if not L.is_ground else d
+    num = K.ring.zero
+    for d, n in parts.items():
+        if d.is_ground and L.is_ground:
+            n = n.mul_ground(K.domain.quo(L.LC, d.LC))
+        elif d != L:
+            n = n * L.exquo(d)
+        num += n
+    return _fraction(K, num, L)
+
+
+def _op(op, a: FracElement, b: FracElement) -> FracElement:
+    """``op`` on two elements of any fields, in the union field."""
+    if op is operator.truediv and not b:
+        raise ExprError("division by an expression that is identically zero")
+    return _field_op(op, *_unify(a, b))
+
+
+def _pow(rf: FracElement, n: int) -> FracElement:
+    # FracElement.__pow__ leaves a negative power unnormalized
+    if n < 0 and not rf:
+        raise ExprError("division by an expression that is identically zero")
+    num, den = (rf.numer, rf.denom)[:: 1 if n >= 0 else -1]
+    return _fraction(rf.field, num ** abs(n), den ** abs(n))
+
+
+@lru_cache(maxsize=4096)
 def _constant(K: FracField, v) -> FracElement:
     return K(_qq(v))
-
-
-@lru_cache(maxsize=65536)
-def _has_atoms(expr: sp.Expr) -> bool:
-    return expr.has(*_ATOM_FUNCS)
-
-
-@lru_cache(maxsize=65536)
-def _to_field(expr: sp.Expr, symbols: tuple) -> Optional[FracElement]:
-    """The field element of an expression without ``sin``/``cos``/``exp``
-    atoms; None when it has another constant outside Q(i)."""
-    try:
-        rf = _field(symbols, expr.has(sp.I)).from_expr(expr)
-    except ValueError:  # E, pi: constants outside Q(i)
-        return None
-    return _settle(rf)
 
 
 def _qq(v) -> object:
@@ -343,15 +319,180 @@ _RATIONALS = (int, Fraction, sp.Rational)
 
 
 # ---------------------------------------------------------------------------
+# atoms
+
+
+@lru_cache(maxsize=4096)
+def _angle(g: _Gen, k: int) -> tuple:
+    """(cos, sin) of k*m for the generator T_m: the real and imaginary
+    parts of (1 + i T)^(2k) over (1 + T^2)^k."""
+    K = _field_on((g.symbol,), False)
+    R = K.ring
+    T = R.gens[0]
+    re_, im_ = R.zero, R.zero
+    for j in range(2 * abs(k) + 1):
+        term = T**j * math.comb(2 * abs(k), j) * (-1) ** (j // 2)
+        if j % 2:
+            im_ += term
+        else:
+            re_ += term
+    den = (1 + T**2) ** abs(k)
+    return _fraction(K, re_, den), _fraction(K, im_ if k > 0 else -im_, den)
+
+
+def _terms(u: FracElement, kind: str) -> list:
+    """(generator, integer multiple) for each term q*m of the argument u."""
+    if not u:
+        return []
+    K = u.field
+    gk, bound = ("exp", None) if kind == "exp" else ("tan", _MAX_MULTIPLE)
+    if _layout(K)[1] or not u.denom.is_ground:
+        # one term q*m, m with coprime integer contents and positive sign
+        cn = math.gcd(*map(int, u.numer.values()))
+        q = QQ(cn if u.numer.LC > 0 else -cn, math.gcd(*map(int, u.denom.values())))
+        pairs = [(q, _field_op(operator.mul, u, _constant(K, 1 / q)))]
+    else:
+        one, c = K.ring.one, u.denom[K.ring.zero_monom]
+        pairs = [(coeff / c, _shrink(K.raw_new(K.ring.dtype([(m, QQ(1))]), one), keep_coords=False))
+                 for m, coeff in u.numer.terms()]
+    out = []
+    for q, m in pairs:
+        sign = 1 if q > 0 else -1
+        if m.numer.is_ground and m.denom.is_ground and kind != "exp":
+            # a constant angle is its own generator: sin(5) is not expanded
+            # as a multiple angle of 1
+            out.append((_gen(gk, _constant(m.field, abs(q))), sign))
+        elif q.denominator == 1 and (bound is None or abs(q) <= bound):
+            out.append((_gen(gk, m), int(q)))
+        else:
+            out.append((_gen(gk, _field_op(operator.mul, m, _constant(m.field, abs(q)))), sign))
+    return out
+
+
+@lru_cache(maxsize=16384)
+def _atom_minimal(kind: str, u: FracElement) -> FracElement:
+    one = _field_on((), False).one
+    if kind == "exp":
+        value = one
+        for g, k in _terms(u, kind):
+            value = _op(operator.mul, value, _pow(_field_on((g.symbol,), False).gens[0], k))
+        return value
+    cos, sin = one, _field_on((), False).zero
+    for g, k in _terms(u, kind):
+        c, s = _angle(g, k)
+        cos, sin = (
+            _op(operator.sub, _op(operator.mul, cos, c), _op(operator.mul, sin, s)),
+            _op(operator.add, _op(operator.mul, sin, c), _op(operator.mul, cos, s)),
+        )
+    return cos if kind == "cos" else sin
+
+
+def _atom(kind: str, u: FracElement) -> FracElement:
+    """sin, cos or exp of u, in a field over u's coordinates and the
+    generators of u's terms."""
+    if u.field.domain is QQ_I:
+        raise ExprError(f"{kind} of a complex argument is outside the grammar")
+    value = _atom_minimal(kind, _shrink(u, keep_coords=False))
+    coords = _layout(u.field)[0]
+    return _embed(value, _join(value.field, _field_on(coords, False)))
+
+
+def _tan_half(u: FracElement) -> FracElement:
+    """tan(u/2) = sin(u) / (1 + cos(u))."""
+    return _op(operator.truediv, _atom("sin", u), _op(operator.add, _atom("cos", u), u.field.one))
+
+
+# ---------------------------------------------------------------------------
+# conversion from sympy and the view
+
+
+@lru_cache(maxsize=65536)
+def _to_field(expr: sp.Expr, symbols: tuple) -> FracElement:
+    """The field element of a grammar expression over the coordinates
+    ``symbols``: normalized, in the field of exactly its generators."""
+    K = _field(symbols)
+    if expr.is_Symbol:
+        if expr not in K.symbols:
+            raise ChartMismatchError(f"symbol '{expr}' is not a coordinate of the chart")
+        return K.gens[K.symbols.index(expr)]
+    if expr.is_Rational:
+        return _constant(K, expr)
+    if expr is sp.I:
+        return _field(symbols, True)(QQ_I(0, 1))
+    if expr is sp.E:
+        return _canonical(_atom("exp", K.one))
+    if expr.is_Add or expr.is_Mul:
+        op = operator.add if expr.is_Add else operator.mul
+        value = _to_field(expr.args[0], symbols)
+        for arg in expr.args[1:]:
+            value = _op(op, value, _to_field(arg, symbols))
+        return _canonical(value)
+    if expr.is_Pow:
+        if expr.base is sp.E:
+            return _canonical(_atom("exp", _to_field(expr.exp, symbols)))
+        if expr.exp.is_Integer:
+            return _canonical(_pow(_to_field(expr.base, symbols), int(expr.exp)))
+    if isinstance(expr, _ATOM_FUNCS):
+        kind = "exp" if isinstance(expr, sp.exp) else expr.func.__name__
+        return _canonical(_atom(kind, _to_field(expr.args[0], symbols)))
+    if expr.is_Float:
+        raise ExprError("float literals are not allowed; use exact rationals")
+    raise ExprError(f"'{expr}' is outside the expression grammar")
+
+
+@lru_cache(maxsize=4096)
+def _display(g: _Gen) -> sp.Expr:
+    m = _view(g.arg)
+    if g.kind == "exp":
+        return sp.exp(m)
+    return sp.Mul(sp.sin(m), sp.Pow(sp.Add(1, sp.cos(m), evaluate=False), -1, evaluate=False),
+                  evaluate=False)
+
+
+def _poly_view(p, values: list) -> sp.Expr:
+    to_sympy = p.ring.domain.to_sympy
+    terms = []
+    for m, c in p.terms():
+        factors = [v if e == 1 else sp.Pow(v, e, evaluate=False) for v, e in zip(values, m) if e]
+        if c != 1 or not factors:
+            factors.insert(0, to_sympy(c))
+        terms.append(factors[0] if len(factors) == 1 else sp.Mul(*factors, evaluate=False))
+    return terms[0] if len(terms) == 1 else sp.Add(*terms, evaluate=False)
+
+
+@lru_cache(maxsize=65536)
+def _view(rf: FracElement) -> sp.Expr:
+    """Without atoms, sympy's own expression of the reduced fraction.  With
+    atoms the tree is built unevaluated: sympy would merge exp(1/2)*exp(1/3)
+    into exp(5/6), which is another generator."""
+    coords, gens = _layout(rf.field)
+    if not gens:
+        return rf.as_expr()
+    values = list(coords) + [_display(g) for g in gens]
+    num = _poly_view(rf.numer, values) if rf.numer else sp.S.Zero
+    if rf.denom == 1:
+        return num
+    return sp.Mul(num, sp.Pow(_poly_view(rf.denom, values), -1, evaluate=False), evaluate=False)
+
+
+def canon(expr) -> sp.Expr:
+    """The view of the canonical form of a grammar expression over its free
+    symbols: the reduced fraction for a rational function, and a fixed point
+    (``canon(canon(e)) == canon(e)``)."""
+    expr = sp.sympify(expr)
+    return _view(_to_field(expr, tuple(expr.free_symbols)))
+
+
+# ---------------------------------------------------------------------------
 # the scalar
 
 
 class ScalarExpr:
     """Immutable canonical scalar field tagged with its owning chart.
 
-    ``rf`` is the element of the chart's rational function field when the
-    value has no transcendental atom, and None otherwise; ``expr`` is the
-    sympy expression, built lazily from ``rf`` for atom-free values.
+    ``rf`` is its element of the rational function field of the chart
+    coordinates and of its atom generators; ``expr`` is the sympy view,
+    built on first use.
     """
 
     __slots__ = ("chart", "rf", "_expr", "_hash")
@@ -362,23 +503,17 @@ class ScalarExpr:
                 raise ChartMismatchError(
                     f"scalar from chart '{value.chart.name}' used on '{chart.name}'"
                 )
-            rf, expr = value.rf, value._expr
+            rf = value.rf
         elif isinstance(value, float):
             raise ExprError("float literals are not allowed; use exact rationals")
         elif isinstance(value, _RATIONALS):
-            rf, expr = _constant(_field(chart.symbols), value), None
+            rf = _constant(_field(chart.symbols), value)
         else:
-            # the grammar boundary: parse or sympify, validate, represent
+            # the grammar boundary: parse or sympify, then convert, which
+            # rejects every node outside the grammar
             expr = _parse(value, chart) if isinstance(value, str) else sp.sympify(value)
-            _validate_nodes(expr, chart)
-            rf, expr = _represent(expr, chart)
-        _init(self, chart, rf, expr)
-
-    @classmethod
-    def _of(cls, expr: sp.Expr, chart, atoms: bool = False) -> "ScalarExpr":
-        """A raw expression built by the package from validated scalars:
-        represented without the grammar walk."""
-        return _init(object.__new__(cls), chart, *_represent(expr, chart, atoms))
+            rf = _to_field(expr, chart.symbols)
+        _init(self, chart, rf)
 
     def __setattr__(self, *a):  # immutability
         raise AttributeError("ScalarExpr is immutable")
@@ -392,30 +527,22 @@ class ScalarExpr:
     # -- arithmetic ---------------------------------------------------
 
     def _op(self, other, op, swap: bool = False) -> "ScalarExpr":
-        """``op(self, other)``, or ``op(other, self)`` with ``swap``: in the
-        field when both operands are atom-free, else on canonical
-        expressions."""
+        """``op(self, other)``, or ``op(other, self)`` with ``swap``."""
         if isinstance(other, ScalarExpr):
             if other.chart != self.chart:
                 raise ChartMismatchError(
                     f"cannot combine scalars from charts "
                     f"'{self.chart.name}' and '{other.chart.name}'"
                 )
-            if self.rf is not None and other.rf is not None:
-                a, b = _unify(self.rf, other.rf)
-                return _ring(self.chart, _field_op(op, *((b, a) if swap else (a, b))))
-            atom_operand = other.rf is None
-            other = other.expr
+            b = other.rf
         elif isinstance(other, float):
             raise ExprError("float operands are not allowed; use exact rationals")
-        elif isinstance(other, _RATIONALS) and self.rf is not None:
-            a, b = self.rf, _constant(self.rf.field, other)
-            return _ring(self.chart, _field_op(op, *((b, a) if swap else (a, b))))
+        elif isinstance(other, _RATIONALS):
+            b = _constant(self.rf.field, other)
         else:
-            other = sp.sympify(other)
-            atom_operand = _has_atoms(other)
-        a, b = (other, self.expr) if swap else (self.expr, other)
-        return ScalarExpr._of(op(a, b), self.chart, atoms=self.rf is None or atom_operand)
+            b = ScalarExpr(other, self.chart).rf
+        a = self.rf
+        return _ring(self.chart, _op(op, *((b, a) if swap else (a, b))))
 
     def __add__(self, other):
         return self._op(other, operator.add)
@@ -434,44 +561,36 @@ class ScalarExpr:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if _is_zero_operand(other):
-            raise ExprError("division by syntactically zero expression")
         return self._op(other, operator.truediv)
 
     def __rtruediv__(self, other):
-        if self.is_syntactic_zero:
-            raise ExprError("division by syntactically zero expression")
         return self._op(other, operator.truediv, swap=True)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             raise ExprError("only integer powers are in the grammar")
-        if n < 0 and self.is_syntactic_zero:
-            raise ExprError("division by syntactically zero expression")
-        if self.rf is not None:
-            # FracElement.__pow__ leaves a negative power unnormalized
-            num, den = (self.rf.numer, self.rf.denom)[:: 1 if n >= 0 else -1]
-            return _ring(self.chart, _fraction(self.rf.field, num ** abs(n), den ** abs(n)))
-        return ScalarExpr._of(self.expr**n, self.chart, atoms=True)
+        return _ring(self.chart, _pow(self.rf, n))
 
     def __neg__(self):
-        if self.rf is not None:
-            return _ring(self.chart, -self.rf)
-        return ScalarExpr._of(-self.expr, self.chart, atoms=True)
+        return _ring(self.chart, -self.rf)
+
+    def exp(self) -> "ScalarExpr":
+        """exp of this scalar."""
+        return _ring(self.chart, _atom("exp", self.rf))
 
     def __eq__(self, other):
         if isinstance(other, ScalarExpr):
-            if self.chart != other.chart or (self.rf is None) != (other.rf is None):
-                return False
-            return self.rf == other.rf if self.rf is not None else self._expr == other._expr
-        if isinstance(other, _RATIONALS) and self.rf is not None:
-            return self.rf == _constant(self.rf.field, other)
-        return self.expr == sp.sympify(other)
+            return self.chart == other.chart and self.rf == other.rf
+        if isinstance(other, float):
+            return False
+        try:
+            return self.rf == ScalarExpr(other, self.chart).rf
+        except (GgwbError, sp.SympifyError, TypeError, AttributeError):
+            return False
 
     def __hash__(self):
         if self._hash is None:
-            key = self.rf if self.rf is not None else self._expr
-            object.__setattr__(self, "_hash", hash((key, self.chart.name)))
+            object.__setattr__(self, "_hash", hash((self.rf, self.chart.name)))
         return self._hash
 
     def __repr__(self):
@@ -484,25 +603,18 @@ class ScalarExpr:
 
     @property
     def is_syntactic_zero(self) -> bool:
-        return not self.rf if self.rf is not None else self._expr == 0
+        return not self.rf
 
     @property
     def is_rational_function(self) -> bool:
         """True when no transcendental atom appears (I is still exact)."""
-        return self.rf is not None or not _has_atoms(self._expr)
+        return not _layout(self.rf.field)[1]
 
     def conjugate(self) -> "ScalarExpr":
-        # coordinates and atoms are real-valued, so conjugation is the
-        # structural substitution I -> -I.
-        if self.rf is not None:
-            K = self.rf.field
-            if K.domain is not QQ_I:
-                return self
-            conj = lambda p: K.ring({m: QQ_I(c.x, -c.y) for m, c in p.items()})  # noqa: E731
-            return _ring(self.chart, K.new(conj(self.rf.numer), conj(self.rf.denom)))
-        if not self._expr.has(sp.I):
-            return self
-        return ScalarExpr._of(self._expr.subs(sp.I, -sp.I), self.chart, atoms=True)
+        # coordinates and atom arguments are real-valued, so conjugation
+        # maps I to -I in the coefficients
+        rf = _conj(self.rf)
+        return self if rf is self.rf else _ring(self.chart, rf)
 
     def diff(self, coord) -> "ScalarExpr":
         return differentiate(self, coord)
@@ -510,10 +622,7 @@ class ScalarExpr:
     def lift(self, chart) -> "ScalarExpr":
         """The same function on a chart whose coordinates extend this one's
         (the product with a line)."""
-        if self.rf is None:
-            return ScalarExpr._of(self._expr, chart)
-        K = _field(chart.symbols, _gaussian(self.rf))
-        return _ring(chart, self.rf.set_field(K))
+        return _ring(chart, _embed(self.rf, _join(self.rf.field, _field(chart.symbols))))
 
     def subs_chart(self, chart, mapping: dict) -> "ScalarExpr":
         """Composition: replace this chart's symbols by scalars on ``chart``."""
@@ -521,116 +630,99 @@ class ScalarExpr:
         for sym, val in mapping.items():
             if sym not in self.chart.symbols:
                 raise ChartMismatchError(f"'{sym}' is not a coordinate of {self.chart.name}")
-            sub[sym] = val if isinstance(val, ScalarExpr) else ScalarExpr(val, chart)
-        if self.rf is not None and set(sub) == set(self.chart.symbols) and all(
-            v.chart == chart and v.rf is not None for v in sub.values()
-        ):
-            return _ring(chart, _compose(self.rf, [sub[g] for g in self.rf.field.symbols]))
-        raw = {sym: v.expr for sym, v in sub.items()}
-        return ScalarExpr(self.expr.subs(raw, simultaneous=True), chart)
+            sub[sym] = (val if isinstance(val, ScalarExpr) else ScalarExpr(val, chart)).rf
+        for sym in self.chart.symbols:
+            if sym not in sub:
+                sub[sym] = ScalarExpr(sym, chart).rf
+        return _ring(chart, _compose(self.rf, sub, {}))
 
 
-@lru_cache(maxsize=65536)
-def _view(rf: FracElement) -> sp.Expr:
-    return rf.as_expr()
-
-
-def _init(obj: ScalarExpr, chart, rf, expr) -> ScalarExpr:
+def _init(obj: ScalarExpr, chart, rf) -> ScalarExpr:
     object.__setattr__(obj, "chart", chart)
     object.__setattr__(obj, "rf", rf)
-    object.__setattr__(obj, "_expr", expr)
+    object.__setattr__(obj, "_expr", None)
     object.__setattr__(obj, "_hash", None)
     return obj
 
 
 def _ring(chart, rf: FracElement) -> ScalarExpr:
+    K = rf.field
+    if K.domain is QQ_I or _layout(K)[1]:
+        rf = _canonical(rf)
+    return _init(object.__new__(ScalarExpr), chart, rf)
+
+
+def _poly_at(p, vals: list, K: FracField) -> tuple:
+    """(N, D) with p(vals) = N/D, for values ``vals`` = (numerator,
+    denominator) pairs in K's ring, one per variable of p: over the common
+    denominator, without a gcd."""
+    degs = [max((m[i] for m in p), default=0) for i in range(len(vals))]
+    pows = [[[K.ring.one] + [v**e for e in range(1, d + 1)] for v in pair]
+            for pair, d in zip(vals, degs)]
+    total = K.ring.zero
+    for m, c in p.items():
+        term = K.ring.ground_new(K.domain.convert_from(c, p.ring.domain))
+        for (an, bn), e, d in zip(pows, m, degs):
+            term *= an[e] * bn[d - e] if d else 1
+        total += term
+    return total, math.prod((bn[-1] for _, bn in pows), start=K.ring.one)
+
+
+def _compose(rf: FracElement, sub: dict, memo: dict) -> FracElement:
+    """rf with each coordinate replaced by ``sub[coordinate]`` and each
+    generator by the same atom of its composed argument."""
+    values = []
+    for s in rf.field.symbols:
+        g = _GEN_OF_SYMBOL.get(s)
+        if g is None:
+            values.append(sub[s])
+            continue
+        if s not in memo:
+            arg = _compose(g.arg, sub, memo)
+            memo[s] = _atom("exp", arg) if g.kind == "exp" else _tan_half(arg)
+        values.append(memo[s])
+    K = rf.field if not values else None
+    for v in values:
+        K = v.field if K is None else _join(K, v.field)
     if rf.field.domain is QQ_I:
-        rf = _settle(rf)
-    return _init(object.__new__(ScalarExpr), chart, rf, None)
-
-
-def _represent(expr: sp.Expr, chart, atoms: bool = False) -> tuple:
-    """(field element, None) for a value without atoms, (None, canonical
-    expression) otherwise.  ``atoms`` says that ``expr`` was built from a
-    scalar with atoms, which skips the first conversion attempt."""
-    rf = None if atoms or _has_atoms(expr) else _to_field(expr, chart.symbols)
-    if rf is None:
-        expr = _canon_cached(expr)
-        if not _has_atoms(expr):  # the atoms may have cancelled
-            rf = _to_field(expr, chart.symbols)
-    if rf is not None:
-        return rf, None
-    if sp.fraction(expr)[1] == 0:
-        raise ExprError("zero denominator after canonicalization")
-    return None, expr
-
-
-def _is_zero_operand(v) -> bool:
-    if isinstance(v, ScalarExpr):
-        return v.is_syntactic_zero
-    if isinstance(v, _RATIONALS):
-        return v == 0
-    return canon(v) == 0
-
-
-def _compose(rf: FracElement, values: list) -> FracElement:
-    """rf with its generators replaced by the atom-free scalars ``values``
-    (one per generator, on one chart), computed in the target field."""
-    fields = [v.rf.field for v in values]
-    gaussian = _gaussian(rf) or any(K.domain is QQ_I for K in fields)
-    K = _field(values[0].chart.symbols, gaussian)
-    vals = [v.rf.set_field(K) for v in values]
-    dom = rf.field.domain
-
-    def at(p):
-        total = K.zero
-        powers = [{} for _ in vals]
-        for monom, c in p.items():
-            term = K(K.domain.convert_from(c, dom))
-            for v, e, cache in zip(vals, monom, powers):
-                if e:
-                    if e not in cache:
-                        cache[e] = v**e
-                    term *= cache[e]
-            total += term
-        return total
-
-    den = at(rf.denom)
-    if not den:
+        K = _join(K, _field_on((), True))
+    pairs = [(m.numer, m.denom) for m in (_embed(v, K) for v in values)]
+    Nn, Dn = _poly_at(rf.numer, pairs, K)
+    Nd, Dd = _poly_at(rf.denom, pairs, K)
+    if not Nd:
         raise ExprError("zero denominator after composition")
-    return at(rf.numer) / den
+    return _fraction(K, Nn * Dd, Dn * Nd)
+
+
+def _conj(rf: FracElement) -> FracElement:
+    K = rf.field
+    if K.domain is not QQ_I:
+        return rf
+    conj = lambda p: K.ring.dtype([(m, QQ_I(c.x, -c.y)) for m, c in p.items()])  # noqa: E731
+    return K.new(conj(rf.numer), conj(rf.denom))
 
 
 # ---------------------------------------------------------------------------
 # differentiation
 
 
-def pdiff(e, sym: sp.Symbol):
+def pdiff(e: ScalarExpr, sym: sp.Symbol) -> ScalarExpr:
     """Partial derivative by one coordinate symbol.
 
     The one derivative kernel of the package: every tensor operation
-    differentiates through it.  An atom-free :class:`ScalarExpr` is
-    differentiated in its rational function field by the quotient rule on
-    its numerator and denominator polynomials; a ScalarExpr with atoms by
-    sympy, wrapped again.  A raw expression (the components of a field with
-    atoms) gets a raw derivative: ``S.Zero`` without calling sympy when
-    ``sym`` is not a free symbol of ``e``, ``sympy.diff`` otherwise.  The skip is
-    exact: coordinates are plain symbols and the ``sin``/``cos``/``exp``
-    atoms only contain coordinates, so an expression without ``sym`` does
-    not depend on it, and ``sympy.diff`` would return the same ``S.Zero``.
+    differentiates through it.  It is the chain rule in the field: the
+    quotient rule on the numerator and denominator polynomials, with
+    d E_m = E_m dm and d T_m = (1 + T_m^2)/2 dm for the generators.
     """
-    if isinstance(e, ScalarExpr):
-        if e.rf is None:
-            return ScalarExpr._of(pdiff(e.expr, sym), e.chart, atoms=True)
-        if e.rf.numer.is_ground and e.rf.denom.is_ground:
-            return _ring(e.chart, e.rf.field.zero)
-        return _ring(e.chart, _field_diff(e.rf, sym))
-    if sym not in e.free_symbols:
-        return sp.S.Zero
-    return sp.diff(e, sym)
+    return _init(object.__new__(ScalarExpr), e.chart, _derivative(e.rf, sym))
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=65536)
+def _derivative(rf: FracElement, sym: sp.Symbol) -> FracElement:
+    return _canonical(_diff(rf, sym))
+
+
+@lru_cache(maxsize=4096)
 def _positions(K: FracField) -> dict:
     return {s: i for i, s in enumerate(K.symbols)}
 
@@ -643,16 +735,43 @@ def _poly_diff(p, i: int):
     return out
 
 
-def _field_diff(rf: FracElement, sym: sp.Symbol) -> FracElement:
+@lru_cache(maxsize=16384)
+def _gen_diff(g: _Gen, sym: sp.Symbol) -> Optional[FracElement]:
+    """d(generator)/d(sym) in its minimal field, None when it is zero."""
+    du = _diff(g.arg, sym)
+    if not du:
+        return None
+    G = _field_on((g.symbol,), False).gens[0]
+    factor = G if g.kind == "exp" else _fraction(G.field, G.numer**2 + 1, G.field.ring(2))
+    return _canonical(_op(operator.mul, factor, du), keep_coords=False)
+
+
+def _diff(rf: FracElement, sym: sp.Symbol) -> FracElement:
     # FracElement.diff fails over QQ_I in sympy 1.14 ("f.denom should be 1");
     # the quotient rule on the numerator and denominator works over both
     K = rf.field
-    i = _positions(K)[sym]
-    n, d = rf.numer, rf.denom
-    dn, dd = _poly_diff(n, i), _poly_diff(d, i)
-    if not dd:
-        return _fraction(K, dn, d)
-    return K.new(dn * d - n * dd, d * d)
+    parts = [(sym, None)] if sym in _positions(K) else []  # (symbol, its derivative or 1)
+    parts += [(g.symbol, dv) for g in _layout(K)[1] for dv in [_gen_diff(g, sym)] if dv]
+    if not parts or rf.numer.is_ground and rf.denom.is_ground:
+        return K.zero
+    L = reduce(_join, (dv.field for _, dv in parts if dv is not None), K)
+    f = _embed(rf, L)
+    n, d, B = f.numer, f.denom, None
+    parts = [(_positions(L)[s], dv if dv is None else _embed(dv, L)) for s, dv in parts]
+    for _, dv in parts:  # B: the common denominator of the generator derivatives
+        if dv is not None and dv.denom != 1:
+            B = dv.denom if B is None else B * dv.denom.exquo(B.gcd(dv.denom))
+    # d(n/d) = (dn d - n dd) / d^2, with dn = sum_j d_j n * dv_j over B
+    dn = dd = None
+    for j, dv in parts:
+        pn, pd = _poly_diff(n, j), _poly_diff(d, j)
+        if dv is not None or B is not None:
+            factor = B if dv is None else dv.numer if B is None else dv.numer * B.exquo(dv.denom)
+            pn, pd = pn * factor, pd * factor
+        dn, dd = (pn, pd) if dn is None else (dn + pn, dd + pd)
+    if B is not None:
+        n, d = n * B, d * B
+    return _fraction(L, dn, d) if not dd else _fraction(L, dn * d - n * dd, d * d)
 
 
 def differentiate(e: ScalarExpr, coord) -> ScalarExpr:
@@ -670,24 +789,13 @@ def differentiate(e: ScalarExpr, coord) -> ScalarExpr:
 _POLE = object()
 
 
-def _eval_exact(expr: sp.Expr, point: dict) -> object:
-    # symbols map to Rationals, so rebuilding the tree evaluates it exactly;
-    # a pole comes out as zoo or nan
-    v = expr.xreplace(point)
-    if v.has(*_BAD_VALUES):
-        return _POLE
-    return v
-
-
-def _eval_field(rf: FracElement, point: dict) -> object:
-    # numerator and denominator evaluated on the coefficient dicts; a pole
-    # is a zero of the reduced denominator
-    dom = rf.field.domain
-    vals = [dom.convert_from(_qq(point[g]), QQ) for g in rf.field.symbols]
-
+def _at(rf: FracElement, vals: list, coefficient) -> object:
+    """numerator/denominator at the values of the field's symbols; a pole
+    is a zero of the reduced denominator."""
     def at(p):
-        total = dom.zero
+        total = 0
         for monom, c in p.items():
+            c = coefficient(c)
             for v, e in zip(vals, monom):
                 if e:
                     c *= v**e
@@ -695,36 +803,51 @@ def _eval_field(rf: FracElement, point: dict) -> object:
         return total
 
     den = at(rf.denom)
-    if not den:
-        return _POLE
-    return dom.to_sympy(dom.quo(at(rf.numer), den))
+    return _POLE if not den else at(rf.numer) / den
 
 
-def _eval_numeric(expr: sp.Expr, point: dict) -> object:
-    v = expr.evalf(30, subs=point)
-    if v.has(*_BAD_VALUES) or not v.is_number:
-        return _POLE
-    return complex(v)
+def _mp(c):
+    """A coefficient of QQ or QQ_I as an mpmath number."""
+    if hasattr(c, "y"):
+        return mpmath.mpc(_mp(c.x), _mp(c.y))
+    return mpmath.mpf(int(c.numerator)) / int(c.denominator)
+
+
+def _eval_mp(rf: FracElement, point: dict, memo: dict) -> object:
+    """Value at ``point`` (coordinate symbol -> mpf), the generators
+    evaluated by mpmath."""
+    vals = []
+    for s in rf.field.symbols:
+        g = _GEN_OF_SYMBOL.get(s)
+        if g is not None and s not in memo:
+            m = _eval_mp(g.arg, point, memo)
+            memo[s] = m if m is _POLE else (mpmath.exp(m) if g.kind == "exp" else mpmath.tan(m / 2))
+        v = point[s] if g is None else memo[s]
+        if v is _POLE:
+            return _POLE
+        vals.append(v)
+    return _at(rf, vals, _mp)
 
 
 def evaluate(e: ScalarExpr, point: dict) -> object:
     """Evaluate at a rational point: exact sympy number for rational
-    expressions, a ``complex`` for expressions with transcendental atoms.
-    Returns the ``_POLE`` sentinel when the point hits a pole."""
-    pt = {e.chart.symbol(k): _to_rational(v) for k, v in point.items()}
-    if e.rf is not None:
-        return _eval_field(e.rf, pt)
+    expressions, a ``complex`` (mpmath at ``_DPS`` digits) for expressions
+    with transcendental atoms.  Returns the ``_POLE`` sentinel when the
+    point hits a pole."""
+    pt = {e.chart.symbol(k): _to_fraction(v) for k, v in point.items()}
     if e.is_rational_function:
-        return _eval_exact(e.expr, pt)
-    return _eval_numeric(e.expr, pt)
+        dom = e.rf.field.domain
+        v = _at(e.rf, [dom.convert_from(_qq(pt[s]), QQ) for s in e.rf.field.symbols], lambda c: c)
+        return v if v is _POLE else dom.to_sympy(v)
+    with mpmath.workdps(_DPS):
+        v = _eval_mp(e.rf, {s: mpmath.mpf(q.numerator) / q.denominator for s, q in pt.items()}, {})
+        return v if v is _POLE else complex(v)
 
 
-def _to_rational(v) -> sp.Rational:
-    if isinstance(v, Fraction):
-        return sp.Rational(v.numerator, v.denominator)
-    if isinstance(v, (int, sp.Rational)):
-        return sp.Rational(v)
-    raise ExprError(f"sample coordinates must be rational, got {v!r}")
+def _to_fraction(v) -> Fraction:
+    if not isinstance(v, _RATIONALS):
+        raise ExprError(f"sample coordinates must be rational, got {v!r}")
+    return Fraction(int(v.p), int(v.q)) if isinstance(v, sp.Rational) else Fraction(v)
 
 
 def _witness_value(v):
@@ -744,24 +867,14 @@ def is_zero(
 ) -> Verdict:
     """Three-valued zero test, deterministic for a fixed policy seed.
 
-    ``Proved`` when the reduced fraction of an atom-free scalar is 0, when
-    the canonical form of a scalar with atoms is literally 0, or when it has
-    sin/cos atoms and its numerator reduces to 0 under :func:`trig_reduce`.
-    A denominator that reduces to 0 raises :class:`ExprError`.  Otherwise the
-    expression is evaluated at ``policy.samples`` random rational points:
-    rational expressions must vanish exactly, transcendental ones within
+    ``Proved`` when the reduced fraction is 0.  Otherwise the scalar is
+    evaluated at ``policy.samples`` random rational points: rational
+    expressions must vanish exactly, transcendental ones within
     ``policy.tol``.  Any other value yields ``Failed`` with a witness.
     Sample points that hit a pole are redrawn (bounded retries).
     """
-    if e.rf is not None:
-        if not e.rf:
-            return Verdict.proved(criterion)
-    else:
-        expr = canon(e.expr)
-        if expr == 0:
-            return Verdict.proved(criterion)
-        if expr.has(sp.sin, sp.cos) and trig_reduce_rational(expr) == 0:
-            return Verdict.proved(criterion)
+    if not e.rf:
+        return Verdict.proved(criterion)
     chart = e.chart
     rng = rng if rng is not None else policy.rng()
     exact = e.is_rational_function
@@ -776,11 +889,7 @@ def is_zero(
             )
         attempts += 1
         point = chart.sample_point(rng)
-        sympy_pt = {chart.symbol(k): _to_rational(v) for k, v in point.items()}
-        if e.rf is not None:
-            v = _eval_field(e.rf, sympy_pt)
-        else:
-            v = _eval_exact(expr, sympy_pt) if exact else _eval_numeric(expr, sympy_pt)
+        v = evaluate(e, point)
         if v is _POLE:
             continue
         drawn += 1
@@ -884,7 +993,7 @@ class _Parser:
             _, op, pos = self.next()
             rhs = self.unary()
             if op == "/":
-                if canon(rhs) == 0:
+                if not _to_field(rhs, self.chart.symbols):
                     raise ParseError("division by zero", pos)
                 e = e / rhs
             else:
@@ -957,6 +1066,17 @@ def random_expr(
     division: bool = True,
 ) -> ScalarExpr:
     """Random expression tree over the chart, for property tests."""
+    return ScalarExpr(random_tree(chart, rng, max_depth, atoms, division), chart)
+
+
+def random_tree(
+    chart,
+    rng: random.Random,
+    max_depth: int = 5,
+    atoms: bool = True,
+    division: bool = True,
+) -> sp.Expr:
+    """The sympy tree :func:`random_expr` converts."""
 
     def build(depth: int) -> sp.Expr:
         if depth <= 0 or rng.random() < 0.3:
@@ -973,8 +1093,8 @@ def random_expr(
         if choice < 0.82:
             return build(depth - 1) ** rng.randint(2, 3)
         if division and choice < 0.9:
-            den = canon(build(depth - 1))
-            if den == 0:
+            den = build(depth - 1)
+            if not _to_field(den, chart.symbols):
                 den = sp.Integer(1) + rng.choice(chart.symbols) ** 2
             return build(depth - 1) / den
         if atoms:
@@ -982,14 +1102,12 @@ def random_expr(
             return fn(build(min(depth - 1, 2)))
         return build(depth - 1)
 
-    return ScalarExpr(build(rng.randint(0, max_depth)), chart)
+    return build(rng.randint(0, max_depth))
 
 
 def random_poly(chart, rng: random.Random, degree: int = 2) -> ScalarExpr:
-    """Random small polynomial in the chart coordinates (pole-free).
-
-    Integer coefficients: exact, and far cheaper for sympy to expand than
-    rationals, which matters in randomized identity tests."""
+    """Random small polynomial in the chart coordinates (pole-free), with
+    integer coefficients, for randomized identity tests."""
     terms = [sp.Integer(rng.randint(-4, 4))]
     for _ in range(rng.randint(1, 4)):
         term = sp.Integer(rng.randint(-4, 4))

@@ -1,12 +1,12 @@
 """The derivative kernel ``symexpr.pdiff`` and its use by the tensor layer.
 
-On a raw expression ``pdiff`` answers ``S.Zero`` without calling sympy
-when the coordinate does not occur in it, and defers to ``sympy.diff``
-otherwise (atom-free scalars are differentiated in their field; see
-``test_ring_scalar``).  The tests pin that the skip is exact, that the
+``pdiff`` is the chain rule in the scalar's field (d E_m = E_m dm and
+d T_m = (1 + T_m^2)/2 dm for the atom generators); it never calls sympy.
+The tests pin that a coordinate the scalar does not contain gives zero,
+that the kernel agrees with ``sympy.diff`` of the scalar's view, that the
 Courant bracket built on it agrees with a bracket written with plain
-``sympy.diff``, and that no other code path in the package differentiates
-on its own.
+``sympy.diff``, and that the package uses none of sympy's expression
+algebra.
 """
 
 import ast
@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import ggwb
 from ggwb.calculus import ChartManifold, OneForm, VectorField
 from ggwb.courant import BigSection, courant_bracket
-from ggwb.symexpr import pdiff, random_expr, random_poly
+from ggwb.symexpr import ScalarExpr, pdiff, random_expr, random_poly
 
 
 @pytest.fixture(scope="module")
@@ -47,17 +47,17 @@ def _no_sympy_diff(*args, **kwargs):
 )
 def test_absent_coordinate_skips_sympy(chart, monkeypatch, make):
     x, y, z = chart.symbols
-    expr = make(x, y, z)
+    e = ScalarExpr(make(x, y, z), chart)
     monkeypatch.setattr(sp, "diff", _no_sympy_diff)
-    assert pdiff(expr, x) is sp.S.Zero
+    assert pdiff(e, x).is_syntactic_zero
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**6), atoms=st.booleans())
 def test_pdiff_equals_sympy_diff(chart, seed, atoms):
-    e = random_expr(chart, random.Random(seed), max_depth=4, atoms=atoms).expr
+    e = random_expr(chart, random.Random(seed), max_depth=4, atoms=atoms)
     for sym in chart.symbols:
-        assert pdiff(e, sym) == sp.diff(e, sym)
+        assert pdiff(e, sym) == sp.diff(e.expr, sym)
 
 
 # -- the Courant bracket against a reference written with sympy.diff --------
@@ -155,20 +155,51 @@ def _package_sites(attr: str, modules=None) -> dict:
 
 
 def test_sympy_diff_only_inside_the_kernel():
-    assert _package_sites("diff", ("sp", "sympy")) == {"symexpr.py": ["pdiff"]}
+    """The kernel differentiates in the field: sympy.diff has no caller."""
+    assert _package_sites("diff", ("sp", "sympy")) == {}
+
+
+SYMPY_ALGEBRA = (
+    "cancel", "diff", "expand_trig", "count_ops", "factor", "Poly", "Matrix",
+    "ImmutableMatrix", "simplify", "trigsimp", "expand",
+)
 
 
 def test_one_algebra_path():
-    """Products, transposes, blocks and determinants go through ``contract``
-    and ScalarExpr arithmetic: the sympy Matrix view serves only the
-    metric's determinant and inverse, and only the canonical form cancels."""
-    assert _package_sites("_sym") == {
-        "calculus.py": ["MetricField._check_nondegenerate", "MetricField.inverse_matrix"]
-    }
-    assert _package_sites("inv") == {"calculus.py": ["MetricField.inverse_matrix"]}
-    assert _package_sites("Matrix", ("sp", "sympy")) == {}
-    views = _package_sites("ImmutableMatrix", ("sp", "sympy"))
-    assert {path: set(funcs) for path, funcs in views.items()} == {
-        "calculus.py": {"_Components._sym"}
-    }
-    assert set(_package_sites("cancel", ("sp", "sympy"))) == {"symexpr.py"}
+    """Products, transposes, blocks, determinants, derivatives and the
+    canonical form all go through ``contract`` and the field arithmetic of
+    ScalarExpr: no sympy expression algebra and no sympy Matrix is used
+    anywhere in the package."""
+    assert _package_sites("_sym") == {}
+    assert _package_sites("inv") == {}
+    for name in SYMPY_ALGEBRA:
+        assert _package_sites(name, ("sp", "sympy")) == {}, name
+
+
+def _forbid(*args, **kwargs):
+    raise AssertionError("sympy expression algebra used by the package")
+
+
+S3_VERDICTS = {
+    "almost_contact": "Proved",
+    "normal": "Failed",
+    "normal_product": "Failed",
+    "classical_CRF": "Failed",
+    "two_one": "NumericallySupported",
+    "normal21": "Failed",
+    "normal_explicit": "Failed",
+}
+
+
+def test_transcendental_builtins_run_without_sympy_algebra(monkeypatch):
+    """S3 (exp atoms) and S4 (sin/cos atoms) end to end, after loading,
+    with sympy's cancel, diff, expand_trig, count_ops and factor raising."""
+    from ggwb.workbench import load_builtin, run_checks
+
+    s3, s4 = load_builtin("S3"), load_builtin("S4")
+    for name in ("cancel", "diff", "expand_trig", "count_ops", "factor"):
+        monkeypatch.setattr(sp, name, _forbid)
+    report = run_checks(s3).as_dict()
+    assert {c["check"]: c["verdict"] for c in report["checks"]} == S3_VERDICTS
+    report = run_checks(s4).as_dict()
+    assert [c["check"] for c in report["checks"] if c["verdict"] == "Failed"] == ["hyp_CRFK"]

@@ -1,11 +1,11 @@
-"""Atom-free scalars held in the rational function field of their chart.
+"""Scalars held in the rational function field of their chart.
 
 A scalar without ``sin``/``cos``/``exp`` is an element of Q(x) (or of
 Q(i)(x) when ``I`` occurs), and its reduced fraction is its canonical form.
-These tests pin that the field and the sympy Expr path agree, that
-look-alike non-identities still fail with the witnesses the Expr path
-gave, that Gaussian coefficients work, and that tensor work on atom-free
-data never leaves the field once the inputs are parsed.
+These tests pin that the field agrees with ``sympy.cancel``, that
+look-alike non-identities fail with the witnesses the former sympy
+expression path gave, that Gaussian coefficients work, and that tensor work
+on atom-free data never leaves the field once the inputs are parsed.
 """
 
 import random
@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import QQ, QQ_I
 from sympy.polys.fields import FracElement, FracField
@@ -65,12 +65,25 @@ def _raw_tree(chart, rng, depth):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**6))
+@example(seed=1304)
 def test_view_is_sympy_cancel(chart, seed):
     rng = random.Random(seed)
     raw = _raw_tree(chart, rng, 5)
     e = ScalarExpr(raw, chart)
     assert e.rf is not None
     assert e.expr == sp.cancel(raw) == canon(raw)
+
+
+def test_negative_power_is_normalized(chart):
+    """A negative power leaves the constructor with a denominator of
+    positive leading coefficient, like the same power taken on a scalar."""
+    x = chart.symbol("x")
+    raw = (sp.Rational(29, 6) - 2 * x) ** -3
+    built, powered = ScalarExpr(raw, chart), chart.scalar("29/6 - 2*x") ** -3
+    assert built == powered
+    assert hash(built) == hash(powered)
+    assert built.expr == powered.expr == sp.cancel(raw)
+    assert built.rf.denom.LC > 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -166,9 +179,9 @@ def test_mixed_scalars_keep_their_verdicts(chart, seed, value):
     sympy.cancel representation gave."""
     pol = ZeroPolicy(seed=seed)
     r, ey = chart.scalar("x/(x+1)"), chart.scalar("exp(y)")
-    assert r.rf is not None and ey.rf is None
+    assert r.is_rational_function and not ey.is_rational_function
     ok = r * ey - ey + chart.scalar("exp(y)/(x+1)")
-    assert ok.rf is not None and is_zero(ok, pol).kind is VerdictKind.PROVED
+    assert ok.is_rational_function and is_zero(ok, pol).kind is VerdictKind.PROVED
     trig = chart.scalar("(x^2+1)*sin(y)^2") + chart.scalar("x^2+1") * chart.scalar("cos(y)^2")
     assert is_zero(trig - chart.scalar("x^2 + 1"), pol).kind is VerdictKind.PROVED
     bad = r * ey - ey + chart.scalar("exp(y)/(x+2)")

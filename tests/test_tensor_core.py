@@ -3,11 +3,9 @@
 Every evaluation, slot contraction and endomorphism application is checked
 against an index sum written out in plain sympy on random fields over R^3,
 with and without sin/cos/exp atoms and with zero components mixed in.
-With an atom in some operand, ``contract`` must return the very expression
-the written-out loop builds (structural equality), the raw sum that
-``tidy_trig`` reads; on atom-free operands it must return the same sum as an
-element of the chart's rational function field.  The public operations
-return its canonical form.
+``contract`` must return the same sum as a scalar of the chart's rational
+function field (the written-out sympy sum, converted), and the public
+operations its canonical form.
 """
 
 import itertools
@@ -35,9 +33,9 @@ from ggwb.calculus import (
     wedge,
 )
 from ggwb.courant import BigEndo, BigSection, courant_bracket, pairing
-from ggwb.errors import ChartMismatchError, SingularMetricError
+from ggwb.errors import ChartMismatchError, ExprError, SingularMetricError
 from ggwb.structures.genmetric import GenMetric, courant_bracket_Vpm
-from ggwb.symexpr import ScalarExpr, _field, canon, pdiff, random_poly
+from ggwb.symexpr import ScalarExpr, _embed, canon, pdiff, random_poly
 
 N = 3
 
@@ -130,14 +128,11 @@ def _flat(t):
 
 
 def _assert_index_sum(got, ref, *operands):
-    """``contract``'s result against the written-out loop ``ref``: in the
-    field when every operand entry is atom-free, structurally otherwise."""
-    entries = [e for o in operands for e in _flat_entries(o.components)]
-    if all(e.rf is not None for e in entries):
-        K = _field(entries[0].chart.symbols)
-        assert [g.rf for g in _flat(got)] == [K.from_expr(r) for r in _flat(ref)]
-    else:
-        assert got == ref
+    """``contract``'s result against the written-out loop ``ref``, entry by
+    entry, as scalars of the operands' chart."""
+    chart = operands[0].chart
+    assert all(isinstance(g, ScalarExpr) for g in _flat(got))
+    assert [g.rf for g in _flat(got)] == [ScalarExpr(r, chart).rf for r in _flat(ref)]
 
 
 def _same(chart, got, ref):
@@ -170,11 +165,14 @@ def test_evaluation_of_covariant_tensors(chart, f):
 
 
 def test_nested_sequences_and_raw_entries(chart, f):
-    """Plain nested lists of ScalarExpr or of raw sympy contract the same."""
+    """Plain nested lists of ScalarExpr or of grammar expressions contract
+    the same; with no operand on a chart there is no field to sum in."""
     t, X, Y = _raw(f.g), _raw(f.X), _raw(f.Y)
     ref = _loop_sum(t[i][j] * X[i] * Y[j] for i in range(N) for j in range(N))
     assert contract("ij,i,j->", f.g.components, list(f.X.components), Y) == ref
-    assert contract("ij,i,j->", t, X, Y) == ref
+    assert contract("ij,i,j->", t, X, list(f.Y.components)) == ref
+    with pytest.raises(ExprError):
+        contract("ij,i,j->", t, X, Y)
 
 
 # -- one slot, endomorphisms, outer products ---------------------------------
@@ -253,12 +251,15 @@ def _scale(t, h):
 
 
 def test_sym_view_is_cached_and_matches_components(f):
+    """The cached field elements ``contract`` reads (they replace the sympy
+    Matrix view): built once per field, equal to the components' own, in
+    a field that holds all of them."""
     for T in (f.X, f.F, f.g, f.A):
-        m = T._sym()
-        assert m is T._sym()
-        assert isinstance(m, sp.ImmutableMatrix)
-        expected = [[e] for e in _raw(T)] if len(T.shape) == 1 else _raw(T)
-        assert m.tolist() == expected
+        rows, K = T._prepared()
+        assert T._prepared()[0] is rows
+        comps = _flat_entries(T.components)
+        assert all(e.field is K for e in _flat(rows))
+        assert _flat(rows) == [_embed(c.rf, K) for c in comps]
 
 
 # -- charts ------------------------------------------------------------------

@@ -1,10 +1,11 @@
-"""The Pythagorean normal form: soundness of the exact sin/cos decision.
+"""Sin, cos and exp as generators of the chart's rational function field.
 
-``trig_reduce`` reduces modulo sin(u)^2 + cos(u)^2 - 1 after sum and
-multiple-angle expansion.  A zero remainder is a proof; anything else must
-fall back to sampling, so non-identities that look like identities stay
-Failed and identities outside the reduction's reach stay
-NumericallySupported.
+``sin(m)`` and ``cos(m)`` are rational in ``T_m = tan(m/2)`` and ``exp(m)`` is
+a generator ``E_m``, so the Pythagorean, sum and multiple-angle identities
+hold in the reduced fraction itself, and a zero fraction is a proof.
+Anything else must fall back to sampling, so non-identities that look like
+identities stay Failed and identities outside the representation's reach
+stay NumericallySupported.
 """
 
 import random
@@ -14,9 +15,18 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ggwb.calculus import ChartManifold, tidy_trig
-from ggwb.errors import ExprError
-from ggwb.symexpr import ZeroPolicy, is_zero, random_expr, trig_reduce
+import sympy as sp
+from ggwb.calculus import ChartManifold
+from ggwb.errors import ExprError, ParseError
+from ggwb.symexpr import (
+    _POLE,
+    ScalarExpr,
+    ZeroPolicy,
+    evaluate,
+    is_zero,
+    random_expr,
+    random_tree,
+)
 from ggwb.verdict import VerdictKind
 from ggwb.workbench import load_builtin, run_checks
 
@@ -70,25 +80,32 @@ def test_lookalike_non_identities_fail_with_witness(chart, text):
 
 
 def test_denominator_reducing_to_zero_raises(chart):
-    e = chart.scalar("1/(sin(x)^2 + cos(x)^2 - 1)")
-    with pytest.raises(ExprError):
-        is_zero(e, POL)
-    # the numerator reduces to zero too: still an error, never Proved
-    both = chart.scalar("(sin(x)^2 + cos(x)^2 - 1)/(sin(y)^2 + cos(y)^2 - 1)")
-    with pytest.raises(ExprError):
-        is_zero(both, POL)
+    """The field rejects the division when the scalar is built, so no zero
+    test, and no Proved, is ever reached."""
+    x, y, _ = chart.symbols
+
+    def pyth(u):
+        return sp.sin(u) ** 2 + sp.cos(u) ** 2 - 1
+
+    for expr in (1 / pyth(x), pyth(x) / pyth(y)):
+        with pytest.raises(ExprError):
+            is_zero(ScalarExpr(expr, chart), POL)
+    for text in ("1/(sin(x)^2 + cos(x)^2 - 1)",
+                 "(sin(x)^2 + cos(x)^2 - 1)/(sin(y)^2 + cos(y)^2 - 1)"):
+        with pytest.raises(ParseError):
+            is_zero(chart.scalar(text), POL)
 
 
 def test_identity_outside_the_reduction_is_only_sampled(chart):
-    """sin(x) and sin(x/2) are independent generators for the reduction, so
-    the double-angle identity in x/2 is not decided: it stays
+    """sin(x) and sin(x/2) have independent generators, so the
+    double-angle identity in x/2 is not decided: it stays
     NumericallySupported, never a guessed Proved."""
-    assert trig_reduce(chart.scalar("sin(x) - 2*sin(x/2)*cos(x/2)").expr) != 0
+    assert not chart.scalar("sin(x) - 2*sin(x/2)*cos(x/2)").is_syntactic_zero
     assert _kind(chart, "sin(x) - 2*sin(x/2)*cos(x/2)") is VerdictKind.NUMERIC
 
 
 def test_multiples_above_the_bound_are_not_expanded(chart):
-    assert trig_reduce(chart.scalar("sin(20*x) - 2*sin(10*x)*cos(10*x)").expr) != 0
+    assert not chart.scalar("sin(20*x) - 2*sin(10*x)*cos(10*x)").is_syntactic_zero
     assert _kind(chart, "sin(20*x) - 2*sin(10*x)*cos(10*x)") is VerdictKind.NUMERIC
 
 
@@ -98,22 +115,39 @@ def test_rational_and_exp_inputs_are_untouched(chart):
         assert is_zero(e, POL).kind is VerdictKind.FAILED
 
 
-# -- the normal form itself -------------------------------------------------
+@pytest.mark.parametrize("text", ["exp(x+1) - exp(1)*exp(x)", "exp(2*x) - exp(x)^2"])
+def test_exp_constants_and_multiples_are_proved(chart, text):
+    assert _kind(chart, text) is VerdictKind.PROVED
+
+
+@pytest.mark.parametrize("text", ["exp(x+1) - exp(x)", "sin(x)^2 - cos(2*x)"])
+def test_exp_and_angle_lookalikes_fail_with_witness(chart, text):
+    v = is_zero(chart.scalar(text), POL)
+    assert v.kind is VerdictKind.FAILED
+    assert v.witness is not None and abs(v.witness.value) > POL.tol
+
+
+# -- the canonical form itself ----------------------------------------------
 
 
 def test_normal_form_has_cos_degree_at_most_one(chart):
+    """sin(x) and cos(x) share one generator: the expanded and the
+    unexpanded sum are one scalar, over a single atom generator."""
     x = chart.symbol("x")
-    r = trig_reduce(sp.expand((sp.cos(x) + sp.sin(x)) ** 6 + sp.cos(2 * x) ** 3))
-    assert sp.Poly(r, sp.cos(x), sp.sin(x)).degree(sp.cos(x)) <= 1
-    assert trig_reduce(r) == r
+    raw = (sp.cos(x) + sp.sin(x)) ** 6 + sp.cos(2 * x) ** 3
+    e = ScalarExpr(sp.expand(raw), chart)
+    assert e == ScalarExpr(raw, chart)
+    assert len(e.rf.field.symbols) == chart.dim + 1
+    assert ScalarExpr(e.expr, chart) == e
 
 
 def test_tidy_trig_keeps_the_smaller_form(chart):
-    x = chart.symbol("x")
+    """The Pythagorean factor is gone from the value itself."""
     swollen = chart.scalar("(sin(x)^2 + cos(x)^2)^2 * sin(x)")
-    assert tidy_trig(chart, swollen).expr == sp.sin(x)
+    assert swollen == chart.scalar("sin(x)")
+    assert swollen.rf == chart.scalar("sin(x)").rf
     small = chart.scalar("cos(x)")
-    assert tidy_trig(chart, small) == small
+    assert small == chart.scalar("cos(x)") and small == sp.cos(chart.symbol("x"))
 
 
 def _values(expr, chart, rng, n=3):
@@ -121,7 +155,7 @@ def _values(expr, chart, rng, n=3):
     for _ in range(n):
         point = chart.sample_point(rng)
         subs = {chart.symbol(k): sp.Rational(v.numerator, v.denominator) for k, v in point.items()}
-        out.append(complex(expr.evalf(30, subs=subs)))
+        out.append((point, expr.evalf(30, subs=subs)))
     return out
 
 
@@ -129,13 +163,83 @@ def _values(expr, chart, rng, n=3):
 @given(seed=st.integers(min_value=0, max_value=10**6))
 def test_trig_reduce_idempotent_and_value_preserving(seed):
     chart = ChartManifold("test3", ["x", "y", "z"])
-    rng = random.Random(seed)
-    e = random_expr(chart, rng, max_depth=6, atoms=True, division=False)
-    r = trig_reduce(e.expr)
-    assert trig_reduce(r) == r
-    for a, b in zip(_values(e.expr, chart, random.Random(seed)),
-                    _values(r, chart, random.Random(seed))):
-        assert abs(a - b) <= 1e-12 * (1 + abs(a))
+    e = random_expr(chart, random.Random(seed), max_depth=6, atoms=True, division=False)
+    assert ScalarExpr(e.expr, chart) == e
+    for point, ref in _values(e.expr, chart, random.Random(seed)):
+        v = evaluate(e, point)
+        assert abs(complex(v) - complex(ref)) <= 1e-12 * (1 + abs(complex(ref)))
+
+
+# -- soundness of the one representation --------------------------------------
+
+
+def test_field_holds_exactly_the_generators_that_occur(chart):
+    """Generators that cancel leave the field, so equal values compare and
+    hash alike whichever way they were computed."""
+    one, x = chart.scalar(1), chart.scalar("x")
+    for text, value in (("exp(x)*exp(-x)", one), ("x*(sin(y)^2 + cos(y)^2)", x),
+                        ("exp(z) + x - exp(z)", x)):
+        e = chart.scalar(text)
+        assert e.rf.field == value.rf.field and e == value and hash(e) == hash(value)
+    mixed = chart.scalar("exp(z)*sin(y) + exp(z)")
+    assert len(mixed.rf.field.symbols) == chart.dim + 2
+    assert (mixed - chart.scalar("exp(z)*sin(y)")).rf.field.symbols == (
+        chart.scalar("exp(z)").rf.field.symbols)
+
+
+ORDER_PROBE = """
+import sys
+from ggwb.calculus import ChartManifold
+from ggwb.symexpr import _display, _layout
+c = ChartManifold("t", ["x", "y", "z"])
+texts = ["exp(y)*sin(z)", "exp(x)/(1 + cos(z))", "exp(x)*exp(y) + sin(z)*exp(x/3)"]
+if sys.argv[1] == "reversed":
+    texts.reverse()
+fields = {t: [str(_display(g)) for g in _layout(c.scalar(t).rf.field)[1]] for t in texts}
+print(sorted(fields.items()))
+"""
+
+
+def test_generator_order_depends_on_neither_hash_nor_creation_order():
+    """The generators of a value's field come in one order, whatever the
+    hash seed and whichever scalars were built first."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import ggwb
+
+    src = str(Path(ggwb.__file__).parent.parent)
+    outputs = set()
+    for hashseed, order in (("1", "forward"), ("2", "reversed"), ("3", "forward")):
+        env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", ORDER_PROBE, order], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        outputs.add(run.stdout)
+    assert len(outputs) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_view_converts_back_to_the_scalar(seed):
+    chart = ChartManifold("test3", ["x", "y", "z"])
+    s = random_expr(chart, random.Random(seed), max_depth=6, atoms=True)
+    assert ScalarExpr(s.expr, chart) == s
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_scalar_agrees_with_evalf_of_the_source_tree(seed):
+    chart = ChartManifold("test3", ["x", "y", "z"])
+    tree = random_tree(chart, random.Random(seed), max_depth=6, atoms=True)
+    s = ScalarExpr(tree, chart)
+    for point, ref in _values(tree, chart, random.Random(seed + 1)):
+        v = evaluate(s, point)
+        if v is _POLE or not ref.is_finite or abs(ref) > 1e300:
+            continue  # a pole, or a value outside the range of a double
+        ref = complex(ref)
+        assert abs(complex(v) - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 # -- the sphere example, decided without trigsimp ------------------------------
