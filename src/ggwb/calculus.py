@@ -21,12 +21,15 @@ slot, ``"ij,j->i"`` applies an endomorphism, ``"ki,kj->ij"`` is the product
 A^T B.  It skips terms with a zero factor, multiplies and sums in the
 rational function field that holds every entry of every operand (the chart
 coordinates and the atom generators of :mod:`ggwb.symexpr`), and returns
-ScalarExpr entries, already canonical.  :class:`MetricField` takes its
+ScalarExpr entries, already canonical.  An empty sum is the chart's one zero
+scalar, and a contraction with an all-zero core array is all zeros before
+any field work.  :class:`MetricField` takes its
 determinant and its adjugate inverse as Leibniz contractions (:func:`_det`).
 
 Every partial derivative goes through :func:`ggwb.symexpr.pdiff`, the chain
 rule in the field.  Brackets, exterior, Lie and covariant derivatives take
-the derivative array of each field once (:func:`_partials`) and contract it.
+the derivative array of each field once (:func:`_partials`), a core array
+whose field elements :func:`contract` embeds once, and contract it.
 
 Charts are global (R^n-like); compact factors are represented by periodic
 or parametric coordinate expressions on a single chart, with sampling ranges
@@ -83,7 +86,7 @@ class ChartManifold:
     rational point where nondegeneracy conditions are certified.
     """
 
-    __slots__ = ("name", "coords", "symbols", "ranges", "_base")
+    __slots__ = ("name", "coords", "symbols", "ranges", "_base", "_zero")
 
     def __init__(
         self,
@@ -122,6 +125,7 @@ class ChartManifold:
             else:
                 base[c] = Fraction(2 * i + 3, 7)
         self._base = base
+        self._zero = None
 
     @property
     def dim(self) -> int:
@@ -157,7 +161,11 @@ class ChartManifold:
 
     @property
     def zero(self) -> ScalarExpr:
-        return self.scalar(0)
+        """The chart's one interned zero scalar, the value of every zero
+        that arithmetic or a contraction computes on the chart."""
+        if self._zero is None:
+            self._zero = self.scalar(0)
+        return self._zero
 
     @property
     def one(self) -> ScalarExpr:
@@ -245,7 +253,8 @@ def contract(spec: str, *operands):
     operand order; terms with a zero factor are skipped.  Products and sums
     are taken in the one field that holds every entry; the result is a
     ScalarExpr when nothing follows ``->`` and nested lists of ScalarExpr
-    otherwise.
+    otherwise.  An entry where no term survives is the chart's one zero,
+    and an all-zero core array operand makes every entry zero at once.
     """
     ins, out = spec.split("->")
     ins = ins.split(",")
@@ -256,16 +265,21 @@ def contract(spec: str, *operands):
         (e.chart for e in _flatten(operands) if isinstance(e, ScalarExpr)), None)
     if chart is None:
         raise ExprError(f"contract '{spec}' has no operand on a chart")
-    prepared = [o._prepared() if isinstance(o, _Components) else _prepare(o, chart)
-                for o in operands]
-    K = functools.reduce(_join, (F for _, F in prepared), _field(chart.symbols))
-    arrays = [a if F is K else _elements(a, K) for a, F in prepared]
     dims = {}
-    for idx, arr in zip(ins, arrays):
+    for idx, arr in zip(ins, operands):
+        arr = arr.components if isinstance(arr, _Components) else arr
         for letter in idx:
             if dims.setdefault(letter, len(arr)) != len(arr):
                 raise ExprError(f"index '{letter}' of '{spec}' has two sizes")
             arr = arr[0]
+    shape = [dims[c] for c in out]
+    zero = chart.zero
+    if any(o.is_syntactic_zero for o in fields):
+        return _nest([zero] * math.prod(shape), shape)
+    prepared = [o._prepared() if isinstance(o, _Components) else _prepare(o, chart)
+                for o in operands]
+    K = functools.reduce(_join, (F for _, F in prepared), _field(chart.symbols))
+    arrays = [a if F is K else _elements(a, K) for a, F in prepared]
     summed = [c for c in dict.fromkeys("".join(ins)) if c not in out]
     letters = list(out) + summed
     slots = [[letters.index(c) for c in idx] for idx in ins]
@@ -283,9 +297,9 @@ def contract(spec: str, *operands):
         else:
             terms.append(factors)
         if count % chunk == 0:
-            flat.append(_ring(chart, _field_sum(K, one, terms)))
+            flat.append(_ring(chart, _field_sum(K, one, terms)) if terms else zero)
             terms = []
-    return _nest(flat, [dims[c] for c in out])
+    return _nest(flat, shape)
 
 
 def _prepare(array, chart) -> tuple:
@@ -339,12 +353,18 @@ def _sum(*terms) -> ScalarExpr:
     return functools.reduce(operator.add, terms)
 
 
-def _partials(t) -> list:
-    """First derivatives of a field's (or a scalar's) components: one more
-    slot, last, holding d_k of the entry."""
-    syms = t.chart.symbols
-    comps = t if isinstance(t, ScalarExpr) else t.components
-    return _zipmap(lambda e: [pdiff(e, s) for s in syms], comps)
+def _partials(t) -> "_Array":
+    """The derivative array of a field's (or a scalar's) components: one
+    more slot, last, holding d_k of the entry.  A core array, so every
+    contraction of it reuses one embedding of its entries in their field."""
+    chart, syms = t.chart, t.chart.symbols
+
+    def row(e):
+        return [e] * len(syms) if e.is_syntactic_zero else [pdiff(e, s) for s in syms]
+
+    if isinstance(t, ScalarExpr):
+        return _Array(chart, row(t), (len(syms),))
+    return _Array(chart, _zipmap(row, t.components), t.shape + (len(syms),))
 
 
 def _det(rows) -> ScalarExpr:
@@ -378,15 +398,19 @@ class _Components:
     subclasses fix the shape and add their own invariants.
     """
 
-    __slots__ = ("chart", "components", "shape", "_prepared_cache")
+    __slots__ = ("chart", "components", "shape", "_prepared_cache", "_zero_cache")
     _kind = "tensor"
     _rank = 2
 
     def __init__(self, chart: ChartManifold, components):
-        self.shape = self._shape(chart)
+        self._init(chart, components, self._shape(chart))
+
+    def _init(self, chart, components, shape):
+        self.shape = shape
         self.chart = chart
-        self.components = _wrap(chart, components, self.shape, self._kind)
+        self.components = _wrap(chart, components, shape, self._kind)
         self._prepared_cache = None
+        self._zero_cache = None
 
     @classmethod
     def _shape(cls, chart) -> tuple:
@@ -455,7 +479,9 @@ class _Components:
 
     @property
     def is_syntactic_zero(self) -> bool:
-        return all(e.is_syntactic_zero for e in _flatten(self.components))
+        if self._zero_cache is None:
+            self._zero_cache = all(e.is_syntactic_zero for e in _flatten(self.components))
+        return self._zero_cache
 
     def __eq__(self, other):
         return (
@@ -469,6 +495,19 @@ class _Components:
 
     def __repr__(self):
         return f"{type(self).__name__}({_zipmap(str, self.components)})"
+
+
+class _Array(_Components):
+    """A core array of any shape: derivative arrays and the section
+    arrays of :func:`ggwb.courant.bracket_table`."""
+
+    _kind = "component array"
+
+    def __init__(self, chart: ChartManifold, components, shape: tuple):
+        self._init(chart, components, tuple(shape))
+
+    def _like(self, components):
+        return _Array(self.chart, components, self.shape)
 
 
 def _flatten(array):
@@ -645,15 +684,14 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
 def ext_d(w: Union[ScalarExpr, OneForm, TwoForm]):
     """Exterior derivative in the Cartan convention; d o d = 0."""
     if isinstance(w, ScalarExpr):
-        chart = w.chart
-        return OneForm(chart, [w.diff(c) for c in chart.coords])
+        return OneForm(w.chart, _partials(w).components)
     if isinstance(w, OneForm):
         r = range(w.chart.dim)
-        dw = _partials(w)  # dw[j][i] = d_i w_j
+        dw = _partials(w).components  # dw[j][i] = d_i w_j
         return TwoForm(w.chart, [[dw[j][i] - dw[i][j] for j in r] for i in r])
     if isinstance(w, TwoForm):
         r = range(w.chart.dim)
-        dw = _partials(w)  # dw[j][k][i] = d_i w_jk
+        dw = _partials(w).components  # dw[j][k][i] = d_i w_jk
         cube = [
             [[dw[j][k][i] - dw[i][k][j] + dw[i][j][k] for k in r] for j in r] for i in r
         ]
@@ -753,7 +791,7 @@ class Connection:
         self.gamma = gamma
         self.chart = gamma.chart
         n = self.chart.dim
-        dg = _partials(gamma)  # dg[i][j][k] = d_k g_ij
+        dg = _partials(gamma).components  # dg[i][j][k] = d_k g_ij
         ginv = gamma.inverse_matrix()
         chr_ = [[[None] * n for _ in range(n)] for _ in range(n)]
         for i in range(n):
@@ -796,7 +834,7 @@ class Connection:
         """Components of nabla gamma (all zero for Levi-Civita)."""
         n = self.chart.dim
         g, G = self.gamma, self.christoffel
-        dg = _partials(g)
+        dg = _partials(g).components
         left = contract("lki,lj->kij", G, g)  # Gamma^l_ki g_lj
         right = contract("lkj,il->kij", G, g)  # Gamma^l_kj g_il
         return [

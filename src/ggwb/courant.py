@@ -9,6 +9,15 @@ not the Dorfman bracket; all structure criteria downstream are stated for
 this bracket.  Endomorphisms of the big bundle are 2n x 2n matrices in the
 coordinate frame (d_1..d_n ; dx^1..dx^n) and may have complex (Gaussian
 rational) entries.
+
+The package has one bracket formula.  :func:`bracket_table` applies it to
+two section arrays P (2n x p) and Q (2n x q): [P e_a, Q e_b] for every
+column pair at once, from P, Q and their derivative arrays, each taken
+once.  The frame sections e_a are constant, so [e_a, e_b] = 0 and no other
+term enters.  :func:`courant_bracket` applies the same formula to two
+sections, and the criteria that range over all frame pairs
+(:func:`nijenhuis_frame`, the normality and CRF defects) read whole
+tables.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ from .calculus import (
     EndoTM,
     OneForm,
     VectorField,
+    _Array,
     _Components,
     _partials,
     _sum,
@@ -110,34 +120,62 @@ def big_frame(chart: ChartManifold) -> list[BigSection]:
 
 def pairing(A: BigSection, B: BigSection) -> ScalarExpr:
     """Neutral pairing g((X,a),(Y,b)) = (a(Y) + b(X)) / 2."""
-    chart = _same_chart(A.X, B.X)
+    _same_chart(A.X, B.X)
     return _sum(contract("i,i->", A.alpha, B.X), contract("i,i->", B.alpha, A.X)) / 2
 
 
-def courant_bracket(A: BigSection, B: BigSection) -> BigSection:
-    """The antisymmetric Courant bracket, every component one contraction.
+def bracket_table(P, Q) -> list:
+    """[P e_a, Q e_b] for every column a of P and b of Q.
 
-    The derivative array of each of X, Y, a, b is taken once; the term
-    (1/2) d(a(Y) - b(X)) comes from them by the product rule, so every
-    derivative is of a component of A or B.
+    P and Q are core arrays on one chart, 2n x p and 2n x q (a
+    :class:`BigEndo`, or a :func:`section_array`): column a of P is the
+    section P e_a.  The result is a 2n x p x q nested list, entry [k][a][b]
+    the k-th component of the bracket.
     """
-    _same_chart(A.X, B.X)
-    X, Y, a, b = A.X, B.X, A.alpha, B.alpha
-    dX, dY, da, db = (_partials(t) for t in (X, Y, a, b))  # dX[k][i] = d_i X^k
-    vec = _zipmap(lambda p, q: _sum(p, -q), contract("ki,i->k", dY, X), contract("ki,i->k", dX, Y))
+    chart = _same_chart(P, Q)
+    n = chart.dim
+    halves = [_Array(chart, t.components[lo:lo + n], (n, t.shape[1]))
+              for t in (P, Q) for lo in (0, n)]
+    return _bracket(*halves, "a", "b")
+
+
+def _bracket(X, a, Y, b, p: str, q: str) -> list:
+    """The one bracket formula, on the vector halves X, Y and covector
+    halves a, b of two sections (``p`` = ``q`` = "") or of two section
+    arrays (``p``, ``q`` their column letters).  The derivative array of
+    each half is taken once and contracted for all column pairs; the term
+    (1/2) d(a(Y) - b(X)) comes from them by the product rule."""
+    dX, da, dY, db = (_partials(t) for t in (X, a, Y, b))  # dX[k][a][i] = d_i X_a^k
+    pq = p + q
+    vec = _zipmap(lambda u, v: _sum(u, -v),
+                  contract(f"i{p},k{q}i->k{pq}", X, dY), contract(f"i{q},k{p}i->k{pq}", Y, dX))
     # L_X b - L_Y a + (1/2) d(a(Y) - b(X))
     #   = X^i d_i b_j - Y^i d_i a_j
     #     + (1/2) (b_i d_j X^i - a_i d_j Y^i + Y^i d_j a_i - X^i d_j b_i)
     cov = _zipmap(
-        lambda p, q, r, s, t, u: _sum(p, -q, _sum(r, -s, t, -u) / 2),
-        contract("i,ji->j", X, db),
-        contract("i,ji->j", Y, da),
-        contract("i,ij->j", b, dX),
-        contract("i,ij->j", a, dY),
-        contract("i,ij->j", Y, da),
-        contract("i,ij->j", X, db),
+        lambda u, v, r, s, t, w: _sum(u, -v, _sum(r, -s, t, -w) / 2),
+        contract(f"i{p},j{q}i->j{pq}", X, db),
+        contract(f"i{q},j{p}i->j{pq}", Y, da),
+        contract(f"i{q},i{p}j->j{pq}", b, dX),
+        contract(f"i{p},i{q}j->j{pq}", a, dY),
+        contract(f"i{q},i{p}j->j{pq}", Y, da),
+        contract(f"i{p},i{q}j->j{pq}", X, db),
     )
-    return BigSection(VectorField(A.chart, vec), OneForm(A.chart, cov))
+    return vec + cov
+
+
+def section_array(sections: Sequence[BigSection]) -> _Array:
+    """The 2n x p core array whose columns are the given sections."""
+    chart = _same_chart(*(S.X for S in sections))
+    rows = list(zip(*(S.components() for S in sections)))
+    return _Array(chart, rows, (2 * chart.dim, len(sections)))
+
+
+def courant_bracket(A: BigSection, B: BigSection) -> BigSection:
+    """The antisymmetric Courant bracket: the one-section case of the
+    formula of :func:`bracket_table`."""
+    _same_chart(A.X, B.X)
+    return BigSection.from_components(A.chart, _bracket(A.X, A.alpha, B.X, B.alpha, "", ""))
 
 
 def partial(f: ScalarExpr) -> BigSection:
@@ -232,6 +270,31 @@ def nijenhuis_big(A: BigEndo, S: BigSection, T: BigSection) -> BigSection:
         - A(courant_bracket(S, AT))
         + A(A(courant_bracket(S, T)))
     )
+
+
+def nijenhuis_frame(A: BigEndo) -> list:
+    """N_A(e_a, e_b) for every pair of frame sections, a 2n x 2n x 2n
+    nested list, entry [k][a][b] the k-th component.
+
+    The frame brackets vanish, so N_A(e_a, e_b) = [A e_a, A e_b]
+    - A([A e_a, e_b] + [e_a, A e_b]): the tables [A, A] and [A, 1], the
+    second read transposed for [1, A] by antisymmetry.
+    """
+    mixed = skew_table(bracket_table(A, BigEndo.identity(A.chart)))
+    return _zipmap(lambda p, q: _sum(p, -q), bracket_table(A, A), contract("ij,jab->iab", A, mixed))
+
+
+def skew_table(table) -> list:
+    """T_kab - T_kba for a k x p x p table."""
+    r = range(len(table[0]))
+    return [[[row[a][b] - row[b][a] for b in r] for a in r] for row in table]
+
+
+def frame_pairs(table) -> list:
+    """The entries of a 2n x p x p table over the pairs a < b, pair by pair
+    and component by component: the order the per-pair criteria use."""
+    m = len(table[0])
+    return [row[a][b] for a in range(m) for b in range(a + 1, m) for row in table]
 
 
 def lift_big_section(s: BigSection, product: ChartManifold) -> BigSection:

@@ -23,8 +23,10 @@ from .calculus import (
     OneForm,
     TwoForm,
     VectorField,
+    _Array,
     _det,
     _flatten,
+    _partials,
     _sum,
     contract,
     ext_d,
@@ -87,10 +89,7 @@ class Embedding:
 
     def jacobian(self):
         """d iota^k / d u^a as an ambient-by-domain matrix of scalars on N."""
-        return [
-            [self.components[k].diff(u) for u in self.domain.coords]
-            for k in range(self.ambient.dim)
-        ]
+        return _partials(_Array(self.domain, self.components, (self.ambient.dim,))).components
 
     def push(self, X: VectorField):
         """Ambient components (along N) of d iota (X)."""

@@ -20,7 +20,9 @@ from ..calculus import (
     OneForm,
     TwoForm,
     VectorField,
+    _Array,
     _flatten,
+    _partials,
     _sum,
     _zipmap,
     contract,
@@ -30,20 +32,24 @@ from ..calculus import (
 from ..courant import (
     BigEndo,
     BigSection,
-    big_frame,
+    bracket_table,
     courant_bracket,
+    frame_pairs,
     lift_big_endo,
     lift_big_section,
     naive_d,
     nijenhuis_big,
+    nijenhuis_frame,
     pairing,
     pairing_gram,
+    section_array,
+    skew_table,
 )
 from ..errors import PreconditionNotMet, StructureError
 from ..symexpr import DEFAULT_POLICY, ScalarExpr, ZeroPolicy, is_zero, is_zero_all
 from ..verdict import CheckResult, Verdict, combine
 from .classical import AlmostContact
-from .genf import GenF, corank_and_negative_index
+from .genf import GenF, corank_and_negative_index, crf_defects
 from .genmetric import GenMetric, build_gen_metric
 
 
@@ -295,12 +301,7 @@ def check_product_J(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckR
 
 def integrability_product(J: BigEndo, policy: ZeroPolicy) -> Verdict:
     """N_J = 0 over all coordinate frame pairs of the product chart."""
-    bf = big_frame(J.chart)
-    exprs = []
-    for i in range(len(bf)):
-        for j in range(i + 1, len(bf)):
-            exprs.extend(nijenhuis_big(J, bf[i], bf[j]).components())
-    return is_zero_all(exprs, policy, "N_J = 0")
+    return is_zero_all(frame_pairs(nijenhuis_frame(J)), policy, "N_J = 0")
 
 
 def unified_normality_tensor(s: TwoOneGAC, A: BigSection, B: BigSection) -> BigSection:
@@ -331,39 +332,52 @@ def unified_normality_tensor(s: TwoOneGAC, A: BigSection, B: BigSection) -> BigS
     )
 
 
+def _unified_frame(s: TwoOneGAC) -> list:
+    """The unified normality tensor on every pair of frame sections, a
+    2n x 2n x 2n nested list, entry [k][a][b] the k-th component of
+    :func:`unified_normality_tensor` (s, e_a, e_b).
+
+    With q = g(Z, .) (so g(Z, e_b) = q_b) and [e_a, e_b] = 0, the naive
+    differential is d_C Z(e_a, e_b) = D_ab - D_ba, D_ab = d_a q_b for a
+    vector slot a and 0 for a covector slot, and the partial-corrections
+    have covector components R_mab - R_mba with R_mab = d_m q_a q_b.
+    """
+    n = s.chart.dim
+    r = range(2 * n)
+    table = nijenhuis_frame(s.Fcal)
+    for sign, Z in ((1, s.Z_plus), (-1, s.Z_minus)):
+        q = _pairing_row(s.chart, Z)
+        dq = _partials(_Array(s.chart, q, (2 * n,))).components  # dq[a][m] = d_m q_a
+        dc = [[(dq[b][a] if a < n else 0) - (dq[a][b] if b < n else 0) for b in r] for a in r]
+        corr = [[[0] * (2 * n) for _ in r] for _ in range(n)] + skew_table(
+            contract("am,b->mab", dq, q))
+        table = _zipmap(lambda t, z, c: _sum(t, sign * z, sign * c),
+                        table, contract("k,ab->kab", Z.components(), dc), corr)
+    return table
+
+
 def check_normal_21(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
     """Normality through the (normaltotal) conditions on M, plus the unified
-    tensor (normtotal2), plus the agreement of the two formulations."""
+    tensor (normtotal2), plus the agreement of the two formulations.  The
+    frame-pair items are read from bracket tables, in the order of the
+    per-pair definitions: Z+ then Z-, then frame section, then component;
+    pairs a < b, then component."""
     out = CheckResult("normal21")
-    chart = s.chart
-    pr_s = BigEndo.identity(chart) + s.Fcal @ s.Fcal
-    span = [s.Fcal(e) for e in big_frame(chart)]
+    F, m = s.Fcal, 2 * s.chart.dim
 
     out.add("(normaltotal) [Z+, Z-] = 0", is_zero_all(
         courant_bracket(s.Z_plus, s.Z_minus).components(), policy))
 
-    exprs = []
-    for Z in (s.Z_plus, s.Z_minus):
-        for X in span:
-            d = courant_bracket(Z, s.Fcal(X)) - s.Fcal(courant_bracket(Z, X))
-            exprs.extend(d.components())
+    # [Z, Fcal X] - Fcal [Z, X] for X = Fcal e_a
+    zs = section_array([s.Z_plus, s.Z_minus])
+    d = _zipmap(lambda p, q: _sum(p, -q),
+                bracket_table(zs, F @ F), contract("ij,jza->iza", F, bracket_table(zs, F)))
+    exprs = [row[z][a] for z in range(2) for a in range(m) for row in d]
     out.add("(normaltotal) [Z+-, Fcal X] = Fcal [Z+-, X]", is_zero_all(exprs, policy))
 
-    exprs = []
-    for i in range(len(span)):
-        for j in range(i + 1, len(span)):
-            d = nijenhuis_big(s.Fcal, span[i], span[j]) - pr_s(
-                courant_bracket(span[i], span[j])
-            )
-            exprs.extend(d.components())
-    out.add("(normaltotal) N_Fcal = pr_S [.,.] on L", is_zero_all(exprs, policy))
+    out.add("(normaltotal) N_Fcal = pr_S [.,.] on L", is_zero_all(crf_defects(F), policy))
 
-    bf = big_frame(chart)
-    exprs = []
-    for i in range(len(bf)):
-        for j in range(i + 1, len(bf)):
-            exprs.extend(unified_normality_tensor(s, bf[i], bf[j]).components())
-    unified = is_zero_all(exprs, policy)
+    unified = is_zero_all(frame_pairs(_unified_frame(s)), policy)
     out.add("(normtotal2) unified normality tensor = 0", unified)
 
     three = combine(*(v for _, v in out.items[:3]))
@@ -428,30 +442,18 @@ def check_phi(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
     return out
 
 
-def _nijenhuis_defects(A: BigEndo):
-    bf = big_frame(A.chart)
-    out = []
-    for i in range(len(bf)):
-        for j in range(i + 1, len(bf)):
-            out.append(nijenhuis_big(A, bf[i], bf[j]))
-    return out
-
-
 def check_gen_contact(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
     """Generalized-contact criteria via Phi: the structure is generalized
     contact iff N_Phi + N_Phibar = 0 or N_Phi - N_Phibar = 0, and strong
     generalized contact iff N_Phi = 0."""
     out = CheckResult("gen_contact")
     phi = phi_endo(s)
-    phibar = phi.conjugate()
-    n_phi = _nijenhuis_defects(phi)
-    n_phibar = _nijenhuis_defects(phibar)
-    out.add("N_Phi = 0 (strong generalized contact)", is_zero_all(
-        (c for d in n_phi for c in d.components()), policy))
+    n_phi, n_phibar = (frame_pairs(nijenhuis_frame(A)) for A in (phi, phi.conjugate()))
+    out.add("N_Phi = 0 (strong generalized contact)", is_zero_all(n_phi, policy))
     out.add("N_Phi + N_Phibar = 0", is_zero_all(
-        (c for a, b in zip(n_phi, n_phibar) for c in (a + b).components()), policy))
+        (a + b for a, b in zip(n_phi, n_phibar)), policy))
     out.add("N_Phi - N_Phibar = 0", is_zero_all(
-        (c for a, b in zip(n_phi, n_phibar) for c in (a - b).components()), policy))
+        (a - b for a, b in zip(n_phi, n_phibar)), policy))
     return out
 
 

@@ -21,6 +21,12 @@ canonical form that ``==``, ``hash`` and the zero test read.  A value's
 field is the chart coordinates plus exactly the generators that occur in
 it, in one fixed order that does not depend on hash order.
 
+Zero returns before the field: an operation with a zero operand gives the
+other operand (negated for ``0 - x``) or a zero without a union field, a
+gcd or a canonical form, ``pdiff`` and ``evaluate`` of a zero return at
+once, and a zero result on a chart is the chart's one interned zero
+(``chart.zero``).  ``x / 0`` and ``0 / 0`` still raise :class:`ExprError`.
+
 Soundness contract: ``is_zero`` answers ``Proved`` only when the reduced
 fraction is zero; the generators stand for the true functions in a ring
 homomorphism, so a zero fraction is zero as a function.  A nonzero fraction
@@ -287,9 +293,17 @@ def _sum_over(K: FracField, parts: dict) -> FracElement:
 
 
 def _op(op, a: FracElement, b: FracElement) -> FracElement:
-    """``op`` on two elements of any fields, in the union field."""
-    if op is operator.truediv and not b:
-        raise ExprError("division by an expression that is identically zero")
+    """``op`` on two elements of any fields, in the union field.  A zero
+    operand returns before the field: the other operand (negated for
+    0 - b), or the zero operand of a product or quotient."""
+    if not b:
+        if op is operator.truediv:
+            raise ExprError("division by an expression that is identically zero")
+        return b if op is operator.mul else a
+    if not a:
+        if op is operator.add:
+            return b
+        return -b if op is operator.sub else a
     return _field_op(op, *_unify(a, b))
 
 
@@ -540,9 +554,22 @@ class ScalarExpr:
         elif isinstance(other, _RATIONALS):
             b = _constant(self.rf.field, other)
         else:
-            b = ScalarExpr(other, self.chart).rf
+            other = ScalarExpr(other, self.chart)
+            b = other.rf
         a = self.rf
-        return _ring(self.chart, _op(op, *((b, a) if swap else (a, b))))
+        if a and b:
+            return _ring(self.chart, _op(op, *((b, a) if swap else (a, b))))
+        # zero returns before the field
+        if not isinstance(other, ScalarExpr):
+            other = _ring(self.chart, b)
+        x, y = (other, self) if swap else (self, other)
+        if not y.rf:
+            if op is operator.truediv:
+                raise ExprError("division by an expression that is identically zero")
+            return self.chart.zero if op is operator.mul else x
+        if op is operator.add:
+            return y
+        return -y if op is operator.sub else self.chart.zero
 
     def __add__(self, other):
         return self._op(other, operator.add)
@@ -572,7 +599,8 @@ class ScalarExpr:
         return _ring(self.chart, _pow(self.rf, n))
 
     def __neg__(self):
-        return _ring(self.chart, -self.rf)
+        # negation keeps the canonical form
+        return _init(object.__new__(ScalarExpr), self.chart, -self.rf) if self.rf else self
 
     def exp(self) -> "ScalarExpr":
         """exp of this scalar."""
@@ -646,6 +674,8 @@ def _init(obj: ScalarExpr, chart, rf) -> ScalarExpr:
 
 
 def _ring(chart, rf: FracElement) -> ScalarExpr:
+    if not rf:
+        return chart.zero
     K = rf.field
     if K.domain is QQ_I or _layout(K)[1]:
         rf = _canonical(rf)
@@ -712,8 +742,11 @@ def pdiff(e: ScalarExpr, sym: sp.Symbol) -> ScalarExpr:
     The one derivative kernel of the package: every tensor operation
     differentiates through it.  It is the chain rule in the field: the
     quotient rule on the numerator and denominator polynomials, with
-    d E_m = E_m dm and d T_m = (1 + T_m^2)/2 dm for the generators.
+    d E_m = E_m dm and d T_m = (1 + T_m^2)/2 dm for the generators.  A
+    zero returns itself.
     """
+    if not e.rf:
+        return e
     return _init(object.__new__(ScalarExpr), e.chart, _derivative(e.rf, sym))
 
 
@@ -780,7 +813,8 @@ def differentiate(e: ScalarExpr, coord) -> ScalarExpr:
     ``coord`` may be a coordinate name or sympy symbol; it must belong to the
     expression's chart.
     """
-    return pdiff(e, e.chart.symbol(coord))
+    sym = e.chart.symbol(coord)
+    return pdiff(e, sym) if e.rf else e
 
 
 # ---------------------------------------------------------------------------
@@ -835,6 +869,8 @@ def evaluate(e: ScalarExpr, point: dict) -> object:
     with transcendental atoms.  Returns the ``_POLE`` sentinel when the
     point hits a pole."""
     pt = {e.chart.symbol(k): _to_fraction(v) for k, v in point.items()}
+    if not e.rf:
+        return sp.S.Zero
     if e.is_rational_function:
         dom = e.rf.field.domain
         v = _at(e.rf, [dom.convert_from(_qq(pt[s]), QQ) for s in e.rf.field.symbols], lambda c: c)
@@ -953,11 +989,39 @@ def _tokenize(text: str):
     return out
 
 
+def _degree(expr: sp.Expr) -> int:
+    """An estimate of the total degree a grammar tree expands to, read
+    before any conversion: a coordinate counts 1, a sum its largest term, a
+    product the sum of its factors, an integer power |n| times its base,
+    and sin/cos/exp the degree of their argument (at least 1)."""
+    if expr.is_Symbol:
+        return 1
+    if expr.is_Add:
+        return max(_degree(a) for a in expr.args)
+    if expr.is_Mul:
+        return sum(_degree(a) for a in expr.args)
+    if expr.is_Pow and expr.exp.is_Integer and expr.base is not sp.E:
+        return abs(int(expr.exp)) * _degree(expr.base)
+    if expr.is_Pow or isinstance(expr, _ATOM_FUNCS):
+        return max(1, _degree(expr.args[-1]))
+    return 0
+
+
 class _Parser:
-    def __init__(self, text: str, chart):
+    def __init__(self, text: str, chart, max_degree: Optional[int] = None):
         self.tokens = _tokenize(text)
         self.chart = chart
+        self.max_degree = max_degree
         self.i = 0
+
+    def bound(self, e: sp.Expr, pos: int) -> None:
+        """Reject a tree whose degree estimate exceeds ``max_degree``,
+        before anything converts (and so expands) it."""
+        if self.max_degree is not None:
+            degree = _degree(e)
+            if degree > self.max_degree:
+                raise ParseError(
+                    f"degree estimate {degree} exceeds the bound {self.max_degree}", pos)
 
     def peek(self):
         return self.tokens[self.i]
@@ -977,6 +1041,7 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind != "end":
             raise ParseError(f"trailing input starting at {val!r}", pos)
+        self.bound(e, 0)
         return e
 
     def sum(self) -> sp.Expr:
@@ -993,6 +1058,7 @@ class _Parser:
             _, op, pos = self.next()
             rhs = self.unary()
             if op == "/":
+                self.bound(rhs, pos)
                 if not _to_field(rhs, self.chart.symbols):
                     raise ParseError("division by zero", pos)
                 e = e / rhs
@@ -1045,13 +1111,15 @@ class _Parser:
         raise ParseError(f"unexpected token {val!r}", pos)
 
 
-def _parse(text: str, chart) -> sp.Expr:
-    return _Parser(text, chart).parse()
+def _parse(text: str, chart, max_degree: Optional[int] = None) -> sp.Expr:
+    return _Parser(text, chart, max_degree).parse()
 
 
-def parse_scalar(text: str, chart) -> ScalarExpr:
-    """Parse the scenario-file grammar into a canonical scalar."""
-    return ScalarExpr(_parse(text, chart), chart)
+def parse_scalar(text: str, chart, max_degree: Optional[int] = None) -> ScalarExpr:
+    """Parse the scenario-file grammar into a canonical scalar.  With
+    ``max_degree``, a text whose degree estimate exceeds it (or a divisor's)
+    raises :class:`ParseError` before it is converted."""
+    return ScalarExpr(_parse(text, chart, max_degree), chart)
 
 
 # ---------------------------------------------------------------------------

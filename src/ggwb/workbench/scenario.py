@@ -30,6 +30,14 @@ from ..symexpr import ZeroPolicy, parse_scalar
 _FIELD_KINDS = ("scalar", "vector", "oneform", "twoform", "endo", "metric")
 _STRUCTURE_TYPES = ("almost_contact", "gen_metric", "quadruple", "two_one", "hypersurface")
 
+# Size bounds of one scenario expression.  The builtins reach a degree
+# estimate of 3 and 8 terms; S1 with xi = (0, 0, (x+y+z+1)^60) (39,711 terms)
+# loads in a third of a second and then runs almost_contact for minutes.  The
+# degree is estimated on the parsed tree, before conversion expands it; the
+# terms are counted in the reduced numerator and denominator.
+MAX_DEGREE = 12
+MAX_TERMS = 64
+
 
 @dataclass
 class StructureDecl:
@@ -117,9 +125,13 @@ def _parse_component(text, chart: ChartManifold, where: str):
     if not isinstance(text, str):
         raise ScenarioError("components are expression strings", where)
     try:
-        return parse_scalar(text, chart)
+        value = parse_scalar(text, chart, MAX_DEGREE)
     except ParseError as exc:
         raise ScenarioError(str(exc), where) from None
+    terms = max(len(value.rf.numer), len(value.rf.denom))
+    if terms > MAX_TERMS:
+        raise ScenarioError(f"{terms} terms exceed the bound {MAX_TERMS}", where)
+    return value
 
 
 def _load_field(name: str, spec: dict, charts: dict, where: str):

@@ -1,7 +1,10 @@
 import json
 import os
+import time
+from pathlib import Path
 
 import pytest
+import sympy as sp
 
 from ggwb.errors import ScenarioError
 from ggwb.verdict import VerdictKind
@@ -13,6 +16,7 @@ from ggwb.workbench import (
     load_scenario,
     run_checks,
 )
+from ggwb.workbench import scenario as scenario_mod
 from ggwb.workbench.checks import CHECKS, resolve_alias
 from ggwb.workbench.cli import main
 
@@ -300,3 +304,73 @@ def test_binormal_reuses_the_scenario_normal21_result(monkeypatch):
     assert len(calls) == 2
     by_name = {r.check: r.result for r in report.runs}
     assert by_name["binormal"].ok and by_name["normal21"].ok
+
+
+# -- size bounds of scenario expressions ---------------------------------------
+
+
+def _s1_with_xi(component: str) -> dict:
+    doc = json.loads(
+        (Path(__file__).parents[1] / "src/ggwb/workbench/builtin/s1.json").read_text())
+    doc["fields"]["xi"]["components"] = ["0", "0", component]
+    doc["checks"] = ["almost_contact"]
+    return doc
+
+
+def test_cli_rejects_an_oversized_power_fast(tmp_path, capsys):
+    """S1 with xi = (0, 0, (x+y+z+1)^60) loaded (39,711 terms) and then ran
+    almost_contact past a minute; the degree bound stops it at load."""
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(_s1_with_xi("(x+y+z+1)^60")))
+    t0 = time.perf_counter()
+    assert main(["check", str(path)]) == 2
+    assert time.perf_counter() - t0 < 2
+    err = capsys.readouterr().err
+    assert "$.fields.xi.components[2]:" in err
+    assert f"exceeds the bound {scenario_mod.MAX_DEGREE}" in err
+
+
+@pytest.mark.parametrize("text,what", [
+    ("((x+1)^20)^20", "degree"),  # 400, estimated before the power expands
+    ("x/((x+y+z+1)^40)", "degree"),  # a divisor, before its zero test converts it
+    ("(x+y+z+1)^6", "terms"),  # degree 6, 84 terms
+])
+def test_scenario_size_bounds_name_the_json_path(text, what):
+    t0 = time.perf_counter()
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(_s1_with_xi(text))
+    assert time.perf_counter() - t0 < 2
+    assert exc.value.where == "$.fields.xi.components[2]"
+    bound = scenario_mod.MAX_DEGREE if what == "degree" else scenario_mod.MAX_TERMS
+    assert f"the bound {bound}" in str(exc.value)
+
+
+def test_degree_bound_comes_before_any_conversion(monkeypatch):
+    """Neither the oversized power nor the oversized divisor (whose zero test
+    converts it) reaches the conversion to the field."""
+    from ggwb import symexpr
+
+    converted = []
+    original = symexpr._to_field
+
+    def recording(expr, symbols):
+        converted.append(expr)
+        return original(expr, symbols)
+
+    monkeypatch.setattr(symexpr, "_to_field", recording)
+    for text in ("((x+1)^20)^20", "x/((x+y+z+1)^40)"):
+        with pytest.raises(ScenarioError):
+            load_scenario(_s1_with_xi(text))
+    assert all(symexpr._degree(e) <= scenario_mod.MAX_DEGREE for e in converted)
+    # the recording sees conversions: a small divisor is converted for its zero test
+    load_scenario(_s1_with_xi("x/(y+1)"))
+    assert sp.sympify("y+1") in converted
+
+
+def test_size_bounds_leave_headroom_over_the_builtins(monkeypatch):
+    """Every builtin still loads under a third of the degree bound and a
+    quarter of the term bound (degree 3 and 8 terms at most today)."""
+    monkeypatch.setattr(scenario_mod, "MAX_DEGREE", scenario_mod.MAX_DEGREE // 3)
+    monkeypatch.setattr(scenario_mod, "MAX_TERMS", scenario_mod.MAX_TERMS // 4)
+    for name in builtin_names():
+        load_builtin(name)
