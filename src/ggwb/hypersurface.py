@@ -10,7 +10,7 @@ on the domain chart.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import sympy as sp
@@ -32,13 +32,14 @@ from .calculus import (
     ext_d,
     frame,
     lie_derivative,
+    zero_twoform,
 )
 from .errors import ExprError, PreconditionNotMet, StructureError
 from .numeric import rank_at, value_at
 from .structures.classical import AlmostContact, check_almost_contact, nijenhuis_classical
 from .structures.genf import GenF, build_genF_from_quadruple
-from .structures.genmetric import GenMetric, build_gen_metric
-from .structures.twoone import TwoOneGAC, build_21gac
+from .structures.genmetric import build_gen_metric
+from .structures.twoone import TwoOneGAC, require_two_one
 from .symexpr import (
     DEFAULT_POLICY,
     ScalarExpr,
@@ -73,7 +74,7 @@ class Embedding:
         if self.orientation not in (1, -1):
             raise ExprError("orientation must be +1 or -1")
 
-    # -- restriction and pushforward -------------------------------------
+    # -- restriction -------------------------------------------------------
 
     def _submap(self) -> dict:
         return {
@@ -90,10 +91,6 @@ class Embedding:
     def jacobian(self):
         """d iota^k / d u^a as an ambient-by-domain matrix of scalars on N."""
         return _partials(_Array(self.domain, self.components, (self.ambient.dim,))).components
-
-    def push(self, X: VectorField):
-        """Ambient components (along N) of d iota (X)."""
-        return contract("ka,a->k", self.jacobian(), X)
 
 
 # ---------------------------------------------------------------------------
@@ -164,21 +161,62 @@ def unit_normal(e: Embedding, gamma: MetricField, policy: ZeroPolicy = DEFAULT_P
 # Gauss-Weingarten data
 
 
-@dataclass
+@dataclass(eq=False)
 class HypersurfaceGeometry:
+    """The Gauss-Weingarten data of one hypersurface and everything built
+    from it.  The structures induced from an ambient J (its restriction,
+    the restricted dOmega, the induced almost contact structure) and from a
+    pair J_pm (the induced generalized structure) are built on first
+    request and kept, per ambient field compared by identity; every build
+    is deterministic, so a kept value is the one a rebuild would give."""
+
     embedding: Embedding
     gamma: MetricField  # ambient metric (on the ambient chart)
+    psi: TwoForm  # ambient 2-form (zero when none is given)
+    policy: ZeroPolicy  # of the build and of the validations of induced structures
     nu: list  # ambient components along N
     s: MetricField  # induced metric on N
-    kappa: Optional[TwoForm]  # iota^* psi, when psi given
+    kappa: TwoForm  # iota^* psi
     b: list  # second fundamental form grid (domain x domain)
     weingarten: EndoTM
     gamma_res: list  # restricted ambient metric
     jac: list
     christoffel_res: list  # restricted ambient Christoffel symbols
+    _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def b_apply(self, X: VectorField, Y: VectorField) -> ScalarExpr:
         return contract("ac,a,c->", self.b, X, Y)
+
+    def push(self, X: VectorField) -> list:
+        """Ambient components (along N) of d iota (X)."""
+        return contract("ka,a->k", self.jac, X)
+
+    def _once(self, kind: str, fields: tuple, build):
+        key = (kind, *map(id, fields))
+        if key not in self._derived:
+            self._derived[key] = (fields, build())
+        return self._derived[key][1]
+
+    def J_res(self, J: EndoTM) -> list:
+        """The ambient J restricted to N."""
+        return self._once("J", (J,), lambda: self.embedding.restrict_grid(J.matrix))
+
+    def dOmega_res(self, J: EndoTM) -> list:
+        """d of the Kaehler form of (gamma, J), restricted to N."""
+        return self._once("dOmega", (J,), lambda: [
+            self.embedding.restrict_grid(plane)
+            for plane in ext_d(_kaehler_form(self.gamma, J)).components
+        ])
+
+    def contact(self, J: EndoTM) -> AlmostContact:
+        """The almost contact structure J induces on N."""
+        return self._once("contact", (J,), lambda: induced_almost_contact(self, J))
+
+    def gen_structure(self, J_plus: EndoTM, J_minus: EndoTM) -> "InducedGenStructure":
+        """The generalized structure the pair J_pm induces on N."""
+        return self._once(
+            "gen", (J_plus, J_minus), lambda: induced_gen_structure(self, J_plus, J_minus)
+        )
 
 
 def _ambient_christoffels_restricted(e: Embedding, gamma: MetricField):
@@ -208,18 +246,18 @@ def second_fundamental_form(
     psi: Optional[TwoForm] = None,
     policy: ZeroPolicy = DEFAULT_POLICY,
 ) -> HypersurfaceGeometry:
-    """Build the full Gauss-Weingarten package: s = iota^* gamma, the unit
-    normal, b(X,Y) = gamma(nabla_X d iota(Y), nu) and the Weingarten
-    operator with s(W X, Y) = b(X, Y)."""
+    """Build the full Gauss-Weingarten package: s = iota^* gamma,
+    kappa = iota^* psi (psi = 0 when None), the unit normal,
+    b(X,Y) = gamma(nabla_X d iota(Y), nu) and the Weingarten operator with
+    s(W X, Y) = b(X, Y)."""
     chart = e.domain
     m = chart.dim
     jac = e.jacobian()
     g_res = e.restrict_grid(gamma.matrix)
     s = MetricField(chart, _pullback(g_res, jac))
-    kappa = None
-    if psi is not None:
-        p_res = e.restrict_grid(psi.matrix)
-        kappa = TwoForm(chart, _pullback(p_res, jac))
+    if psi is None:
+        psi = zero_twoform(gamma.chart)
+    kappa = TwoForm(chart, _pullback(e.restrict_grid(psi.matrix), jac))
     nu = unit_normal(e, gamma, policy)
     gam_res = _ambient_christoffels_restricted(e, gamma)
     b = [[None] * m for _ in range(m)]
@@ -236,7 +274,7 @@ def second_fundamental_form(
         for c, val in enumerate(contract("cd,d->c", s_inv, inner)):
             w_grid[c][a] = -val
     W = EndoTM(chart, w_grid)
-    return HypersurfaceGeometry(e, gamma, nu, s, kappa, b, W, g_res, jac, gam_res)
+    return HypersurfaceGeometry(e, gamma, psi, policy, nu, s, kappa, b, W, g_res, jac, gam_res)
 
 
 def check_hyp_geometry(
@@ -273,84 +311,49 @@ def check_hyp_geometry(
 # induced classical structure
 
 
-def induced_almost_contact(
-    e: Embedding,
-    gamma: MetricField,
-    J: EndoTM,
-    geo: Optional[HypersurfaceGeometry] = None,
-    policy: ZeroPolicy = DEFAULT_POLICY,
-    name: str = "induced",
-) -> AlmostContact:
+def induced_almost_contact(geo: HypersurfaceGeometry, J: EndoTM) -> AlmostContact:
     """Decompose J X = F X + xi(X) nu and Z = -J nu into tangential data."""
-    chart = e.domain
-    m = chart.dim
-    geo = geo or second_fundamental_form(e, gamma, None, policy)
-    j_res = e.restrict_grid(J.matrix)
-    s_inv = geo.s.inverse_matrix()
-
-    def tangential(v) -> list:
-        """s^cd gamma(v, d iota(d_d)), raw: the TN components of v along N."""
-        inner = contract("ij,i,jd->d", geo.gamma_res, v, geo.jac)
-        return contract("cd,d->c", s_inv, inner)
-
-    f_grid = [[None] * m for _ in range(m)]
-    xi_comps = []
-    for a in range(m):
-        v = contract("ij,j->i", j_res, [row[a] for row in geo.jac])
-        for c, val in enumerate(tangential(v)):
-            f_grid[c][a] = val
-        xi_comps.append(contract("ij,i,j->", geo.gamma_res, v, geo.nu))
-    z_amb = [-c for c in contract("ij,j->i", j_res, geo.nu)]
-    z_comps = tangential(z_amb)
+    chart = geo.embedding.domain
+    jx, z_amb = _J_frame(geo, J)
+    # s^cd gamma(v, d iota(d_d)): the TN components of a field v along N
+    tangential = contract("cd,ij,jd->ci", geo.s.inverse_matrix(), geo.gamma_res, geo.jac)
     return AlmostContact(
-        EndoTM(chart, f_grid),
-        VectorField(chart, z_comps),
-        OneForm(chart, xi_comps),
+        EndoTM(chart, contract("ci,ia->ca", tangential, jx)),
+        VectorField(chart, contract("ci,i->c", tangential, z_amb)),
+        OneForm(chart, contract("ij,ia,j->a", geo.gamma_res, jx, geo.nu)),
         geo.s,
-        name=name,
+        name="induced",
     )
 
 
+def _J_frame(geo: HypersurfaceGeometry, J: EndoTM) -> tuple[list, list]:
+    """J d iota(d_a) as the columns of an ambient-by-domain grid, and -J nu."""
+    j_res = geo.J_res(J)
+    return contract("ij,ja->ia", j_res, geo.jac), [-c for c in contract("ij,j->i", j_res, geo.nu)]
+
+
 def check_induced_contact(
-    e: Embedding,
-    gamma: MetricField,
-    J: EndoTM,
-    geo: Optional[HypersurfaceGeometry] = None,
-    policy: ZeroPolicy = DEFAULT_POLICY,
+    geo: HypersurfaceGeometry, J: EndoTM, policy: ZeroPolicy = DEFAULT_POLICY
 ) -> CheckResult:
     """Induced structure passes the almost contact axioms, the decomposition
     residuals vanish, and the fundamental form is the pullback of the Kaehler
     form."""
     out = CheckResult("induced_contact")
-    chart = e.domain
-    n = e.ambient.dim
-    geo = geo or second_fundamental_form(e, gamma, None, policy)
-    ac = induced_almost_contact(e, gamma, J, geo, policy)
+    m, n = geo.embedding.domain.dim, geo.embedding.ambient.dim
+    ac = geo.contact(J)
     sub = check_almost_contact(ac, policy)
     out.add("(almcont)+(clasmetric) for the induced structure", sub.verdict)
-    j_res = e.restrict_grid(J.matrix)
-    resid = []
-    for a, X in enumerate(frame(chart)):
-        v = contract("ij,j->i", j_res, [row[a] for row in geo.jac])
-        pushF = e.push(ac.F(X))
-        for k in range(n):
-            resid.append(v[k] - pushF[k] - ac.xi.components[a] * geo.nu[k])
-    out.add("(strind1) J X = F X + xi(X) nu", is_zero_all(resid, policy))
-    z_amb = [-c for c in contract("ij,j->i", j_res, geo.nu)]
-    pushZ = e.push(ac.Z)
+    jx, z_amb = _J_frame(geo, J)
+    push_f = contract("kb,ba->ka", geo.jac, ac.F)
+    xi = ac.xi.components
+    out.add("(strind1) J X = F X + xi(X) nu", is_zero_all(
+        (jx[k][a] - push_f[k][a] - xi[a] * geo.nu[k] for a in range(m) for k in range(n)), policy))
     out.add("(strind1) Z = -J nu is tangent", is_zero_all(
-        (z_amb[k] - pushZ[k] for k in range(n)), policy))
-    # fundamental form: Xi = iota^* Omega
-    omega = _kaehler_form(gamma, J)
-    om_res = e.restrict_grid(omega.matrix)
+        (z - pz for z, pz in zip(z_amb, geo.push(ac.Z))), policy))
     xi_fund = ac.fundamental_form().components
-    pulled = _pullback(om_res, geo.jac)
-    exprs = [
-        xi_fund[a][c] - pulled[a][c]
-        for a in range(chart.dim)
-        for c in range(a + 1, chart.dim)
-    ]
-    out.add("Xi = iota^* Omega", is_zero_all(exprs, policy))
+    pulled = _pullback(geo.embedding.restrict_grid(_kaehler_form(geo.gamma, J).matrix), geo.jac)
+    out.add("Xi = iota^* Omega", is_zero_all(
+        (xi_fund[a][c] - pulled[a][c] for a in range(m) for c in range(a + 1, m)), policy))
     return out
 
 
@@ -465,108 +468,115 @@ def check_gen_kahler(
 # hypersurface-level CRF / normality / CRFK criteria
 
 
-def _require_hermitian(gamma: MetricField, J: EndoTM, policy: ZeroPolicy) -> None:
-    sub = check_almost_hermitian(gamma, J, policy)
-    if not sub.ok:
-        bad = [lbl for lbl, v in sub.items if not v.ok]
-        raise PreconditionNotMet(
-            f"ambient structure is not Hermitian (failed: {', '.join(bad)})"
-        )
+def _require(res: CheckResult, what: str) -> None:
+    """Raise PreconditionNotMet, naming the failed items, unless ``res`` passed."""
+    if not res.ok:
+        bad = ", ".join(lbl for lbl, v in res.items if not v.ok)
+        raise PreconditionNotMet(f"ambient structure is not {what} (failed: {bad})")
+
+
+_CRF2_DOMEGA = "(eqCRF2) dOmega(JX, JY, Jnu) = dOmega(X, Y, Jnu) on P"
+
+
+def _crf2_defects(geo: HypersurfaceGeometry, J: EndoTM) -> tuple[list, list]:
+    """The defects of the two (eqCRF2) lines, on the spanning set F d_a of
+    P = im F: dOmega(JX, JY, Jnu) - dOmega(X, Y, Jnu) for a < b, and
+    b(FX, FY) - b(X, Y) for a <= b."""
+    ac, span_p, push_p = _on_P(geo, J)
+    m = len(span_p)
+    dom = _dOmega_along(geo, J)
+    j_res = geo.J_res(J)
+    jnu = contract("ij,j->i", j_res, geo.nu)
+    jp = [contract("ij,j->i", j_res, v) for v in push_p]
+    lines = [
+        dom(jp[i], jp[j], jnu) - dom(push_p[i], push_p[j], jnu)
+        for i in range(m) for j in range(i + 1, m)
+    ]
+    b_lines = [
+        geo.b_apply(ac.F(span_p[i]), ac.F(span_p[j])) - geo.b_apply(span_p[i], span_p[j])
+        for i in range(m) for j in range(i, m)
+    ]
+    return lines, b_lines
+
+
+def _on_P(geo: HypersurfaceGeometry, J: EndoTM):
+    """The structure J induces, F of the coordinate frame (a spanning set of
+    P = im F), and its pushforward along N."""
+    ac = geo.contact(J)
+    span_p = [ac.F(v) for v in frame(geo.embedding.domain)]
+    return ac, span_p, [geo.push(X) for X in span_p]
+
+
+def _dOmega_along(geo: HypersurfaceGeometry, J: EndoTM):
+    dom_res = geo.dOmega_res(J)
+    return lambda v1, v2, v3: contract("ijk,i,j,k->", dom_res, v1, v2, v3)
 
 
 def check_hyp_CRF(
-    e: Embedding,
-    gamma: MetricField,
-    J: EndoTM,
-    geo: Optional[HypersurfaceGeometry] = None,
-    policy: ZeroPolicy = DEFAULT_POLICY,
-    _normal: bool = False,
+    geo: HypersurfaceGeometry, J: EndoTM, policy: ZeroPolicy = DEFAULT_POLICY
 ) -> CheckResult:
     """(eqCRF2): dOmega(JX,JY,Jnu) = dOmega(X,Y,Jnu) and b(FX,FY) = b(X,Y)
-    for X, Y in P = im F; with (eqnormal2) on top for the normality form."""
-    _require_hermitian(gamma, J, policy)
-    out = CheckResult("hyp_normal" if _normal else "hyp_CRF")
-    chart = e.domain
-    m = chart.dim
-    geo = geo or second_fundamental_form(e, gamma, None, policy)
-    ac = induced_almost_contact(e, gamma, J, geo, policy)
-    j_res = e.restrict_grid(J.matrix)
-    dom_res = [
-        [[e.restrict(x) for x in row] for row in plane]
-        for plane in ext_d(_kaehler_form(gamma, J)).components
-    ]
-    fr = frame(chart)
-    span_p = [ac.F(v) for v in fr]
-    push_p = [e.push(X) for X in span_p]
-
-    def J_along(v) -> list:
-        return contract("ij,j->i", j_res, v)
-
-    def dom(v1, v2, v3) -> ScalarExpr:
-        return contract("ijk,i,j,k->", dom_res, v1, v2, v3)
-
-    jnu = J_along(geo.nu)
-    exprs = []
-    for i in range(m):
-        jx = J_along(push_p[i])
-        for j in range(i + 1, m):
-            jy = J_along(push_p[j])
-            exprs.append(dom(jx, jy, jnu) - dom(push_p[i], push_p[j], jnu))
-    out.add("(eqCRF2) dOmega(JX, JY, Jnu) = dOmega(X, Y, Jnu) on P", is_zero_all(exprs, policy))
-    exprs = []
-    for i in range(m):
-        for j in range(i, m):
-            exprs.append(
-                geo.b_apply(ac.F(span_p[i]), ac.F(span_p[j]))
-                - geo.b_apply(span_p[i], span_p[j])
-            )
-    out.add("(eqCRF2) b(FX, FY) = b(X, Y) on P", is_zero_all(exprs, policy))
-    if _normal:
-        push_z = e.push(ac.Z)
-        exprs = []
-        for i in range(m):
-            exprs.append(
-                geo.b_apply(ac.Z, span_p[i])
-                + sp.Rational(1, 2) * dom(geo.nu, push_z, J_along(push_p[i]))
-            )
-        out.add("(eqnormal2) b(Z, X) = -(1/2) dOmega(nu, Z, JX) on P", is_zero_all(exprs, policy))
+    for X, Y in P = im F."""
+    _require(check_almost_hermitian(geo.gamma, J, policy), "Hermitian")
+    out = CheckResult("hyp_CRF")
+    lines, b_lines = _crf2_defects(geo, J)
+    out.add(_CRF2_DOMEGA, is_zero_all(lines, policy))
+    out.add("(eqCRF2) b(FX, FY) = b(X, Y) on P", is_zero_all(b_lines, policy))
     return out
 
 
 def check_hyp_normal(
-    e: Embedding,
-    gamma: MetricField,
+    geo: HypersurfaceGeometry,
     J: EndoTM,
-    geo: Optional[HypersurfaceGeometry] = None,
     policy: ZeroPolicy = DEFAULT_POLICY,
+    hyp_crf: Optional[CheckResult] = None,
 ) -> CheckResult:
-    return check_hyp_CRF(e, gamma, J, geo, policy, _normal=True)
+    """The (eqCRF2) items with (eqnormal2) on top: b(Z, X) =
+    -(1/2) dOmega(nu, Z, JX) for X in P.
+
+    ``hyp_crf`` is an already computed ``check_hyp_CRF(geo, J, policy)``;
+    when it is None it is computed here.
+    """
+    if hyp_crf is None:
+        hyp_crf = check_hyp_CRF(geo, J, policy)
+    out = CheckResult("hyp_normal")
+    for lbl, v in hyp_crf.items:
+        out.add(lbl, v)
+    ac, span_p, push_p = _on_P(geo, J)
+    dom = _dOmega_along(geo, J)
+    j_res = geo.J_res(J)
+    push_z = geo.push(ac.Z)
+    exprs = [
+        geo.b_apply(ac.Z, X)
+        + sp.Rational(1, 2) * dom(geo.nu, push_z, contract("ij,j->i", j_res, pX))
+        for X, pX in zip(span_p, push_p)
+    ]
+    out.add("(eqnormal2) b(Z, X) = -(1/2) dOmega(nu, Z, JX) on P", is_zero_all(exprs, policy))
+    return out
 
 
 def check_fundamental_form_property(
-    e: Embedding,
-    gamma: MetricField,
+    geo: HypersurfaceGeometry,
     J: EndoTM,
-    geo: Optional[HypersurfaceGeometry] = None,
     policy: ZeroPolicy = DEFAULT_POLICY,
+    hyp_crf: Optional[CheckResult] = None,
 ) -> CheckResult:
     """(LXi): L_Z Xi (FX, FY) = L_Z Xi (X, Y), on the full coordinate frame,
-    with the agreement against the first (eqCRF2) line as a separate item."""
+    with the agreement against the first (eqCRF2) line as a separate item.
+
+    ``hyp_crf`` is an already computed ``check_hyp_CRF(geo, J, policy)``;
+    when it is None it is computed here.
+    """
     out = CheckResult("LXi")
-    chart = e.domain
-    m = chart.dim
-    geo = geo or second_fundamental_form(e, gamma, None, policy)
-    ac = induced_almost_contact(e, gamma, J, geo, policy)
+    ac = geo.contact(J)
     lxi = lie_derivative(ac.Z, ac.fundamental_form())
-    fr = frame(chart)
-    exprs = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            exprs.append(lxi(ac.F(fr[i]), ac.F(fr[j])) - lxi(fr[i], fr[j]))
-    v = is_zero_all(exprs, policy)
+    fr = frame(geo.embedding.domain)
+    v = is_zero_all((lxi(ac.F(fr[i]), ac.F(fr[j])) - lxi(fr[i], fr[j])
+                     for i in range(len(fr)) for j in range(i + 1, len(fr))), policy)
     out.add("(LXi) L_Z Xi(FX, FY) = L_Z Xi(X, Y) on TN", v)
-    crf = check_hyp_CRF(e, gamma, J, geo, policy)
-    first = crf.subverdict("(eqCRF2) dOmega(JX, JY, Jnu) = dOmega(X, Y, Jnu) on P")
+    if hyp_crf is None:
+        hyp_crf = check_hyp_CRF(geo, J, policy)
+    first = hyp_crf.subverdict(_CRF2_DOMEGA)
     out.add(
         "(LXi) equivalent to the first (eqCRF2) condition",
         Verdict.proved() if v.ok == first.ok else Verdict.failed(
@@ -582,60 +592,50 @@ def check_fundamental_form_property(
 
 @dataclass
 class InducedGenStructure:
-    geo: HypersurfaceGeometry
-    ac_plus: AlmostContact
-    ac_minus: AlmostContact
-    gen_metric: GenMetric
+    """The generalized F structure a pair J_pm induces (its G is built from
+    (s, kappa)), the (2,1)-structure with the induced Z_pm, and the
+    check_two_one its build ran."""
+
     genf: GenF
     two_one: TwoOneGAC
+    two_one_check: CheckResult
 
 
 def induced_gen_structure(
-    e: Embedding,
-    gamma: MetricField,
-    psi: TwoForm,
-    J_plus: EndoTM,
-    J_minus: EndoTM,
-    policy: ZeroPolicy = DEFAULT_POLICY,
+    geo: HypersurfaceGeometry, J_plus: EndoTM, J_minus: EndoTM
 ) -> InducedGenStructure:
     """(F_pm, Z_pm, xi_pm, s, kappa) by double induction, the quadruple-built
-    Fcal, and Z_pm = (Z_pm, flat_{kappa +- s} Z_pm)."""
-    geo = second_fundamental_form(e, gamma, psi, policy)
-    acp = induced_almost_contact(e, gamma, J_plus, geo, policy, name="induced+")
-    acm = induced_almost_contact(e, gamma, J_minus, geo, policy, name="induced-")
+    Fcal, and Z_pm = (Z_pm, flat_{kappa +- s} Z_pm), each validated under
+    the geometry's policy."""
+    policy = geo.policy
+    acp, acm = geo.contact(J_plus), geo.contact(J_minus)
     G = build_gen_metric(geo.s, geo.kappa, policy)
     genf = build_genF_from_quadruple(G, acp.F, acm.F, policy)
-    Zp = G.section(acp.Z, 1)
-    Zm = G.section(acm.Z, -1)
-    two_one = build_21gac(genf.Fcal, Zp, Zm, G, policy, name="induced-21")
-    return InducedGenStructure(geo, acp, acm, G, genf, two_one)
+    two_one = TwoOneGAC(genf.Fcal, G.section(acp.Z, 1), G.section(acm.Z, -1), G, "induced-21")
+    return InducedGenStructure(genf, two_one, require_two_one(two_one, policy))
 
 
 def check_hyp_CRFK(
-    e: Embedding,
-    gamma: MetricField,
-    psi: TwoForm,
+    geo: HypersurfaceGeometry,
     J_plus: EndoTM,
     J_minus: EndoTM,
     policy: ZeroPolicy = DEFAULT_POLICY,
-    geo: Optional[HypersurfaceGeometry] = None,
+    gen_kahler: Optional[CheckResult] = None,
 ) -> CheckResult:
     """(eqptans3) for a hypersurface of a generalized Kaehler manifold; on
-    success the induced classical structures must come out normal."""
-    amb = check_gen_kahler(gamma, psi, J_plus, J_minus, policy)
-    if not amb.ok:
-        bad = [lbl for lbl, v in amb.items if not v.ok]
-        raise PreconditionNotMet(
-            f"ambient structure is not generalized Kaehler (failed: {', '.join(bad)})"
-        )
+    success the induced classical structures must come out normal.
+
+    ``gen_kahler`` is an already computed ``check_gen_kahler`` of the
+    ambient (gamma, psi, J_plus, J_minus); when it is None it is computed
+    here.
+    """
+    if gen_kahler is None:
+        gen_kahler = check_gen_kahler(geo.gamma, geo.psi, J_plus, J_minus, policy)
+    _require(gen_kahler, "generalized Kaehler")
     out = CheckResult("hyp_CRFK")
-    chart = e.domain
-    m = chart.dim
-    geo = geo or second_fundamental_form(e, gamma, psi, policy)
-    dpsi_res = [
-        [[e.restrict(x) for x in row] for row in plane] for plane in ext_d(psi).components
-    ]
-    fr = frame(chart)
+    e = geo.embedding
+    dpsi_res = [e.restrict_grid(plane) for plane in ext_d(geo.psi).components]
+    fr = frame(e.domain)
     # iota^*(i(nu) dpsi)
     rho = contract("ijk,i,ja,kc->ac", dpsi_res, geo.nu, geo.jac, geo.jac)
 
@@ -644,36 +644,21 @@ def check_hyp_CRFK(
 
     for sign, J in ((1, J_plus), (-1, J_minus)):
         tag = "+" if sign == 1 else "-"
-        ac = induced_almost_contact(e, gamma, J, geo, policy)
-        span_p = [ac.F(v) for v in fr]
-        exprs = []
-        for i in range(m):
-            for j in range(i + 1, m):
-                exprs.append(
-                    rho_apply(ac.F(span_p[i]), ac.F(span_p[j]))
-                    - rho_apply(span_p[i], span_p[j])
-                )
-        out.add(
-            f"(eqptans3) i(nu)dpsi invariance under F{tag} on P{tag}",
-            is_zero_all(exprs, policy),
-        )
-        exprs = []
-        for X in fr:
-            for U in span_p:
-                fu = ac.F(U)
-                exprs.append(
-                    geo.b_apply(X, fu) + sp.Rational(sign, 2) * rho_apply(X, fu)
-                )
+        ac, span_p, _ = _on_P(geo, J)
+        fp = [ac.F(X) for X in span_p]
+        out.add(f"(eqptans3) i(nu)dpsi invariance under F{tag} on P{tag}", is_zero_all(
+            (rho_apply(fp[i], fp[j]) - rho_apply(span_p[i], span_p[j])
+             for i in range(len(fp)) for j in range(i + 1, len(fp))), policy))
         out.add(
             f"(eqptans3) b(X, F{tag} U) = {'-' if sign == 1 else '+'}(1/2) "
             f"iota^*(i(nu)dpsi)(X, F{tag} U)",
-            is_zero_all(exprs, policy),
+            is_zero_all((geo.b_apply(X, fu) + sp.Rational(sign, 2) * rho_apply(X, fu)
+                         for X in fr for fu in fp), policy),
         )
     if out.ok:
         from .structures.classical import check_normal_classical
 
         for tag, J in (("+", J_plus), ("-", J_minus)):
-            ac = induced_almost_contact(e, gamma, J, geo, policy)
-            sub = check_normal_classical(ac, policy)
+            sub = check_normal_classical(geo.contact(J), policy)
             out.add(f"CRFK consequence: induced structure {tag} is normal", sub.verdict)
     return out

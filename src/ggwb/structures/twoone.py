@@ -70,12 +70,6 @@ class TwoOneGAC:
     def Z(self, sign: int) -> BigSection:
         return self.Z_plus if sign == 1 else self.Z_minus
 
-    def genf(self) -> GenF:
-        if self.G is None:
-            return GenF(self.Fcal)
-        Fp, Fm = self.classical_endos()
-        return GenF(self.Fcal, self.G, Fp, Fm)
-
     # -- extraction of the equivalent classical pair ----------------------
 
     def classical_endos(self) -> tuple[EndoTM, EndoTM]:
@@ -140,13 +134,20 @@ def build_21gac(
     """Validate (almoctZpm), (almctF2) and the metric compatibility, then
     build; rejects with a structured report of which identity failed."""
     s = TwoOneGAC(Fcal, Z_plus, Z_minus, G, name=name)
+    require_two_one(s, policy)
+    return s
+
+
+def require_two_one(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
+    """``check_two_one(s, policy)``; raises StructureError with the failed
+    items when it fails."""
     res = check_two_one(s, policy)
     if not res.ok:
         raise StructureError(
             "data does not satisfy the (2,1)-structure axioms",
             [(lbl, v) for lbl, v in res.items if not v.ok],
         )
-    return s
+    return res
 
 
 def check_two_one(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
@@ -161,12 +162,9 @@ def check_two_one(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckRes
     m2 = m @ m
     rank1 = BigEndo.outer(s.Z_plus, s.Z_plus) - BigEndo.outer(s.Z_minus, s.Z_minus)
     # Fcal^2 + Id - rank1 is the defect of both identities
-    frame_defect = list(_flatten((m2 + BigEndo.identity(chart) - rank1).components))
-    out.add(
-        "(almctF2) Fcal^2 = -Id + flat_g Z+ (x) Z+ - flat_g Z- (x) Z-",
-        is_zero_all(frame_defect, policy),
-    )
-    out.add("(prScuframe) pr_S = g(Z+,.)Z+ - g(Z-,.)Z-", is_zero_all(frame_defect, policy))
+    both = is_zero_all(_flatten((m2 + BigEndo.identity(chart) - rank1).components), policy)
+    out.add("(almctF2) Fcal^2 = -Id + flat_g Z+ (x) Z+ - flat_g Z- (x) Z-", both)
+    out.add("(prScuframe) pr_S = g(Z+,.)Z+ - g(Z-,.)Z-", both)
     out.add("g-skewness of Fcal", is_zero_all(m.skew_defect(), policy))
     out.add("Fcal^3 + Fcal = 0", is_zero_all(_flatten((m2 @ m + m).components), policy))
     if s.G is not None:
@@ -181,7 +179,7 @@ def check_two_one(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckRes
             dd = s.G.Gcal(Z) - Z * sign
             eig.extend(dd.components())
         out.add("Z+- lie in V+-", is_zero_all(eig, policy))
-    corank, neg = corank_and_negative_index(s.genf() if s.G else GenF(s.Fcal), policy)
+    corank, neg = corank_and_negative_index(GenF(s.Fcal), policy)
     out.add(
         "corank(Fcal) = 2",
         Verdict.numeric() if corank == 2 else Verdict.failed(detail=f"corank = {corank}"),

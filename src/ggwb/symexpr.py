@@ -234,27 +234,34 @@ def _unify(a: FracElement, b: FracElement) -> tuple:
 
 
 def _fraction(K: FracField, num, den) -> FracElement:
-    """num/den in lowest terms.  The reduced form sympy keeps is a pair of
-    integer polynomials without common factor, contents coprime, denominator
-    with positive leading coefficient; over Q a constant denominator needs
-    no gcd for it: num/den times the common denominator L, over L."""
-    if K.domain is QQ and den.is_ground:
-        if not num:
-            return K.zero
-        c = den[K.ring.zero_monom]
-        if c != 1:
-            num = num.quo_ground(c)
-        L = math.lcm(*(v.denominator for v in num.values()))
-        if L == 1:
-            return K.raw_new(num, K.one.numer)
-        return K.raw_new(num.mul_ground(L), K.ring.ground_new(L))
-    if den.is_ground:
-        return K.new(num, den)
-    # the gcd costs per variable of the ring, absent ones included
-    pair = _shrink(K.raw_new(num, den), keep_coords=False)
-    if pair.field is K:
-        return K.new(num, den)
-    return _embed(pair.field.new(pair.numer, pair.denom), K)
+    """num/den in lowest terms.  The reduced form sympy keeps over Q is a
+    pair of integer polynomials without common factor, contents coprime,
+    denominator with positive leading coefficient; a constant denominator
+    needs no gcd for it.  That form is num/den scaled to a monic
+    denominator, then times the least positive integer L that clears the
+    denominators of the coefficients.  Over Q(i) sympy's gcd fixes the
+    fraction only up to a constant factor, which depends on the input
+    (z/x - 7/2 - i/2 comes out over 2x or over (1 + i)x), so every Q(i)
+    fraction is brought to this form too."""
+    if not den.is_ground:
+        # the gcd costs per variable of the ring, absent ones included
+        pair = _shrink(K.raw_new(num, den), keep_coords=False)
+        rf = K.new(num, den) if pair.field is K else _embed(
+            pair.field.new(pair.numer, pair.denom), K)
+        if K.domain is QQ:
+            return rf
+        num, den = rf.numer, rf.denom
+    if not num:
+        return K.zero
+    c = den.LC
+    if c != 1:
+        num, den = num.quo_ground(c), den.quo_ground(c)
+    coeffs = [*num.values(), *den.values()]
+    parts = coeffs if K.domain is QQ else [q for v in coeffs for q in (v.x, v.y)]
+    L = math.lcm(*(q.denominator for q in parts))
+    if L == 1:
+        return K.raw_new(num, den)
+    return K.raw_new(num.mul_ground(L), den.mul_ground(L))
 
 
 def _field_op(op, a: FracElement, b: FracElement) -> FracElement:
@@ -729,7 +736,7 @@ def _conj(rf: FracElement) -> FracElement:
     if K.domain is not QQ_I:
         return rf
     conj = lambda p: K.ring.dtype([(m, QQ_I(c.x, -c.y)) for m, c in p.items()])  # noqa: E731
-    return K.new(conj(rf.numer), conj(rf.denom))
+    return _fraction(K, conj(rf.numer), conj(rf.denom))
 
 
 # ---------------------------------------------------------------------------
@@ -1007,6 +1014,18 @@ def _degree(expr: sp.Expr) -> int:
     return 0
 
 
+# The digit bound of every number a parse with ``max_degree`` makes.  A
+# 5,000-digit literal fails in sympy's Rational, and 2^(10^5) loads a
+# 30,103-digit integer that no report can print; the builtins use 2 digits.
+MAX_DIGITS = 32
+
+
+def _digits(q: sp.Rational) -> int:
+    """The decimal digits of the larger of q's numerator and denominator,
+    read from their bit lengths: never fewer, at most one more."""
+    return math.ceil(max(abs(q.p).bit_length(), q.q.bit_length()) * math.log10(2))
+
+
 class _Parser:
     def __init__(self, text: str, chart, max_degree: Optional[int] = None):
         self.tokens = _tokenize(text)
@@ -1015,13 +1034,21 @@ class _Parser:
         self.i = 0
 
     def bound(self, e: sp.Expr, pos: int) -> None:
-        """Reject a tree whose degree estimate exceeds ``max_degree``,
-        before anything converts (and so expands) it."""
+        """Reject a tree whose degree estimate exceeds ``max_degree``, or
+        that holds a number of more than MAX_DIGITS digits, before anything
+        converts (and so expands) it."""
         if self.max_degree is not None:
             degree = _degree(e)
             if degree > self.max_degree:
                 raise ParseError(
                     f"degree estimate {degree} exceeds the bound {self.max_degree}", pos)
+            self.bound_digits(max(map(_digits, e.atoms(sp.Rational)), default=0), pos)
+
+    def bound_digits(self, digits: int, pos: int) -> None:
+        """Reject a number of ``digits`` digits before sympy makes it."""
+        if self.max_degree is not None and digits > MAX_DIGITS:
+            raise ParseError(
+                f"a number of up to {digits} digits exceeds the bound {MAX_DIGITS}", pos)
 
     def peek(self):
         return self.tokens[self.i]
@@ -1081,12 +1108,15 @@ class _Parser:
             exponent = self.unary()
             if not exponent.is_Integer:
                 raise ParseError("exponent must be an integer literal", pos)
+            if base.is_Rational:
+                self.bound_digits(abs(int(exponent)) * _digits(base), pos)
             return base ** int(exponent)
         return base
 
     def primary(self) -> sp.Expr:
         kind, val, pos = self.next()
         if kind == "num":
+            self.bound_digits(len(val) - ("." in val), pos)
             return sp.Rational(val)
         if kind == "ident":
             if self.peek()[:2] == ("op", "("):

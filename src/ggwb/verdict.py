@@ -2,8 +2,9 @@
 
 Every identity the engine tests resolves to one of
 
-* ``Proved`` — the canonical form is literally zero, or its numerator
-  reduces to zero modulo sin^2 + cos^2 - 1,
+* ``Proved`` — the canonical form, the reduced fraction in the chart's
+  rational function field (coordinates and the sin/cos/exp generators),
+  is zero,
 * ``NumericallySupported`` — nonzero canonical form, but vanishing at every
   random sample point (exactly for rational values, within tolerance when
   transcendental atoms are involved),

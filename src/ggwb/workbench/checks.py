@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ..calculus import random_vector_field
+from ..calculus import EndoTM, MetricField, TwoForm, random_vector_field, zero_twoform
 from ..courant import courant_bracket
 from ..errors import PreconditionNotMet, ScenarioError, StructureError
 from ..structures import (
@@ -44,6 +44,8 @@ from ..structures import (
 )
 from ..hypersurface import (
     Embedding,
+    HypersurfaceGeometry,
+    InducedGenStructure,
     check_fundamental_form_property,
     check_gen_kahler,
     check_hermitian_identities,
@@ -52,7 +54,6 @@ from ..hypersurface import (
     check_hyp_geometry,
     check_hyp_normal,
     check_induced_contact,
-    induced_gen_structure,
     second_fundamental_form,
 )
 from ..symexpr import is_zero_all
@@ -60,41 +61,50 @@ from ..verdict import CheckResult, Verdict
 from .scenario import Scenario, StructureDecl
 
 
+@dataclass(eq=False)
+class Hypersurface:
+    """A declared hypersurface: the embedding and its ambient data.  ``J`` is
+    the Hermitian structure the classical criteria read, J_plus when a pair
+    is declared."""
+
+    embedding: Embedding
+    gamma: MetricField
+    psi: TwoForm  # zero when none is declared
+    J: EndoTM
+    pair: Optional[tuple] = None  # (J_plus, J_minus)
+
+    def J_pair(self, what: str) -> tuple:
+        if self.pair is None:
+            raise PreconditionNotMet(f"{what} needs ambient J_plus and J_minus")
+        return self.pair
+
+
 class ScenarioContext:
-    """Lazily builds and caches the geometric objects a scenario declares."""
+    """Builds each object a scenario declares once, and keeps the check
+    results that other checks read."""
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.policy = scenario.policy
-        self._built = {}
-        self._results = {}  # (check, id(target)) -> (target, CheckResult)
+        self._once = {}  # (name, id(target)) -> (target, value)
 
-    def run_once(self, check: str, target, run: Callable[[], CheckResult]) -> CheckResult:
-        """The result of ``check`` on ``target``, computed on first request.
+    def run_once(self, name: str, target, run: Callable):
+        """``run()``, computed on the first request for ``name`` on ``target``.
 
-        Verdicts are deterministic (every zero test draws from a fresh
-        ``policy.rng()``), so a repeated request may reuse the first result.
+        Builds and verdicts are deterministic (every zero test draws from a
+        fresh ``policy.rng()``), so a repeated request may reuse the first
+        result.
         """
-        key = (check, id(target))
-        if key not in self._results:
-            self._results[key] = (target, run())
-        return self._results[key][1]
-
-    def earlier_result(self, check: str, target) -> Optional[CheckResult]:
-        """The result ``run_once`` already holds for ``check`` on ``target``."""
-        hit = self._results.get((check, id(target)))
-        return hit[1] if hit is not None else None
+        key = (name, id(target))
+        if key not in self._once:
+            self._once[key] = (target, run())
+        return self._once[key][1]
 
     def field(self, name: str):
         return self.scenario.fields[name]
 
     def build(self, decl: StructureDecl):
-        if decl.name in self._built:
-            return self._built[decl.name]
-        builder = getattr(self, f"_build_{decl.type}")
-        obj = builder(decl)
-        self._built[decl.name] = obj
-        return obj
+        return self.run_once("build", decl, lambda: getattr(self, f"_build_{decl.type}")(decl))
 
     def _build_almost_contact(self, decl) -> AlmostContact:
         d = decl.data
@@ -137,53 +147,22 @@ class ScenarioContext:
         Zm = genf.G.section(self.field(d["Z_minus"]), -1)
         return TwoOneGAC(genf.Fcal, Zp, Zm, genf.G, name=decl.name)
 
-    def _build_hypersurface(self, decl) -> dict:
+    def _build_hypersurface(self, decl) -> Hypersurface:
         d = decl.data
-        ambient_metric = self.field(d["metric"])
-        emb = Embedding(d["domain"], ambient_metric.chart, d["map"], d["orientation"])
-        bundle = {
-            "embedding": emb,
-            "gamma": ambient_metric,
-            "psi": self.field(d["psi"]) if "psi" in d else None,
-        }
+        gamma = self.field(d["metric"])
+        emb = Embedding(d["domain"], gamma.chart, d["map"], d["orientation"])
+        psi = self.field(d["psi"]) if "psi" in d else zero_twoform(gamma.chart)
         if "J" in d:
-            bundle["J"] = self.field(d["J"])
-        else:
-            bundle["J_plus"] = self.field(d["J_plus"])
-            bundle["J_minus"] = self.field(d["J_minus"])
-        return bundle
+            return Hypersurface(emb, gamma, psi, self.field(d["J"]))
+        pair = (self.field(d["J_plus"]), self.field(d["J_minus"]))
+        return Hypersurface(emb, gamma, psi, pair[0], pair)
 
-    def geometry(self, bundle: dict):
-        key = id(bundle["embedding"])
-        cache = self._built.setdefault("__geo__", {})
-        if key not in cache:
-            cache[key] = second_fundamental_form(
-                bundle["embedding"], bundle["gamma"], bundle["psi"], self.policy
-            )
-        return cache[key]
+    def geometry(self, h: Hypersurface) -> HypersurfaceGeometry:
+        return self.run_once("geometry", h, lambda: second_fundamental_form(
+            h.embedding, h.gamma, h.psi, self.policy))
 
-    def induced(self, bundle: dict):
-        key = ("induced", id(bundle["embedding"]))
-        if key not in self._built:
-            if "J_plus" not in bundle:
-                raise PreconditionNotMet(
-                    "the induced generalized structure needs J_plus and J_minus"
-                )
-            from ..calculus import zero_twoform
-
-            psi = bundle["psi"]
-            if psi is None:
-                psi = zero_twoform(bundle["gamma"].chart)
-            self._built[key] = induced_gen_structure(
-                bundle["embedding"], bundle["gamma"], psi,
-                bundle["J_plus"], bundle["J_minus"], self.policy,
-            )
-        return self._built[key]
-
-    def _hyp_J(self, bundle: dict):
-        if "J" in bundle:
-            return bundle["J"]
-        return bundle["J_plus"]
+    def induced(self, h: Hypersurface) -> InducedGenStructure:
+        return self.geometry(h).gen_structure(*h.J_pair("the induced generalized structure"))
 
 
 @dataclass
@@ -219,9 +198,15 @@ def _run_crvpm(ctx: ScenarioContext, obj, pairs: int = 12) -> CheckResult:
 
 
 def _two_one_target(ctx, obj):
-    if isinstance(obj, dict):  # hypersurface bundle -> induced structure
+    if isinstance(obj, Hypersurface):
         return ctx.induced(obj).two_one
     return obj
+
+
+def _run_two_one(ctx, obj) -> CheckResult:
+    if isinstance(obj, Hypersurface):  # the build of the induced structure ran it
+        return ctx.induced(obj).two_one_check
+    return check_two_one(obj, ctx.policy)
 
 
 def _run_normal21(ctx, obj) -> CheckResult:
@@ -230,10 +215,25 @@ def _run_normal21(ctx, obj) -> CheckResult:
 
 
 def _run_binormal(ctx, obj) -> CheckResult:
-    # binormality cross-checks normal21 of the structure: reuse the verdict
-    # when the scenario already ran that check
-    s = _two_one_target(ctx, obj)
-    return check_binormal(s, ctx.policy, normal21=ctx.earlier_result("normal21", s))
+    # binormality cross-checks normal21 of the structure
+    return check_binormal(_two_one_target(ctx, obj), ctx.policy, normal21=_run_normal21(ctx, obj))
+
+
+def _run_hyp_crf(ctx, h) -> CheckResult:
+    return ctx.run_once("hyp_CRF", h, lambda: check_hyp_CRF(ctx.geometry(h), h.J, ctx.policy))
+
+
+def _run_gen_kahler(ctx, h) -> CheckResult:
+    J_plus, J_minus = h.J_pair("gen_kahler")
+    return ctx.run_once("gen_kahler", h, lambda: check_gen_kahler(
+        h.gamma, h.psi, J_plus, J_minus, ctx.policy))
+
+
+def _run_hyp_crfk(ctx, h) -> CheckResult:
+    J_plus, J_minus = h.J_pair("hyp_CRFK")
+    return check_hyp_CRFK(
+        ctx.geometry(h), J_plus, J_minus, ctx.policy, gen_kahler=_run_gen_kahler(ctx, h)
+    )
 
 
 _HYP = ("hypersurface",)
@@ -292,8 +292,7 @@ _register(
 )
 _register("crvpm", ("gen_metric", "quadruple", "two_one"), _run_crvpm, aliases=("CrVpm",))
 _register(
-    "two_one", _C21,
-    lambda ctx, obj: check_two_one(_two_one_target(ctx, obj), ctx.policy),
+    "two_one", _C21, _run_two_one,
     aliases=("almoctZpm", "almctF2", "21metriccuZpm", "comfr", "prScuframe"),
 )
 _register(
@@ -327,72 +326,35 @@ _register(
 )
 _register(
     "hyp_geometry", _HYP,
-    lambda ctx, b: check_hyp_geometry(ctx.geometry(b), ctx.policy),
+    lambda ctx, h: check_hyp_geometry(ctx.geometry(h), ctx.policy),
     aliases=("G-W",),
 )
 _register(
     "induced_contact", _HYP,
-    lambda ctx, b: check_induced_contact(
-        b["embedding"], b["gamma"], ctx._hyp_J(b), ctx.geometry(b), ctx.policy
-    ),
+    lambda ctx, h: check_induced_contact(ctx.geometry(h), h.J, ctx.policy),
     aliases=("strind1",),
 )
-_register(
-    "hyp_CRF", _HYP,
-    lambda ctx, b: check_hyp_CRF(
-        b["embedding"], b["gamma"], ctx._hyp_J(b), ctx.geometry(b), ctx.policy
-    ),
-    aliases=("eqCRF2", "eqCRF3"),
-)
+_register("hyp_CRF", _HYP, _run_hyp_crf, aliases=("eqCRF2", "eqCRF3"))
 _register(
     "hyp_normal", _HYP,
-    lambda ctx, b: check_hyp_normal(
-        b["embedding"], b["gamma"], ctx._hyp_J(b), ctx.geometry(b), ctx.policy
+    lambda ctx, h: check_hyp_normal(
+        ctx.geometry(h), h.J, ctx.policy, hyp_crf=_run_hyp_crf(ctx, h)
     ),
     aliases=("eqnormal2",),
 )
 _register(
     "LXi", _HYP,
-    lambda ctx, b: check_fundamental_form_property(
-        b["embedding"], b["gamma"], ctx._hyp_J(b), ctx.geometry(b), ctx.policy
+    lambda ctx, h: check_fundamental_form_property(
+        ctx.geometry(h), h.J, ctx.policy, hyp_crf=_run_hyp_crf(ctx, h)
     ),
 )
-_register(
-    "hyp_CRFK", _HYP,
-    lambda ctx, b: _run_hyp_crfk(ctx, b),
-    aliases=("eqptans3",),
-)
+_register("hyp_CRFK", _HYP, _run_hyp_crfk, aliases=("eqptans3",))
 _register(
     "hermitian", _HYP,
-    lambda ctx, b: check_hermitian_identities(b["gamma"], ctx._hyp_J(b), ctx.policy),
+    lambda ctx, h: check_hermitian_identities(h.gamma, h.J, ctx.policy),
     aliases=("eqdinKN", "identHerm"),
 )
-_register(
-    "gen_kahler", _HYP,
-    lambda ctx, b: _run_gen_kahler(ctx, b),
-    aliases=("relpsiJ", "relpsiOmega"),
-)
-
-
-def _run_hyp_crfk(ctx, b) -> CheckResult:
-    if "J_plus" not in b:
-        raise PreconditionNotMet("hyp_CRFK needs ambient J_plus and J_minus")
-    from ..calculus import zero_twoform
-
-    psi = b["psi"] if b["psi"] is not None else zero_twoform(b["gamma"].chart)
-    return check_hyp_CRFK(
-        b["embedding"], b["gamma"], psi, b["J_plus"], b["J_minus"], ctx.policy,
-        geo=ctx.geometry(b),
-    )
-
-
-def _run_gen_kahler(ctx, b) -> CheckResult:
-    if "J_plus" not in b:
-        raise PreconditionNotMet("gen_kahler needs ambient J_plus and J_minus")
-    from ..calculus import zero_twoform
-
-    psi = b["psi"] if b["psi"] is not None else zero_twoform(b["gamma"].chart)
-    return check_gen_kahler(b["gamma"], psi, b["J_plus"], b["J_minus"], ctx.policy)
+_register("gen_kahler", _HYP, _run_gen_kahler, aliases=("relpsiJ", "relpsiOmega"))
 
 
 def resolve_alias(name: str) -> Optional[str]:

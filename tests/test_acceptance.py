@@ -83,9 +83,7 @@ def lifts(s1, s2, s3):
 def induced(hyperplane, sphere):
     out = {}
     for key, data in (("hyperplane", hyperplane), ("sphere", sphere)):
-        out[key] = induced_gen_structure(
-            data["embedding"], data["gamma"], data["psi"], data["J"], data["J"], POLICY
-        )
+        out[key] = induced_gen_structure(data["geo"], data["J"], data["J"])
     return out
 
 
@@ -146,23 +144,13 @@ def test_criterion_04_example21_reproduction(s1):
 
 def test_criterion_05_hypersurface_suite(hyperplane, sphere):
     ok = all(x.is_syntactic_zero for row in hyperplane["geo"].b for x in row)
-    ok = ok and check_hyp_normal(
-        hyperplane["embedding"], hyperplane["gamma"], hyperplane["J"], hyperplane["geo"], POLICY
-    ).ok
-    ok = ok and check_hyp_CRFK(
-        hyperplane["embedding"], hyperplane["gamma"], hyperplane["psi"],
-        hyperplane["J"], hyperplane["J"], POLICY, geo=hyperplane["geo"],
-    ).ok
+    ok = ok and check_hyp_normal(hyperplane["geo"], hyperplane["J"], POLICY).ok
+    ok = ok and check_hyp_CRFK(hyperplane["geo"], hyperplane["J"], hyperplane["J"], POLICY).ok
     geo = sphere["geo"]
     b_minus_s = [geo.b[a][c] - geo.s.matrix[a][c] for a in range(3) for c in range(3)]
     ok = ok and is_zero_all(b_minus_s, POLICY).ok  # NumericallySupported or better
-    ok = ok and check_hyp_normal(
-        sphere["embedding"], sphere["gamma"], sphere["J"], sphere["geo"], POLICY
-    ).ok
-    crfk = check_hyp_CRFK(
-        sphere["embedding"], sphere["gamma"], sphere["psi"], sphere["J"], sphere["J"],
-        POLICY, geo=sphere["geo"],
-    )
+    ok = ok and check_hyp_normal(sphere["geo"], sphere["J"], POLICY).ok
+    crfk = check_hyp_CRFK(sphere["geo"], sphere["J"], sphere["J"], POLICY)
     failed_items = [(lbl, v) for lbl, v in crfk.items if not v.ok]
     ok = ok and not crfk.ok
     ok = ok and failed_items and all("b(X, F" in lbl for lbl, _ in failed_items)
@@ -175,15 +163,13 @@ def test_criterion_05_hypersurface_suite(hyperplane, sphere):
 def test_criterion_06_hyp_structure_agreement(hyperplane, sphere):
     agreements = []
     for data in (hyperplane, sphere):
-        ac = induced_almost_contact(
-            data["embedding"], data["gamma"], data["J"], data["geo"], POLICY
-        )
+        ac = induced_almost_contact(data["geo"], data["J"])
         agreements.append(
-            check_hyp_CRF(data["embedding"], data["gamma"], data["J"], data["geo"], POLICY).ok
+            check_hyp_CRF(data["geo"], data["J"], POLICY).ok
             == check_classical_CRF(ac, POLICY).ok
         )
         agreements.append(
-            check_hyp_normal(data["embedding"], data["gamma"], data["J"], data["geo"], POLICY).ok
+            check_hyp_normal(data["geo"], data["J"], POLICY).ok
             == check_normal_classical(ac, POLICY).ok
         )
     ok = len(agreements) == 4 and all(agreements)

@@ -1,0 +1,71 @@
+"""One build per hypersurface: a scenario run builds the Gauss-Weingarten
+package and each induced structure once, and no check recomputes a result
+another check already holds."""
+
+import sys
+from collections import Counter
+
+import pytest
+
+from ggwb import hypersurface
+from ggwb.hypersurface import check_hyp_CRF, check_hyp_normal
+from ggwb.structures import twoone
+from ggwb.workbench import load_builtin
+from ggwb.workbench.checks import run_checks
+
+COUNTED = (
+    (hypersurface, "second_fundamental_form"),
+    (hypersurface, "unit_normal"),
+    (hypersurface, "check_gen_kahler"),
+    (hypersurface, "induced_almost_contact"),
+    (hypersurface, "_crf2_defects"),  # the (eqCRF2) defect lists
+    (twoone, "check_two_one"),
+)
+
+
+def _count_calls(monkeypatch) -> Counter:
+    """Wrap each counted function at every ggwb module that binds it."""
+    calls = Counter()
+    for module, name in COUNTED:
+        fn = getattr(module, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for modname, mod in list(sys.modules.items()):
+            if modname.startswith("ggwb"):
+                for attr, val in list(vars(mod).items()):
+                    if val is fn:
+                        monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["S4", "S6b"])
+def test_a_scenario_run_builds_each_hypersurface_structure_once(name, monkeypatch):
+    scenario = load_builtin(name)
+    (decl,) = [s for s in scenario.structures if s.type == "hypersurface"]
+    distinct_J = len({id(scenario.fields[decl.data[k]]) for k in ("J_plus", "J_minus")})
+    calls = _count_calls(monkeypatch)
+    run_checks(scenario)
+    assert distinct_J == 1
+    assert calls == {
+        "second_fundamental_form": 1,
+        "unit_normal": 1,
+        "check_gen_kahler": 1,
+        "check_two_one": 1,
+        "induced_almost_contact": distinct_J,
+        "_crf2_defects": 1,
+    }
+
+
+def test_hyp_normal_is_hyp_crf_plus_eqnormal2(sphere, pol):
+    crf = check_hyp_CRF(sphere["geo"], sphere["J"], pol)
+    normal = check_hyp_normal(sphere["geo"], sphere["J"], pol)
+    assert normal.items[:-1] == crf.items
+    assert [lbl for lbl, _ in normal.items] == [lbl for lbl, _ in crf.items] + [
+        "(eqnormal2) b(Z, X) = -(1/2) dOmega(nu, Z, JX) on P"
+    ]
+    # an already computed hyp_CRF result is read, not recomputed
+    reused = check_hyp_normal(sphere["geo"], sphere["J"], pol, hyp_crf=crf)
+    assert reused.items == normal.items

@@ -108,9 +108,7 @@ def test_sphere_weingarten_is_identity(sphere, pol):
 
 
 def test_hyperplane_induces_flat_cosymplectic(hyperplane, pol):
-    ac = induced_almost_contact(
-        hyperplane["embedding"], hyperplane["gamma"], hyperplane["J"], hyperplane["geo"], pol
-    )
+    ac = induced_almost_contact(hyperplane["geo"], hyperplane["J"])
     assert [[str(x) for x in row] for row in ac.F.matrix] == [
         ["0", "-1", "0"],
         ["1", "0", "0"],
@@ -121,9 +119,7 @@ def test_hyperplane_induces_flat_cosymplectic(hyperplane, pol):
 
 
 def test_sphere_induced_structure(sphere, pol):
-    ac = induced_almost_contact(
-        sphere["embedding"], sphere["gamma"], sphere["J"], sphere["geo"], pol
-    )
+    ac = induced_almost_contact(sphere["geo"], sphere["J"])
     assert check_almost_contact(ac, pol).ok
     assert is_zero(ac.xi(ac.Z) - 1, pol).ok
     # Z = -J nu is tangent and unit
@@ -131,13 +127,9 @@ def test_sphere_induced_structure(sphere, pol):
 
 
 def test_induced_contact_checks(hyperplane, sphere, pol):
-    r1 = check_induced_contact(
-        hyperplane["embedding"], hyperplane["gamma"], hyperplane["J"], hyperplane["geo"], pol
-    )
+    r1 = check_induced_contact(hyperplane["geo"], hyperplane["J"], pol)
     assert r1.verdict.is_proved
-    r2 = check_induced_contact(
-        sphere["embedding"], sphere["gamma"], sphere["J"], sphere["geo"], pol
-    )
+    r2 = check_induced_contact(sphere["geo"], sphere["J"], pol)
     assert r2.ok
     assert r2.subverdict("Xi = iota^* Omega").ok
 
@@ -147,26 +139,20 @@ def test_induced_contact_checks(hyperplane, sphere, pol):
 
 def test_hyp_criteria_hold_on_both(hyperplane, sphere, pol):
     for data in (hyperplane, sphere):
-        assert check_hyp_CRF(
-            data["embedding"], data["gamma"], data["J"], data["geo"], pol
-        ).ok
-        assert check_hyp_normal(
-            data["embedding"], data["gamma"], data["J"], data["geo"], pol
-        ).ok
+        assert check_hyp_CRF(data["geo"], data["J"], pol).ok
+        assert check_hyp_normal(data["geo"], data["J"], pol).ok
 
 
 def test_hyp_agreement_with_structure_level(hyperplane, sphere, pol):
     """Hypersurface-level and induced-structure-level verdicts agree."""
     for data in (hyperplane, sphere):
-        ac = induced_almost_contact(
-            data["embedding"], data["gamma"], data["J"], data["geo"], pol
-        )
+        ac = induced_almost_contact(data["geo"], data["J"])
         assert (
-            check_hyp_CRF(data["embedding"], data["gamma"], data["J"], data["geo"], pol).ok
+            check_hyp_CRF(data["geo"], data["J"], pol).ok
             == check_classical_CRF(ac, pol).ok
         )
         assert (
-            check_hyp_normal(data["embedding"], data["gamma"], data["J"], data["geo"], pol).ok
+            check_hyp_normal(data["geo"], data["J"], pol).ok
             == check_normal_classical(ac, pol).ok
         )
 
@@ -177,14 +163,12 @@ def test_hyp_refuses_non_hermitian_ambient(hyperplane, pol):
         [[0, -2, 0, 0], ["1/2", 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
     )
     with pytest.raises(PreconditionNotMet):
-        check_hyp_CRF(hyperplane["embedding"], hyperplane["gamma"], bad_J, None, pol)
+        check_hyp_CRF(hyperplane["geo"], bad_J, pol)
 
 
 def test_fundamental_form_property(hyperplane, sphere, pol):
     for data in (hyperplane, sphere):
-        res = check_fundamental_form_property(
-            data["embedding"], data["gamma"], data["J"], data["geo"], pol
-        )
+        res = check_fundamental_form_property(data["geo"], data["J"], pol)
         assert res.ok
         assert res.subverdict("(LXi) equivalent to the first (eqCRF2) condition").is_proved
 
@@ -228,19 +212,13 @@ def test_gen_kahler_flat(flat_c2, pol):
 
 
 @pytest.fixture(scope="module")
-def hyperplane_induced(hyperplane, pol):
-    return induced_gen_structure(
-        hyperplane["embedding"], hyperplane["gamma"], hyperplane["psi"],
-        hyperplane["J"], hyperplane["J"], pol,
-    )
+def hyperplane_induced(hyperplane):
+    return induced_gen_structure(hyperplane["geo"], hyperplane["J"], hyperplane["J"])
 
 
 @pytest.fixture(scope="module")
-def sphere_induced(sphere, pol):
-    return induced_gen_structure(
-        sphere["embedding"], sphere["gamma"], sphere["psi"],
-        sphere["J"], sphere["J"], pol,
-    )
+def sphere_induced(sphere):
+    return induced_gen_structure(sphere["geo"], sphere["J"], sphere["J"])
 
 
 def test_induced_two_one_axioms(hyperplane_induced, sphere_induced, pol):
@@ -253,19 +231,13 @@ def test_induced_two_one_axioms(hyperplane_induced, sphere_induced, pol):
 
 
 def test_hyp_crfk_hyperplane_passes(hyperplane, pol):
-    res = check_hyp_CRFK(
-        hyperplane["embedding"], hyperplane["gamma"], hyperplane["psi"],
-        hyperplane["J"], hyperplane["J"], pol, geo=hyperplane["geo"],
-    )
+    res = check_hyp_CRFK(hyperplane["geo"], hyperplane["J"], hyperplane["J"], pol)
     assert res.ok
     assert res.subverdict("CRFK consequence: induced structure + is normal").ok
 
 
 def test_hyp_crfk_sphere_fails_with_witness(sphere, pol):
-    res = check_hyp_CRFK(
-        sphere["embedding"], sphere["gamma"], sphere["psi"],
-        sphere["J"], sphere["J"], pol, geo=sphere["geo"],
-    )
+    res = check_hyp_CRFK(sphere["geo"], sphere["J"], sphere["J"], pol)
     assert res.verdict.kind is VerdictKind.FAILED
     bad = [v for lbl, v in res.items if not v.ok]
     assert bad and all("b(X, F" in lbl for lbl, v in res.items if not v.ok)
@@ -276,15 +248,9 @@ def test_hyp_crfk_agrees_with_structure_level(
     hyperplane_induced, sphere_induced, hyperplane, sphere, pol
 ):
     """(eqptans3) versus the (CRFK6)-based checker on the assembled quadruple."""
-    hyp_level = check_hyp_CRFK(
-        hyperplane["embedding"], hyperplane["gamma"], hyperplane["psi"],
-        hyperplane["J"], hyperplane["J"], pol, geo=hyperplane["geo"],
-    )
+    hyp_level = check_hyp_CRFK(hyperplane["geo"], hyperplane["J"], hyperplane["J"], pol)
     assert hyp_level.ok == check_CRFK(hyperplane_induced.genf, pol).ok
-    hyp_level = check_hyp_CRFK(
-        sphere["embedding"], sphere["gamma"], sphere["psi"],
-        sphere["J"], sphere["J"], pol, geo=sphere["geo"],
-    )
+    hyp_level = check_hyp_CRFK(sphere["geo"], sphere["J"], sphere["J"], pol)
     assert hyp_level.ok == check_CRFK(sphere_induced.genf, pol).ok
 
 
@@ -299,5 +265,6 @@ def test_hyp_crfk_refuses_non_gk_ambient(hyperplane, C2, pol):
     )
     with pytest.raises(PreconditionNotMet):
         check_hyp_CRFK(
-            hyperplane["embedding"], gamma, zero_twoform(C2), J, J, pol
+            second_fundamental_form(hyperplane["embedding"], gamma, zero_twoform(C2), pol),
+            J, J, pol,
         )

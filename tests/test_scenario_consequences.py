@@ -13,9 +13,7 @@ from ggwb.verdict import VerdictKind
 def test_corollary_32_closed_fundamental_form_on_hyperplane(hyperplane, pol):
     """The hyperplane-induced structure has d Xi = 0 and b(FX,FY) = b(X,Y),
     the closed-fundamental-form route to classical CRF."""
-    ac = induced_almost_contact(
-        hyperplane["embedding"], hyperplane["gamma"], hyperplane["J"], hyperplane["geo"], pol
-    )
+    ac = induced_almost_contact(hyperplane["geo"], hyperplane["J"])
     dxi = ext_d(ac.fundamental_form())
     assert dxi.is_syntactic_zero
     geo = hyperplane["geo"]
@@ -29,9 +27,7 @@ def test_corollary_32_closed_fundamental_form_on_hyperplane(hyperplane, pol):
 def test_corollary_34b_geodesic_z_on_hyperplane(hyperplane, pol):
     """nabla^s_Z Z = 0 for the hyperplane-induced structure: the trajectories
     of Z are geodesics (the extra hypothesis of the totally-geodesic converse)."""
-    ac = induced_almost_contact(
-        hyperplane["embedding"], hyperplane["gamma"], hyperplane["J"], hyperplane["geo"], pol
-    )
+    ac = induced_almost_contact(hyperplane["geo"], hyperplane["J"])
     conn = ac.gamma.connection()
     nz = conn.nabla(ac.Z, ac.Z)
     assert all(c.is_syntactic_zero for c in nz.components)
@@ -41,10 +37,7 @@ def test_killing_orthogonal_hyperplane_is_binormal(hyperplane, pol):
     """The hyperplane is orthogonal to the unit Killing field d_{y2}, which is
     holomorphic for both J_pm = J; consequence: the induced generalized
     metric almost contact structure is binormal."""
-    igs = induced_gen_structure(
-        hyperplane["embedding"], hyperplane["gamma"], hyperplane["psi"],
-        hyperplane["J"], hyperplane["J"], pol,
-    )
+    igs = induced_gen_structure(hyperplane["geo"], hyperplane["J"], hyperplane["J"])
     res = check_binormal(igs.two_one, pol)
     assert res.ok
     assert res.subverdict(

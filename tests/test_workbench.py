@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 import sympy as sp
 
+from ggwb import symexpr
 from ggwb.errors import ScenarioError
 from ggwb.verdict import VerdictKind
 from ggwb.workbench import (
@@ -330,6 +331,21 @@ def test_cli_rejects_an_oversized_power_fast(tmp_path, capsys):
     assert f"exceeds the bound {scenario_mod.MAX_DEGREE}" in err
 
 
+@pytest.mark.parametrize("text,digits", [
+    ("1" * 5000, 5000),  # sympy's Rational raised TypeError on the literal
+    ("2^(10^5)", 100000),  # 30,103 digits loaded, then the report could not print them
+])
+def test_cli_rejects_a_hostile_number_fast(tmp_path, capsys, text, digits):
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(_s1_with_xi(text)))
+    t0 = time.perf_counter()
+    assert main(["check", str(path)]) == 2
+    assert time.perf_counter() - t0 < 2
+    err = capsys.readouterr().err
+    assert "$.fields.xi.components[2]:" in err
+    assert f"up to {digits} digits exceeds the bound {symexpr.MAX_DIGITS}" in err
+
+
 @pytest.mark.parametrize("text,what", [
     ("((x+1)^20)^20", "degree"),  # 400, estimated before the power expands
     ("x/((x+y+z+1)^40)", "degree"),  # a divisor, before its zero test converts it
@@ -348,8 +364,6 @@ def test_scenario_size_bounds_name_the_json_path(text, what):
 def test_degree_bound_comes_before_any_conversion(monkeypatch):
     """Neither the oversized power nor the oversized divisor (whose zero test
     converts it) reaches the conversion to the field."""
-    from ggwb import symexpr
-
     converted = []
     original = symexpr._to_field
 
@@ -369,8 +383,10 @@ def test_degree_bound_comes_before_any_conversion(monkeypatch):
 
 def test_size_bounds_leave_headroom_over_the_builtins(monkeypatch):
     """Every builtin still loads under a third of the degree bound and a
-    quarter of the term bound (degree 3 and 8 terms at most today)."""
+    quarter of the term and digit bounds (degree 3, 8 terms and 2-digit
+    numbers at most today)."""
     monkeypatch.setattr(scenario_mod, "MAX_DEGREE", scenario_mod.MAX_DEGREE // 3)
     monkeypatch.setattr(scenario_mod, "MAX_TERMS", scenario_mod.MAX_TERMS // 4)
+    monkeypatch.setattr(symexpr, "MAX_DIGITS", symexpr.MAX_DIGITS // 4)
     for name in builtin_names():
         load_builtin(name)

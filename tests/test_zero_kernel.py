@@ -14,7 +14,7 @@ import random
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ggwb import calculus, symexpr
@@ -72,6 +72,8 @@ def _general(op, a: ScalarExpr, b: ScalarExpr):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**6),
        kind=st.sampled_from(["atoms", "rational", "gaussian"]))
+@example(seed=190, kind="gaussian")  # 1/6 + 3i/2, a constant Q(i) denominator
+@example(seed=577, kind="gaussian")  # z/x - 7/2 - i/2 over 2x or over (1 + i)x
 def test_zero_operand_gives_the_general_field_result(chart, seed, kind):
     rng = random.Random(seed)
     tree = random_tree(chart, rng, max_depth=3, atoms=kind == "atoms")
