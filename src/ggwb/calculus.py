@@ -9,27 +9,36 @@ Conventions follow Cartan throughout (no 1/(k+1) factors):
 
 All fields are stored in coordinate-frame components and are immutable after
 construction.  Every tensor class (and :class:`ggwb.courant.BigEndo`) is one
-core, :class:`_Components`: a nested tuple of ScalarExpr of a fixed shape.
-The core defines the elementwise algebra, the matrix product, the evaluation
-of a covariant tensor on vectors, ``is_syntactic_zero`` and ``repr`` once.
+sparse core, :class:`_Components`: a shape and a dict from index tuple to
+nonzero entry, every entry an element of one rational function field (the
+chart coordinates and the atom generators of :mod:`ggwb.symexpr`), built
+once.  A zero is never stored.  ``components`` is a view of the store,
+nested tuples of ScalarExpr built on first use.  The core defines the
+elementwise algebra (dict merges in the field), the matrix product, the
+evaluation of a covariant tensor on vectors, ``is_syntactic_zero`` and
+``repr`` once.
 
 The package has one algebra path.  Every sum over indices, including every
 matrix product, transpose, block assembly, defect matrix and determinant,
 goes through :func:`contract`, written in index notation:
 ``contract("ij,i,j->", g, X, Y)`` is g(X, Y), ``"i,ij->j"`` contracts one
 slot, ``"ij,j->i"`` applies an endomorphism, ``"ki,kj->ij"`` is the product
-A^T B.  It skips terms with a zero factor, multiplies and sums in the
-rational function field that holds every entry of every operand (the chart
-coordinates and the atom generators of :mod:`ggwb.symexpr`), and returns
-ScalarExpr entries, already canonical.  An empty sum is the chart's one zero
-scalar, and a contraction with an all-zero core array is all zeros before
-any field work.  :class:`MetricField` takes its
-determinant and its adjugate inverse as Leibniz contractions (:func:`_det`).
+A^T B.  Each spec compiles once into a join over the stored nonzeros, in
+the sparse-iteration style of TACO (Kjolstad et al., *The tensor algebra
+compiler*, OOPSLA 2017): operand by operand, each operand's entries are
+looked up by the indices already bound, through an index it keeps.  So a
+term with a zero factor is never formed.  Products and sums are taken in
+the field that holds every operand, and the result is a core array (or a
+ScalarExpr), already canonical, which the next contraction reads as it is.
+An empty sum is the chart's one zero scalar, and an operand without
+nonzeros makes the result zero before any field work.
+:class:`MetricField` takes its determinant and its adjugate inverse as
+Leibniz contractions (:func:`_det`).
 
 Every partial derivative goes through :func:`ggwb.symexpr.pdiff`, the chain
 rule in the field.  Brackets, exterior, Lie and covariant derivatives take
 the derivative array of each field once (:func:`_partials`), a core array
-whose field elements :func:`contract` embeds once, and contract it.
+of the derivatives of its stored entries, and contract it.
 
 Charts are global (R^n-like); compact factors are represented by periodic
 or parametric coordinate expressions on a single chart, with sampling ranges
@@ -40,22 +49,20 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 import random
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import sympy as sp
-from sympy.polys.fields import FracElement
 
 from .errors import ChartMismatchError, ExprError, SingularMetricError
 from .symexpr import (
-    _RATIONALS,
     ScalarExpr,
-    _constant,
+    _conj,
     _embed,
     _field,
+    _field_op,
     _join,
     _sum_over,
     _ring,
@@ -194,7 +201,7 @@ class ChartManifold:
 
 
 # ---------------------------------------------------------------------------
-# the component-array core and the one contraction
+# the sparse component-array core and the one contraction
 
 
 def _same_chart(*objs):
@@ -214,31 +221,67 @@ def _S(chart, v) -> ScalarExpr:
     return ScalarExpr(v, chart)
 
 
-def _wrap(chart, comps, shape, kind: str) -> tuple:
-    """Nested tuples of ScalarExpr of exactly ``shape``."""
-    if not shape:
-        return _S(chart, comps)
-    try:
-        comps = tuple(comps)
-    except TypeError:
-        comps = ()
-    if len(comps) != shape[0]:
-        raise ExprError(f"{kind} needs a {'x'.join(map(str, shape))} component array")
-    return tuple(_wrap(chart, c, shape[1:], kind) for c in comps)
+def _gather(chart, comps, shape: tuple, kind: str) -> dict:
+    """The nonzero entries of a component array of exactly ``shape``, as
+    scalars on ``chart`` by index tuple: read from nested sequences, or from
+    a dict of index tuples to values."""
+    out = {}
+
+    def walk(c, ix):
+        if len(ix) == len(shape):
+            if type(c) is not int or c:
+                c = _S(chart, c)
+                if c.rf:
+                    out[ix] = c
+            return
+        try:
+            c = tuple(c)
+        except TypeError:
+            c = ()
+        if len(c) != shape[len(ix)]:
+            raise ExprError(f"{kind} needs a {'x'.join(map(str, shape))} component array")
+        for i, e in enumerate(c):
+            walk(e, ix + (i,))
+
+    for ix, v in comps.items() if isinstance(comps, dict) else [((), comps)]:
+        walk(v, ix)
+    return out
 
 
-def _zipmap(f, *arrays):
-    """f applied entrywise to equally shaped nested arrays."""
-    if not isinstance(arrays[0], (list, tuple)):
-        return f(*arrays)
-    return [_zipmap(f, *parts) for parts in zip(*arrays)]
+def _getter(slots):
+    """ix -> the values of ix at ``slots``: () for none, a bare value for one."""
+    return operator.itemgetter(*slots) if slots else lambda ix: ()
 
 
-def _nest(flat: list, shape: list):
-    if not shape:
-        return flat[0]
-    step = len(flat) // shape[0]
-    return [_nest(flat[k * step:(k + 1) * step], shape[1:]) for k in range(shape[0])]
+@functools.lru_cache(maxsize=1024)
+def _compile(spec: str, shapes: tuple) -> tuple:
+    """The join of ``spec`` on operands of ``shapes``: (output shape, one
+    step per operand, the output index of a tuple of bound letter values).
+    Letters are bound operand by operand, in operand order.  A step is (the
+    operand's slots whose letters are bound already, its slots that bind
+    new letters, its slot pairs that repeat a letter, the lookup key)."""
+    ins, out = spec.split("->")
+    dims, order, steps = {}, [], []
+    for idx, shape in zip(ins.split(","), shapes):
+        if len(idx) != len(shape):
+            raise ExprError(f"operand '{idx}' of '{spec}' has rank {len(shape)}")
+        bound, new, same, first = [], [], [], {}
+        for p, (c, n) in enumerate(zip(idx, shape)):
+            if dims.setdefault(c, n) != n:
+                raise ExprError(f"index '{c}' of '{spec}' has two sizes")
+            if c in first:
+                same.append((first[c], p))
+                continue
+            first[c] = p
+            (bound if c in order else new).append(p)
+        key = _getter([order.index(idx[p]) for p in bound])
+        order += [idx[p] for p in new]
+        steps.append((tuple(bound), tuple(new), tuple(same), key))
+    if len(set(out)) != len(out) or not set(out) <= set(dims):
+        raise ExprError(f"the output indices of '{spec}' must be distinct operand indices")
+    at = [order.index(c) for c in out]
+    out_at = (lambda v: (v[at[0]],)) if len(at) == 1 else _getter(at)
+    return tuple(dims[c] for c in out), tuple(steps), out_at
 
 
 def contract(spec: str, *operands):
@@ -246,159 +289,186 @@ def contract(spec: str, *operands):
 
     The one contraction path of the package, in index notation:
     ``"ij,i,j->"`` evaluates a 2-tensor on two vectors, ``"i,ij->j"``
-    contracts one slot, ``"ij,j->i"`` applies an endomorphism and
-    ``"i,j->ij"`` is an outer product.  An operand is a tensor field or a
-    nested sequence of ScalarExpr, rational numbers or grammar expressions.
-    Each term multiplies one entry per operand from left to right, in
-    operand order; terms with a zero factor are skipped.  Products and sums
-    are taken in the one field that holds every entry; the result is a
-    ScalarExpr when nothing follows ``->`` and nested lists of ScalarExpr
-    otherwise.  An entry where no term survives is the chart's one zero,
-    and an all-zero core array operand makes every entry zero at once.
+    contracts one slot, ``"ij,j->i"`` applies an endomorphism, ``"i,j->ij"``
+    is an outer product and ``"ij->ji"`` a transpose.  An operand is a core
+    array or a nested sequence of ScalarExpr, rational numbers or grammar
+    expressions, made a core array here.
+
+    The spec compiles once per operand shapes into a join over the stored
+    nonzeros: the first operand's entries bind its letters, and each later
+    operand adds only the entries that its index, keyed by the letters
+    already bound, returns.  The index is kept on the operand, so a sparse
+    operand costs its nonzeros, not its shape.  A term's factors multiply
+    in operand order, and each output entry's terms are summed in the one
+    field that holds every operand (:func:`_field_sum`); an operand without
+    nonzeros makes the result zero before any field work.  The result is a
+    ScalarExpr when nothing follows ``->`` (the chart's one zero for an
+    empty sum), and otherwise a core array.
     """
-    ins, out = spec.split("->")
-    ins = ins.split(",")
+    ins = spec.split("->")[0].split(",")
     if len(ins) != len(operands):
         raise ExprError(f"contract '{spec}' takes {len(ins)} operands, got {len(operands)}")
-    fields = [o for o in operands if isinstance(o, _Components)]
-    chart = _same_chart(*fields) if fields else next(
-        (e.chart for e in _flatten(operands) if isinstance(e, ScalarExpr)), None)
-    if chart is None:
-        raise ExprError(f"contract '{spec}' has no operand on a chart")
-    dims = {}
-    for idx, arr in zip(ins, operands):
-        arr = arr.components if isinstance(arr, _Components) else arr
-        for letter in idx:
-            if dims.setdefault(letter, len(arr)) != len(arr):
-                raise ExprError(f"index '{letter}' of '{spec}' has two sizes")
-            arr = arr[0]
-    shape = [dims[c] for c in out]
-    zero = chart.zero
-    if any(o.is_syntactic_zero for o in fields):
-        return _nest([zero] * math.prod(shape), shape)
-    prepared = [o._prepared() if isinstance(o, _Components) else _prepare(o, chart)
-                for o in operands]
-    K = functools.reduce(_join, (F for _, F in prepared), _field(chart.symbols))
-    arrays = [a if F is K else _elements(a, K) for a, F in prepared]
-    summed = [c for c in dict.fromkeys("".join(ins)) if c not in out]
-    letters = list(out) + summed
-    slots = [[letters.index(c) for c in idx] for idx in ins]
-    chunk = math.prod(dims[c] for c in summed)
+    cores = [o for o in operands if isinstance(o, _Components)]
+    chart = cores[0].chart if cores else _first_scalar(operands, spec).chart
+    arrays = [o if isinstance(o, _Components) else _Array(chart, o, _extent(o, len(idx)))
+              for o, idx in zip(operands, ins)]
+    _same_chart(*arrays)
+    shape, steps, out_at = _compile(spec, tuple(a.shape for a in arrays))
+    if not all(a.entries for a in arrays):
+        return _zeros(chart, shape) if shape else chart.zero
+    K = functools.reduce(_join, {a.field for a in arrays})
+    partial = [((), ())]  # (bound letter values, factors)
+    for a, (bound, new, same, key) in zip(arrays, steps):
+        index = a._index(K, bound, new, same)
+        partial = [(v + n, f + (e,)) for v, f in partial for n, e in index.get(key(v), ())]
+        if not partial:
+            break
     one = K.ring.one
-    flat, terms = [], []
-    for count, ix in enumerate(itertools.product(*(range(dims[c]) for c in letters)), 1):
-        factors = []
-        for arr, slot in zip(arrays, slots):
-            for s in slot:
-                arr = arr[ix[s]]
-            if not arr:
-                break
-            factors.append(arr)
-        else:
-            terms.append(factors)
-        if count % chunk == 0:
-            flat.append(_ring(chart, _field_sum(K, one, terms)) if terms else zero)
-            terms = []
-    return _nest(flat, shape)
+    if not shape:
+        return _ring(chart, _field_sum(K, one, [f for _, f in partial])) if partial else chart.zero
+    groups = {}
+    for v, f in partial:
+        groups.setdefault(out_at(v), []).append(f)
+    entries = {}
+    for ix, terms in groups.items():
+        total = _field_sum(K, one, terms)
+        if total:
+            entries[ix] = total
+    return _core(chart, shape, K, entries)
 
 
-def _prepare(array, chart) -> tuple:
-    """(nested lists of field elements, their field: the chart's, holding
-    every element) for an array of ScalarExpr on ``chart``, rational numbers
-    and grammar expressions."""
-    fields = set()
-
-    def walk(a):
-        t = type(a)
-        if t is list or t is tuple:
-            return [walk(e) for e in a]
-        if t is int or t is not ScalarExpr and isinstance(a, _RATIONALS):
+def _first_scalar(operands, spec: str) -> ScalarExpr:
+    todo = list(operands)
+    while todo:
+        a = todo.pop()
+        if isinstance(a, ScalarExpr):
             return a
-        rf = a.rf if t is ScalarExpr and a.chart is chart else _S(chart, a).rf
-        fields.add(rf.field)
-        return rf
-
-    out = walk(array)
-    K = functools.reduce(_join, fields, _field(chart.symbols))
-    return _elements(out, K), K
+        if isinstance(a, (list, tuple)):
+            todo.extend(a)
+    raise ExprError(f"contract '{spec}' has no operand on a chart")
 
 
-def _elements(array, K) -> list:
-    """The entries of a nested list as elements of the field K."""
-    if type(array) is list:
-        return [_elements(e, K) for e in array]
-    if type(array) is FracElement:
-        return _embed(array, K)
-    return _constant(K, array)
+def _extent(array, rank: int) -> tuple:
+    """The shape of a nested sequence, read along its first entries."""
+    shape = []
+    for _ in range(rank):
+        shape.append(len(array))
+        array = array[0]
+    return tuple(shape)
 
 
 def _field_sum(K, one, terms):
-    """Sum of products of field elements, each product a list of factors.
-    Numerators and denominators are multiplied as polynomials; the
-    numerators over one denominator are added, and each denominator class
-    is reduced once."""
+    """Sum of products of field elements, each product a sequence of
+    factors.  Numerators and denominators are multiplied as polynomials;
+    the numerators over one denominator are added, and each denominator
+    class is reduced once.  A lone factor is already reduced."""
+    if len(terms) == 1 and len(terms[0]) == 1:
+        return terms[0][0]
     groups = {}
     for factors in terms:
         num, den = factors[0].numer, factors[0].denom
         for f in factors[1:]:
-            num = num * f.numer
+            if f.numer != one:
+                num = num * f.numer
             if f.denom != one:
                 den = den * f.denom
         groups[den] = groups[den] + num if den in groups else num
     return _sum_over(K, groups) if groups else K.zero
 
 
-def _sum(*terms) -> ScalarExpr:
-    """Sum of contraction results, signed and scaled by the caller."""
-    return functools.reduce(operator.add, terms)
-
-
 def _partials(t) -> "_Array":
     """The derivative array of a field's (or a scalar's) components: one
-    more slot, last, holding d_k of the entry.  A core array, so every
-    contraction of it reuses one embedding of its entries in their field."""
+    more slot, last, holding d_k of the entry.  Only the stored nonzeros
+    are differentiated."""
     chart, syms = t.chart, t.chart.symbols
-
-    def row(e):
-        return [e] * len(syms) if e.is_syntactic_zero else [pdiff(e, s) for s in syms]
-
     if isinstance(t, ScalarExpr):
-        return _Array(chart, row(t), (len(syms),))
-    return _Array(chart, _zipmap(row, t.components), t.shape + (len(syms),))
+        items, shape = ({(): t} if t.rf else {}), ()
+    else:
+        items, shape = t._items(), t.shape
+    return _Array(chart, {ix + (k,): pdiff(e, s) for ix, e in items.items()
+                          for k, s in enumerate(syms)}, shape + (len(syms),))
 
 
-def _det(rows) -> ScalarExpr:
-    """Determinant of a small square array of scalars: the Leibniz sum
-    eps_{i_1..i_m} A_{1 i_1} ... A_{m i_m}, contracted like any other
-    index sum."""
-    m = len(rows)
+def _det(A) -> ScalarExpr:
+    """Determinant of a small square core array: the Leibniz sum
+    eps_{i_1..i_m} A_{1 i_1} ... A_{m i_m}, one row per operand, contracted
+    like any other index sum."""
+    m = A.shape[0]
     idx = "abcdefgh"[:m]
-    return contract(f"{idx},{','.join(idx)}->", _levi_civita(m), *rows)
+    return contract(f"{idx},{','.join(idx)}->", _levi_civita(A.chart, m),
+                    *(A._take(r) for r in range(m)))
+
+
+def _minor(A, r: int, c: Optional[int] = None) -> "_Array":
+    """A without row r, and without column c when it is given."""
+    drop = c is not None
+    return _core(A.chart, (A.shape[0] - 1, A.shape[1] - drop), A.field, {
+        (i - (i > r), j - (drop and j > c)): e
+        for (i, j), e in A.entries.items() if i != r and j != c
+    })
 
 
 @functools.lru_cache(maxsize=16)
-def _levi_civita(m: int, prefix: tuple = ()):
-    """eps as nested tuples: the sign of a permutation, 0 on a repeat."""
-    if len(prefix) < m:
-        return tuple(_levi_civita(m, prefix + (i,)) for i in range(m))
-    if len(set(prefix)) < m:
-        return 0
-    return (-1) ** sum(a > b for a, b in itertools.combinations(prefix, 2))
+def _levi_civita(chart: "ChartManifold", m: int) -> "_Array":
+    """eps on ``chart``: the sign of each permutation of range(m); an index
+    tuple with a repeat is zero and not stored."""
+    return _Array(chart, {
+        p: (-1) ** sum(a > b for a, b in itertools.combinations(p, 2))
+        for p in itertools.permutations(range(m))
+    }, (m,) * m)
+
+
+def _core(chart, shape, K, entries: dict) -> "_Array":
+    """A core array over a store already built in the field K."""
+    a = object.__new__(_Array)
+    a.chart, a.shape, a.field, a.entries = chart, tuple(shape), K, entries
+    a._scalars, a._view, a._cache = None, None, {}
+    return a
+
+
+def _zeros(chart, shape) -> "_Array":
+    return _core(chart, shape, _field(chart.symbols), {})
+
+
+def _stack(*arrays) -> "_Array":
+    """Core arrays of one trailing shape, one after another along the first
+    slot."""
+    chart = _same_chart(*arrays)
+    K = functools.reduce(_join, {a.field for a in arrays})
+    entries, lo = {}, 0
+    for a in arrays:
+        entries.update(((ix[0] + lo,) + ix[1:], e) for ix, e in a._in(K).items())
+        lo += a.shape[0]
+    return _core(chart, (lo,) + arrays[0].shape[1:], K, entries)
+
+
+def _nested(shape: tuple, leaf, ix: tuple = ()):
+    if len(ix) == len(shape):
+        return leaf(ix)
+    return tuple(_nested(shape, leaf, ix + (i,)) for i in range(shape[len(ix)]))
+
+
+def _strings(t):
+    return str(t) if isinstance(t, ScalarExpr) else [_strings(e) for e in t]
 
 
 class _Components:
-    """The one core of every tensor field: a component array in the
+    """The one core of every tensor field: a sparse component array in the
     coordinate frame.
 
-    ``components`` are nested tuples of ScalarExpr of ``shape``; their
-    field elements are kept for :func:`contract`.  The elementwise algebra
-    (``+ - neg`` and scalar ``*``), ``conjugate``, ``@`` (matrix product),
-    the defect lists of skewness and isometry identities, the evaluation of
-    a covariant tensor on vectors and ``repr`` are defined here once;
+    The store is ``shape`` and ``entries``, a dict from index tuple to
+    nonzero entry, every entry an element of the one field ``field``.  It is
+    built once, at construction, and a core array given to a constructor is
+    adopted as it is.  No zero is stored, so ``is_syntactic_zero`` is an
+    empty dict.  ``components`` is a view: nested tuples of ScalarExpr of
+    ``shape``, built on first use.  The elementwise algebra (``+ - neg`` and
+    scalar ``*``) merges dicts in the field; it, ``conjugate``, ``@``, the
+    defect lists of skewness and isometry identities, the evaluation of a
+    covariant tensor on vectors and ``repr`` are defined here once;
     subclasses fix the shape and add their own invariants.
     """
 
-    __slots__ = ("chart", "components", "shape", "_prepared_cache", "_zero_cache")
+    __slots__ = ("chart", "shape", "field", "entries", "_scalars", "_view", "_cache")
     _kind = "tensor"
     _rank = 2
 
@@ -406,46 +476,117 @@ class _Components:
         self._init(chart, components, self._shape(chart))
 
     def _init(self, chart, components, shape):
-        self.shape = shape
-        self.chart = chart
-        self.components = _wrap(chart, components, shape, self._kind)
-        self._prepared_cache = None
-        self._zero_cache = None
+        self.chart, self.shape, self._view, self._cache = chart, shape, None, {}
+        if isinstance(components, _Components):
+            _same_chart(self, components)
+            if components.shape != shape:
+                raise ExprError(f"{self._kind} needs a {'x'.join(map(str, shape))} component array")
+            self.field, self.entries = components.field, components.entries
+            self._scalars = components._scalars
+            return
+        self._scalars = scalars = _gather(chart, components, shape, self._kind)
+        self.field = K = functools.reduce(
+            _join, {s.rf.field for s in scalars.values()}, _field(chart.symbols))
+        self.entries = {ix: _embed(s.rf, K) for ix, s in scalars.items()}
 
     @classmethod
     def _shape(cls, chart) -> tuple:
         return (chart.dim,) * cls._rank
 
     @property
+    def components(self):
+        if self._view is None:
+            s, zero = self._items(), self.chart.zero
+            self._view = _nested(self.shape, lambda ix: s.get(ix, zero))
+        return self._view
+
+    @property
     def matrix(self):
         return self.components
 
-    def _prepared(self) -> tuple:
-        if self._prepared_cache is None:
-            self._prepared_cache = _prepare(self.components, self.chart)
-        return self._prepared_cache
+    def _items(self) -> dict:
+        """The stored entries as canonical scalars, by index tuple."""
+        if self._scalars is None:
+            chart = self.chart
+            self._scalars = {ix: _ring(chart, e) for ix, e in self.entries.items()}
+        return self._scalars
+
+    def _flat(self) -> list:
+        """Every entry, zeros included, row-major, as scalars."""
+        s, zero = self._items(), self.chart.zero
+        return [s.get(ix, zero) for ix in itertools.product(*map(range, self.shape))]
+
+    def _in(self, K) -> dict:
+        """The entries as elements of K, a field that holds ``field``."""
+        if K is self.field:
+            return self.entries
+        moved = self._cache.get(K)
+        if moved is None:
+            moved = self._cache[K] = {ix: _embed(e, K) for ix, e in self.entries.items()}
+        return moved
+
+    def _index(self, K, bound: tuple, new: tuple, same: tuple) -> dict:
+        """The entries in K for a join step, once per field and slot
+        pattern: the values at the ``bound`` slots -> [(the values at the
+        ``new`` slots, entry)], for the entries equal on each ``same`` pair."""
+        key = (K, bound, new, same)
+        index = self._cache.get(key)
+        if index is None:
+            index = self._cache[key] = {}
+            at = _getter(bound)
+            for ix, e in self._in(K).items():
+                if all(ix[p] == ix[q] for p, q in same):
+                    index.setdefault(at(ix), []).append((tuple(ix[p] for p in new), e))
+        return index
+
+    def _take(self, i: int) -> "_Array":
+        """The entries with first index i, without that slot."""
+        return _core(self.chart, self.shape[1:], self.field, {
+            ix[1:]: e for ix, e in self.entries.items() if ix[0] == i})
+
+    def _block(self, lo: int, hi: int) -> "_Array":
+        """The entries lo..hi-1 of the first slot, renumbered from 0."""
+        return _core(self.chart, (hi - lo,) + self.shape[1:], self.field, {
+            (ix[0] - lo,) + ix[1:]: e for ix, e in self.entries.items() if lo <= ix[0] < hi})
 
     def _like(self, components):
         return type(self)(self.chart, components)
 
-    def _zip(self, f, other):
+    def _with(self, K, entries: dict):
+        return self._like(_core(self.chart, self.shape, K, entries))
+
+    def _merge(self, other, op):
         _same_chart(self, other)
         if other.shape != self.shape:
             raise ExprError(f"cannot combine a {self._kind} with a {other._kind}")
-        return self._like(_zipmap(f, self.components, other.components))
+        K = self.field if self.field is other.field else _join(self.field, other.field)
+        out = dict(self._in(K))
+        for ix, b in other._in(K).items():
+            a = out.pop(ix, None)
+            v = (b if op is operator.add else -b) if a is None else _field_op(op, a, b)
+            if v:
+                out[ix] = v
+        return self._with(K, out)
 
     def __add__(self, other):
-        return self._zip(operator.add, other)
+        return self._merge(other, operator.add)
 
     def __sub__(self, other):
-        return self._zip(operator.sub, other)
+        return self._merge(other, operator.sub)
 
     def __neg__(self):
-        return self._like(_zipmap(operator.neg, self.components))
+        return self._with(self.field, {ix: -e for ix, e in self.entries.items()})
 
     def __mul__(self, f: Scalarish):
-        f = self.chart.scalar(f)
-        return self._like(_zipmap(lambda a: a * f, self.components))
+        f = self.chart.scalar(f).rf
+        K = _join(self.field, f.field)
+        b = _embed(f, K)
+        if b == K.one:
+            return self._like(self)
+        if b == -K.one:
+            return -self
+        return self._with(K, {ix: _field_op(operator.mul, e, b)
+                              for ix, e in self._in(K).items()} if b else {})
 
     __rmul__ = __mul__
 
@@ -453,24 +594,21 @@ class _Components:
         return self._like(contract("ij,jk->ik", self, other))
 
     def conjugate(self):
-        return self._like(_zipmap(ScalarExpr.conjugate, self.components))
+        return self._with(self.field, {ix: _conj(e) for ix, e in self.entries.items()})
 
     # -- defect lists of matrix identities, row-major, for the zero test
 
     def skew_defect(self, form) -> list[ScalarExpr]:
         """Entries of A^T B + B A: zero when A is skew for the bilinear form B."""
-        return self._defect(contract("ki,kj->ij", self, form), contract("ik,kj->ij", form, self))
+        return (contract("ki,kj->ij", self, form) + contract("ik,kj->ij", form, self))._flat()
 
     def isometry_defect(self, form, *extra) -> list[ScalarExpr]:
         """Entries of A^T B A - B + sum(extra): zero when A preserves the
         bilinear form B up to the ``extra`` arrays."""
-        grid = form.components if isinstance(form, _Components) else form
-        return self._defect(
-            contract("ki,kl,lj->ij", self, form, self), _zipmap(operator.neg, grid), *extra
-        )
-
-    def _defect(self, *terms) -> list[ScalarExpr]:
-        return list(_flatten(self._like(_zipmap(_sum, *terms)).components))
+        d = contract("ki,kl,lj->ij", self, form, self) - _Array(self.chart, form, self.shape)
+        for t in extra:
+            d = d + t
+        return d._flat()
 
     def __call__(self, *vectors) -> ScalarExpr:
         """A covariant tensor evaluated on vectors, one per slot."""
@@ -479,27 +617,25 @@ class _Components:
 
     @property
     def is_syntactic_zero(self) -> bool:
-        if self._zero_cache is None:
-            self._zero_cache = all(e.is_syntactic_zero for e in _flatten(self.components))
-        return self._zero_cache
+        return not self.entries
 
     def __eq__(self, other):
-        return (
-            type(self) is type(other)
-            and self.chart == other.chart
-            and self.components == other.components
-        )
+        if type(self) is not type(other) or self.chart != other.chart or self.shape != other.shape:
+            return False
+        K = self.field if self.field is other.field else _join(self.field, other.field)
+        return self._in(K) == other._in(K)
 
     def __hash__(self):
         return hash((type(self).__name__, self.chart, self.components))
 
     def __repr__(self):
-        return f"{type(self).__name__}({_zipmap(str, self.components)})"
+        return f"{type(self).__name__}({_strings(self.components)})"
 
 
 class _Array(_Components):
-    """A core array of any shape: derivative arrays and the section
-    arrays of :func:`ggwb.courant.bracket_table`."""
+    """A core array of any shape: contraction results, derivative arrays
+    and the section arrays of :func:`ggwb.courant.bracket_table`.  It reads
+    like the nested tuples of its view."""
 
     _kind = "component array"
 
@@ -509,13 +645,11 @@ class _Array(_Components):
     def _like(self, components):
         return _Array(self.chart, components, self.shape)
 
+    def __len__(self):
+        return self.shape[0]
 
-def _flatten(array):
-    if isinstance(array, (list, tuple)):
-        for part in array:
-            yield from _flatten(part)
-    else:
-        yield array
+    def __getitem__(self, i):
+        return self.components[i]
 
 
 # ---------------------------------------------------------------------------
@@ -553,13 +687,15 @@ class TwoForm(_Components):
 
     def __init__(self, chart, matrix):
         super().__init__(chart, matrix)
-        grid = self.components
-        for i in range(chart.dim):
-            for j in range(i, chart.dim):
-                if not (grid[i][j] + grid[j][i]).is_syntactic_zero:
-                    raise ExprError(
-                        f"2-form matrix is not antisymmetric at ({i},{j})"
-                    )
+        _check_mirror(self, -1, "2-form matrix is not antisymmetric")
+
+
+def _check_mirror(t, sign: int, what: str) -> None:
+    """Raise unless the entry at (j, i) is ``sign`` times the one at (i, j)."""
+    for i, j in itertools.combinations_with_replacement(range(t.chart.dim), 2):
+        a, b = t.entries.get((i, j)), t.entries.get((j, i))
+        if not (a is b if a is None or b is None else a == (b if sign == 1 else -b)):
+            raise ExprError(f"{what} at ({i},{j})")
 
 
 class ThreeForm(_Components):
@@ -576,8 +712,7 @@ class EndoTM(_Components):
 
     @staticmethod
     def identity(chart) -> "EndoTM":
-        n = chart.dim
-        return EndoTM(chart, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return EndoTM(chart, {(i, i): 1 for i in range(chart.dim)})
 
     def __call__(self, X: VectorField) -> VectorField:
         return VectorField(self.chart, contract("ij,j->i", self, X))
@@ -591,32 +726,27 @@ class MetricField(_Components):
 
     def __init__(self, chart, matrix):
         super().__init__(chart, matrix)
-        grid = self.components
-        for i in range(chart.dim):
-            for j in range(i + 1, chart.dim):
-                if not (grid[i][j] - grid[j][i]).is_syntactic_zero:
-                    raise ExprError(f"metric matrix is not symmetric at ({i},{j})")
+        _check_mirror(self, 1, "metric matrix is not symmetric")
         self._inverse = None
         self._connection = None
-        self._determinant = _det(grid)
+        self._determinant = _det(self)
         v = evaluate(self._determinant, self.chart.base_point())
         if v is _POLE or (v == 0 if not isinstance(v, complex) else abs(v) <= 1e-9):
             raise SingularMetricError(
                 f"metric is degenerate at the base point of chart '{self.chart.name}'"
             )
 
-    def inverse_matrix(self):
+    def inverse_matrix(self) -> "_Array":
         """The adjugate over the determinant, each cofactor a Leibniz sum."""
         if self._inverse is None:
             # the constructor proved the determinant nonzero at the base point
-            d, rows, n = self._determinant, self.components, self.chart.dim
-            inv = [[None] * n for _ in range(n)]
+            d, n = self._determinant, self.chart.dim
+            inv = {}
             for i in range(n):
                 for j in range(i, n):
-                    minor = [[rows[r][c] for c in range(n) if c != i] for r in range(n) if r != j]
-                    cof = _det(minor) if minor else self.chart.one
-                    inv[i][j] = inv[j][i] = cof * (-1) ** (i + j) / d
-            self._inverse = tuple(tuple(row) for row in inv)
+                    cof = _det(_minor(self, j, i)) if n > 1 else self.chart.one
+                    inv[i, j] = inv[j, i] = cof * (-1) ** (i + j) / d
+            self._inverse = _Array(self.chart, inv, (n, n))
         return self._inverse
 
     def connection(self) -> "Connection":
@@ -636,30 +766,27 @@ class _SymBilinear(_Components):
 
 
 def frame(chart: ChartManifold) -> list[VectorField]:
-    n = chart.dim
-    return [VectorField(chart, [1 if i == j else 0 for j in range(n)]) for i in range(n)]
+    return [VectorField(chart, {(i,): 1}) for i in range(chart.dim)]
 
 
 def coframe(chart: ChartManifold) -> list[OneForm]:
-    n = chart.dim
-    return [OneForm(chart, [1 if i == j else 0 for j in range(n)]) for i in range(n)]
+    return [OneForm(chart, {(i,): 1}) for i in range(chart.dim)]
 
 
 def zero_vector(chart: ChartManifold) -> VectorField:
-    return VectorField(chart, [0] * chart.dim)
+    return VectorField(chart, {})
 
 
 def zero_oneform(chart: ChartManifold) -> OneForm:
-    return OneForm(chart, [0] * chart.dim)
+    return OneForm(chart, {})
 
 
 def zero_twoform(chart: ChartManifold) -> TwoForm:
-    return TwoForm(chart, [[0] * chart.dim for _ in range(chart.dim)])
+    return TwoForm(chart, {})
 
 
 def euclidean_metric(chart: ChartManifold) -> MetricField:
-    n = chart.dim
-    return MetricField(chart, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+    return MetricField(chart, {(i, i): 1 for i in range(chart.dim)})
 
 
 def tensor_oneform_vector(xi: OneForm, Z: VectorField) -> EndoTM:
@@ -674,36 +801,27 @@ def tensor_oneform_vector(xi: OneForm, Z: VectorField) -> EndoTM:
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     """[X, Y]^k = X^i d_i Y^k - Y^i d_i X^k."""
     chart = _same_chart(X, Y)
-    return VectorField(chart, _zipmap(
-        lambda p, q: _sum(p, -q),
-        contract("ki,i->k", _partials(Y), X),
-        contract("ki,i->k", _partials(X), Y),
-    ))
+    return VectorField(
+        chart, contract("ki,i->k", _partials(Y), X) - contract("ki,i->k", _partials(X), Y))
 
 
 def ext_d(w: Union[ScalarExpr, OneForm, TwoForm]):
     """Exterior derivative in the Cartan convention; d o d = 0."""
     if isinstance(w, ScalarExpr):
-        return OneForm(w.chart, _partials(w).components)
+        return OneForm(w.chart, _partials(w))
     if isinstance(w, OneForm):
-        r = range(w.chart.dim)
-        dw = _partials(w).components  # dw[j][i] = d_i w_j
-        return TwoForm(w.chart, [[dw[j][i] - dw[i][j] for j in r] for i in r])
+        dw = _partials(w)  # dw[j][i] = d_i w_j
+        return TwoForm(w.chart, contract("ji->ij", dw) - dw)
     if isinstance(w, TwoForm):
-        r = range(w.chart.dim)
-        dw = _partials(w).components  # dw[j][k][i] = d_i w_jk
-        cube = [
-            [[dw[j][k][i] - dw[i][k][j] + dw[i][j][k] for k in r] for j in r] for i in r
-        ]
-        return ThreeForm(w.chart, cube)
+        dw = _partials(w)  # dw[j][k][i] = d_i w_jk
+        return ThreeForm(w.chart, contract("jki->ijk", dw) - contract("ikj->ijk", dw) + dw)
     raise ExprError(f"ext_d is defined for scalars, 1-forms and 2-forms, not {type(w).__name__}")
 
 
 def wedge(a: OneForm, b: OneForm) -> TwoForm:
     """(a ^ b)(X, Y) = a(X) b(Y) - a(Y) b(X)."""
     ab = contract("i,j->ij", a, b)
-    r = range(a.chart.dim)
-    return TwoForm(a.chart, [[ab[i][j] - ab[j][i] for j in r] for i in r])
+    return TwoForm(a.chart, ab - contract("ij->ji", ab))
 
 
 def interior(X: VectorField, w: Union[OneForm, TwoForm, ThreeForm]):
@@ -728,26 +846,16 @@ def lie_derivative(X: VectorField, T):
     dX, dT = _partials(X), _partials(T)
     if isinstance(T, OneForm):
         # (L_X a)_j = X^i d_i a_j + a_i d_j X^i
-        return OneForm(chart, _zipmap(
-            _sum, contract("i,ji->j", X, dT), contract("i,ij->j", T, dX)
-        ))
+        return OneForm(chart, contract("i,ji->j", X, dT) + contract("i,ij->j", T, dX))
     if isinstance(T, (TwoForm, MetricField)):
         # (L_X m)_jk = X^i d_i m_jk + m_ik d_j X^i + m_ji d_k X^i
-        grid = _zipmap(
-            _sum,
-            contract("i,jki->jk", X, dT),
-            contract("ik,ij->jk", T, dX),
-            contract("ji,ik->jk", T, dX),
-        )
+        grid = (contract("i,jki->jk", X, dT) + contract("ik,ij->jk", T, dX)
+                + contract("ji,ik->jk", T, dX))
         return TwoForm(chart, grid) if isinstance(T, TwoForm) else _SymBilinear(chart, grid)
     if isinstance(T, EndoTM):
         # (L_X F)^i_j = X^k d_k F^i_j - F^k_j d_k X^i + F^i_k d_j X^k
-        return EndoTM(chart, _zipmap(
-            lambda p, q, r: _sum(p, -q, r),
-            contract("k,ijk->ij", X, dT),
-            contract("kj,ik->ij", T, dX),
-            contract("ik,kj->ij", T, dX),
-        ))
+        return EndoTM(chart, contract("k,ijk->ij", X, dT) - contract("kj,ik->ij", T, dX)
+                      + contract("ik,kj->ij", T, dX))
     raise ExprError(f"lie_derivative undefined for {type(T).__name__}")
 
 
@@ -771,9 +879,7 @@ def flat_combination(psi: TwoForm, gamma: MetricField, sign: int, X: VectorField
     if sign not in (1, -1):
         raise ExprError("sign must be +1 or -1")
     chart = _same_chart(psi, gamma, X)
-    return OneForm(chart, _zipmap(
-        lambda p, g: _sum(p, sign * g), contract("i,ij->j", X, psi), contract("i,ij->j", X, gamma)
-    ))
+    return OneForm(chart, contract("i,ij->j", X, psi) + contract("i,ij->j", X, gamma) * sign)
 
 
 # ---------------------------------------------------------------------------
@@ -790,17 +896,14 @@ class Connection:
     def __init__(self, gamma: MetricField):
         self.gamma = gamma
         self.chart = gamma.chart
-        n = self.chart.dim
-        dg = _partials(gamma).components  # dg[i][j][k] = d_k g_ij
-        ginv = gamma.inverse_matrix()
-        chr_ = [[[None] * n for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                # Gamma^k_ij = (1/2) g^kl (d_i g_jl + d_j g_il - d_l g_ij)
-                v = [dg[j][l][i] + dg[i][l][j] - dg[i][j][l] for l in range(n)]
-                for k, total in enumerate(contract("kl,l->k", ginv, v)):
-                    chr_[k][i][j] = chr_[k][j][i] = total / 2
-        self.christoffel = tuple(tuple(tuple(plane) for plane in row) for row in chr_)
+        dg = _partials(gamma)  # dg[i][j][k] = d_k g_ij
+        # Gamma^k_ij = (1/2) g^kl (d_i g_jl + d_j g_il - d_l g_ij), for i <= j
+        v = contract("jli->lij", dg) + contract("ilj->lij", dg) - contract("ijl->lij", dg)
+        v = _core(self.chart, v.shape, v.field,
+                  {ix: e for ix, e in v.entries.items() if ix[1] <= ix[2]})
+        half = contract("kl,lij->kij", gamma.inverse_matrix(), v) * Fraction(1, 2)
+        mirror = {(k, j, i): e for (k, i, j), e in half.entries.items()}
+        self.christoffel = _core(self.chart, half.shape, half.field, {**mirror, **half.entries})
 
     def nabla(self, X: VectorField, T):
         """Covariant derivative of a vector field, 1-form, or endomorphism."""
@@ -808,41 +911,31 @@ class Connection:
         G = self.christoffel
         if isinstance(T, VectorField):
             # X^i d_i Y^k + Gamma^k_ij X^i Y^j
-            return VectorField(chart, _zipmap(
-                _sum,
-                contract("i,ki->k", X, _partials(T)),
-                contract("kij,i,j->k", G, X, T),
-            ))
+            return VectorField(
+                chart, contract("i,ki->k", X, _partials(T)) + contract("kij,i,j->k", G, X, T))
         if isinstance(T, OneForm):
             # X^i d_i a_j - Gamma^k_ij X^i a_k
-            return OneForm(chart, _zipmap(
-                lambda p, q: _sum(p, -q),
-                contract("i,ji->j", X, _partials(T)),
-                contract("kij,i,k->j", G, X, T),
-            ))
+            return OneForm(
+                chart, contract("i,ji->j", X, _partials(T)) - contract("kij,i,k->j", G, X, T))
         if isinstance(T, EndoTM):
-            # X^k d_k F^i_j + Gamma^i_km X^k F^m_j - Gamma^m_kj X^k F^i_m
-            return EndoTM(chart, _zipmap(
-                lambda p, q, r: _sum(p, q, -r),
-                contract("k,ijk->ij", X, _partials(T)),
-                contract("ikm,k,mj->ij", G, X, T),
-                contract("mkj,k,im->ij", G, X, T),
-            ))
+            return EndoTM(chart, contract("i,ilj->lj", X, self.nabla_frame(T)))
         raise ExprError(f"nabla undefined for {type(T).__name__}")
+
+    def nabla_frame(self, F: EndoTM) -> _Array:
+        """nabla_{d_i} F for every coordinate field, an array [i][l][j]:
+        d_i F^l_j + Gamma^l_im F^m_j - Gamma^m_ij F^l_m."""
+        G = self.christoffel
+        return (contract("lji->ilj", _partials(F)) + contract("lim,mj->ilj", G, F)
+                - contract("mij,lm->ilj", G, F))
 
     def metric_defect(self) -> list[ScalarExpr]:
         """Components of nabla gamma (all zero for Levi-Civita)."""
         n = self.chart.dim
         g, G = self.gamma, self.christoffel
-        dg = _partials(g).components
-        left = contract("lki,lj->kij", G, g)  # Gamma^l_ki g_lj
-        right = contract("lkj,il->kij", G, g)  # Gamma^l_kj g_il
-        return [
-            _sum(dg[i][j][k], -left[k][i][j], -right[k][i][j])
-            for k in range(n)
-            for i in range(n)
-            for j in range(i, n)
-        ]
+        d = (contract("ijk->kij", _partials(g))
+             - contract("lki,lj->kij", G, g)  # Gamma^l_ki g_lj
+             - contract("lkj,il->kij", G, g)).components  # Gamma^l_kj g_il
+        return [d[k][i][j] for k in range(n) for i in range(n) for j in range(i, n)]
 
     def torsion(self, X: VectorField, Y: VectorField) -> VectorField:
         """nabla_X Y - nabla_Y X - [X, Y]."""

@@ -22,6 +22,8 @@ tables.
 
 from __future__ import annotations
 
+import functools
+from fractions import Fraction
 from typing import Sequence
 
 import sympy as sp
@@ -34,10 +36,8 @@ from .calculus import (
     _Array,
     _Components,
     _partials,
-    _sum,
-    _flatten,
     _same_chart,
-    _zipmap,
+    _stack,
     coframe,
     contract,
     ext_d,
@@ -88,11 +88,19 @@ class BigSection:
     def components(self) -> list[ScalarExpr]:
         return list(self.X.components) + list(self.alpha.components)
 
+    def _array(self) -> _Array:
+        """The 2n components as one core array."""
+        return _stack(self.X, self.alpha)
+
     @staticmethod
     def from_components(chart: ChartManifold, comps: Sequence) -> "BigSection":
+        """The section of 2n components: a sequence, or a core array."""
         n = chart.dim
         if len(comps) != 2 * n:
             raise ExprError(f"big section needs {2 * n} components")
+        if isinstance(comps, _Components):
+            return BigSection(VectorField(chart, comps._block(0, n)),
+                              OneForm(chart, comps._block(n, 2 * n)))
         return BigSection(VectorField(chart, comps[:n]), OneForm(chart, comps[n:]))
 
     def conjugate(self) -> "BigSection":
@@ -121,25 +129,23 @@ def big_frame(chart: ChartManifold) -> list[BigSection]:
 def pairing(A: BigSection, B: BigSection) -> ScalarExpr:
     """Neutral pairing g((X,a),(Y,b)) = (a(Y) + b(X)) / 2."""
     _same_chart(A.X, B.X)
-    return _sum(contract("i,i->", A.alpha, B.X), contract("i,i->", B.alpha, A.X)) / 2
+    return (contract("i,i->", A.alpha, B.X) + contract("i,i->", B.alpha, A.X)) / 2
 
 
-def bracket_table(P, Q) -> list:
+def bracket_table(P, Q) -> _Array:
     """[P e_a, Q e_b] for every column a of P and b of Q.
 
     P and Q are core arrays on one chart, 2n x p and 2n x q (a
     :class:`BigEndo`, or a :func:`section_array`): column a of P is the
-    section P e_a.  The result is a 2n x p x q nested list, entry [k][a][b]
+    section P e_a.  The result is a 2n x p x q core array, entry [k][a][b]
     the k-th component of the bracket.
     """
-    chart = _same_chart(P, Q)
-    n = chart.dim
-    halves = [_Array(chart, t.components[lo:lo + n], (n, t.shape[1]))
-              for t in (P, Q) for lo in (0, n)]
-    return _bracket(*halves, "a", "b")
+    n = _same_chart(P, Q).dim
+    return _bracket(P._block(0, n), P._block(n, 2 * n), Q._block(0, n), Q._block(n, 2 * n),
+                    "a", "b")
 
 
-def _bracket(X, a, Y, b, p: str, q: str) -> list:
+def _bracket(X, a, Y, b, p: str, q: str) -> _Array:
     """The one bracket formula, on the vector halves X, Y and covector
     halves a, b of two sections (``p`` = ``q`` = "") or of two section
     arrays (``p``, ``q`` their column letters).  The derivative array of
@@ -147,21 +153,15 @@ def _bracket(X, a, Y, b, p: str, q: str) -> list:
     (1/2) d(a(Y) - b(X)) comes from them by the product rule."""
     dX, da, dY, db = (_partials(t) for t in (X, a, Y, b))  # dX[k][a][i] = d_i X_a^k
     pq = p + q
-    vec = _zipmap(lambda u, v: _sum(u, -v),
-                  contract(f"i{p},k{q}i->k{pq}", X, dY), contract(f"i{q},k{p}i->k{pq}", Y, dX))
+    vec = contract(f"i{p},k{q}i->k{pq}", X, dY) - contract(f"i{q},k{p}i->k{pq}", Y, dX)
     # L_X b - L_Y a + (1/2) d(a(Y) - b(X))
     #   = X^i d_i b_j - Y^i d_i a_j
     #     + (1/2) (b_i d_j X^i - a_i d_j Y^i + Y^i d_j a_i - X^i d_j b_i)
-    cov = _zipmap(
-        lambda u, v, r, s, t, w: _sum(u, -v, _sum(r, -s, t, -w) / 2),
-        contract(f"i{p},j{q}i->j{pq}", X, db),
-        contract(f"i{q},j{p}i->j{pq}", Y, da),
-        contract(f"i{q},i{p}j->j{pq}", b, dX),
-        contract(f"i{p},i{q}j->j{pq}", a, dY),
-        contract(f"i{q},i{p}j->j{pq}", Y, da),
-        contract(f"i{p},i{q}j->j{pq}", X, db),
-    )
-    return vec + cov
+    half = (contract(f"i{q},i{p}j->j{pq}", b, dX) - contract(f"i{p},i{q}j->j{pq}", a, dY)
+            + contract(f"i{q},i{p}j->j{pq}", Y, da) - contract(f"i{p},i{q}j->j{pq}", X, db))
+    cov = (contract(f"i{p},j{q}i->j{pq}", X, db) - contract(f"i{q},j{p}i->j{pq}", Y, da)
+           + half * Fraction(1, 2))
+    return _stack(vec, cov)
 
 
 def section_array(sections: Sequence[BigSection]) -> _Array:
@@ -210,16 +210,13 @@ class BigEndo(_Components):
 
     @staticmethod
     def identity(chart: ChartManifold) -> "BigEndo":
-        r = range(2 * chart.dim)
-        return BigEndo(chart, [[1 if i == j else 0 for j in r] for i in r])
+        return BigEndo(chart, {(i, i): 1 for i in range(2 * chart.dim)})
 
     @staticmethod
     def from_endo(F: EndoTM) -> "BigEndo":
         """The lift (X, a) -> (F X, -a o F) of a tangent endomorphism."""
-        n, f = F.chart.dim, F.matrix
-        top = [list(f[i]) + [0] * n for i in range(n)]
-        bot = [[0] * n + [-f[j][i] for j in range(n)] for i in range(n)]
-        return BigEndo(F.chart, top + bot)
+        n, f = F.chart.dim, F._items()
+        return BigEndo(F.chart, {**f, **{(n + j, n + i): -e for (i, j), e in f.items()}})
 
     @staticmethod
     def outer(out: BigSection, inner: BigSection) -> "BigEndo":
@@ -227,25 +224,24 @@ class BigEndo(_Components):
         _same_chart(out.X, inner.X)
         # g(inner, frame_j): half alpha-components for vector slots, half
         # X-components for covector slots.
-        row = [c / 2 for c in inner.alpha.components + inner.X.components]
-        return BigEndo(out.chart, contract("i,j->ij", out.components(), row))
+        row = _stack(inner.alpha, inner.X) * Fraction(1, 2)
+        return BigEndo(out.chart, contract("i,j->ij", out._array(), row))
 
     def __call__(self, s: BigSection) -> BigSection:
         if s.chart != self.chart:
             raise ChartMismatchError("section on a different chart")
-        return BigSection.from_components(self.chart, contract("ij,j->i", self, s.components()))
+        return BigSection.from_components(self.chart, contract("ij,j->i", self, s._array()))
 
     # -- defect matrices (entries to feed the zero test) -----------------
 
     def skew_defect(self, form=None) -> list[ScalarExpr]:
         """Entries of A^T B + B A for the bilinear form B, by default the
         pairing Gram matrix G0."""
-        return super().skew_defect(pairing_gram(self.chart) if form is None else form)
+        return super().skew_defect(_gram0(self.chart) if form is None else form)
 
     def square_defect(self, scalar) -> list[ScalarExpr]:
         """Entries of A^2 - scalar * Id."""
-        d = self @ self - BigEndo.identity(self.chart) * scalar
-        return list(_flatten(d.components))
+        return (self @ self - BigEndo.identity(self.chart) * scalar)._flat()
 
 
 def pairing_gram(chart: ChartManifold) -> list[list[sp.Rational]]:
@@ -256,6 +252,12 @@ def pairing_gram(chart: ChartManifold) -> list[list[sp.Rational]]:
         [half if (i + n == j or j + n == i) else sp.S.Zero for j in range(2 * n)]
         for i in range(2 * n)
     ]
+
+
+@functools.lru_cache(maxsize=16)
+def _gram0(chart: ChartManifold) -> _Array:
+    """:func:`pairing_gram` as a core array."""
+    return _Array(chart, pairing_gram(chart), (2 * chart.dim,) * 2)
 
 
 def nijenhuis_big(A: BigEndo, S: BigSection, T: BigSection) -> BigSection:
@@ -272,29 +274,28 @@ def nijenhuis_big(A: BigEndo, S: BigSection, T: BigSection) -> BigSection:
     )
 
 
-def nijenhuis_frame(A: BigEndo) -> list:
+def nijenhuis_frame(A: BigEndo) -> _Array:
     """N_A(e_a, e_b) for every pair of frame sections, a 2n x 2n x 2n
-    nested list, entry [k][a][b] the k-th component.
+    core array, entry [k][a][b] the k-th component.
 
     The frame brackets vanish, so N_A(e_a, e_b) = [A e_a, A e_b]
     - A([A e_a, e_b] + [e_a, A e_b]): the tables [A, A] and [A, 1], the
     second read transposed for [1, A] by antisymmetry.
     """
     mixed = skew_table(bracket_table(A, BigEndo.identity(A.chart)))
-    return _zipmap(lambda p, q: _sum(p, -q), bracket_table(A, A), contract("ij,jab->iab", A, mixed))
+    return bracket_table(A, A) - contract("ij,jab->iab", A, mixed)
 
 
-def skew_table(table) -> list:
+def skew_table(table: _Array) -> _Array:
     """T_kab - T_kba for a k x p x p table."""
-    r = range(len(table[0]))
-    return [[[row[a][b] - row[b][a] for b in r] for a in r] for row in table]
+    return table - contract("kab->kba", table)
 
 
-def frame_pairs(table) -> list:
+def frame_pairs(table: _Array) -> list:
     """The entries of a 2n x p x p table over the pairs a < b, pair by pair
     and component by component: the order the per-pair criteria use."""
-    m = len(table[0])
-    return [row[a][b] for a in range(m) for b in range(a + 1, m) for row in table]
+    s, zero, (k, m, _) = table._items(), table.chart.zero, table.shape
+    return [s.get((r, a, b), zero) for a in range(m) for b in range(a + 1, m) for r in range(k)]
 
 
 def lift_big_section(s: BigSection, product: ChartManifold) -> BigSection:
@@ -308,8 +309,5 @@ def lift_big_endo(A: BigEndo, product: ChartManifold) -> BigEndo:
     """
     n = A.chart.dim
     slot = list(range(n)) + list(range(n + 1, 2 * n + 1))
-    out = [[0] * (2 * n + 2) for _ in range(2 * n + 2)]
-    for i, row in enumerate(A.matrix):
-        for j, e in enumerate(row):
-            out[slot[i]][slot[j]] = e.lift(product)
-    return BigEndo(product, out)
+    return BigEndo(product, {
+        (slot[i], slot[j]): e.lift(product) for (i, j), e in A._items().items()})

@@ -9,9 +9,10 @@ on the domain chart.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import sympy as sp
 from sympy.polys.domains import QQ
@@ -25,9 +26,8 @@ from .calculus import (
     VectorField,
     _Array,
     _det,
-    _flatten,
+    _minor,
     _partials,
-    _sum,
     contract,
     ext_d,
     frame,
@@ -36,7 +36,8 @@ from .calculus import (
 )
 from .errors import ExprError, PreconditionNotMet, StructureError
 from .numeric import rank_at, value_at
-from .structures.classical import AlmostContact, check_almost_contact, nijenhuis_classical
+from .courant import frame_pairs
+from .structures.classical import AlmostContact, check_almost_contact, nijenhuis_table
 from .structures.genf import GenF, build_genF_from_quadruple
 from .structures.genmetric import build_gen_metric
 from .structures.twoone import TwoOneGAC, require_two_one
@@ -85,12 +86,13 @@ class Embedding:
         """Compose an ambient scalar with the embedding."""
         return f.subs_chart(self.domain, self._submap())
 
-    def restrict_grid(self, grid):
-        return [[self.restrict(e) for e in row] for row in grid]
+    def restrict_grid(self, t) -> _Array:
+        """An ambient core array composed with the embedding, entry by entry."""
+        return _Array(self.domain, {ix: self.restrict(e) for ix, e in t._items().items()}, t.shape)
 
-    def jacobian(self):
-        """d iota^k / d u^a as an ambient-by-domain matrix of scalars on N."""
-        return _partials(_Array(self.domain, self.components, (self.ambient.dim,))).components
+    def jacobian(self) -> _Array:
+        """d iota^k / d u^a as an ambient-by-domain core array of scalars on N."""
+        return _partials(_Array(self.domain, self.components, (self.ambient.dim,)))
 
 
 # ---------------------------------------------------------------------------
@@ -134,27 +136,35 @@ def _halve_exponents(p):
     return math.prod((f ** (k // 2) for f, k in factors), start=p.ring.ground_new(QQ(rn, rd)))
 
 
-def unit_normal(e: Embedding, gamma: MetricField, policy: ZeroPolicy = DEFAULT_POLICY):
+def unit_normal(
+    e: Embedding,
+    gamma: MetricField,
+    policy: ZeroPolicy = DEFAULT_POLICY,
+    jac: Optional[_Array] = None,
+    g_res: Optional[_Array] = None,
+) -> _Array:
     """gamma-unit normal along N from the cross-product/cofactor construction,
     oriented so that (frame of N, n) is positively oriented, then flipped by
-    the embedding's orientation flag."""
+    the embedding's orientation flag.
+
+    ``jac`` and ``g_res`` are ``e.jacobian()`` and gamma restricted to N,
+    when the caller holds them already; when None they are computed here.
+    """
     chart = e.domain
     n = e.ambient.dim
-    jac = e.jacobian()
-    g_res = e.restrict_grid(gamma.matrix)
+    jac = e.jacobian() if jac is None else jac
+    g_res = e.restrict_grid(gamma) if g_res is None else g_res
     # rank audit of the Jacobian at the base point
     if rank_at(jac, chart.base_point(), policy.tol) != chart.dim:
         raise StructureError("embedding Jacobian is rank-deficient at the base point")
     # omega_k = det [ jac columns | e_k ], expanded along the last column
-    cof = [(-1) ** (k + n - 1) * _det(jac[:k] + jac[k + 1:]) for k in range(n)]
+    cof = [(-1) ** (k + n - 1) * _det(_minor(jac, k)) for k in range(n)]
     ginv_res = e.restrict_grid(gamma.inverse_matrix())
     ntilde = contract("ik,k->i", ginv_res, cof)
     q = contract("ij,i,j->", g_res, ntilde, ntilde)
     lam = _sqrt_positive(q, chart, policy)
-    nu = [c / lam for c in ntilde]
-    if e.orientation == -1:
-        nu = [-c for c in nu]
-    return nu
+    nu = ntilde * (1 / lam)
+    return -nu if e.orientation == -1 else nu
 
 
 # ---------------------------------------------------------------------------
@@ -174,20 +184,20 @@ class HypersurfaceGeometry:
     gamma: MetricField  # ambient metric (on the ambient chart)
     psi: TwoForm  # ambient 2-form (zero when none is given)
     policy: ZeroPolicy  # of the build and of the validations of induced structures
-    nu: list  # ambient components along N
+    nu: _Array  # ambient components along N
     s: MetricField  # induced metric on N
     kappa: TwoForm  # iota^* psi
-    b: list  # second fundamental form grid (domain x domain)
+    b: _Array  # second fundamental form (domain x domain)
     weingarten: EndoTM
-    gamma_res: list  # restricted ambient metric
-    jac: list
-    christoffel_res: list  # restricted ambient Christoffel symbols
+    gamma_res: _Array  # restricted ambient metric
+    jac: _Array
+    christoffel_res: _Array  # restricted ambient Christoffel symbols
     _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def b_apply(self, X: VectorField, Y: VectorField) -> ScalarExpr:
         return contract("ac,a,c->", self.b, X, Y)
 
-    def push(self, X: VectorField) -> list:
+    def push(self, X: VectorField) -> _Array:
         """Ambient components (along N) of d iota (X)."""
         return contract("ka,a->k", self.jac, X)
 
@@ -197,16 +207,14 @@ class HypersurfaceGeometry:
             self._derived[key] = (fields, build())
         return self._derived[key][1]
 
-    def J_res(self, J: EndoTM) -> list:
+    def J_res(self, J: EndoTM) -> _Array:
         """The ambient J restricted to N."""
-        return self._once("J", (J,), lambda: self.embedding.restrict_grid(J.matrix))
+        return self._once("J", (J,), lambda: self.embedding.restrict_grid(J))
 
-    def dOmega_res(self, J: EndoTM) -> list:
+    def dOmega_res(self, J: EndoTM) -> _Array:
         """d of the Kaehler form of (gamma, J), restricted to N."""
-        return self._once("dOmega", (J,), lambda: [
-            self.embedding.restrict_grid(plane)
-            for plane in ext_d(_kaehler_form(self.gamma, J)).components
-        ])
+        return self._once("dOmega", (J,), lambda: self.embedding.restrict_grid(
+            ext_d(_kaehler_form(self.gamma, J))))
 
     def contact(self, J: EndoTM) -> AlmostContact:
         """The almost contact structure J induces on N."""
@@ -219,23 +227,15 @@ class HypersurfaceGeometry:
         )
 
 
-def _ambient_christoffels_restricted(e: Embedding, gamma: MetricField):
-    conn = gamma.connection()
-    n = e.ambient.dim
-    return [
-        [[e.restrict(conn.christoffel[k][i][j]) for j in range(n)] for i in range(n)]
-        for k in range(n)
-    ]
+def _along(gam_res: _Array, jac: _Array, v: _Array) -> _Array:
+    """nabla_{d_a} v = d_a v^k + Gamma^k_ij d_a iota^i v^j for a field v
+    along N (a column array of them when v has a second slot): the slots of
+    v, then a."""
+    rest = "c"[: len(v.shape) - 1]
+    return _partials(v) + contract(f"kij,ia,j{rest}->k{rest}a", gam_res, jac, v)
 
 
-def _d_along(e: Embedding, jac, gam_res, a: int, v) -> list:
-    """d/du^a v^k + Gamma^k_ij d iota^i/du^a v^j, for v along N."""
-    u = e.domain.coords[a]
-    col = [row[a] for row in jac]
-    return [_sum(vk.diff(u), t) for vk, t in zip(v, contract("kij,i,j->k", gam_res, col, v))]
-
-
-def _pullback(t_res, jac) -> list:
+def _pullback(t_res, jac) -> _Array:
     """Raw iota^* components: t(d iota(d_a), d iota(d_c))."""
     return contract("ij,ia,jc->ac", t_res, jac, jac)
 
@@ -251,29 +251,19 @@ def second_fundamental_form(
     b(X,Y) = gamma(nabla_X d iota(Y), nu) and the Weingarten operator with
     s(W X, Y) = b(X, Y)."""
     chart = e.domain
-    m = chart.dim
     jac = e.jacobian()
-    g_res = e.restrict_grid(gamma.matrix)
+    g_res = e.restrict_grid(gamma)
     s = MetricField(chart, _pullback(g_res, jac))
     if psi is None:
         psi = zero_twoform(gamma.chart)
-    kappa = TwoForm(chart, _pullback(e.restrict_grid(psi.matrix), jac))
-    nu = unit_normal(e, gamma, policy)
-    gam_res = _ambient_christoffels_restricted(e, gamma)
-    b = [[None] * m for _ in range(m)]
-    for a in range(m):
-        for c in range(m):
-            dv = _d_along(e, jac, gam_res, a, [row[c] for row in jac])
-            b[a][c] = contract("ij,i,j->", g_res, dv, nu)
+    kappa = TwoForm(chart, _pullback(e.restrict_grid(psi), jac))
+    nu = unit_normal(e, gamma, policy, jac, g_res)
+    gam_res = e.restrict_grid(gamma.connection().christoffel)
+    # b(d_a, d_c) = gamma(nabla_a d iota(d_c), nu)
+    b = contract("ica,ij,j->ac", _along(gam_res, jac, jac), g_res, nu)
     # W^c_a = -s^cd gamma(nabla_a nu, d iota(d_d))
-    w_grid = [[None] * m for _ in range(m)]
-    s_inv = s.inverse_matrix()
-    for a in range(m):
-        dnu = _d_along(e, jac, gam_res, a, nu)
-        inner = contract("ij,i,jd->d", g_res, dnu, jac)
-        for c, val in enumerate(contract("cd,d->c", s_inv, inner)):
-            w_grid[c][a] = -val
-    W = EndoTM(chart, w_grid)
+    inner = contract("ij,ia,jd->ad", g_res, _along(gam_res, jac, nu), jac)
+    W = EndoTM(chart, -contract("cd,ad->ca", s.inverse_matrix(), inner))
     return HypersurfaceGeometry(e, gamma, psi, policy, nu, s, kappa, b, W, g_res, jac, gam_res)
 
 
@@ -282,28 +272,19 @@ def check_hyp_geometry(
 ) -> CheckResult:
     """The defining identities of the Gauss-Weingarten data."""
     out = CheckResult("hyp_geometry")
-    chart = geo.embedding.domain
-    m = chart.dim
-
-    def inner(v, w) -> ScalarExpr:
-        return contract("ij,i,j->", geo.gamma_res, v, w)
-
-    out.add("gamma(nu, nu) = 1", is_zero(inner(geo.nu, geo.nu) - 1, policy))
-    cols = [[row[a] for row in geo.jac] for a in range(m)]
+    m = geo.embedding.domain.dim
+    out.add("gamma(nu, nu) = 1", is_zero(
+        contract("ij,i,j->", geo.gamma_res, geo.nu, geo.nu) - 1, policy))
     out.add("gamma(nu, d iota X) = 0", is_zero_all(
-        (inner(geo.nu, cols[a]) for a in range(m)), policy))
+        contract("ij,i,ja->a", geo.gamma_res, geo.nu, geo.jac)._flat(), policy))
     out.add("b symmetric", is_zero_all(
         (geo.b[a][c] - geo.b[c][a] for a in range(m) for c in range(a + 1, m)), policy))
-    sw = []
-    for a in range(m):
-        WX = geo.weingarten(frame(chart)[a])
-        for c in range(m):
-            sw.append(geo.s(WX, frame(chart)[c]) - geo.b[a][c])
-    out.add("s(W X, Y) = b(X, Y)", is_zero_all(sw, policy))
+    sw = contract("la,lc->ac", geo.weingarten, geo.s) - geo.b  # s(W d_a, d_c) - b(d_a, d_c)
+    out.add("s(W X, Y) = b(X, Y)", is_zero_all(sw._flat(), policy))
     # normal connection vanishes: gamma(nabla_a nu, nu) = 0
+    dnu = _along(geo.christoffel_res, geo.jac, geo.nu)
     out.add("nabla^nu nu = 0", is_zero_all(
-        (inner(_d_along(geo.embedding, geo.jac, geo.christoffel_res, a, geo.nu), geo.nu)
-         for a in range(m)), policy))
+        contract("ij,ia,j->a", geo.gamma_res, dnu, geo.nu)._flat(), policy))
     return out
 
 
@@ -326,10 +307,10 @@ def induced_almost_contact(geo: HypersurfaceGeometry, J: EndoTM) -> AlmostContac
     )
 
 
-def _J_frame(geo: HypersurfaceGeometry, J: EndoTM) -> tuple[list, list]:
-    """J d iota(d_a) as the columns of an ambient-by-domain grid, and -J nu."""
+def _J_frame(geo: HypersurfaceGeometry, J: EndoTM) -> tuple[_Array, _Array]:
+    """J d iota(d_a) as the columns of an ambient-by-domain array, and -J nu."""
     j_res = geo.J_res(J)
-    return contract("ij,ja->ia", j_res, geo.jac), [-c for c in contract("ij,j->i", j_res, geo.nu)]
+    return contract("ij,ja->ia", j_res, geo.jac), -contract("ij,j->i", j_res, geo.nu)
 
 
 def check_induced_contact(
@@ -351,7 +332,7 @@ def check_induced_contact(
     out.add("(strind1) Z = -J nu is tangent", is_zero_all(
         (z - pz for z, pz in zip(z_amb, geo.push(ac.Z))), policy))
     xi_fund = ac.fundamental_form().components
-    pulled = _pullback(geo.embedding.restrict_grid(_kaehler_form(geo.gamma, J).matrix), geo.jac)
+    pulled = _pullback(geo.embedding.restrict_grid(_kaehler_form(geo.gamma, J)), geo.jac)
     out.add("Xi = iota^* Omega", is_zero_all(
         (xi_fund[a][c] - pulled[a][c] for a in range(m) for c in range(a + 1, m)), policy))
     return out
@@ -371,34 +352,17 @@ def check_hermitian_identities(
 ) -> CheckResult:
     """(eqdinKN) and (identHerm) on all coordinate frame triples."""
     out = CheckResult("hermitian")
-    chart = gamma.chart
-    n = chart.dim
-    fr = frame(chart)
-    conn = gamma.connection()
-    omega = _kaehler_form(gamma, J)
-    dom = ext_d(omega)
-    exprs = []
-    for i in range(n):
-        nj = conn.nabla(fr[i], J)
-        for j in range(n):
-            njY = nj(fr[j])
-            JY = J(fr[j])
-            for k in range(n):
-                lhs = 2 * gamma(njY, fr[k])
-                rhs = dom(fr[i], fr[j], fr[k]) - dom(fr[i], JY, J(fr[k]))
-                exprs.append(lhs - rhs)
+    dom = ext_d(_kaehler_form(gamma, J))
+    # [i][j][k]: the identities on the frame triple (d_i, d_j, d_k)
+    d = (contract("ilj,lk->ijk", gamma.connection().nabla_frame(J), gamma) * 2 - dom
+         + contract("iab,aj,bk->ijk", dom, J, J))
     out.add("(eqdinKN) 2 gamma(nabla_X J(Y), U) = dOmega(X,Y,U) - dOmega(X,JY,JU)",
-            is_zero_all(exprs, policy))
-    exprs = []
-    jf = [J(v) for v in fr]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = dom(jf[i], jf[j], jf[k])
-                rhs = dom(jf[i], fr[j], fr[k]) + dom(fr[i], jf[j], fr[k]) + dom(fr[i], fr[j], jf[k])
-                exprs.append(lhs - rhs)
+            is_zero_all(d._flat(), policy))
+    d = contract("abc,ai,bj,ck->ijk", dom, J, J, J) - (
+        contract("ajk,ai->ijk", dom, J) + contract("ibk,bj->ijk", dom, J)
+        + contract("ijc,ck->ijk", dom, J))
     out.add("(identHerm) dOmega(JZ,JX,JY) = dOmega(JZ,X,Y) + dOmega(Z,JX,Y) + dOmega(Z,X,JY)",
-            is_zero_all(exprs, policy))
+            is_zero_all(d._flat(), policy))
     return out
 
 
@@ -407,15 +371,9 @@ def check_almost_hermitian(
 ) -> CheckResult:
     out = CheckResult("almost_hermitian")
     chart = gamma.chart
-    out.add("J^2 = -Id", is_zero_all(
-        _flatten((J @ J + EndoTM.identity(chart)).components), policy))
+    out.add("J^2 = -Id", is_zero_all((J @ J + EndoTM.identity(chart))._flat(), policy))
     out.add("gamma(JX, JY) = gamma(X, Y)", is_zero_all(J.isometry_defect(gamma), policy))
-    fr = frame(chart)
-    exprs = []
-    for i in range(chart.dim):
-        for k in range(i + 1, chart.dim):
-            exprs.extend(nijenhuis_classical(J, fr[i], fr[k]).components)
-    out.add("N_J = 0 (integrability)", is_zero_all(exprs, policy))
+    out.add("N_J = 0 (integrability)", is_zero_all(frame_pairs(nijenhuis_table(J)), policy))
     return out
 
 
@@ -425,32 +383,30 @@ def check_gen_kahler(
     J_plus: EndoTM,
     J_minus: EndoTM,
     policy: ZeroPolicy = DEFAULT_POLICY,
+    hermitian: Optional[Callable] = None,
 ) -> CheckResult:
     """Generalized Kaehler validation: integrable J_pm plus (relpsiJ), with
-    the equivalent (relpsiOmega) form cross-checked."""
+    the equivalent (relpsiOmega) form cross-checked.
+
+    ``hermitian(J)`` gives an already computed
+    ``check_almost_hermitian(gamma, J, policy)``; when it is None, each
+    distinct J is checked here once.
+    """
     out = CheckResult("gen_kahler")
-    chart = gamma.chart
-    n = chart.dim
-    fr = frame(chart)
-    conn = gamma.connection()
     dpsi = ext_d(psi)
+    if hermitian is None:
+        hermitian = functools.cache(lambda J: check_almost_hermitian(gamma, J, policy))
     for tag, J in (("J+", J_plus), ("J-", J_minus)):
-        sub = check_almost_hermitian(gamma, J, policy)
-        out.add(f"(gamma, {tag}) is Hermitian", sub.verdict)
+        out.add(f"(gamma, {tag}) is Hermitian", hermitian(J).verdict)
     relpsij = []
     relpsiom = []
     for sign, J in ((1, J_plus), (-1, J_minus)):
-        omega = _kaehler_form(gamma, J)
-        dom = ext_d(omega)
-        jf = [J(v) for v in fr]
-        for i in range(n):
-            nj = conn.nabla(fr[i], J)
-            for j in range(n):
-                for k in range(n):
-                    lhs = gamma(nj(fr[j]), fr[k])
-                    rhs = dpsi(fr[i], jf[j], fr[k]) + dpsi(fr[i], fr[j], jf[k])
-                    relpsij.append(lhs + sp.Rational(sign, 2) * rhs)
-                    relpsiom.append(dom(jf[i], jf[j], jf[k]) + sign * dpsi(fr[i], fr[j], fr[k]))
+        # [i][j][k]: the identities on the frame triple (d_i, d_j, d_k)
+        rhs = contract("iak,aj->ijk", dpsi, J) + contract("ijb,bk->ijk", dpsi, J)
+        lhs = contract("ilj,lk->ijk", gamma.connection().nabla_frame(J), gamma)
+        relpsij.extend((lhs + rhs * sp.Rational(sign, 2))._flat())
+        dom = ext_d(_kaehler_form(gamma, J))
+        relpsiom.extend((contract("abc,ai,bj,ck->ijk", dom, J, J, J) + dpsi * sign)._flat())
     v_j = is_zero_all(relpsij, policy)
     v_om = is_zero_all(relpsiom, policy)
     out.add("(relpsiJ) gamma(nabla_X J(Y), U) = -+ (1/2)[dpsi(X,JY,U) + dpsi(X,Y,JU)]", v_j)
@@ -513,11 +469,21 @@ def _dOmega_along(geo: HypersurfaceGeometry, J: EndoTM):
 
 
 def check_hyp_CRF(
-    geo: HypersurfaceGeometry, J: EndoTM, policy: ZeroPolicy = DEFAULT_POLICY
+    geo: HypersurfaceGeometry,
+    J: EndoTM,
+    policy: ZeroPolicy = DEFAULT_POLICY,
+    hermitian: Optional[CheckResult] = None,
 ) -> CheckResult:
     """(eqCRF2): dOmega(JX,JY,Jnu) = dOmega(X,Y,Jnu) and b(FX,FY) = b(X,Y)
-    for X, Y in P = im F."""
-    _require(check_almost_hermitian(geo.gamma, J, policy), "Hermitian")
+    for X, Y in P = im F.
+
+    ``hermitian`` is an already computed
+    ``check_almost_hermitian(geo.gamma, J, policy)``; when it is None it is
+    computed here.
+    """
+    if hermitian is None:
+        hermitian = check_almost_hermitian(geo.gamma, J, policy)
+    _require(hermitian, "Hermitian")
     out = CheckResult("hyp_CRF")
     lines, b_lines = _crf2_defects(geo, J)
     out.add(_CRF2_DOMEGA, is_zero_all(lines, policy))
@@ -634,7 +600,7 @@ def check_hyp_CRFK(
     _require(gen_kahler, "generalized Kaehler")
     out = CheckResult("hyp_CRFK")
     e = geo.embedding
-    dpsi_res = [e.restrict_grid(plane) for plane in ext_d(geo.psi).components]
+    dpsi_res = e.restrict_grid(ext_d(geo.psi))
     fr = frame(e.domain)
     # iota^*(i(nu) dpsi)
     rho = contract("ijk,i,ja,kc->ac", dpsi_res, geo.nu, geo.jac, geo.jac)
@@ -658,7 +624,7 @@ def check_hyp_CRFK(
     if out.ok:
         from .structures.classical import check_normal_classical
 
+        normal = functools.cache(lambda J: check_normal_classical(geo.contact(J), policy))
         for tag, J in (("+", J_plus), ("-", J_minus)):
-            sub = check_normal_classical(geo.contact(J), policy)
-            out.add(f"CRFK consequence: induced structure {tag} is normal", sub.verdict)
+            out.add(f"CRFK consequence: induced structure {tag} is normal", normal(J).verdict)
     return out

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Union
 
 import sympy as sp
@@ -14,8 +15,8 @@ from ..calculus import (
     MetricField,
     OneForm,
     VectorField,
-    _flatten,
-    _zipmap,
+    _Array,
+    _partials,
     contract,
     ext_d,
     frame,
@@ -23,7 +24,7 @@ from ..calculus import (
     lie_derivative,
     tensor_oneform_vector,
 )
-from ..courant import BigEndo
+from ..courant import BigEndo, frame_pairs, skew_table
 from ..errors import ChartMismatchError, StructureError
 from ..symexpr import DEFAULT_POLICY, ZeroPolicy, is_zero, is_zero_all, random_poly
 from ..verdict import CheckResult
@@ -59,12 +60,8 @@ class AlmostContact:
 
         if self.gamma is None:
             raise ChartMismatchError("fundamental form needs the structure metric")
-        m = _zipmap(
-            lambda a, b: (a - b) / 2,
-            contract("ki,kj->ij", self.F, self.gamma),
-            contract("ik,kj->ij", self.gamma, self.F),
-        )
-        return TwoForm(self.chart, m)
+        m = contract("ki,kj->ij", self.F, self.gamma) - contract("ik,kj->ij", self.gamma, self.F)
+        return TwoForm(self.chart, m * Fraction(1, 2))
 
 
 def check_almost_contact(s: AlmostContact, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
@@ -97,18 +94,20 @@ def nijenhuis_classical(F: EndoTM, X: VectorField, Y: VectorField) -> VectorFiel
     )
 
 
+def nijenhuis_table(F: EndoTM) -> _Array:
+    """N_F(e_a, e_b) for every pair of coordinate fields, an n x n x n core
+    array, entry [k][a][b] the k-th component.  The frame brackets vanish,
+    so N_F(e_a, e_b) = [F e_a, F e_b] - F([F e_a, e_b] + [e_a, F e_b]), all
+    read from the one derivative array of F."""
+    dF = _partials(F)  # dF[k][a][i] = d_i F^k_a
+    return skew_table(contract("ia,kbi->kab", F, dF)) + contract("kl,lab->kab", F, skew_table(dF))
+
+
 def check_normal_classical(s: AlmostContact, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
     """(normal): N_F + d xi (x) Z = 0, evaluated on all coordinate frame pairs."""
     out = CheckResult("normal")
-    chart = s.chart
-    dxi = ext_d(s.xi)
-    fr = frame(chart)
-    exprs = []
-    for i in range(chart.dim):
-        for j in range(i + 1, chart.dim):
-            t = nijenhuis_classical(s.F, fr[i], fr[j]) + s.Z * dxi(fr[i], fr[j])
-            exprs.extend(t.components)
-    out.add("(normal) N_F + dxi (x) Z = 0", is_zero_all(exprs, policy, "(normal)"))
+    table = nijenhuis_table(s.F) + contract("k,ab->kab", s.Z, ext_d(s.xi))
+    out.add("(normal) N_F + dxi (x) Z = 0", is_zero_all(frame_pairs(table), policy, "(normal)"))
     return out
 
 
@@ -118,7 +117,7 @@ def eigen_projections(A: Union[EndoTM, BigEndo], policy: ZeroPolicy = DEFAULT_PO
     pr_H = -(A^2 + iA)/2, pr_Hbar = -(A^2 - iA)/2, pr_Q = Id + A^2, pr_P = -A^2.
     """
     m2 = A @ A
-    v = is_zero_all(_flatten((m2 @ A + A).components), policy, "A^3 + A = 0")
+    v = is_zero_all((m2 @ A + A)._flat(), policy, "A^3 + A = 0")
     if not v.ok:
         raise StructureError(
             "eigen_projections requires an F structure", [("A^3 + A = 0", v)]
@@ -196,14 +195,9 @@ def check_kernel_nabla_F(
     Together with classical CRF this characterizes the classical CRFK
     property of a metric F structure (the psi = 0 case)."""
     out = CheckResult("kernel_nabla_F")
-    conn = gamma.connection()
-    fr = frame(F.chart)
-    exprs = []
-    for X in fr:
-        nf = conn.nabla(X, F)
-        comp = F @ nf
-        exprs.extend(e for row in comp.matrix for e in row)
-    out.add("F o (nabla_X F) = 0", is_zero_all(exprs, policy, "kernel"))
+    # [X][k][j]: F(nabla_X F (d_j))^k on the coordinate fields X
+    comp = contract("kl,ilj->ikj", F, gamma.connection().nabla_frame(F))
+    out.add("F o (nabla_X F) = 0", is_zero_all(comp._flat(), policy, "kernel"))
     return out
 
 
@@ -214,12 +208,9 @@ def product_J_classical(s: AlmostContact, t: str = "t"):
     chart = s.chart
     product = chart.product_with_line(t)
     n = chart.dim
-    grid = []
-    for i in range(n):
-        row = [s.F.matrix[i][j].lift(product) for j in range(n)]
-        row.append(-s.Z.components[i].lift(product))  # J d_t = -Z
-        grid.append(row)
-    grid.append([c.lift(product) for c in s.xi.components] + [0])  # d_t coefficient is xi(X)
+    grid = {ix: e.lift(product) for ix, e in s.F._items().items()}
+    grid.update({(i, n): -e.lift(product) for (i,), e in s.Z._items().items()})  # J d_t = -Z
+    grid.update({(n, j): e.lift(product) for (j,), e in s.xi._items().items()})  # xi(X) d_t
     return product, EndoTM(product, grid)
 
 
@@ -232,10 +223,6 @@ def check_product_complex(
     sq = (J @ J) + EndoTM.identity(product)
     out.add("(JF) J^2 = -Id", is_zero_all(
         [e for row in sq.matrix for e in row], policy, "(JF) square"))
-    fr = frame(product)
-    exprs = []
-    for i in range(product.dim):
-        for j in range(i + 1, product.dim):
-            exprs.extend(nijenhuis_classical(J, fr[i], fr[j]).components)
-    out.add("(JF) N_J = 0 on MxR", is_zero_all(exprs, policy, "(JF) N_J"))
+    out.add("(JF) N_J = 0 on MxR", is_zero_all(
+        frame_pairs(nijenhuis_table(J)), policy, "(JF) N_J"))
     return out

@@ -8,7 +8,7 @@ from typing import Optional
 
 import sympy as sp
 
-from ..calculus import EndoTM, _flatten, _sum, _zipmap, contract, frame
+from ..calculus import EndoTM, contract, frame
 from ..courant import (
     BigEndo,
     BigSection,
@@ -50,7 +50,7 @@ class GenF:
 
 def _metric_F_defect(F: EndoTM, gamma) -> list[ScalarExpr]:
     """(Fmetric): gamma(FX, Y) + gamma(X, FY) = 0 and F^3 + F = 0."""
-    return F.skew_defect(gamma) + list(_flatten((F @ F @ F + F).components))
+    return F.skew_defect(gamma) + (F @ F @ F + F)._flat()
 
 
 def build_genF_from_quadruple(
@@ -85,7 +85,7 @@ def check_gen_F(genf: GenF, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
     chart = genf.chart
     m = genf.Fcal
     out.add("g-skewness of Fcal", is_zero_all(m.skew_defect(), policy))
-    out.add("Fcal^3 + Fcal = 0", is_zero_all(_flatten((m @ m @ m + m).components), policy))
+    out.add("Fcal^3 + Fcal = 0", is_zero_all((m @ m @ m + m)._flat(), policy))
     if genf.G is not None:
         out.add("(G-F) G(Fcal X, Y) + G(X, Fcal Y) = 0", is_zero_all(
             m.skew_defect(genf.G._gram), policy))
@@ -146,12 +146,8 @@ def crf_defects(Fcal: BigEndo) -> list[ScalarExpr]:
     """
     F2 = Fcal @ Fcal
     mixed = skew_table(bracket_table(F2, Fcal))
-    return frame_pairs(_zipmap(
-        lambda p, q, t: _sum(p, -q, -t),
-        bracket_table(F2, F2),
-        contract("ij,jab->iab", Fcal, mixed),
-        bracket_table(Fcal, Fcal),
-    ))
+    return frame_pairs(bracket_table(F2, F2) - contract("ij,jab->iab", Fcal, mixed)
+                       - bracket_table(Fcal, Fcal))
 
 
 def check_gen_CRF(genf: GenF, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
@@ -189,21 +185,13 @@ def check_CRFK(genf: GenF, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
 
 
 def _crfk6(genf: GenF, policy: ZeroPolicy) -> Verdict:
-    chart = genf.chart
-    n = chart.dim
-    gamma = genf.G.gamma
-    conn = gamma.connection()
-    dpsi = genf.G.dpsi.components
-    fr = frame(chart)
+    gamma, dpsi = genf.G.gamma, genf.G.dpsi
     exprs = []
     for sign, F in ((1, genf.F_plus), (-1, genf.F_minus)):
-        f2 = F @ F
-        for i in range(n):
-            # gamma(F nabla_i F (d_j), d_k) and dpsi(d_i, d_j, F^2 d_k) + dpsi(d_i, F d_j, F d_k)
-            lhs = contract("lk,lj->jk", gamma, F @ conn.nabla(fr[i], F))
-            t1 = contract("jb,bk->jk", dpsi[i], f2)
-            t2 = contract("ab,aj,bk->jk", dpsi[i], F, F)
-            h = sp.Rational(sign, 2)
-            d = _zipmap(lambda a, b, c: _sum(a, -h * b, -h * c), lhs, t1, t2)
-            exprs.extend(_flatten(EndoTM(chart, d).components))
+        # [i][j][k]: gamma(F nabla_i F (d_j), d_k) and
+        # dpsi(d_i, d_j, F^2 d_k) + dpsi(d_i, F d_j, F d_k)
+        lhs = contract("lk,lm,imj->ijk", gamma, F, gamma.connection().nabla_frame(F))
+        t1 = contract("ijb,bk->ijk", dpsi, F @ F)
+        t2 = contract("iab,aj,bk->ijk", dpsi, F, F)
+        exprs.extend((lhs - (t1 + t2) * sp.Rational(sign, 2))._flat())
     return is_zero_all(exprs, policy, "(CRFK6)")

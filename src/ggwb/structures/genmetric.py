@@ -35,14 +35,12 @@ from ..calculus import (
     TwoForm,
     VectorField,
     _partials,
-    _sum,
-    _zipmap,
     contract,
     ext_d,
     flat_combination,
     zero_twoform,
 )
-from ..courant import BigEndo, BigSection, pairing_gram
+from ..courant import BigEndo, BigSection, _gram0
 from ..errors import ChartMismatchError, ExprError, StructureError
 from ..numeric import symmetric_eigenvalues_at
 from ..symexpr import DEFAULT_POLICY, ScalarExpr, ZeroPolicy, is_zero_all
@@ -67,8 +65,7 @@ class GenMetric:
         self.psi = psi
         ident = EndoTM.identity(chart)
         self.Gcal = self.transfer(ident, -ident)
-        gram = contract("ki,kj->ij", self.Gcal, pairing_gram(chart))
-        self._gram = tuple(tuple(row) for row in gram)
+        self._gram = contract("ki,kj->ij", self.Gcal, _gram0(chart))
         self._dpsi = None
 
     def transfer(self, F_plus: EndoTM, F_minus: EndoTM) -> BigEndo:
@@ -99,7 +96,7 @@ class GenMetric:
 
     def G(self, A: BigSection, B: BigSection) -> ScalarExpr:
         """The positive pairing G(A, B) = g(Gcal A, B)."""
-        return contract("i,ij,j->", A.components(), self._gram, B.components())
+        return contract("i,ij,j->", A._array(), self._gram, B._array())
 
 
 def build_gen_metric(
@@ -122,7 +119,7 @@ def check_gen_metric(G: GenMetric, policy: ZeroPolicy = DEFAULT_POLICY) -> Check
     n = chart.dim
     out.add("(condptGrond) Gcal^2 = Id", is_zero_all(G.Gcal.square_defect(1), policy))
     out.add("(condptGrond) g(Gcal X, Gcal Y) = g(X, Y)", is_zero_all(
-        G.Gcal.isometry_defect(pairing_gram(chart)), policy))
+        G.Gcal.isometry_defect(_gram0(chart)), policy))
     # V_pm really are the +-1 eigenbundles
     from ..calculus import frame
 
@@ -178,48 +175,24 @@ def courant_bracket_Vpm(
     g, p = G.gamma, G.psi
     dX, dY, dg = _partials(X), _partials(Y), _partials(g)  # dX[k][i] = d_i X^k
 
-    def lie_flat(V, W, dV, dW) -> list:
+    def lie_flat(V, W, dV, dW):
         """(L_V flat_gamma W)_j, by the product rule on (flat_gamma W)_j = W^l g_lj."""
-        return _zipmap(
-            _sum,
-            contract("i,li,lj->j", V, dW, g),
-            contract("i,l,lji->j", V, W, dg),
-            contract("l,li,ij->j", W, g, dV),
-        )
+        return (contract("i,li,lj->j", V, dW, g) + contract("i,l,lji->j", V, W, dg)
+                + contract("l,li,ij->j", W, g, dV))
 
-    br = _zipmap(lambda p, q: _sum(p, -q), contract("ki,i->k", dY, X), contract("ki,i->k", dX, Y))
+    br = contract("ki,i->k", dY, X) - contract("ki,i->k", dX, Y)
     ixiy_dpsi = contract("i,j,ijk->k", X, Y, G.dpsi)
     if s1 == s2:
         s = s1
         # X^i (L_Y gamma)_ij = X^i (Y^k d_k g_ij + g_kj d_i Y^k + g_ik d_j Y^k)
-        x_lie_y_gamma = _zipmap(
-            _sum,
-            contract("i,k,ijk->j", X, Y, dg),
-            contract("i,kj,ki->j", X, g, dY),
-            contract("i,ik,kj->j", X, g, dY),
-        )
-        cov = _zipmap(
-            lambda bp, bg, t, lxw, xl: _sum(bp, s * bg, t, s * lxw, -s * xl),
-            contract("i,ij->j", br, p),
-            contract("i,ij->j", br, g),
-            ixiy_dpsi,
-            lie_flat(X, Y, dX, dY),
-            x_lie_y_gamma,
-        )
+        x_lie_y_gamma = (contract("i,k,ijk->j", X, Y, dg) + contract("i,kj,ki->j", X, g, dY)
+                         + contract("i,ik,kj->j", X, g, dY))
+        cov = (contract("i,ij->j", br, p) + contract("i,ij->j", br, g) * s + ixiy_dpsi
+               + lie_flat(X, Y, dX, dY) * s - x_lie_y_gamma * s)
         return BigSection(VectorField(chart, br), OneForm(chart, cov))
     # (+, -) mixed-sign case; d_j gamma(X, Y) by the product rule
-    d_gxy = _zipmap(
-        _sum,
-        contract("ij,il,l->j", dX, g, Y),
-        contract("i,ilj,l->j", X, dg, Y),
-        contract("i,il,lj->j", X, g, dY),
-    )
-    cov = _zipmap(
-        lambda bp, t, lxw, lyw, d: _sum(bp, t, -lxw, -lyw, d),
-        contract("i,ij->j", br, p),
-        ixiy_dpsi,
-        lie_flat(X, Y, dX, dY),
-        lie_flat(Y, X, dY, dX),
-        d_gxy,
-    )
+    d_gxy = (contract("ij,il,l->j", dX, g, Y) + contract("i,ilj,l->j", X, dg, Y)
+             + contract("i,il,lj->j", X, g, dY))
+    cov = (contract("i,ij->j", br, p) + ixiy_dpsi - lie_flat(X, Y, dX, dY)
+           - lie_flat(Y, X, dY, dX) + d_gxy)
     return BigSection(VectorField(chart, br), OneForm(chart, cov))

@@ -27,7 +27,7 @@ from ..courant import (
     BigSection,
     big_frame,
     lift_big_section,
-    pairing_gram,
+    _gram0,
 )
 from ..errors import PreconditionNotMet, StructureError
 from ..numeric import symmetric_eigenvalues_at
@@ -287,10 +287,10 @@ def check_product_metric(
     product = pj.chart
     gtilde_cal = -(pj.J @ pj2.J)
     out.add("Gtilde^2 = Id", is_zero_all(gtilde_cal.square_defect(1), policy))
-    gram = gtilde_cal._like(contract("ki,kj->ij", gtilde_cal, pairing_gram(product))).matrix
+    gram = contract("ki,kj->ij", gtilde_cal, _gram0(product))
 
     def gt(a: BigSection, b: BigSection) -> ScalarExpr:
-        return contract("i,ij,j->", a.components(), gram, b.components())
+        return contract("i,ij,j->", a._array(), gram, b._array())
 
     span_L = [s.Fcal(e) for e in big_frame(s.chart)]
     exprs = []

@@ -21,10 +21,9 @@ from ..calculus import (
     TwoForm,
     VectorField,
     _Array,
-    _flatten,
     _partials,
-    _sum,
-    _zipmap,
+    _stack,
+    _zeros,
     contract,
     frame,
     musical_flat,
@@ -41,7 +40,7 @@ from ..courant import (
     nijenhuis_big,
     nijenhuis_frame,
     pairing,
-    pairing_gram,
+    _gram0,
     section_array,
     skew_table,
 )
@@ -162,11 +161,11 @@ def check_two_one(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckRes
     m2 = m @ m
     rank1 = BigEndo.outer(s.Z_plus, s.Z_plus) - BigEndo.outer(s.Z_minus, s.Z_minus)
     # Fcal^2 + Id - rank1 is the defect of both identities
-    both = is_zero_all(_flatten((m2 + BigEndo.identity(chart) - rank1).components), policy)
+    both = is_zero_all((m2 + BigEndo.identity(chart) - rank1)._flat(), policy)
     out.add("(almctF2) Fcal^2 = -Id + flat_g Z+ (x) Z+ - flat_g Z- (x) Z-", both)
     out.add("(prScuframe) pr_S = g(Z+,.)Z+ - g(Z-,.)Z-", both)
     out.add("g-skewness of Fcal", is_zero_all(m.skew_defect(), policy))
-    out.add("Fcal^3 + Fcal = 0", is_zero_all(_flatten((m2 @ m + m).components), policy))
+    out.add("Fcal^3 + Fcal = 0", is_zero_all((m2 @ m + m)._flat(), policy))
     if s.G is not None:
         gram = s.G._gram
         qp, qm = (_pairing_row(chart, Z) for Z in (s.Z_plus, s.Z_minus))
@@ -191,9 +190,9 @@ def check_two_one(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckRes
     return out
 
 
-def _pairing_row(chart: ChartManifold, Z: BigSection) -> list:
-    """The components g(Z, .) of the neutral pairing against Z, raw."""
-    return contract("ij,j->i", pairing_gram(chart), Z.components())
+def _pairing_row(chart: ChartManifold, Z: BigSection) -> _Array:
+    """The components g(Z, .) of the neutral pairing against Z."""
+    return contract("ij,j->i", _gram0(chart), Z._array())
 
 
 def second_structure(s: TwoOneGAC) -> TwoOneGAC:
@@ -222,15 +221,10 @@ class ProductJ:
 
 def default_line_basis(product: ChartManifold) -> tuple[BigSection, BigSection]:
     """T_+ = (d_t, dt), T_- = (-d_t, dt) in the product frame."""
-    n = product.dim
-    zero = [0] * n
-    up = list(zero)
-    up[n - 1] = 1
-    T_plus = BigSection(VectorField(product, up), OneForm(product, up))
-    dn = list(zero)
-    dn[n - 1] = -1
-    T_minus = BigSection(VectorField(product, dn), OneForm(product, up))
-    return T_plus, T_minus
+    t = product.dim - 1
+    dt = OneForm(product, {(t,): 1})
+    return BigSection(VectorField(product, {(t,): 1}), dt), BigSection(
+        VectorField(product, {(t,): -1}), dt)
 
 
 def build_product_J(
@@ -330,9 +324,9 @@ def unified_normality_tensor(s: TwoOneGAC, A: BigSection, B: BigSection) -> BigS
     )
 
 
-def _unified_frame(s: TwoOneGAC) -> list:
+def _unified_frame(s: TwoOneGAC) -> _Array:
     """The unified normality tensor on every pair of frame sections, a
-    2n x 2n x 2n nested list, entry [k][a][b] the k-th component of
+    2n x 2n x 2n core array, entry [k][a][b] the k-th component of
     :func:`unified_normality_tensor` (s, e_a, e_b).
 
     With q = g(Z, .) (so g(Z, e_b) = q_b) and [e_a, e_b] = 0, the naive
@@ -341,16 +335,14 @@ def _unified_frame(s: TwoOneGAC) -> list:
     have covector components R_mab - R_mba with R_mab = d_m q_a q_b.
     """
     n = s.chart.dim
-    r = range(2 * n)
     table = nijenhuis_frame(s.Fcal)
     for sign, Z in ((1, s.Z_plus), (-1, s.Z_minus)):
         q = _pairing_row(s.chart, Z)
-        dq = _partials(_Array(s.chart, q, (2 * n,))).components  # dq[a][m] = d_m q_a
-        dc = [[(dq[b][a] if a < n else 0) - (dq[a][b] if b < n else 0) for b in r] for a in r]
-        corr = [[[0] * (2 * n) for _ in r] for _ in range(n)] + skew_table(
-            contract("am,b->mab", dq, q))
-        table = _zipmap(lambda t, z, c: _sum(t, sign * z, sign * c),
-                        table, contract("k,ab->kab", Z.components(), dc), corr)
+        dq = _partials(q)  # dq[a][m] = d_m q_a
+        D = _stack(contract("bm->mb", dq), _zeros(s.chart, (n, 2 * n)))  # D_ab = d_a q_b, a < n
+        dc = D - contract("ab->ba", D)
+        corr = _stack(_zeros(s.chart, (n, 2 * n, 2 * n)), skew_table(contract("am,b->mab", dq, q)))
+        table = table + (contract("k,ab->kab", Z._array(), dc) + corr) * sign
     return table
 
 
@@ -368,8 +360,7 @@ def check_normal_21(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckR
 
     # [Z, Fcal X] - Fcal [Z, X] for X = Fcal e_a
     zs = section_array([s.Z_plus, s.Z_minus])
-    d = _zipmap(lambda p, q: _sum(p, -q),
-                bracket_table(zs, F @ F), contract("ij,jza->iza", F, bracket_table(zs, F)))
+    d = bracket_table(zs, F @ F) - contract("ij,jza->iza", F, bracket_table(zs, F))
     exprs = [row[z][a] for z in range(2) for a in range(m) for row in d]
     out.add("(normaltotal) [Z+-, Fcal X] = Fcal [Z+-, X]", is_zero_all(exprs, policy))
 
@@ -413,15 +404,10 @@ def check_phi(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
         qp, qm = (_pairing_row(chart, Z) for Z in (s.Z_plus, s.Z_minus))
         # G(Phi X, Phi Y) = -G(X,Y) + 2[g(Z+,X)g(Z+,Y) + g(Z-,X)g(Z-,Y)];
         # the rank-one terms are forced by Phi Z+- = Z-+ and G(Z+-,Z+-) = 1.
-        d = _zipmap(
-            lambda a, b, c, e: _sum(a, b, -2 * c, -2 * e),
-            contract("ki,kl,lj->ij", phi, gram, phi),
-            gram,
-            contract("i,j->ij", qp, qp),
-            contract("i,j->ij", qm, qm),
-        )
+        d = (contract("ki,kl,lj->ij", phi, gram, phi) + _Array(chart, gram, phi.shape)
+             - (contract("i,j->ij", qp, qp) + contract("i,j->ij", qm, qm)) * 2)
         out.add("(PhiG) G(Phi X, Phi Y) = -G(X, Y) + 2 kernel terms", is_zero_all(
-            _flatten(phi._like(d).components), policy))
+            d._flat(), policy))
     # (eqGY): the +-1 eigenprojections of Phi have rank n at sample points.
     from ..numeric import rank_at
 
@@ -461,10 +447,8 @@ def check_gen_contact(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> Chec
 
 def conformal_operator(chart: ChartManifold, tau: ScalarExpr) -> BigEndo:
     """C_tau (X, a) = (X, e^tau a)."""
-    n = chart.dim
-    e = chart.scalar(tau).exp()
-    r = range(2 * n)
-    return BigEndo(chart, [[(1 if i < n else e) if i == j else 0 for j in r] for i in r])
+    n, e = chart.dim, chart.scalar(tau).exp()
+    return BigEndo(chart, {(i, i): 1 if i < n else e for i in range(2 * n)})
 
 
 def conformal_change(tau: ScalarExpr, A: BigEndo) -> BigEndo:

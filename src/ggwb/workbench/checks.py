@@ -46,6 +46,7 @@ from ..hypersurface import (
     Embedding,
     HypersurfaceGeometry,
     InducedGenStructure,
+    check_almost_hermitian,
     check_fundamental_form_property,
     check_gen_kahler,
     check_hermitian_identities,
@@ -88,7 +89,7 @@ class ScenarioContext:
         self.policy = scenario.policy
         self._once = {}  # (name, id(target)) -> (target, value)
 
-    def run_once(self, name: str, target, run: Callable):
+    def run_once(self, name, target, run: Callable):
         """``run()``, computed on the first request for ``name`` on ``target``.
 
         Builds and verdicts are deterministic (every zero test draws from a
@@ -164,6 +165,12 @@ class ScenarioContext:
     def induced(self, h: Hypersurface) -> InducedGenStructure:
         return self.geometry(h).gen_structure(*h.J_pair("the induced generalized structure"))
 
+    def hermitian(self, h: Hypersurface, J: EndoTM) -> CheckResult:
+        """check_almost_hermitian of (h.gamma, J), once per hypersurface and
+        J: hyp_CRF's precondition and gen_kahler's items read one result."""
+        return self.run_once(("almost_hermitian", id(J)), h, lambda: check_almost_hermitian(
+            h.gamma, J, self.policy))
+
 
 @dataclass
 class CheckSpec:
@@ -220,13 +227,14 @@ def _run_binormal(ctx, obj) -> CheckResult:
 
 
 def _run_hyp_crf(ctx, h) -> CheckResult:
-    return ctx.run_once("hyp_CRF", h, lambda: check_hyp_CRF(ctx.geometry(h), h.J, ctx.policy))
+    return ctx.run_once("hyp_CRF", h, lambda: check_hyp_CRF(
+        ctx.geometry(h), h.J, ctx.policy, hermitian=ctx.hermitian(h, h.J)))
 
 
 def _run_gen_kahler(ctx, h) -> CheckResult:
     J_plus, J_minus = h.J_pair("gen_kahler")
     return ctx.run_once("gen_kahler", h, lambda: check_gen_kahler(
-        h.gamma, h.psi, J_plus, J_minus, ctx.policy))
+        h.gamma, h.psi, J_plus, J_minus, ctx.policy, hermitian=lambda J: ctx.hermitian(h, J)))
 
 
 def _run_hyp_crfk(ctx, h) -> CheckResult:

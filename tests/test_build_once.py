@@ -1,6 +1,6 @@
 """One build per hypersurface: a scenario run builds the Gauss-Weingarten
-package and each induced structure once, and no check recomputes a result
-another check already holds."""
+package, its Jacobian and each induced structure once, checks each distinct
+J once, and no check recomputes a result another check already holds."""
 
 import sys
 from collections import Counter
@@ -9,7 +9,7 @@ import pytest
 
 from ggwb import hypersurface
 from ggwb.hypersurface import check_hyp_CRF, check_hyp_normal
-from ggwb.structures import twoone
+from ggwb.structures import classical, twoone
 from ggwb.workbench import load_builtin
 from ggwb.workbench.checks import run_checks
 
@@ -19,12 +19,16 @@ COUNTED = (
     (hypersurface, "check_gen_kahler"),
     (hypersurface, "induced_almost_contact"),
     (hypersurface, "_crf2_defects"),  # the (eqCRF2) defect lists
+    (hypersurface, "check_almost_hermitian"),
+    (hypersurface.Embedding, "jacobian"),
+    (classical, "check_normal_classical"),
     (twoone, "check_two_one"),
 )
 
 
 def _count_calls(monkeypatch) -> Counter:
-    """Wrap each counted function at every ggwb module that binds it."""
+    """Wrap each counted function where it is defined and at every ggwb
+    module that binds it."""
     calls = Counter()
     for module, name in COUNTED:
         fn = getattr(module, name)
@@ -33,6 +37,7 @@ def _count_calls(monkeypatch) -> Counter:
             calls[_name] += 1
             return _fn(*args, **kwargs)
 
+        monkeypatch.setattr(module, name, counted)
         for modname, mod in list(sys.modules.items()):
             if modname.startswith("ggwb"):
                 for attr, val in list(vars(mod).items()):
@@ -49,14 +54,18 @@ def test_a_scenario_run_builds_each_hypersurface_structure_once(name, monkeypatc
     calls = _count_calls(monkeypatch)
     run_checks(scenario)
     assert distinct_J == 1
-    assert calls == {
+    assert calls == Counter({
         "second_fundamental_form": 1,
         "unit_normal": 1,
         "check_gen_kahler": 1,
         "check_two_one": 1,
         "induced_almost_contact": distinct_J,
         "_crf2_defects": 1,
-    }
+        "check_almost_hermitian": distinct_J,
+        "jacobian": 1,
+        # the CRFK consequences run when (eqptans3) holds: on S6b, not on S4
+        "check_normal_classical": {"S4": 0, "S6b": distinct_J}[name],
+    })
 
 
 def test_hyp_normal_is_hyp_crf_plus_eqnormal2(sphere, pol):

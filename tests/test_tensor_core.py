@@ -1,11 +1,13 @@
-"""The component-array core of the tensor classes and its one contraction.
+"""The sparse component-array core of the tensor classes and its one
+contraction.
 
 Every evaluation, slot contraction and endomorphism application is checked
 against an index sum written out in plain sympy on random fields over R^3,
 with and without sin/cos/exp atoms and with zero components mixed in.
 ``contract`` must return the same sum as a scalar of the chart's rational
 function field (the written-out sympy sum, converted), and the public
-operations its canonical form.
+operations its canonical form.  A Hypothesis property does the same for
+random specs, and work pins count the field work the join does.
 """
 
 import itertools
@@ -14,7 +16,10 @@ import sys
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ggwb import calculus
 from ggwb.calculus import (
     ChartManifold,
     EndoTM,
@@ -23,7 +28,9 @@ from ggwb.calculus import (
     ThreeForm,
     TwoForm,
     VectorField,
+    _Array,
     _SymBilinear,
+    _levi_civita,
     contract,
     flat_combination,
     interior,
@@ -124,6 +131,8 @@ def f(request, chart):
 
 
 def _flat(t):
+    if isinstance(t, _Array):
+        t = t.components
     return [t] if not isinstance(t, (list, tuple)) else [e for p in t for e in _flat(p)]
 
 
@@ -211,7 +220,7 @@ def test_endomorphisms_apply(chart, f):
     _same(chart, f.F(f.X), ref)
     A, col = _raw(f.A), _raw(f.s1.components())
     ref = [_loop_sum(A[i][j] * col[j] for j in range(2 * N)) for i in range(2 * N)]
-    assert contract("ij,j->i", f.A, col) == ref
+    assert list(contract("ij,j->i", f.A, col)) == ref
     _same(chart, f.A(f.s1), ref)
     prod = [[_loop_sum(F[i][k] * F[k][j] for k in r) for j in r] for i in r]
     _same(chart, f.F @ f.F, prod)
@@ -239,6 +248,7 @@ def test_elementwise_algebra(chart, f):
         assert s == T * 2 == 2 * T
         assert (T - T).is_syntactic_zero
         assert (-T + T).is_syntactic_zero
+        assert T * 0 - T == -T
         assert (T * h).components == type(T)(chart, _scale(t, h.expr)).components
         assert T.conjugate() == T
         assert repr(T).startswith(type(T).__name__ + "(")
@@ -251,15 +261,16 @@ def _scale(t, h):
 
 
 def test_sym_view_is_cached_and_matches_components(f):
-    """The cached field elements ``contract`` reads (they replace the sympy
-    Matrix view): built once per field, equal to the components' own, in
-    a field that holds all of them."""
+    """The sparse store ``contract`` reads: the nonzero entries only, by
+    index tuple, in a field that holds all of them and equal to the
+    components' own; the components view is built from it once."""
     for T in (f.X, f.F, f.g, f.A):
-        rows, K = T._prepared()
-        assert T._prepared()[0] is rows
+        K = T.field
+        assert T.components is T.components
         comps = _flat_entries(T.components)
-        assert all(e.field is K for e in _flat(rows))
-        assert _flat(rows) == [_embed(c.rf, K) for c in comps]
+        indices = itertools.product(*map(range, T.shape))
+        assert all(e.field is K and e for e in T.entries.values())
+        assert T.entries == {ix: _embed(c.rf, K) for ix, c in zip(indices, comps) if c.rf}
 
 
 # -- charts ------------------------------------------------------------------
@@ -352,3 +363,119 @@ def _flat_entries(t):
     if isinstance(t, ScalarExpr):
         return [t]
     return [e for p in t for e in _flat_entries(p)]
+
+
+# -- the join: random specs, and the work it does ------------------------------
+
+DIMS = {"i": 2, "j": 3, "k": 2}
+
+
+@st.composite
+def _specs(draw):
+    """A spec of 1-3 operands of rank 1-3 over the letters i, j, k (shared
+    between operands, repeated within one), an output of distinct used
+    letters (none for a scalar), and one entry code per operand entry."""
+    ins = [draw(st.text("ijk", min_size=1, max_size=3)) for _ in range(draw(st.integers(1, 3)))]
+    used = sorted(set("".join(ins)))
+    out = draw(st.permutations(used).flatmap(lambda p: st.integers(0, len(p)).map(lambda m: p[:m])))
+    codes = [draw(st.lists(st.integers(0, 5), min_size=_size(idx), max_size=_size(idx)))
+             for idx in ins]
+    return f"{','.join(ins)}->{''.join(out)}", ins, codes, draw(st.booleans())
+
+
+def _size(idx):
+    n = 1
+    for c in idx:
+        n *= DIMS[c]
+    return n
+
+
+def _value(code, x, y):
+    """Zero half the time, else a constant or a small polynomial."""
+    return (0, 0, 0, sp.Rational(-3, 2), x * y - 2, x**2 + y)[code]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_specs())
+def test_contract_agrees_with_the_written_out_sum(case):
+    spec, ins, codes, as_core = case
+    chart = ChartManifold("join2", ["x", "y"])
+    x, y = chart.symbols
+    operands, grids = [], []
+    for idx, cs in zip(ins, codes):
+        shape = tuple(DIMS[c] for c in idx)
+        grid = dict(zip(itertools.product(*map(range, shape)), (_value(c, x, y) for c in cs)))
+        grids.append(grid)
+        nested = _nest_grid(chart, grid, shape, ())
+        operands.append(_Array(chart, nested, shape) if as_core else nested)
+    out = spec.split("->")[1]
+    letters = sorted(set("".join(ins)))
+    ref = {}
+    for values in itertools.product(*(range(DIMS[c]) for c in letters)):
+        bind = dict(zip(letters, values))
+        term = sp.Integer(1)
+        for idx, grid in zip(ins, grids):
+            term *= grid[tuple(bind[c] for c in idx)]
+        key = tuple(bind[c] for c in out)
+        ref[key] = ref.get(key, sp.Integer(0)) + term
+    got = contract(spec, *operands)
+    if not out:
+        assert isinstance(got, ScalarExpr)
+        assert got.rf == ScalarExpr(ref[()], chart).rf
+        return
+    assert got.shape == tuple(DIMS[c] for c in out)
+    for ix, r in ref.items():
+        e = got.components
+        for i in ix:
+            e = e[i]
+        assert e.rf == ScalarExpr(r, chart).rf
+    assert all(got.entries.values())
+
+
+def _nest_grid(chart, grid, shape, ix):
+    if len(ix) == len(shape):
+        return ScalarExpr(grid[ix], chart)
+    return [_nest_grid(chart, grid, shape, ix + (i,)) for i in range(shape[len(ix)])]
+
+
+def _count_products(monkeypatch):
+    """Products formed by ``contract``: the terms of every field sum."""
+    work = {"calls": 0, "products": 0}
+    field_sum = calculus._field_sum
+
+    def counted(K, one, terms):
+        work["calls"] += 1
+        work["products"] += len(terms)
+        return field_sum(K, one, terms)
+
+    monkeypatch.setattr(calculus, "_field_sum", counted)
+    return work
+
+
+def test_diagonal_determinant_forms_one_product(monkeypatch):
+    chart = ChartManifold("R5", ["a", "b", "c", "d", "e"])
+    work = _count_products(monkeypatch)
+    g = MetricField(chart, [["1+a^2" if i == j == 0 else (i + 1 if i == j else 0)
+                             for j in range(5)] for i in range(5)])
+    assert work == {"calls": 1, "products": 1}
+    assert g._determinant == ScalarExpr("120*(1+a^2)", chart)
+
+
+def test_an_operand_without_nonzeros_does_no_field_work(chart, monkeypatch):
+    f = Fields(chart, 0, atoms=True)
+    zero = EndoTM(chart, [[0] * N for _ in range(N)])
+    work = _count_products(monkeypatch)
+    assert (f.F @ zero).is_syntactic_zero
+    assert contract("ij,jk,k->i", f.F, zero, f.X).is_syntactic_zero
+    assert contract("ij,i,j->", zero, f.X, f.Y) is chart.zero
+    assert work == {"calls": 0, "products": 0}
+
+
+def test_levi_civita_stores_only_the_permutations():
+    chart = ChartManifold("R5", ["a", "b", "c", "d", "e"])
+    eps = _levi_civita(chart, 5)
+    assert eps.shape == (5,) * 5
+    assert len(eps.entries) == 120
+    assert eps.components[0][1][2][3][4] == 1
+    assert eps.components[1][0][2][3][4] == -1
+    assert eps.components[0][0][2][3][4].is_syntactic_zero

@@ -1,0 +1,84 @@
+"""Alternating parent/change pairs of the verdict-time benchmark.
+
+    python3 tools/bench_pairs.py --parent PARENT_DIR --change . \\
+        --workload builtins-rational --seed 0 --pairs 10 --out BENCH_11.json
+
+PARENT_DIR is a checkout of the parent commit (``git archive <parent> |
+tar -x -C PARENT_DIR``).  Each pair runs ``python3 bench/run.py --workload W
+--seed S --seconds T`` once in the parent checkout and once in the change
+checkout, the side that goes first alternating from pair to pair.  For each
+end-to-end metric of ``BENCHMARK.json`` the record keeps every value, the
+median and quartiles of each side, and the number of pairs the change wins
+(its value is better than the parent's in the same pair).  The record of
+the workload is merged into ``--out``, so one file holds every workload.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds)],
+        cwd=checkout, capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def quartiles(values: list) -> dict:
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": q2, "q3": q3}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seconds", type=float, default=10)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    sides = {"parent": args.parent, "change": args.change}
+    runs = {side: [] for side in sides}
+    for k in range(args.pairs):
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        for side in order:
+            result = run_bench(sides[side], args.workload, args.seed, args.seconds)
+            runs[side].append(result)
+            values = {n: round(result["metrics"][n]["value"], 4) for n in metrics}
+            print(f"pair {k} {side}: {values} failed {result['failed']}", flush=True)
+
+    record = {"seed": args.seed, "seconds": args.seconds, "pairs": args.pairs, "metrics": {}}
+    for name, better in metrics.items():
+        values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in sides}
+        lower = better == "lower"
+        wins = sum((c < p) if lower else (c > p)
+                   for p, c in zip(values["parent"], values["change"]))
+        record["metrics"][name] = {
+            "better": better,
+            **{side: {"values": values[side], **quartiles(values[side])} for side in sides},
+            "change_wins": wins,
+        }
+    record["failed"] = {side: sum(r["failed"] for r in runs[side]) for side in sides}
+    record["correct"] = {side: all(r["correct"] for r in runs[side]) for side in sides}
+
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    doc.setdefault("workloads", {})[args.workload] = record
+    args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -1,0 +1,159 @@
+"""Layer counts of one in-process builtins-rational round (S1, S2, S5, S6b).
+
+    PYTHONHASHSEED=0 python3 tools/layer_counts.py SRC_DIR [--seed 0]
+
+SRC_DIR is the ``src`` directory of the checkout to count, so the same
+script counts a parent checkout and a change.  Every call of
+``calculus.contract`` is recorded with its operands' shapes and nonzero
+positions, and the counts are derived from them the same way on both
+sides:
+
+- ``dense_tuples``: index tuples a dense walk visits, the product of the
+  sizes of all letters, for every call without an all-zero operand;
+- ``join_lookups`` and ``join_bindings``: index lookups and partial
+  bindings of a join that binds letters operand by operand, in operand
+  order, over the nonzeros;
+- ``products``: terms formed, one per surviving index tuple, counted as the
+  terms passed to ``calculus._field_sum``, and ``field_sums`` its calls;
+- ``conversions``: calls that turn nested component sequences into field
+  elements (``_wrap`` and ``_prepare`` where they exist, ``_gather``
+  otherwise).
+
+The last line of standard output is one JSON object with the counts.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import sys
+from collections import Counter
+
+
+def _leaf_nonzero(e) -> bool:
+    if hasattr(e, "is_syntactic_zero"):
+        return not e.is_syntactic_zero
+    return e != 0
+
+
+def _nonzeros(o, rank: int) -> set:
+    """The index tuples of the nonzero entries of a contraction operand."""
+    if hasattr(o, "entries"):
+        return set(o.entries)
+    grid = o.components if hasattr(o, "components") else o
+    out = set()
+
+    def walk(a, ix):
+        if len(ix) == rank:
+            if _leaf_nonzero(a):
+                out.add(ix)
+            return
+        for i, e in enumerate(a):
+            walk(e, ix + (i,))
+
+    walk(grid, ())
+    return out
+
+
+def _shape(o, rank: int) -> tuple:
+    if hasattr(o, "shape"):
+        return tuple(o.shape)
+    shape = []
+    for _ in range(rank):
+        shape.append(len(o))
+        o = o[0]
+    return tuple(shape)
+
+
+def _join(ins: list, nonzeros: list) -> tuple:
+    """(lookups, bindings) of the operand-order join over the nonzeros."""
+    partial, order, lookups, bindings = [()], [], 0, 0
+    for idx, nz in zip(ins, nonzeros):
+        first = {}
+        for p, c in enumerate(idx):
+            first.setdefault(c, p)
+        new = [c for c in first if c not in order]
+        index = {}
+        for ix in nz:
+            if any(ix[p] != ix[first[c]] for p, c in enumerate(idx)):
+                continue
+            key = tuple(ix[first[c]] for c in order if c in first)
+            index.setdefault(key, []).append(tuple(ix[first[c]] for c in new))
+        at = [order.index(c) for c in order if c in first]
+        nxt = []
+        for v in partial:
+            lookups += 1
+            nxt.extend(v + n for n in index.get(tuple(v[i] for i in at), ()))
+        order += new
+        partial = nxt
+        bindings += len(partial)
+        if not partial:
+            break
+    return lookups, bindings
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src")
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    sys.path.insert(0, args.src)
+
+    from ggwb import calculus
+    from ggwb.workbench import checks, report, scenario
+
+    counts = Counter()
+    contract, field_sum = calculus.contract, calculus._field_sum
+
+    def counted_contract(spec, *operands):
+        ins = spec.split("->")[0].split(",")
+        nonzeros = [_nonzeros(o, len(idx)) for o, idx in zip(operands, ins)]
+        counts["contract_calls"] += 1
+        if all(nonzeros):
+            dims = {}
+            for o, idx in zip(operands, ins):
+                dims.update(zip(idx, _shape(o, len(idx))))
+            counts["dense_tuples"] += math.prod(dims.values())
+            lookups, bindings = _join(ins, nonzeros)
+            counts["join_lookups"] += lookups
+            counts["join_bindings"] += bindings
+        return contract(spec, *operands)
+
+    def counted_field_sum(K, one, terms):
+        counts["field_sums"] += 1
+        counts["products"] += len(terms)
+        return field_sum(K, one, terms)
+
+    depth = Counter()
+
+    def counted(name, fn):
+        def wrapper(*a, **k):
+            if not depth[name]:
+                counts["conversions"] += 1
+            depth[name] += 1
+            try:
+                return fn(*a, **k)
+            finally:
+                depth[name] -= 1
+        return wrapper
+
+    replace = {id(contract): counted_contract, id(field_sum): counted_field_sum}
+    for name in ("_wrap", "_prepare", "_gather"):
+        fn = getattr(calculus, name, None)
+        if fn is not None:
+            replace[id(fn)] = counted(name, fn)
+    for modname, module in list(sys.modules.items()):
+        if modname == "ggwb" or modname.startswith("ggwb."):
+            for attr, val in list(vars(module).items()):
+                if id(val) in replace:
+                    setattr(module, attr, replace[id(val)])
+
+    for name in ("S1", "S2", "S5", "S6b"):
+        report.emit_report(checks.run_checks(scenario.load_builtin(name, args.seed)), "json")
+    print(json.dumps(dict(sorted(counts.items()))))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
