@@ -17,7 +17,7 @@ once.  The frame sections e_a are constant, so [e_a, e_b] = 0 and no other
 term enters.  :func:`courant_bracket` applies the same formula to two
 sections, and the criteria that range over all frame pairs
 (:func:`nijenhuis_frame`, the normality and CRF defects) read whole
-tables.
+tables, in the order of the per-pair definitions (:func:`frame_pairs`).
 """
 
 from __future__ import annotations
@@ -291,11 +291,15 @@ def skew_table(table: _Array) -> _Array:
     return table - contract("kab->kba", table)
 
 
-def frame_pairs(table: _Array) -> list:
-    """The entries of a 2n x p x p table over the pairs a < b, pair by pair
-    and component by component: the order the per-pair criteria use."""
-    s, zero, (k, m, _) = table._items(), table.chart.zero, table.shape
-    return [s.get((r, a, b), zero) for a in range(m) for b in range(a + 1, m) for r in range(k)]
+def frame_pairs(table: _Array, diagonal: bool = False) -> list:
+    """The entries of a k x p x p table (or a p x p matrix) over the pairs
+    a < b (a <= b with ``diagonal``), pair by pair and component by
+    component: the order the per-pair criteria use."""
+    s, zero, m = table._items(), table.chart.zero, table.shape[-1]
+    pairs = [(a, b) for a in range(m) for b in range(a + (not diagonal), m)]
+    if len(table.shape) == 2:
+        return [s.get(ab, zero) for ab in pairs]
+    return [s.get((r, a, b), zero) for a, b in pairs for r in range(table.shape[0])]
 
 
 def lift_big_section(s: BigSection, product: ChartManifold) -> BigSection:

@@ -5,6 +5,10 @@ Ambient objects are restricted to the hypersurface by substituting the
 embedding equations; tangent pushforwards use the symbolic Jacobian.  A field
 "along N" is stored as ambient-indexed components whose entries are scalars
 on the domain chart.
+
+The spanning set {F d_a} of P = im F is the columns of the induced F, and
+its pushforward those of jac F, so a criterion on P contracts its tensor
+(b, dOmega, iota^*(i(nu) dpsi), L_Z Xi) with F, F^2, jac, J and nu.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Optional
 
 import sympy as sp
@@ -30,7 +35,6 @@ from .calculus import (
     _partials,
     contract,
     ext_d,
-    frame,
     lie_derivative,
     zero_twoform,
 )
@@ -272,13 +276,12 @@ def check_hyp_geometry(
 ) -> CheckResult:
     """The defining identities of the Gauss-Weingarten data."""
     out = CheckResult("hyp_geometry")
-    m = geo.embedding.domain.dim
     out.add("gamma(nu, nu) = 1", is_zero(
         contract("ij,i,j->", geo.gamma_res, geo.nu, geo.nu) - 1, policy))
     out.add("gamma(nu, d iota X) = 0", is_zero_all(
         contract("ij,i,ja->a", geo.gamma_res, geo.nu, geo.jac)._flat(), policy))
     out.add("b symmetric", is_zero_all(
-        (geo.b[a][c] - geo.b[c][a] for a in range(m) for c in range(a + 1, m)), policy))
+        frame_pairs(geo.b - contract("ac->ca", geo.b)), policy))
     sw = contract("la,lc->ac", geo.weingarten, geo.s) - geo.b  # s(W d_a, d_c) - b(d_a, d_c)
     out.add("s(W X, Y) = b(X, Y)", is_zero_all(sw._flat(), policy))
     # normal connection vanishes: gamma(nabla_a nu, nu) = 0
@@ -320,21 +323,19 @@ def check_induced_contact(
     residuals vanish, and the fundamental form is the pullback of the Kaehler
     form."""
     out = CheckResult("induced_contact")
-    m, n = geo.embedding.domain.dim, geo.embedding.ambient.dim
     ac = geo.contact(J)
     sub = check_almost_contact(ac, policy)
     out.add("(almcont)+(clasmetric) for the induced structure", sub.verdict)
     jx, z_amb = _J_frame(geo, J)
-    push_f = contract("kb,ba->ka", geo.jac, ac.F)
-    xi = ac.xi.components
-    out.add("(strind1) J X = F X + xi(X) nu", is_zero_all(
-        (jx[k][a] - push_f[k][a] - xi[a] * geo.nu[k] for a in range(m) for k in range(n)), policy))
+    # [a][k]: the k-th component of J X - F X - xi(X) nu for X = d_a
+    d = contract("ka->ak", jx - contract("kb,ba->ka", geo.jac, ac.F)) - contract(
+        "a,k->ak", ac.xi, geo.nu)
+    out.add("(strind1) J X = F X + xi(X) nu", is_zero_all(d._flat(), policy))
     out.add("(strind1) Z = -J nu is tangent", is_zero_all(
-        (z - pz for z, pz in zip(z_amb, geo.push(ac.Z))), policy))
-    xi_fund = ac.fundamental_form().components
+        (z_amb - geo.push(ac.Z))._flat(), policy))
     pulled = _pullback(geo.embedding.restrict_grid(_kaehler_form(geo.gamma, J)), geo.jac)
     out.add("Xi = iota^* Omega", is_zero_all(
-        (xi_fund[a][c] - pulled[a][c] for a in range(m) for c in range(a + 1, m)), policy))
+        frame_pairs(ac.fundamental_form() - pulled), policy))
     return out
 
 
@@ -438,34 +439,27 @@ def _crf2_defects(geo: HypersurfaceGeometry, J: EndoTM) -> tuple[list, list]:
     """The defects of the two (eqCRF2) lines, on the spanning set F d_a of
     P = im F: dOmega(JX, JY, Jnu) - dOmega(X, Y, Jnu) for a < b, and
     b(FX, FY) - b(X, Y) for a <= b."""
-    ac, span_p, push_p = _on_P(geo, J)
-    m = len(span_p)
-    dom = _dOmega_along(geo, J)
-    j_res = geo.J_res(J)
-    jnu = contract("ij,j->i", j_res, geo.nu)
-    jp = [contract("ij,j->i", j_res, v) for v in push_p]
-    lines = [
-        dom(jp[i], jp[j], jnu) - dom(push_p[i], push_p[j], jnu)
-        for i in range(m) for j in range(i + 1, m)
-    ]
-    b_lines = [
-        geo.b_apply(ac.F(span_p[i]), ac.F(span_p[j])) - geo.b_apply(span_p[i], span_p[j])
-        for i in range(m) for j in range(i, m)
-    ]
-    return lines, b_lines
+    F, F2, push_p, j_push_p = _P_columns(geo, J)
+    # dOmega(., ., Jnu) along N
+    dom = contract("ijk,kl,l->ij", geo.dOmega_res(J), geo.J_res(J), geo.nu)
+    lines = (contract("ij,ia,jb->ab", dom, j_push_p, j_push_p)
+             - contract("ij,ia,jb->ab", dom, push_p, push_p))
+    b_lines = (contract("ac,ai,cj->ij", geo.b, F2, F2)
+               - contract("ac,ai,cj->ij", geo.b, F, F))
+    return frame_pairs(lines), frame_pairs(b_lines, diagonal=True)
 
 
-def _on_P(geo: HypersurfaceGeometry, J: EndoTM):
-    """The structure J induces, F of the coordinate frame (a spanning set of
-    P = im F), and its pushforward along N."""
-    ac = geo.contact(J)
-    span_p = [ac.F(v) for v in frame(geo.embedding.domain)]
-    return ac, span_p, [geo.push(X) for X in span_p]
+def _P_columns(geo: HypersurfaceGeometry, J: EndoTM) -> tuple:
+    """F and F^2 of the structure J induces (the columns F d_a span
+    P = im F, and F^2 d_a their images under F), with the pushforwards
+    d iota (F d_a) and J d iota (F d_a) as the columns of ambient-by-domain
+    arrays."""
+    def build():
+        F = geo.contact(J).F
+        push_p = contract("ka,ab->kb", geo.jac, F)
+        return F, F @ F, push_p, contract("ij,jb->ib", geo.J_res(J), push_p)
 
-
-def _dOmega_along(geo: HypersurfaceGeometry, J: EndoTM):
-    dom_res = geo.dOmega_res(J)
-    return lambda v1, v2, v3: contract("ijk,i,j,k->", dom_res, v1, v2, v3)
+    return geo._once("P", (J,), build)
 
 
 def check_hyp_CRF(
@@ -508,16 +502,13 @@ def check_hyp_normal(
     out = CheckResult("hyp_normal")
     for lbl, v in hyp_crf.items:
         out.add(lbl, v)
-    ac, span_p, push_p = _on_P(geo, J)
-    dom = _dOmega_along(geo, J)
-    j_res = geo.J_res(J)
-    push_z = geo.push(ac.Z)
-    exprs = [
-        geo.b_apply(ac.Z, X)
-        + sp.Rational(1, 2) * dom(geo.nu, push_z, contract("ij,j->i", j_res, pX))
-        for X, pX in zip(span_p, push_p)
-    ]
-    out.add("(eqnormal2) b(Z, X) = -(1/2) dOmega(nu, Z, JX) on P", is_zero_all(exprs, policy))
+    ac = geo.contact(J)
+    j_push_p = _P_columns(geo, J)[3]
+    # [a]: b(Z, F d_a) + (1/2) dOmega(nu, Z, J F d_a)
+    exprs = contract("ac,a,cb->b", geo.b, ac.Z, ac.F) + contract(
+        "ijk,i,j,kb->b", geo.dOmega_res(J), geo.nu, geo.push(ac.Z), j_push_p) * Fraction(1, 2)
+    out.add("(eqnormal2) b(Z, X) = -(1/2) dOmega(nu, Z, JX) on P", is_zero_all(
+        exprs._flat(), policy))
     return out
 
 
@@ -536,9 +527,7 @@ def check_fundamental_form_property(
     out = CheckResult("LXi")
     ac = geo.contact(J)
     lxi = lie_derivative(ac.Z, ac.fundamental_form())
-    fr = frame(geo.embedding.domain)
-    v = is_zero_all((lxi(ac.F(fr[i]), ac.F(fr[j])) - lxi(fr[i], fr[j])
-                     for i in range(len(fr)) for j in range(i + 1, len(fr))), policy)
+    v = is_zero_all(frame_pairs(contract("ab,ai,bj->ij", lxi, ac.F, ac.F) - lxi), policy)
     out.add("(LXi) L_Z Xi(FX, FY) = L_Z Xi(X, Y) on TN", v)
     if hyp_crf is None:
         hyp_crf = check_hyp_CRF(geo, J, policy)
@@ -601,25 +590,19 @@ def check_hyp_CRFK(
     out = CheckResult("hyp_CRFK")
     e = geo.embedding
     dpsi_res = e.restrict_grid(ext_d(geo.psi))
-    fr = frame(e.domain)
     # iota^*(i(nu) dpsi)
     rho = contract("ijk,i,ja,kc->ac", dpsi_res, geo.nu, geo.jac, geo.jac)
-
-    def rho_apply(X: VectorField, Y: VectorField) -> ScalarExpr:
-        return contract("ac,a,c->", rho, X, Y)
-
     for sign, J in ((1, J_plus), (-1, J_minus)):
         tag = "+" if sign == 1 else "-"
-        ac, span_p, _ = _on_P(geo, J)
-        fp = [ac.F(X) for X in span_p]
+        F, F2, _, _ = _P_columns(geo, J)
         out.add(f"(eqptans3) i(nu)dpsi invariance under F{tag} on P{tag}", is_zero_all(
-            (rho_apply(fp[i], fp[j]) - rho_apply(span_p[i], span_p[j])
-             for i in range(len(fp)) for j in range(i + 1, len(fp))), policy))
+            frame_pairs(contract("ac,ai,cj->ij", rho, F2, F2)
+                        - contract("ac,ai,cj->ij", rho, F, F)), policy))
         out.add(
             f"(eqptans3) b(X, F{tag} U) = {'-' if sign == 1 else '+'}(1/2) "
             f"iota^*(i(nu)dpsi)(X, F{tag} U)",
-            is_zero_all((geo.b_apply(X, fu) + sp.Rational(sign, 2) * rho_apply(X, fu)
-                         for X in fr for fu in fp), policy),
+            is_zero_all((contract("ac,cu->au", geo.b, F2)
+                         + contract("ac,cu->au", rho, F2) * Fraction(sign, 2))._flat(), policy),
         )
     if out.ok:
         from .structures.classical import check_normal_classical

@@ -1,4 +1,8 @@
-"""Classical almost contact structures, Nijenhuis tensors and CRF criteria."""
+"""Classical almost contact structures, Nijenhuis tensors and CRF criteria.
+
+The spanning sets of P = im F and Q = ker F are the columns of F and of
+pr_Q = Id + F^2, so a criterion on P or Q contracts a frame table with them.
+"""
 
 from __future__ import annotations
 
@@ -96,11 +100,17 @@ def nijenhuis_classical(F: EndoTM, X: VectorField, Y: VectorField) -> VectorFiel
 
 def nijenhuis_table(F: EndoTM) -> _Array:
     """N_F(e_a, e_b) for every pair of coordinate fields, an n x n x n core
-    array, entry [k][a][b] the k-th component.  The frame brackets vanish,
-    so N_F(e_a, e_b) = [F e_a, F e_b] - F([F e_a, e_b] + [e_a, F e_b]), all
-    read from the one derivative array of F."""
+    array, entry [k][a][b] the k-th component."""
+    return _frame_tables(F)[1]
+
+
+def _frame_tables(F: EndoTM) -> tuple[_Array, _Array]:
+    """The frame tables [F e_a, F e_b] and N_F(e_a, e_b), n x n x n.  The
+    frame brackets vanish, so N_F(e_a, e_b) = [F e_a, F e_b] - F([F e_a, e_b]
+    + [e_a, F e_b]), all read from the one derivative array of F."""
     dF = _partials(F)  # dF[k][a][i] = d_i F^k_a
-    return skew_table(contract("ia,kbi->kab", F, dF)) + contract("kl,lab->kab", F, skew_table(dF))
+    ff = skew_table(contract("ia,kbi->kab", F, dF))
+    return ff, ff + contract("kl,lab->kab", F, skew_table(dF))
 
 
 def check_normal_classical(s: AlmostContact, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
@@ -131,24 +141,22 @@ def eigen_projections(A: Union[EndoTM, BigEndo], policy: ZeroPolicy = DEFAULT_PO
     }
 
 
-def _cr_condition_items(F: EndoTM, policy: ZeroPolicy, out: CheckResult) -> None:
-    """(CRcond) on the spanning set {F e_i} of P, plus a scalar-invariance
-    revalidation with one random function (the condition is function-invariant
-    for arguments in P; we verify that on the spanning data)."""
+def _cr_condition_items(F: EndoTM, policy: ZeroPolicy, out: CheckResult) -> tuple:
+    """(CRcond) on the columns F e_a of F, which span P: the tensor N_F gives
+    N_F(F e_a, F e_b) = N_F(e_c, e_d) F^c_a F^d_b.  Plus a scalar-invariance
+    revalidation with one random function on two of them.  Returns the
+    Nijenhuis table of F and pr_Q."""
     chart = F.chart
     n = chart.dim
-    fr = frame(chart)
     pr_q = EndoTM.identity(chart) + (F @ F)
-    span = [F(e) for e in fr]
-    exprs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = nijenhuis_classical(F, span[i], span[j]) - pr_q(lie_bracket(span[i], span[j]))
-            exprs.extend(d.components)
-    out.add("(CRcond) N_F(X,Y) = pr_Q [X,Y] on P", is_zero_all(exprs, policy, "(CRcond)"))
+    brackets, nij = _frame_tables(F)
+    defect = contract("kcd,ca,db->kab", nij, F, F) - contract("kl,lab->kab", pr_q, brackets)
+    out.add("(CRcond) N_F(X,Y) = pr_Q [X,Y] on P", is_zero_all(
+        frame_pairs(defect), policy, "(CRcond)"))
     rng = random.Random(policy.seed + 101)
     f = random_poly(chart, rng)
-    X, Y = span[0], span[1 % n]
+    fr = frame(chart)
+    X, Y = F(fr[0]), F(fr[1 % n])
     fd = (
         nijenhuis_classical(F, X * f, Y)
         - pr_q(lie_bracket(X * f, Y))
@@ -156,6 +164,7 @@ def _cr_condition_items(F: EndoTM, policy: ZeroPolicy, out: CheckResult) -> None
     )
     out.add("(CRcond) scalar-invariance under X -> fX", is_zero_all(
         fd.components, policy, "(CRcond) invariance"))
+    return nij, pr_q
 
 
 def check_classical_CRF(s: AlmostContact, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
@@ -170,20 +179,12 @@ def check_classical_CRF(s: AlmostContact, policy: ZeroPolicy = DEFAULT_POLICY) -
 
 
 def check_crf_endo(F: EndoTM, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
-    """Classical CRF for a bare F structure: (CRcond) + (CRF0) with Q = ker F
-    spanned by the columns of pr_Q."""
+    """Classical CRF for a bare F structure: (CRcond) + (CRF0), N_F(F e_a,
+    pr_Q e_b) for the columns of F and of pr_Q, which span P and Q = ker F."""
     out = CheckResult("classical_CRF")
-    _cr_condition_items(F, policy, out)
-    chart = F.chart
-    fr = frame(chart)
-    pr_q = EndoTM.identity(chart) + (F @ F)
-    span_p = [F(e) for e in fr]
-    span_q = [pr_q(e) for e in fr]
-    exprs = []
-    for X in span_p:
-        for Y in span_q:
-            exprs.extend(nijenhuis_classical(F, X, Y).components)
-    out.add("(CRF0) N_F(X,Y) = 0 for X in P, Y in Q", is_zero_all(exprs, policy, "(CRF0)"))
+    nij, pr_q = _cr_condition_items(F, policy, out)
+    out.add("(CRF0) N_F(X,Y) = 0 for X in P, Y in Q", is_zero_all(
+        contract("kab,ai,bj->ijk", nij, F, pr_q)._flat(), policy, "(CRF0)"))
     return out
 
 

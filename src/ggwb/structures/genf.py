@@ -8,10 +8,9 @@ from typing import Optional
 
 import sympy as sp
 
-from ..calculus import EndoTM, contract, frame
+from ..calculus import EndoTM, contract
 from ..courant import (
     BigEndo,
-    BigSection,
     big_frame,
     bracket_table,
     courant_bracket,
@@ -82,7 +81,6 @@ def check_gen_F(genf: GenF, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
     """Algebraic axioms: g-skewness, Fcal^3 + Fcal = 0, and in the metric
     case (G-F) plus the transfer identity (eqJrond)."""
     out = CheckResult("gen_F")
-    chart = genf.chart
     m = genf.Fcal
     out.add("g-skewness of Fcal", is_zero_all(m.skew_defect(), policy))
     out.add("Fcal^3 + Fcal = 0", is_zero_all((m @ m @ m + m)._flat(), policy))
@@ -90,11 +88,12 @@ def check_gen_F(genf: GenF, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
         out.add("(G-F) G(Fcal X, Y) + G(X, Fcal Y) = 0", is_zero_all(
             m.skew_defect(genf.G._gram), policy))
     if genf.has_quadruple:
+        # Fcal C_pm = C_pm F_pm, section by section: tau_pm(F_pm d_i) is column i of C_pm F_pm
         exprs = []
         for sign, F in ((1, genf.F_plus), (-1, genf.F_minus)):
-            for e in frame(chart):
-                d = genf.Fcal(genf.G.section(e, sign)) - genf.G.section(F(e), sign)
-                exprs.extend(d.components())
+            C = genf.G._frame(sign)
+            d = contract("ij,ja->ia", m, C) - contract("ij,ja->ia", C, F)
+            exprs.extend(contract("ia->ai", d)._flat())
         out.add("(eqJrond) Fcal(X, flat X) = (F_pm X, flat F_pm X)", is_zero_all(exprs, policy))
     return out
 
@@ -130,10 +129,6 @@ def corank_and_negative_index(
     return corank, neg
 
 
-def _spanning_L(genf: GenF) -> list[BigSection]:
-    return [genf.Fcal(e) for e in big_frame(genf.chart)]
-
-
 def crf_defects(Fcal: BigEndo) -> list[ScalarExpr]:
     """N_Fcal(X, Y) - pr_S [X, Y] on the spanning set X = Fcal e_a,
     Y = Fcal e_b (a < b) of L = im Fcal, pair by pair and component by
@@ -155,15 +150,17 @@ def check_gen_CRF(genf: GenF, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResul
     L = im Fcal, with a scalar-invariance revalidation."""
     out = CheckResult("gen_CRF")
     chart = genf.chart
-    pr_s = BigEndo.identity(chart) + genf.Fcal @ genf.Fcal
-    span = _spanning_L(genf)
-    out.add("N_Fcal(X,Y) = pr_S [X,Y] on L", is_zero_all(crf_defects(genf.Fcal), policy))
+    Fcal = genf.Fcal
+    pr_s = BigEndo.identity(chart) + Fcal @ Fcal
+    out.add("N_Fcal(X,Y) = pr_S [X,Y] on L", is_zero_all(crf_defects(Fcal), policy))
     rng = random.Random(policy.seed + 211)
     f = random_poly(chart, rng)
-    X = span[0]
-    Y = next((s for s in span[1:] if any(not c.is_syntactic_zero for c in s.components())), span[-1])
-    base = nijenhuis_big(genf.Fcal, X, Y) - pr_s(courant_bracket(X, Y))
-    scaled = nijenhuis_big(genf.Fcal, X * f, Y) - pr_s(courant_bracket(X * f, Y))
+    # X = Fcal e_0 and Y the first nonzero column of Fcal after it (the last if none)
+    fr = big_frame(chart)
+    X = Fcal(fr[0])
+    Y = Fcal(fr[min((b for _, b in Fcal.entries if b > 0), default=len(fr) - 1)])
+    base = nijenhuis_big(Fcal, X, Y) - pr_s(courant_bracket(X, Y))
+    scaled = nijenhuis_big(Fcal, X * f, Y) - pr_s(courant_bracket(X * f, Y))
     d = scaled - base * f
     out.add("scalar-invariance under X -> fX", is_zero_all(d.components(), policy))
     return out

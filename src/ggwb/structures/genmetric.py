@@ -20,6 +20,10 @@ Gcal is the transfer of (I, -I):
 
 The closed form needs only the cached inverse of gamma, never the inverse
 of the 2n x 2n frame matrix C.
+
+The sections tau_pm(d_i) spanning V_pm are the columns of C_pm =
+[I; (psi +- gamma)^T], the block columns of C, so a criterion on V_pm
+contracts its operator with C_pm (Gcal C_pm = +-C_pm, C_+^T G C_+ = gamma).
 """
 
 from __future__ import annotations
@@ -34,13 +38,15 @@ from ..calculus import (
     OneForm,
     TwoForm,
     VectorField,
+    _Array,
     _partials,
+    _stack,
     contract,
     ext_d,
     flat_combination,
     zero_twoform,
 )
-from ..courant import BigEndo, BigSection, _gram0
+from ..courant import BigEndo, BigSection, _gram0, frame_pairs
 from ..errors import ChartMismatchError, ExprError, StructureError
 from ..numeric import symmetric_eigenvalues_at
 from ..symexpr import DEFAULT_POLICY, ScalarExpr, ZeroPolicy, is_zero_all
@@ -67,6 +73,7 @@ class GenMetric:
         self.Gcal = self.transfer(ident, -ident)
         self._gram = contract("ki,kj->ij", self.Gcal, _gram0(chart))
         self._dpsi = None
+        self._frames = {}
 
     def transfer(self, F_plus: EndoTM, F_minus: EndoTM) -> BigEndo:
         """The endomorphism acting as F_pm on V_pm through tau_pm, in the
@@ -87,6 +94,14 @@ class GenMetric:
     def section(self, X: VectorField, sign: int) -> BigSection:
         """(X, flat_{psi + sign*gamma} X) in V_sign."""
         return BigSection(X, flat_combination(self.psi, self.gamma, sign, X))
+
+    def _frame(self, sign: int) -> _Array:
+        """C_sign = [I; (psi + sign*gamma)^T]: the sections tau_sign(d_i)
+        of V_sign as the columns of a 2n x n core array."""
+        if sign not in self._frames:
+            cov = contract("ij->ji", self.psi) + contract("ij->ji", self.gamma) * sign
+            self._frames[sign] = _stack(EndoTM.identity(self.chart), cov)
+        return self._frames[sign]
 
     @property
     def dpsi(self):
@@ -116,27 +131,20 @@ def build_gen_metric(
 def check_gen_metric(G: GenMetric, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
     out = CheckResult("gen_metric")
     chart = G.chart
-    n = chart.dim
     out.add("(condptGrond) Gcal^2 = Id", is_zero_all(G.Gcal.square_defect(1), policy))
     out.add("(condptGrond) g(Gcal X, Gcal Y) = g(X, Y)", is_zero_all(
         G.Gcal.isometry_defect(_gram0(chart)), policy))
-    # V_pm really are the +-1 eigenbundles
-    from ..calculus import frame
-
+    # V_pm really are the +-1 eigenbundles: Gcal C_pm = +-C_pm, section by section
     eig = []
     for sign in (1, -1):
-        for e in frame(chart):
-            s = G.section(e, sign)
-            d = G.Gcal(s) - s * sign
-            eig.extend(d.components())
+        C = G._frame(sign)
+        eig.extend(contract("ia->ai", contract("ij,ja->ia", G.Gcal, C) - C * sign)._flat())
     out.add("(exprEpm) Gcal = +-Id on V_+-", is_zero_all(eig, policy))
     # G restricted to V_+ transfers to gamma through tau_+
-    tr = []
-    fr = frame(chart)
-    for i in range(n):
-        for j in range(i, n):
-            tr.append(G.G(G.section(fr[i], 1), G.section(fr[j], 1)) - G.gamma(fr[i], fr[j]))
-    out.add("(condptGrond) G|V+ = gamma via tau_+", is_zero_all(tr, policy))
+    C = G._frame(1)
+    tr = contract("ai,ab,bj->ij", C, G._gram, C) - G.gamma
+    out.add("(condptGrond) G|V+ = gamma via tau_+", is_zero_all(
+        frame_pairs(tr, diagonal=True), policy))
     out.add("G positive definite at sample points", _positivity(G, policy))
     return out
 

@@ -14,6 +14,7 @@ from typing import Optional
 from ..calculus import (
     OneForm,
     VectorField,
+    _minor,
     contract,
     ext_d,
     frame,
@@ -24,8 +25,10 @@ from ..calculus import (
     musical_sharp,
 )
 from ..courant import (
+    BigEndo,
     BigSection,
-    big_frame,
+    frame_pairs,
+    lift_big_endo,
     lift_big_section,
     _gram0,
 )
@@ -292,13 +295,14 @@ def check_product_metric(
     def gt(a: BigSection, b: BigSection) -> ScalarExpr:
         return contract("i,ij,j->", a._array(), gram, b._array())
 
-    span_L = [s.Fcal(e) for e in big_frame(s.chart)]
-    exprs = []
-    for i in range(len(span_L)):
-        for j in range(i, len(span_L)):
-            a, b = lift_big_section(span_L[i], product), lift_big_section(span_L[j], product)
-            exprs.append(gt(a, b) - s.G.G(span_L[i], span_L[j]).lift(product))
-    out.add("Gtilde|_L = G|_L", is_zero_all(exprs, policy))
+    # L is spanned by the columns of Fcal; lifted, they are the columns of
+    # Fcal_lift but for its zero columns at the new slots n and 2n+1
+    n, lift = s.chart.dim, pj.Fcal_lift
+    g_l = lift_big_endo(BigEndo(s.chart, contract("ai,ab,bj->ij", s.Fcal, s.G._gram, s.Fcal)),
+                        product)
+    d = contract("ai,ab,bj->ij", lift, gram, lift) - g_l
+    out.add("Gtilde|_L = G|_L", is_zero_all(
+        frame_pairs(_minor(_minor(d, 2 * n + 1, 2 * n + 1), n, n), diagonal=True), policy))
     exprs = []
     for A in (s.Z_plus, s.Z_minus):
         for B in (s.Z_plus, s.Z_minus):

@@ -25,7 +25,6 @@ from ..calculus import (
     _stack,
     _zeros,
     contract,
-    frame,
     musical_flat,
 )
 from ..courant import (
@@ -75,11 +74,10 @@ class TwoOneGAC:
         """F_pm = tau_pm o Fcal o tau_pm^{-1} (metric structures only)."""
         if self.G is None:
             raise PreconditionNotMet("classical pair needs the generalized metric")
-        out = []
-        for sign in (1, -1):
-            cols = [self.Fcal(self.G.section(e, sign)).X.components for e in frame(self.chart)]
-            out.append(EndoTM(self.chart, contract("ji->ij", cols)))
-        return out[0], out[1]
+        # the vector block of Fcal C_pm: column i is the TM part of Fcal tau_pm(d_i)
+        n = self.chart.dim
+        return tuple(EndoTM(self.chart, contract("ij,ja->ia", self.Fcal, self.G._frame(s))._block(
+            0, n)) for s in (1, -1))
 
     def classical_pair(self) -> tuple[AlmostContact, AlmostContact, TwoForm]:
         """(F_+, Z_+, xi_+, gamma), (F_-, Z_-, xi_-, gamma) and psi."""

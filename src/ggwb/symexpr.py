@@ -496,14 +496,6 @@ def _view(rf: FracElement) -> sp.Expr:
     return sp.Mul(num, sp.Pow(_poly_view(rf.denom, values), -1, evaluate=False), evaluate=False)
 
 
-def canon(expr) -> sp.Expr:
-    """The view of the canonical form of a grammar expression over its free
-    symbols: the reduced fraction for a rational function, and a fixed point
-    (``canon(canon(e)) == canon(e)``)."""
-    expr = sp.sympify(expr)
-    return _view(_to_field(expr, tuple(expr.free_symbols)))
-
-
 # ---------------------------------------------------------------------------
 # the scalar
 

@@ -11,6 +11,7 @@ validation errors carry the JSON path of the offending field.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -120,7 +121,9 @@ def _load_chart(spec: dict, where: str) -> ChartManifold:
 
 
 def _parse_component(text, chart: ChartManifold, where: str):
-    if isinstance(text, (int, float)) and float(text) == int(text):
+    if isinstance(text, bool) or (isinstance(text, float) and not math.isfinite(text)):
+        raise ScenarioError(f"{json.dumps(text)} is not an expression string or a number", where)
+    if isinstance(text, int) or (isinstance(text, float) and text.is_integer()):
         text = str(int(text))
     if not isinstance(text, str):
         raise ScenarioError("components are expression strings", where)

@@ -26,11 +26,11 @@ COUNTED = (
 )
 
 
-def _count_calls(monkeypatch) -> Counter:
+def _count_calls(monkeypatch, counted=COUNTED) -> Counter:
     """Wrap each counted function where it is defined and at every ggwb
     module that binds it."""
     calls = Counter()
-    for module, name in COUNTED:
+    for module, name in counted:
         fn = getattr(module, name)
 
         def counted(*args, _fn=fn, _name=name, **kwargs):
@@ -78,3 +78,13 @@ def test_hyp_normal_is_hyp_crf_plus_eqnormal2(sphere, pol):
     # an already computed hyp_CRF result is read, not recomputed
     reused = check_hyp_normal(sphere["geo"], sphere["J"], pol, hyp_crf=crf)
     assert reused.items == normal.items
+
+
+def test_crcond_evaluates_per_pair_nijenhuis_only_for_scalar_invariance(monkeypatch):
+    """(CRcond) and (CRF0) contract the Nijenhuis table with F and pr_Q, so
+    the per-pair N_F is evaluated only by the scalar-invariance item: 2
+    calls per (CRcond) run, none per pair of spanning vectors."""
+    calls = _count_calls(monkeypatch, (
+        (classical, "nijenhuis_classical"), (classical, "_cr_condition_items")))
+    run_checks(load_builtin("S3"))
+    assert calls == Counter({"_cr_condition_items": 1, "nijenhuis_classical": 2})

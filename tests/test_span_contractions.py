@@ -1,0 +1,377 @@
+"""Criteria on P, Q and V_pm contract their operators' columns.
+
+The spanning sets of the criteria are {F e_a} for P = im F, {pr_Q e_a} for
+Q = ker F and the sections tau_pm(e_a) = G.section(e_a, +-1) for V_pm.
+Each reference below writes the criterion out as the per-pair loop over
+those vectors, and the list the check hands to the zero test must equal it
+element by element (as field elements) and in order, so a Failed item
+keeps its witness.  Tensoriality makes this hold for any endomorphism, so
+the operators are random polynomial ones, plus the builtin S3's F, whose
+(CRF0) fails, and a generalized metric whose Gcal is perturbed, so that
+(exprEpm) and G|V+ have nonzero defects.
+"""
+
+import random
+
+import pytest
+import sympy as sp
+
+from ggwb import hypersurface
+from ggwb.calculus import (
+    ChartManifold,
+    EndoTM,
+    MetricField,
+    TwoForm,
+    contract,
+    ext_d,
+    frame,
+    lie_bracket,
+    lie_derivative,
+)
+from ggwb.courant import BigEndo, BigSection, _gram0, big_frame, lift_big_section
+from ggwb.hypersurface import (
+    check_fundamental_form_property,
+    check_hyp_CRF,
+    check_hyp_CRFK,
+    check_hyp_geometry,
+    check_hyp_normal,
+    check_induced_contact,
+    second_fundamental_form,
+)
+from ggwb.structures import classical, genf as genf_mod, genmetric, normality
+from ggwb.structures.classical import check_crf_endo, nijenhuis_classical
+from ggwb.structures.genf import GenF, check_gen_F
+from ggwb.structures.genmetric import GenMetric, check_gen_metric
+from ggwb.structures.normality import check_product_metric
+from ggwb.structures.twoone import TwoOneGAC, build_product_J, second_structure
+from ggwb.symexpr import ZeroPolicy, is_zero_all, random_poly
+from ggwb.verdict import CheckResult
+from ggwb.workbench import load_builtin
+
+POL = ZeroPolicy(samples=4, seed=0)
+
+
+def _item_lists(monkeypatch, module, run) -> dict:
+    """{item label: the expressions its zero test read}, for the items of
+    ``run()`` whose verdict ``module.is_zero_all`` returned just before the
+    item was added."""
+    pending, lists = [], {}
+    real_zero, real_add = module.is_zero_all, CheckResult.add
+
+    def zero(exprs, *args, **kwargs):
+        exprs = list(exprs)
+        pending.append(exprs)
+        return real_zero(exprs, *args, **kwargs)
+
+    def add(self, label, verdict):
+        if pending:
+            lists[label] = pending.pop()
+        return real_add(self, label, verdict)
+
+    monkeypatch.setattr(module, "is_zero_all", zero)
+    monkeypatch.setattr(CheckResult, "add", add)
+    run()
+    monkeypatch.undo()
+    return lists
+
+
+def _same(got, ref):
+    assert len(got) == len(ref)
+    assert [e.rf for e in got] == [e.rf for e in ref]
+
+
+def _random_endo(chart, rng, degree, density=0.7) -> EndoTM:
+    n = chart.dim
+    return EndoTM(chart, [[random_poly(chart, rng, degree) if rng.random() < density else 0
+                           for _ in range(n)] for _ in range(n)])
+
+
+def _endos():
+    R3 = ChartManifold("R3", ["x", "y", "z"])
+    R5 = ChartManifold("R5", ["u", "v", "w", "x", "y"])
+    out = [("R3-seed%d" % s, _random_endo(R3, random.Random(s), 2)) for s in range(3)]
+    out += [("R5-seed%d" % s, _random_endo(R5, random.Random(s), 1, 0.5)) for s in range(2)]
+    return out
+
+
+ENDOS = _endos()
+
+
+@pytest.fixture(scope="module")
+def s3_F():
+    return load_builtin("S3").fields["F"]
+
+
+def _crcond_reference(F):
+    """(CRcond) pair by pair over the spanning set {F e_a} of P."""
+    chart = F.chart
+    pr_q = EndoTM.identity(chart) + F @ F
+    span = [F(e) for e in frame(chart)]
+    out = []
+    for i in range(len(span)):
+        for j in range(i + 1, len(span)):
+            d = nijenhuis_classical(F, span[i], span[j]) - pr_q(lie_bracket(span[i], span[j]))
+            out.extend(d.components)
+    return out
+
+
+def _crf0_reference(F):
+    """(CRF0) over {F e_a} x {pr_Q e_b}."""
+    chart = F.chart
+    pr_q = EndoTM.identity(chart) + F @ F
+    span_p = [F(e) for e in frame(chart)]
+    span_q = [pr_q(e) for e in frame(chart)]
+    return [c for X in span_p for Y in span_q for c in nijenhuis_classical(F, X, Y).components]
+
+
+def _check_crf_lists(monkeypatch, F):
+    lists = _item_lists(monkeypatch, classical, lambda: check_crf_endo(F, POL))
+    _same(lists["(CRcond) N_F(X,Y) = pr_Q [X,Y] on P"], _crcond_reference(F))
+    _same(lists["(CRF0) N_F(X,Y) = 0 for X in P, Y in Q"], _crf0_reference(F))
+    return lists
+
+
+@pytest.mark.parametrize("name,F", ENDOS, ids=[n for n, _ in ENDOS])
+def test_crcond_and_crf0_contract_the_columns_of_F(monkeypatch, name, F):
+    lists = _check_crf_lists(monkeypatch, F)
+    assert any(e.rf for e in lists["(CRcond) N_F(X,Y) = pr_Q [X,Y] on P"])
+
+
+def test_crf0_of_s3_keeps_its_failing_defects_and_witness(monkeypatch, s3_F):
+    lists = _check_crf_lists(monkeypatch, s3_F)
+    assert not any(e.rf for e in lists["(CRcond) N_F(X,Y) = pr_Q [X,Y] on P"])
+    got = lists["(CRF0) N_F(X,Y) = 0 for X in P, Y in Q"]
+    assert len([e for e in got if e.rf]) == 2
+    verdict = check_crf_endo(s3_F, POL).subverdict("(CRF0) N_F(X,Y) = 0 for X in P, Y in Q")
+    assert not verdict.ok
+    assert verdict.witness == is_zero_all(_crf0_reference(s3_F), POL, "(CRF0)").witness
+
+
+def _gen_metrics():
+    R3 = ChartManifold("R3", ["x", "y", "z"])
+    s2 = MetricField(R3, [["1+y^2", "0", "-y"], ["0", "1", "0"], ["-y", "0", "1"]])
+    out = []
+    for seed in range(2):
+        rng = random.Random(10 + seed)
+        m = [[random_poly(R3, rng, 1) for _ in range(3)] for _ in range(3)]
+        psi = TwoForm(R3, [[m[i][j] - m[j][i] for j in range(3)] for i in range(3)])
+        out.append((f"S2-metric-random-psi{seed}", GenMetric(s2, psi)))
+    flat = MetricField(R3, [["2", "x", "0"], ["x", "2", "0"], ["0", "0", "1"]])
+    out.append(("polynomial-metric-no-psi", GenMetric(flat)))
+    # not a generalized metric: Gcal and the Gram matrix of G moved off
+    # their closed forms, the Gram matrix staying symmetric
+    bent = GenMetric(s2, out[0][1].psi)
+    rng = random.Random(12)
+    bent.Gcal = bent.Gcal + _random_big_endo(R3, rng)
+    m = _random_big_endo(R3, rng)
+    bent._gram = bent._gram + m + contract("ij->ji", m)
+    out.append(("perturbed-Gcal", bent))
+    return out
+
+
+def _random_big_endo(chart, rng) -> BigEndo:
+    n = 2 * chart.dim
+    return BigEndo(chart, [[random_poly(chart, rng, 1) if rng.random() < 0.4 else 0
+                            for _ in range(n)] for _ in range(n)])
+
+
+GEN_METRICS = _gen_metrics()
+
+
+def _exprEpm_reference(G):
+    out = []
+    for sign in (1, -1):
+        for e in frame(G.chart):
+            s = G.section(e, sign)
+            out.extend((G.Gcal(s) - s * sign).components())
+    return out
+
+
+def _gV_reference(G):
+    fr = frame(G.chart)
+    return [G.G(G.section(fr[i], 1), G.section(fr[j], 1)) - G.gamma(fr[i], fr[j])
+            for i in range(len(fr)) for j in range(i, len(fr))]
+
+
+@pytest.mark.parametrize("name,G", GEN_METRICS, ids=[n for n, _ in GEN_METRICS])
+def test_gen_metric_items_contract_the_V_frames(monkeypatch, name, G):
+    lists = _item_lists(monkeypatch, genmetric, lambda: check_gen_metric(G, POL))
+    _same(lists["(exprEpm) Gcal = +-Id on V_+-"], _exprEpm_reference(G))
+    _same(lists["(condptGrond) G|V+ = gamma via tau_+"], _gV_reference(G))
+    if name == "perturbed-Gcal":
+        assert any(e.rf for e in lists["(exprEpm) Gcal = +-Id on V_+-"])
+        assert any(e.rf for e in lists["(condptGrond) G|V+ = gamma via tau_+"])
+
+
+def _random_genf(G, seed):
+    """A quadruple GenF whose Fcal is not the transfer of (F_+, F_-), so
+    the (eqJrond) defects are nonzero."""
+    rng = random.Random(seed)
+    chart = G.chart
+    Fp, Fm = _random_endo(chart, rng, 1), _random_endo(chart, rng, 1)
+    return GenF(_random_big_endo(chart, rng), G, Fp, Fm)
+
+
+@pytest.mark.parametrize("name,G", GEN_METRICS, ids=[n for n, _ in GEN_METRICS])
+def test_eqJrond_and_classical_endos_contract_the_V_frames(monkeypatch, name, G):
+    genf = _random_genf(G, 7)
+    ref = []
+    for sign, F in ((1, genf.F_plus), (-1, genf.F_minus)):
+        for e in frame(G.chart):
+            d = genf.Fcal(G.section(e, sign)) - G.section(F(e), sign)
+            ref.extend(d.components())
+    lists = _item_lists(monkeypatch, genf_mod, lambda: check_gen_F(genf, POL))
+    got = lists["(eqJrond) Fcal(X, flat X) = (F_pm X, flat F_pm X)"]
+    _same(got, ref)
+    assert any(e.rf for e in got)
+
+    # F_pm = tau_pm o Fcal o tau_pm^-1: column i is the TM part of Fcal tau_pm(e_i)
+    zero = BigSection.from_components(G.chart, [0] * 2 * G.chart.dim)
+    s = TwoOneGAC(genf.Fcal, zero, zero, G)
+    for sign, got in zip((1, -1), s.classical_endos()):
+        cols = [genf.Fcal(G.section(e, sign)).X.components for e in frame(G.chart)]
+        ref = [cols[j][i] for i in range(G.chart.dim) for j in range(G.chart.dim)]
+        _same(got._flat(), ref)
+
+
+@pytest.fixture(scope="module", params=["sphere", "bent-hyperplane"])
+def hyp(request):
+    """The round sphere in flat C^2, whose criteria hold, and the hyperplane
+    y2 = 0 under a metric that bends it (b != 0), with a nonzero psi and a
+    gamma-skew ambient J = gamma^-1 W that is not a complex structure, so
+    that its criteria have nonzero defects."""
+    if request.param == "sphere":
+        sphere = request.getfixturevalue("sphere")
+        return request.param, sphere["geo"], sphere["J"]
+    flat = request.getfixturevalue("hyperplane")
+    C2 = flat["chart"]
+    gamma = MetricField(C2, [["1+y2", 0, 0, 0], [0, 1, 0, 0], [0, 0, "1+x1*y2", 0], [0, 0, 0, 1]])
+    psi = TwoForm(C2, [[0, "x1*y2", "x2", "y1*y2"], ["-x1*y2", 0, "y2*x2", "x1"],
+                       ["-x2", "-y2*x2", 0, "x2*y1"], ["-y1*y2", "-x1", "-x2*y1", 0]])
+    W = TwoForm(C2, [[0, "1+y1*x2", "x2*y2", "x1"], ["-1-y1*x2", 0, "y1", "1+x1*y2"],
+                     ["-x2*y2", "-y1", 0, "1+x2"], ["-x1", "-1-x1*y2", "-1-x2", 0]])
+    geo = second_fundamental_form(flat["embedding"], gamma, psi)
+    return request.param, geo, EndoTM(C2, contract("ik,kj->ij", gamma.inverse_matrix(), W))
+
+
+def _hyp_references(geo, J) -> dict:
+    """The criteria on P pair by pair over the spanning set {F d_a} of P
+    and its pushforwards d iota (F d_a); the other induced-structure lists
+    entry by entry."""
+    e, ac = geo.embedding, geo.contact(J)
+    fr = frame(e.domain)
+    m, n = len(fr), e.ambient.dim
+    span_p = [ac.F(v) for v in fr]
+    push_p = [geo.push(X) for X in span_p]
+    dom_res, j_res = geo.dOmega_res(J), geo.J_res(J)
+
+    def dom(u, v, w):
+        return contract("ijk,i,j,k->", dom_res, u, v, w)
+
+    jnu = contract("ij,j->i", j_res, geo.nu)
+    jp = [contract("ij,j->i", j_res, v) for v in push_p]
+    push_z = geo.push(ac.Z)
+    lxi = lie_derivative(ac.Z, ac.fundamental_form())
+    rho = contract("ijk,i,ja,kc->ac", e.restrict_grid(ext_d(geo.psi)), geo.nu, geo.jac, geo.jac)
+
+    def rho_apply(X, Y):
+        return contract("ac,a,c->", rho, X, Y)
+
+    fp = [ac.F(X) for X in span_p]
+    jx = contract("ij,ja->ia", j_res, geo.jac)
+    push_f = contract("kb,ba->ka", geo.jac, ac.F)
+    xi, xi_fund = ac.xi.components, ac.fundamental_form().components
+    kaehler = TwoForm(geo.gamma.chart, contract("ki,kj->ij", J, geo.gamma))
+    pulled = contract("ij,ia,jc->ac", e.restrict_grid(kaehler), geo.jac, geo.jac)
+    refs = {
+        "(eqCRF2) dOmega(JX, JY, Jnu) = dOmega(X, Y, Jnu) on P": [
+            dom(jp[i], jp[j], jnu) - dom(push_p[i], push_p[j], jnu)
+            for i in range(m) for j in range(i + 1, m)],
+        "(eqCRF2) b(FX, FY) = b(X, Y) on P": [
+            geo.b_apply(ac.F(span_p[i]), ac.F(span_p[j])) - geo.b_apply(span_p[i], span_p[j])
+            for i in range(m) for j in range(i, m)],
+        "(eqnormal2) b(Z, X) = -(1/2) dOmega(nu, Z, JX) on P": [
+            geo.b_apply(ac.Z, X) + sp.Rational(1, 2) * dom(geo.nu, push_z, contract(
+                "ij,j->i", j_res, pX)) for X, pX in zip(span_p, push_p)],
+        "(LXi) L_Z Xi(FX, FY) = L_Z Xi(X, Y) on TN": [
+            lxi(ac.F(fr[i]), ac.F(fr[j])) - lxi(fr[i], fr[j])
+            for i in range(m) for j in range(i + 1, m)],
+        "(strind1) J X = F X + xi(X) nu": [
+            jx[k][a] - push_f[k][a] - xi[a] * geo.nu[k] for a in range(m) for k in range(n)],
+        "Xi = iota^* Omega": [
+            xi_fund[a][c] - pulled[a][c] for a in range(m) for c in range(a + 1, m)],
+        "b symmetric": [
+            geo.b[a][c] - geo.b[c][a] for a in range(m) for c in range(a + 1, m)],
+    }
+    for sign, tag in ((1, "+"), (-1, "-")):
+        refs[f"(eqptans3) i(nu)dpsi invariance under F{tag} on P{tag}"] = [
+            rho_apply(fp[i], fp[j]) - rho_apply(span_p[i], span_p[j])
+            for i in range(m) for j in range(i + 1, m)]
+        refs[f"(eqptans3) b(X, F{tag} U) = {'-' if sign == 1 else '+'}(1/2) "
+             f"iota^*(i(nu)dpsi)(X, F{tag} U)"] = [
+            geo.b_apply(X, fu) + sp.Rational(sign, 2) * rho_apply(X, fu) for X in fr for fu in fp]
+    return refs
+
+
+def test_hypersurface_items_contract_the_columns_of_F(monkeypatch, hyp, pol):
+    name, geo, J = hyp
+
+    def run():
+        crf = check_hyp_CRF(geo, J, pol, hermitian=CheckResult("almost_hermitian"))
+        check_hyp_normal(geo, J, pol, hyp_crf=crf)
+        check_fundamental_form_property(geo, J, pol, hyp_crf=crf)
+        check_hyp_CRFK(geo, J, J, pol, gen_kahler=CheckResult("gen_kahler"))
+        check_induced_contact(geo, J, pol)
+        check_hyp_geometry(geo, pol)
+
+    lists = _item_lists(monkeypatch, hypersurface, run)
+    for label, ref in _hyp_references(geo, J).items():
+        _same(lists[label], ref)
+        # the last three hold by construction of the induced data
+        if name == "bent-hyperplane" and label not in (
+                "(strind1) J X = F X + xi(X) nu", "Xi = iota^* Omega", "b symmetric"):
+            assert any(e.rf for e in ref), label
+
+
+@pytest.mark.parametrize("which", ["t21_s1", "t21_s2", "t21_s3", "t21_s2-bent-G"])
+def test_product_metric_on_L_contracts_the_lifted_columns_of_Fcal(monkeypatch, request, which,
+                                                                   pol):
+    s = request.getfixturevalue(which.split("-")[0])
+    if which.endswith("bent-G"):
+        # the Gram matrix of G moved (symmetrically) off the one Gtilde restricts to
+        G = GenMetric(s.G.gamma, s.G.psi)
+        m = _random_big_endo(s.chart, random.Random(5))
+        G._gram = G._gram + m + contract("ij->ji", m)
+        s = TwoOneGAC(s.Fcal, s.Z_plus, s.Z_minus, G)
+    pj = build_product_J(s, policy=pol)
+    product = pj.chart
+    gtilde = -(pj.J @ build_product_J(second_structure(s), policy=pol).J)
+    gram = contract("ki,kj->ij", gtilde, _gram0(product))
+    span_L = [s.Fcal(e) for e in big_frame(s.chart)]
+    ref = []
+    for i in range(len(span_L)):
+        for j in range(i, len(span_L)):
+            a, b = (lift_big_section(span_L[k], product)._array() for k in (i, j))
+            ref.append(contract("i,ij,j->", a, gram, b) - s.G.G(span_L[i], span_L[j]).lift(product))
+    lists = _item_lists(monkeypatch, normality, lambda: check_product_metric(s, pol))
+    _same(lists["Gtilde|_L = G|_L"], ref)
+    assert any(e.rf for e in ref) == which.endswith("bent-G")
+
+
+def test_gen_crf_invariance_takes_the_first_nonzero_column_after_the_first(monkeypatch, pol):
+    """The scalar-invariance item of gen_CRF brackets X = Fcal e_0 with the
+    first nonzero column Fcal e_b, b > 0."""
+    R2 = ChartManifold("R2", ["x", "y"])
+    rows = [[0] * 4 for _ in range(4)]
+    rows[0][0], rows[1][2], rows[3][3] = "x", "y", 1  # column 1 is zero
+    Fcal = BigEndo(R2, rows)
+    seen = []
+    real = genf_mod.nijenhuis_big
+
+    def recording(A, S, T):
+        seen.append(T)
+        return real(A, S, T)
+
+    monkeypatch.setattr(genf_mod, "nijenhuis_big", recording)
+    genf_mod.check_gen_CRF(GenF(Fcal), pol)
+    assert seen and all(T == Fcal(big_frame(R2)[2]) for T in seen)

@@ -310,7 +310,7 @@ def test_binormal_reuses_the_scenario_normal21_result(monkeypatch):
 # -- size bounds of scenario expressions ---------------------------------------
 
 
-def _s1_with_xi(component: str) -> dict:
+def _s1_with_xi(component) -> dict:
     doc = json.loads(
         (Path(__file__).parents[1] / "src/ggwb/workbench/builtin/s1.json").read_text())
     doc["fields"]["xi"]["components"] = ["0", "0", component]
@@ -359,6 +359,32 @@ def test_scenario_size_bounds_name_the_json_path(text, what):
     assert exc.value.where == "$.fields.xi.components[2]"
     bound = scenario_mod.MAX_DEGREE if what == "degree" else scenario_mod.MAX_TERMS
     assert f"the bound {bound}" in str(exc.value)
+
+
+@pytest.mark.parametrize("value,message", [
+    (float("inf"), "Infinity is not an expression string or a number"),
+    (float("-inf"), "-Infinity is not an expression string or a number"),
+    (float("nan"), "NaN is not an expression string or a number"),
+    (True, "true is not an expression string or a number"),
+    (False, "false is not an expression string or a number"),
+    (10**400, "up to 401 digits exceeds the bound"),  # float() of it overflowed
+])
+def test_non_finite_and_boolean_components_name_the_json_path(value, message):
+    """Python's json reads Infinity, -Infinity and NaN; int() of them raised
+    OverflowError or ValueError at load, and true/false loaded as 1/0."""
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(_s1_with_xi(value))
+    assert exc.value.where == "$.fields.xi.components[2]"
+    assert message in str(exc.value)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), True])
+def test_cli_rejects_a_non_finite_component(tmp_path, capsys, value):
+    path = tmp_path / "nonfinite.json"
+    path.write_text(json.dumps(_s1_with_xi(value)))
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"$.fields.xi.components[2]: {json.dumps(value)} is not" in err
 
 
 def test_degree_bound_comes_before_any_conversion(monkeypatch):
