@@ -8,7 +8,8 @@ Conventions follow Cartan throughout (no 1/(k+1) factors):
                      - w([X,Y],U) + w([X,U],Y) - w([Y,U],X)
 
 All fields are stored in coordinate-frame components and are immutable after
-construction.  Every tensor class (and :class:`ggwb.courant.BigEndo`) is one
+construction.  Every tensor class, and every tensor of TM + T*M
+(:class:`ggwb.courant.BigSection`, :class:`ggwb.courant.BigEndo`), is one
 sparse core, :class:`_Components`: a shape and a dict from index tuple to
 nonzero entry, every entry an element of one rational function field (the
 chart coordinates and the atom generators of :mod:`ggwb.symexpr`), built

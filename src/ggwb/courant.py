@@ -1,6 +1,8 @@
 """The big tangent bundle TM + T*M: pairing, Courant bracket, naive differential.
 
-Sections are pairs (X, alpha).  The bracket implemented is the antisymmetric
+A section (X, alpha) is a 2n core array, the components of X then those of
+alpha, with the core's algebra; g(S, .) is :func:`flat_g`, one contraction
+with the pairing Gram matrix.  The bracket implemented is the antisymmetric
 Courant bracket
 
     [(X,a), (Y,b)] = ([X,Y], L_X b - L_Y a + (1/2) d(a(Y) - b(X))),
@@ -38,30 +40,34 @@ from .calculus import (
     _partials,
     _same_chart,
     _stack,
-    coframe,
     contract,
     ext_d,
-    frame,
-    lift_oneform,
-    lift_vector,
     zero_oneform,
     zero_vector,
 )
-from .errors import ChartMismatchError, ExprError
+from .errors import ChartMismatchError
 from .symexpr import ScalarExpr
 
 
-class BigSection:
-    """A section (X, alpha) of TM + T*M."""
+class BigSection(_Components):
+    """A section (X, alpha) of TM + T*M: a 2n core array, the components of
+    X, then those of alpha.  ``X`` and ``alpha`` are views of its two blocks;
+    the algebra is the core's.  ``components()`` is the flat list of the 2n
+    entries."""
 
-    __slots__ = ("X", "alpha", "chart")
+    __slots__ = ()
+    __hash__ = None
+    _kind = "big section"
+    _rank = 1
 
     def __init__(self, X: VectorField, alpha: OneForm):
         if X.chart != alpha.chart:
             raise ChartMismatchError("vector and covector parts live on different charts")
-        self.X = X
-        self.alpha = alpha
-        self.chart = X.chart
+        self._init(X.chart, _stack(X, alpha), self._shape(X.chart))
+
+    @classmethod
+    def _shape(cls, chart) -> tuple:
+        return (2 * chart.dim,)
 
     @staticmethod
     def from_vector(X: VectorField) -> "BigSection":
@@ -71,49 +77,28 @@ class BigSection:
     def from_oneform(a: OneForm) -> "BigSection":
         return BigSection(zero_vector(a.chart), a)
 
-    def __add__(self, other: "BigSection") -> "BigSection":
-        return BigSection(self.X + other.X, self.alpha + other.alpha)
+    @staticmethod
+    def from_components(chart: ChartManifold, comps) -> "BigSection":
+        """The section of 2n components: a sequence, a dict of index tuples
+        to values, or a core array."""
+        s = object.__new__(BigSection)
+        s._init(chart, comps, s._shape(chart))
+        return s
 
-    def __sub__(self, other: "BigSection") -> "BigSection":
-        return BigSection(self.X - other.X, self.alpha - other.alpha)
+    def _like(self, components):
+        return BigSection.from_components(self.chart, components)
 
-    def __neg__(self) -> "BigSection":
-        return BigSection(-self.X, -self.alpha)
+    @property
+    def X(self) -> VectorField:
+        return VectorField(self.chart, self._block(0, self.chart.dim))
 
-    def __mul__(self, f) -> "BigSection":
-        return BigSection(self.X * f, self.alpha * f)
-
-    __rmul__ = __mul__
+    @property
+    def alpha(self) -> OneForm:
+        n = self.chart.dim
+        return OneForm(self.chart, self._block(n, 2 * n))
 
     def components(self) -> list[ScalarExpr]:
-        return list(self.X.components) + list(self.alpha.components)
-
-    def _array(self) -> _Array:
-        """The 2n components as one core array."""
-        return _stack(self.X, self.alpha)
-
-    @staticmethod
-    def from_components(chart: ChartManifold, comps: Sequence) -> "BigSection":
-        """The section of 2n components: a sequence, or a core array."""
-        n = chart.dim
-        if len(comps) != 2 * n:
-            raise ExprError(f"big section needs {2 * n} components")
-        if isinstance(comps, _Components):
-            return BigSection(VectorField(chart, comps._block(0, n)),
-                              OneForm(chart, comps._block(n, 2 * n)))
-        return BigSection(VectorField(chart, comps[:n]), OneForm(chart, comps[n:]))
-
-    def conjugate(self) -> "BigSection":
-        return BigSection.from_components(
-            self.chart, [c.conjugate() for c in self.components()]
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BigSection)
-            and self.X == other.X
-            and self.alpha == other.alpha
-        )
+        return self._flat()
 
     def __repr__(self):
         return f"BigSection({self.X!r}, {self.alpha!r})"
@@ -121,15 +106,17 @@ class BigSection:
 
 def big_frame(chart: ChartManifold) -> list[BigSection]:
     """The 2n coordinate sections (d_i, 0), (0, dx^i)."""
-    return [BigSection.from_vector(e) for e in frame(chart)] + [
-        BigSection.from_oneform(a) for a in coframe(chart)
-    ]
+    return [BigSection.from_components(chart, {(i,): 1}) for i in range(2 * chart.dim)]
+
+
+def flat_g(S: BigSection) -> _Array:
+    """The components g(S, .) of the neutral pairing against S."""
+    return contract("ij,j->i", _gram0(S.chart), S)
 
 
 def pairing(A: BigSection, B: BigSection) -> ScalarExpr:
     """Neutral pairing g((X,a),(Y,b)) = (a(Y) + b(X)) / 2."""
-    _same_chart(A.X, B.X)
-    return (contract("i,i->", A.alpha, B.X) + contract("i,i->", B.alpha, A.X)) / 2
+    return contract("i,ij,j->", A, _gram0(A.chart), B)
 
 
 def bracket_table(P, Q) -> _Array:
@@ -140,17 +127,17 @@ def bracket_table(P, Q) -> _Array:
     section P e_a.  The result is a 2n x p x q core array, entry [k][a][b]
     the k-th component of the bracket.
     """
-    n = _same_chart(P, Q).dim
-    return _bracket(P._block(0, n), P._block(n, 2 * n), Q._block(0, n), Q._block(n, 2 * n),
-                    "a", "b")
+    return _bracket(P, Q, "a", "b")
 
 
-def _bracket(X, a, Y, b, p: str, q: str) -> _Array:
-    """The one bracket formula, on the vector halves X, Y and covector
-    halves a, b of two sections (``p`` = ``q`` = "") or of two section
-    arrays (``p``, ``q`` their column letters).  The derivative array of
+def _bracket(P, Q, p: str, q: str) -> _Array:
+    """The one bracket formula, on two sections (``p`` = ``q`` = "") or two
+    section arrays (``p``, ``q`` their column letters), read through their
+    vector halves X, Y and covector halves a, b.  The derivative array of
     each half is taken once and contracted for all column pairs; the term
     (1/2) d(a(Y) - b(X)) comes from them by the product rule."""
+    n = _same_chart(P, Q).dim
+    X, a, Y, b = P._block(0, n), P._block(n, 2 * n), Q._block(0, n), Q._block(n, 2 * n)
     dX, da, dY, db = (_partials(t) for t in (X, a, Y, b))  # dX[k][a][i] = d_i X_a^k
     pq = p + q
     vec = contract(f"i{p},k{q}i->k{pq}", X, dY) - contract(f"i{q},k{p}i->k{pq}", Y, dX)
@@ -166,16 +153,15 @@ def _bracket(X, a, Y, b, p: str, q: str) -> _Array:
 
 def section_array(sections: Sequence[BigSection]) -> _Array:
     """The 2n x p core array whose columns are the given sections."""
-    chart = _same_chart(*(S.X for S in sections))
-    rows = list(zip(*(S.components() for S in sections)))
-    return _Array(chart, rows, (2 * chart.dim, len(sections)))
+    chart = _same_chart(*sections)
+    entries = {(k, a): e for a, S in enumerate(sections) for (k,), e in S._items().items()}
+    return _Array(chart, entries, (2 * chart.dim, len(sections)))
 
 
 def courant_bracket(A: BigSection, B: BigSection) -> BigSection:
     """The antisymmetric Courant bracket: the one-section case of the
     formula of :func:`bracket_table`."""
-    _same_chart(A.X, B.X)
-    return BigSection.from_components(A.chart, _bracket(A.X, A.alpha, B.X, B.alpha, "", ""))
+    return BigSection.from_components(A.chart, _bracket(A, B, "", ""))
 
 
 def partial(f: ScalarExpr) -> BigSection:
@@ -221,16 +207,10 @@ class BigEndo(_Components):
     @staticmethod
     def outer(out: BigSection, inner: BigSection) -> "BigEndo":
         """(flat_g inner) (x) out: the endomorphism U -> g(inner, U) out."""
-        _same_chart(out.X, inner.X)
-        # g(inner, frame_j): half alpha-components for vector slots, half
-        # X-components for covector slots.
-        row = _stack(inner.alpha, inner.X) * Fraction(1, 2)
-        return BigEndo(out.chart, contract("i,j->ij", out._array(), row))
+        return BigEndo(out.chart, contract("i,j->ij", out, flat_g(inner)))
 
     def __call__(self, s: BigSection) -> BigSection:
-        if s.chart != self.chart:
-            raise ChartMismatchError("section on a different chart")
-        return BigSection.from_components(self.chart, contract("ij,j->i", self, s._array()))
+        return BigSection.from_components(self.chart, contract("ij,j->i", self, s))
 
     # -- defect matrices (entries to feed the zero test) -----------------
 
@@ -302,16 +282,21 @@ def frame_pairs(table: _Array, diagonal: bool = False) -> list:
     return [s.get((r, a, b), zero) for a, b in pairs for r in range(table.shape[0])]
 
 
+def _lift_slots(n: int) -> list:
+    """Slot i of the frame of TM + T*M in the frame of T(MxR) + T*(MxR),
+    which gains d_t at vector slot n and dt at covector slot 2n+1."""
+    return list(range(n)) + list(range(n + 1, 2 * n + 1))
+
+
 def lift_big_section(s: BigSection, product: ChartManifold) -> BigSection:
-    return BigSection(lift_vector(s.X, product), lift_oneform(s.alpha, product))
+    """Zero-pad a section of TM + T*M to T(MxR) + T*(MxR)."""
+    slot = _lift_slots(s.chart.dim)
+    return BigSection.from_components(product, {
+        (slot[i],): e.lift(product) for (i,), e in s._items().items()})
 
 
 def lift_big_endo(A: BigEndo, product: ChartManifold) -> BigEndo:
-    """Zero-pad an endomorphism of TM + T*M to T(MxR) + T*(MxR).
-
-    The frame gains d_t at vector slot n and dt at covector slot 2n+1.
-    """
-    n = A.chart.dim
-    slot = list(range(n)) + list(range(n + 1, 2 * n + 1))
+    """Zero-pad an endomorphism of TM + T*M to T(MxR) + T*(MxR)."""
+    slot = _lift_slots(A.chart.dim)
     return BigEndo(product, {
         (slot[i], slot[j]): e.lift(product) for (i, j), e in A._items().items()})

@@ -198,9 +198,6 @@ class HypersurfaceGeometry:
     christoffel_res: _Array  # restricted ambient Christoffel symbols
     _derived: dict = field(default_factory=dict, init=False, repr=False)
 
-    def b_apply(self, X: VectorField, Y: VectorField) -> ScalarExpr:
-        return contract("ac,a,c->", self.b, X, Y)
-
     def push(self, X: VectorField) -> _Array:
         """Ambient components (along N) of d iota (X)."""
         return contract("ka,a->k", self.jac, X)

@@ -75,7 +75,7 @@ def check_almost_contact(s: AlmostContact, policy: ZeroPolicy = DEFAULT_POLICY) 
     ident = EndoTM.identity(chart)
     defect = (s.F @ s.F) - (tensor_oneform_vector(s.xi, s.Z) - ident)
     out.add("(almcont) F^2 = -Id + xi(x)Z", is_zero_all(
-        [e for row in defect.matrix for e in row], policy, "(almcont) F^2"))
+        defect._flat(), policy, "(almcont) F^2"))
     out.add("(almcont) F Z = 0", is_zero_all(s.F(s.Z).components, policy, "(almcont) FZ"))
     out.add("(almcont) xi o F = 0", is_zero_all(
         s.xi.compose_endo(s.F).components, policy, "(almcont) xi o F"))
@@ -173,8 +173,7 @@ def check_classical_CRF(s: AlmostContact, policy: ZeroPolicy = DEFAULT_POLICY) -
     _cr_condition_items(s.F, policy, out)
     lzf = lie_derivative(s.Z, s.F)
     comp = s.F @ lzf
-    out.add("(CRFcuLie) F o (L_Z F) = 0", is_zero_all(
-        [e for row in comp.matrix for e in row], policy, "(CRFcuLie)"))
+    out.add("(CRFcuLie) F o (L_Z F) = 0", is_zero_all(comp._flat(), policy, "(CRFcuLie)"))
     return out
 
 
@@ -202,12 +201,12 @@ def check_kernel_nabla_F(
     return out
 
 
-def product_J_classical(s: AlmostContact, t: str = "t"):
+def product_J_classical(s: AlmostContact):
     """The (JF) almost complex structure J = F - dt (x) Z + xi (x) d_t on MxR.
 
     Returns (product_chart, J)."""
     chart = s.chart
-    product = chart.product_with_line(t)
+    product = chart.product_with_line()
     n = chart.dim
     grid = {ix: e.lift(product) for ix, e in s.F._items().items()}
     grid.update({(i, n): -e.lift(product) for (i,), e in s.Z._items().items()})  # J d_t = -Z
@@ -215,15 +214,12 @@ def product_J_classical(s: AlmostContact, t: str = "t"):
     return product, EndoTM(product, grid)
 
 
-def check_product_complex(
-    s: AlmostContact, policy: ZeroPolicy = DEFAULT_POLICY, t: str = "t"
-) -> CheckResult:
+def check_product_complex(s: AlmostContact, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
     """Normality via the product route: N_J = 0 on MxR for the (JF) structure."""
     out = CheckResult("normal_via_product")
-    product, J = product_J_classical(s, t)
+    product, J = product_J_classical(s)
     sq = (J @ J) + EndoTM.identity(product)
-    out.add("(JF) J^2 = -Id", is_zero_all(
-        [e for row in sq.matrix for e in row], policy, "(JF) square"))
+    out.add("(JF) J^2 = -Id", is_zero_all(sq._flat(), policy, "(JF) square"))
     out.add("(JF) N_J = 0 on MxR", is_zero_all(
         frame_pairs(nijenhuis_table(J)), policy, "(JF) N_J"))
     return out

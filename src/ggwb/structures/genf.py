@@ -98,19 +98,17 @@ def check_gen_F(genf: GenF, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
     return out
 
 
-def corank_and_negative_index(
-    genf: GenF, policy: ZeroPolicy = DEFAULT_POLICY, n_points: int = 3
-) -> tuple[int, int]:
+def corank_and_negative_index(genf: GenF, policy: ZeroPolicy = DEFAULT_POLICY) -> tuple[int, int]:
     """Rank data of S = ker Fcal certified at sample points.
 
-    corank = 2n - max rank of Fcal over the points; the negative index is the
-    number of negative eigenvalues of the pairing restricted to the numeric
-    kernel basis at the base point.
+    corank = 2n - max rank of Fcal over the base point and 3 sample points;
+    the negative index is the number of negative eigenvalues of the pairing
+    restricted to the numeric kernel basis at the base point.
     """
     chart = genf.chart
     grid = genf.Fcal.matrix
     rng = policy.rng()
-    points = [chart.base_point()] + [chart.sample_point(rng) for _ in range(n_points)]
+    points = [chart.base_point()] + [chart.sample_point(rng) for _ in range(3)]
     rank = max(rank_at(grid, pt, policy.tol) for pt in points)
     corank = 2 * chart.dim - rank
     base = chart.base_point()

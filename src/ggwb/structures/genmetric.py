@@ -111,7 +111,7 @@ class GenMetric:
 
     def G(self, A: BigSection, B: BigSection) -> ScalarExpr:
         """The positive pairing G(A, B) = g(Gcal A, B)."""
-        return contract("i,ij,j->", A._array(), self._gram, B._array())
+        return contract("i,ij,j->", A, self._gram, B)
 
 
 def build_gen_metric(
@@ -149,10 +149,11 @@ def check_gen_metric(G: GenMetric, policy: ZeroPolicy = DEFAULT_POLICY) -> Check
     return out
 
 
-def _positivity(G: GenMetric, policy: ZeroPolicy, n_points: int = 4) -> Verdict:
+def _positivity(G: GenMetric, policy: ZeroPolicy) -> Verdict:
+    """G is positive definite at the base point and 4 sample points."""
     gram = G._gram
     rng = policy.rng()
-    points = [G.chart.base_point()] + [G.chart.sample_point(rng) for _ in range(n_points)]
+    points = [G.chart.base_point()] + [G.chart.sample_point(rng) for _ in range(4)]
     for pt in points:
         eigs = symmetric_eigenvalues_at(gram, pt, policy.tol)
         if eigs.min() <= policy.tol:

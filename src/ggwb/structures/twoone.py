@@ -17,9 +17,7 @@ import sympy as sp
 from ..calculus import (
     ChartManifold,
     EndoTM,
-    OneForm,
     TwoForm,
-    VectorField,
     _Array,
     _partials,
     _stack,
@@ -32,6 +30,7 @@ from ..courant import (
     BigSection,
     bracket_table,
     courant_bracket,
+    flat_g,
     frame_pairs,
     lift_big_endo,
     lift_big_section,
@@ -39,7 +38,6 @@ from ..courant import (
     nijenhuis_big,
     nijenhuis_frame,
     pairing,
-    _gram0,
     section_array,
     skew_table,
 )
@@ -166,7 +164,7 @@ def check_two_one(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckRes
     out.add("Fcal^3 + Fcal = 0", is_zero_all((m2 @ m + m)._flat(), policy))
     if s.G is not None:
         gram = s.G._gram
-        qp, qm = (_pairing_row(chart, Z) for Z in (s.Z_plus, s.Z_minus))
+        qp, qm = flat_g(s.Z_plus), flat_g(s.Z_minus)
         # G(Fcal X, Fcal Y) = G(X,Y) - g(Z+,X)g(Z+,Y) - g(Z-,X)g(Z-,Y);
         # the minus on the Z- term is forced by G(Z-,Z-) = 1 and Fcal Z- = 0.
         d = m.isometry_defect(gram, contract("i,j->ij", qp, qp), contract("i,j->ij", qm, qm))
@@ -186,11 +184,6 @@ def check_two_one(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckRes
         Verdict.numeric() if neg == 1 else Verdict.failed(detail=f"neg = {neg}"),
     )
     return out
-
-
-def _pairing_row(chart: ChartManifold, Z: BigSection) -> _Array:
-    """The components g(Z, .) of the neutral pairing against Z."""
-    return contract("ij,j->i", _gram0(chart), Z._array())
 
 
 def second_structure(s: TwoOneGAC) -> TwoOneGAC:
@@ -219,16 +212,14 @@ class ProductJ:
 
 def default_line_basis(product: ChartManifold) -> tuple[BigSection, BigSection]:
     """T_+ = (d_t, dt), T_- = (-d_t, dt) in the product frame."""
-    t = product.dim - 1
-    dt = OneForm(product, {(t,): 1})
-    return BigSection(VectorField(product, {(t,): 1}), dt), BigSection(
-        VectorField(product, {(t,): -1}), dt)
+    n = product.dim
+    return tuple(BigSection.from_components(product, {(n - 1,): sign, (2 * n - 1,): 1})
+                 for sign in (1, -1))
 
 
 def build_product_J(
     s: TwoOneGAC,
     basis: Optional[tuple[BigSection, BigSection]] = None,
-    t: str = "t",
     policy: ZeroPolicy = DEFAULT_POLICY,
 ) -> ProductJ:
     """J = Fcal + K on M x R, with K(T_+) = -Z_+, K(T_-) = Z_-:
@@ -239,7 +230,7 @@ def build_product_J(
     factor (the one-parameter family); only pseudo-orthonormality and pure
     line-direction support are validated.
     """
-    product = s.chart.product_with_line(t)
+    product = s.chart.product_with_line()
     if basis is None:
         Tp, Tm = default_line_basis(product)
     else:
@@ -247,11 +238,8 @@ def build_product_J(
         if Tp.chart != product or Tm.chart != product:
             raise StructureError("basis sections must live on the product chart")
         n = product.dim
-        for T in (Tp, Tm):
-            comps = T.components()
-            support = [c for i, c in enumerate(comps) if i not in (n - 1, 2 * n - 1)]
-            if any(not c.is_syntactic_zero for c in support):
-                raise StructureError("basis sections must be supported on the line factor")
+        if any(k not in (n - 1, 2 * n - 1) for T in (Tp, Tm) for (k,) in T.entries):
+            raise StructureError("basis sections must be supported on the line factor")
         checks = [
             ("g(T+,T+) = 1", pairing(Tp, Tp) - 1),
             ("g(T-,T-) = -1", pairing(Tm, Tm) + 1),
@@ -335,12 +323,12 @@ def _unified_frame(s: TwoOneGAC) -> _Array:
     n = s.chart.dim
     table = nijenhuis_frame(s.Fcal)
     for sign, Z in ((1, s.Z_plus), (-1, s.Z_minus)):
-        q = _pairing_row(s.chart, Z)
+        q = flat_g(Z)
         dq = _partials(q)  # dq[a][m] = d_m q_a
         D = _stack(contract("bm->mb", dq), _zeros(s.chart, (n, 2 * n)))  # D_ab = d_a q_b, a < n
         dc = D - contract("ab->ba", D)
         corr = _stack(_zeros(s.chart, (n, 2 * n, 2 * n)), skew_table(contract("am,b->mab", dq, q)))
-        table = table + (contract("k,ab->kab", Z._array(), dc) + corr) * sign
+        table = table + (contract("k,ab->kab", Z, dc) + corr) * sign
     return table
 
 
@@ -399,7 +387,7 @@ def check_phi(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
     out.add("(eqPhi) g-skewness", is_zero_all(phi.skew_defect(), policy))
     if s.G is not None:
         gram = s.G._gram
-        qp, qm = (_pairing_row(chart, Z) for Z in (s.Z_plus, s.Z_minus))
+        qp, qm = flat_g(s.Z_plus), flat_g(s.Z_minus)
         # G(Phi X, Phi Y) = -G(X,Y) + 2[g(Z+,X)g(Z+,Y) + g(Z-,X)g(Z-,Y)];
         # the rank-one terms are forced by Phi Z+- = Z-+ and G(Z+-,Z+-) = 1.
         d = (contract("ki,kl,lj->ij", phi, gram, phi) + _Array(chart, gram, phi.shape)
@@ -455,17 +443,15 @@ def conformal_change(tau: ScalarExpr, A: BigEndo) -> BigEndo:
     return conformal_operator(chart, -chart.scalar(tau)) @ A @ conformal_operator(chart, tau)
 
 
-def check_sasakian(
-    s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY, t: str = "t"
-) -> CheckResult:
+def check_sasakian(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
     """(2,1)-generalized Sasakian: J_t = C_{-t} o J o C_t and J'_t both
     integrable on M x R."""
     if s.G is None:
         raise PreconditionNotMet("the Sasakian criterion needs a metric structure")
     out = CheckResult("sasakian")
-    pj = build_product_J(s, t=t, policy=policy)
-    pj2 = build_product_J(second_structure(s), t=t, policy=policy)
-    tau = pj.chart.scalar(t)
+    pj = build_product_J(s, policy=policy)
+    pj2 = build_product_J(second_structure(s), policy=policy)
+    tau = pj.chart.scalar("t")
     Jt = conformal_change(tau, pj.J)
     Jt2 = conformal_change(tau, pj2.J)
     out.add("N of J_t = 0", integrability_product(Jt, policy))

@@ -259,7 +259,7 @@ def test_criterion_09_example51_conditions(s5_t21):
             reduced = musical_flat(gamma, lie_bracket(own.Z, X)) * (-2 * sign)
             if not is_zero_all((rho - reduced).components, POLICY).ok:
                 ok = False
-    pm = check_product_metric(s5_t21, POLICY, n_points=16)
+    pm = check_product_metric(s5_t21, POLICY)
     ok = ok and pm.ok
     assert _line(
         9, "S5 conditions ((condlastex) x7, zeta=0, rho reduction, Gtilde > 0)", ok

@@ -117,15 +117,21 @@ def test_courant_bracket_matches_plain_sympy_reference(chart, seed):
 
 def _call_sites(path: Path, attr: str, modules=None) -> list[str]:
     """Qualified enclosing function names (``Class.method``) of every use of
-    the attribute ``attr``; with ``modules``, only ``<module>.attr`` for
-    those module names, plus ``from sympy import attr``."""
+    the attribute ``attr``, and of every definition or bare-name call of
+    ``attr``; with ``modules``, only ``<module>.attr`` for those module
+    names, plus ``from sympy import attr``."""
     tree = ast.parse(path.read_text())
     found = []
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if modules is None and node.name == attr:
+                found.append(f"{'.'.join(scope) or '<module>'} (def)")
             scope = scope + (node.name,)
         func = ".".join(scope) or "<module>"
+        if (modules is None and isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name) and node.func.id == attr):
+            found.append(func)
         if modules and isinstance(node, ast.ImportFrom) and node.module == "sympy":
             if any(alias.name == attr for alias in node.names):
                 found.append(f"{func} (import)")
@@ -169,11 +175,17 @@ def test_one_algebra_path():
     """Products, transposes, blocks, determinants, derivatives and the
     canonical form all go through ``contract`` and the field arithmetic of
     ScalarExpr: no sympy expression algebra and no sympy Matrix is used
-    anywhere in the package."""
+    anywhere in the package, and sections take their algebra from the
+    core."""
     assert _package_sites("_sym") == {}
     assert _package_sites("inv") == {}
     for name in SYMPY_ALGEBRA:
         assert _package_sites(name, ("sp", "sympy")) == {}, name
+    # a section is a core array: no re-stacking, and g(S, .) built one way
+    assert _package_sites("_array") == {}
+    assert _package_sites("_pairing_row") == {}
+    own = {"__add__", "__sub__", "__neg__", "__mul__", "__rmul__", "conjugate", "__eq__"}
+    assert own.isdisjoint(vars(BigSection))
 
 
 def _forbid(*args, **kwargs):

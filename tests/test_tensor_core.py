@@ -39,7 +39,15 @@ from ggwb.calculus import (
     tensor_oneform_vector,
     wedge,
 )
-from ggwb.courant import BigEndo, BigSection, courant_bracket, pairing
+from ggwb.courant import (
+    BigEndo,
+    BigSection,
+    big_frame,
+    courant_bracket,
+    lift_big_section,
+    pairing,
+    section_array,
+)
 from ggwb.errors import ChartMismatchError, ExprError, SingularMetricError
 from ggwb.structures.genmetric import GenMetric, courant_bracket_Vpm
 from ggwb.symexpr import ScalarExpr, _embed, pdiff, random_poly
@@ -234,6 +242,66 @@ def test_outer_products_and_pairing(chart, f):
     Y = _raw(f.Y)
     ref = _loop_sum(itertools.chain((a[i] * Y[i] for i in r), (b[i] * X[i] for i in r))) / 2
     _same(chart, pairing(f.s1, f.s2), ref)
+
+
+# -- sections of TM + T*M on the core ----------------------------------------
+
+
+def _halves(X, a):
+    """A section's 2n components written out: those of X, then those of a."""
+    return _raw(X) + _raw(a)
+
+
+def test_section_algebra_is_the_core_algebra(chart, f):
+    """+, -, neg, * by an atom scalar, conjugate and == on the 2n core
+    array agree with the same operations done half by half on (X, a)."""
+    Y, b = f.Y, f.s2.alpha
+    s1, s2 = _halves(f.X, f.a), _halves(Y, b)
+    _same(chart, f.s1 + f.s2, [u + v for u, v in zip(s1, s2)])
+    _same(chart, f.s1 - f.s2, [u - v for u, v in zip(s1, s2)])
+    _same(chart, -f.s1, [-u for u in s1])
+    x, y = chart.symbols[:2]
+    h = ScalarExpr(sp.sin(x) * y + sp.exp(-y), chart)
+    _same(chart, f.s1 * h, [u * h.expr for u in s1])
+    _same(chart, 2 * f.s1, [2 * u for u in s1])
+    assert f.s1 + f.s2 == BigSection(f.X + Y, f.a + b)
+    assert f.s1 * h == BigSection(f.X * h, f.a * h)
+    assert f.s1.X == f.X and f.s1.alpha == f.a
+    assert f.s1 != f.s2 and f.s1 != f.X
+    c = f.s1 + BigSection.from_components(chart, {(N,): sp.I * x, (1,): 2 - sp.I})
+    ref = [u + (sp.I * x if k == N else 2 - sp.I if k == 1 else 0) for k, u in enumerate(s1)]
+    _same(chart, c, ref)
+    _same(chart, c.conjugate(), [u.subs(sp.I, -sp.I) for u in ref])
+    assert c.conjugate() != c and c.conjugate().conjugate() == c
+    assert f.s1.conjugate() == f.s1
+    assert repr(f.s1) == f"BigSection({f.X!r}, {f.a!r})"
+    with pytest.raises(TypeError):
+        hash(f.s1)
+
+
+def test_section_constructors_and_outer(chart, f):
+    """from_components (a sequence, a dict, a core array), big_frame,
+    section_array, lift_big_section and BigEndo.outer against their
+    entries written out from X and a."""
+    s1, s2 = _halves(f.X, f.a), _halves(f.Y, f.s2.alpha)
+    m = 2 * N
+    assert BigSection.from_components(chart, s1) == f.s1
+    assert BigSection.from_components(chart, f.s1.components()) == f.s1
+    assert BigSection.from_components(chart, {(k,): e for k, e in enumerate(s1) if e}) == f.s1
+    assert BigSection.from_components(chart, _Array(chart, s1, (m,))) == f.s1
+    with pytest.raises(ExprError):
+        BigSection.from_components(chart, s1[:-1])
+    frame = big_frame(chart)
+    assert len(frame) == m
+    for k, e in enumerate(frame):
+        _same(chart, e, [1 if i == k else 0 for i in range(m)])
+    _same(chart, section_array([f.s1, f.s2]), [[u, v] for u, v in zip(s1, s2)])
+    product = chart.product_with_line()
+    X, a = _raw(f.X), _raw(f.a)
+    _same(product, lift_big_section(f.s1, product), X + [0] + a + [0])
+    # g(s2, e_j) is b_j / 2 on a vector slot and Y^j / 2 on a covector slot
+    row = [e / 2 for e in _raw(f.s2.alpha) + _raw(f.Y)]
+    _same(chart, BigEndo.outer(f.s1, f.s2), [[u * r for r in row] for u in s1])
 
 
 # -- the elementwise algebra -----------------------------------------------
