@@ -67,6 +67,7 @@ from .symexpr import (
     _join,
     _sum_over,
     _ring,
+    _scaled,
     evaluate,
     _POLE,
     pdiff,
@@ -362,19 +363,32 @@ def _field_sum(K, one, terms):
     """Sum of products of field elements, each product a sequence of
     factors.  Numerators and denominators are multiplied as polynomials;
     the numerators over one denominator are added, and each denominator
-    class is reduced once.  A lone factor is already reduced."""
-    if len(terms) == 1 and len(terms[0]) == 1:
-        return terms[0][0]
+    class is reduced once.  A lone factor is already reduced, and a lone
+    product whose factors but one are constants has no common factor to
+    cancel: it takes the constant normalization alone."""
+    if len(terms) == 1:
+        factors = terms[0]
+        if len(factors) == 1:
+            return factors[0]
+        if sum(not (f.numer.is_ground and f.denom.is_ground) for f in factors) <= 1:
+            return _scaled(K, *_product(factors, one))
     groups = {}
     for factors in terms:
-        num, den = factors[0].numer, factors[0].denom
-        for f in factors[1:]:
-            if f.numer != one:
-                num = num * f.numer
-            if f.denom != one:
-                den = den * f.denom
+        num, den = _product(factors, one)
         groups[den] = groups[den] + num if den in groups else num
     return _sum_over(K, groups) if groups else K.zero
+
+
+def _product(factors, one) -> tuple:
+    """(numerator, denominator) of a product of field elements, multiplied
+    as polynomials without a gcd."""
+    num, den = factors[0].numer, factors[0].denom
+    for f in factors[1:]:
+        if f.numer != one:
+            num = num * f.numer
+        if f.denom != one:
+            den = den * f.denom
+    return num, den
 
 
 def _partials(t) -> "_Array":

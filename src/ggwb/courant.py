@@ -100,6 +100,14 @@ class BigSection(_Components):
     def components(self) -> list[ScalarExpr]:
         return self._flat()
 
+    # the core's matrix view and covariant evaluation mean nothing for a section
+    @property
+    def matrix(self):
+        raise AttributeError("a big section has no matrix; components() is its flat list")
+
+    def __call__(self, *vectors):
+        raise TypeError("a big section is not a covariant tensor; pair it with pairing()")
+
     def __repr__(self):
         return f"BigSection({self.X!r}, {self.alpha!r})"
 

@@ -39,7 +39,7 @@ from .calculus import (
     zero_twoform,
 )
 from .errors import ExprError, PreconditionNotMet, StructureError
-from .numeric import rank_at, value_at
+from .numeric import inertia_at, rank_at
 from .courant import frame_pairs
 from .structures.classical import AlmostContact, check_almost_contact, nijenhuis_table
 from .structures.genf import GenF, build_genF_from_quadruple
@@ -115,9 +115,9 @@ def _sqrt_positive(q: ScalarExpr, chart: ChartManifold, policy: ZeroPolicy) -> S
     if num is not None and den is not None:
         r = _ring(chart, q.rf.field.new(num, den))
         if r * r == q:
-            base_val = value_at(r, chart.base_point())
-            if abs(base_val.imag) <= policy.tol and base_val.real != 0:
-                return -r if base_val.real < 0 else r
+            pos, neg = inertia_at(_Array(chart, [[r]], (1, 1)), chart.base_point(), policy.tol)
+            if pos or neg:
+                return -r if neg else r
     raise StructureError(
         "cannot express the normal's length in the expression grammar; "
         "use a chart in which gamma(n~, n~) is a perfect square "

@@ -1,44 +1,246 @@
-"""Float evaluation helpers for sample-point rank/positivity certificates."""
+"""Exact point certificates: rank, kernel and inertia of a matrix of scalars
+at a rational point.
+
+A grid is a core array of shape (rows, columns): Fcal, a Jacobian, a Gram
+matrix.  At a point its stored entries are evaluated once, in one field:
+exactly in Q or Q(i) when the field has no atom generator, and by mpmath
+at ``symexpr``'s 30 digits when it has one (exp or tan generators).  One
+pivoted elimination reads the values:
+
+* row reduction (Gauss-Jordan) gives the rank and a kernel basis;
+* the symmetric reduction A = P^T L D L^H P of a Hermitian matrix gives the
+  pivots D, whose signs are the inertia of A (Sylvester's law of inertia).
+  Where every remaining diagonal entry is 0, the 2x2 block
+  [[0, b], [conj(b), 0]] (one positive and one negative square) is split by
+  the congruence row_i += b row_j, col_i += conj(b) col_j, which puts
+  2|b|^2 on the diagonal.
+
+Exact and 30-digit values share the routine and differ only in the zero
+test of a pivot: an exact value is zero when it is 0, and a 30-digit one
+when |v| <= tol * max(1, max |a_ij|).  An exact pivot is the first nonzero
+candidate, a 30-digit one the largest.  The certificates hold at the sample
+points only, so they back NumericallySupported verdicts.
+"""
 
 from __future__ import annotations
 
-import numpy as np
+import functools
+from fractions import Fraction
+from typing import Optional
+
+import mpmath
+from sympy.polys.domains import QQ
 
 from .errors import ExprError
-from .symexpr import ScalarExpr, evaluate, _POLE
+from .symexpr import _DPS, _POLE, ScalarExpr, _at, _eval_mp, _join, _layout, _qq, _to_fraction
+from .verdict import Witness
+
+
+def _evaluator(chart, K, point: dict):
+    """The value at ``point`` of an element of K, and whether values are
+    exact: elements of K's domain when K has no atom generator, else mpmath
+    numbers (to be read at ``_DPS`` digits)."""
+    pt = {chart.symbol(c): _to_fraction(v) for c, v in point.items()}
+    if not _layout(K)[1]:
+        vals = [K.domain.convert_from(_qq(pt[s]), QQ) for s in K.symbols]
+        at = functools.partial(_at, vals=vals, coefficient=lambda c: c)
+        exact = True
+    else:
+        mp = {s: mpmath.mpf(q.numerator) / q.denominator for s, q in pt.items()}
+        at = functools.partial(_eval_mp, point=mp, memo={})
+        exact = False
+
+    def value(rf):
+        v = at(rf)
+        if v is _POLE:
+            raise ExprError(f"pole hit while evaluating at {point}")
+        return v
+
+    return value, exact
+
+
+def _values(point: dict, *grids) -> tuple:
+    """The entries of each grid at ``point`` as a list of rows, every value
+    in the arithmetic of the grids' joint field; whether they are exact;
+    and the zero of that arithmetic."""
+    K = functools.reduce(_join, {g.field for g in grids})
+    value, exact = _evaluator(grids[0].chart, K, point)
+    zero = K.domain.zero if exact else mpmath.mpf(0)
+    out = []
+    for g in grids:
+        rows, cols = g.shape
+        a = [[zero] * cols for _ in range(rows)]
+        for (i, j), e in g._in(K).items():
+            a[i][j] = value(e)
+        out.append(a)
+    return out, exact, zero
+
+
+def _threshold(a: list, exact: bool, tol: float):
+    """The largest size of a zero pivot of ``a``: None (only 0 is zero)
+    for exact values, else tol * max(1, max |a_ij|)."""
+    if exact:
+        return None
+    return tol * max([1] + [abs(v) for row in a for v in row])
+
+
+def _pick(candidates, thr):
+    """The key of the pivot among (key, value) candidates, or None when
+    every value is zero: the first nonzero value when exact (``thr`` None),
+    else the largest above ``thr``."""
+    if thr is None:
+        return next((k for k, v in candidates if v), None)
+    best, size = None, thr
+    for k, v in candidates:
+        if abs(v) > size:
+            best, size = k, abs(v)
+    return best
+
+
+def _conj(v):
+    if hasattr(v, "y"):  # Q(i)
+        return type(v)(v.x, -v.y)
+    return v.conjugate() if isinstance(v, mpmath.mpc) else v
+
+
+def _real(v):
+    if hasattr(v, "y"):
+        return v.x
+    return v.real if isinstance(v, mpmath.mpc) else v
+
+
+def _eliminate(a: list, thr, hermitian: bool = False) -> list:
+    """Pivoted elimination of the rows ``a``, in place.
+
+    By rows (Gauss-Jordan): column by column, the pivot row is swapped
+    into place and the column is cleared in every other row; returns the
+    pivot columns, pivot k in row k.  ``hermitian``: the pivot is a
+    diagonal entry, moved to (k, k) by swapping rows and columns, and only
+    the trailing block is reduced; returns the pivots of D as (row of the
+    input, value).  Either way the number of pivots is the rank."""
+    n_rows, n_cols = len(a), len(a[0]) if a else 0
+    index = list(range(n_rows))
+    pivots = []
+    for c in range(n_cols):  # hermitian: c is k, as no column is passed over
+        k = len(pivots)
+        if k == n_rows:
+            break
+        if not hermitian:
+            p = _pick(((i, a[i][c]) for i in range(k, n_rows)), thr)
+            if p is None:
+                continue
+            a[k], a[p] = a[p], a[k]
+            _clear(a, k, c, (i for i in range(n_rows) if i != k))
+            pivots.append(c)
+            continue
+        p = _pick(((i, a[i][i]) for i in range(k, n_rows)), thr)
+        if p is None:
+            pair = _pick((((i, j), a[i][j]) for i in range(k, n_rows)
+                          for j in range(i + 1, n_rows)), thr)
+            if pair is None:
+                break
+            p, j = pair
+            b, bc = a[p][j], _conj(a[p][j])
+            a[p] = [x + b * y for x, y in zip(a[p], a[j])]
+            for row in a:
+                row[p] += bc * row[j]
+        a[k], a[p] = a[p], a[k]
+        for row in a:
+            row[k], row[p] = row[p], row[k]
+        index[k], index[p] = index[p], index[k]
+        _clear(a, k, k, range(k + 1, n_rows))
+        pivots.append((index[k], _real(a[k][k])))
+    return pivots
+
+
+def _clear(a: list, k: int, c: int, rows) -> None:
+    """Subtract multiples of row k from ``rows`` so that their column c is
+    0; columns before c are left as they are."""
+    pivot = a[k]
+    for i in rows:
+        row = a[i]
+        if row[c]:
+            f = row[c] / pivot[c]
+            for j in range(c + 1, len(row)):
+                row[j] -= f * pivot[j]
+            row[c] -= row[c]
 
 
 def value_at(e: ScalarExpr, point: dict) -> complex:
-    v = evaluate(e, point)
-    if v is _POLE:
-        raise ExprError(f"pole hit while evaluating at {point}")
-    if isinstance(v, complex):
-        return v
-    return complex(v)
-
-
-def grid_at(grid, point: dict) -> np.ndarray:
-    return np.array([[value_at(e, point) for e in row] for row in grid], dtype=complex)
+    """The value of a scalar at a rational point, as a complex number."""
+    with mpmath.workdps(_DPS):
+        value, exact = _evaluator(e.chart, e.rf.field, point)
+        v = value(e.rf)
+        if not exact:
+            return complex(v)
+        return complex(float(v.x), float(v.y)) if hasattr(v, "y") else complex(float(v))
 
 
 def rank_at(grid, point: dict, tol: float = 1e-9) -> int:
-    m = grid_at(grid, point)
-    sv = np.linalg.svd(m, compute_uv=False)
-    scale = sv[0] if sv.size and sv[0] > 1 else 1.0
-    return int((sv > tol * scale).sum())
+    """The rank of the matrix ``grid`` at ``point``."""
+    with mpmath.workdps(_DPS):
+        (a,), exact, _ = _values(point, grid)
+        return len(_eliminate(a, _threshold(a, exact, tol)))
 
 
-def kernel_basis_at(grid, point: dict, tol: float = 1e-9) -> np.ndarray:
-    """Orthonormal basis (columns) of the numeric kernel."""
-    m = grid_at(grid, point)
-    _, sv, vh = np.linalg.svd(m)
-    scale = sv[0] if sv.size and sv[0] > 1 else 1.0
-    null_mask = np.concatenate([sv, np.zeros(m.shape[1] - sv.size)]) <= tol * scale
-    return vh[null_mask].conj().T
+def kernel_inertia_at(grid, form, point: dict, tol: float = 1e-9) -> tuple[int, int]:
+    """(positive, negative) index of the Hermitian form ``form`` restricted
+    to the kernel of the matrix ``grid`` at ``point``.  The kernel basis
+    comes from the reduced rows: one vector per free column."""
+    with mpmath.workdps(_DPS):
+        (a, g), exact, zero = _values(point, grid, form)
+        cols = _eliminate(a, _threshold(a, exact, tol))
+        n = len(a[0])
+        basis = []
+        for f in (f for f in range(n) if f not in cols):
+            v = [zero] * n
+            v[f] = zero + 1
+            for k, c in enumerate(cols):
+                v[c] = -a[k][f] / a[k][c]
+            basis.append(v)
+        gram = [[sum((_conj(u[i]) * g[i][j] * w[j] for i in range(n) for j in range(n)
+                      if g[i][j]), zero) for w in basis] for u in basis]
+        return _signs(gram, exact, tol)
 
 
-def symmetric_eigenvalues_at(gram, point: dict, tol: float = 1e-9) -> np.ndarray:
-    m = grid_at(gram, point)
-    if np.abs(m.imag).max() > tol or np.abs(m - m.T).max() > tol:
-        raise ExprError("expected a real symmetric Gram matrix")
-    return np.linalg.eigvalsh(m.real)
+def inertia_at(gram, point: dict, tol: float = 1e-9) -> tuple[int, int]:
+    """(positive, negative) index of the Hermitian matrix ``gram`` at
+    ``point``."""
+    with mpmath.workdps(_DPS):
+        (a,), exact, _ = _values(point, gram)
+        return _signs(a, exact, tol)
+
+
+def _signs(a: list, exact: bool, tol: float) -> tuple[int, int]:
+    pivots = _hermitian_pivots(a, exact, tol)
+    neg = sum(d < 0 for _, d in pivots)
+    return len(pivots) - neg, neg
+
+
+def _hermitian_pivots(a: list, exact: bool, tol: float) -> list:
+    """The pivots of D of the rows ``a``, which must be Hermitian."""
+    thr = _threshold(a, exact, tol)
+    for i, row in enumerate(a):
+        for j in range(i, len(row)):
+            d = row[j] - _conj(a[j][i])
+            if (d if thr is None else abs(d) > thr):
+                raise ExprError("expected a Hermitian Gram matrix")
+    return _eliminate(a, thr, hermitian=True)
+
+
+def positivity_witness(gram, point: dict, tol: float = 1e-9) -> Optional[Witness]:
+    """None when the Hermitian matrix ``gram`` is positive definite at
+    ``point`` (every pivot of its symmetric reduction is positive), else a
+    witness: the first pivot that is not (0 when the pivots run out before
+    the last row), exact when the values are, with its row in ``detail``."""
+    with mpmath.workdps(_DPS):
+        (a,), exact, _ = _values(point, gram)
+        pivots = _hermitian_pivots(a, exact, tol)
+        bad = next(((i, d) for i, d in pivots if d < 0), None)
+        if bad is None and len(pivots) < len(a):
+            bad = (min(set(range(len(a))) - {i for i, _ in pivots}), 0)
+        if bad is None:
+            return None
+        i, d = bad
+        value = Fraction(int(d.numerator), int(d.denominator)) if exact else float(d)
+        return Witness(tuple(sorted(point.items())), value, f"pivot {i}")

@@ -11,6 +11,7 @@ import sympy as sp
 from ..calculus import EndoTM, contract
 from ..courant import (
     BigEndo,
+    _gram0,
     big_frame,
     bracket_table,
     courant_bracket,
@@ -19,7 +20,7 @@ from ..courant import (
     skew_table,
 )
 from ..errors import StructureError
-from ..numeric import kernel_basis_at, rank_at
+from ..numeric import kernel_inertia_at, rank_at
 from ..symexpr import DEFAULT_POLICY, ScalarExpr, ZeroPolicy, is_zero_all, random_poly
 from ..verdict import CheckResult, Verdict
 from .genmetric import GenMetric
@@ -102,29 +103,15 @@ def corank_and_negative_index(genf: GenF, policy: ZeroPolicy = DEFAULT_POLICY) -
     """Rank data of S = ker Fcal certified at sample points.
 
     corank = 2n - max rank of Fcal over the base point and 3 sample points;
-    the negative index is the number of negative eigenvalues of the pairing
-    restricted to the numeric kernel basis at the base point.
+    the negative index is that of the pairing restricted to the kernel of
+    Fcal at the base point (:mod:`ggwb.numeric`).
     """
     chart = genf.chart
-    grid = genf.Fcal.matrix
     rng = policy.rng()
     points = [chart.base_point()] + [chart.sample_point(rng) for _ in range(3)]
-    rank = max(rank_at(grid, pt, policy.tol) for pt in points)
-    corank = 2 * chart.dim - rank
-    base = chart.base_point()
-    kernel = kernel_basis_at(grid, base, policy.tol)
-    if kernel.shape[1] == 0:
-        return corank, 0
-    from ..courant import pairing_gram
-    import numpy as np
-
-    g0 = np.array(pairing_gram(chart), dtype=float)
-    gram = kernel.conj().T @ g0 @ kernel
-    if np.abs(gram.imag).max() > policy.tol:
-        raise StructureError("kernel pairing Gram is not real at the base point")
-    eigs = np.linalg.eigvalsh(gram.real)
-    neg = int((eigs < -policy.tol).sum())
-    return corank, neg
+    rank = max(rank_at(genf.Fcal, pt, policy.tol) for pt in points)
+    _, neg = kernel_inertia_at(genf.Fcal, _gram0(chart), chart.base_point(), policy.tol)
+    return 2 * chart.dim - rank, neg
 
 
 def crf_defects(Fcal: BigEndo) -> list[ScalarExpr]:

@@ -48,9 +48,9 @@ from ..calculus import (
 )
 from ..courant import BigEndo, BigSection, _gram0, frame_pairs
 from ..errors import ChartMismatchError, ExprError, StructureError
-from ..numeric import symmetric_eigenvalues_at
+from ..numeric import positivity_witness
 from ..symexpr import DEFAULT_POLICY, ScalarExpr, ZeroPolicy, is_zero_all
-from ..verdict import CheckResult, Verdict, Witness
+from ..verdict import CheckResult, Verdict
 
 
 class GenMetric:
@@ -150,14 +150,13 @@ def check_gen_metric(G: GenMetric, policy: ZeroPolicy = DEFAULT_POLICY) -> Check
 
 
 def _positivity(G: GenMetric, policy: ZeroPolicy) -> Verdict:
-    """G is positive definite at the base point and 4 sample points."""
-    gram = G._gram
+    """G is positive definite at the base point and 4 sample points: every
+    pivot of its symmetric reduction is positive there."""
     rng = policy.rng()
     points = [G.chart.base_point()] + [G.chart.sample_point(rng) for _ in range(4)]
     for pt in points:
-        eigs = symmetric_eigenvalues_at(gram, pt, policy.tol)
-        if eigs.min() <= policy.tol:
-            witness = Witness(tuple(sorted(pt.items())), float(eigs.min()), "min eigenvalue")
+        witness = positivity_witness(G._gram, pt, policy.tol)
+        if witness is not None:
             return Verdict.failed("positivity", witness)
     return Verdict.numeric("positivity")
 

@@ -33,7 +33,7 @@ from ..courant import (
     _gram0,
 )
 from ..errors import PreconditionNotMet, StructureError
-from ..numeric import symmetric_eigenvalues_at
+from ..numeric import positivity_witness
 from ..symexpr import DEFAULT_POLICY, ScalarExpr, ZeroPolicy, is_zero, is_zero_all
 from ..verdict import CheckResult, Verdict, Witness, combine
 from .classical import AlmostContact, check_normal_classical
@@ -314,12 +314,9 @@ def check_product_metric(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> C
     rng = policy.rng()
     verdict = Verdict.numeric()
     for _ in range(16):
-        pt = product.sample_point(rng)
-        eigs = symmetric_eigenvalues_at(gram, pt, policy.tol)
-        if eigs.min() <= policy.tol:
-            verdict = Verdict.failed(
-                "positivity", Witness(tuple(sorted(pt.items())), float(eigs.min()), "min eig")
-            )
+        witness = positivity_witness(gram, product.sample_point(rng), policy.tol)
+        if witness is not None:
+            verdict = Verdict.failed("positivity", witness)
             break
     out.add("Gtilde positive at 16 sample points", verdict)
     return out

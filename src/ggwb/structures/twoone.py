@@ -42,6 +42,7 @@ from ..courant import (
     skew_table,
 )
 from ..errors import PreconditionNotMet, StructureError
+from ..numeric import rank_at
 from ..symexpr import DEFAULT_POLICY, ScalarExpr, ZeroPolicy, is_zero, is_zero_all
 from ..verdict import CheckResult, Verdict, combine
 from .classical import AlmostContact
@@ -395,13 +396,11 @@ def check_phi(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
         out.add("(PhiG) G(Phi X, Phi Y) = -G(X, Y) + 2 kernel terms", is_zero_all(
             d._flat(), policy))
     # (eqGY): the +-1 eigenprojections of Phi have rank n at sample points.
-    from ..numeric import rank_at
-
     ranks_ok = True
     rng = policy.rng()
     points = [chart.base_point()] + [chart.sample_point(rng) for _ in range(2)]
     for sign in (1, -1):
-        grid = ((BigEndo.identity(chart) + phi * sign) * sp.Rational(1, 2)).matrix
+        grid = (BigEndo.identity(chart) + phi * sign) * sp.Rational(1, 2)
         for pt in points:
             if rank_at(grid, pt, policy.tol) != chart.dim:
                 ranks_ok = False

@@ -251,6 +251,14 @@ def _fraction(K: FracField, num, den) -> FracElement:
         if K.domain is QQ:
             return rf
         num, den = rf.numer, rf.denom
+    return _scaled(K, num, den)
+
+
+def _scaled(K: FracField, num, den) -> FracElement:
+    """num/den, given without a common factor of positive degree, in the
+    reduced form of :func:`_fraction`: scaled to a monic denominator, then
+    by the least positive integer that clears the coefficients'
+    denominators."""
     if not num:
         return K.zero
     c = den.LC
@@ -553,6 +561,11 @@ class ScalarExpr:
         elif isinstance(other, _RATIONALS):
             b = _constant(self.rf.field, other)
         else:
+            from .calculus import _Components
+
+            if isinstance(other, _Components):
+                # a tensor field: its own reflected operator scales it or refuses
+                return NotImplemented
             other = ScalarExpr(other, self.chart)
             b = other.rf
         a = self.rf

@@ -1,0 +1,187 @@
+"""Soundness of the exact point certificates of :mod:`ggwb.numeric`.
+
+Atom-free grids are evaluated exactly in Q or Q(i), so a pivot is zero only
+when it is 0.  Each exact case below is one that a float certificate with a
+1e-9 tolerance gets wrong: the singular values of [[1, 1], [1, 1 + 1e-12]]
+are about 2 and 5e-13, and the eigenvalue -1e-12 of diag(1, -1e-12) lies
+inside the tolerance.  Grids with exp/tan generators keep 30-digit values;
+their ranks and inertia are checked against values written out by hand.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ggwb.calculus import ChartManifold, MetricField, _Array, contract
+from ggwb.errors import ExprError
+from ggwb.hypersurface import Embedding
+from ggwb.numeric import inertia_at, kernel_inertia_at, positivity_witness, rank_at, value_at
+from ggwb.structures.genmetric import GenMetric, _positivity
+from ggwb.symexpr import ZeroPolicy
+from ggwb.verdict import VerdictKind
+
+TINY = sp.Rational(1, 10**12)
+
+
+@pytest.fixture(scope="module")
+def R2():
+    return ChartManifold("cert2", ["x", "y"])
+
+
+def _grid(chart, rows):
+    return _Array(chart, rows, (len(rows), len(rows[0])))
+
+
+def test_near_singular_rational_matrix_has_full_rank(R2):
+    base = R2.base_point()
+    assert rank_at(_grid(R2, [[1, 1], [1, 1 + TINY]]), base) == 2
+    assert rank_at(_grid(R2, [[1, 1], [1, 1]]), base) == 1
+    # the same near-singularity in the coordinates: rank 2 off the line x = y
+    grid = _grid(R2, [["1", "1"], ["1", f"1 + (x - y)/{10**12}"]])
+    assert rank_at(grid, {"x": Fraction(1, 3), "y": Fraction(1, 5)}) == 2
+    assert rank_at(grid, {"x": Fraction(1, 3), "y": Fraction(1, 3)}) == 1
+
+
+def test_tiny_negative_eigenvalue_is_seen(R2):
+    base = R2.base_point()
+    gram = _grid(R2, [[1, 0], [0, -TINY]])
+    assert inertia_at(gram, base) == (1, 1)
+    w = positivity_witness(gram, base)
+    assert w.value == Fraction(-1, 10**12) and w.detail == "pivot 1"
+    assert w.point == tuple(sorted(base.items()))
+    # a tiny positive eigenvalue is positive
+    assert inertia_at(_grid(R2, [[1, 0], [0, TINY]]), base) == (2, 0)
+    assert positivity_witness(_grid(R2, [[1, 0], [0, TINY]]), base) is None
+
+
+def test_positivity_of_a_generalized_metric_fails_with_the_exact_pivot(R2):
+    """G of (gamma, 0) is diag(gamma, gamma^-1)/2 in the frame (d_i; dx^i),
+    so gamma = diag(1, -1e-12) gives the pivot -1e-12/2 in row 1."""
+    G = GenMetric(MetricField(R2, [[1, 0], [0, -TINY]]))
+    v = _positivity(G, ZeroPolicy())
+    assert v.kind is VerdictKind.FAILED
+    assert v.witness.value == Fraction(-1, 2 * 10**12)
+    assert v.witness.detail == "pivot 1"
+    assert v.witness.point == tuple(sorted(R2.base_point().items()))
+    ok = GenMetric(MetricField(R2, [[1, 0], [0, TINY]]))
+    assert _positivity(ok, ZeroPolicy()).kind is VerdictKind.NUMERIC
+
+
+def test_zero_diagonal_block_and_zero_matrix(R2):
+    base = R2.base_point()
+    hyperbolic = _grid(R2, [[0, 1], [1, 0]])
+    assert inertia_at(hyperbolic, base) == (1, 1)
+    # the block splits into the pivots 2 and -1/2
+    w = positivity_witness(hyperbolic, base)
+    assert (w.value, w.detail) == (Fraction(-1, 2), "pivot 1")
+    zero = _grid(R2, [[0, 0], [0, 0]])
+    assert rank_at(zero, base) == 0 and inertia_at(zero, base) == (0, 0)
+    w = positivity_witness(zero, base)
+    assert (w.value, w.detail) == (0, "pivot 0")
+    with pytest.raises(ExprError):
+        inertia_at(_grid(R2, [[1, 1], [0, 1]]), base)
+
+
+def test_gaussian_grids(R2):
+    base = R2.base_point()
+    x, y = R2.symbols
+    i = sp.I
+    assert rank_at(_grid(R2, [[1, i], [i, -1]]), base) == 1
+    assert rank_at(_grid(R2, [[1, i], [i, 1]]), base) == 2
+    assert rank_at(_grid(R2, [[x, i * x], [1, i]]), base) == 1
+    assert rank_at(_grid(R2, [[x, i * y], [1, i]]), base) == 2
+    # Hermitian forms: a rank-one form and a block with an imaginary b
+    assert inertia_at(_grid(R2, [[1, i], [-i, 1]]), base) == (1, 0)
+    assert inertia_at(_grid(R2, [[0, i], [-i, 0]]), base) == (1, 1)
+    w = positivity_witness(_grid(R2, [[0, i], [-i, 0]]), base)
+    assert w.value < 0
+    assert value_at(R2.scalar(x + i * y), base) == complex(3 / 7, 5 / 7)
+
+
+def test_kernel_inertia_by_hand(R2):
+    R3 = ChartManifold("cert3", ["x", "y", "z"])
+    base = R3.base_point()
+    grid = _grid(R3, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+    form = _grid(R3, [[5, 1, 1], [1, 0, 1], [1, 1, 0]])
+    # the kernel is spanned by e_1 and e_2, where the form is [[0, 1], [1, 0]]
+    assert kernel_inertia_at(grid, form, base) == (1, 1)
+    assert kernel_inertia_at(_grid(R3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]), form, base) == (0, 0)
+    # ker [1, s] is spanned by (-s, 1), where [[0, 1], [1, 0]] takes -2s
+    hyperbolic = _grid(R2, [[0, 1], [1, 0]])
+    assert kernel_inertia_at(_grid(R2, [[1, 1]]), hyperbolic, R2.base_point()) == (0, 1)
+    assert kernel_inertia_at(_grid(R2, [[1, -1]]), hyperbolic, R2.base_point()) == (1, 0)
+
+
+def test_pole_raises(R2):
+    with pytest.raises(ExprError):
+        rank_at(_grid(R2, [["1/(x - 3/7)", 0], [0, 1]]), R2.base_point())
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6), gaussian=st.booleans())
+def test_inertia_is_that_of_the_congruent_diagonal(R2, seed, gaussian):
+    """A = P^H D P for an invertible P has the inertia of D and the rank of
+    sympy's exact elimination."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 5)
+    d = [rng.randint(-2, 2) for _ in range(n)]
+    while True:
+        P = sp.Matrix(n, n, lambda i, j: rng.randint(-3, 3) + (rng.randint(-2, 2) * sp.I
+                                                              if gaussian else 0))
+        if P.det() != 0:
+            break
+    A = (P.H * sp.diag(*d) * P).expand()
+    grid = _grid(R2, A.tolist())
+    base = R2.base_point()
+    assert inertia_at(grid, base) == (sum(v > 0 for v in d), sum(v < 0 for v in d))
+    assert rank_at(grid, base) == A.rank() == sum(v != 0 for v in d)
+
+
+# -- grids with exp/tan generators ------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def sphere():
+    """The three-angle chart of the unit 3-sphere in C^2 of the builtin S4."""
+    C2 = ChartManifold("C2", ["x1", "y1", "x2", "y2"])
+    S3 = ChartManifold("S3", ["a", "b", "c"],
+                       ranges={"a": ("1/8", "3"), "b": ("1/8", "3"), "c": ("1/8", "6")},
+                       base_point={"a": "5/8", "b": "7/8", "c": "9/8"})
+    emb = Embedding(S3, C2, ["cos(a)", "sin(a)*cos(b)", "sin(a)*sin(b)*cos(c)",
+                             "sin(a)*sin(b)*sin(c)"])
+    return S3, emb
+
+
+def test_sphere_jacobian_and_metric_match_the_hand_values(sphere):
+    S3, emb = sphere
+    base = S3.base_point()
+    jac = emb.jacobian()
+    assert not all(e.is_rational_function for e in jac._items().values())
+    assert rank_at(jac, base) == 3
+    g = contract("ki,kj->ij", jac, jac)
+    hand = _grid(S3, [[1, 0, 0], [0, "sin(a)^2", 0], [0, 0, "sin(a)^2*sin(b)^2"]])
+    assert g == hand
+    assert inertia_at(g, base) == inertia_at(hand, base) == (3, 0)
+    assert positivity_witness(hand, base) is None
+    # the third column replaced by cos(c) d_a + sin(c) d_b: rank 2
+    cols = [[jac[k][0], jac[k][1], jac[k][0] * S3.scalar("cos(c)") + jac[k][1] * S3.scalar(
+        "sin(c)")] for k in range(4)]
+    assert rank_at(_grid(S3, cols), base) == 2
+
+
+def test_atom_form_signs_by_hand(sphere):
+    S3, _ = sphere
+    base = S3.base_point()
+    assert inertia_at(_grid(S3, [["cos(a)", "sin(a)"], ["sin(a)", "-cos(a)"]]), base) == (1, 1)
+    # ker [[sin a, cos a], [2 sin a, 2 cos a]] is spanned by (cos a, -sin a);
+    # diag(1, -1) takes cos(2a) on it: cos(5/4) > 0, cos(2) < 0
+    grid = _grid(S3, [["sin(a)", "cos(a)"], ["2*sin(a)", "2*cos(a)"]])
+    form = _grid(S3, [[1, 0], [0, -1]])
+    assert rank_at(grid, base) == 1
+    assert kernel_inertia_at(grid, form, base) == (1, 0)
+    assert kernel_inertia_at(grid, form, dict(base, a=Fraction(1))) == (0, 1)
+    assert value_at(S3.scalar("cos(2*a)"), base) == pytest.approx(0.3153223623952687)

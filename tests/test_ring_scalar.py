@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from sympy.polys.domains import QQ, QQ_I
 from sympy.polys.fields import FracElement, FracField
 
-from ggwb import symexpr
+from ggwb import calculus, symexpr
 from ggwb.calculus import ChartManifold, EndoTM, OneForm, VectorField
 from ggwb.courant import BigSection, courant_bracket, pairing, partial
 from ggwb.symexpr import (
@@ -167,6 +167,40 @@ def test_gaussian_conjugate_and_derivative(chart):
     for s in chart.symbols:
         assert pdiff(w, s).expr == sp.cancel(sp.diff(w.expr, s))
     assert is_zero(pdiff(w, X) - (-i * z - i * y) / (x - i * z) ** 2).kind is VerdictKind.PROVED
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6), gaussian=st.booleans())
+def test_constant_factor_product_skips_the_gcd_and_keeps_the_fraction(chart, seed, gaussian):
+    """A lone product in a contraction sum whose factors but one are
+    constants takes only the constant normalization; over Q and Q(i) that
+    is the reduced fraction the gcd of ``_fraction`` gives."""
+    rng = random.Random(seed)
+    raw = _raw_tree(chart, rng, 4)
+    if gaussian:
+        raw += sp.I * _raw_tree(chart, rng, 2)
+    K = symexpr._field(chart.symbols, gaussian)
+
+    def element(e):
+        rf = ScalarExpr(e, chart).rf
+        L = symexpr._join(rf.field, K)
+        return symexpr._embed(rf, L)
+
+    def constant():
+        c = sp.Rational(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+        return c + sp.Rational(rng.randint(-9, 9), rng.randint(1, 9)) * sp.I if gaussian else c
+
+    f = element(raw)
+    L = f.field
+    factors = [f] + [symexpr._embed(element(constant()), L) for _ in range(rng.randint(1, 3))]
+    rng.shuffle(factors)
+    num, den = calculus._product(factors, L.ring.one)
+    got = calculus._field_sum(L, L.ring.one, [factors])
+    want = symexpr._fraction(L, num, den)
+    assert (got.numer, got.denom) == (want.numer, want.denom)
+    # two factors that are not constants still cancel by the gcd
+    if not (f.numer.is_ground and f.denom.is_ground):
+        assert calculus._field_sum(L, L.ring.one, [[f, 1 / f]]) == L.one
 
 
 # -- atom-free and atom scalars together --------------------------------------

@@ -304,6 +304,29 @@ def test_section_constructors_and_outer(chart, f):
     _same(chart, BigEndo.outer(f.s1, f.s2), [[u * r for r in row] for u in s1])
 
 
+def test_a_scalar_on_the_left_scales_a_field(chart, f):
+    """h * T is T * h for a vector field, a 1-form and a section, the
+    scalar on either side; a sum of a scalar and a field is refused."""
+    x, y = chart.symbols[:2]
+    h = ScalarExpr(sp.sin(x) * y + sp.exp(-y), chart)
+    for T in (f.X, f.a, f.s1):
+        assert type(h * T) is type(T)
+        assert h * T == T * h
+        with pytest.raises(TypeError):
+            h + T
+        with pytest.raises(TypeError):
+            h - T
+
+
+def test_a_section_has_no_matrix_and_no_evaluation(chart, f):
+    """The core's matrix view and covariant evaluation are not a section's."""
+    with pytest.raises(AttributeError):
+        f.s1.matrix
+    with pytest.raises(TypeError):
+        f.s1(f.X)
+    assert not hasattr(f.s1, "matrix")
+
+
 # -- the elementwise algebra -----------------------------------------------
 
 
