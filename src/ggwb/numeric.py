@@ -2,9 +2,10 @@
 at a rational point.
 
 A grid is a core array of shape (rows, columns): Fcal, a Jacobian, a Gram
-matrix.  At a point its stored entries are evaluated once, in one field:
-exactly in Q or Q(i) when the field has no atom generator, and by mpmath
-at ``symexpr``'s 30 digits when it has one (exp or tan generators).  One
+matrix, the 1x1 determinant of a metric.  At a point its stored entries
+are evaluated once, in one field, by ``symexpr._evaluator``: exactly in Q
+or Q(i) when the field has no atom generator, and by mpmath at 30 digits
+when it has one (exp or tan generators).  A pole raises ExprError.  One
 pivoted elimination reads the values:
 
 * row reduction (Gauss-Jordan) gives the rank and a kernel basis;
@@ -25,38 +26,13 @@ points only, so they back NumericallySupported verdicts.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 from typing import Optional
 
 import mpmath
-from sympy.polys.domains import QQ
 
 from .errors import ExprError
-from .symexpr import _DPS, _POLE, ScalarExpr, _at, _eval_mp, _join, _layout, _qq, _to_fraction
+from .symexpr import _DPS, _POLE, _evaluator, _join, _witness_number
 from .verdict import Witness
-
-
-def _evaluator(chart, K, point: dict):
-    """The value at ``point`` of an element of K, and whether values are
-    exact: elements of K's domain when K has no atom generator, else mpmath
-    numbers (to be read at ``_DPS`` digits)."""
-    pt = {chart.symbol(c): _to_fraction(v) for c, v in point.items()}
-    if not _layout(K)[1]:
-        vals = [K.domain.convert_from(_qq(pt[s]), QQ) for s in K.symbols]
-        at = functools.partial(_at, vals=vals, coefficient=lambda c: c)
-        exact = True
-    else:
-        mp = {s: mpmath.mpf(q.numerator) / q.denominator for s, q in pt.items()}
-        at = functools.partial(_eval_mp, point=mp, memo={})
-        exact = False
-
-    def value(rf):
-        v = at(rf)
-        if v is _POLE:
-            raise ExprError(f"pole hit while evaluating at {point}")
-        return v
-
-    return value, exact
 
 
 def _values(point: dict, *grids) -> tuple:
@@ -72,6 +48,8 @@ def _values(point: dict, *grids) -> tuple:
         a = [[zero] * cols for _ in range(rows)]
         for (i, j), e in g._in(K).items():
             a[i][j] = value(e)
+            if a[i][j] is _POLE:
+                raise ExprError(f"pole hit while evaluating at {point}")
         out.append(a)
     return out, exact, zero
 
@@ -166,16 +144,6 @@ def _clear(a: list, k: int, c: int, rows) -> None:
             row[c] -= row[c]
 
 
-def value_at(e: ScalarExpr, point: dict) -> complex:
-    """The value of a scalar at a rational point, as a complex number."""
-    with mpmath.workdps(_DPS):
-        value, exact = _evaluator(e.chart, e.rf.field, point)
-        v = value(e.rf)
-        if not exact:
-            return complex(v)
-        return complex(float(v.x), float(v.y)) if hasattr(v, "y") else complex(float(v))
-
-
 def rank_at(grid, point: dict, tol: float = 1e-9) -> int:
     """The rank of the matrix ``grid`` at ``point``."""
     with mpmath.workdps(_DPS):
@@ -234,13 +202,12 @@ def positivity_witness(gram, point: dict, tol: float = 1e-9) -> Optional[Witness
     witness: the first pivot that is not (0 when the pivots run out before
     the last row), exact when the values are, with its row in ``detail``."""
     with mpmath.workdps(_DPS):
-        (a,), exact, _ = _values(point, gram)
+        (a,), exact, zero = _values(point, gram)
         pivots = _hermitian_pivots(a, exact, tol)
         bad = next(((i, d) for i, d in pivots if d < 0), None)
         if bad is None and len(pivots) < len(a):
-            bad = (min(set(range(len(a))) - {i for i, _ in pivots}), 0)
+            bad = (min(set(range(len(a))) - {i for i, _ in pivots}), zero)
         if bad is None:
             return None
         i, d = bad
-        value = Fraction(int(d.numerator), int(d.denominator)) if exact else float(d)
-        return Witness(tuple(sorted(point.items())), value, f"pivot {i}")
+        return Witness(tuple(sorted(point.items())), _witness_number(d), f"pivot {i}")

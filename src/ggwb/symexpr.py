@@ -23,9 +23,16 @@ it, in one fixed order that does not depend on hash order.
 
 Zero returns before the field: an operation with a zero operand gives the
 other operand (negated for ``0 - x``) or a zero without a union field, a
-gcd or a canonical form, ``pdiff`` and ``evaluate`` of a zero return at
-once, and a zero result on a chart is the chart's one interned zero
-(``chart.zero``).  ``x / 0`` and ``0 / 0`` still raise :class:`ExprError`.
+gcd or a canonical form, ``pdiff`` of a zero returns at once, and a zero
+result on a chart is the chart's one interned zero (``chart.zero``).
+``x / 0`` and ``0 / 0`` still raise :class:`ExprError`.
+
+One evaluator, ``_evaluator``, gives the value of a field element at a
+rational point: exactly, in Q or Q(i), when the field has no atom
+generator, else as an mpmath number at ``_DPS`` (30) digits.  ``evaluate``
+returns that value as it is (no sympy number, no ``complex``), the zero
+test decides on it, and the point certificates of :mod:`ggwb.numeric`
+(the metric's base-point check among them) eliminate over it.
 
 Soundness contract: ``is_zero`` answers ``Proved`` only when the reduced
 fraction is zero; the generators stand for the true functions in a ring
@@ -43,6 +50,7 @@ where they enter, by the conversion of a parsed or sympy value.
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 import random
@@ -875,21 +883,39 @@ def _eval_mp(rf: FracElement, point: dict, memo: dict) -> object:
     return _at(rf, vals, _mp)
 
 
-def evaluate(e: ScalarExpr, point: dict) -> object:
-    """Evaluate at a rational point: exact sympy number for rational
-    expressions, a ``complex`` (mpmath at ``_DPS`` digits) for expressions
-    with transcendental atoms.  Returns the ``_POLE`` sentinel when the
-    point hits a pole."""
-    pt = {e.chart.symbol(k): _to_fraction(v) for k, v in point.items()}
-    if not e.rf:
-        return sp.S.Zero
-    if e.is_rational_function:
-        dom = e.rf.field.domain
-        v = _at(e.rf, [dom.convert_from(_qq(pt[s]), QQ) for s in e.rf.field.symbols], lambda c: c)
-        return v if v is _POLE else dom.to_sympy(v)
+def _evaluator(chart, K: FracField, point: dict):
+    """The value function of the elements of K at ``point`` (coordinate ->
+    rational), and whether its values are exact.
+
+    The one evaluator of the package.  Without an atom generator in K the
+    values are exact: elements of K's domain, Q or Q(i), from the domain
+    coefficients.  With one they are mpmath numbers at ``_DPS`` digits, the
+    generators evaluated by mpmath.  A pole gives ``_POLE``; a coordinate of
+    K that the point misses raises :class:`ExprError`."""
+    pt = {chart.symbol(c): _to_fraction(v) for c, v in point.items()}
+    coords, gens = _layout(K)
+    missing = [str(s) for s in coords if s not in pt]
+    if missing:
+        raise ExprError(f"the point gives no value for the coordinate(s) {', '.join(missing)}")
+    if not gens:
+        vals = [K.domain.convert_from(_qq(pt[s]), QQ) for s in K.symbols]
+        return (lambda rf: _at(rf, vals, lambda c: c)), True
     with mpmath.workdps(_DPS):
-        v = _eval_mp(e.rf, {s: mpmath.mpf(q.numerator) / q.denominator for s, q in pt.items()}, {})
-        return v if v is _POLE else complex(v)
+        mp = {s: mpmath.mpf(q.numerator) / q.denominator for s, q in pt.items()}
+    memo = {}
+
+    def value(rf):
+        with mpmath.workdps(_DPS):
+            return _eval_mp(rf, mp, memo)
+
+    return value, False
+
+
+def evaluate(e: ScalarExpr, point: dict) -> object:
+    """The value of ``e`` at a rational point, read by :func:`_evaluator`:
+    an element of Q or Q(i) without atoms, else a ``_DPS``-digit mpmath
+    number; ``_POLE`` when the point hits a pole."""
+    return _evaluator(e.chart, e.rf.field, point)[0](e.rf)
 
 
 def _to_fraction(v) -> Fraction:
@@ -898,13 +924,19 @@ def _to_fraction(v) -> Fraction:
     return Fraction(int(v.p), int(v.q)) if isinstance(v, sp.Rational) else Fraction(v)
 
 
-def _witness_value(v):
-    if isinstance(v, complex):
-        return v if v.imag else v.real
-    if v.is_Rational:
-        return Fraction(int(v.p), int(v.q))
-    re_, im_ = v.as_real_imag()
-    return complex(float(re_), float(im_))
+def _witness_number(v):
+    """A value of :func:`_evaluator` as the number a witness prints: a
+    Fraction when it is exact and real, a float, or a complex when it has an
+    imaginary part; a 30-digit value beyond the double range keeps its
+    leading 13 digits, as a string."""
+    if hasattr(v, "y"):  # Q(i)
+        return _witness_number(v.x) if not v.y else complex(float(v.x), float(v.y))
+    if not isinstance(v, (mpmath.mpf, mpmath.mpc)):
+        return Fraction(int(v.numerator), int(v.denominator))
+    v = v if v.imag else v.real
+    f = complex(v) if v.imag else float(v)
+    return f if cmath.isfinite(f) else mpmath.nstr(v, 13, strip_zeros=False, min_fixed=1,
+                                                    max_fixed=0)
 
 
 def is_zero(
@@ -918,14 +950,13 @@ def is_zero(
     ``Proved`` when the reduced fraction is 0.  Otherwise the scalar is
     evaluated at ``policy.samples`` random rational points: rational
     expressions must vanish exactly, transcendental ones within
-    ``policy.tol``.  Any other value yields ``Failed`` with a witness.
-    Sample points that hit a pole are redrawn (bounded retries).
+    ``policy.tol`` at 30 digits.  Any other value yields ``Failed`` with a
+    witness.  Sample points that hit a pole are redrawn (bounded retries).
     """
     if not e.rf:
         return Verdict.proved(criterion)
     chart = e.chart
     rng = rng if rng is not None else policy.rng()
-    exact = e.is_rational_function
     drawn = 0
     budget = policy.samples * max(1, policy.max_resample)
     attempts = 0
@@ -937,17 +968,14 @@ def is_zero(
             )
         attempts += 1
         point = chart.sample_point(rng)
-        v = evaluate(e, point)
+        value, exact = _evaluator(chart, e.rf.field, point)
+        v = value(e.rf)
         if v is _POLE:
             continue
         drawn += 1
-        nonzero = (v != 0) if exact else abs(v) > policy.tol
+        nonzero = bool(v) if exact else abs(v) > policy.tol
         if nonzero:
-            witness = Witness(
-                point=tuple(sorted(point.items())),
-                value=_witness_value(v),
-                detail=criterion,
-            )
+            witness = Witness(tuple(sorted(point.items())), _witness_number(v), criterion)
             return Verdict.failed(criterion, witness)
     return Verdict.numeric(criterion)
 

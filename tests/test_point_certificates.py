@@ -11,17 +11,18 @@ their ranks and inertia are checked against values written out by hand.
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ggwb.calculus import ChartManifold, MetricField, _Array, contract
-from ggwb.errors import ExprError
+from ggwb.errors import ExprError, SingularMetricError
 from ggwb.hypersurface import Embedding
-from ggwb.numeric import inertia_at, kernel_inertia_at, positivity_witness, rank_at, value_at
+from ggwb.numeric import inertia_at, kernel_inertia_at, positivity_witness, rank_at
 from ggwb.structures.genmetric import GenMetric, _positivity
-from ggwb.symexpr import ZeroPolicy
+from ggwb.symexpr import ZeroPolicy, evaluate
 from ggwb.verdict import VerdictKind
 
 TINY = sp.Rational(1, 10**12)
@@ -99,7 +100,8 @@ def test_gaussian_grids(R2):
     assert inertia_at(_grid(R2, [[0, i], [-i, 0]]), base) == (1, 1)
     w = positivity_witness(_grid(R2, [[0, i], [-i, 0]]), base)
     assert w.value < 0
-    assert value_at(R2.scalar(x + i * y), base) == complex(3 / 7, 5 / 7)
+    z = evaluate(R2.scalar(x + i * y), base)
+    assert (z.x, z.y) == (Fraction(3, 7), Fraction(5, 7))
 
 
 def test_kernel_inertia_by_hand(R2):
@@ -119,6 +121,20 @@ def test_kernel_inertia_by_hand(R2):
 def test_pole_raises(R2):
     with pytest.raises(ExprError):
         rank_at(_grid(R2, [["1/(x - 3/7)", 0], [0, 1]]), R2.base_point())
+
+
+def test_metric_degenerate_at_the_base_point(R2):
+    """The base-point check of a metric is the rank certificate of [[det]]:
+    an exact determinant is degenerate only at 0, a 30-digit one when
+    |det| <= 1e-9, and a pole of the determinant is degenerate too."""
+    x0 = R2.base_point()["x"]  # 3/7
+    for rows in ([[1, 0], [0, f"x - {x0}"]], [[1, f"x - {x0}"], [f"x - {x0}", 0]],
+                 [[1, 0], [0, "exp(x)/10^12"]], [[1, 0], [0, f"1/(x - {x0})"]]):
+        with pytest.raises(SingularMetricError):
+            MetricField(R2, rows)
+    # exp(3/7)/10^8 is about 1.5e-8 > 1e-9, and (x - 3/7)^2 + 1/10^12 is exact
+    MetricField(R2, [[1, 0], [0, "exp(x)/10^8"]])
+    MetricField(R2, [[1, 0], [0, f"(x - {x0})^2 + 1/10^12"]])
 
 
 @settings(max_examples=40, deadline=None)
@@ -184,4 +200,5 @@ def test_atom_form_signs_by_hand(sphere):
     assert rank_at(grid, base) == 1
     assert kernel_inertia_at(grid, form, base) == (1, 0)
     assert kernel_inertia_at(grid, form, dict(base, a=Fraction(1))) == (0, 1)
-    assert value_at(S3.scalar("cos(2*a)"), base) == pytest.approx(0.3153223623952687)
+    with mpmath.workdps(30):
+        assert abs(evaluate(S3.scalar("cos(2*a)"), base) - mpmath.cos(mpmath.mpf(5) / 4)) < 1e-28

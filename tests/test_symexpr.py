@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 import sympy as sp
 from hypothesis import given, settings
@@ -268,6 +269,34 @@ def test_pole_resampling(chart):
     assert evaluate(e, first) is _POLE
     v = is_zero(e, pol)  # must resample past the pole, then fail
     assert v.kind is VerdictKind.FAILED
+
+
+def test_evaluate_names_a_missing_coordinate():
+    plane = ChartManifold("plane", ["x", "y"])
+    with pytest.raises(ExprError, match="coordinate.*y"):
+        evaluate(plane.scalar("x"), {"x": 1})
+
+
+def test_values_beyond_the_double_range_keep_their_digits():
+    """An atom value is a 30-digit mpmath number, finite where a double is
+    not; a witness prints a finite value as a float and a larger one by its
+    leading digits."""
+    line = ChartManifold("line", ["x"])
+    with mpmath.workdps(30):
+        v = evaluate(line.scalar("exp(800*x)"), {"x": 1})
+        assert abs(v / mpmath.exp(800) - 1) < 1e-25
+    far = ChartManifold("far", ["x"], ranges={"x": (Fraction(700), Fraction(800))})
+    for seed in (2, 0):  # x = 707.7 and x = 751.0
+        w = is_zero(far.scalar("exp(x)"), ZeroPolicy(samples=1, seed=seed)).witness
+        x0 = dict(w.point)["x"]
+        with mpmath.workdps(30):
+            ref = mpmath.exp(mpmath.mpf(x0.numerator) / x0.denominator)
+        printed = w.as_dict()["value"]
+        if seed == 2:
+            assert w.value == float(ref) and printed == f"{float(ref):.12e}"
+        else:
+            digits, exponent = printed.split("e")
+            assert (digits, int(exponent)) == (f"{float(ref / 10**326):.12e}"[:14], 326)
 
 
 def test_pole_exhaustion():

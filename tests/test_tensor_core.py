@@ -306,16 +306,16 @@ def test_section_constructors_and_outer(chart, f):
 
 def test_a_scalar_on_the_left_scales_a_field(chart, f):
     """h * T is T * h for a vector field, a 1-form and a section, the
-    scalar on either side; a sum of a scalar and a field is refused."""
+    scalar on either side; a sum or difference of a scalar and a field, in
+    either order, is refused with a TypeError."""
     x, y = chart.symbols[:2]
     h = ScalarExpr(sp.sin(x) * y + sp.exp(-y), chart)
     for T in (f.X, f.a, f.s1):
         assert type(h * T) is type(T)
         assert h * T == T * h
-        with pytest.raises(TypeError):
-            h + T
-        with pytest.raises(TypeError):
-            h - T
+        for refused in (lambda: h + T, lambda: h - T, lambda: T + h, lambda: T - h):
+            with pytest.raises(TypeError):
+                refused()
 
 
 def test_a_section_has_no_matrix_and_no_evaluation(chart, f):

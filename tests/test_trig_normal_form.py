@@ -10,9 +10,10 @@ stay NumericallySupported.
 
 import random
 
+import mpmath
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sympy as sp
@@ -159,15 +160,25 @@ def _values(expr, chart, rng, n=3):
     return out
 
 
+def _mp(v):
+    """A value of ``evaluate`` (exact, or 30-digit mpmath) or of ``evalf`` as
+    an mpmath number."""
+    if hasattr(v, "denominator"):
+        return mpmath.mpf(v.numerator) / v.denominator
+    return mpmath.mpmathify(v)
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**6))
+@example(seed=2900)  # a value of about -8.6e2100, beyond the range of a double
 def test_trig_reduce_idempotent_and_value_preserving(seed):
     chart = ChartManifold("test3", ["x", "y", "z"])
     e = random_expr(chart, random.Random(seed), max_depth=6, atoms=True, division=False)
     assert ScalarExpr(e.expr, chart) == e
     for point, ref in _values(e.expr, chart, random.Random(seed)):
-        v = evaluate(e, point)
-        assert abs(complex(v) - complex(ref)) <= 1e-12 * (1 + abs(complex(ref)))
+        with mpmath.workdps(30):
+            v, ref = _mp(evaluate(e, point)), _mp(ref)
+            assert abs(v - ref) <= 1e-12 * (1 + abs(ref))
 
 
 # -- soundness of the one representation --------------------------------------

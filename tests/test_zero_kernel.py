@@ -1,9 +1,9 @@
 """Zero costs nothing, and every frame bracket comes from one table.
 
 A zero operand of ``+ - * /`` returns before the field (the other operand,
-its negation, or the chart's one zero), ``pdiff`` and ``evaluate`` of a
-zero return at once, and ``contract`` gives the chart's zero for an empty
-sum.  The tests pin that these short cuts give exactly the scalar the
+its negation, or the chart's one zero), ``pdiff`` of a zero returns at
+once, ``evaluate`` of one gives 0, and ``contract`` gives the chart's zero
+for an empty sum.  The tests pin that these short cuts give exactly the scalar the
 general field path gives, that a check run never does field arithmetic on a
 zero, and that ``courant.bracket_table`` and the criteria read from it give
 the per-pair brackets and expression lists, in order.
