@@ -59,6 +59,7 @@ import sympy as sp
 
 from .errors import ChartMismatchError, ExprError, SingularMetricError
 from .numeric import rank_at
+from .poly import ONE, I, add, mul
 from .symexpr import (
     ScalarExpr,
     _conj,
@@ -178,6 +179,11 @@ class ChartManifold:
     @property
     def one(self) -> ScalarExpr:
         return self.scalar(1)
+
+    @property
+    def i(self) -> ScalarExpr:
+        """The Gaussian unit i as a scalar on the chart."""
+        return self.scalar(I)
 
     def base_point(self) -> dict:
         return dict(self._base)
@@ -324,15 +330,14 @@ def contract(spec: str, *operands):
         partial = [(v + n, f + (e,)) for v, f in partial for n, e in index.get(key(v), ())]
         if not partial:
             break
-    one = K.ring.one
     if not shape:
-        return _ring(chart, _field_sum(K, one, [f for _, f in partial])) if partial else chart.zero
+        return _ring(chart, _field_sum(K, [f for _, f in partial])) if partial else chart.zero
     groups = {}
     for v, f in partial:
         groups.setdefault(out_at(v), []).append(f)
     entries = {}
     for ix, terms in groups.items():
-        total = _field_sum(K, one, terms)
+        total = _field_sum(K, terms)
         if total:
             entries[ix] = total
     return _core(chart, shape, K, entries)
@@ -358,7 +363,7 @@ def _extent(array, rank: int) -> tuple:
     return tuple(shape)
 
 
-def _field_sum(K, one, terms):
+def _field_sum(K, terms):
     """Sum of products of field elements, each product a sequence of
     factors.  Numerators and denominators are multiplied as polynomials;
     the numerators over one denominator are added, and each denominator
@@ -370,23 +375,23 @@ def _field_sum(K, one, terms):
         if len(factors) == 1:
             return factors[0]
         if sum(not (f.numer.is_ground and f.denom.is_ground) for f in factors) <= 1:
-            return _scaled(K, *_product(factors, one))
+            return _scaled(K, *_product(factors))
     groups = {}
     for factors in terms:
-        num, den = _product(factors, one)
-        groups[den] = groups[den] + num if den in groups else num
+        num, den = _product(factors)
+        groups[den] = add(groups[den], num) if den in groups else num
     return _sum_over(K, groups) if groups else K.zero
 
 
-def _product(factors, one) -> tuple:
+def _product(factors) -> tuple:
     """(numerator, denominator) of a product of field elements, multiplied
     as polynomials without a gcd."""
     num, den = factors[0].numer, factors[0].denom
     for f in factors[1:]:
-        if f.numer != one:
-            num = num * f.numer
-        if f.denom != one:
-            den = den * f.denom
+        if f.numer != ONE:
+            num = mul(num, f.numer)
+        if f.denom != ONE:
+            den = mul(den, f.denom)
     return num, den
 
 
@@ -945,34 +950,9 @@ class Connection:
         return (contract("lji->ilj", _partials(F)) + contract("lim,mj->ilj", G, F)
                 - contract("mij,lm->ilj", G, F))
 
-    def metric_defect(self) -> list[ScalarExpr]:
-        """Components of nabla gamma (all zero for Levi-Civita)."""
-        n = self.chart.dim
-        g, G = self.gamma, self.christoffel
-        d = (contract("ijk->kij", _partials(g))
-             - contract("lki,lj->kij", G, g)  # Gamma^l_ki g_lj
-             - contract("lkj,il->kij", G, g)).components  # Gamma^l_kj g_il
-        return [d[k][i][j] for k in range(n) for i in range(n) for j in range(i, n)]
-
-    def torsion(self, X: VectorField, Y: VectorField) -> VectorField:
-        """nabla_X Y - nabla_Y X - [X, Y]."""
-        return self.nabla(X, Y) - self.nabla(Y, X) - lie_bracket(X, Y)
-
 
 def levi_civita(gamma: MetricField) -> Connection:
     return gamma.connection()
-
-
-# ---------------------------------------------------------------------------
-# product with a line, and lifts
-
-
-def lift_vector(X: VectorField, product: ChartManifold) -> VectorField:
-    return VectorField(product, [c.lift(product) for c in X.components] + [0])
-
-
-def lift_oneform(a: OneForm, product: ChartManifold) -> OneForm:
-    return OneForm(product, [c.lift(product) for c in a.components] + [0])
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,6 @@ import functools
 from fractions import Fraction
 from typing import Sequence
 
-import sympy as sp
-
 from .calculus import (
     ChartManifold,
     EndoTM,
@@ -232,12 +230,12 @@ class BigEndo(_Components):
         return (self @ self - BigEndo.identity(self.chart) * scalar)._flat()
 
 
-def pairing_gram(chart: ChartManifold) -> list[list[sp.Rational]]:
+def pairing_gram(chart: ChartManifold) -> list[list[Fraction]]:
     """Gram matrix of the neutral pairing in the frame (d_1..d_n ; dx^1..dx^n)."""
     n = chart.dim
-    half = sp.Rational(1, 2)
+    half = Fraction(1, 2)
     return [
-        [half if (i + n == j or j + n == i) else sp.S.Zero for j in range(2 * n)]
+        [half if (i + n == j or j + n == i) else 0 for j in range(2 * n)]
         for i in range(2 * n)
     ]
 

@@ -19,9 +19,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-import sympy as sp
-from sympy.polys.domains import QQ
-
 from .calculus import (
     ChartManifold,
     EndoTM,
@@ -45,10 +42,12 @@ from .structures.classical import AlmostContact, check_almost_contact, nijenhuis
 from .structures.genf import GenF, build_genF_from_quadruple
 from .structures.genmetric import build_gen_metric
 from .structures.twoone import TwoOneGAC, require_two_one
+from .poly import ground, mul, power, sqf_list
 from .symexpr import (
     DEFAULT_POLICY,
     ScalarExpr,
     ZeroPolicy,
+    _fraction,
     _ring,
     is_zero,
     is_zero_all,
@@ -108,12 +107,12 @@ def _sqrt_positive(q: ScalarExpr, chart: ChartManifold, policy: ZeroPolicy) -> S
 
     q is a perfect square when the square-free decompositions of its
     numerator and denominator have only even multiplicities and a square
-    rational content; the root halves them, and r*r == q is checked
+    integer content; the root halves them, and r*r == q is checked
     exactly.
     """
-    num, den = (_halve_exponents(p) for p in (q.rf.numer, q.rf.denom))
+    num, den = (_halve_exponents(p, q.rf.field) for p in (q.rf.numer, q.rf.denom))
     if num is not None and den is not None:
-        r = _ring(chart, q.rf.field.new(num, den))
+        r = _ring(chart, _fraction(q.rf.field, num, den))
         if r * r == q:
             pos, neg = inertia_at(_Array(chart, [[r]], (1, 1)), chart.base_point(), policy.tol)
             if pos or neg:
@@ -125,19 +124,17 @@ def _sqrt_positive(q: ScalarExpr, chart: ChartManifold, policy: ZeroPolicy) -> S
     )
 
 
-def _halve_exponents(p):
-    """The square root of a polynomial that is a square over Q (a square
-    rational content, every square-free factor of even multiplicity), or
-    None."""
-    if p.ring.domain is not QQ:
+def _halve_exponents(p, K):
+    """The square root of a polynomial of K that is a square over Z (a
+    square positive content, every square-free factor of even multiplicity,
+    by Yun's algorithm), or None."""
+    if K.gaussian:
         return None
-    coeff, factors = p.sqf_list()
-    rn, rd = (math.isqrt(max(v, 0)) for v in (coeff.numerator, coeff.denominator))
-    if coeff <= 0 or (rn * rn, rd * rd) != (coeff.numerator, coeff.denominator):
+    coeff, factors = sqf_list(p)
+    root = math.isqrt(max(coeff, 0))
+    if coeff <= 0 or root * root != coeff or any(k % 2 for _, k in factors):
         return None
-    if any(k % 2 for _, k in factors):
-        return None
-    return math.prod((f ** (k // 2) for f, k in factors), start=p.ring.ground_new(QQ(rn, rd)))
+    return functools.reduce(mul, (power(f, k // 2) for f, k in factors), ground(root))
 
 
 def unit_normal(
@@ -402,7 +399,7 @@ def check_gen_kahler(
         # [i][j][k]: the identities on the frame triple (d_i, d_j, d_k)
         rhs = contract("iak,aj->ijk", dpsi, J) + contract("ijb,bk->ijk", dpsi, J)
         lhs = contract("ilj,lk->ijk", gamma.connection().nabla_frame(J), gamma)
-        relpsij.extend((lhs + rhs * sp.Rational(sign, 2))._flat())
+        relpsij.extend((lhs + rhs * Fraction(sign, 2))._flat())
         dom = ext_d(_kaehler_form(gamma, J))
         relpsiom.extend((contract("abc,ai,bj,ck->ijk", dom, J, J, J) + dpsi * sign)._flat())
     v_j = is_zero_all(relpsij, policy)

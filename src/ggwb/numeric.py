@@ -26,6 +26,7 @@ points only, so they back NumericallySupported verdicts.
 from __future__ import annotations
 
 import functools
+from fractions import Fraction
 from typing import Optional
 
 import mpmath
@@ -41,7 +42,7 @@ def _values(point: dict, *grids) -> tuple:
     and the zero of that arithmetic."""
     K = functools.reduce(_join, {g.field for g in grids})
     value, exact = _evaluator(grids[0].chart, K, point)
-    zero = K.domain.zero if exact else mpmath.mpf(0)
+    zero = Fraction(0) if exact else mpmath.mpf(0)
     out = []
     for g in grids:
         rows, cols = g.shape

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-import sympy as sp
-
 from ..calculus import (
     ChartManifold,
     EndoTM,
@@ -132,10 +130,10 @@ def eigen_projections(A: Union[EndoTM, BigEndo], policy: ZeroPolicy = DEFAULT_PO
         raise StructureError(
             "eigen_projections requires an F structure", [("A^3 + A = 0", v)]
         )
-    half = sp.Rational(1, 2)
+    half, i = Fraction(1, 2), A.chart.i
     return {
-        "pr_H": -(m2 + A * sp.I) * half,
-        "pr_Hbar": -(m2 - A * sp.I) * half,
+        "pr_H": -(m2 + A * i) * half,
+        "pr_Hbar": -(m2 - A * i) * half,
         "pr_Q": type(A).identity(A.chart) + m2,
         "pr_P": -m2,
     }

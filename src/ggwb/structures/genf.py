@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
-
-import sympy as sp
 
 from ..calculus import EndoTM, contract
 from ..courant import (
@@ -175,5 +174,5 @@ def _crfk6(genf: GenF, policy: ZeroPolicy) -> Verdict:
         lhs = contract("lk,lm,imj->ijk", gamma, F, gamma.connection().nabla_frame(F))
         t1 = contract("ijb,bk->ijk", dpsi, F @ F)
         t2 = contract("iab,aj,bk->ijk", dpsi, F, F)
-        exprs.extend((lhs - (t1 + t2) * sp.Rational(sign, 2))._flat())
+        exprs.extend((lhs - (t1 + t2) * Fraction(sign, 2))._flat())
     return is_zero_all(exprs, policy, "(CRFK6)")

@@ -28,9 +28,8 @@ contracts its operator with C_pm (Gcal C_pm = +-C_pm, C_+^T G C_+ = gamma).
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Optional
-
-import sympy as sp
 
 from ..calculus import (
     EndoTM,
@@ -83,7 +82,7 @@ class GenMetric:
         q = EndoTM(chart, self.gamma.inverse_matrix())
         qp = q @ p
         # halving S and D first keeps the 1/2 out of the large rational entries
-        S, D = (F_plus + F_minus) * sp.Rational(1, 2), (F_plus - F_minus) * sp.Rational(1, 2)
+        S, D = (F_plus + F_minus) * Fraction(1, 2), (F_plus - F_minus) * Fraction(1, 2)
         M, N = g @ S - p @ D, g @ D - p @ S
         blocks = ((S + D @ qp, D @ q), (N + M @ qp, M @ q))
         rows = [a + b for left, right in blocks for a, b in zip(left.matrix, right.matrix)]

@@ -10,9 +10,8 @@ binormality; the conformal conjugates J_t decide the Sasakian property.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
-
-import sympy as sp
 
 from ..calculus import (
     ChartManifold,
@@ -374,7 +373,7 @@ def check_normal_21(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckR
 def phi_endo(s: TwoOneGAC) -> BigEndo:
     """Phi = i Fcal + flat_g Z+ (x) Z- - flat_g Z- (x) Z+ (complex)."""
     return (
-        s.Fcal * sp.I
+        s.Fcal * s.Fcal.chart.i
         + BigEndo.outer(s.Z_minus, s.Z_plus)
         - BigEndo.outer(s.Z_plus, s.Z_minus)
     )
@@ -400,7 +399,7 @@ def check_phi(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
     rng = policy.rng()
     points = [chart.base_point()] + [chart.sample_point(rng) for _ in range(2)]
     for sign in (1, -1):
-        grid = (BigEndo.identity(chart) + phi * sign) * sp.Rational(1, 2)
+        grid = (BigEndo.identity(chart) + phi * sign) * Fraction(1, 2)
         for pt in points:
             if rank_at(grid, pt, policy.tol) != chart.dim:
                 ranks_ok = False

@@ -1,11 +1,32 @@
 """Exact symbolic scalar fields on a coordinate chart.
 
-A :class:`ScalarExpr` has one representation: ``rf``, an element of a
-``sympy.polys`` ``FracField`` over Q (over Q(i) only when ``I`` occurs) in
-lex order.  Its generators are the chart coordinates and one generator per
-transcendental atom: ``E_m = exp(m)``, or ``T_m = tan(m/2)`` with
+A :class:`ScalarExpr` has one representation: ``rf``, an element of the
+rational function field over Q (over Q(i) only when ``I`` occurs) whose
+generators are the chart coordinates and one generator per transcendental
+atom: ``E_m = exp(m)``, or ``T_m = tan(m/2)`` with
 ``sin(m) = 2 T_m / (1 + T_m^2)`` and ``cos(m) = (1 - T_m^2) / (1 + T_m^2)``;
 the circle is rational, so ``sin^2 + cos^2 = 1`` holds in the field.
+
+The arithmetic is that of :mod:`ggwb.poly`.  A field element is a pair
+(numerator, denominator) of sparse polynomials with integer coefficients
+(Gaussian integers over Q(i)), each a dict from a packed-exponent int to its
+coefficient, with the first generator in the high bits so that int order
+is lex order.  Coordinates come first, in sympy's generator order of their
+names, then the atom generators in one global order.  The normal form, read
+by ``==``, ``hash`` and the zero test:
+
+* over Q, numerator and denominator have no common factor in Z[x] (their
+  integer contents are coprime too), and the denominator's leading
+  coefficient is positive: the form of :func:`sympy.cancel`;
+* over Q(i), the denominator's leading coefficient is a positive integer L,
+  the least one for which both polynomials have Gaussian integer
+  coefficients after the denominator is made monic.
+
+A product or quotient is reduced by one gcd of the new numerator and
+denominator, a sum over the least common denominator by one gcd of the new
+numerator; a constant denominator needs no gcd, only the constant
+normalization (:func:`_scaled`).  The gcd over Z is the heuristic GCD, with
+the primitive PRS when it gives up; over Q(i) it is the primitive PRS.
 
 An atom's argument is split into its constant and its additive terms
 ``q*m``.  A term with an integer ``q`` is the ``q``-th multiple of the
@@ -16,10 +37,9 @@ not a polynomial in the coordinates get a generator of their own; signs
 are pulled out, so ``f(-m)`` uses the generator of ``m``.  The terms are
 combined by the sum formulas, so the Pythagorean, sum and multiple-angle
 identities, ``exp(x) exp(y) = exp(x + y)`` and constant atoms such as
-``exp(-8/3)`` reduce inside the fraction.  The reduced fraction is the
-canonical form that ``==``, ``hash`` and the zero test read.  A value's
-field is the chart coordinates plus exactly the generators that occur in
-it, in one fixed order that does not depend on hash order.
+``exp(-8/3)`` reduce inside the fraction.  A value's field is the chart
+coordinates plus exactly the generators that occur in it, in one fixed
+order that does not depend on hash order.
 
 Zero returns before the field: an operation with a zero operand gives the
 other operand (negated for ``0 - x``) or a zero without a union field, a
@@ -28,18 +48,20 @@ result on a chart is the chart's one interned zero (``chart.zero``).
 ``x / 0`` and ``0 / 0`` still raise :class:`ExprError`.
 
 One evaluator, ``_evaluator``, gives the value of a field element at a
-rational point: exactly, in Q or Q(i), when the field has no atom
-generator, else as an mpmath number at ``_DPS`` (30) digits.  ``evaluate``
-returns that value as it is (no sympy number, no ``complex``), the zero
-test decides on it, and the point certificates of :mod:`ggwb.numeric`
-(the metric's base-point check among them) eliminate over it.
+rational point: exactly, a Fraction or a Q(i) :class:`ggwb.poly.Gaussian`,
+when the field has no atom generator, else as an mpmath number at ``_DPS``
+(30) digits.  ``evaluate`` returns that value as it is (no sympy number, no
+``complex``), the zero test decides on it, and the point certificates of
+:mod:`ggwb.numeric` (the metric's base-point check among them) eliminate
+over it.
 
 Soundness contract: ``is_zero`` answers ``Proved`` only when the reduced
 fraction is zero; the generators stand for the true functions in a ring
 homomorphism, so a zero fraction is zero as a function.  A nonzero fraction
 may still vanish (``sin(x)`` and ``sin(x/2)`` have independent generators,
 and so do multiples above ``_MAX_MULTIPLE``); the sampler decides those,
-and a ``Failed`` always carries a witness.
+and a ``Failed`` always carries a witness.  A wrong gcd would cost the
+uniqueness of the normal form, never this contract.
 
 ``expr`` is a sympy display view in the input grammar (``T_m`` shows as
 ``sin(m)/(1 + cos(m))``); without atoms it is what :func:`sympy.cancel`
@@ -58,16 +80,39 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from operator import or_
 from typing import Iterable, Optional
 
 import mpmath
 import sympy as sp
-from sympy.polys.domains import QQ, QQ_I
-from sympy.polys.fields import FracElement, FracField
-from sympy.polys.orderings import lex
-from sympy.polys.polyutils import _sort_gens
 
 from .errors import ChartMismatchError, ExprError, GgwbError, ParseError
+from .poly import (
+    FIELD,
+    ONE,
+    ZERO,
+    Field,
+    Frac,
+    Gaussian,
+    Poly,
+    add,
+    cofactors,
+    conj,
+    content,
+    diff_at,
+    exponents,
+    exquo,
+    field,
+    gaussian,
+    gcd,
+    mul,
+    mul_ground,
+    neg,
+    power,
+    quo_ground,
+    repack,
+    sub,
+)
 from .verdict import Verdict, Witness
 
 _ATOM_FUNCS = (sp.sin, sp.cos, sp.exp)
@@ -111,128 +156,142 @@ DEFAULT_POLICY = ZeroPolicy()
 
 class _Gen:
     """One atom generator: ``E_m`` (kind "exp") or ``T_m`` (kind "tan"),
-    with ``arg`` = m in its minimal field."""
+    with ``arg`` = m in its minimal field.  It is the generator's key in a
+    field; its hash is that of (kind, arg), so it does not depend on
+    memory addresses."""
 
-    __slots__ = ("symbol", "kind", "arg", "order")
+    __slots__ = ("kind", "arg", "order", "_hash")
 
-    def __init__(self, kind: str, arg: FracElement, index: int):
+    def __init__(self, kind: str, arg: Frac, index: int):
         self.kind = kind
         self.arg = arg
-        self.symbol = sp.Dummy("E" if kind == "exp" else "T")
         self.order = (kind, str(_view(arg)), index)
+        self._hash = hash((kind, arg))
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"{'E' if self.kind == 'exp' else 'T'}[{self.order[1]}]"
 
 
 # Generators are interned for the life of the process, like sympy's own
 # symbols: equal arguments must give the one generator, and a generator never
 # changes.  Their order does not depend on which was made first.
 _GEN_OF_KEY: dict = {}
-_GEN_OF_SYMBOL: dict = {}
 
 
-def _gen(kind: str, arg: FracElement) -> _Gen:
+def _gen(kind: str, arg: Frac) -> _Gen:
     g = _GEN_OF_KEY.get((kind, arg))
     if g is None:
-        g = _Gen(kind, arg, len(_GEN_OF_KEY))
-        _GEN_OF_KEY[(kind, arg)] = g
-        _GEN_OF_SYMBOL[g.symbol] = g
+        g = _GEN_OF_KEY[(kind, arg)] = _Gen(kind, arg, len(_GEN_OF_KEY))
     return g
 
 
-@lru_cache(maxsize=4096)
-def _field_on(gens: tuple, gaussian: bool) -> FracField:
-    return FracField(gens, QQ_I if gaussian else QQ, lex)
+# sympy's generator order (``sympy.polys.polyutils._sort_gens``): a name
+# sorts by the rank of its letter part, then by that part, then by its
+# numeric suffix, so x, y, z come first and a1 < a2 < a10.
+_NAME_RANK = {**{c: 301 + i for i, c in enumerate("abcdefghijklmno")},
+              **{c: 216 + i for i, c in enumerate("pqrstuvw")}, "x": 124, "y": 125, "z": 126}
+_NAME = re.compile(r"^(.*?)(\d*)$")
+
+
+def _name_key(name: str) -> tuple:
+    base, index = _NAME.match(name).groups()
+    return (_NAME_RANK.get(base, 1000), base, int(index) if index else 0)
 
 
 @lru_cache(maxsize=256)
-def _field(symbols: tuple, gaussian: bool = False) -> FracField:
-    """Q(x) or Q(i)(x) over the chart symbols, in sympy's own generator
-    order, so that the reduced fraction normalizes like :func:`sympy.cancel`."""
-    return _field_on(tuple(_sort_gens(symbols)), gaussian)
+def _field(symbols: tuple, gaussian: bool = False) -> Field:
+    """Q(x) or Q(i)(x) over the chart coordinates ``symbols`` (sympy
+    symbols), keyed by their names in sympy's generator order, so that the
+    reduced fraction normalizes like :func:`sympy.cancel`."""
+    return field(tuple(sorted((s.name for s in symbols), key=_name_key)), gaussian)
 
 
 @lru_cache(maxsize=4096)
-def _layout(K: FracField) -> tuple:
-    """(coordinate symbols, atom generators) of a field; the coordinates
+def _layout(K: Field) -> tuple:
+    """(coordinate names, atom generators) of a field; the coordinates
     come first."""
-    gens = tuple(_GEN_OF_SYMBOL[s] for s in K.symbols if s in _GEN_OF_SYMBOL)
+    gens = tuple(s for s in K.symbols if type(s) is _Gen)
     return K.symbols[: len(K.symbols) - len(gens)], gens
 
 
-def _assemble(coords, gens, gaussian: bool) -> FracField:
+def _assemble(coords, gens, gaussian: bool) -> Field:
     """The field over ``coords`` and ``gens`` in the one global order."""
     ordered = sorted(set(gens), key=lambda g: g.order)
-    return _field_on(tuple(_sort_gens(set(coords))) + tuple(g.symbol for g in ordered), gaussian)
+    return field(tuple(sorted(set(coords), key=_name_key)) + tuple(ordered), gaussian)
 
 
 @lru_cache(maxsize=4096)
-def _join(K1: FracField, K2: FracField) -> FracField:
+def _join(K1: Field, K2: Field) -> Field:
     (c1, g1), (c2, g2) = _layout(K1), _layout(K2)
-    return _assemble(c1 + c2, g1 + g2, K1.domain is QQ_I or K2.domain is QQ_I)
+    return _assemble(c1 + c2, g1 + g2, K1.gaussian or K2.gaussian)
 
 
-def _embed(rf: FracElement, K: FracField) -> FracElement:
-    """rf in a field with more symbols, in the same relative order.  Lex
-    order does not see absent variables, so the reduced fraction stays
+def _embed(rf: Frac, K: Field) -> Frac:
+    """rf in a field with more generators, in the same relative order.  Lex
+    order does not see absent generators, so the reduced fraction stays
     reduced and normalized."""
     return rf if rf.field is K else _moved(rf, K)
 
 
+@lru_cache(maxsize=4096)
+def _moves(F: Field, K: Field) -> tuple:
+    """(old shift, new shift) of every generator of F in K; a single shift
+    when they all move by the same amount."""
+    moves = tuple((F.shifts[j], K.shifts[K.index[s]]) for j, s in enumerate(F.symbols))
+    steps = {b - a for a, b in moves}
+    return (steps.pop(),) if len(steps) == 1 else moves
+
+
+def _move(p: Poly, moves: tuple) -> Poly:
+    if len(moves) == 1:
+        d = moves[0]
+        return p if not d else Poly({m << d: c for m, c in p.items()})
+    return repack(p, moves)
+
+
 @lru_cache(maxsize=65536)
-def _moved(rf: FracElement, K: FracField) -> FracElement:
-    F = rf.field
-    where, n = [K.symbols.index(s) for s in F.symbols], len(K.symbols)
-
-    def move(p):
-        out = []
-        for m, c in p.items():
-            new = [0] * n
-            for j, e in zip(where, m):
-                new[j] = e
-            out.append((tuple(new), K.domain.convert_from(c, F.domain)))
-        return K.ring.dtype(out)
-
-    return K.raw_new(move(rf.numer), move(rf.denom))
+def _moved(rf: Frac, K: Field) -> Frac:
+    moves = _moves(rf.field, K)
+    return Frac(K, _move(rf.numer, moves), _move(rf.denom, moves))
 
 
-def _shrink(rf: FracElement, keep_coords: bool = True) -> FracElement:
+def _shrink(rf: Frac, keep_coords: bool = True) -> Frac:
     """rf in the field of exactly the generators that occur in it (and of
     the coordinates that occur, without ``keep_coords``)."""
     K = rf.field
     coords, gens = _layout(K)
     if keep_coords and not gens:
         return rf
-    n, start = len(K.symbols), len(coords) if keep_coords else 0
-    keep = list(range(start)) + [
-        i for i in range(start, n) if any(m[i] for p in (rf.numer, rf.denom) for m in p)
-    ]
-    if len(keep) == n:
+    span = reduce(or_, rf.numer, 0) | reduce(or_, rf.denom, 0)
+    start = len(coords) if keep_coords else 0
+    keep = list(range(start)) + [i for i in range(start, K.n) if (span >> K.shifts[i]) & FIELD]
+    if len(keep) == K.n:
         return rf
-    Ks = _field_on(tuple(K.symbols[i] for i in keep), K.domain is QQ_I)
-
-    def pick(p):
-        return Ks.ring.dtype([(tuple(m[i] for i in keep), c) for m, c in p.items()])
-
-    return Ks.raw_new(pick(rf.numer), pick(rf.denom))
+    Ks = field(tuple(K.symbols[i] for i in keep), K.gaussian)
+    moves = tuple((K.shifts[i], Ks.shifts[j]) for j, i in enumerate(keep))
+    return Frac(Ks, repack(rf.numer, moves), repack(rf.denom, moves))
 
 
-def _settle(rf: FracElement) -> FracElement:
+def _settle(rf: Frac) -> Frac:
     """An element of a Q(i) field with real coefficients, moved to the Q
     field: the field of a value depends on the value alone."""
     K = rf.field
-    if K.domain is not QQ_I or any(c.y for p in (rf.numer, rf.denom) for c in p.values()):
+    if not K.gaussian or any(type(c) is Gaussian for p in (rf.numer, rf.denom)
+                             for c in p.values()):
         return rf
-    Kq = _field_on(K.symbols, False)
-    move = lambda p: Kq.ring.dtype([(m, c.x) for m, c in p.items()])  # noqa: E731
-    return Kq.raw_new(move(rf.numer), move(rf.denom))
+    return Frac(field(K.symbols, False), rf.numer, rf.denom)
 
 
-def _canonical(rf: FracElement, keep_coords: bool = True) -> FracElement:
-    if rf.field.domain is QQ_I:
+def _canonical(rf: Frac, keep_coords: bool = True) -> Frac:
+    if rf.field.gaussian:
         rf = _settle(rf)
     return _shrink(rf, keep_coords)
 
 
-def _unify(a: FracElement, b: FracElement) -> tuple:
+def _unify(a: Frac, b: Frac) -> tuple:
     """Both operands in one field: the union of their generators, over Q(i)
     only when one of them is Gaussian."""
     if a.field is b.field:
@@ -241,59 +300,67 @@ def _unify(a: FracElement, b: FracElement) -> tuple:
     return _embed(a, K), _embed(b, K)
 
 
-def _fraction(K: FracField, num, den) -> FracElement:
-    """num/den in lowest terms.  The reduced form sympy keeps over Q is a
-    pair of integer polynomials without common factor, contents coprime,
-    denominator with positive leading coefficient; a constant denominator
-    needs no gcd for it.  That form is num/den scaled to a monic
-    denominator, then times the least positive integer L that clears the
-    denominators of the coefficients.  Over Q(i) sympy's gcd fixes the
-    fraction only up to a constant factor, which depends on the input
-    (z/x - 7/2 - i/2 comes out over 2x or over (1 + i)x), so every Q(i)
-    fraction is brought to this form too."""
-    if not den.is_ground:
-        # the gcd costs per variable of the ring, absent ones included
-        pair = _shrink(K.raw_new(num, den), keep_coords=False)
-        rf = K.new(num, den) if pair.field is K else _embed(
-            pair.field.new(pair.numer, pair.denom), K)
-        if K.domain is QQ:
-            return rf
-        num, den = rf.numer, rf.denom
-    return _scaled(K, num, den)
-
-
-def _scaled(K: FracField, num, den) -> FracElement:
-    """num/den, given without a common factor of positive degree, in the
-    reduced form of :func:`_fraction`: scaled to a monic denominator, then
-    by the least positive integer that clears the coefficients'
-    denominators."""
+def _fraction(K: Field, num: Poly, den: Poly) -> Frac:
+    """num/den in lowest terms, in the normal form of the module docstring.
+    A constant denominator needs no gcd, only :func:`_scaled`; otherwise
+    the cofactors of one gcd (heuristic over Z, PRS over Z[i]) are the
+    reduced pair, whose signs (over Q) or constant (over Q(i)) are then
+    normalized."""
     if not num:
         return K.zero
-    c = den.LC
-    if c != 1:
-        num, den = num.quo_ground(c), den.quo_ground(c)
-    coeffs = [*num.values(), *den.values()]
-    parts = coeffs if K.domain is QQ else [q for v in coeffs for q in (v.x, v.y)]
-    L = math.lcm(*(q.denominator for q in parts))
-    if L == 1:
-        return K.raw_new(num, den)
-    return K.raw_new(num.mul_ground(L), den.mul_ground(L))
+    if len(den) == 1 and 0 in den:
+        return _scaled(K, num, den)
+    _, num, den = cofactors(num, den, K.gaussian)
+    if K.gaussian:
+        return _scaled(K, num, den)
+    if den[max(den)] < 0:
+        num, den = neg(num), neg(den)
+    return Frac(K, num, den)
 
 
-def _field_op(op, a: FracElement, b: FracElement) -> FracElement:
+def _scaled(K: Field, num: Poly, den: Poly) -> Frac:
+    """num/den, given without a common factor of positive degree, in the
+    normal form of :func:`_fraction`.  Over Q: divided by the gcd of all
+    coefficients, signed like the denominator's leading coefficient.  Over
+    Q(i): times the conjugate of that coefficient (which makes it a positive
+    integer), then divided by the gcd of every real and imaginary part."""
+    if not num:
+        return K.zero
+    u = den[max(den)]
+    if not K.gaussian:
+        c = math.gcd(math.gcd(*den.values()), *num.values())
+        if u < 0:
+            c = -c
+        return Frac(K, num, den) if c == 1 else Frac(K, quo_ground(num, c), quo_ground(den, c))
+    if type(u) is Gaussian:
+        num, den = mul_ground(num, conj(u)), mul_ground(den, conj(u))
+    elif u < 0:
+        num, den = neg(num), neg(den)
+    c = math.gcd(*(x for p in (den, num) for v in p.values()
+                   for x in ((v.x, v.y) if type(v) is Gaussian else (v,))))
+    return Frac(K, num, den) if c == 1 else Frac(K, quo_ground(num, c), quo_ground(den, c))
+
+
+def _field_op(op, a: Frac, b: Frac) -> Frac:
     """``op`` (one of + - * /) on two elements of one field."""
     K = a.field
     if op is operator.mul:
-        return _fraction(K, a.numer * b.numer, a.denom * b.denom)
+        return _fraction(K, mul(a.numer, b.numer), mul(a.denom, b.denom))
     if op is operator.truediv:
-        return _fraction(K, a.numer * b.denom, a.denom * b.numer)
-    bn = b.numer if op is operator.add else -b.numer
+        return _fraction(K, mul(a.numer, b.denom), mul(a.denom, b.numer))
+    bn = b.numer if op is operator.add else neg(b.numer)
     if a.denom == b.denom:
-        return _fraction(K, a.numer + bn, a.denom)
+        return _fraction(K, add(a.numer, bn), a.denom)
     return _sum_over(K, {a.denom: a.numer, b.denom: bn})
 
 
-def _sum_over(K: FracField, parts: dict) -> FracElement:
+def _lcm(a: Poly, b: Poly, gaussian: bool) -> Poly:
+    if len(a) == 1 and len(b) == 1 and 0 in a and 0 in b and not gaussian:
+        return Poly({0: math.lcm(a[0], b[0])})
+    return mul(a, exquo(b, gcd(a, b, gaussian)))
+
+
+def _sum_over(K: Field, parts: dict) -> Frac:
     """The sum of numerators over their denominators (``parts``, each
     fraction reduced), over the least common denominator: one gcd of the
     large numerator, against the lcm, reduces it."""
@@ -303,19 +370,18 @@ def _sum_over(K: FracField, parts: dict) -> FracElement:
     dens = list(parts)
     L = dens[0]
     for d in dens[1:]:
-        if not d.is_ground and d != L:
-            L = d * L.exquo(L.gcd(d)) if not L.is_ground else d
-    num = K.ring.zero
+        if d != L:
+            L = _lcm(L, d, K.gaussian)
+    num = ZERO
+    ground = len(L) == 1 and 0 in L
     for d, n in parts.items():
-        if d.is_ground and L.is_ground:
-            n = n.mul_ground(K.domain.quo(L.LC, d.LC))
-        elif d != L:
-            n = n * L.exquo(d)
-        num += n
+        if d != L:
+            n = mul_ground(n, L[0] // d[0]) if ground and type(L[0]) is int else mul(n, exquo(L, d))
+        num = add(num, n)
     return _fraction(K, num, L)
 
 
-def _op(op, a: FracElement, b: FracElement) -> FracElement:
+def _op(op, a: Frac, b: Frac) -> Frac:
     """``op`` on two elements of any fields, in the union field.  A zero
     operand returns before the field: the other operand (negated for
     0 - b), or the zero operand of a product or quotient."""
@@ -330,26 +396,23 @@ def _op(op, a: FracElement, b: FracElement) -> FracElement:
     return _field_op(op, *_unify(a, b))
 
 
-def _pow(rf: FracElement, n: int) -> FracElement:
-    # FracElement.__pow__ leaves a negative power unnormalized
+def _pow(rf: Frac, n: int) -> Frac:
+    """rf ** n: the powers of a reduced pair have no common factor either,
+    so only the constant normalization runs."""
     if n < 0 and not rf:
         raise ExprError("division by an expression that is identically zero")
     num, den = (rf.numer, rf.denom)[:: 1 if n >= 0 else -1]
-    return _fraction(rf.field, num ** abs(n), den ** abs(n))
+    return _scaled(rf.field, power(num, abs(n)), power(den, abs(n)))
 
 
 @lru_cache(maxsize=4096)
-def _constant(K: FracField, v) -> FracElement:
-    return K(_qq(v))
-
-
-def _qq(v) -> object:
-    """A rational number as an element of QQ."""
-    if isinstance(v, Fraction):
-        return QQ(v.numerator, v.denominator)
-    if isinstance(v, sp.Rational):
-        return QQ(int(v.p), int(v.q))
-    return QQ(v)
+def _constant(K: Field, v) -> Frac:
+    """A rational (or, in a Q(i) field, Gaussian) constant of K."""
+    if type(v) is Gaussian:
+        d = math.lcm(Fraction(v.x).denominator, Fraction(v.y).denominator)
+        return _scaled(K, Poly({0: gaussian(int(v.x * d), int(v.y * d))}), Poly({0: d}))
+    q = _to_fraction(v)
+    return Frac(K, Poly({0: q.numerator}), Poly({0: q.denominator})) if q else K.zero
 
 
 _RATIONALS = (int, Fraction, sp.Rational)
@@ -363,21 +426,17 @@ _RATIONALS = (int, Fraction, sp.Rational)
 def _angle(g: _Gen, k: int) -> tuple:
     """(cos, sin) of k*m for the generator T_m: the real and imaginary
     parts of (1 + i T)^(2k) over (1 + T^2)^k."""
-    K = _field_on((g.symbol,), False)
-    R = K.ring
-    T = R.gens[0]
-    re_, im_ = R.zero, R.zero
+    K = field((g,), False)
+    re_, im_ = {}, {}
     for j in range(2 * abs(k) + 1):
-        term = T**j * math.comb(2 * abs(k), j) * (-1) ** (j // 2)
-        if j % 2:
-            im_ += term
-        else:
-            re_ += term
-    den = (1 + T**2) ** abs(k)
-    return _fraction(K, re_, den), _fraction(K, im_ if k > 0 else -im_, den)
+        (im_ if j % 2 else re_)[j] = math.comb(2 * abs(k), j) * (-1) ** (j // 2)
+    if k < 0:
+        im_ = {j: -c for j, c in im_.items()}
+    den = power(Poly({2: 1, 0: 1}), abs(k))
+    return _fraction(K, Poly(re_), den), _fraction(K, Poly(im_), den)
 
 
-def _terms(u: FracElement, kind: str) -> list:
+def _terms(u: Frac, kind: str) -> list:
     """(generator, integer multiple) for each term q*m of the argument u."""
     if not u:
         return []
@@ -385,13 +444,13 @@ def _terms(u: FracElement, kind: str) -> list:
     gk, bound = ("exp", None) if kind == "exp" else ("tan", _MAX_MULTIPLE)
     if _layout(K)[1] or not u.denom.is_ground:
         # one term q*m, m with coprime integer contents and positive sign
-        cn = math.gcd(*map(int, u.numer.values()))
-        q = QQ(cn if u.numer.LC > 0 else -cn, math.gcd(*map(int, u.denom.values())))
+        cn = content(u.numer)
+        q = Fraction(cn if u.numer.LC > 0 else -cn, content(u.denom))
         pairs = [(q, _field_op(operator.mul, u, _constant(K, 1 / q)))]
     else:
-        one, c = K.ring.one, u.denom[K.ring.zero_monom]
-        pairs = [(coeff / c, _shrink(K.raw_new(K.ring.dtype([(m, QQ(1))]), one), keep_coords=False))
-                 for m, coeff in u.numer.terms()]
+        c = u.denom[0]
+        pairs = [(Fraction(coeff, c), _shrink(Frac(K, Poly({m: 1}), ONE), keep_coords=False))
+                 for m, coeff in sorted(u.numer.items(), reverse=True)]
     out = []
     for q, m in pairs:
         sign = 1 if q > 0 else -1
@@ -407,14 +466,14 @@ def _terms(u: FracElement, kind: str) -> list:
 
 
 @lru_cache(maxsize=16384)
-def _atom_minimal(kind: str, u: FracElement) -> FracElement:
-    one = _field_on((), False).one
+def _atom_minimal(kind: str, u: Frac) -> Frac:
+    one = field((), False).one
     if kind == "exp":
         value = one
         for g, k in _terms(u, kind):
-            value = _op(operator.mul, value, _pow(_field_on((g.symbol,), False).gens[0], k))
+            value = _op(operator.mul, value, _pow(field((g,), False).gen(0), k))
         return value
-    cos, sin = one, _field_on((), False).zero
+    cos, sin = one, field((), False).zero
     for g, k in _terms(u, kind):
         c, s = _angle(g, k)
         cos, sin = (
@@ -424,17 +483,17 @@ def _atom_minimal(kind: str, u: FracElement) -> FracElement:
     return cos if kind == "cos" else sin
 
 
-def _atom(kind: str, u: FracElement) -> FracElement:
+def _atom(kind: str, u: Frac) -> Frac:
     """sin, cos or exp of u, in a field over u's coordinates and the
     generators of u's terms."""
-    if u.field.domain is QQ_I:
+    if u.field.gaussian:
         raise ExprError(f"{kind} of a complex argument is outside the grammar")
     value = _atom_minimal(kind, _shrink(u, keep_coords=False))
     coords = _layout(u.field)[0]
-    return _embed(value, _join(value.field, _field_on(coords, False)))
+    return _embed(value, _join(value.field, field(coords, False)))
 
 
-def _tan_half(u: FracElement) -> FracElement:
+def _tan_half(u: Frac) -> Frac:
     """tan(u/2) = sin(u) / (1 + cos(u))."""
     return _op(operator.truediv, _atom("sin", u), _op(operator.add, _atom("cos", u), u.field.one))
 
@@ -444,18 +503,18 @@ def _tan_half(u: FracElement) -> FracElement:
 
 
 @lru_cache(maxsize=65536)
-def _to_field(expr: sp.Expr, symbols: tuple) -> FracElement:
+def _to_field(expr: sp.Expr, symbols: tuple) -> Frac:
     """The field element of a grammar expression over the coordinates
     ``symbols``: normalized, in the field of exactly its generators."""
     K = _field(symbols)
     if expr.is_Symbol:
-        if expr not in K.symbols:
+        if expr not in symbols:
             raise ChartMismatchError(f"symbol '{expr}' is not a coordinate of the chart")
-        return K.gens[K.symbols.index(expr)]
+        return K.gen(K.index[expr.name])
     if expr.is_Rational:
         return _constant(K, expr)
     if expr is sp.I:
-        return _field(symbols, True)(QQ_I(0, 1))
+        return _constant(_field(symbols, True), Gaussian(0, 1))
     if expr is sp.E:
         return _canonical(_atom("exp", K.one))
     if expr.is_Add or expr.is_Mul:
@@ -486,28 +545,45 @@ def _display(g: _Gen) -> sp.Expr:
                   evaluate=False)
 
 
-def _poly_view(p, values: list) -> sp.Expr:
-    to_sympy = p.ring.domain.to_sympy
+def _sympy_number(c) -> sp.Expr:
+    if type(c) is Gaussian:
+        return sp.Integer(c.x) + sp.I * sp.Integer(c.y)
+    return sp.Integer(c)
+
+
+def _poly_expr(p: Poly, values: list) -> sp.Expr:
+    """p as an evaluated sympy expression, as sympy's ``as_expr`` builds it."""
+    n = len(values)
+    return sp.Add(*(sp.Mul(_sympy_number(c), *(sp.Pow(v, e) for v, e in zip(values, exponents(m, n))
+                                               if e))
+                    for m, c in p.items()))
+
+
+def _poly_view(p: Poly, values: list) -> sp.Expr:
+    n = len(values)
     terms = []
-    for m, c in p.terms():
-        factors = [v if e == 1 else sp.Pow(v, e, evaluate=False) for v, e in zip(values, m) if e]
+    for m in sorted(p, reverse=True):
+        c = p[m]
+        factors = [v if e == 1 else sp.Pow(v, e, evaluate=False)
+                   for v, e in zip(values, exponents(m, n)) if e]
         if c != 1 or not factors:
-            factors.insert(0, to_sympy(c))
+            factors.insert(0, _sympy_number(c))
         terms.append(factors[0] if len(factors) == 1 else sp.Mul(*factors, evaluate=False))
     return terms[0] if len(terms) == 1 else sp.Add(*terms, evaluate=False)
 
 
 @lru_cache(maxsize=65536)
-def _view(rf: FracElement) -> sp.Expr:
+def _view(rf: Frac) -> sp.Expr:
     """Without atoms, sympy's own expression of the reduced fraction.  With
     atoms the tree is built unevaluated: sympy would merge exp(1/2)*exp(1/3)
     into exp(5/6), which is another generator."""
     coords, gens = _layout(rf.field)
+    symbols = [sp.Symbol(c) for c in coords]
     if not gens:
-        return rf.as_expr()
-    values = list(coords) + [_display(g) for g in gens]
+        return _poly_expr(rf.numer, symbols) / _poly_expr(rf.denom, symbols)
+    values = symbols + [_display(g) for g in gens]
     num = _poly_view(rf.numer, values) if rf.numer else sp.S.Zero
-    if rf.denom == 1:
+    if rf.denom == ONE:
         return num
     return sp.Mul(num, sp.Pow(_poly_view(rf.denom, values), -1, evaluate=False), evaluate=False)
 
@@ -537,6 +613,8 @@ class ScalarExpr:
             raise ExprError("float literals are not allowed; use exact rationals")
         elif isinstance(value, _RATIONALS):
             rf = _constant(_field(chart.symbols), value)
+        elif isinstance(value, Gaussian):
+            rf = _canonical(_constant(_field(chart.symbols, True), value))
         else:
             # the grammar boundary: parse or sympify, then convert, which
             # rejects every node outside the grammar
@@ -674,15 +752,15 @@ class ScalarExpr:
 
     def subs_chart(self, chart, mapping: dict) -> "ScalarExpr":
         """Composition: replace this chart's symbols by scalars on ``chart``."""
-        sub = {}
+        sub_ = {}
         for sym, val in mapping.items():
             if sym not in self.chart.symbols:
                 raise ChartMismatchError(f"'{sym}' is not a coordinate of {self.chart.name}")
-            sub[sym] = (val if isinstance(val, ScalarExpr) else ScalarExpr(val, chart)).rf
+            sub_[sym.name] = (val if isinstance(val, ScalarExpr) else ScalarExpr(val, chart)).rf
         for sym in self.chart.symbols:
-            if sym not in sub:
-                sub[sym] = ScalarExpr(sym, chart).rf
-        return _ring(chart, _compose(self.rf, sub, {}))
+            if sym.name not in sub_:
+                sub_[sym.name] = ScalarExpr(sym, chart).rf
+        return _ring(chart, _compose(self.rf, sub_, {}))
 
 
 def _init(obj: ScalarExpr, chart, rf) -> ScalarExpr:
@@ -693,63 +771,79 @@ def _init(obj: ScalarExpr, chart, rf) -> ScalarExpr:
     return obj
 
 
-def _ring(chart, rf: FracElement) -> ScalarExpr:
+def _ring(chart, rf: Frac) -> ScalarExpr:
     if not rf:
         return chart.zero
     K = rf.field
-    if K.domain is QQ_I or _layout(K)[1]:
+    if K.gaussian or _layout(K)[1]:
         rf = _canonical(rf)
     return _init(object.__new__(ScalarExpr), chart, rf)
 
 
-def _poly_at(p, vals: list, K: FracField) -> tuple:
+def _poly_at(p: Poly, vals: list) -> tuple:
     """(N, D) with p(vals) = N/D, for values ``vals`` = (numerator,
-    denominator) pairs in K's ring, one per variable of p: over the common
-    denominator, without a gcd."""
-    degs = [max((m[i] for m in p), default=0) for i in range(len(vals))]
-    pows = [[[K.ring.one] + [v**e for e in range(1, d + 1)] for v in pair]
-            for pair, d in zip(vals, degs)]
-    total = K.ring.zero
-    for m, c in p.items():
-        term = K.ring.ground_new(K.domain.convert_from(c, p.ring.domain))
-        for (an, bn), e, d in zip(pows, m, degs):
-            term *= an[e] * bn[d - e] if d else 1
-        total += term
-    return total, math.prod((bn[-1] for _, bn in pows), start=K.ring.one)
+    denominator) pairs of polynomials, one per generator of p: over the
+    common denominator, without a gcd."""
+    n = len(vals)
+    exps = [exponents(m, n) for m in p]
+    degs = [max(col) for col in zip(*exps)] if exps else [0] * n
+    pows = []
+    for pair, d in zip(vals, degs):
+        tables = []
+        for v in pair:
+            t = [ONE]
+            for _ in range(d):
+                t.append(mul(t[-1], v))
+            tables.append(t)
+        pows.append(tables)
+    total = ZERO
+    for c, ex in zip(p.values(), exps):
+        term = Poly({0: c})
+        for (an, bn), e, d in zip(pows, ex, degs):
+            if d:
+                term = mul(term, mul(an[e], bn[d - e]))
+        total = add(total, term)
+    den = ONE
+    for (_, bn), d in zip(pows, degs):
+        if d:
+            den = mul(den, bn[d])
+    return total, den
 
 
-def _compose(rf: FracElement, sub: dict, memo: dict) -> FracElement:
-    """rf with each coordinate replaced by ``sub[coordinate]`` and each
+def _compose(rf: Frac, sub_: dict, memo: dict) -> Frac:
+    """rf with each coordinate replaced by ``sub_[coordinate]`` and each
     generator by the same atom of its composed argument."""
     values = []
     for s in rf.field.symbols:
-        g = _GEN_OF_SYMBOL.get(s)
-        if g is None:
-            values.append(sub[s])
+        if type(s) is not _Gen:
+            values.append(sub_[s])
             continue
         if s not in memo:
-            arg = _compose(g.arg, sub, memo)
-            memo[s] = _atom("exp", arg) if g.kind == "exp" else _tan_half(arg)
+            arg = _compose(s.arg, sub_, memo)
+            memo[s] = _atom("exp", arg) if s.kind == "exp" else _tan_half(arg)
         values.append(memo[s])
     K = rf.field if not values else None
     for v in values:
         K = v.field if K is None else _join(K, v.field)
-    if rf.field.domain is QQ_I:
-        K = _join(K, _field_on((), True))
+    if rf.field.gaussian:
+        K = _join(K, field((), True))
     pairs = [(m.numer, m.denom) for m in (_embed(v, K) for v in values)]
-    Nn, Dn = _poly_at(rf.numer, pairs, K)
-    Nd, Dd = _poly_at(rf.denom, pairs, K)
+    Nn, Dn = _poly_at(rf.numer, pairs)
+    Nd, Dd = _poly_at(rf.denom, pairs)
     if not Nd:
         raise ExprError("zero denominator after composition")
-    return _fraction(K, Nn * Dd, Dn * Nd)
+    return _fraction(K, mul(Nn, Dd), mul(Dn, Nd))
 
 
-def _conj(rf: FracElement) -> FracElement:
+def _conj(rf: Frac) -> Frac:
+    """The conjugate: i -> -i in the coefficients.  The denominator's
+    leading coefficient is a positive integer, and conjugation keeps it and
+    the gcd of the parts, so the result is already in normal form."""
     K = rf.field
-    if K.domain is not QQ_I:
+    if not K.gaussian:
         return rf
-    conj = lambda p: K.ring.dtype([(m, QQ_I(c.x, -c.y)) for m, c in p.items()])  # noqa: E731
-    return _fraction(K, conj(rf.numer), conj(rf.denom))
+    flip = lambda p: Poly({m: conj(c) for m, c in p.items()})  # noqa: E731
+    return Frac(K, flip(rf.numer), flip(rf.denom))
 
 
 # ---------------------------------------------------------------------------
@@ -767,64 +861,51 @@ def pdiff(e: ScalarExpr, sym: sp.Symbol) -> ScalarExpr:
     """
     if not e.rf:
         return e
-    return _init(object.__new__(ScalarExpr), e.chart, _derivative(e.rf, sym))
+    return _init(object.__new__(ScalarExpr), e.chart, _derivative(e.rf, sym.name))
 
 
 @lru_cache(maxsize=65536)
-def _derivative(rf: FracElement, sym: sp.Symbol) -> FracElement:
-    return _canonical(_diff(rf, sym))
-
-
-@lru_cache(maxsize=4096)
-def _positions(K: FracField) -> dict:
-    return {s: i for i, s in enumerate(K.symbols)}
-
-
-def _poly_diff(p, i: int):
-    out = p.ring.zero
-    for m, c in p.items():
-        if m[i]:
-            out[m[:i] + (m[i] - 1,) + m[i + 1:]] = c * m[i]
-    return out
+def _derivative(rf: Frac, name: str) -> Frac:
+    return _canonical(_diff(rf, name))
 
 
 @lru_cache(maxsize=16384)
-def _gen_diff(g: _Gen, sym: sp.Symbol) -> Optional[FracElement]:
-    """d(generator)/d(sym) in its minimal field, None when it is zero."""
-    du = _diff(g.arg, sym)
+def _gen_diff(g: _Gen, name: str) -> Optional[Frac]:
+    """d(generator)/d(name) in its minimal field, None when it is zero."""
+    du = _diff(g.arg, name)
     if not du:
         return None
-    G = _field_on((g.symbol,), False).gens[0]
-    factor = G if g.kind == "exp" else _fraction(G.field, G.numer**2 + 1, G.field.ring(2))
+    G = field((g,), False).gen(0)
+    factor = G if g.kind == "exp" else _fraction(G.field, add(power(G.numer, 2), ONE),
+                                                 Poly({0: 2}))
     return _canonical(_op(operator.mul, factor, du), keep_coords=False)
 
 
-def _diff(rf: FracElement, sym: sp.Symbol) -> FracElement:
-    # FracElement.diff fails over QQ_I in sympy 1.14 ("f.denom should be 1");
-    # the quotient rule on the numerator and denominator works over both
+def _diff(rf: Frac, name: str) -> Frac:
     K = rf.field
-    parts = [(sym, None)] if sym in _positions(K) else []  # (symbol, its derivative or 1)
-    parts += [(g.symbol, dv) for g in _layout(K)[1] for dv in [_gen_diff(g, sym)] if dv]
+    parts = [(name, None)] if name in K.index else []  # (key, its derivative or 1)
+    parts += [(g, dv) for g in _layout(K)[1] for dv in [_gen_diff(g, name)] if dv]
     if not parts or rf.numer.is_ground and rf.denom.is_ground:
         return K.zero
     L = reduce(_join, (dv.field for _, dv in parts if dv is not None), K)
     f = _embed(rf, L)
     n, d, B = f.numer, f.denom, None
-    parts = [(_positions(L)[s], dv if dv is None else _embed(dv, L)) for s, dv in parts]
+    parts = [(L.shifts[L.index[s]], dv if dv is None else _embed(dv, L)) for s, dv in parts]
     for _, dv in parts:  # B: the common denominator of the generator derivatives
-        if dv is not None and dv.denom != 1:
-            B = dv.denom if B is None else B * dv.denom.exquo(B.gcd(dv.denom))
+        if dv is not None and dv.denom != ONE:
+            B = dv.denom if B is None else _lcm(B, dv.denom, False)
     # d(n/d) = (dn d - n dd) / d^2, with dn = sum_j d_j n * dv_j over B
     dn = dd = None
-    for j, dv in parts:
-        pn, pd = _poly_diff(n, j), _poly_diff(d, j)
+    for s, dv in parts:
+        pn, pd = diff_at(n, s), diff_at(d, s)
         if dv is not None or B is not None:
-            factor = B if dv is None else dv.numer if B is None else dv.numer * B.exquo(dv.denom)
-            pn, pd = pn * factor, pd * factor
-        dn, dd = (pn, pd) if dn is None else (dn + pn, dd + pd)
+            factor = B if dv is None else dv.numer if B is None else mul(dv.numer,
+                                                                         exquo(B, dv.denom))
+            pn, pd = mul(pn, factor), mul(pd, factor)
+        dn, dd = (pn, pd) if dn is None else (add(dn, pn), add(dd, pd))
     if B is not None:
-        n, d = n * B, d * B
-    return _fraction(L, dn, d) if not dd else _fraction(L, dn * d - n * dd, d * d)
+        n, d = mul(n, B), mul(d, B)
+    return _fraction(L, dn, d) if not dd else _fraction(L, sub(mul(dn, d), mul(n, dd)), mul(d, d))
 
 
 def differentiate(e: ScalarExpr, coord) -> ScalarExpr:
@@ -843,14 +924,16 @@ def differentiate(e: ScalarExpr, coord) -> ScalarExpr:
 _POLE = object()
 
 
-def _at(rf: FracElement, vals: list, coefficient) -> object:
-    """numerator/denominator at the values of the field's symbols; a pole
-    is a zero of the reduced denominator."""
+def _at(rf: Frac, vals: list, coefficient) -> object:
+    """numerator/denominator at the values of the field's generators; a
+    pole is a zero of the reduced denominator."""
+    n = len(vals)
+
     def at(p):
         total = 0
         for monom, c in p.items():
             c = coefficient(c)
-            for v, e in zip(vals, monom):
+            for v, e in zip(vals, exponents(monom, n)):
                 if e:
                     c *= v**e
             total += c
@@ -860,46 +943,77 @@ def _at(rf: FracElement, vals: list, coefficient) -> object:
     return _POLE if not den else at(rf.numer) / den
 
 
+def _exact_at(rf: Frac, vals: list) -> object:
+    """The value at rational ``vals`` (one Fraction per generator), in Q or
+    Q(i): each polynomial is summed over the common denominator in integer
+    (or Gaussian integer) arithmetic, and one Fraction is made at the end."""
+    n = len(vals)
+
+    def at(p):
+        exps = [exponents(m, n) for m in p]
+        degs = [max(col) for col in zip(*exps)] if exps else [0] * n
+        tables = [([1], [1]) for _ in range(n)]
+        for (an, bn), v, d in zip(tables, vals, degs):
+            for _ in range(d):
+                an.append(an[-1] * v.numerator)
+                bn.append(bn[-1] * v.denominator)
+        total = 0
+        for c, ex in zip(p.values(), exps):
+            for (an, bn), e, d in zip(tables, ex, degs):
+                if d:
+                    c = c * an[e] * bn[d - e]
+            total += c
+        return total, math.prod(bn[d] for (_, bn), d in zip(tables, degs))
+
+    Nd, Dd = at(rf.denom)
+    if not Nd:
+        return _POLE
+    Nn, Dn = at(rf.numer)
+    top, bottom = Nn * Dd, Dn * Nd
+    if type(top) is int and type(bottom) is int:
+        return Fraction(top, bottom)
+    return top / bottom  # a Gaussian on either side divides into Q(i)
+
+
 def _mp(c):
-    """A coefficient of QQ or QQ_I as an mpmath number."""
-    if hasattr(c, "y"):
-        return mpmath.mpc(_mp(c.x), _mp(c.y))
-    return mpmath.mpf(int(c.numerator)) / int(c.denominator)
+    """A coefficient (an int or a Gaussian integer) as an mpmath number."""
+    if type(c) is Gaussian:
+        return mpmath.mpc(mpmath.mpf(c.x), mpmath.mpf(c.y))
+    return mpmath.mpf(c)
 
 
-def _eval_mp(rf: FracElement, point: dict, memo: dict) -> object:
-    """Value at ``point`` (coordinate symbol -> mpf), the generators
+def _eval_mp(rf: Frac, point: dict, memo: dict) -> object:
+    """Value at ``point`` (coordinate name -> mpf), the generators
     evaluated by mpmath."""
     vals = []
     for s in rf.field.symbols:
-        g = _GEN_OF_SYMBOL.get(s)
-        if g is not None and s not in memo:
-            m = _eval_mp(g.arg, point, memo)
-            memo[s] = m if m is _POLE else (mpmath.exp(m) if g.kind == "exp" else mpmath.tan(m / 2))
-        v = point[s] if g is None else memo[s]
+        if type(s) is _Gen and s not in memo:
+            m = _eval_mp(s.arg, point, memo)
+            memo[s] = m if m is _POLE else (mpmath.exp(m) if s.kind == "exp" else mpmath.tan(m / 2))
+        v = memo[s] if type(s) is _Gen else point[s]
         if v is _POLE:
             return _POLE
         vals.append(v)
     return _at(rf, vals, _mp)
 
 
-def _evaluator(chart, K: FracField, point: dict):
+def _evaluator(chart, K: Field, point: dict):
     """The value function of the elements of K at ``point`` (coordinate ->
     rational), and whether its values are exact.
 
     The one evaluator of the package.  Without an atom generator in K the
-    values are exact: elements of K's domain, Q or Q(i), from the domain
-    coefficients.  With one they are mpmath numbers at ``_DPS`` digits, the
-    generators evaluated by mpmath.  A pole gives ``_POLE``; a coordinate of
-    K that the point misses raises :class:`ExprError`."""
-    pt = {chart.symbol(c): _to_fraction(v) for c, v in point.items()}
+    values are exact: Fractions, or Q(i) values as :class:`Gaussian`.  With
+    one they are mpmath numbers at ``_DPS`` digits, the generators evaluated
+    by mpmath.  A pole gives ``_POLE``; a coordinate of K that the point
+    misses raises :class:`ExprError`."""
+    pt = {chart.symbol(c).name: _to_fraction(v) for c, v in point.items()}
     coords, gens = _layout(K)
-    missing = [str(s) for s in coords if s not in pt]
+    missing = [s for s in coords if s not in pt]
     if missing:
         raise ExprError(f"the point gives no value for the coordinate(s) {', '.join(missing)}")
     if not gens:
-        vals = [K.domain.convert_from(_qq(pt[s]), QQ) for s in K.symbols]
-        return (lambda rf: _at(rf, vals, lambda c: c)), True
+        vals = [pt[s] for s in K.symbols]
+        return (lambda rf: _exact_at(rf, vals)), True
     with mpmath.workdps(_DPS):
         mp = {s: mpmath.mpf(q.numerator) / q.denominator for s, q in pt.items()}
     memo = {}
@@ -913,8 +1027,8 @@ def _evaluator(chart, K: FracField, point: dict):
 
 def evaluate(e: ScalarExpr, point: dict) -> object:
     """The value of ``e`` at a rational point, read by :func:`_evaluator`:
-    an element of Q or Q(i) without atoms, else a ``_DPS``-digit mpmath
-    number; ``_POLE`` when the point hits a pole."""
+    a Fraction (or a Q(i) :class:`Gaussian`) without atoms, else a
+    ``_DPS``-digit mpmath number; ``_POLE`` when the point hits a pole."""
     return _evaluator(e.chart, e.rf.field, point)[0](e.rf)
 
 
@@ -929,10 +1043,10 @@ def _witness_number(v):
     Fraction when it is exact and real, a float, or a complex when it has an
     imaginary part; a 30-digit value beyond the double range keeps its
     leading 13 digits, as a string."""
-    if hasattr(v, "y"):  # Q(i)
-        return _witness_number(v.x) if not v.y else complex(float(v.x), float(v.y))
+    if type(v) is Gaussian:
+        return complex(float(v.x), float(v.y))
     if not isinstance(v, (mpmath.mpf, mpmath.mpc)):
-        return Fraction(int(v.numerator), int(v.denominator))
+        return Fraction(v)
     v = v if v.imag else v.real
     f = complex(v) if v.imag else float(v)
     return f if cmath.isfinite(f) else mpmath.nstr(v, 13, strip_zeros=False, min_fixed=1,

@@ -215,3 +215,31 @@ def test_transcendental_builtins_run_without_sympy_algebra(monkeypatch):
     assert {c["check"]: c["verdict"] for c in report["checks"]} == S3_VERDICTS
     report = run_checks(s4).as_dict()
     assert [c["check"] for c in report["checks"] if c["verdict"] == "Failed"] == ["hyp_CRFK"]
+
+
+# the field arithmetic of symexpr: fractions, sums, powers, derivatives,
+# composition, moves between fields, atoms and exact or mpmath evaluation
+FIELD_ARITHMETIC = (
+    "_fraction", "_scaled", "_field_op", "_lcm", "_sum_over", "_op", "_pow", "_constant",
+    "_derivative", "_gen_diff", "_diff", "_poly_at", "_compose", "_conj", "_moved", "_move",
+    "_moves", "_shrink", "_settle", "_canonical", "_unify", "_embed", "_join", "_terms",
+    "_angle", "_atom_minimal", "_atom", "_at", "_exact_at", "_eval_mp", "_evaluator",
+)
+
+
+def test_the_polynomial_core_uses_no_sympy():
+    """``ggwb.poly`` imports nothing from sympy and names no sympy module,
+    and the field arithmetic of ``symexpr`` reads neither ``sp`` nor
+    ``sympy``: sympy stays with the parser's tree, the view and input."""
+    root = Path(ggwb.__file__).parent
+    core = ast.parse((root / "poly.py").read_text())
+    names = {a.name for node in ast.walk(core) if isinstance(node, ast.Import) for a in node.names}
+    names |= {node.module or "" for node in ast.walk(core) if isinstance(node, ast.ImportFrom)}
+    assert not any(n.split(".")[0] == "sympy" for n in names)
+    assert not {node.id for node in ast.walk(core) if isinstance(node, ast.Name)} & {"sp", "sympy"}
+    tree = ast.parse((root / "symexpr.py").read_text())
+    defined = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert set(FIELD_ARITHMETIC) <= set(defined)
+    for name in FIELD_ARITHMETIC:
+        used = {n.id for n in ast.walk(defined[name]) if isinstance(n, ast.Name)}
+        assert not used & {"sp", "sympy"}, name

@@ -247,10 +247,11 @@ def test_scalar_agrees_with_evalf_of_the_source_tree(seed):
     s = ScalarExpr(tree, chart)
     for point, ref in _values(tree, chart, random.Random(seed + 1)):
         v = evaluate(s, point)
-        if v is _POLE or not ref.is_finite or abs(ref) > 1e300:
-            continue  # a pole, or a value outside the range of a double
-        ref = complex(ref)
-        assert abs(complex(v) - ref) <= 1e-12 * max(1.0, abs(ref))
+        if v is _POLE or not ref.is_finite:
+            continue  # a pole of the scalar or of the source tree
+        with mpmath.workdps(30):
+            v, ref = _mp(v), _mp(ref)
+            assert abs(v - ref) <= 1e-12 * max(1, abs(ref))
 
 
 # -- the sphere example, decided without trigsimp ------------------------------

@@ -44,7 +44,7 @@ from ggwb.structures.twoone import (
     second_structure,
     unified_normality_tensor,
 )
-from ggwb.symexpr import QQ_I, ScalarExpr, _canonical, _field_op, _layout, _unify, random_tree
+from ggwb.symexpr import ScalarExpr, _canonical, _field_op, _layout, _unify, random_tree
 from ggwb.workbench import load_builtin, run_checks
 
 OPS = (operator.add, operator.sub, operator.mul, operator.truediv)
@@ -64,7 +64,7 @@ def _general(op, a: ScalarExpr, b: ScalarExpr):
     """The field path without short cuts: union field, field operation,
     canonical form."""
     rf = _field_op(op, *_unify(a.rf, b.rf))
-    if rf.field.domain is QQ_I or _layout(rf.field)[1]:
+    if rf.field.gaussian or _layout(rf.field)[1]:
         rf = _canonical(rf)
     return rf
 
