@@ -65,9 +65,12 @@ uniqueness of the normal form, never this contract.
 
 ``expr`` is a sympy display view in the input grammar (``T_m`` shows as
 ``sin(m)/(1 + cos(m))``); without atoms it is what :func:`sympy.cancel`
-returns.  No package code reads it back.  Grammar expressions (coordinates,
-rational literals, integer powers, ``sin``, ``cos``, ``exp``) are checked
-where they enter, by the conversion of a parsed or sympy value.
+returns.  No package code reads it back.  Scenario text (coordinates,
+rational literals, integer powers, ``sin``, ``cos``, ``exp``) is read
+straight into the field by ``_Parser``, which keeps its degree and digit
+bounds on its own grammar tree; sympy converts only sympy input
+(``ScalarExpr(sympy_expr, chart)`` and :func:`random_tree`), through
+``_to_field``, which rejects every node outside the grammar.
 """
 
 from __future__ import annotations
@@ -105,6 +108,7 @@ from .poly import (
     field,
     gaussian,
     gcd,
+    ground,
     mul,
     mul_ground,
     neg,
@@ -615,11 +619,11 @@ class ScalarExpr:
             rf = _constant(_field(chart.symbols), value)
         elif isinstance(value, Gaussian):
             rf = _canonical(_constant(_field(chart.symbols, True), value))
+        elif isinstance(value, str):
+            rf = _Parser(value, chart).parse()
         else:
-            # the grammar boundary: parse or sympify, then convert, which
-            # rejects every node outside the grammar
-            expr = _parse(value, chart) if isinstance(value, str) else sp.sympify(value)
-            rf = _to_field(expr, chart.symbols)
+            # sympy input: the conversion rejects every node outside the grammar
+            rf = _to_field(sp.sympify(value), chart.symbols)
         _init(self, chart, rf)
 
     def __setattr__(self, *a):  # immutability
@@ -652,22 +656,9 @@ class ScalarExpr:
             if isinstance(other, _Components):
                 # a tensor field: its own reflected operator scales it or refuses
                 return NotImplemented
-            other = ScalarExpr(other, self.chart)
-            b = other.rf
+            b = ScalarExpr(other, self.chart).rf
         a = self.rf
-        if a and b:
-            return _ring(self.chart, _op(op, *((b, a) if swap else (a, b))))
-        # zero returns before the field
-        if not isinstance(other, ScalarExpr):
-            other = _ring(self.chart, b)
-        x, y = (other, self) if swap else (self, other)
-        if not y.rf:
-            if op is operator.truediv:
-                raise ExprError("division by an expression that is identically zero")
-            return self.chart.zero if op is operator.mul else x
-        if op is operator.add:
-            return y
-        return -y if op is operator.sub else self.chart.zero
+        return _ring(self.chart, _op(op, *((b, a) if swap else (a, b))))
 
     def __add__(self, other):
         return self._op(other, operator.add)
@@ -751,15 +742,19 @@ class ScalarExpr:
         return _ring(chart, _embed(self.rf, _join(self.rf.field, _field(chart.symbols))))
 
     def subs_chart(self, chart, mapping: dict) -> "ScalarExpr":
-        """Composition: replace this chart's symbols by scalars on ``chart``."""
+        """Composition: replace this chart's symbols by scalars on ``chart``;
+        an unmapped coordinate stays itself, a coordinate of ``chart``."""
         sub_ = {}
         for sym, val in mapping.items():
             if sym not in self.chart.symbols:
                 raise ChartMismatchError(f"'{sym}' is not a coordinate of {self.chart.name}")
             sub_[sym.name] = (val if isinstance(val, ScalarExpr) else ScalarExpr(val, chart)).rf
-        for sym in self.chart.symbols:
-            if sym.name not in sub_:
-                sub_[sym.name] = ScalarExpr(sym, chart).rf
+        K = _field(chart.symbols)
+        for name in self.chart.coords:
+            if name not in sub_:
+                if name not in K.index:
+                    raise ChartMismatchError(f"symbol '{name}' is not a coordinate of the chart")
+                sub_[name] = K.gen(K.index[name])
         return _ring(chart, _compose(self.rf, sub_, {}))
 
 
@@ -780,10 +775,19 @@ def _ring(chart, rf: Frac) -> ScalarExpr:
     return _init(object.__new__(ScalarExpr), chart, rf)
 
 
-def _poly_at(p: Poly, vals: list) -> tuple:
+# The arithmetic :func:`_poly_at` evaluates in: (one, product, sum, the
+# coefficient as a value).  Polynomial values compose, exact values are ints
+# and Gaussian integers, and 30-digit values are mpmath numbers.
+_POLYS = (ONE, mul, add, ground)
+_EXACT = (1, operator.mul, operator.add, lambda c: c)
+
+
+def _poly_at(p: Poly, vals: list, arith: tuple = _POLYS) -> tuple:
     """(N, D) with p(vals) = N/D, for values ``vals`` = (numerator,
-    denominator) pairs of polynomials, one per generator of p: over the
-    common denominator, without a gcd."""
+    denominator) pairs, one per generator of p: over the common denominator,
+    from tables of the powers of both, without a gcd.  The one evaluator of
+    polynomials, in the arithmetic ``arith``."""
+    one, times, plus, coefficient = arith
     n = len(vals)
     exps = [exponents(m, n) for m in p]
     degs = [max(col) for col in zip(*exps)] if exps else [0] * n
@@ -791,22 +795,22 @@ def _poly_at(p: Poly, vals: list) -> tuple:
     for pair, d in zip(vals, degs):
         tables = []
         for v in pair:
-            t = [ONE]
+            t = [one]
             for _ in range(d):
-                t.append(mul(t[-1], v))
+                t.append(times(t[-1], v))
             tables.append(t)
         pows.append(tables)
-    total = ZERO
+    total = coefficient(0)
     for c, ex in zip(p.values(), exps):
-        term = Poly({0: c})
+        term = coefficient(c)
         for (an, bn), e, d in zip(pows, ex, degs):
             if d:
-                term = mul(term, mul(an[e], bn[d - e]))
-        total = add(total, term)
-    den = ONE
+                term = times(term, times(an[e], bn[d - e]))
+        total = plus(total, term)
+    den = one
     for (_, bn), d in zip(pows, degs):
         if d:
-            den = mul(den, bn[d])
+            den = times(den, bn[d])
     return total, den
 
 
@@ -924,51 +928,15 @@ def differentiate(e: ScalarExpr, coord) -> ScalarExpr:
 _POLE = object()
 
 
-def _at(rf: Frac, vals: list, coefficient) -> object:
-    """numerator/denominator at the values of the field's generators; a
-    pole is a zero of the reduced denominator."""
-    n = len(vals)
-
-    def at(p):
-        total = 0
-        for monom, c in p.items():
-            c = coefficient(c)
-            for v, e in zip(vals, exponents(monom, n)):
-                if e:
-                    c *= v**e
-            total += c
-        return total
-
-    den = at(rf.denom)
-    return _POLE if not den else at(rf.numer) / den
-
-
-def _exact_at(rf: Frac, vals: list) -> object:
-    """The value at rational ``vals`` (one Fraction per generator), in Q or
-    Q(i): each polynomial is summed over the common denominator in integer
-    (or Gaussian integer) arithmetic, and one Fraction is made at the end."""
-    n = len(vals)
-
-    def at(p):
-        exps = [exponents(m, n) for m in p]
-        degs = [max(col) for col in zip(*exps)] if exps else [0] * n
-        tables = [([1], [1]) for _ in range(n)]
-        for (an, bn), v, d in zip(tables, vals, degs):
-            for _ in range(d):
-                an.append(an[-1] * v.numerator)
-                bn.append(bn[-1] * v.denominator)
-        total = 0
-        for c, ex in zip(p.values(), exps):
-            for (an, bn), e, d in zip(tables, ex, degs):
-                if d:
-                    c = c * an[e] * bn[d - e]
-            total += c
-        return total, math.prod(bn[d] for (_, bn), d in zip(tables, degs))
-
-    Nd, Dd = at(rf.denom)
+def _value_at(rf: Frac, vals: list, arith: tuple) -> object:
+    """rf at ``vals`` (the pairs of :func:`_poly_at`), as one quotient of
+    the values over their common denominators: a Fraction when both sides
+    are ints, else a Q(i) :class:`Gaussian` or an mpmath number.  A pole is
+    a zero of the reduced denominator."""
+    Nd, Dd = _poly_at(rf.denom, vals, arith)
     if not Nd:
         return _POLE
-    Nn, Dn = at(rf.numer)
+    Nn, Dn = _poly_at(rf.numer, vals, arith)
     top, bottom = Nn * Dd, Dn * Nd
     if type(top) is int and type(bottom) is int:
         return Fraction(top, bottom)
@@ -982,6 +950,9 @@ def _mp(c):
     return mpmath.mpf(c)
 
 
+_MP = (1, operator.mul, operator.add, _mp)
+
+
 def _eval_mp(rf: Frac, point: dict, memo: dict) -> object:
     """Value at ``point`` (coordinate name -> mpf), the generators
     evaluated by mpmath."""
@@ -993,8 +964,8 @@ def _eval_mp(rf: Frac, point: dict, memo: dict) -> object:
         v = memo[s] if type(s) is _Gen else point[s]
         if v is _POLE:
             return _POLE
-        vals.append(v)
-    return _at(rf, vals, _mp)
+        vals.append((v, 1))
+    return _value_at(rf, vals, _MP)
 
 
 def _evaluator(chart, K: Field, point: dict):
@@ -1012,8 +983,8 @@ def _evaluator(chart, K: Field, point: dict):
     if missing:
         raise ExprError(f"the point gives no value for the coordinate(s) {', '.join(missing)}")
     if not gens:
-        vals = [pt[s] for s in K.symbols]
-        return (lambda rf: _exact_at(rf, vals)), True
+        vals = [(pt[s].numerator, pt[s].denominator) for s in K.symbols]
+        return (lambda rf: _value_at(rf, vals, _EXACT)), True
     with mpmath.workdps(_DPS):
         mp = {s: mpmath.mpf(q.numerator) / q.denominator for s, q in pt.items()}
     memo = {}
@@ -1053,12 +1024,7 @@ def _witness_number(v):
                                                     max_fixed=0)
 
 
-def is_zero(
-    e: ScalarExpr,
-    policy: ZeroPolicy = DEFAULT_POLICY,
-    criterion: str = "",
-    rng: Optional[random.Random] = None,
-) -> Verdict:
+def is_zero(e: ScalarExpr, policy: ZeroPolicy = DEFAULT_POLICY, criterion: str = "") -> Verdict:
     """Three-valued zero test, deterministic for a fixed policy seed.
 
     ``Proved`` when the reduced fraction is 0.  Otherwise the scalar is
@@ -1070,7 +1036,7 @@ def is_zero(
     if not e.rf:
         return Verdict.proved(criterion)
     chart = e.chart
-    rng = rng if rng is not None else policy.rng()
+    rng = policy.rng()
     drawn = 0
     budget = policy.samples * max(1, policy.max_resample)
     attempts = 0
@@ -1122,11 +1088,17 @@ def is_zero_all(
 #
 # NUMBER is an integer or decimal literal (decimals become exact rationals);
 # rational literals like 3/2 come out of the '/' operator. Whitespace-free.
+#
+# The parser builds field elements as it reads, and every rule returns its
+# value with an estimate of the total degree its grammar tree expands to: a
+# coordinate counts 1, a number 0, a sum its largest term, a product (or
+# quotient) the sum of its factors, an integer power |n| times its base, and
+# sin/cos/exp the degree of their argument (at least 1).
 
 _TOKEN = re.compile(
     r"(?P<ws>\s+)|(?P<num>\d+(?:\.\d+)?)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()])"
 )
-_FUNCS = {"sin": sp.sin, "cos": sp.cos, "exp": sp.exp}
+_FUNCS = ("sin", "cos", "exp")
 
 
 def _tokenize(text: str):
@@ -1143,56 +1115,39 @@ def _tokenize(text: str):
     return out
 
 
-def _degree(expr: sp.Expr) -> int:
-    """An estimate of the total degree a grammar tree expands to, read
-    before any conversion: a coordinate counts 1, a sum its largest term, a
-    product the sum of its factors, an integer power |n| times its base,
-    and sin/cos/exp the degree of their argument (at least 1)."""
-    if expr.is_Symbol:
-        return 1
-    if expr.is_Add:
-        return max(_degree(a) for a in expr.args)
-    if expr.is_Mul:
-        return sum(_degree(a) for a in expr.args)
-    if expr.is_Pow and expr.exp.is_Integer and expr.base is not sp.E:
-        return abs(int(expr.exp)) * _degree(expr.base)
-    if expr.is_Pow or isinstance(expr, _ATOM_FUNCS):
-        return max(1, _degree(expr.args[-1]))
-    return 0
-
-
 # The digit bound of every number a parse with ``max_degree`` makes.  A
-# 5,000-digit literal fails in sympy's Rational, and 2^(10^5) loads a
+# 5,000-digit literal fails before it is read, and 2^(10^5) would load a
 # 30,103-digit integer that no report can print; the builtins use 2 digits.
 MAX_DIGITS = 32
 
 
-def _digits(q: sp.Rational) -> int:
-    """The decimal digits of the larger of q's numerator and denominator,
-    read from their bit lengths: never fewer, at most one more."""
-    return math.ceil(max(abs(q.p).bit_length(), q.q.bit_length()) * math.log10(2))
+def _digits(rf: Frac) -> int:
+    """The decimal digits of the largest integer coefficient of rf's
+    numerator and denominator, read from their bit lengths: never fewer, at
+    most one more."""
+    bits = max(abs(c).bit_length() for p in (rf.numer, rf.denom) for c in p.values())
+    return math.ceil(bits * math.log10(2))
 
 
 class _Parser:
+    """The grammar read straight into the field of the chart.  With
+    ``max_degree``, a product, quotient or power whose degree estimate is
+    over the bound, and a number of more than MAX_DIGITS digits, raise
+    :class:`ParseError` before they are formed."""
+
     def __init__(self, text: str, chart, max_degree: Optional[int] = None):
         self.tokens = _tokenize(text)
+        self.field = _field(chart.symbols)
         self.chart = chart
         self.max_degree = max_degree
         self.i = 0
 
-    def bound(self, e: sp.Expr, pos: int) -> None:
-        """Reject a tree whose degree estimate exceeds ``max_degree``, or
-        that holds a number of more than MAX_DIGITS digits, before anything
-        converts (and so expands) it."""
-        if self.max_degree is not None:
-            degree = _degree(e)
-            if degree > self.max_degree:
-                raise ParseError(
-                    f"degree estimate {degree} exceeds the bound {self.max_degree}", pos)
-            self.bound_digits(max(map(_digits, e.atoms(sp.Rational)), default=0), pos)
+    def bound(self, degree: int, pos: int) -> int:
+        if self.max_degree is not None and degree > self.max_degree:
+            raise ParseError(f"degree estimate {degree} exceeds the bound {self.max_degree}", pos)
+        return degree
 
     def bound_digits(self, digits: int, pos: int) -> None:
-        """Reject a number of ``digits`` digits before sympy makes it."""
         if self.max_degree is not None and digits > MAX_DIGITS:
             raise ParseError(
                 f"a number of up to {digits} digits exceeds the bound {MAX_DIGITS}", pos)
@@ -1210,77 +1165,84 @@ class _Parser:
         if kind != "op" or val != op:
             raise ParseError(f"expected '{op}', found {val!r}", pos)
 
-    def parse(self) -> sp.Expr:
-        e = self.sum()
+    def parse(self) -> Frac:
+        """The canonical value of the text.  Every coefficient of its
+        reduced numerator and denominator is bounded too, which covers the
+        constants that products and quotients fold."""
+        value, degree = self.sum()
         kind, val, pos = self.peek()
         if kind != "end":
             raise ParseError(f"trailing input starting at {val!r}", pos)
-        self.bound(e, 0)
-        return e
+        self.bound(degree, 0)
+        self.bound_digits(_digits(value), 0)
+        return _canonical(value)
 
-    def sum(self) -> sp.Expr:
-        e = self.prod()
+    def sum(self) -> tuple:
+        e, d = self.prod()
         while self.peek()[:2] in (("op", "+"), ("op", "-")):
             _, op, _ = self.next()
-            rhs = self.prod()
-            e = e + rhs if op == "+" else e - rhs
-        return e
+            rhs, dr = self.prod()
+            e, d = _op(operator.add if op == "+" else operator.sub, e, rhs), max(d, dr)
+        return e, d
 
-    def prod(self) -> sp.Expr:
-        e = self.unary()
+    def prod(self) -> tuple:
+        e, d = self.unary()
         while self.peek()[:2] in (("op", "*"), ("op", "/")):
             _, op, pos = self.next()
-            rhs = self.unary()
-            if op == "/":
-                self.bound(rhs, pos)
-                if not _to_field(rhs, self.chart.symbols):
-                    raise ParseError("division by zero", pos)
-                e = e / rhs
-            else:
-                e = e * rhs
-        return e
+            rhs, dr = self.unary()
+            if op == "/" and not rhs:
+                raise ParseError("division by zero", pos)
+            d = self.bound(d + dr, pos)
+            e = _op(operator.mul if op == "*" else operator.truediv, e, rhs)
+        return e, d
 
-    def unary(self) -> sp.Expr:
+    def unary(self) -> tuple:
         sign = 1
         while self.peek()[:2] in (("op", "-"), ("op", "+")):
             _, op, _ = self.next()
             if op == "-":
                 sign = -sign
-        return sign * self.power()
+        e, d = self.power()
+        return (e if sign > 0 else -e), d
 
-    def power(self) -> sp.Expr:
-        base = self.primary()
-        if self.peek()[:2] == ("op", "^"):
-            _, _, pos = self.next()
-            exponent = self.unary()
-            if not exponent.is_Integer:
-                raise ParseError("exponent must be an integer literal", pos)
-            if base.is_Rational:
-                self.bound_digits(abs(int(exponent)) * _digits(base), pos)
-            return base ** int(exponent)
-        return base
+    def power(self) -> tuple:
+        base, d = self.primary()
+        if self.peek()[:2] != ("op", "^"):
+            return base, d
+        _, _, pos = self.next()
+        exponent, _ = self.unary()
+        if not exponent.numer.is_ground or exponent.denom != ONE:
+            raise ParseError("exponent must be an integer literal", pos)
+        n = exponent.numer.get(0, 0)
+        if base.numer.is_ground and base.denom.is_ground:
+            self.bound_digits(abs(n) * _digits(base), pos)
+        if n < 0 and not base:
+            raise ParseError("division by zero", pos)
+        d = self.bound(abs(n) * d, pos)
+        return _pow(base, n), d
 
-    def primary(self) -> sp.Expr:
+    def primary(self) -> tuple:
         kind, val, pos = self.next()
         if kind == "num":
             self.bound_digits(len(val) - ("." in val), pos)
-            return sp.Rational(val)
+            return _constant(self.field, Fraction(val)), 0
         if kind == "ident":
             if self.peek()[:2] == ("op", "("):
                 if val not in _FUNCS:
                     raise ParseError(f"unknown function '{val}'", pos)
                 self.next()
-                arg = self.sum()
+                arg, d = self.sum()
                 self.expect_op(")")
-                return _FUNCS[val](arg)
-            try:
-                return self.chart.symbol(val)
-            except ChartMismatchError:
+                # the argument's numbers live on in the atom's generator
+                self.bound_digits(_digits(arg), pos)
+                return _atom(val, arg), max(1, d)
+            if val not in self.field.index:
                 raise ParseError(
                     f"unknown symbol '{val}' (chart '{self.chart.name}' has "
                     f"coordinates {', '.join(self.chart.coords)})",
                     pos,
-                ) from None
+                )
+            return self.field.gen(self.field.index[val]), 1
         if kind == "op" and val == "(":
             e = self.sum()
             self.expect_op(")")
@@ -1288,15 +1250,12 @@ class _Parser:
         raise ParseError(f"unexpected token {val!r}", pos)
 
 
-def _parse(text: str, chart, max_degree: Optional[int] = None) -> sp.Expr:
-    return _Parser(text, chart, max_degree).parse()
-
-
 def parse_scalar(text: str, chart, max_degree: Optional[int] = None) -> ScalarExpr:
     """Parse the scenario-file grammar into a canonical scalar.  With
-    ``max_degree``, a text whose degree estimate exceeds it (or a divisor's)
-    raises :class:`ParseError` before it is converted."""
-    return ScalarExpr(_parse(text, chart, max_degree), chart)
+    ``max_degree``, a product, quotient or power whose degree estimate
+    exceeds it, or a number of more than MAX_DIGITS digits, raises
+    :class:`ParseError` before it is formed."""
+    return _init(object.__new__(ScalarExpr), chart, _Parser(text, chart, max_degree).parse())
 
 
 # ---------------------------------------------------------------------------
@@ -1353,10 +1312,12 @@ def random_tree(
 def random_poly(chart, rng: random.Random, degree: int = 2) -> ScalarExpr:
     """Random small polynomial in the chart coordinates (pole-free), with
     integer coefficients, for randomized identity tests."""
-    terms = [sp.Integer(rng.randint(-4, 4))]
+    K = _field(chart.symbols)
+    shifts = [K.shifts[K.index[c]] for c in chart.coords]
+    terms = {0: rng.randint(-4, 4)}
     for _ in range(rng.randint(1, 4)):
-        term = sp.Integer(rng.randint(-4, 4))
+        c, m = rng.randint(-4, 4), 0
         for _ in range(rng.randint(1, degree)):
-            term *= rng.choice(chart.symbols)
-        terms.append(term)
-    return ScalarExpr(sp.Add(*terms), chart)
+            m += 1 << rng.choice(shifts)
+        terms[m] = terms.get(m, 0) + c
+    return _ring(chart, Frac(K, Poly({m: c for m, c in terms.items() if c}), ONE))

@@ -17,6 +17,8 @@ from ggwb.symexpr import (
     is_zero,
     parse_scalar,
     random_expr,
+    random_poly,
+    random_tree,
     _POLE,
 )
 from ggwb.verdict import VerdictKind
@@ -68,6 +70,49 @@ def test_parse_error_positions(chart):
 
 
 # -- constructors and canonical form -------------------------------------
+
+
+def test_parser_agrees_with_the_sympy_conversion(chart):
+    """The parser builds the field element that the conversion of sympy's
+    tree of the same text gives (the tree printed, ``**`` as ``^``)."""
+    for seed in range(300):
+        tree = random_tree(chart, random.Random(seed), max_depth=5)
+        if tree.has(sp.E):  # the grammar has no constant e
+            continue
+        text = str(tree).replace("**", "^")
+        assert parse_scalar(text, chart).rf == ScalarExpr(tree, chart).rf, text
+
+
+def _random_poly_through_sympy(chart, rng, degree):
+    """random_poly as it was built through sympy, draw for draw."""
+    terms = [sp.Integer(rng.randint(-4, 4))]
+    for _ in range(rng.randint(1, 4)):
+        term = sp.Integer(rng.randint(-4, 4))
+        for _ in range(rng.randint(1, degree)):
+            term *= rng.choice(chart.symbols)
+        terms.append(term)
+    return ScalarExpr(sp.Add(*terms), chart)
+
+
+@pytest.mark.parametrize("coords,degree", [(("x", "y", "z"), 2), (("p", "a10", "x", "a2"), 3)])
+def test_random_poly_keeps_its_draws(coords, degree):
+    """crvpm and the invariance checks draw the same functions as before."""
+    chart = ChartManifold("rp", coords)
+    for seed in range(50):
+        r1, r2 = random.Random(seed), random.Random(seed)
+        got = random_poly(chart, r1, degree)
+        assert got.rf == _random_poly_through_sympy(chart, r2, degree).rf
+        assert r1.random() == r2.random()
+
+
+def test_subs_chart_keeps_unmapped_coordinates():
+    src = ChartManifold("src", ["x", "y"])
+    dst = ChartManifold("dst", ["x", "y", "t"])
+    f = src.scalar("x^2*y + sin(y)")
+    g = f.subs_chart(dst, {src.symbol("x"): dst.scalar("t + 1")})
+    assert g == dst.scalar("(t + 1)^2*y + sin(y)")
+    with pytest.raises(ChartMismatchError, match="'y' is not a coordinate"):
+        f.subs_chart(ChartManifold("line", ["t"]), {src.symbol("x"): "t"})
 
 
 def test_rational_normal_form(chart):

@@ -4,10 +4,10 @@ import time
 from pathlib import Path
 
 import pytest
-import sympy as sp
 
 from ggwb import symexpr
 from ggwb.errors import ScenarioError
+from ggwb.poly import exponents
 from ggwb.verdict import VerdictKind
 from ggwb.workbench import (
     Report,
@@ -347,7 +347,7 @@ def test_cli_rejects_a_hostile_number_fast(tmp_path, capsys, text, digits):
 
 
 @pytest.mark.parametrize("text,what", [
-    ("((x+1)^20)^20", "degree"),  # 400, estimated before the power expands
+    ("((x+1)^20)^20", "degree"),  # the inner power, 20, estimated before it expands
     ("x/((x+y+z+1)^40)", "degree"),  # a divisor, before its zero test converts it
     ("(x+y+z+1)^6", "terms"),  # degree 6, 84 terms
 ])
@@ -387,24 +387,54 @@ def test_cli_rejects_a_non_finite_component(tmp_path, capsys, value):
     assert f"$.fields.xi.components[2]: {json.dumps(value)} is not" in err
 
 
-def test_degree_bound_comes_before_any_conversion(monkeypatch):
-    """Neither the oversized power nor the oversized divisor (whose zero test
-    converts it) reaches the conversion to the field."""
-    converted = []
-    original = symexpr._to_field
+def _degree(rf) -> int:
+    """The total degree of a field element: the larger of its numerator's
+    and its denominator's."""
+    return max(sum(exponents(m, rf.field.n)) for p in (rf.numer, rf.denom) for m in p)
 
-    def recording(expr, symbols):
-        converted.append(expr)
-        return original(expr, symbols)
 
-    monkeypatch.setattr(symexpr, "_to_field", recording)
-    for text in ("((x+1)^20)^20", "x/((x+y+z+1)^40)"):
+def test_degree_bound_comes_before_any_power_is_formed(monkeypatch):
+    """The parser estimates the degree on its grammar tree before it forms a
+    power or a product: neither the oversized power nor the oversized
+    divisor or product is built."""
+    formed = []
+    pow_, op_ = symexpr._pow, symexpr._op
+
+    def recording_pow(rf, n):
+        formed.append(pow_(rf, n))
+        return formed[-1]
+
+    def recording_op(op, a, b):
+        formed.append(op_(op, a, b))
+        return formed[-1]
+
+    monkeypatch.setattr(symexpr, "_pow", recording_pow)
+    monkeypatch.setattr(symexpr, "_op", recording_op)
+    for text in ("((x+1)^20)^20", "x/((x+y+z+1)^40)", "(x+y+1)^7*(x+y+1)^7"):
         with pytest.raises(ScenarioError):
             load_scenario(_s1_with_xi(text))
-    assert all(symexpr._degree(e) <= scenario_mod.MAX_DEGREE for e in converted)
-    # the recording sees conversions: a small divisor is converted for its zero test
-    load_scenario(_s1_with_xi("x/(y+1)"))
-    assert sp.sympify("y+1") in converted
+    # (x+y+1)^7 is formed, and nothing over the bound
+    assert max(map(_degree, formed)) == 7
+
+
+@pytest.mark.parametrize("text,message", [
+    # sympy folded x^13/x to x^12 and exp(x)^13 to exp(13*x) before it estimated
+    ("x^13/x", f"degree estimate 13 exceeds the bound {scenario_mod.MAX_DEGREE} (at position 1)"),
+    ("exp(x)^13", f"degree estimate 13 exceeds the bound {scenario_mod.MAX_DEGREE} (at position 6)"),
+    ("10^20*x*10^20", f"up to 40 digits exceeds the bound {symexpr.MAX_DIGITS} (at position 2)"),
+    # two 21-digit literals; the coefficient of the value, or of an atom's
+    # argument, has 41 digits
+    ("1" + "0" * 20 + "*x*1" + "0" * 20,
+     f"up to 41 digits exceeds the bound {symexpr.MAX_DIGITS} (at position 0)"),
+    ("y + exp(1" + "0" * 20 + "*x*1" + "0" * 20 + ")",
+     f"up to 41 digits exceeds the bound {symexpr.MAX_DIGITS} (at position 4)"),
+    ("0^-1", "division by zero (at position 1)"),
+])
+def test_the_bounds_are_read_on_the_grammar_tree(text, message):
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(_s1_with_xi(text))
+    assert exc.value.where == "$.fields.xi.components[2]"
+    assert message in str(exc.value)
 
 
 def test_size_bounds_leave_headroom_over_the_builtins(monkeypatch):
