@@ -393,10 +393,10 @@ def _degree(rf) -> int:
     return max(sum(exponents(m, rf.field.n)) for p in (rf.numer, rf.denom) for m in p)
 
 
-def test_degree_bound_comes_before_any_power_is_formed(monkeypatch):
+def test_degree_bound_comes_before_any_conversion(monkeypatch):
     """The parser estimates the degree on its grammar tree before it forms a
-    power or a product: neither the oversized power nor the oversized
-    divisor or product is built."""
+    field element for a power or a product: neither the oversized power nor
+    the oversized divisor or product is built."""
     formed = []
     pow_, op_ = symexpr._pow, symexpr._op
 
