@@ -55,8 +55,6 @@ import random
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-import sympy as sp
-
 from .errors import ChartMismatchError, ExprError, SingularMetricError
 from .numeric import rank_at
 from .poly import ONE, I, add, mul
@@ -95,7 +93,7 @@ class ChartManifold:
     rational point where nondegeneracy conditions are certified.
     """
 
-    __slots__ = ("name", "coords", "symbols", "ranges", "_base", "_zero")
+    __slots__ = ("name", "coords", "ranges", "_symbols", "_base", "_zero")
 
     def __init__(
         self,
@@ -111,11 +109,7 @@ class ChartManifold:
             raise ExprError(f"chart '{name}' has repeated coordinates {coords}")
         self.name = name
         self.coords = coords
-        # plain symbols: assumption-free construction keeps sympy's fact
-        # engine out of every arithmetic operation; all coordinates are
-        # real-valued by the engine's semantics (complex scalars enter only
-        # through the constant I).
-        self.symbols = tuple(sp.Symbol(c) for c in coords)
+        self._symbols = None
         self.ranges = {}
         for c, (lo, hi) in (ranges or {}).items():
             if c not in coords:
@@ -153,17 +147,30 @@ class ChartManifold:
     def __repr__(self):
         return f"ChartManifold({self.name}: {', '.join(self.coords)})"
 
-    def symbol(self, coord) -> sp.Symbol:
-        if isinstance(coord, sp.Symbol):
-            if coord in self.symbols:
+    @property
+    def symbols(self) -> tuple:
+        """The coordinates as sympy symbols, for sympy input; the first use
+        imports sympy.  They are plain symbols: every coordinate is
+        real-valued by the engine's semantics (complex scalars enter only
+        through the constant I)."""
+        if self._symbols is None:
+            import sympy as sp
+
+            self._symbols = tuple(sp.Symbol(c) for c in self.coords)
+        return self._symbols
+
+    def coordinate(self, coord) -> str:
+        """The name of a coordinate given by its name or its sympy symbol."""
+        if isinstance(coord, str):
+            if coord in self.coords:
                 return coord
-            raise ChartMismatchError(f"'{coord}' is not a coordinate of chart '{self.name}'")
-        try:
-            return self.symbols[self.coords.index(coord)]
-        except ValueError:
-            raise ChartMismatchError(
-                f"'{coord}' is not a coordinate of chart '{self.name}'"
-            ) from None
+        elif coord in self.symbols:  # a sympy symbol: sympy is loaded already
+            return coord.name
+        raise ChartMismatchError(f"'{coord}' is not a coordinate of chart '{self.name}'")
+
+    def symbol(self, coord):
+        """The sympy symbol of a coordinate given by its name or its symbol."""
+        return self.symbols[self.coords.index(self.coordinate(coord))]
 
     def scalar(self, value: Scalarish) -> ScalarExpr:
         return ScalarExpr(value, self)
@@ -399,13 +406,13 @@ def _partials(t) -> "_Array":
     """The derivative array of a field's (or a scalar's) components: one
     more slot, last, holding d_k of the entry.  Only the stored nonzeros
     are differentiated."""
-    chart, syms = t.chart, t.chart.symbols
+    chart, coords = t.chart, t.chart.coords
     if isinstance(t, ScalarExpr):
         items, shape = ({(): t} if t.rf else {}), ()
     else:
         items, shape = t._items(), t.shape
-    return _Array(chart, {ix + (k,): pdiff(e, s) for ix, e in items.items()
-                          for k, s in enumerate(syms)}, shape + (len(syms),))
+    return _Array(chart, {ix + (k,): pdiff(e, c) for ix, e in items.items()
+                          for k, c in enumerate(coords)}, shape + (len(coords),))
 
 
 def _det(A) -> ScalarExpr:
@@ -446,7 +453,7 @@ def _core(chart, shape, K, entries: dict) -> "_Array":
 
 
 def _zeros(chart, shape) -> "_Array":
-    return _core(chart, shape, _field(chart.symbols), {})
+    return _core(chart, shape, _field(chart.coords), {})
 
 
 def _stack(*arrays) -> "_Array":
@@ -505,7 +512,7 @@ class _Components:
             return
         self._scalars = scalars = _gather(chart, components, shape, self._kind)
         self.field = K = functools.reduce(
-            _join, {s.rf.field for s in scalars.values()}, _field(chart.symbols))
+            _join, {s.rf.field for s in scalars.values()}, _field(chart.coords))
         self.entries = {ix: _embed(s.rf, K) for ix, s in scalars.items()}
 
     @classmethod

@@ -81,9 +81,7 @@ class Embedding:
     # -- restriction -------------------------------------------------------
 
     def _submap(self) -> dict:
-        return {
-            sym: comp for sym, comp in zip(self.ambient.symbols, self.components)
-        }
+        return dict(zip(self.ambient.coords, self.components))
 
     def restrict(self, f: ScalarExpr) -> ScalarExpr:
         """Compose an ambient scalar with the embedding."""

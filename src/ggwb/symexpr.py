@@ -71,6 +71,12 @@ straight into the field by ``_Parser``, which keeps its degree and digit
 bounds on its own grammar tree; sympy converts only sympy input
 (``ScalarExpr(sympy_expr, chart)`` and :func:`random_tree`), through
 ``_to_field``, which rejects every node outside the grammar.
+
+The engine names coordinates by their names (``chart.coords``), never by
+sympy symbols, and orders atom generators by the structure of their
+arguments (:func:`_order`).  So sympy is imported inside the functions that
+use it: the view (``expr``, ``str`` and ``repr``), sympy input and
+:func:`random_tree`.  Loading and checking a scenario never imports it.
 """
 
 from __future__ import annotations
@@ -87,7 +93,6 @@ from operator import or_
 from typing import Iterable, Optional
 
 import mpmath
-import sympy as sp
 
 from .errors import ChartMismatchError, ExprError, GgwbError, ParseError
 from .poly import (
@@ -118,8 +123,6 @@ from .poly import (
     sub,
 )
 from .verdict import Verdict, Witness
-
-_ATOM_FUNCS = (sp.sin, sp.cos, sp.exp)
 
 # sin/cos of k*m for an integer k with |k| <= _MAX_MULTIPLE is a polynomial
 # of degree 2|k| in T_m over (1 + T_m^2)^|k|.  A larger multiple gets its own
@@ -162,21 +165,33 @@ class _Gen:
     """One atom generator: ``E_m`` (kind "exp") or ``T_m`` (kind "tan"),
     with ``arg`` = m in its minimal field.  It is the generator's key in a
     field; its hash is that of (kind, arg), so it does not depend on
-    memory addresses."""
+    memory addresses.  ``order`` is its place in the one global order of
+    generators, read from the structure of ``arg`` (:func:`_order`)."""
 
     __slots__ = ("kind", "arg", "order", "_hash")
 
-    def __init__(self, kind: str, arg: Frac, index: int):
+    def __init__(self, kind: str, arg: Frac):
         self.kind = kind
         self.arg = arg
-        self.order = (kind, str(_view(arg)), index)
+        self.order = (kind, _order(arg))
         self._hash = hash((kind, arg))
 
     def __hash__(self):
         return self._hash
 
     def __repr__(self):
-        return f"{'E' if self.kind == 'exp' else 'T'}[{self.order[1]}]"
+        return f"{'E' if self.kind == 'exp' else 'T'}[{_view(self.arg)}]"
+
+
+def _order(rf: Frac) -> tuple:
+    """The sort key of an atom argument: its field's generators, then the
+    sorted (packed monomial, coefficient) pairs of its numerator and of its
+    denominator.  A coordinate's entry is (0, its name key) and a
+    generator's is (1, its own order), so a name is never compared with a
+    generator.  Distinct arguments have distinct keys, and no key depends
+    on which generator was made first."""
+    gens = tuple((0, _name_key(s)) if type(s) is str else (1, s.order) for s in rf.field.symbols)
+    return gens, tuple(sorted(rf.numer.items())), tuple(sorted(rf.denom.items()))
 
 
 # Generators are interned for the life of the process, like sympy's own
@@ -188,7 +203,7 @@ _GEN_OF_KEY: dict = {}
 def _gen(kind: str, arg: Frac) -> _Gen:
     g = _GEN_OF_KEY.get((kind, arg))
     if g is None:
-        g = _GEN_OF_KEY[(kind, arg)] = _Gen(kind, arg, len(_GEN_OF_KEY))
+        g = _GEN_OF_KEY[(kind, arg)] = _Gen(kind, arg)
     return g
 
 
@@ -206,11 +221,11 @@ def _name_key(name: str) -> tuple:
 
 
 @lru_cache(maxsize=256)
-def _field(symbols: tuple, gaussian: bool = False) -> Field:
-    """Q(x) or Q(i)(x) over the chart coordinates ``symbols`` (sympy
-    symbols), keyed by their names in sympy's generator order, so that the
-    reduced fraction normalizes like :func:`sympy.cancel`."""
-    return field(tuple(sorted((s.name for s in symbols), key=_name_key)), gaussian)
+def _field(coords: tuple, gaussian: bool = False) -> Field:
+    """Q(x) or Q(i)(x) over the chart coordinates ``coords`` (names), in
+    sympy's generator order, so that the reduced fraction normalizes like
+    :func:`sympy.cancel`."""
+    return field(tuple(sorted(coords, key=_name_key)), gaussian)
 
 
 @lru_cache(maxsize=4096)
@@ -419,7 +434,7 @@ def _constant(K: Field, v) -> Frac:
     return Frac(K, Poly({0: q.numerator}), Poly({0: q.denominator})) if q else K.zero
 
 
-_RATIONALS = (int, Fraction, sp.Rational)
+_RATIONALS = (int, Fraction)
 
 
 # ---------------------------------------------------------------------------
@@ -507,41 +522,46 @@ def _tan_half(u: Frac) -> Frac:
 
 
 @lru_cache(maxsize=65536)
-def _to_field(expr: sp.Expr, symbols: tuple) -> Frac:
-    """The field element of a grammar expression over the coordinates
-    ``symbols``: normalized, in the field of exactly its generators."""
-    K = _field(symbols)
+def _to_field(expr, coords: tuple) -> Frac:
+    """The field element of a sympy grammar expression over the chart
+    coordinates ``coords`` (names): normalized, in the field of exactly its
+    generators."""
+    import sympy as sp
+
+    K = _field(coords)
     if expr.is_Symbol:
-        if expr not in symbols:
+        if expr.name not in coords or expr != sp.Symbol(expr.name):
             raise ChartMismatchError(f"symbol '{expr}' is not a coordinate of the chart")
         return K.gen(K.index[expr.name])
     if expr.is_Rational:
-        return _constant(K, expr)
+        return _constant(K, Fraction(int(expr.p), int(expr.q)))
     if expr is sp.I:
-        return _constant(_field(symbols, True), Gaussian(0, 1))
+        return _constant(_field(coords, True), Gaussian(0, 1))
     if expr is sp.E:
         return _canonical(_atom("exp", K.one))
     if expr.is_Add or expr.is_Mul:
         op = operator.add if expr.is_Add else operator.mul
-        value = _to_field(expr.args[0], symbols)
+        value = _to_field(expr.args[0], coords)
         for arg in expr.args[1:]:
-            value = _op(op, value, _to_field(arg, symbols))
+            value = _op(op, value, _to_field(arg, coords))
         return _canonical(value)
     if expr.is_Pow:
         if expr.base is sp.E:
-            return _canonical(_atom("exp", _to_field(expr.exp, symbols)))
+            return _canonical(_atom("exp", _to_field(expr.exp, coords)))
         if expr.exp.is_Integer:
-            return _canonical(_pow(_to_field(expr.base, symbols), int(expr.exp)))
-    if isinstance(expr, _ATOM_FUNCS):
+            return _canonical(_pow(_to_field(expr.base, coords), int(expr.exp)))
+    if isinstance(expr, (sp.sin, sp.cos, sp.exp)):
         kind = "exp" if isinstance(expr, sp.exp) else expr.func.__name__
-        return _canonical(_atom(kind, _to_field(expr.args[0], symbols)))
+        return _canonical(_atom(kind, _to_field(expr.args[0], coords)))
     if expr.is_Float:
         raise ExprError("float literals are not allowed; use exact rationals")
     raise ExprError(f"'{expr}' is outside the expression grammar")
 
 
 @lru_cache(maxsize=4096)
-def _display(g: _Gen) -> sp.Expr:
+def _display(g: _Gen):
+    import sympy as sp
+
     m = _view(g.arg)
     if g.kind == "exp":
         return sp.exp(m)
@@ -549,21 +569,27 @@ def _display(g: _Gen) -> sp.Expr:
                   evaluate=False)
 
 
-def _sympy_number(c) -> sp.Expr:
+def _sympy_number(c):
+    import sympy as sp
+
     if type(c) is Gaussian:
         return sp.Integer(c.x) + sp.I * sp.Integer(c.y)
     return sp.Integer(c)
 
 
-def _poly_expr(p: Poly, values: list) -> sp.Expr:
+def _poly_expr(p: Poly, values: list):
     """p as an evaluated sympy expression, as sympy's ``as_expr`` builds it."""
+    import sympy as sp
+
     n = len(values)
     return sp.Add(*(sp.Mul(_sympy_number(c), *(sp.Pow(v, e) for v, e in zip(values, exponents(m, n))
                                                if e))
                     for m, c in p.items()))
 
 
-def _poly_view(p: Poly, values: list) -> sp.Expr:
+def _poly_view(p: Poly, values: list):
+    import sympy as sp
+
     n = len(values)
     terms = []
     for m in sorted(p, reverse=True):
@@ -577,10 +603,13 @@ def _poly_view(p: Poly, values: list) -> sp.Expr:
 
 
 @lru_cache(maxsize=65536)
-def _view(rf: Frac) -> sp.Expr:
-    """Without atoms, sympy's own expression of the reduced fraction.  With
-    atoms the tree is built unevaluated: sympy would merge exp(1/2)*exp(1/3)
-    into exp(5/6), which is another generator."""
+def _view(rf: Frac):
+    """The sympy expression of rf.  Without atoms, sympy's own expression of
+    the reduced fraction.  With atoms the tree is built unevaluated: sympy
+    would merge exp(1/2)*exp(1/3) into exp(5/6), which is another
+    generator."""
+    import sympy as sp
+
     coords, gens = _layout(rf.field)
     symbols = [sp.Symbol(c) for c in coords]
     if not gens:
@@ -616,21 +645,24 @@ class ScalarExpr:
         elif isinstance(value, float):
             raise ExprError("float literals are not allowed; use exact rationals")
         elif isinstance(value, _RATIONALS):
-            rf = _constant(_field(chart.symbols), value)
+            rf = _constant(_field(chart.coords), value)
         elif isinstance(value, Gaussian):
-            rf = _canonical(_constant(_field(chart.symbols, True), value))
+            rf = _canonical(_constant(_field(chart.coords, True), value))
         elif isinstance(value, str):
             rf = _Parser(value, chart).parse()
         else:
             # sympy input: the conversion rejects every node outside the grammar
-            rf = _to_field(sp.sympify(value), chart.symbols)
+            import sympy as sp
+
+            rf = _to_field(sp.sympify(value), chart.coords)
         _init(self, chart, rf)
 
     def __setattr__(self, *a):  # immutability
         raise AttributeError("ScalarExpr is immutable")
 
     @property
-    def expr(self) -> sp.Expr:
+    def expr(self):
+        """The sympy view; the first use imports sympy."""
         if self._expr is None:
             object.__setattr__(self, "_expr", _view(self.rf))
         return self._expr
@@ -702,7 +734,7 @@ class ScalarExpr:
             return False
         try:
             return self.rf == ScalarExpr(other, self.chart).rf
-        except (GgwbError, sp.SympifyError, TypeError, AttributeError):
+        except (GgwbError, ValueError, TypeError, AttributeError):  # SympifyError is a ValueError
             return False
 
     def __hash__(self):
@@ -739,17 +771,17 @@ class ScalarExpr:
     def lift(self, chart) -> "ScalarExpr":
         """The same function on a chart whose coordinates extend this one's
         (the product with a line)."""
-        return _ring(chart, _embed(self.rf, _join(self.rf.field, _field(chart.symbols))))
+        return _ring(chart, _embed(self.rf, _join(self.rf.field, _field(chart.coords))))
 
     def subs_chart(self, chart, mapping: dict) -> "ScalarExpr":
-        """Composition: replace this chart's symbols by scalars on ``chart``;
-        an unmapped coordinate stays itself, a coordinate of ``chart``."""
+        """Composition: replace this chart's coordinates (names or sympy
+        symbols) by scalars on ``chart``; an unmapped coordinate stays
+        itself, a coordinate of ``chart``."""
         sub_ = {}
-        for sym, val in mapping.items():
-            if sym not in self.chart.symbols:
-                raise ChartMismatchError(f"'{sym}' is not a coordinate of {self.chart.name}")
-            sub_[sym.name] = (val if isinstance(val, ScalarExpr) else ScalarExpr(val, chart)).rf
-        K = _field(chart.symbols)
+        for coord, val in mapping.items():
+            name = self.chart.coordinate(coord)
+            sub_[name] = (val if isinstance(val, ScalarExpr) else ScalarExpr(val, chart)).rf
+        K = _field(chart.coords)
         for name in self.chart.coords:
             if name not in sub_:
                 if name not in K.index:
@@ -854,8 +886,8 @@ def _conj(rf: Frac) -> Frac:
 # differentiation
 
 
-def pdiff(e: ScalarExpr, sym: sp.Symbol) -> ScalarExpr:
-    """Partial derivative by one coordinate symbol.
+def pdiff(e: ScalarExpr, coord) -> ScalarExpr:
+    """Partial derivative by one coordinate, a name (or a sympy symbol).
 
     The one derivative kernel of the package: every tensor operation
     differentiates through it.  It is the chain rule in the field: the
@@ -865,7 +897,8 @@ def pdiff(e: ScalarExpr, sym: sp.Symbol) -> ScalarExpr:
     """
     if not e.rf:
         return e
-    return _init(object.__new__(ScalarExpr), e.chart, _derivative(e.rf, sym.name))
+    name = coord if type(coord) is str else coord.name
+    return _init(object.__new__(ScalarExpr), e.chart, _derivative(e.rf, name))
 
 
 @lru_cache(maxsize=65536)
@@ -918,8 +951,7 @@ def differentiate(e: ScalarExpr, coord) -> ScalarExpr:
     ``coord`` may be a coordinate name or sympy symbol; it must belong to the
     expression's chart.
     """
-    sym = e.chart.symbol(coord)
-    return pdiff(e, sym) if e.rf else e
+    return pdiff(e, e.chart.coordinate(coord))
 
 
 # ---------------------------------------------------------------------------
@@ -977,7 +1009,7 @@ def _evaluator(chart, K: Field, point: dict):
     one they are mpmath numbers at ``_DPS`` digits, the generators evaluated
     by mpmath.  A pole gives ``_POLE``; a coordinate of K that the point
     misses raises :class:`ExprError`."""
-    pt = {chart.symbol(c).name: _to_fraction(v) for c, v in point.items()}
+    pt = {chart.coordinate(c): _to_fraction(v) for c, v in point.items()}
     coords, gens = _layout(K)
     missing = [s for s in coords if s not in pt]
     if missing:
@@ -1004,9 +1036,11 @@ def evaluate(e: ScalarExpr, point: dict) -> object:
 
 
 def _to_fraction(v) -> Fraction:
-    if not isinstance(v, _RATIONALS):
-        raise ExprError(f"sample coordinates must be rational, got {v!r}")
-    return Fraction(int(v.p), int(v.q)) if isinstance(v, sp.Rational) else Fraction(v)
+    if isinstance(v, _RATIONALS):
+        return Fraction(v)
+    if getattr(v, "is_Rational", False):  # a sympy number
+        return Fraction(int(v.p), int(v.q))
+    raise ExprError(f"sample coordinates must be rational, got {v!r}")
 
 
 def _witness_number(v):
@@ -1137,7 +1171,7 @@ class _Parser:
 
     def __init__(self, text: str, chart, max_degree: Optional[int] = None):
         self.tokens = _tokenize(text)
-        self.field = _field(chart.symbols)
+        self.field = _field(chart.coords)
         self.chart = chart
         self.max_degree = max_degree
         self.i = 0
@@ -1279,10 +1313,11 @@ def random_tree(
     max_depth: int = 5,
     atoms: bool = True,
     division: bool = True,
-) -> sp.Expr:
+):
     """The sympy tree :func:`random_expr` converts."""
+    import sympy as sp
 
-    def build(depth: int) -> sp.Expr:
+    def build(depth: int):
         if depth <= 0 or rng.random() < 0.3:
             if rng.random() < 0.5:
                 return sp.Rational(rng.randint(-9, 9), rng.randint(1, 9))
@@ -1298,7 +1333,7 @@ def random_tree(
             return build(depth - 1) ** rng.randint(2, 3)
         if division and choice < 0.9:
             den = build(depth - 1)
-            if not _to_field(den, chart.symbols):
+            if not _to_field(den, chart.coords):
                 den = sp.Integer(1) + rng.choice(chart.symbols) ** 2
             return build(depth - 1) / den
         if atoms:
@@ -1312,7 +1347,7 @@ def random_tree(
 def random_poly(chart, rng: random.Random, degree: int = 2) -> ScalarExpr:
     """Random small polynomial in the chart coordinates (pole-free), with
     integer coefficients, for randomized identity tests."""
-    K = _field(chart.symbols)
+    K = _field(chart.coords)
     shifts = [K.shifts[K.index[c]] for c in chart.coords]
     terms = {0: rng.randint(-4, 4)}
     for _ in range(rng.randint(1, 4)):

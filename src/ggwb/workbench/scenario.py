@@ -25,7 +25,7 @@ from ..calculus import (
     TwoForm,
     VectorField,
 )
-from ..errors import GgwbError, ParseError, ScenarioError
+from ..errors import ExprError, GgwbError, ParseError, ScenarioError
 from ..symexpr import ZeroPolicy, parse_scalar
 
 _FIELD_KINDS = ("scalar", "vector", "oneform", "twoform", "endo", "metric")
@@ -129,7 +129,7 @@ def _parse_component(text, chart: ChartManifold, where: str):
         raise ScenarioError("components are expression strings", where)
     try:
         value = parse_scalar(text, chart, MAX_DEGREE)
-    except ParseError as exc:
+    except (ParseError, ExprError) as exc:  # ExprError: an exponent past the packed width
         raise ScenarioError(str(exc), where) from None
     terms = max(len(value.rf.numer), len(value.rf.denom))
     if terms > MAX_TERMS:

@@ -178,7 +178,7 @@ def test_constant_factor_product_skips_the_gcd_and_keeps_the_fraction(chart, see
     raw = _raw_tree(chart, rng, 4)
     if gaussian:
         raw += sp.I * _raw_tree(chart, rng, 2)
-    K = symexpr._field(chart.symbols, gaussian)
+    K = symexpr._field(chart.coords, gaussian)
 
     def element(e):
         rf = ScalarExpr(e, chart).rf

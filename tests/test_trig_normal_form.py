@@ -231,6 +231,47 @@ def test_generator_order_depends_on_neither_hash_nor_creation_order():
     assert len(outputs) == 1
 
 
+KEY_PROBE = """
+import sys
+from ggwb import symexpr
+from ggwb.calculus import ChartManifold
+R3, S3 = ChartManifold("R3", ["x", "y", "z"]), ChartManifold("S3", ["a", "b", "c"])
+texts = [(R3, "exp(x)"), (R3, "sin(2*y)"), (R3, "exp(sin(x))"), (R3, "sin(exp(y) + x)"),
+         (S3, "cos(a)"), (S3, "sin(a)*cos(b)"), (S3, "sin(a)*sin(b)*cos(c)"),
+         (S3, "sin(a)*sin(b)*sin(c)")]
+if sys.argv[1] == "reversed":
+    texts.reverse()
+values = {(chart.name, t): chart.scalar(t) for chart, t in texts}
+for name in ("R3", "S3"):
+    values[name, "sum"] = sum(v for (c, _), v in values.items() if c == name)
+for key, v in sorted(values.items()):
+    rf = v.rf
+    print(key, rf.field.symbols, sorted(rf.numer.items()), sorted(rf.denom.items()))
+print(sorted(symexpr._GEN_OF_KEY.values(), key=lambda g: g.order))
+"""
+
+
+def test_generator_order_is_read_from_the_arguments():
+    """The same atoms made in opposite orders, in two fresh interpreters,
+    give the same generator order and the same field elements: the order is
+    read from each generator's argument, never from the order in which the
+    generators were made, and comparing two keys never raises."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import ggwb
+
+    env = dict(os.environ, PYTHONHASHSEED="0",
+               PYTHONPATH=str(Path(ggwb.__file__).parent.parent))
+    outputs = [subprocess.run([sys.executable, "-c", KEY_PROBE, order], env=env,
+                              capture_output=True, text=True, timeout=120, check=True).stdout
+               for order in ("forward", "reversed")]
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("\n") == 11
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**6))
 def test_view_converts_back_to_the_scalar(seed):

@@ -346,6 +346,19 @@ def test_cli_rejects_a_hostile_number_fast(tmp_path, capsys, text, digits):
     assert f"up to {digits} digits exceeds the bound {symexpr.MAX_DIGITS}" in err
 
 
+def test_cli_rejects_an_exponent_past_the_packed_width_with_its_path(tmp_path, capsys):
+    """exp(40000) is the 40000th power of the generator of exp(1): past the
+    packed exponent width, it raised ExprError, and the CLI exited 2 without
+    the JSON path."""
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(_s1_with_xi("exp(40000)")))
+    t0 = time.perf_counter()
+    assert main(["check", str(path)]) == 2
+    assert time.perf_counter() - t0 < 2
+    err = capsys.readouterr().err
+    assert "$.fields.xi.components[2]: an exponent exceeds" in err
+
+
 @pytest.mark.parametrize("text,what", [
     ("((x+1)^20)^20", "degree"),  # the inner power, 20, estimated before it expands
     ("x/((x+y+z+1)^40)", "degree"),  # a divisor, before its zero test converts it
