@@ -61,5 +61,13 @@ class ScenarioError(GgwbError):
         super().__init__(message)
 
 
+class PolicyError(GgwbError, ValueError):
+    """A zero-test policy field is out of range; ``key`` names the field."""
+
+    def __init__(self, key: str, message: str):
+        self.key = key
+        super().__init__(f"{key} {message}")
+
+
 class PreconditionNotMet(GgwbError):
     """A checker's precondition failed; surfaced as a skipped check."""

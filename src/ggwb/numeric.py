@@ -21,19 +21,32 @@ test of a pivot: an exact value is zero when it is 0, and a 30-digit one
 when |v| <= tol * max(1, max |a_ij|).  An exact pivot is the first nonzero
 candidate, a 30-digit one the largest.  The certificates hold at the sample
 points only, so they back NumericallySupported verdicts.
+
+An exact grid never touches mpmath: the elimination enters mpmath's
+30-digit context only on 30-digit values, and conjugates and real parts
+test the exact types first.  mpmath is imported by ``symexpr`` with the
+first atom generator, so a job without atoms never loads it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 from fractions import Fraction
 from typing import Optional
 
-import mpmath
-
+from . import symexpr
 from .errors import ExprError
+from .poly import Gaussian
 from .symexpr import _DPS, _POLE, _evaluator, _join, _witness_number
 from .verdict import Witness
+
+
+def _precision(exact: bool):
+    """The arithmetic context of an elimination: none on exact values, 30
+    digits on mpmath ones, which exist only once an atom generator has
+    imported mpmath into ``symexpr``."""
+    return contextlib.nullcontext() if exact else symexpr.mpmath.workdps(_DPS)
 
 
 def _values(point: dict, *grids) -> tuple:
@@ -42,7 +55,7 @@ def _values(point: dict, *grids) -> tuple:
     and the zero of that arithmetic."""
     K = functools.reduce(_join, {g.field for g in grids})
     value, exact = _evaluator(grids[0].chart, K, point)
-    zero = Fraction(0) if exact else mpmath.mpf(0)
+    zero = Fraction(0) if exact else symexpr.mpmath.mpf(0)
     out = []
     for g in grids:
         rows, cols = g.shape
@@ -77,15 +90,19 @@ def _pick(candidates, thr):
 
 
 def _conj(v):
-    if hasattr(v, "y"):  # Q(i)
-        return type(v)(v.x, -v.y)
-    return v.conjugate() if isinstance(v, mpmath.mpc) else v
+    if type(v) is Fraction or type(v) is int:
+        return v
+    if type(v) is Gaussian:
+        return Gaussian(v.x, -v.y)
+    return v.conjugate()  # mpmath
 
 
 def _real(v):
-    if hasattr(v, "y"):
+    if type(v) is Fraction or type(v) is int:
+        return v
+    if type(v) is Gaussian:
         return v.x
-    return v.real if isinstance(v, mpmath.mpc) else v
+    return v.real  # mpmath
 
 
 def _eliminate(a: list, thr, hermitian: bool = False) -> list:
@@ -147,8 +164,8 @@ def _clear(a: list, k: int, c: int, rows) -> None:
 
 def rank_at(grid, point: dict, tol: float = 1e-9) -> int:
     """The rank of the matrix ``grid`` at ``point``."""
-    with mpmath.workdps(_DPS):
-        (a,), exact, _ = _values(point, grid)
+    (a,), exact, _ = _values(point, grid)
+    with _precision(exact):
         return len(_eliminate(a, _threshold(a, exact, tol)))
 
 
@@ -156,8 +173,8 @@ def kernel_inertia_at(grid, form, point: dict, tol: float = 1e-9) -> tuple[int, 
     """(positive, negative) index of the Hermitian form ``form`` restricted
     to the kernel of the matrix ``grid`` at ``point``.  The kernel basis
     comes from the reduced rows: one vector per free column."""
-    with mpmath.workdps(_DPS):
-        (a, g), exact, zero = _values(point, grid, form)
+    (a, g), exact, zero = _values(point, grid, form)
+    with _precision(exact):
         cols = _eliminate(a, _threshold(a, exact, tol))
         n = len(a[0])
         basis = []
@@ -175,8 +192,8 @@ def kernel_inertia_at(grid, form, point: dict, tol: float = 1e-9) -> tuple[int, 
 def inertia_at(gram, point: dict, tol: float = 1e-9) -> tuple[int, int]:
     """(positive, negative) index of the Hermitian matrix ``gram`` at
     ``point``."""
-    with mpmath.workdps(_DPS):
-        (a,), exact, _ = _values(point, gram)
+    (a,), exact, _ = _values(point, gram)
+    with _precision(exact):
         return _signs(a, exact, tol)
 
 
@@ -202,8 +219,8 @@ def positivity_witness(gram, point: dict, tol: float = 1e-9) -> Optional[Witness
     ``point`` (every pivot of its symmetric reduction is positive), else a
     witness: the first pivot that is not (0 when the pivots run out before
     the last row), exact when the values are, with its row in ``detail``."""
-    with mpmath.workdps(_DPS):
-        (a,), exact, zero = _values(point, gram)
+    (a,), exact, zero = _values(point, gram)
+    with _precision(exact):
         pivots = _hermitian_pivots(a, exact, tol)
         bad = next(((i, d) for i, d in pivots if d < 0), None)
         if bad is None and len(pivots) < len(a):

@@ -53,7 +53,10 @@ when the field has no atom generator, else as an mpmath number at ``_DPS``
 (30) digits.  ``evaluate`` returns that value as it is (no sympy number, no
 ``complex``), the zero test decides on it, and the point certificates of
 :mod:`ggwb.numeric` (the metric's base-point check among them) eliminate
-over it.
+over it.  mpmath is imported when the first atom generator is made
+(:func:`_gen`): only a field with a generator has mpmath values, so a job
+without atoms never loads it, and one with atoms loads it while its input
+is parsed.
 
 Soundness contract: ``is_zero`` answers ``Proved`` only when the reduced
 fraction is zero; the generators stand for the true functions in a ring
@@ -92,9 +95,7 @@ from functools import lru_cache, reduce
 from operator import or_
 from typing import Iterable, Optional
 
-import mpmath
-
-from .errors import ChartMismatchError, ExprError, GgwbError, ParseError
+from .errors import ChartMismatchError, ExprError, GgwbError, ParseError, PolicyError
 from .poly import (
     FIELD,
     ONE,
@@ -143,12 +144,23 @@ class ZeroPolicy:
     ``samples`` is the number of independent random points, ``tol`` the
     numeric tolerance used when transcendental atoms force float evaluation,
     and ``max_resample`` the per-sample retry budget when a point hits a pole.
+    Every construction (a scenario's policy, the CLI's overrides, the API)
+    checks the ranges: a zero test with no sample would pass every nonzero
+    residual, and a negative or NaN ``tol`` would fail every zero one.
     """
 
     samples: int = 32
     seed: int = 0
     tol: float = 1e-9
     max_resample: int = 8
+
+    def __post_init__(self):
+        if not self.samples >= 1:
+            raise PolicyError("samples", f"must be at least 1, got {self.samples!r}")
+        if not self.max_resample >= 0:
+            raise PolicyError("max_resample", f"must be at least 0, got {self.max_resample!r}")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise PolicyError("tol", f"must be finite and at least 0, got {self.tol!r}")
 
     def rng(self) -> random.Random:
         return random.Random(self.seed)
@@ -200,9 +212,17 @@ def _order(rf: Frac) -> tuple:
 _GEN_OF_KEY: dict = {}
 
 
+# mpmath evaluates atom generators, and only values in a field with one are
+# mpmath numbers, so it is imported with the first generator: a job whose
+# scalars have no atom never loads it.
+mpmath = None
+
+
 def _gen(kind: str, arg: Frac) -> _Gen:
     g = _GEN_OF_KEY.get((kind, arg))
     if g is None:
+        global mpmath
+        import mpmath
         g = _GEN_OF_KEY[(kind, arg)] = _Gen(kind, arg)
     return g
 
@@ -1048,10 +1068,10 @@ def _witness_number(v):
     Fraction when it is exact and real, a float, or a complex when it has an
     imaginary part; a 30-digit value beyond the double range keeps its
     leading 13 digits, as a string."""
+    if type(v) is Fraction or type(v) is int:
+        return Fraction(v)
     if type(v) is Gaussian:
         return complex(float(v.x), float(v.y))
-    if not isinstance(v, (mpmath.mpf, mpmath.mpc)):
-        return Fraction(v)
     v = v if v.imag else v.real
     f = complex(v) if v.imag else float(v)
     return f if cmath.isfinite(f) else mpmath.nstr(v, 13, strip_zeros=False, min_fixed=1,

@@ -25,7 +25,7 @@ from ..calculus import (
     TwoForm,
     VectorField,
 )
-from ..errors import ExprError, GgwbError, ParseError, ScenarioError
+from ..errors import ExprError, GgwbError, ParseError, PolicyError, ScenarioError
 from ..symexpr import ZeroPolicy, parse_scalar
 
 _FIELD_KINDS = ("scalar", "vector", "oneform", "twoform", "endo", "metric")
@@ -280,6 +280,8 @@ def _load_policy(spec: Optional[dict], where: str, seed_default: int = 0) -> Zer
             tol=float(spec.get("tol", 1e-9)),
             max_resample=int(spec.get("max_resample", 8)),
         )
+    except PolicyError as exc:
+        raise ScenarioError(f"bad policy value: {exc}", f"{where}.{exc.key}") from None
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"bad policy value: {exc}", where) from None
 

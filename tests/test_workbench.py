@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from ggwb import symexpr
-from ggwb.errors import ScenarioError
+from ggwb.errors import PolicyError, ScenarioError
 from ggwb.poly import exponents
 from ggwb.verdict import VerdictKind
 from ggwb.workbench import (
@@ -227,12 +227,37 @@ def test_cli_config_errors(capsys):
 @pytest.mark.parametrize("policy,where", [
     ({"samples": 8, "max_passes": 2}, "$.policy.max_passes"),
     (5, "$.policy"),
+    ({"samples": 0}, "$.policy.samples"),
+    ({"samples": -3}, "$.policy.samples"),
+    ({"max_resample": -1}, "$.policy.max_resample"),
+    ({"tol": -1}, "$.policy.tol"),
+    ({"tol": "nan"}, "$.policy.tol"),
+    ({"tol": "inf"}, "$.policy.tol"),
 ])
 def test_cli_rejects_bad_policy(tmp_path, capsys, policy, where):
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps(_tiny_scenario(policy=policy)))
     assert main(["check", str(path)]) == 2
     assert f"{where}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [("--samples", "0"), ("--tol", "nan"), ("--tol", "-1")])
+def test_cli_rejects_a_bad_policy_flag(capsys, flag, value):
+    """A sample count below 1 would pass every nonzero residual (S3's Failed
+    items would read NumericallySupported), and a negative or NaN tolerance
+    would fail every numeric zero: the flag is a configuration error."""
+    assert main(["check", "S3", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flag[2:]} must be" in captured.err and value in captured.err
+
+
+def test_zero_policy_checks_its_ranges():
+    for bad in ({"samples": 0}, {"max_resample": -1}, {"tol": float("nan")}, {"tol": -1e-9}):
+        with pytest.raises(PolicyError) as info:
+            symexpr.ZeroPolicy(**bad)
+        assert info.value.key == next(iter(bad))
+    assert symexpr.ZeroPolicy(samples=1, max_resample=0, tol=0.0).samples == 1
 
 
 def test_cli_check_at_structure(capsys):

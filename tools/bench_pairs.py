@@ -11,6 +11,10 @@ end-to-end metric of ``BENCHMARK.json`` the record keeps every value, the
 median and quartiles of each side, and the number of pairs the change wins
 (its value is better than the parent's in the same pair).  The record of
 the workload is merged into ``--out``, so one file holds every workload.
+It also keeps, per side, the operations attempted and failed and whether
+every run was correct.  The exit status is 1, after the record is written,
+when a run is incorrect or the change fails a larger share of its
+operations than the parent, else 0.
 """
 
 from __future__ import annotations
@@ -71,13 +75,22 @@ def main(argv=None) -> int:
             **{side: {"values": values[side], **quartiles(values[side])} for side in sides},
             "change_wins": wins,
         }
-    record["failed"] = {side: sum(r["failed"] for r in runs[side]) for side in sides}
+    for key in ("attempted", "failed"):
+        record[key] = {side: sum(r[key] for r in runs[side]) for side in sides}
     record["correct"] = {side: all(r["correct"] for r in runs[side]) for side in sides}
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.setdefault("workloads", {})[args.workload] = record
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    return 0
+
+    share = {side: record["failed"][side] / max(1, record["attempted"][side]) for side in sides}
+    problems = [f"incorrect {side} run" for side in sides if not record["correct"][side]]
+    if share["change"] > share["parent"]:
+        problems.append(f"the change fails {share['change']:.2%} of its operations, "
+                        f"the parent {share['parent']:.2%}")
+    for problem in problems:
+        print(f"{args.workload}: {problem}", file=sys.stderr)
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":
