@@ -5,6 +5,12 @@ Everything here works through the equivalent pair of classical structures
 rho_pm package the Courant-bracket corrections; note their arguments live in
 *different* image bundles: zeta_s takes X in P_s = im F_s while rho_s takes
 X in P_{-s}.
+
+P_s is spanned by the columns of F_s, so zeta and rho are column formulas: on
+an n x p array P they give the p x n array with entry [a][k] = zeta_s(P e_a)_k
+(or rho_s), each term one contraction of P, Z_s, gamma and their derivative
+arrays.  The (indbin0)/(indbin1) lines contract these arrays with F_pm, and
+zeta_form, rho_form and zeta_rho_forms are the one-column case.
 """
 
 from __future__ import annotations
@@ -14,15 +20,14 @@ from typing import Optional
 from ..calculus import (
     OneForm,
     VectorField,
+    _Array,
     _minor,
+    _partials,
     contract,
     ext_d,
-    frame,
     interior,
     lie_bracket,
     lie_derivative,
-    musical_flat,
-    musical_sharp,
 )
 from ..courant import (
     BigEndo,
@@ -36,71 +41,85 @@ from ..errors import PreconditionNotMet, StructureError
 from ..numeric import positivity_witness
 from ..symexpr import DEFAULT_POLICY, ScalarExpr, ZeroPolicy, is_zero, is_zero_all
 from ..verdict import CheckResult, Verdict, Witness, combine
-from .classical import AlmostContact, check_normal_classical
+from .classical import check_normal_classical
 from .twoone import TwoOneGAC, build_product_J, second_structure
 
 
 class _PairData:
-    """Cached classical-pair data for the explicit criteria."""
+    """The classical pair (F_s, Z_s, xi_s, gamma) and dpsi, by sign s, with the
+    derivative arrays the column formulas read."""
 
     def __init__(self, s: TwoOneGAC):
         if s.G is None:
             raise PreconditionNotMet("explicit normality needs a metric structure")
-        self.s = s
-        self.acp, self.acm, self.psi = s.classical_pair()
-        self.gamma = s.G.gamma
-        self.dpsi = s.G.dpsi
-        self.chart = s.chart
-        self.dxi = {1: ext_d(self.acp.xi), -1: ext_d(self.acm.xi)}
+        self.gamma, self.dpsi, self.chart = s.G.gamma, s.G.dpsi, s.chart
+        self.dgamma = _partials(self.gamma)  # dgamma[i][j][m] = d_m gamma_ij
+        self.ac, self.F, self.Z, self.dZ, self.iz_dpsi, self.dxi = ({} for _ in range(6))
+        for sign, ac in zip((1, -1), s.classical_pair()):
+            self.ac[sign], self.F[sign], self.Z[sign] = ac, ac.F, ac.Z
+            self.dZ[sign] = _partials(ac.Z)  # dZ[i][j] = d_j Z^i
+            self.iz_dpsi[sign] = interior(ac.Z, self.dpsi)
+            self.dxi[sign] = ext_d(ac.xi)
+        self._rho = {}
 
-    def ac(self, sign: int) -> AlmostContact:
-        return self.acp if sign == 1 else self.acm
-
-    def F(self, sign: int):
-        return self.ac(sign).F
-
-    def Z(self, sign: int) -> VectorField:
-        return self.ac(sign).Z
-
-    def xi(self, sign: int) -> OneForm:
-        return self.ac(sign).xi
-
-    def span_P(self, sign: int) -> list[VectorField]:
-        F = self.F(sign)
-        return [F(e) for e in frame(self.chart)]
+    def rho_lines(self, sign: int) -> tuple:
+        """What every rho line of sign s reads, on P = F_{-s}, whose columns
+        span P_{-s}: [Z_s, P], [Z_s, F_{-s} P], sharp_gamma rho_s(P) and
+        rho_s(F_{-s} P) + rho_s(P) o F_{-s}, each [a][k]."""
+        if sign not in self._rho:
+            P = self.F[-sign]
+            (b1, rho), (b2, rho_f) = _rho(self, sign, P), _rho(self, sign, P @ P)
+            self._rho[sign] = (b1, b2, _on_columns(self.gamma.inverse_matrix(), rho),
+                               rho_f + contract("aj,jk->ak", rho, P))
+        return self._rho[sign]
 
 
 def _membership_P(data: _PairData, sign: int, X: VectorField, policy: ZeroPolicy) -> None:
     """X must satisfy pr_P X = X, i.e. -F_sign^2 X = X."""
-    F = data.F(sign)
-    d = F(F(X)) + X
-    v = is_zero_all(d.components, policy, "pr_P membership")
+    F, tag = data.F[sign], "+" if sign == 1 else "-"
+    v = is_zero_all((F(F(X)) + X).components, policy, "pr_P membership")
     if not v.ok:
-        raise StructureError(
-            f"argument is not in P_{'+' if sign == 1 else '-'} = im F_"
-            f"{'+' if sign == 1 else '-'}",
-            [("pr_P X = X", v)],
-        )
+        raise StructureError(f"argument is not in P_{tag} = im F_{tag}", [("pr_P X = X", v)])
 
 
-def _zeta(data: _PairData, sign: int, X: VectorField) -> OneForm:
-    Z = data.Z(sign)
-    term1 = interior(X, interior(Z, data.dpsi))
-    term2 = lie_derivative(Z, musical_flat(data.gamma, X))
-    term3 = musical_flat(lie_derivative(X, data.gamma), Z)
-    tail = term2 - term3
-    return term1 + tail if sign == 1 else term1 - tail
+def _on_columns(A, cols: _Array) -> _Array:
+    """A X for every column X, [a][k] = A^k_j X_a^j."""
+    return contract("kj,aj->ak", A, cols)
 
 
-def _rho(data: _PairData, sign: int, X: VectorField) -> OneForm:
-    Z = data.Z(sign)
-    inner = (
-        musical_flat(data.gamma, lie_bracket(Z, X))
-        - interior(X, interior(Z, data.dpsi))
-        + lie_derivative(Z, musical_flat(data.gamma, X))
-        + interior(X, data.dxi[sign])
-    )
-    return -inner if sign == 1 else inner
+def _flat_lie(data: _PairData, sign: int, P, dP: _Array) -> _Array:
+    """L_Z(flat_gamma X) on the columns X of P, [a][j] =
+    Z^m d_m(X^i gamma_ij) + X^l gamma_li d_j Z^i, with Z = Z_s."""
+    Z, g = data.Z[sign], data.gamma
+    return (contract("m,iam,ij->aj", Z, dP, g) + contract("m,ia,ijm->aj", Z, P, data.dgamma)
+            + contract("la,li,ij->aj", P, g, data.dZ[sign]))
+
+
+def _zeta(data: _PairData, sign: int, P) -> _Array:
+    """zeta_s(X) = i(X) i(Z) dpsi +- [L_Z(flat_gamma X) - (L_X gamma)(Z, .)]
+    on the columns X of P, [a][k], with Z = Z_s."""
+    Z, g, dP = data.Z[sign], data.gamma, _partials(P)
+    # (L_X gamma)(Z, .)_k = Z^j (X^i d_i gamma_jk + gamma_ik d_j X^i + gamma_ji d_k X^i)
+    lxg = (contract("j,ia,jki->ak", Z, P, data.dgamma) + contract("j,iaj,ik->ak", Z, dP, g)
+           + contract("j,ji,iak->ak", Z, g, dP))
+    tail = _flat_lie(data, sign, P, dP) - lxg
+    term = contract("ja,jk->ak", P, data.iz_dpsi[sign])
+    return term + tail if sign == 1 else term - tail
+
+
+def _rho(data: _PairData, sign: int, P) -> tuple[_Array, _Array]:
+    """([Z, X], rho_s(X)) on the columns X of P, each [a][k], with Z = Z_s and
+    rho_s(X) = -+[flat_gamma [Z, X] - i(X) i(Z) dpsi + L_Z(flat_gamma X) + i(X) dxi_s]."""
+    dP = _partials(P)
+    bracket = contract("i,kai->ak", data.Z[sign], dP) - contract("ia,ki->ak", P, data.dZ[sign])
+    inner = (contract("ak,kj->aj", bracket, data.gamma) + _flat_lie(data, sign, P, dP)
+             + contract("ja,jk->ak", P, data.dxi[sign] - data.iz_dpsi[sign]))
+    return bracket, (-inner if sign == 1 else inner)
+
+
+def _column(X: VectorField) -> _Array:
+    """X as the one column of an n x 1 array."""
+    return contract("i,a->ia", X, (1,))
 
 
 def zeta_form(
@@ -109,7 +128,7 @@ def zeta_form(
     """zeta_sign(X) for X in P_sign."""
     data = _PairData(s)
     _membership_P(data, sign, X, policy)
-    return _zeta(data, sign, X)
+    return OneForm(s.chart, _zeta(data, sign, _column(X))._take(0))
 
 
 def rho_form(
@@ -118,32 +137,30 @@ def rho_form(
     """rho_sign(X) for X in P_{-sign}."""
     data = _PairData(s)
     _membership_P(data, -sign, X, policy)
-    return _rho(data, sign, X)
+    return OneForm(s.chart, _rho(data, sign, _column(X))[1]._take(0))
 
 
 def zeta_rho_forms(
     s: TwoOneGAC, X: VectorField, sign: int, policy: ZeroPolicy = DEFAULT_POLICY
 ) -> tuple[OneForm, OneForm]:
     """(zeta_sign(X), rho_sign(X)); X must lie in P_sign *and* P_{-sign}."""
-    data = _PairData(s)
-    _membership_P(data, sign, X, policy)
-    _membership_P(data, -sign, X, policy)
-    return _zeta(data, sign, X), _rho(data, sign, X)
+    return zeta_form(s, X, sign, policy), rho_form(s, X, sign, policy)
 
 
 # ---------------------------------------------------------------------------
 # (indbin0): the explicit normality system
 
 
-def _first_line_items(data: _PairData, policy: ZeroPolicy, out: CheckResult) -> None:
-    Zp, Zm = data.Z(1), data.Z(-1)
-    out.add("(indbin0) [Z+, Z-] = 0", is_zero_all(
-        lie_bracket(Zp, Zm).components, policy))
-    lhs = (
-        lie_derivative(Zm, data.xi(1))
-        + lie_derivative(Zp, data.xi(-1))
-        - ext_d(data.gamma(Zp, Zm))
-    )
+def _common_items(data: _PairData, policy: ZeroPolicy, out: CheckResult) -> None:
+    """The items (indbin0) and (indbin1) share: classical normality of both
+    halves and the first line of (indbin0)."""
+    for sign, tag in ((1, "+"), (-1, "-")):
+        sub = check_normal_classical(data.ac[sign], policy)
+        out.add(f"classical normality of (F{tag}, Z{tag}, xi{tag})", sub.verdict)
+    Zp, Zm = data.Z[1], data.Z[-1]
+    out.add("(indbin0) [Z+, Z-] = 0", is_zero_all(lie_bracket(Zp, Zm).components, policy))
+    lhs = (lie_derivative(Zm, data.ac[1].xi) + lie_derivative(Zp, data.ac[-1].xi)
+           - ext_d(data.gamma(Zp, Zm)))
     rhs = interior(Zm, interior(Zp, data.dpsi))
     out.add(
         "(indbin0) L_{Z-} xi+ + L_{Z+} xi- - d gamma(Z+,Z-) = i(Z-) i(Z+) d psi",
@@ -153,38 +170,30 @@ def _first_line_items(data: _PairData, policy: ZeroPolicy, out: CheckResult) -> 
 
 def check_normal_explicit(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
     """Explicit route: classical normality of both halves plus the (indbin0)
-    condition system on spanning sets of P_pm."""
+    condition system on the columns of F_pm, which span P_pm."""
     data = _PairData(s)
     out = CheckResult("normal_explicit")
-    for sign, tag in ((1, "+"), (-1, "-")):
-        sub = check_normal_classical(data.ac(sign), policy)
-        out.add(f"classical normality of (F{tag}, Z{tag}, xi{tag})", sub.verdict)
-    _first_line_items(data, policy, out)
+    _common_items(data, policy, out)
 
-    # zeta line: zeta_s(X) o F_+ = zeta_s(X) o F_- = -zeta_s(F_s X), X in P_s
+    # zeta line: zeta_s(X) o F_+ = zeta_s(X) o F_- = -zeta_s(F_s X), X in P_s;
+    # [a][f][k] with F_+ (f = 0) before F_- (f = 1)
+    F_pm = contract("f,jk->fjk", (1, 0), data.F[1]) + contract("f,jk->fjk", (0, 1), data.F[-1])
     exprs = []
     for sign in (1, -1):
-        Fs = data.F(sign)
-        for X in data.span_P(sign):
-            z = _zeta(data, sign, X)
-            zf = _zeta(data, sign, Fs(X))
-            for F_other in (data.F(1), data.F(-1)):
-                exprs.extend((z.compose_endo(F_other) + zf).components)
+        Fs = data.F[sign]
+        z, zf = _zeta(data, sign, Fs), _zeta(data, sign, Fs @ Fs)
+        d = contract("aj,fjk->afk", z, F_pm) + contract("ak,f->afk", zf, (1, 1))
+        exprs.extend(d._flat())
     out.add("(indbin0) zeta_pm(X) o F_+- = -zeta_pm(F_pm X)", is_zero_all(exprs, policy))
 
     # bracket line:
     # F_s [Z_s, X] - [Z_s, F_{-s} X] = (F_- - F_+) sharp rho_s(X) / 2, X in P_{-s}
     exprs = []
+    half_diff = (data.F[-1] - data.F[1]) * data.chart.scalar("1/2")
     for sign in (1, -1):
-        Fs, Fo = data.F(sign), data.F(-sign)
-        Zs = data.Z(sign)
-        for X in data.span_P(-sign):
-            rho = _rho(data, sign, X)
-            sharp = musical_sharp(data.gamma, rho)
-            lhs = Fs(lie_bracket(Zs, X)) - lie_bracket(Zs, Fo(X))
-            half = data.chart.scalar("1/2")
-            rhs = (data.F(-1)(sharp) - data.F(1)(sharp)) * half
-            exprs.extend((lhs - rhs).components)
+        b1, b2, sharp, _ = data.rho_lines(sign)
+        d = _on_columns(data.F[sign], b1) - b2 - _on_columns(half_diff, sharp)
+        exprs.extend(d._flat())
     out.add("(indbin0) bracket/rho compatibility", is_zero_all(exprs, policy))
 
     out.add("(indbin0) rho_pm(F_mp X) + rho_pm(X) o F_mp = 0", _rho_antiholomorphy(data, policy))
@@ -192,12 +201,7 @@ def check_normal_explicit(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> 
 
 
 def _rho_antiholomorphy(data: _PairData, policy: ZeroPolicy) -> Verdict:
-    exprs = []
-    for sign in (1, -1):
-        Fo = data.F(-sign)
-        for X in data.span_P(-sign):
-            d = _rho(data, sign, Fo(X)) + _rho(data, sign, X).compose_endo(Fo)
-            exprs.extend(d.components)
+    exprs = data.rho_lines(1)[3]._flat() + data.rho_lines(-1)[3]._flat()
     return is_zero_all(exprs, policy, "rho antiholomorphy")
 
 
@@ -220,33 +224,21 @@ def check_binormal(
 
     data = _PairData(s)
     out = CheckResult("binormal")
-    for sign, tag in ((1, "+"), (-1, "-")):
-        sub = check_normal_classical(data.ac(sign), policy)
-        out.add(f"classical normality of (F{tag}, Z{tag}, xi{tag})", sub.verdict)
-    _first_line_items(data, policy, out)
+    _common_items(data, policy, out)
 
-    exprs = []
-    for sign in (1, -1):
-        for X in data.span_P(sign):
-            exprs.extend(_zeta(data, sign, X).components)
+    exprs = _zeta(data, 1, data.F[1])._flat() + _zeta(data, -1, data.F[-1])._flat()
     out.add("(indbin1) zeta_pm(X_pm) = 0", is_zero_all(exprs, policy))
 
     out.add("(indbin1) rho_pm(F_mp X) + rho_pm(X) o F_mp = 0", _rho_antiholomorphy(data, policy))
 
-    # split bracket equations:
     # split bracket equations; sign bookkeeping: for the upper case
     # F_+[Z_+, X_-] = -(1/2) F_+ sharp rho_+(X_-); lower case flips the sign.
     exprs_a, exprs_b = [], []
-    half = data.chart.scalar("1/2")
     for sign in (1, -1):
-        Fs, Fo = data.F(sign), data.F(-sign)
-        Zs = data.Z(sign)
-        for X in data.span_P(-sign):
-            sharp = musical_sharp(data.gamma, _rho(data, sign, X))
-            da = Fs(lie_bracket(Zs, X)) + Fs(sharp) * half * sign
-            db = lie_bracket(Zs, Fo(X)) + Fo(sharp) * half * sign
-            exprs_a.extend(da.components)
-            exprs_b.extend(db.components)
+        b1, b2, sharp, _ = data.rho_lines(sign)
+        sharp = sharp * data.chart.scalar(f"{sign}/2")
+        exprs_a.extend(_on_columns(data.F[sign], b1 + sharp)._flat())
+        exprs_b.extend((b2 + _on_columns(data.F[-sign], sharp))._flat())
     out.add("(indbin1) F_pm [Z_pm, X_mp] = mp (1/2) F_pm sharp rho_pm", is_zero_all(exprs_a, policy))
     out.add("(indbin1) [Z_pm, F_mp X_mp] = mp (1/2) F_mp sharp rho_pm", is_zero_all(exprs_b, policy))
 

@@ -143,10 +143,13 @@ class ZeroPolicy:
 
     ``samples`` is the number of independent random points, ``tol`` the
     numeric tolerance used when transcendental atoms force float evaluation,
-    and ``max_resample`` the per-sample retry budget when a point hits a pole.
+    and ``max_resample`` the per-sample retry budget when a point hits a pole:
+    the zero test draws at most ``samples * (1 + max_resample)`` points.
     Every construction (a scenario's policy, the CLI's overrides, the API)
-    checks the ranges: a zero test with no sample would pass every nonzero
-    residual, and a negative or NaN ``tol`` would fail every zero one.
+    checks the types and ranges: the counts and the seed are integers and
+    ``tol`` a number, none of them a bool (``tol`` is kept as a float); a
+    zero test with no sample would pass every nonzero residual, and a
+    negative or NaN ``tol`` would fail every zero one.
     """
 
     samples: int = 32
@@ -155,6 +158,15 @@ class ZeroPolicy:
     max_resample: int = 8
 
     def __post_init__(self):
+        for key in ("samples", "seed", "max_resample", "tol"):
+            value, kinds = getattr(self, key), (int, float) if key == "tol" else int
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                kind = "a number" if key == "tol" else "an integer"
+                raise PolicyError(key, f"must be {kind}, got {value!r}")
+        try:
+            object.__setattr__(self, "tol", float(self.tol))
+        except OverflowError:
+            raise PolicyError("tol", "must be finite, got an int past the float range") from None
         if not self.samples >= 1:
             raise PolicyError("samples", f"must be at least 1, got {self.samples!r}")
         if not self.max_resample >= 0:
@@ -1092,7 +1104,7 @@ def is_zero(e: ScalarExpr, policy: ZeroPolicy = DEFAULT_POLICY, criterion: str =
     chart = e.chart
     rng = policy.rng()
     drawn = 0
-    budget = policy.samples * max(1, policy.max_resample)
+    budget = policy.samples * (1 + policy.max_resample)
     attempts = 0
     while drawn < policy.samples:
         if attempts >= budget:

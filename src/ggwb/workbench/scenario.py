@@ -265,7 +265,7 @@ _POLICY_KEYS = ("samples", "seed", "tol", "max_resample")
 
 
 def _load_policy(spec: Optional[dict], where: str, seed_default: int = 0) -> ZeroPolicy:
-    spec = spec or {}
+    spec = {} if spec is None else spec
     if not isinstance(spec, dict):
         raise ScenarioError("policy must be an object", where)
     for key in spec:
@@ -273,17 +273,10 @@ def _load_policy(spec: Optional[dict], where: str, seed_default: int = 0) -> Zer
             raise ScenarioError(
                 f"unknown policy key (known: {', '.join(_POLICY_KEYS)})", f"{where}.{key}"
             )
-    try:
-        return ZeroPolicy(
-            samples=int(spec.get("samples", 32)),
-            seed=int(spec.get("seed", seed_default)),
-            tol=float(spec.get("tol", 1e-9)),
-            max_resample=int(spec.get("max_resample", 8)),
-        )
+    try:  # ZeroPolicy checks the JSON types as well as the ranges
+        return ZeroPolicy(**{"seed": seed_default, **spec})
     except PolicyError as exc:
         raise ScenarioError(f"bad policy value: {exc}", f"{where}.{exc.key}") from None
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"bad policy value: {exc}", where) from None
 
 
 def load_scenario(source: Union[str, Path, dict], seed_default: int = 0) -> Scenario:

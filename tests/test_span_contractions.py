@@ -2,13 +2,16 @@
 
 The spanning sets of the criteria are {F e_a} for P = im F, {pr_Q e_a} for
 Q = ker F and the sections tau_pm(e_a) = G.section(e_a, +-1) for V_pm.
-Each reference below writes the criterion out as the per-pair loop over
-those vectors, and the list the check hands to the zero test must equal it
-element by element (as field elements) and in order, so a Failed item
-keeps its witness.  Tensoriality makes this hold for any endomorphism, so
-the operators are random polynomial ones, plus the builtin S3's F, whose
-(CRF0) fails, and a generalized metric whose Gcal is perturbed, so that
-(exprEpm) and G|V+ have nonzero defects.
+The (indbin0)/(indbin1) lines read zeta_pm and rho_pm on the columns of
+F_pm, which span P_pm.  Each reference below writes the criterion out as
+the per-pair loop over those vectors, and the list the check hands to the
+zero test must equal it element by element (as field elements) and in
+order, so a Failed item keeps its witness.  Tensoriality makes this hold
+for any endomorphism, so the operators are random polynomial ones, plus the
+builtin S3's F, whose (CRF0) fails, and a generalized metric whose Gcal is
+perturbed, so that (exprEpm) and G|V+ have nonzero defects.  Every builtin
+has psi = 0, so two random (2,1)-structures with dpsi != 0 check the dpsi
+terms of zeta and rho.
 """
 
 import random
@@ -25,8 +28,12 @@ from ggwb.calculus import (
     contract,
     ext_d,
     frame,
+    interior,
     lie_bracket,
     lie_derivative,
+    musical_flat,
+    musical_sharp,
+    random_vector_field,
 )
 from ggwb.courant import BigEndo, BigSection, _gram0, big_frame, lift_big_section
 from ggwb.hypersurface import (
@@ -38,11 +45,17 @@ from ggwb.hypersurface import (
     check_induced_contact,
     second_fundamental_form,
 )
-from ggwb.structures import classical, genf as genf_mod, genmetric, normality
+from ggwb.structures import classical, genf as genf_mod, genmetric, normality, twoone
 from ggwb.structures.classical import check_crf_endo, nijenhuis_classical
 from ggwb.structures.genf import GenF, check_gen_F
 from ggwb.structures.genmetric import GenMetric, check_gen_metric
-from ggwb.structures.normality import check_product_metric
+from ggwb.structures.normality import (
+    check_binormal,
+    check_normal_explicit,
+    check_product_metric,
+    rho_form,
+    zeta_form,
+)
 from ggwb.structures.twoone import TwoOneGAC, build_product_J, second_structure
 from ggwb.symexpr import ZeroPolicy, is_zero_all, random_poly
 from ggwb.verdict import CheckResult
@@ -381,3 +394,137 @@ def test_gen_crf_invariance_takes_the_first_nonzero_column_after_the_first(monke
     monkeypatch.setattr(genf_mod, "nijenhuis_big", recording)
     genf_mod.check_gen_CRF(GenF(Fcal), pol)
     assert seen and all(T == Fcal(big_frame(R2)[2]) for T in seen)
+
+
+def _unipotent(chart, rng, degree) -> EndoTM:
+    """I + N with N strictly upper triangular: a polynomial matrix with a
+    polynomial inverse."""
+    n = chart.dim
+    return EndoTM(chart, [[1 if i == j else random_poly(chart, rng, degree) if j > i else 0
+                           for j in range(n)] for i in range(n)])
+
+
+def _random_two_one(seed) -> TwoOneGAC:
+    """A metric (2,1)-structure on R^3 with dpsi != 0: gamma = U^T U and
+    F_pm = A_pm F0 A_pm^-1 (F0 the standard F of S1) for unipotent polynomial
+    U and A_pm, psi a random polynomial 2-form that is not closed, and
+    Z_pm = tau_pm(random vector fields)."""
+    R3 = ChartManifold("R3", ["x", "y", "z"])
+    rng = random.Random(seed)
+    U = _unipotent(R3, rng, 1)
+    gamma = MetricField(R3, contract("ki,kj->ij", U, U))
+    m = [[random_poly(R3, rng, 2) for _ in range(3)] for _ in range(3)]
+    psi = TwoForm(R3, [[m[i][j] - m[j][i] for j in range(3)] for i in range(3)])
+    assert not ext_d(psi).is_syntactic_zero
+    G = GenMetric(gamma, psi)
+    F0 = EndoTM(R3, [[0, -1, 0], [1, 0, 0], [0, 0, 0]])
+    F = []
+    for _ in range(2):
+        A = _unipotent(R3, rng, 1)
+        N = A - EndoTM.identity(R3)  # N^3 = 0, so A^-1 = I - N + N^2
+        F.append(A @ F0 @ (EndoTM.identity(R3) - N + N @ N))
+    Zp, Zm = (G.section(random_vector_field(R3, rng, 1), sign) for sign in (1, -1))
+    return TwoOneGAC(G.transfer(*F), Zp, Zm, G, name=f"random-{seed}")
+
+
+RANDOM_21 = [_random_two_one(seed) for seed in (3, 4)]
+
+
+def _zeta_reference(s, sign, X):
+    """zeta_s(X) = i(X) i(Z) dpsi +- [L_Z(flat X) - (L_X gamma)(Z, .)], written out."""
+    Z, gamma = s.Z(sign).X, s.G.gamma
+    term = interior(X, interior(Z, s.G.dpsi))
+    tail = lie_derivative(Z, musical_flat(gamma, X)) - musical_flat(lie_derivative(X, gamma), Z)
+    return term + tail if sign == 1 else term - tail
+
+
+def _rho_reference(s, sign, X):
+    """rho_s(X) = -+[flat [Z, X] - i(X) i(Z) dpsi + L_Z(flat X) + i(X) d xi], xi = flat Z."""
+    Z, gamma = s.Z(sign).X, s.G.gamma
+    inner = (musical_flat(gamma, lie_bracket(Z, X)) - interior(X, interior(Z, s.G.dpsi))
+             + lie_derivative(Z, musical_flat(gamma, X))
+             + interior(X, ext_d(musical_flat(gamma, Z))))
+    return -inner if sign == 1 else inner
+
+
+@pytest.mark.parametrize("s", RANDOM_21, ids=[s.name for s in RANDOM_21])
+def test_zeta_and_rho_forms_keep_the_dpsi_terms(s, pol):
+    """Every builtin has psi = 0; here dpsi != 0 and the public forms match
+    the written-out ones on every column of F_pm."""
+    Fp, Fm = s.classical_endos()
+    F = {1: Fp, -1: Fm}
+    seen = []
+    for sign in (1, -1):
+        for e in frame(s.chart):
+            X, Y = F[sign](e), F[-sign](e)  # X in P_s, Y in P_-s
+            z, r = zeta_form(s, X, sign, pol), rho_form(s, Y, sign, pol)
+            _same(z.components, _zeta_reference(s, sign, X).components)
+            _same(r.components, _rho_reference(s, sign, Y).components)
+            seen.append(interior(X, interior(s.Z(sign).X, s.G.dpsi)))
+    assert any(not t.is_syntactic_zero for t in seen)
+
+
+_INDBIN = {
+    "zeta": "(indbin0) zeta_pm(X) o F_+- = -zeta_pm(F_pm X)",
+    "bracket": "(indbin0) bracket/rho compatibility",
+    "antihol0": "(indbin0) rho_pm(F_mp X) + rho_pm(X) o F_mp = 0",
+    "zeta1": "(indbin1) zeta_pm(X_pm) = 0",
+    "antihol1": "(indbin1) rho_pm(F_mp X) + rho_pm(X) o F_mp = 0",
+    "split_a": "(indbin1) F_pm [Z_pm, X_mp] = mp (1/2) F_pm sharp rho_pm",
+    "split_b": "(indbin1) [Z_pm, F_mp X_mp] = mp (1/2) F_mp sharp rho_pm",
+}
+
+
+def _indbin_references(s) -> dict:
+    """The six (indbin0)/(indbin1) lines vector by vector over the columns of
+    F_pm: sign, then column, then (zeta line) F_+ before F_-, then component."""
+    Fp, Fm = s.classical_endos()
+    F, gamma, half = {1: Fp, -1: Fm}, s.G.gamma, s.chart.scalar("1/2")
+    refs = {key: [] for key in _INDBIN}
+    for sign in (1, -1):
+        for e in frame(s.chart):
+            X = F[sign](e)
+            z, zf = _zeta_reference(s, sign, X), _zeta_reference(s, sign, F[sign](X))
+            for Fo in (Fp, Fm):
+                refs["zeta"].extend((z.compose_endo(Fo) + zf).components)
+            refs["zeta1"].extend(z.components)
+    for sign in (1, -1):
+        Fs, Fo, Z = F[sign], F[-sign], s.Z(sign).X
+        for e in frame(s.chart):
+            X = Fo(e)
+            rho = _rho_reference(s, sign, X)
+            sharp = musical_sharp(gamma, rho)
+            d = (Fs(lie_bracket(Z, X)) - lie_bracket(Z, Fo(X))
+                 - (Fm(sharp) - Fp(sharp)) * half)
+            refs["bracket"].extend(d.components)
+            anti = (_rho_reference(s, sign, Fo(X)) + rho.compose_endo(Fo)).components
+            refs["antihol0"].extend(anti)
+            refs["antihol1"].extend(anti)
+            refs["split_a"].extend((Fs(lie_bracket(Z, X)) + Fs(sharp) * half * sign).components)
+            refs["split_b"].extend((lie_bracket(Z, Fo(X)) + Fo(sharp) * half * sign).components)
+    return refs
+
+
+@pytest.fixture(scope="module", params=["t21_s1", "t21_s2", "t21_s3", "s5_t21", "random-3",
+                                        "random-4"])
+def indbin_structure(request):
+    if request.param.startswith("random"):
+        return next(s for s in RANDOM_21 if s.name == request.param)
+    return request.getfixturevalue(request.param)
+
+
+def test_indbin_lines_contract_the_columns_of_F(monkeypatch, indbin_structure, pol):
+    s = indbin_structure
+
+    def run():
+        # the cross-check's normal21 runs are not under test here
+        monkeypatch.setattr(twoone, "check_normal_21", lambda *args: CheckResult("normal21"))
+        check_normal_explicit(s, pol)
+        check_binormal(s, pol)
+
+    lists = _item_lists(monkeypatch, normality, run)
+    refs = _indbin_references(s)
+    for key, label in _INDBIN.items():
+        _same(lists[label], refs[key])
+    if s.name.startswith("random"):
+        assert all(any(e.rf for e in ref) for ref in refs.values())

@@ -357,6 +357,21 @@ def test_pole_exhaustion():
         is_zero(e, pol)
 
 
+@pytest.mark.parametrize("max_resample", [0, 1])
+def test_max_resample_counts_retries(monkeypatch, max_resample):
+    """The first point is a pole of 1/x: with no retry the one sample is
+    lost and the budget is spent, with one retry the next point decides."""
+    chart = ChartManifold("line", ["x"])
+    points = iter([{"x": Fraction(0)}, {"x": Fraction(1)}])
+    monkeypatch.setattr(ChartManifold, "sample_point", lambda self, rng: next(points))
+    pol = ZeroPolicy(samples=1, seed=0, max_resample=max_resample)
+    if max_resample == 0:
+        with pytest.raises(ExprError, match="resampling budget exhausted after 1 attempts"):
+            is_zero(chart.scalar("1/x"), pol)
+    else:
+        assert is_zero(chart.scalar("1/x"), pol).kind is VerdictKind.FAILED
+
+
 def test_verdict_aggregation_order():
     from ggwb.verdict import Verdict, combine
 

@@ -233,6 +233,15 @@ def test_cli_config_errors(capsys):
     ({"tol": -1}, "$.policy.tol"),
     ({"tol": "nan"}, "$.policy.tol"),
     ({"tol": "inf"}, "$.policy.tol"),
+    ({"samples": 8.9, "seed": 2.7, "max_resample": True}, "$.policy.samples"),
+    ({"seed": 2.7}, "$.policy.seed"),
+    ({"max_resample": True}, "$.policy.max_resample"),
+    ({"samples": "8", "tol": "1e-3"}, "$.policy.samples"),
+    ({"tol": "1e-3"}, "$.policy.tol"),
+    ({"tol": True}, "$.policy.tol"),
+    ({"tol": 10 ** 400}, "$.policy.tol"),
+    ([], "$.policy"),
+    (0, "$.policy"),
 ])
 def test_cli_rejects_bad_policy(tmp_path, capsys, policy, where):
     path = tmp_path / "tiny.json"
@@ -253,11 +262,14 @@ def test_cli_rejects_a_bad_policy_flag(capsys, flag, value):
 
 
 def test_zero_policy_checks_its_ranges():
-    for bad in ({"samples": 0}, {"max_resample": -1}, {"tol": float("nan")}, {"tol": -1e-9}):
+    for bad in ({"samples": 0}, {"max_resample": -1}, {"tol": float("nan")}, {"tol": -1e-9},
+                {"samples": 2.5}, {"seed": True}, {"max_resample": "1"}, {"tol": "1e-3"},
+                {"tol": False}, {"tol": 10 ** 400}):
         with pytest.raises(PolicyError) as info:
             symexpr.ZeroPolicy(**bad)
         assert info.value.key == next(iter(bad))
     assert symexpr.ZeroPolicy(samples=1, max_resample=0, tol=0.0).samples == 1
+    assert repr(symexpr.ZeroPolicy(tol=1).tol) == "1.0"  # the report prints repr(tol)
 
 
 def test_cli_check_at_structure(capsys):
