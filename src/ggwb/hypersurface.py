@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -55,28 +54,39 @@ from .symexpr import (
 from .verdict import CheckResult, Verdict
 
 
-@dataclass(frozen=True)
 class Embedding:
-    """iota: N -> M, one scalar on N per ambient coordinate."""
+    """iota: N -> M, one scalar on N per ambient coordinate.  Immutable;
+    equal to an embedding with the same fields."""
 
-    domain: ChartManifold
-    ambient: ChartManifold
-    components: tuple
-    orientation: int = 1
-
-    def __post_init__(self):
-        if len(self.components) != self.ambient.dim:
+    def __init__(self, domain: ChartManifold, ambient: ChartManifold, components: tuple,
+                 orientation: int = 1):
+        if len(components) != ambient.dim:
             raise ExprError(
-                f"embedding needs {self.ambient.dim} component functions"
+                f"embedding needs {ambient.dim} component functions"
             )
-        if self.domain.dim != self.ambient.dim - 1:
+        if domain.dim != ambient.dim - 1:
             raise ExprError("hypersurface domain must have codimension one")
-        if set(self.domain.coords) & set(self.ambient.coords):
+        if set(domain.coords) & set(ambient.coords):
             raise ExprError("domain and ambient charts must use distinct coordinate names")
-        comps = tuple(self.domain.scalar(c) for c in self.components)
-        object.__setattr__(self, "components", comps)
-        if self.orientation not in (1, -1):
+        components = tuple(domain.scalar(c) for c in components)
+        if orientation not in (1, -1):
             raise ExprError("orientation must be +1 or -1")
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "orientation", orientation)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Embedding is immutable: cannot assign {name!r}")
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is Embedding else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def _key(self) -> tuple:
+        return self.domain, self.ambient, self.components, self.orientation
 
     # -- restriction -------------------------------------------------------
 
@@ -170,7 +180,6 @@ def unit_normal(
 # Gauss-Weingarten data
 
 
-@dataclass(eq=False)
 class HypersurfaceGeometry:
     """The Gauss-Weingarten data of one hypersurface and everything built
     from it.  The structures induced from an ambient J (its restriction,
@@ -179,19 +188,22 @@ class HypersurfaceGeometry:
     request and kept, per ambient field compared by identity; every build
     is deterministic, so a kept value is the one a rebuild would give."""
 
-    embedding: Embedding
-    gamma: MetricField  # ambient metric (on the ambient chart)
-    psi: TwoForm  # ambient 2-form (zero when none is given)
-    policy: ZeroPolicy  # of the build and of the validations of induced structures
-    nu: _Array  # ambient components along N
-    s: MetricField  # induced metric on N
-    kappa: TwoForm  # iota^* psi
-    b: _Array  # second fundamental form (domain x domain)
-    weingarten: EndoTM
-    gamma_res: _Array  # restricted ambient metric
-    jac: _Array
-    christoffel_res: _Array  # restricted ambient Christoffel symbols
-    _derived: dict = field(default_factory=dict, init=False, repr=False)
+    def __init__(self, embedding: Embedding, gamma: MetricField, psi: TwoForm,
+                 policy: ZeroPolicy, nu: _Array, s: MetricField, kappa: TwoForm, b: _Array,
+                 weingarten: EndoTM, gamma_res: _Array, jac: _Array, christoffel_res: _Array):
+        self.embedding = embedding
+        self.gamma = gamma  # ambient metric (on the ambient chart)
+        self.psi = psi  # ambient 2-form (zero when none is given)
+        self.policy = policy  # of the build and of the validations of induced structures
+        self.nu = nu  # ambient components along N
+        self.s = s  # induced metric on N
+        self.kappa = kappa  # iota^* psi
+        self.b = b  # second fundamental form (domain x domain)
+        self.weingarten = weingarten
+        self.gamma_res = gamma_res  # restricted ambient metric
+        self.jac = jac
+        self.christoffel_res = christoffel_res  # restricted ambient Christoffel symbols
+        self._derived = {}
 
     def push(self, X: VectorField) -> _Array:
         """Ambient components (along N) of d iota (X)."""
@@ -537,15 +549,15 @@ def check_fundamental_form_property(
 # induced generalized structure and the CRFK criterion
 
 
-@dataclass
 class InducedGenStructure:
     """The generalized F structure a pair J_pm induces (its G is built from
     (s, kappa)), the (2,1)-structure with the induced Z_pm, and the
     check_two_one its build ran."""
 
-    genf: GenF
-    two_one: TwoOneGAC
-    two_one_check: CheckResult
+    def __init__(self, genf: GenF, two_one: TwoOneGAC, two_one_check: CheckResult):
+        self.genf = genf
+        self.two_one = two_one
+        self.two_one_check = two_one_check
 
 
 def induced_gen_structure(

@@ -7,7 +7,6 @@ pr_Q = Id + F^2, so a criterion on P or Q contracts a frame table with them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -32,21 +31,32 @@ from ..symexpr import DEFAULT_POLICY, ZeroPolicy, is_zero, is_zero_all, random_p
 from ..verdict import CheckResult
 
 
-@dataclass(frozen=True)
 class AlmostContact:
-    """Triple (F, Z, xi), optionally with a compatible Riemannian metric."""
+    """Triple (F, Z, xi), optionally with a compatible Riemannian metric.
+    Immutable; equal to a structure with the same fields."""
 
-    F: EndoTM
-    Z: VectorField
-    xi: OneForm
-    gamma: Optional[MetricField] = None
-    name: str = "almost-contact"
-
-    def __post_init__(self):
-        chart = self.F.chart
-        for part in (self.Z, self.xi) + ((self.gamma,) if self.gamma else ()):
-            if part.chart != chart:
+    def __init__(self, F: EndoTM, Z: VectorField, xi: OneForm,
+                 gamma: Optional[MetricField] = None, name: str = "almost-contact"):
+        for part in (Z, xi) + ((gamma,) if gamma else ()):
+            if part.chart != F.chart:
                 raise ChartMismatchError("almost contact data spans several charts")
+        object.__setattr__(self, "F", F)
+        object.__setattr__(self, "Z", Z)
+        object.__setattr__(self, "xi", xi)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "name", name)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"AlmostContact is immutable: cannot assign {name!r}")
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is AlmostContact else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def _key(self) -> tuple:
+        return self.F, self.Z, self.xi, self.gamma, self.name
 
     @property
     def chart(self) -> ChartManifold:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -25,7 +24,6 @@ from ..verdict import CheckResult, Verdict
 from .genmetric import GenMetric
 
 
-@dataclass
 class GenF:
     """A g-skew endomorphism with Fcal^3 + Fcal = 0, optionally metric.
 
@@ -33,10 +31,12 @@ class GenF:
     halves are kept so CRFK-type criteria can reach them.
     """
 
-    Fcal: BigEndo
-    G: Optional[GenMetric] = None
-    F_plus: Optional[EndoTM] = None
-    F_minus: Optional[EndoTM] = None
+    def __init__(self, Fcal: BigEndo, G: Optional[GenMetric] = None,
+                 F_plus: Optional[EndoTM] = None, F_minus: Optional[EndoTM] = None):
+        self.Fcal = Fcal
+        self.G = G
+        self.F_plus = F_plus
+        self.F_minus = F_minus
 
     @property
     def chart(self):

@@ -9,7 +9,6 @@ binormality; the conformal conjugates J_t decide the Sasakian property.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -49,15 +48,16 @@ from .genf import GenF, corank_and_negative_index, crf_defects
 from .genmetric import GenMetric, build_gen_metric
 
 
-@dataclass
 class TwoOneGAC:
     """Fcal with complementary frame (Z_plus, Z_minus), optionally metric."""
 
-    Fcal: BigEndo
-    Z_plus: BigSection
-    Z_minus: BigSection
-    G: Optional[GenMetric] = None
-    name: str = "two-one"
+    def __init__(self, Fcal: BigEndo, Z_plus: BigSection, Z_minus: BigSection,
+                 G: Optional[GenMetric] = None, name: str = "two-one"):
+        self.Fcal = Fcal
+        self.Z_plus = Z_plus
+        self.Z_minus = Z_minus
+        self.G = G
+        self.name = name
 
     @property
     def chart(self) -> ChartManifold:
@@ -199,15 +199,17 @@ def second_structure(s: TwoOneGAC) -> TwoOneGAC:
 # the product structure J on M x R
 
 
-@dataclass
 class ProductJ:
-    chart: ChartManifold  # the M x R chart
-    J: BigEndo
-    T_plus: BigSection
-    T_minus: BigSection
-    Fcal_lift: BigEndo
-    Z_plus_lift: BigSection
-    Z_minus_lift: BigSection
+    def __init__(self, chart: ChartManifold, J: BigEndo, T_plus: BigSection,
+                 T_minus: BigSection, Fcal_lift: BigEndo, Z_plus_lift: BigSection,
+                 Z_minus_lift: BigSection):
+        self.chart = chart  # the M x R chart
+        self.J = J
+        self.T_plus = T_plus
+        self.T_minus = T_minus
+        self.Fcal_lift = Fcal_lift
+        self.Z_plus_lift = Z_plus_lift
+        self.Z_minus_lift = Z_minus_lift
 
 
 def default_line_basis(product: ChartManifold) -> tuple[BigSection, BigSection]:

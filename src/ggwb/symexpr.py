@@ -89,7 +89,6 @@ import math
 import operator
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import or_
@@ -137,7 +136,6 @@ _DPS = 30  # digits of the float evaluation of scalars with atoms
 # zero-test policy
 
 
-@dataclass(frozen=True)
 class ZeroPolicy:
     """Reproducible configuration for the three-valued zero test.
 
@@ -149,30 +147,44 @@ class ZeroPolicy:
     checks the types and ranges: the counts and the seed are integers and
     ``tol`` a number, none of them a bool (``tol`` is kept as a float); a
     zero test with no sample would pass every nonzero residual, and a
-    negative or NaN ``tol`` would fail every zero one.
+    negative or NaN ``tol`` would fail every zero one.  A policy is
+    immutable and equal to a policy with the same fields.
     """
 
-    samples: int = 32
-    seed: int = 0
-    tol: float = 1e-9
-    max_resample: int = 8
-
-    def __post_init__(self):
-        for key in ("samples", "seed", "max_resample", "tol"):
-            value, kinds = getattr(self, key), (int, float) if key == "tol" else int
+    def __init__(self, samples: int = 32, seed: int = 0, tol: float = 1e-9,
+                 max_resample: int = 8):
+        given = {"samples": samples, "seed": seed, "max_resample": max_resample, "tol": tol}
+        for key, value in given.items():
+            kinds = (int, float) if key == "tol" else int
             if isinstance(value, bool) or not isinstance(value, kinds):
                 kind = "a number" if key == "tol" else "an integer"
                 raise PolicyError(key, f"must be {kind}, got {value!r}")
         try:
-            object.__setattr__(self, "tol", float(self.tol))
+            tol = float(tol)
         except OverflowError:
             raise PolicyError("tol", "must be finite, got an int past the float range") from None
-        if not self.samples >= 1:
-            raise PolicyError("samples", f"must be at least 1, got {self.samples!r}")
-        if not self.max_resample >= 0:
-            raise PolicyError("max_resample", f"must be at least 0, got {self.max_resample!r}")
-        if not (math.isfinite(self.tol) and self.tol >= 0):
-            raise PolicyError("tol", f"must be finite and at least 0, got {self.tol!r}")
+        if not samples >= 1:
+            raise PolicyError("samples", f"must be at least 1, got {samples!r}")
+        if not max_resample >= 0:
+            raise PolicyError("max_resample", f"must be at least 0, got {max_resample!r}")
+        if not (math.isfinite(tol) and tol >= 0):
+            raise PolicyError("tol", f"must be finite and at least 0, got {tol!r}")
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "tol", tol)
+        object.__setattr__(self, "max_resample", max_resample)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ZeroPolicy is immutable: cannot assign {name!r}")
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is ZeroPolicy else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def _key(self) -> tuple:
+        return self.samples, self.seed, self.tol, self.max_resample
 
     def rng(self) -> random.Random:
         return random.Random(self.seed)

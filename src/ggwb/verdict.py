@@ -16,7 +16,6 @@ Compound checks aggregate to their weakest member.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -41,13 +40,26 @@ def _num_str(v) -> str:
     return str(v)
 
 
-@dataclass(frozen=True)
 class Witness:
-    """Counterexample data: the sample point and the residual value there."""
+    """Counterexample data: the sample point and the residual value there.
+    Immutable; equal to a witness with the same fields."""
 
-    point: tuple[tuple[str, Fraction], ...]
-    value: object  # Fraction, complex Fraction pair, or float
-    detail: str = ""
+    def __init__(self, point: tuple[tuple[str, Fraction], ...], value: object, detail: str = ""):
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "value", value)  # Fraction, complex Fraction pair, or float
+        object.__setattr__(self, "detail", detail)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Witness is immutable: cannot assign {name!r}")
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is Witness else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def _key(self) -> tuple:
+        return self.point, self.value, self.detail
 
     def as_dict(self) -> dict:
         d = {
@@ -66,19 +78,33 @@ class Witness:
         return s
 
 
-@dataclass(frozen=True)
 class Verdict:
     """Outcome of one identity check, with provenance of what was tested.
+    Immutable; equal to a verdict with the same fields.
 
     ``detail`` is the reason a verdict was reached when no zero test
     produced it (a rank count, a disagreement between two routes); it
     survives relabelling, so reports can show it.
     """
 
-    kind: VerdictKind
-    criterion: str = ""
-    witness: Optional[Witness] = None
-    detail: str = ""
+    def __init__(self, kind: VerdictKind, criterion: str = "",
+                 witness: Optional[Witness] = None, detail: str = ""):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "criterion", criterion)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "detail", detail)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Verdict is immutable: cannot assign {name!r}")
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is Verdict else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def _key(self) -> tuple:
+        return self.kind, self.criterion, self.witness, self.detail
 
     @staticmethod
     def proved(criterion: str = "") -> "Verdict":
@@ -103,7 +129,7 @@ class Verdict:
         return self.kind is VerdictKind.PROVED
 
     def relabel(self, criterion: str) -> "Verdict":
-        return replace(self, criterion=criterion)
+        return Verdict(self.kind, criterion, self.witness, self.detail)
 
     def __and__(self, other: "Verdict") -> "Verdict":
         return combine(self, other)
@@ -124,16 +150,16 @@ def combine(*verdicts: Verdict, criterion: str = "") -> Verdict:
     if not verdicts:
         return Verdict.proved(criterion)
     worst = min(verdicts, key=lambda v: _STRENGTH[v.kind])
-    return replace(worst, criterion=criterion or worst.criterion)
+    return worst.relabel(criterion or worst.criterion)
 
 
-@dataclass
 class CheckResult:
     """Outcome of a compound check: one sub-verdict per identity tested."""
 
-    name: str
-    items: list = field(default_factory=list)  # list[tuple[str, Verdict]]
-    skipped: Optional[str] = None
+    def __init__(self, name: str, items: Optional[list] = None, skipped: Optional[str] = None):
+        self.name = name
+        self.items = [] if items is None else items  # list[tuple[str, Verdict]]
+        self.skipped = skipped
 
     def add(self, label: str, verdict: Verdict) -> Verdict:
         self.items.append((label, verdict.relabel(label)))

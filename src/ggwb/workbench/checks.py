@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..calculus import EndoTM, MetricField, TwoForm, random_vector_field, zero_twoform
@@ -62,17 +61,18 @@ from ..verdict import CheckResult, Verdict
 from .scenario import Scenario, StructureDecl
 
 
-@dataclass(eq=False)
 class Hypersurface:
     """A declared hypersurface: the embedding and its ambient data.  ``J`` is
     the Hermitian structure the classical criteria read, J_plus when a pair
     is declared."""
 
-    embedding: Embedding
-    gamma: MetricField
-    psi: TwoForm  # zero when none is declared
-    J: EndoTM
-    pair: Optional[tuple] = None  # (J_plus, J_minus)
+    def __init__(self, embedding: Embedding, gamma: MetricField, psi: TwoForm, J: EndoTM,
+                 pair: Optional[tuple] = None):
+        self.embedding = embedding
+        self.gamma = gamma
+        self.psi = psi  # zero when none is declared
+        self.J = J
+        self.pair = pair  # (J_plus, J_minus)
 
     def J_pair(self, what: str) -> tuple:
         if self.pair is None:
@@ -172,12 +172,12 @@ class ScenarioContext:
             h.gamma, J, self.policy))
 
 
-@dataclass
 class CheckSpec:
-    name: str
-    applies: tuple
-    runner: Callable
-    aliases: tuple = ()
+    def __init__(self, name: str, applies: tuple, runner: Callable, aliases: tuple = ()):
+        self.name = name
+        self.applies = applies
+        self.runner = runner
+        self.aliases = aliases
 
 
 def _run_crvpm(ctx: ScenarioContext, obj) -> CheckResult:
@@ -374,12 +374,12 @@ def resolve_alias(name: str) -> Optional[str]:
     return None
 
 
-@dataclass
 class CheckRun:
-    check: str
-    structure: str
-    result: CheckResult
-    seconds: float
+    def __init__(self, check: str, structure: str, result: CheckResult, seconds: float):
+        self.check = check
+        self.structure = structure
+        self.result = result
+        self.seconds = seconds
 
 
 def _bind_structure(scenario: Scenario, req) -> StructureDecl:

@@ -13,10 +13,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from ..errors import GgwbError, ScenarioError
+from ..symexpr import ZeroPolicy
 from .checks import CHECKS, resolve_alias, run_checks
 from .report import emit_report
 from .scenario import CheckRequest, builtin_names, load_builtin, load_scenario, resolve_builtin
@@ -74,15 +74,13 @@ def main(argv=None) -> int:
                 f"'{args.scenario}' is neither a builtin nor an existing file "
                 f"(builtins: {', '.join(builtin_names())})"
             )
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.samples is not None:
-            overrides["samples"] = args.samples
-        if args.tol is not None:
-            overrides["tol"] = args.tol
-        if overrides:
-            scenario.policy = replace(scenario.policy, **overrides)
+        policy = scenario.policy
+        scenario.policy = ZeroPolicy(
+            policy.samples if args.samples is None else args.samples,
+            policy.seed if args.seed is None else args.seed,
+            policy.tol if args.tol is None else args.tol,
+            policy.max_resample,
+        )
         if args.check:
             requests = []
             for spec in args.check:

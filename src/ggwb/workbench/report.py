@@ -8,7 +8,6 @@ the JSON payload (it appears in the text format only).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from ..symexpr import ZeroPolicy
 from ..verdict import VerdictKind
@@ -16,11 +15,11 @@ from ..verdict import VerdictKind
 SCHEMA_VERSION = 2
 
 
-@dataclass
 class Report:
-    scenario: str
-    policy: ZeroPolicy
-    runs: list  # list[CheckRun]
+    def __init__(self, scenario: str, policy: ZeroPolicy, runs: list):
+        self.scenario = scenario
+        self.policy = policy
+        self.runs = runs  # list[CheckRun]
 
     @property
     def any_failed(self) -> bool:

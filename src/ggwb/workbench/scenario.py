@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Union
@@ -40,28 +39,29 @@ MAX_DEGREE = 12
 MAX_TERMS = 64
 
 
-@dataclass
 class StructureDecl:
-    name: str
-    type: str
-    data: dict
+    def __init__(self, name: str, type: str, data: dict):
+        self.name = name
+        self.type = type
+        self.data = data
 
 
-@dataclass
 class CheckRequest:
-    check: str
-    structure: Optional[str] = None
+    def __init__(self, check: str, structure: Optional[str] = None):
+        self.check = check
+        self.structure = structure
 
 
-@dataclass
 class Scenario:
-    name: str
-    description: str
-    charts: dict
-    fields: dict
-    structures: list
-    checks: list
-    policy: ZeroPolicy
+    def __init__(self, name: str, description: str, charts: dict, fields: dict,
+                 structures: list, checks: list, policy: ZeroPolicy):
+        self.name = name
+        self.description = description
+        self.charts = charts
+        self.fields = fields
+        self.structures = structures
+        self.checks = checks
+        self.policy = policy
 
     def structure(self, name: str) -> StructureDecl:
         for s in self.structures:

@@ -60,6 +60,16 @@ def test_pdiff_equals_sympy_diff(chart, seed, atoms):
         assert pdiff(e, sym) == sp.diff(e.expr, sym)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 3B: d/dx keeps the one generator E[2/7], while sympy.diff's exp(-4/7) "
+    "becomes a second generator E[4/7], so == answers False for equal functions"))
+def test_pdiff_matches_sympy_on_a_constant_exp_atom(chart):
+    x, y, z = chart.symbols
+    e = ScalarExpr(-16 * y * z / (3 * (x**3 + sp.exp(sp.Rational(-2, 7)))), chart)
+    for sym in (y, z, x):
+        assert pdiff(e, sym) == sp.diff(e.expr, sym)
+
+
 # -- the Courant bracket against a reference written with sympy.diff --------
 
 
