@@ -392,14 +392,22 @@ def _field_sum(K, terms):
 
 def _product(factors) -> tuple:
     """(numerator, denominator) of a product of field elements, multiplied
-    as polynomials without a gcd."""
+    as polynomials without a gcd; a product of two non-constant
+    denominators is memoized."""
     num, den = factors[0].numer, factors[0].denom
     for f in factors[1:]:
         if f.numer != ONE:
             num = mul(num, f.numer)
         if f.denom != ONE:
-            den = mul(den, f.denom)
+            d = f.denom
+            den = mul(den, d) if den.is_ground or d.is_ground else _den_product(f.field, den, d)
     return num, den
+
+
+@functools.lru_cache(maxsize=1024)
+def _den_product(K, a, b):
+    """a * b, two non-constant denominators of K."""
+    return mul(a, b)
 
 
 def _partials(t) -> "_Array":
@@ -415,11 +423,16 @@ def _partials(t) -> "_Array":
                           for k, c in enumerate(coords)}, shape + (len(coords),))
 
 
+MAX_DET = 8  # the largest determinant: one index letter per row, m! terms
+
+
 def _det(A) -> ScalarExpr:
     """Determinant of a small square core array: the Leibniz sum
     eps_{i_1..i_m} A_{1 i_1} ... A_{m i_m}, one row per operand, contracted
     like any other index sum."""
     m = A.shape[0]
+    if m > MAX_DET:
+        raise ExprError(f"a {m}x{m} determinant exceeds the bound {MAX_DET}")
     idx = "abcdefgh"[:m]
     return contract(f"{idx},{','.join(idx)}->", _levi_civita(A.chart, m),
                     *(A._take(r) for r in range(m)))

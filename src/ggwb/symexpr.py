@@ -98,6 +98,7 @@ from .errors import ChartMismatchError, ExprError, GgwbError, ParseError, Policy
 from .poly import (
     FIELD,
     ONE,
+    W,
     ZERO,
     Field,
     Frac,
@@ -130,6 +131,8 @@ from .verdict import Verdict, Witness
 _MAX_MULTIPLE = 8
 
 _DPS = 30  # digits of the float evaluation of scalars with atoms
+_NOISE = 1e-15  # a 30-digit denominator value below it is not clearly nonzero
+_LOST_BITS = 32  # an atom argument above 2**32 would cost exp and tan 10 digits
 
 
 # ---------------------------------------------------------------------------
@@ -366,13 +369,24 @@ def _unify(a: Frac, b: Frac) -> tuple:
 def _fraction(K: Field, num: Poly, den: Poly) -> Frac:
     """num/den in lowest terms, in the normal form of the module docstring.
     A constant denominator needs no gcd, only :func:`_scaled`; otherwise
-    the cofactors of one gcd (heuristic over Z, PRS over Z[i]) are the
-    reduced pair, whose signs (over Q) or constant (over Q(i)) are then
-    normalized."""
+    :func:`_reduced` takes one gcd."""
     if not num:
         return K.zero
     if len(den) == 1 and 0 in den:
         return _scaled(K, num, den)
+    return _reduced(K, num, den)
+
+
+# The denominator caches (_reduced, _poly_lcm, calculus._den_product) are
+# keyed by the field or its coefficient ring and the operand polynomials,
+# and hold the canonical value a fresh computation returns: a hypersurface
+# check meets the same denominators again and again.  The bounds are a few
+# times what one S4 check fills, since a key holds its operands.
+@lru_cache(maxsize=2048)
+def _reduced(K: Field, num: Poly, den: Poly) -> Frac:
+    """num/den for a non-constant den: the cofactors of one gcd (heuristic
+    over Z, PRS over Z[i]) are the reduced pair, whose signs (over Q) or
+    constant (over Q(i)) are then normalized."""
     _, num, den = cofactors(num, den, K.gaussian)
     if K.gaussian:
         return _scaled(K, num, den)
@@ -420,6 +434,18 @@ def _field_op(op, a: Frac, b: Frac) -> Frac:
 def _lcm(a: Poly, b: Poly, gaussian: bool) -> Poly:
     if len(a) == 1 and len(b) == 1 and 0 in a and 0 in b and not gaussian:
         return Poly({0: math.lcm(a[0], b[0])})
+    return _poly_lcm(a, b, gaussian)
+
+
+@lru_cache(maxsize=1024)
+def _poly_lcm(a: Poly, b: Poly, gaussian: bool) -> Poly:
+    """A common multiple of least degree: the multiple when one operand
+    divides the other (most denominators of one sum share their factors),
+    else a*b/gcd."""
+    if exquo(a, b) is not None:
+        return a
+    if exquo(b, a) is not None:
+        return b
     return mul(a, exquo(b, gcd(a, b, gaussian)))
 
 
@@ -1004,19 +1030,33 @@ def differentiate(e: ScalarExpr, coord) -> ScalarExpr:
 _POLE = object()
 
 
-def _value_at(rf: Frac, vals: list, arith: tuple) -> object:
+def _value_at(rf: Frac, vals: list, arith: tuple, pt: Optional[dict] = None) -> object:
     """rf at ``vals`` (the pairs of :func:`_poly_at`), as one quotient of
     the values over their common denominators: a Fraction when both sides
     are ints, else a Q(i) :class:`Gaussian` or an mpmath number.  A pole is
-    a zero of the reduced denominator."""
+    a zero of the reduced denominator.  A 30-digit denominator value that
+    is not clearly nonzero is decided at the rational point ``pt``: when
+    every coefficient of the denominator, as a polynomial in the atom
+    generators, vanishes there, it is 0 whatever the generators' values,
+    and its 30-digit value is rounding noise."""
     Nd, Dd = _poly_at(rf.denom, vals, arith)
-    if not Nd:
+    if not Nd or (pt is not None and abs(Nd) < _NOISE and _generator_coefficients_vanish(rf, pt)):
         return _POLE
     Nn, Dn = _poly_at(rf.numer, vals, arith)
     top, bottom = Nn * Dd, Dn * Nd
     if type(top) is int and type(bottom) is int:
         return Fraction(top, bottom)
     return top / bottom  # a Gaussian on either side divides into Q(i)
+
+
+def _generator_coefficients_vanish(rf: Frac, pt: dict) -> bool:
+    coords, gens = _layout(rf.field)
+    shift = W * len(gens)  # the coordinates sit above the generators
+    coefficients = {}
+    for m, c in rf.denom.items():
+        coefficients.setdefault(m & ((1 << shift) - 1), Poly())[m >> shift] = c
+    vals = [(pt[s].numerator, pt[s].denominator) for s in coords]
+    return not any(_poly_at(p, vals, _EXACT)[0] for p in coefficients.values())
 
 
 def _mp(c):
@@ -1029,19 +1069,34 @@ def _mp(c):
 _MP = (1, operator.mul, operator.add, _mp)
 
 
-def _eval_mp(rf: Frac, point: dict, memo: dict) -> object:
-    """Value at ``point`` (coordinate name -> mpf), the generators
-    evaluated by mpmath."""
+def _atom_at(g: _Gen, m) -> object:
+    return m if m is _POLE else (mpmath.exp(m) if g.kind == "exp" else mpmath.tan(m / 2))
+
+
+def _mp_point(pt: dict) -> dict:
+    return {s: mpmath.mpf(q.numerator) / q.denominator for s, q in pt.items()}
+
+
+def _eval_mp(rf: Frac, point: dict, memo: dict, pt: dict) -> object:
+    """Value at ``point`` (coordinate name -> mpf, the mpf of the rational
+    ``pt``), the generators evaluated by mpmath.  exp and tan lose one
+    digit of the value per digit of a large argument before its point, so
+    an argument above 2**_LOST_BITS is read again with that many more
+    digits."""
     vals = []
     for s in rf.field.symbols:
         if type(s) is _Gen and s not in memo:
-            m = _eval_mp(s.arg, point, memo)
-            memo[s] = m if m is _POLE else (mpmath.exp(m) if s.kind == "exp" else mpmath.tan(m / 2))
+            m = _eval_mp(s.arg, point, memo, pt)
+            if m is not _POLE and mpmath.mag(m) > _LOST_BITS:
+                with mpmath.extradps(int(mpmath.mag(m) * 0.30103) + 1):
+                    memo[s] = _atom_at(s, _eval_mp(s.arg, _mp_point(pt), {}, pt))
+            else:
+                memo[s] = _atom_at(s, m)
         v = memo[s] if type(s) is _Gen else point[s]
         if v is _POLE:
             return _POLE
         vals.append((v, 1))
-    return _value_at(rf, vals, _MP)
+    return _value_at(rf, vals, _MP, pt)
 
 
 def _evaluator(chart, K: Field, point: dict):
@@ -1062,12 +1117,12 @@ def _evaluator(chart, K: Field, point: dict):
         vals = [(pt[s].numerator, pt[s].denominator) for s in K.symbols]
         return (lambda rf: _value_at(rf, vals, _EXACT)), True
     with mpmath.workdps(_DPS):
-        mp = {s: mpmath.mpf(q.numerator) / q.denominator for s, q in pt.items()}
+        mp = _mp_point(pt)
     memo = {}
 
     def value(rf):
         with mpmath.workdps(_DPS):
-            return _eval_mp(rf, mp, memo)
+            return _eval_mp(rf, mp, memo, pt)
 
     return value, False
 

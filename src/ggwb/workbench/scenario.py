@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from ..calculus import (
+    MAX_DET,
     ChartManifold,
     EndoTM,
     MetricField,
@@ -37,6 +38,9 @@ _STRUCTURE_TYPES = ("almost_contact", "gen_metric", "quadruple", "two_one", "hyp
 # terms are counted in the reduced numerator and denominator.
 MAX_DEGREE = 12
 MAX_TERMS = 64
+# A chart's dimension: M x R of a chart has one more coordinate, and every
+# metric's determinant must stay within calculus.MAX_DET.
+MAX_DIM = MAX_DET - 1
 
 
 class StructureDecl:
@@ -89,6 +93,9 @@ def _load_chart(spec: dict, where: str) -> ChartManifold:
     coords = _want(spec, "coords", where, list)
     if not all(isinstance(c, str) for c in coords):
         raise ScenarioError("coords must be strings", f"{where}.coords")
+    if len(coords) > MAX_DIM:
+        raise ScenarioError(f"{len(coords)} coordinates exceed the bound {MAX_DIM}",
+                            f"{where}.coords")
     ranges = {}
     for c, pair in (_want(spec, "ranges", where, dict, required=False) or {}).items():
         if c not in coords:

@@ -261,6 +261,21 @@ def test_singular_metric_rejected(R3):
         MetricField(R3, [["0", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
 
 
+def test_a_determinant_past_the_bound_raises_before_any_permutation(monkeypatch):
+    """9 rows took 2.1 s to build 9! permutations and then failed with a
+    contraction arity error."""
+    import ggwb.calculus as calculus
+
+    def refuse(*a):
+        raise AssertionError("the Levi-Civita symbol was built")
+
+    chart = ChartManifold("R9", [f"x{k}" for k in range(1, 10)])
+    A = calculus._Array(chart, {(k, k): chart.one for k in range(9)}, (9, 9))
+    monkeypatch.setattr(calculus, "_levi_civita", refuse)
+    with pytest.raises(ExprError, match=f"exceeds the bound {calculus.MAX_DET}"):
+        calculus._det(A)
+
+
 def test_twoform_antisymmetry_enforced(R3):
     with pytest.raises(ExprError):
         TwoForm(R3, [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "0"]])

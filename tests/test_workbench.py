@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from ggwb import symexpr
+from ggwb import calculus, symexpr
 from ggwb.errors import PolicyError, ScenarioError
 from ggwb.poly import exponents
 from ggwb.verdict import VerdictKind
@@ -394,6 +394,34 @@ def test_cli_rejects_an_exponent_past_the_packed_width_with_its_path(tmp_path, c
     assert time.perf_counter() - t0 < 2
     err = capsys.readouterr().err
     assert "$.fields.xi.components[2]: an exponent exceeds" in err
+
+
+@pytest.mark.parametrize("m", [9, 12])
+@pytest.mark.parametrize("where", ["chart", "domain"])
+def test_cli_rejects_a_chart_past_the_dimension_bound_fast(tmp_path, capsys, m, where):
+    """A flat metric on 9 coordinates exited 2 after 2.1 s with a contraction
+    arity error, and on 12 still ran at 100 s: the determinant built m!
+    permutations.  The bound keeps M x R within calculus.MAX_DET."""
+    coords = [f"x{k}" for k in range(1, m + 1)]
+    if where == "chart":
+        identity = [["1" if i == j else "0" for j in range(m)] for i in range(m)]
+        doc = _tiny_scenario(chart={"name": f"R{m}", "coords": coords},
+                             fields={"g": {"kind": "metric", "matrix": identity}},
+                             structures=[], checks=[])
+        path_in_doc = "$.charts[0].coords"
+    else:
+        doc = json.loads(
+            (Path(__file__).parents[1] / "src/ggwb/workbench/builtin/s4.json").read_text())
+        doc["structures"][0]["domain"]["coords"] = coords
+        path_in_doc = "$.structures[0].domain.coords"
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    t0 = time.perf_counter()
+    assert main(["check", str(path)]) == 2
+    assert time.perf_counter() - t0 < 1
+    err = capsys.readouterr().err
+    assert f"{path_in_doc}: {m} coordinates exceed the bound {scenario_mod.MAX_DIM}" in err
+    assert scenario_mod.MAX_DIM + 1 <= calculus.MAX_DET
 
 
 @pytest.mark.parametrize("text,what", [

@@ -1,9 +1,10 @@
-"""Layer counts of one in-process builtins-rational round (S1, S2, S5, S6b).
+"""Layer counts of one in-process round of builtins (S1, S2, S5, S6b by default).
 
-    PYTHONHASHSEED=0 python3 tools/layer_counts.py SRC_DIR [--seed 0]
+    PYTHONHASHSEED=0 python3 tools/layer_counts.py SRC_DIR [--seed 0] [--builtins S3,S4]
 
 SRC_DIR is the ``src`` directory of the checkout to count, so the same
-script counts a parent checkout and a change.  Every call of
+script counts a parent checkout and a change.  ``--builtins`` names the
+builtins of the round, comma-separated.  Every call of
 ``calculus.contract`` is recorded with its operands' shapes and nonzero
 positions, and the counts are derived from them the same way on both
 sides:
@@ -17,7 +18,11 @@ sides:
   terms passed to ``calculus._field_sum``, and ``field_sums`` its calls;
 - ``conversions``: calls that turn nested component sequences into field
   elements (``_wrap`` and ``_prepare`` where they exist, ``_gather``
-  otherwise).
+  otherwise);
+- ``gcds``: calls of ``poly.cofactors``, the one gcd of the field core;
+- ``<cache>.hits``, ``.misses`` and ``.currsize``: the ``cache_info()`` of
+  each denominator cache of the field core that the checkout has
+  (``symexpr._reduced``, ``symexpr._poly_lcm``, ``calculus._den_product``).
 
 The last line of standard output is one JSON object with the counts.
 """
@@ -97,10 +102,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src")
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--builtins", default="S1,S2,S5,S6b")
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
 
-    from ggwb import calculus
+    from ggwb import calculus, poly, symexpr
     from ggwb.workbench import checks, report, scenario
 
     counts = Counter()
@@ -120,10 +126,10 @@ def main(argv=None) -> int:
             counts["join_bindings"] += bindings
         return contract(spec, *operands)
 
-    def counted_field_sum(K, one, terms):
+    def counted_field_sum(*args):  # (K, terms), or (K, one, terms) in older checkouts
         counts["field_sums"] += 1
-        counts["products"] += len(terms)
-        return field_sum(K, one, terms)
+        counts["products"] += len(args[-1])
+        return field_sum(*args)
 
     depth = Counter()
 
@@ -138,7 +144,14 @@ def main(argv=None) -> int:
                 depth[name] -= 1
         return wrapper
 
-    replace = {id(contract): counted_contract, id(field_sum): counted_field_sum}
+    cofactors = poly.cofactors
+
+    def counted_cofactors(*args):
+        counts["gcds"] += 1
+        return cofactors(*args)
+
+    replace = {id(contract): counted_contract, id(field_sum): counted_field_sum,
+               id(cofactors): counted_cofactors}
     for name in ("_wrap", "_prepare", "_gather"):
         fn = getattr(calculus, name, None)
         if fn is not None:
@@ -149,8 +162,14 @@ def main(argv=None) -> int:
                 if id(val) in replace:
                     setattr(module, attr, replace[id(val)])
 
-    for name in ("S1", "S2", "S5", "S6b"):
+    for name in args.builtins.split(","):
         report.emit_report(checks.run_checks(scenario.load_builtin(name, args.seed)), "json")
+    for module, name in ((symexpr, "_reduced"), (symexpr, "_poly_lcm"), (calculus, "_den_product")):
+        cache = getattr(module, name, None)
+        if cache is not None:
+            info = cache.cache_info()
+            for field in ("hits", "misses", "currsize"):
+                counts[f"{module.__name__[5:]}.{name}.{field}"] = getattr(info, field)
     print(json.dumps(dict(sorted(counts.items()))))
     return 0
 
