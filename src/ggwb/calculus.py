@@ -68,6 +68,7 @@ from .symexpr import (
     _sum_over,
     _ring,
     _scaled,
+    check_coordinate_names,
     pdiff,
 )
 
@@ -90,10 +91,12 @@ class ChartManifold:
     ``ranges`` restricts random sampling per coordinate (rational bounds),
     used for parametric charts whose expressions are only valid inside a box
     (angles on a sphere chart, say).  ``base_point`` is the distinguished
-    rational point where nondegeneracy conditions are certified.
+    rational point where nondegeneracy conditions are certified.  A
+    coordinate name is an identifier of the expression grammar, not one of
+    ``symexpr.RESERVED``.
     """
 
-    __slots__ = ("name", "coords", "ranges", "_symbols", "_base", "_zero")
+    __slots__ = ("name", "coords", "ranges", "_base", "_zero")
 
     def __init__(
         self,
@@ -105,11 +108,11 @@ class ChartManifold:
         coords = tuple(coords)
         if len(coords) < 1:
             raise ExprError("chart dimension must be >= 1")
+        check_coordinate_names(coords)
         if len(set(coords)) != len(coords):
             raise ExprError(f"chart '{name}' has repeated coordinates {coords}")
         self.name = name
         self.coords = coords
-        self._symbols = None
         self.ranges = {}
         for c, (lo, hi) in (ranges or {}).items():
             if c not in coords:
@@ -147,30 +150,11 @@ class ChartManifold:
     def __repr__(self):
         return f"ChartManifold({self.name}: {', '.join(self.coords)})"
 
-    @property
-    def symbols(self) -> tuple:
-        """The coordinates as sympy symbols, for sympy input; the first use
-        imports sympy.  They are plain symbols: every coordinate is
-        real-valued by the engine's semantics (complex scalars enter only
-        through the constant I)."""
-        if self._symbols is None:
-            import sympy as sp
-
-            self._symbols = tuple(sp.Symbol(c) for c in self.coords)
-        return self._symbols
-
     def coordinate(self, coord) -> str:
-        """The name of a coordinate given by its name or its sympy symbol."""
-        if isinstance(coord, str):
-            if coord in self.coords:
-                return coord
-        elif coord in self.symbols:  # a sympy symbol: sympy is loaded already
-            return coord.name
+        """``coord``, when it names a coordinate of the chart."""
+        if coord in self.coords:
+            return coord
         raise ChartMismatchError(f"'{coord}' is not a coordinate of chart '{self.name}'")
-
-    def symbol(self, coord):
-        """The sympy symbol of a coordinate given by its name or its symbol."""
-        return self.symbols[self.coords.index(self.coordinate(coord))]
 
     def scalar(self, value: Scalarish) -> ScalarExpr:
         return ScalarExpr(value, self)
@@ -461,7 +445,7 @@ def _core(chart, shape, K, entries: dict) -> "_Array":
     """A core array over a store already built in the field K."""
     a = object.__new__(_Array)
     a.chart, a.shape, a.field, a.entries = chart, tuple(shape), K, entries
-    a._scalars, a._view, a._cache = None, None, {}
+    a._scalars, a._nested_view, a._cache = None, None, {}
     return a
 
 
@@ -507,7 +491,7 @@ class _Components:
     subclasses fix the shape and add their own invariants.
     """
 
-    __slots__ = ("chart", "shape", "field", "entries", "_scalars", "_view", "_cache")
+    __slots__ = ("chart", "shape", "field", "entries", "_scalars", "_nested_view", "_cache")
     _kind = "tensor"
     _rank = 2
 
@@ -515,7 +499,7 @@ class _Components:
         self._init(chart, components, self._shape(chart))
 
     def _init(self, chart, components, shape):
-        self.chart, self.shape, self._view, self._cache = chart, shape, None, {}
+        self.chart, self.shape, self._nested_view, self._cache = chart, shape, None, {}
         if isinstance(components, _Components):
             _same_chart(self, components)
             if components.shape != shape:
@@ -534,10 +518,10 @@ class _Components:
 
     @property
     def components(self):
-        if self._view is None:
+        if self._nested_view is None:
             s, zero = self._items(), self.chart.zero
-            self._view = _nested(self.shape, lambda ix: s.get(ix, zero))
-        return self._view
+            self._nested_view = _nested(self.shape, lambda ix: s.get(ix, zero))
+        return self._nested_view
 
     @property
     def matrix(self):

@@ -51,10 +51,10 @@ from .symexpr import (
     is_zero,
     is_zero_all,
 )
-from .verdict import CheckResult, Verdict
+from .verdict import CheckResult, Frozen, Verdict
 
 
-class Embedding:
+class Embedding(Frozen):
     """iota: N -> M, one scalar on N per ambient coordinate.  Immutable;
     equal to an embedding with the same fields."""
 
@@ -75,15 +75,6 @@ class Embedding:
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "orientation", orientation)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Embedding is immutable: cannot assign {name!r}")
-
-    def __eq__(self, other):
-        return self._key() == other._key() if type(other) is Embedding else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
 
     def _key(self) -> tuple:
         return self.domain, self.ambient, self.components, self.orientation

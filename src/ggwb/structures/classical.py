@@ -28,10 +28,10 @@ from ..calculus import (
 from ..courant import BigEndo, frame_pairs, skew_table
 from ..errors import ChartMismatchError, StructureError
 from ..symexpr import DEFAULT_POLICY, ZeroPolicy, is_zero, is_zero_all, random_poly
-from ..verdict import CheckResult
+from ..verdict import CheckResult, Frozen
 
 
-class AlmostContact:
+class AlmostContact(Frozen):
     """Triple (F, Z, xi), optionally with a compatible Riemannian metric.
     Immutable; equal to a structure with the same fields."""
 
@@ -45,15 +45,6 @@ class AlmostContact:
         object.__setattr__(self, "xi", xi)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "name", name)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"AlmostContact is immutable: cannot assign {name!r}")
-
-    def __eq__(self, other):
-        return self._key() == other._key() if type(other) is AlmostContact else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
 
     def _key(self) -> tuple:
         return self.F, self.Z, self.xi, self.gamma, self.name

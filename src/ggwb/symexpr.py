@@ -66,20 +66,20 @@ and so do multiples above ``_MAX_MULTIPLE``); the sampler decides those,
 and a ``Failed`` always carries a witness.  A wrong gcd would cost the
 uniqueness of the normal form, never this contract.
 
-``expr`` is a sympy display view in the input grammar (``T_m`` shows as
-``sin(m)/(1 + cos(m))``); without atoms it is what :func:`sympy.cancel`
-returns.  No package code reads it back.  Scenario text (coordinates,
+``str`` and ``repr`` print the reduced fraction in the parser's grammar
+(:func:`_text`): powers as ``^``, ``E_m`` as ``exp(m)``, ``T_m`` as
+``sin(m)/(1 + cos(m))`` and a Gaussian coefficient with ``I``, so that
+``parse_scalar(str(s), chart) == s`` on real data.  Text (coordinates,
 rational literals, integer powers, ``sin``, ``cos``, ``exp``) is read
 straight into the field by ``_Parser``, which keeps its degree and digit
-bounds on its own grammar tree; sympy converts only sympy input
-(``ScalarExpr(sympy_expr, chart)`` and :func:`random_tree`), through
-``_to_field``, which rejects every node outside the grammar.
+bounds on its own grammar tree.  The parser, ints, Fractions, Gaussians and
+scalars are the only ways into the field.
 
-The engine names coordinates by their names (``chart.coords``), never by
-sympy symbols, and orders atom generators by the structure of their
-arguments (:func:`_order`).  So sympy is imported inside the functions that
-use it: the view (``expr``, ``str`` and ``repr``), sympy input and
-:func:`random_tree`.  Loading and checking a scenario never imports it.
+The engine names coordinates by their names (``chart.coords``) and orders
+atom generators by the structure of their arguments (:func:`_order`); it
+holds no sympy object.  Only the ``expr`` property imports sympy, on its
+first use: it is the sympy expression of the printed text, for sympy work
+on a scalar such as ``sympy.count_ops``.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ from .poly import (
     repack,
     sub,
 )
-from .verdict import Verdict, Witness
+from .verdict import Frozen, Verdict, Witness
 
 # sin/cos of k*m for an integer k with |k| <= _MAX_MULTIPLE is a polynomial
 # of degree 2|k| in T_m over (1 + T_m^2)^|k|.  A larger multiple gets its own
@@ -139,7 +139,7 @@ _LOST_BITS = 32  # an atom argument above 2**32 would cost exp and tan 10 digits
 # zero-test policy
 
 
-class ZeroPolicy:
+class ZeroPolicy(Frozen):
     """Reproducible configuration for the three-valued zero test.
 
     ``samples`` is the number of independent random points, ``tol`` the
@@ -177,15 +177,6 @@ class ZeroPolicy:
         object.__setattr__(self, "tol", tol)
         object.__setattr__(self, "max_resample", max_resample)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"ZeroPolicy is immutable: cannot assign {name!r}")
-
-    def __eq__(self, other):
-        return self._key() == other._key() if type(other) is ZeroPolicy else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
-
     def _key(self) -> tuple:
         return self.samples, self.seed, self.tol, self.max_resample
 
@@ -219,7 +210,7 @@ class _Gen:
         return self._hash
 
     def __repr__(self):
-        return f"{'E' if self.kind == 'exp' else 'T'}[{_view(self.arg)}]"
+        return f"{'E' if self.kind == 'exp' else 'T'}[{_text(self.arg)}]"
 
 
 def _order(rf: Frac) -> tuple:
@@ -588,107 +579,63 @@ def _tan_half(u: Frac) -> Frac:
 
 
 # ---------------------------------------------------------------------------
-# conversion from sympy and the view
+# the printer
 
 
-@lru_cache(maxsize=65536)
-def _to_field(expr, coords: tuple) -> Frac:
-    """The field element of a sympy grammar expression over the chart
-    coordinates ``coords`` (names): normalized, in the field of exactly its
-    generators."""
-    import sympy as sp
-
-    K = _field(coords)
-    if expr.is_Symbol:
-        if expr.name not in coords or expr != sp.Symbol(expr.name):
-            raise ChartMismatchError(f"symbol '{expr}' is not a coordinate of the chart")
-        return K.gen(K.index[expr.name])
-    if expr.is_Rational:
-        return _constant(K, Fraction(int(expr.p), int(expr.q)))
-    if expr is sp.I:
-        return _constant(_field(coords, True), Gaussian(0, 1))
-    if expr is sp.E:
-        return _canonical(_atom("exp", K.one))
-    if expr.is_Add or expr.is_Mul:
-        op = operator.add if expr.is_Add else operator.mul
-        value = _to_field(expr.args[0], coords)
-        for arg in expr.args[1:]:
-            value = _op(op, value, _to_field(arg, coords))
-        return _canonical(value)
-    if expr.is_Pow:
-        if expr.base is sp.E:
-            return _canonical(_atom("exp", _to_field(expr.exp, coords)))
-        if expr.exp.is_Integer:
-            return _canonical(_pow(_to_field(expr.base, coords), int(expr.exp)))
-    if isinstance(expr, (sp.sin, sp.cos, sp.exp)):
-        kind = "exp" if isinstance(expr, sp.exp) else expr.func.__name__
-        return _canonical(_atom(kind, _to_field(expr.args[0], coords)))
-    if expr.is_Float:
-        raise ExprError("float literals are not allowed; use exact rationals")
-    raise ExprError(f"'{expr}' is outside the expression grammar")
+def _coefficient(c) -> tuple:
+    """(sign, factors) of a coefficient: no factor for 1, ``I`` for the
+    imaginary unit, and one parenthesized factor for a Gaussian with a real
+    and an imaginary part."""
+    if type(c) is not Gaussian:
+        return ("-" if c < 0 else "+"), ([] if abs(c) == 1 else [str(abs(c))])
+    sign, factors = _coefficient(c.y)
+    if not c.x:
+        return sign, factors + ["I"]
+    return "+", [f"({c.x} {sign} {'*'.join(factors + ['I'])})"]
 
 
-@lru_cache(maxsize=4096)
-def _display(g: _Gen):
-    import sympy as sp
-
-    m = _view(g.arg)
-    if g.kind == "exp":
-        return sp.exp(m)
-    return sp.Mul(sp.sin(m), sp.Pow(sp.Add(1, sp.cos(m), evaluate=False), -1, evaluate=False),
-                  evaluate=False)
-
-
-def _sympy_number(c):
-    import sympy as sp
-
-    if type(c) is Gaussian:
-        return sp.Integer(c.x) + sp.I * sp.Integer(c.y)
-    return sp.Integer(c)
+def _power(s, e: int) -> str:
+    """A coordinate name or an atom generator to the power e.  '*' and '/'
+    associate to the left, so a product keeps sin(m)/(1 + cos(m)) bare."""
+    if type(s) is str:
+        return s if e == 1 else f"{s}^{e}"
+    m = _text(s.arg)
+    base = f"exp({m})" if s.kind == "exp" else f"sin({m})/(1 + cos({m}))"
+    return base if e == 1 else f"{base}^{e}" if s.kind == "exp" else f"({base})^{e}"
 
 
-def _poly_expr(p: Poly, values: list):
-    """p as an evaluated sympy expression, as sympy's ``as_expr`` builds it."""
-    import sympy as sp
-
-    n = len(values)
-    return sp.Add(*(sp.Mul(_sympy_number(c), *(sp.Pow(v, e) for v, e in zip(values, exponents(m, n))
-                                               if e))
-                    for m, c in p.items()))
+def _term_factors(p: Poly, symbols: tuple) -> list:
+    """(sign, factors) of each term of p over the generators ``symbols``,
+    in descending lex order; the constant 1 has no factor."""
+    n = len(symbols)
+    return [(sign, factors + [_power(s, e) for s, e in zip(symbols, exponents(m, n)) if e])
+            for m in sorted(p, reverse=True) for sign, factors in [_coefficient(p[m])]]
 
 
-def _poly_view(p: Poly, values: list):
-    import sympy as sp
-
-    n = len(values)
-    terms = []
-    for m in sorted(p, reverse=True):
-        c = p[m]
-        factors = [v if e == 1 else sp.Pow(v, e, evaluate=False)
-                   for v, e in zip(values, exponents(m, n)) if e]
-        if c != 1 or not factors:
-            factors.insert(0, _sympy_number(c))
-        terms.append(factors[0] if len(factors) == 1 else sp.Mul(*factors, evaluate=False))
-    return terms[0] if len(terms) == 1 else sp.Add(*terms, evaluate=False)
+def _sum(terms: list) -> str:
+    """The terms of :func:`_term_factors` as one sum."""
+    text = ""
+    for sign, factors in terms:
+        term = "*".join(factors) or "1"
+        text = f"{text} {sign} {term}" if text else f"-{term}" if sign == "-" else term
+    return text
 
 
-@lru_cache(maxsize=65536)
-def _view(rf: Frac):
-    """The sympy expression of rf.  Without atoms, sympy's own expression of
-    the reduced fraction.  With atoms the tree is built unevaluated: sympy
-    would merge exp(1/2)*exp(1/3) into exp(5/6), which is another
-    generator."""
-    import sympy as sp
-
-    coords, gens = _layout(rf.field)
-    symbols = [sp.Symbol(c) for c in coords]
-    if not gens:
-        return _poly_expr(rf.numer, symbols) / _poly_expr(rf.denom, symbols)
-    values = symbols + [_display(g) for g in gens]
-    num = _poly_view(rf.numer, values) if rf.numer else sp.S.Zero
+def _text(rf: Frac) -> str:
+    """rf in the parser's grammar, numerator over denominator: ``str`` of a
+    scalar, which :func:`parse_scalar` reads back as the same element."""
+    if not rf:
+        return "0"
+    num = _term_factors(rf.numer, rf.field.symbols)
     if rf.denom == ONE:
-        return num
-    return sp.Mul(num, sp.Pow(_poly_view(rf.denom, values), -1, evaluate=False), evaluate=False)
+        return _sum(num)
+    den = _term_factors(rf.denom, rf.field.symbols)
+    numerator = _sum(num) if len(num) == 1 else f"({_sum(num)})"
+    divisor = _sum(den)
+    # one factor without a '/' divides without parentheses
+    if len(den) > 1 or den[0][0] == "-" or len(den[0][1]) > 1 or "/" in divisor:
+        divisor = f"({divisor})"
+    return f"{numerator}/{divisor}"
 
 
 # ---------------------------------------------------------------------------
@@ -699,8 +646,8 @@ class ScalarExpr:
     """Immutable canonical scalar field tagged with its owning chart.
 
     ``rf`` is its element of the rational function field of the chart
-    coordinates and of its atom generators; ``expr`` is the sympy view,
-    built on first use.
+    coordinates and of its atom generators.  It is made from text, an int,
+    a Fraction, a Gaussian or a scalar of the same chart.
     """
 
     __slots__ = ("chart", "rf", "_expr", "_hash")
@@ -721,10 +668,8 @@ class ScalarExpr:
         elif isinstance(value, str):
             rf = _Parser(value, chart).parse()
         else:
-            # sympy input: the conversion rejects every node outside the grammar
-            import sympy as sp
-
-            rf = _to_field(sp.sympify(value), chart.coords)
+            raise ExprError(f"a scalar is made from text, an int, a Fraction, a Gaussian "
+                            f"or a scalar, not {type(value).__name__}")
         _init(self, chart, rf)
 
     def __setattr__(self, *a):  # immutability
@@ -732,9 +677,39 @@ class ScalarExpr:
 
     @property
     def expr(self):
-        """The sympy view; the first use imports sympy."""
+        """The sympy expression of the printed text, read factor by factor
+        (a parse of a whole sum recurses once per term), each coordinate the
+        ``Symbol`` of its name; the first use imports sympy.  Without atoms
+        it is evaluated, to what :func:`sympy.cancel` returns; with atoms it
+        is not: sympy would merge exp(1/2)*exp(1/3) into another generator."""
         if self._expr is None:
-            object.__setattr__(self, "_expr", _view(self.rf))
+            import sympy as sp
+
+            # placeholders keep names such as ``lambda`` and ``E`` from Python and sympy
+            names = {c: f"_{i}" for i, c in enumerate(self.chart.coords)}
+            symbols = {names[c]: sp.Symbol(c) for c in self.chart.coords}
+            namespace, evaluate = dict(vars(sp)), self.is_rational_function
+
+            @lru_cache(maxsize=None)
+            def factor(text):
+                if text.isdigit():
+                    return sp.Integer(text)
+                text = _IDENT.sub(lambda m: names.get(m.group(), m.group()), text)
+                return sp.parse_expr(text.replace("^", "**"), symbols, global_dict=namespace,
+                                     evaluate=evaluate)
+
+            def term(sign, factors):
+                args = [factor(f) for f in factors]
+                if sign == "-":  # the sign joins the coefficient, as in the fraction
+                    args[:1] = [-args[0]] if args and args[0].is_Integer else [-sp.S.One] + args[:1]
+                return sp.Mul(*args, evaluate=evaluate)
+
+            rf = self.rf
+            num, den = (sp.Add(*(term(*t) for t in _term_factors(p, rf.field.symbols)),
+                               evaluate=evaluate) for p in (rf.numer, rf.denom))
+            expr = num if rf.denom == ONE else sp.Mul(num, sp.Pow(den, -1, evaluate=evaluate),
+                                                      evaluate=evaluate)
+            object.__setattr__(self, "_expr", expr)
         return self._expr
 
     # -- arithmetic ---------------------------------------------------
@@ -748,8 +723,6 @@ class ScalarExpr:
                     f"'{self.chart.name}' and '{other.chart.name}'"
                 )
             b = other.rf
-        elif isinstance(other, float):
-            raise ExprError("float operands are not allowed; use exact rationals")
         elif isinstance(other, _RATIONALS):
             b = _constant(self.rf.field, other)
         else:
@@ -800,11 +773,9 @@ class ScalarExpr:
     def __eq__(self, other):
         if isinstance(other, ScalarExpr):
             return self.chart == other.chart and self.rf == other.rf
-        if isinstance(other, float):
-            return False
         try:
             return self.rf == ScalarExpr(other, self.chart).rf
-        except (GgwbError, ValueError, TypeError, AttributeError):  # SympifyError is a ValueError
+        except GgwbError:
             return False
 
     def __hash__(self):
@@ -813,10 +784,10 @@ class ScalarExpr:
         return self._hash
 
     def __repr__(self):
-        return f"ScalarExpr({self.expr})"
+        return f"ScalarExpr({_text(self.rf)})"
 
     def __str__(self):
-        return str(self.expr)
+        return _text(self.rf)
 
     # -- queries --------------------------------------------------------
 
@@ -844,9 +815,9 @@ class ScalarExpr:
         return _ring(chart, _embed(self.rf, _join(self.rf.field, _field(chart.coords))))
 
     def subs_chart(self, chart, mapping: dict) -> "ScalarExpr":
-        """Composition: replace this chart's coordinates (names or sympy
-        symbols) by scalars on ``chart``; an unmapped coordinate stays
-        itself, a coordinate of ``chart``."""
+        """Composition: replace this chart's coordinates (by name) by
+        scalars on ``chart``; an unmapped coordinate stays itself, a
+        coordinate of ``chart``."""
         sub_ = {}
         for coord, val in mapping.items():
             name = self.chart.coordinate(coord)
@@ -957,7 +928,7 @@ def _conj(rf: Frac) -> Frac:
 
 
 def pdiff(e: ScalarExpr, coord) -> ScalarExpr:
-    """Partial derivative by one coordinate, a name (or a sympy symbol).
+    """Partial derivative by one coordinate, given by its name.
 
     The one derivative kernel of the package: every tensor operation
     differentiates through it.  It is the chain rule in the field: the
@@ -967,8 +938,7 @@ def pdiff(e: ScalarExpr, coord) -> ScalarExpr:
     """
     if not e.rf:
         return e
-    name = coord if type(coord) is str else coord.name
-    return _init(object.__new__(ScalarExpr), e.chart, _derivative(e.rf, name))
+    return _init(object.__new__(ScalarExpr), e.chart, _derivative(e.rf, coord))
 
 
 @lru_cache(maxsize=65536)
@@ -1018,8 +988,8 @@ def _diff(rf: Frac, name: str) -> Frac:
 def differentiate(e: ScalarExpr, coord) -> ScalarExpr:
     """Partial derivative with respect to one chart coordinate.
 
-    ``coord`` may be a coordinate name or sympy symbol; it must belong to the
-    expression's chart.
+    ``coord`` is a coordinate name; it must belong to the expression's
+    chart.
     """
     return pdiff(e, e.chart.coordinate(coord))
 
@@ -1137,8 +1107,6 @@ def evaluate(e: ScalarExpr, point: dict) -> object:
 def _to_fraction(v) -> Fraction:
     if isinstance(v, _RATIONALS):
         return Fraction(v)
-    if getattr(v, "is_Rational", False):  # a sympy number
-        return Fraction(int(v.p), int(v.q))
     raise ExprError(f"sample coordinates must be rational, got {v!r}")
 
 
@@ -1228,10 +1196,20 @@ def is_zero_all(
 # quotient) the sum of its factors, an integer power |n| times its base, and
 # sin/cos/exp the degree of their argument (at least 1).
 
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _TOKEN = re.compile(
-    r"(?P<ws>\s+)|(?P<num>\d+(?:\.\d+)?)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()])"
+    rf"(?P<ws>\s+)|(?P<num>\d+(?:\.\d+)?)|(?P<ident>{_IDENT.pattern})|(?P<op>[-+*/^()])"
 )
 _FUNCS = ("sin", "cos", "exp")
+RESERVED = _FUNCS + ("I",)  # I is the imaginary unit of the printed text
+
+
+def check_coordinate_names(coords) -> None:
+    """Raise ExprError unless every coordinate is a name the grammar reads as itself."""
+    bad = [c for c in coords if not (isinstance(c, str) and _IDENT.fullmatch(c)) or c in RESERVED]
+    if bad:
+        raise ExprError(f"a coordinate name is an identifier [A-Za-z_][A-Za-z_0-9]* other "
+                        f"than {', '.join(RESERVED)}; got {', '.join(map(repr, bad))}")
 
 
 def _tokenize(text: str):
@@ -1392,55 +1370,7 @@ def parse_scalar(text: str, chart, max_degree: Optional[int] = None) -> ScalarEx
 
 
 # ---------------------------------------------------------------------------
-# random expressions (fuzzing and randomized identity tests)
-
-
-def random_expr(
-    chart,
-    rng: random.Random,
-    max_depth: int = 5,
-    atoms: bool = True,
-    division: bool = True,
-) -> ScalarExpr:
-    """Random expression tree over the chart, for property tests."""
-    return ScalarExpr(random_tree(chart, rng, max_depth, atoms, division), chart)
-
-
-def random_tree(
-    chart,
-    rng: random.Random,
-    max_depth: int = 5,
-    atoms: bool = True,
-    division: bool = True,
-):
-    """The sympy tree :func:`random_expr` converts."""
-    import sympy as sp
-
-    def build(depth: int):
-        if depth <= 0 or rng.random() < 0.3:
-            if rng.random() < 0.5:
-                return sp.Rational(rng.randint(-9, 9), rng.randint(1, 9))
-            return rng.choice(chart.symbols)
-        choice = rng.random()
-        if choice < 0.35:
-            return build(depth - 1) + build(depth - 1)
-        if choice < 0.65:
-            return build(depth - 1) * build(depth - 1)
-        if choice < 0.75:
-            return -build(depth - 1)
-        if choice < 0.82:
-            return build(depth - 1) ** rng.randint(2, 3)
-        if division and choice < 0.9:
-            den = build(depth - 1)
-            if not _to_field(den, chart.coords):
-                den = sp.Integer(1) + rng.choice(chart.symbols) ** 2
-            return build(depth - 1) / den
-        if atoms:
-            fn = rng.choice((sp.sin, sp.cos, sp.exp))
-            return fn(build(min(depth - 1, 2)))
-        return build(depth - 1)
-
-    return build(rng.randint(0, max_depth))
+# random polynomials (randomized identity tests)
 
 
 def random_poly(chart, rng: random.Random, degree: int = 2) -> ScalarExpr:

@@ -40,7 +40,25 @@ def _num_str(v) -> str:
     return str(v)
 
 
-class Witness:
+class Frozen:
+    """The base of the immutable value records: assigning an attribute
+    raises ``AttributeError``, and two records of one class with equal
+    ``_key()`` are equal and hash-equal.  A record's ``__init__`` sets its
+    fields with ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class Witness(Frozen):
     """Counterexample data: the sample point and the residual value there.
     Immutable; equal to a witness with the same fields."""
 
@@ -48,15 +66,6 @@ class Witness:
         object.__setattr__(self, "point", point)
         object.__setattr__(self, "value", value)  # Fraction, complex Fraction pair, or float
         object.__setattr__(self, "detail", detail)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Witness is immutable: cannot assign {name!r}")
-
-    def __eq__(self, other):
-        return self._key() == other._key() if type(other) is Witness else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
 
     def _key(self) -> tuple:
         return self.point, self.value, self.detail
@@ -78,7 +87,7 @@ class Witness:
         return s
 
 
-class Verdict:
+class Verdict(Frozen):
     """Outcome of one identity check, with provenance of what was tested.
     Immutable; equal to a verdict with the same fields.
 
@@ -93,15 +102,6 @@ class Verdict:
         object.__setattr__(self, "criterion", criterion)
         object.__setattr__(self, "witness", witness)
         object.__setattr__(self, "detail", detail)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Verdict is immutable: cannot assign {name!r}")
-
-    def __eq__(self, other):
-        return self._key() == other._key() if type(other) is Verdict else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
 
     def _key(self) -> tuple:
         return self.kind, self.criterion, self.witness, self.detail

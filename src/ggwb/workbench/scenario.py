@@ -26,7 +26,7 @@ from ..calculus import (
     VectorField,
 )
 from ..errors import ExprError, GgwbError, ParseError, PolicyError, ScenarioError
-from ..symexpr import ZeroPolicy, parse_scalar
+from ..symexpr import ZeroPolicy, check_coordinate_names, parse_scalar
 
 _FIELD_KINDS = ("scalar", "vector", "oneform", "twoform", "endo", "metric")
 _STRUCTURE_TYPES = ("almost_contact", "gen_metric", "quadruple", "two_one", "hypersurface")
@@ -96,6 +96,10 @@ def _load_chart(spec: dict, where: str) -> ChartManifold:
     if len(coords) > MAX_DIM:
         raise ScenarioError(f"{len(coords)} coordinates exceed the bound {MAX_DIM}",
                             f"{where}.coords")
+    try:
+        check_coordinate_names(coords)
+    except ExprError as exc:
+        raise ScenarioError(str(exc), f"{where}.coords") from None
     ranges = {}
     for c, pair in (_want(spec, "ranges", where, dict, required=False) or {}).items():
         if c not in coords:

@@ -28,7 +28,7 @@ from ggwb.calculus import (
     _partials,
 )
 from ggwb.errors import ChartMismatchError, ExprError, SingularMetricError
-from ggwb.symexpr import ZeroPolicy, evaluate, is_zero, is_zero_all
+from ggwb.symexpr import ZeroPolicy, evaluate, is_zero, is_zero_all, parse_scalar
 from ggwb.verdict import VerdictKind
 
 
@@ -49,6 +49,20 @@ def test_chart_validation():
     chart = ChartManifold("ok", ["x", "y"])
     with pytest.raises(ExprError):
         chart.product_with_line("x")
+
+
+def test_a_chart_takes_only_names_the_grammar_reads_as_themselves():
+    """'x-1' loaded as a coordinate, and parse_scalar('x-1') then meant x
+    minus 1.  A name is an identifier other than sin, cos, exp and I, the
+    imaginary unit of the printed text."""
+    for bad in ("x-1", "sin", "cos", "exp", "I", "1x", "", "x y", "x^2", sp.Symbol("x")):
+        with pytest.raises(ExprError, match="a coordinate name is an identifier"):
+            ChartManifold("bad", ["x", bad])
+    chart = ChartManifold("ok", ["x_1", "_t", "Sin", "lambda", "E"])
+    s = chart.scalar("x_1*_t + Sin^2 - lambda/E")
+    assert parse_scalar(str(s), chart) == s
+    x_1, _t, Sin, lam, E = sp.symbols("x_1 _t Sin lambda E")
+    assert s.expr == sp.cancel(x_1 * _t + Sin**2 - lam / E)
 
 
 def test_chart_sampling_respects_ranges():

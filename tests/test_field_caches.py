@@ -19,8 +19,9 @@ from hypothesis import strategies as st
 from ggwb import calculus, poly, symexpr
 from ggwb.calculus import ChartManifold, contract
 from ggwb.poly import Poly, exquo, field
-from ggwb.symexpr import random_expr, random_poly
+from ggwb.symexpr import random_poly
 from ggwb.workbench import load_builtin, run_checks
+from sympy_oracle import random_expr
 
 CACHES = {
     "_reduced": (symexpr, symexpr._reduced),

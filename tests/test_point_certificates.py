@@ -24,8 +24,9 @@ from ggwb.numeric import inertia_at, kernel_inertia_at, positivity_witness, rank
 from ggwb.structures.genmetric import GenMetric, _positivity
 from ggwb.symexpr import ZeroPolicy, evaluate
 from ggwb.verdict import VerdictKind
+from sympy_oracle import to_scalar
 
-TINY = sp.Rational(1, 10**12)
+TINY = Fraction(1, 10**12)
 
 
 @pytest.fixture(scope="module")
@@ -89,8 +90,7 @@ def test_zero_diagonal_block_and_zero_matrix(R2):
 
 def test_gaussian_grids(R2):
     base = R2.base_point()
-    x, y = R2.symbols
-    i = sp.I
+    x, y, i = R2.scalar("x"), R2.scalar("y"), R2.i
     assert rank_at(_grid(R2, [[1, i], [i, -1]]), base) == 1
     assert rank_at(_grid(R2, [[1, i], [i, 1]]), base) == 2
     assert rank_at(_grid(R2, [[x, i * x], [1, i]]), base) == 1
@@ -151,7 +151,7 @@ def test_inertia_is_that_of_the_congruent_diagonal(R2, seed, gaussian):
         if P.det() != 0:
             break
     A = (P.H * sp.diag(*d) * P).expand()
-    grid = _grid(R2, A.tolist())
+    grid = _grid(R2, [[to_scalar(e, R2) for e in row] for row in A.tolist()])
     base = R2.base_point()
     assert inertia_at(grid, base) == (sum(v > 0 for v in d), sum(v < 0 for v in d))
     assert rank_at(grid, base) == A.rank() == sum(v != 0 for v in d)

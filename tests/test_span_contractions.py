@@ -15,9 +15,9 @@ terms of zeta and rho.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
-import sympy as sp
 
 from ggwb import hypersurface
 from ggwb.calculus import (
@@ -309,7 +309,7 @@ def _hyp_references(geo, J) -> dict:
             _b_apply(geo, ac.F(span_p[i]), ac.F(span_p[j])) - _b_apply(geo, span_p[i], span_p[j])
             for i in range(m) for j in range(i, m)],
         "(eqnormal2) b(Z, X) = -(1/2) dOmega(nu, Z, JX) on P": [
-            _b_apply(geo, ac.Z, X) + sp.Rational(1, 2) * dom(geo.nu, push_z, contract(
+            _b_apply(geo, ac.Z, X) + Fraction(1, 2) * dom(geo.nu, push_z, contract(
                 "ij,j->i", j_res, pX)) for X, pX in zip(span_p, push_p)],
         "(LXi) L_Z Xi(FX, FY) = L_Z Xi(X, Y) on TN": [
             lxi(ac.F(fr[i]), ac.F(fr[j])) - lxi(fr[i], fr[j])
@@ -327,7 +327,7 @@ def _hyp_references(geo, J) -> dict:
             for i in range(m) for j in range(i + 1, m)]
         refs[f"(eqptans3) b(X, F{tag} U) = {'-' if sign == 1 else '+'}(1/2) "
              f"iota^*(i(nu)dpsi)(X, F{tag} U)"] = [
-            _b_apply(geo, X, fu) + sp.Rational(sign, 2) * rho_apply(X, fu)
+            _b_apply(geo, X, fu) + Fraction(sign, 2) * rho_apply(X, fu)
             for X in fr for fu in fp]
     return refs
 

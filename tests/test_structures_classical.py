@@ -1,7 +1,6 @@
 import random
 
 import pytest
-import sympy as sp
 
 from ggwb.calculus import EndoTM, OneForm, VectorField, frame, random_vector_field
 from ggwb.errors import StructureError
@@ -98,7 +97,7 @@ def test_eigen_projections_algebra(s1, s2, pol, R3):
         assert all(e.is_syntactic_zero for row in pp.matrix for e in row)
         idem = (pr["pr_H"] @ pr["pr_H"]) - pr["pr_H"]
         assert all(e.is_syntactic_zero for row in idem.matrix for e in row)
-        fp = (s.F @ pr["pr_H"]) - pr["pr_H"] * sp.I
+        fp = (s.F @ pr["pr_H"]) - pr["pr_H"] * R3.i
         assert all(e.is_syntactic_zero for row in fp.matrix for e in row)
 
 

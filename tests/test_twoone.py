@@ -119,7 +119,7 @@ def test_product_J_invalid_basis(t21_s2, pol):
 def test_phi_classical_formula(t21_s2, s2, R3):
     """(Phiptclasic): Phi = (phi, -a o phi) with phi = i F + xi (x) Z."""
     phi = phi_endo(t21_s2)
-    phi_classical = (s2.F * sp.I) + tensor_oneform_vector(s2.xi, s2.Z)
+    phi_classical = (s2.F * R3.i) + tensor_oneform_vector(s2.xi, s2.Z)
     expected = BigEndo.from_endo(phi_classical)
     rows = zip(phi.matrix, expected.matrix)
     d = sp.Matrix([[a.expr - b.expr for a, b in zip(r, s)] for r, s in rows])

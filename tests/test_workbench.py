@@ -424,6 +424,28 @@ def test_cli_rejects_a_chart_past_the_dimension_bound_fast(tmp_path, capsys, m, 
     assert scenario_mod.MAX_DIM + 1 <= calculus.MAX_DET
 
 
+@pytest.mark.parametrize("name", ["x-1", "sin", "exp", "I", "1x", "x y"])
+@pytest.mark.parametrize("where", ["chart", "domain"])
+def test_cli_rejects_a_coordinate_name_outside_the_grammar(tmp_path, capsys, name, where):
+    """A coordinate named 'x-1' loaded, and the text 'x-1' then meant x
+    minus 1; a function name or I cannot name a coordinate either."""
+    if where == "chart":
+        doc = _tiny_scenario(chart={"name": "R3", "coords": ["x", "y", name]},
+                             fields={}, structures=[], checks=[])
+        path_in_doc = "$.charts[0].coords"
+    else:
+        doc = json.loads(
+            (Path(__file__).parents[1] / "src/ggwb/workbench/builtin/s4.json").read_text())
+        doc["structures"][0]["domain"]["coords"] = ["a", "b", name]
+        path_in_doc = "$.structures[0].domain.coords"
+    path = tmp_path / "names.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path_in_doc}: a coordinate name is an identifier" in err
+    assert repr(name) in err
+
+
 @pytest.mark.parametrize("text,what", [
     ("((x+1)^20)^20", "degree"),  # the inner power, 20, estimated before it expands
     ("x/((x+y+z+1)^40)", "degree"),  # a divisor, before its zero test converts it
