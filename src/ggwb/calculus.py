@@ -56,7 +56,6 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .errors import ChartMismatchError, ExprError, SingularMetricError
-from .numeric import rank_at
 from .poly import ONE, I, add, mul
 from .symexpr import (
     ScalarExpr,
@@ -70,6 +69,7 @@ from .symexpr import (
     _scaled,
     check_coordinate_names,
     pdiff,
+    sign_at,
 )
 
 Scalarish = Union[ScalarExpr, int, Fraction, str]
@@ -755,12 +755,10 @@ class MetricField(_Components):
         self._inverse = None
         self._connection = None
         self._determinant = _det(self)
-        try:  # singular: an exact det of 0, or a 30-digit one with |det| <= 1e-9
-            if rank_at(_Array(chart, [[self._determinant]], (1, 1)), chart.base_point()):
-                return
-        except ExprError:  # a pole at the base point
-            pass
-        raise SingularMetricError(f"metric is degenerate at the base point of chart '{chart.name}'")
+        # singular: an exact det of 0, a 30-digit one with |det| <= 1e-9, or a pole
+        if not sign_at(self._determinant, chart.base_point()):
+            raise SingularMetricError(
+                f"metric is degenerate at the base point of chart '{chart.name}'")
 
     def inverse_matrix(self) -> "_Array":
         """The adjugate over the determinant, each cofactor a Leibniz sum."""

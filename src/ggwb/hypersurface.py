@@ -35,7 +35,6 @@ from .calculus import (
     zero_twoform,
 )
 from .errors import ExprError, PreconditionNotMet, StructureError
-from .numeric import inertia_at, rank_at
 from .courant import frame_pairs
 from .structures.classical import AlmostContact, check_almost_contact, nijenhuis_table
 from .structures.genf import GenF, build_genF_from_quadruple
@@ -50,6 +49,7 @@ from .symexpr import (
     _ring,
     is_zero,
     is_zero_all,
+    sign_at,
 )
 from .verdict import CheckResult, Frozen, Verdict
 
@@ -101,8 +101,9 @@ class Embedding(Frozen):
 # unit normal
 
 
-def _sqrt_positive(q: ScalarExpr, chart: ChartManifold, policy: ZeroPolicy) -> ScalarExpr:
-    """The square root of q in its field, positive at the base point.
+def _sqrt_positive(q: ScalarExpr, chart: ChartManifold, policy: ZeroPolicy) -> Optional[ScalarExpr]:
+    """The square root of q in its field, positive at the base point, or
+    None when q has none there.
 
     q is a perfect square when the square-free decompositions of its
     numerator and denominator have only even multiplicities and a square
@@ -113,14 +114,10 @@ def _sqrt_positive(q: ScalarExpr, chart: ChartManifold, policy: ZeroPolicy) -> S
     if num is not None and den is not None:
         r = _ring(chart, _fraction(q.rf.field, num, den))
         if r * r == q:
-            pos, neg = inertia_at(_Array(chart, [[r]], (1, 1)), chart.base_point(), policy.tol)
-            if pos or neg:
-                return -r if neg else r
-    raise StructureError(
-        "cannot express the normal's length in the expression grammar; "
-        "use a chart in which gamma(n~, n~) is a perfect square "
-        "(a rational parametrization, for instance)"
-    )
+            sign = sign_at(r, chart.base_point(), policy.tol)
+            if sign:
+                return -r if sign < 0 else r
+    return None
 
 
 def _halve_exponents(p, K):
@@ -154,15 +151,21 @@ def unit_normal(
     n = e.ambient.dim
     jac = e.jacobian() if jac is None else jac
     g_res = e.restrict_grid(gamma) if g_res is None else g_res
-    # rank audit of the Jacobian at the base point
-    if rank_at(jac, chart.base_point(), policy.tol) != chart.dim:
-        raise StructureError("embedding Jacobian is rank-deficient at the base point")
     # omega_k = det [ jac columns | e_k ], expanded along the last column
     cof = [(-1) ** (k + n - 1) * _det(_minor(jac, k)) for k in range(n)]
+    # rank audit: the Jacobian has full rank where one of its maximal minors is nonzero
+    if not any(sign_at(c, chart.base_point(), policy.tol) for c in cof):
+        raise StructureError("embedding Jacobian is rank-deficient at the base point")
     ginv_res = e.restrict_grid(gamma.inverse_matrix())
     ntilde = contract("ik,k->i", ginv_res, cof)
     q = contract("ij,i,j->", g_res, ntilde, ntilde)
     lam = _sqrt_positive(q, chart, policy)
+    if lam is None:
+        raise ExprError(
+            f"hypersurface '{chart.name}' in '{e.ambient.name}': cannot express the normal's "
+            "length in the expression grammar; use a chart in which gamma(n~, n~) is a "
+            "perfect square (a rational parametrization, for instance)"
+        )
     nu = ntilde * (1 / lam)
     return -nu if e.orientation == -1 else nu
 

@@ -52,9 +52,14 @@ _GUARD = sum(1 << (W * k + W - 1) for k in range(_MAX_GENS))  # every field's to
 # coefficients
 
 
+_RATIONALS = (int, Fraction)
+
+
 class Gaussian:
     """x + y*i with y != 0: a Gaussian integer (a coefficient) or a Gaussian
-    rational (an exact value).  Make one with :func:`gaussian`."""
+    rational (an exact value).  Make one with :func:`gaussian`.  An operand
+    that is not an int, a Fraction or a Gaussian gets ``NotImplemented``,
+    so that its own reflected operator (a scalar's) decides."""
 
     __slots__ = ("x", "y")
 
@@ -64,17 +69,23 @@ class Gaussian:
     def __add__(a, b):
         if type(b) is Gaussian:
             return gaussian(a.x + b.x, a.y + b.y)
-        return Gaussian(a.x + b, a.y)
+        if isinstance(b, _RATIONALS):
+            return Gaussian(a.x + b, a.y)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(a, b):
         if type(b) is Gaussian:
             return gaussian(a.x - b.x, a.y - b.y)
-        return Gaussian(a.x - b, a.y)
+        if isinstance(b, _RATIONALS):
+            return Gaussian(a.x - b, a.y)
+        return NotImplemented
 
     def __rsub__(a, b):
-        return Gaussian(b - a.x, -a.y)
+        if isinstance(b, _RATIONALS):
+            return Gaussian(b - a.x, -a.y)
+        return NotImplemented
 
     def __neg__(a):
         return Gaussian(-a.x, -a.y)
@@ -82,7 +93,9 @@ class Gaussian:
     def __mul__(a, b):
         if type(b) is Gaussian:
             return gaussian(a.x * b.x - a.y * b.y, a.x * b.y + a.y * b.x)
-        return gaussian(a.x * b, a.y * b)
+        if isinstance(b, _RATIONALS):
+            return gaussian(a.x * b, a.y * b)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -90,11 +103,15 @@ class Gaussian:
         if type(b) is Gaussian:
             n = b.x * b.x + b.y * b.y
             return gaussian(Fraction(a.x * b.x + a.y * b.y) / n, Fraction(a.y * b.x - a.x * b.y) / n)
-        return gaussian(Fraction(a.x) / b, Fraction(a.y) / b)
+        if isinstance(b, _RATIONALS):
+            return gaussian(Fraction(a.x) / b, Fraction(a.y) / b)
+        return NotImplemented
 
     def __rtruediv__(a, b):
-        n = a.x * a.x + a.y * a.y
-        return gaussian(Fraction(b * a.x) / n, Fraction(-b * a.y) / n)
+        if isinstance(b, _RATIONALS):
+            n = a.x * a.x + a.y * a.y
+            return gaussian(Fraction(b * a.x) / n, Fraction(-b * a.y) / n)
+        return NotImplemented
 
     def __bool__(self):
         return True

@@ -19,7 +19,6 @@ from .genf import (
     check_CRFK,
     check_gen_CRF,
     check_gen_F,
-    corank_and_negative_index,
     second_genF,
 )
 from .twoone import (

@@ -9,7 +9,6 @@ from typing import Optional
 from ..calculus import EndoTM, contract
 from ..courant import (
     BigEndo,
-    _gram0,
     big_frame,
     bracket_table,
     courant_bracket,
@@ -18,7 +17,6 @@ from ..courant import (
     skew_table,
 )
 from ..errors import StructureError
-from ..numeric import kernel_inertia_at, rank_at
 from ..symexpr import DEFAULT_POLICY, ScalarExpr, ZeroPolicy, is_zero_all, random_poly
 from ..verdict import CheckResult, Verdict
 from .genmetric import GenMetric
@@ -96,21 +94,6 @@ def check_gen_F(genf: GenF, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
             exprs.extend(contract("ia->ai", d)._flat())
         out.add("(eqJrond) Fcal(X, flat X) = (F_pm X, flat F_pm X)", is_zero_all(exprs, policy))
     return out
-
-
-def corank_and_negative_index(genf: GenF, policy: ZeroPolicy = DEFAULT_POLICY) -> tuple[int, int]:
-    """Rank data of S = ker Fcal certified at sample points.
-
-    corank = 2n - max rank of Fcal over the base point and 3 sample points;
-    the negative index is that of the pairing restricted to the kernel of
-    Fcal at the base point (:mod:`ggwb.numeric`).
-    """
-    chart = genf.chart
-    rng = policy.rng()
-    points = [chart.base_point()] + [chart.sample_point(rng) for _ in range(3)]
-    rank = max(rank_at(genf.Fcal, pt, policy.tol) for pt in points)
-    _, neg = kernel_inertia_at(genf.Fcal, _gram0(chart), chart.base_point(), policy.tol)
-    return 2 * chart.dim - rank, neg
 
 
 def crf_defects(Fcal: BigEndo) -> list[ScalarExpr]:

@@ -9,7 +9,6 @@ binormality; the conformal conjugates J_t decide the Sasakian property.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional
 
 from ..calculus import (
@@ -40,11 +39,10 @@ from ..courant import (
     skew_table,
 )
 from ..errors import PreconditionNotMet, StructureError
-from ..numeric import rank_at
 from ..symexpr import DEFAULT_POLICY, ScalarExpr, ZeroPolicy, is_zero, is_zero_all
 from ..verdict import CheckResult, Verdict, combine
 from .classical import AlmostContact
-from .genf import GenF, corank_and_negative_index, crf_defects
+from .genf import crf_defects
 from .genmetric import GenMetric, build_gen_metric
 
 
@@ -161,7 +159,8 @@ def check_two_one(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckRes
     out.add("(almctF2) Fcal^2 = -Id + flat_g Z+ (x) Z+ - flat_g Z- (x) Z-", both)
     out.add("(prScuframe) pr_S = g(Z+,.)Z+ - g(Z-,.)Z-", both)
     out.add("g-skewness of Fcal", is_zero_all(m.skew_defect(), policy))
-    out.add("Fcal^3 + Fcal = 0", is_zero_all((m2 @ m + m)._flat(), policy))
+    cube = "Fcal^3 + Fcal = 0"
+    out.add(cube, is_zero_all((m2 @ m + m)._flat(), policy))
     if s.G is not None:
         gram = s.G._gram
         qp, qm = flat_g(s.Z_plus), flat_g(s.Z_minus)
@@ -174,15 +173,16 @@ def check_two_one(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckRes
             dd = s.G.Gcal(Z) - Z * sign
             eig.extend(dd.components())
         out.add("Z+- lie in V+-", is_zero_all(eig, policy))
-    corank, neg = corank_and_negative_index(GenF(s.Fcal), policy)
-    out.add(
-        "corank(Fcal) = 2",
-        Verdict.numeric() if corank == 2 else Verdict.failed(detail=f"corank = {corank}"),
-    )
-    out.add(
-        "neg(Fcal) = 1",
-        Verdict.numeric() if neg == 1 else Verdict.failed(detail=f"neg = {neg}"),
-    )
+    # Fcal^3 + Fcal = 0 makes pr_S = Id + Fcal^2 a projection onto ker Fcal,
+    # so the corank is trace(pr_S); Z+- in ker Fcal with Gram matrix
+    # diag(1, -1) then span it, and the pairing on it has index 1
+    out.add("corank(Fcal) = 2", out.corollary(
+        "trace(Id + Fcal^2) = 2",
+        is_zero(contract("ii->", m2) + (2 * chart.dim - 2), policy), cube))
+    out.add("neg(Fcal) = 1", out.corollary(
+        "Z+- span ker Fcal with Gram matrix diag(1, -1)", Verdict.proved(),
+        "corank(Fcal) = 2", "(almctF2) Fcal Z+- = 0", "(almoctZpm) g(Z+,Z-) = 0",
+        "(almoctZpm) g(Z+,Z+) = 1", "(almoctZpm) g(Z-,Z-) = -1"))
     return out
 
 
@@ -385,7 +385,8 @@ def check_phi(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
     out = CheckResult("phi")
     chart = s.chart
     phi = phi_endo(s)
-    out.add("(eqPhi) Phi^2 = Id", is_zero_all(phi.square_defect(1), policy))
+    square = "(eqPhi) Phi^2 = Id"
+    out.add(square, is_zero_all(phi.square_defect(1), policy))
     out.add("(eqPhi) g-skewness", is_zero_all(phi.skew_defect(), policy))
     if s.G is not None:
         gram = s.G._gram
@@ -396,19 +397,9 @@ def check_phi(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
              - (contract("i,j->ij", qp, qp) + contract("i,j->ij", qm, qm)) * 2)
         out.add("(PhiG) G(Phi X, Phi Y) = -G(X, Y) + 2 kernel terms", is_zero_all(
             d._flat(), policy))
-    # (eqGY): the +-1 eigenprojections of Phi have rank n at sample points.
-    ranks_ok = True
-    rng = policy.rng()
-    points = [chart.base_point()] + [chart.sample_point(rng) for _ in range(2)]
-    for sign in (1, -1):
-        grid = (BigEndo.identity(chart) + phi * sign) * Fraction(1, 2)
-        for pt in points:
-            if rank_at(grid, pt, policy.tol) != chart.dim:
-                ranks_ok = False
-    out.add(
-        "(eqGY) eigenprojections of Phi have rank n at sample points",
-        Verdict.numeric() if ranks_ok else Verdict.failed(detail="(eqGY) rank defect"),
-    )
+    # Phi^2 = Id makes (Id +- Phi)/2 projections, of rank n +- trace(Phi)/2
+    out.add("(eqGY) eigenprojections of Phi have rank n", out.corollary(
+        "trace(Phi) = 0", is_zero(contract("ii->", phi), policy), square))
     return out
 
 

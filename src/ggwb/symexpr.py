@@ -51,12 +51,13 @@ One evaluator, ``_evaluator``, gives the value of a field element at a
 rational point: exactly, a Fraction or a Q(i) :class:`ggwb.poly.Gaussian`,
 when the field has no atom generator, else as an mpmath number at ``_DPS``
 (30) digits.  ``evaluate`` returns that value as it is (no sympy number, no
-``complex``), the zero test decides on it, and the point certificates of
-:mod:`ggwb.numeric` (the metric's base-point check among them) eliminate
-over it.  mpmath is imported when the first atom generator is made
-(:func:`_gen`): only a field with a generator has mpmath values, so a job
-without atoms never loads it, and one with atoms loads it while its input
-is parsed.
+``complex``), ``sign_at`` reads the sign of a real value from it (the
+metric's base-point check, the sign of a hypersurface's normal length and
+its Jacobian audit), the zero test decides on it, and the positivity
+certificate of :mod:`ggwb.numeric` eliminates over it.  mpmath is imported
+when the first atom generator is made (:func:`_gen`): only a field with a
+generator has mpmath values, so a job without atoms never loads it, and one
+with atoms loads it while its input is parsed.
 
 Soundness contract: ``is_zero`` answers ``Proved`` only when the reduced
 fraction is zero; the generators stand for the true functions in a ring
@@ -100,6 +101,7 @@ from .poly import (
     ONE,
     W,
     ZERO,
+    _RATIONALS,
     Field,
     Frac,
     Gaussian,
@@ -495,9 +497,6 @@ def _constant(K: Field, v) -> Frac:
     return Frac(K, Poly({0: q.numerator}), Poly({0: q.denominator})) if q else K.zero
 
 
-_RATIONALS = (int, Fraction)
-
-
 # ---------------------------------------------------------------------------
 # atoms
 
@@ -806,9 +805,6 @@ class ScalarExpr:
         rf = _conj(self.rf)
         return self if rf is self.rf else _ring(self.chart, rf)
 
-    def diff(self, coord) -> "ScalarExpr":
-        return differentiate(self, coord)
-
     def lift(self, chart) -> "ScalarExpr":
         """The same function on a chart whose coordinates extend this one's
         (the product with a line)."""
@@ -927,18 +923,24 @@ def _conj(rf: Frac) -> Frac:
 # differentiation
 
 
-def pdiff(e: ScalarExpr, coord) -> ScalarExpr:
-    """Partial derivative by one coordinate, given by its name.
+def pdiff(e: ScalarExpr, coord: str) -> ScalarExpr:
+    """Partial derivative by one coordinate of the scalar's chart, given by
+    its name; any other name raises :class:`ChartMismatchError`.
 
-    The one derivative kernel of the package: every tensor operation
-    differentiates through it.  It is the chain rule in the field: the
-    quotient rule on the numerator and denominator polynomials, with
-    d E_m = E_m dm and d T_m = (1 + T_m^2)/2 dm for the generators.  A
-    zero returns itself.
+    The one derivative of the package: every tensor operation
+    differentiates through it, and ``ggwb.differentiate`` and
+    ``ScalarExpr.diff`` are this function.  Its cached kernel is the chain
+    rule in the field: the quotient rule on the numerator and denominator
+    polynomials, with d E_m = E_m dm and d T_m = (1 + T_m^2)/2 dm for the
+    generators.  A zero returns itself.
     """
+    name = e.chart.coordinate(coord)
     if not e.rf:
         return e
-    return _init(object.__new__(ScalarExpr), e.chart, _derivative(e.rf, coord))
+    return _init(object.__new__(ScalarExpr), e.chart, _derivative(e.rf, name))
+
+
+differentiate = ScalarExpr.diff = pdiff
 
 
 @lru_cache(maxsize=65536)
@@ -983,15 +985,6 @@ def _diff(rf: Frac, name: str) -> Frac:
     if B is not None:
         n, d = mul(n, B), mul(d, B)
     return _fraction(L, dn, d) if not dd else _fraction(L, sub(mul(dn, d), mul(n, dd)), mul(d, d))
-
-
-def differentiate(e: ScalarExpr, coord) -> ScalarExpr:
-    """Partial derivative with respect to one chart coordinate.
-
-    ``coord`` is a coordinate name; it must belong to the expression's
-    chart.
-    """
-    return pdiff(e, e.chart.coordinate(coord))
 
 
 # ---------------------------------------------------------------------------
@@ -1102,6 +1095,23 @@ def evaluate(e: ScalarExpr, point: dict) -> object:
     a Fraction (or a Q(i) :class:`Gaussian`) without atoms, else a
     ``_DPS``-digit mpmath number; ``_POLE`` when the point hits a pole."""
     return _evaluator(e.chart, e.rf.field, point)[0](e.rf)
+
+
+def sign_at(e: ScalarExpr, point: dict, tol: float = 1e-9) -> int:
+    """The sign of the real scalar ``e`` at a rational point, -1, 0 or 1,
+    read by :func:`_evaluator`.  0 for a value of 0, for a 30-digit value
+    with |v| <= ``tol``, and at a pole; a value off the real line raises
+    :class:`ExprError`."""
+    v = evaluate(e, point)
+    if v is _POLE:
+        return 0
+    if type(v) is not Fraction:
+        if type(v) is Gaussian or abs(v.imag) > tol:
+            raise ExprError(f"'{e}' is not real at {point}")
+        if abs(v.real) <= tol:
+            return 0
+        v = v.real
+    return (v > 0) - (v < 0)
 
 
 def _to_fraction(v) -> Fraction:

@@ -91,9 +91,9 @@ class Verdict(Frozen):
     """Outcome of one identity check, with provenance of what was tested.
     Immutable; equal to a verdict with the same fields.
 
-    ``detail`` is the reason a verdict was reached when no zero test
-    produced it (a rank count, a disagreement between two routes); it
-    survives relabelling, so reports can show it.
+    ``detail`` is the reason a verdict was reached when no zero test of
+    its own produced it (the items a corollary rests on, a disagreement
+    between two routes); it survives relabelling, so reports can show it.
     """
 
     def __init__(self, kind: VerdictKind, criterion: str = "",
@@ -174,6 +174,24 @@ class CheckResult:
     @property
     def ok(self) -> bool:
         return self.skipped is not None or self.verdict.ok
+
+    def corollary(self, fact: str, verdict: Verdict, *premises: str) -> Verdict:
+        """The verdict of a fact that follows from the items ``premises``
+        of this result, ``verdict`` being the zero test of what the fact
+        adds to them (``fact`` says what).  Every premise is a zero-test
+        item, so the fact is as strong as the weakest of them and
+        ``verdict``: a failed premise fails it with the premise's witness
+        and the detail ``rests on '<label>'``; otherwise the detail names
+        ``fact`` and every premise."""
+        given = [(label, self.subverdict(label)) for label in premises]
+        for label, v in given:
+            if not v.ok:
+                return Verdict.failed(witness=v.witness, detail=f"rests on '{label}'")
+        if not verdict.ok:
+            return Verdict.failed(witness=verdict.witness, detail=f"{fact} fails")
+        kind = combine(verdict, *(v for _, v in given)).kind
+        names = ", ".join(f"'{label}'" for label in premises)
+        return Verdict(kind, detail=f"{fact}; rests on {names}")
 
     def subverdict(self, label: str) -> Verdict:
         for lbl, v in self.items:

@@ -1,9 +1,9 @@
 """A cold ``ggwb check`` runs without numpy, and the bench trace still
 finds the certificate layer.
 
-The certificates of :mod:`ggwb.numeric` are exact (or 30-digit mpmath)
-eliminations, so numpy is neither imported by the package nor a
-dependency.  ``bench/spantrace.install`` reads ``sys.modules["ggwb.numeric"]``
+The positivity certificate of :mod:`ggwb.numeric` is an exact (or
+30-digit mpmath) elimination, so numpy is neither imported by the package
+nor a dependency.  ``bench/spantrace.install`` reads ``sys.modules["ggwb.numeric"]``
 after ``import ggwb``, so that module must stay imported by the package.
 Each probe runs in a fresh interpreter: the first leaves no module behind
 from the test session, and the second patches the package's modules.
@@ -38,12 +38,13 @@ import spantrace
 
 tracer = spantrace.Tracer()
 spantrace.install(tracer)
-from ggwb.calculus import ChartManifold, _Array
-from ggwb.structures import genf
+from ggwb.calculus import ChartManifold, MetricField
+from ggwb.structures import genmetric
 
 chart = ChartManifold("R2", ["x", "y"])
-assert genf.rank_at(_Array(chart, [["x", 1], [1, "y"]], (2, 2)), chart.base_point()) == 2
-print(tracer.calls["numeric.rank_at"])
+G = genmetric.GenMetric(MetricField(chart, [["1 + x^2", "y"], ["y", 1]]))
+assert genmetric.positivity_witness(G._gram, chart.base_point()) is None
+print(tracer.calls["numeric.positivity_witness"])
 """
 
 

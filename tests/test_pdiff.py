@@ -3,6 +3,7 @@
 ``pdiff`` is the chain rule in the scalar's field (d E_m = E_m dm and
 d T_m = (1 + T_m^2)/2 dm for the atom generators); it never calls sympy.
 The tests pin that a coordinate the scalar does not contain gives zero,
+that a name that is no coordinate of the chart raises,
 that the kernel agrees with ``sympy.diff`` of the scalar's view, that the
 Courant bracket built on it agrees with a bracket written with plain
 ``sympy.diff``, and that the package uses none of sympy's expression
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 import ggwb
 from ggwb.calculus import ChartManifold, OneForm, VectorField
 from ggwb.courant import BigSection, courant_bracket
+from ggwb.errors import ChartMismatchError
 from ggwb.symexpr import pdiff, random_poly
 from sympy_oracle import random_expr, symbols, to_scalar
 
@@ -50,6 +52,20 @@ def test_absent_coordinate_skips_sympy(chart, monkeypatch, make):
     e = to_scalar(make(*symbols(chart)), chart)
     monkeypatch.setattr(sp, "diff", _no_sympy_diff)
     assert pdiff(e, "x").is_syntactic_zero
+
+
+def test_a_name_outside_the_chart_raises(chart):
+    """``pdiff`` checks the coordinate before its cached kernel, also for a
+    scalar without it and for zero; ``ggwb.differentiate`` and
+    ``ScalarExpr.diff`` are the same function."""
+    assert ggwb.differentiate is pdiff and ggwb.ScalarExpr.diff is pdiff
+    for e in (chart.scalar("x*y"), chart.scalar("sin(z)"), chart.zero):
+        with pytest.raises(ChartMismatchError):
+            pdiff(e, "q")
+        with pytest.raises(ChartMismatchError):
+            e.diff("q")
+    assert pdiff(chart.scalar("x*y"), "y") == chart.scalar("x")
+    assert chart.scalar("x*y").diff("z").is_syntactic_zero
 
 
 @settings(max_examples=60, deadline=None)
@@ -215,7 +231,7 @@ S3_VERDICTS = {
     "normal": "Failed",
     "normal_product": "Failed",
     "classical_CRF": "Failed",
-    "two_one": "NumericallySupported",
+    "two_one": "Proved",
     "normal21": "Failed",
     "normal_explicit": "Failed",
 }

@@ -1,11 +1,12 @@
-"""Soundness of the exact point certificates of :mod:`ggwb.numeric`.
+"""Soundness of the exact point certificates: the positivity certificate
+of :mod:`ggwb.numeric` and the sign of one scalar, ``symexpr.sign_at``.
 
 Atom-free grids are evaluated exactly in Q or Q(i), so a pivot is zero only
 when it is 0.  Each exact case below is one that a float certificate with a
 1e-9 tolerance gets wrong: the singular values of [[1, 1], [1, 1 + 1e-12]]
 are about 2 and 5e-13, and the eigenvalue -1e-12 of diag(1, -1e-12) lies
 inside the tolerance.  Grids with exp/tan generators keep 30-digit values;
-their ranks and inertia are checked against values written out by hand.
+their positivity and signs are checked against values written out by hand.
 """
 
 import random
@@ -17,12 +18,12 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ggwb.calculus import ChartManifold, MetricField, _Array, contract
+from ggwb.calculus import ChartManifold, MetricField, _Array, _det, _minor, contract
 from ggwb.errors import ExprError, SingularMetricError
 from ggwb.hypersurface import Embedding
-from ggwb.numeric import inertia_at, kernel_inertia_at, positivity_witness, rank_at
+from ggwb.numeric import positivity_witness
 from ggwb.structures.genmetric import GenMetric, _positivity
-from ggwb.symexpr import ZeroPolicy, evaluate
+from ggwb.symexpr import ZeroPolicy, evaluate, sign_at
 from ggwb.verdict import VerdictKind
 from sympy_oracle import to_scalar
 
@@ -39,24 +40,31 @@ def _grid(chart, rows):
 
 
 def test_near_singular_rational_matrix_has_full_rank(R2):
+    """[[1, 1], [1, 1 + d]] has the pivots 1 and d: positive definite, so of
+    full rank, for d > 0, and its pivots run out at row 1 for d = 0."""
     base = R2.base_point()
-    assert rank_at(_grid(R2, [[1, 1], [1, 1 + TINY]]), base) == 2
-    assert rank_at(_grid(R2, [[1, 1], [1, 1]]), base) == 1
-    # the same near-singularity in the coordinates: rank 2 off the line x = y
+    assert positivity_witness(_grid(R2, [[1, 1], [1, 1 + TINY]]), base) is None
+    w = positivity_witness(_grid(R2, [[1, 1], [1, 1]]), base)
+    assert (w.value, w.detail) == (0, "pivot 1")
+    # the same near-singularity in the coordinates: full rank off the line x = y
     grid = _grid(R2, [["1", "1"], ["1", f"1 + (x - y)/{10**12}"]])
-    assert rank_at(grid, {"x": Fraction(1, 3), "y": Fraction(1, 5)}) == 2
-    assert rank_at(grid, {"x": Fraction(1, 3), "y": Fraction(1, 3)}) == 1
+    assert positivity_witness(grid, {"x": Fraction(1, 3), "y": Fraction(1, 5)}) is None
+    w = positivity_witness(grid, {"x": Fraction(1, 3), "y": Fraction(1, 3)})
+    assert (w.value, w.detail) == (0, "pivot 1")
+    # the sign of one scalar is exact too
+    off = {"x": Fraction(1, 3), "y": Fraction(1, 5)}
+    assert sign_at(R2.scalar(f"(x - y)/{10**12}"), off) == 1
+    assert sign_at(R2.scalar(f"(y - x)/{10**12}"), off) == -1
+    assert sign_at(R2.scalar("x - y"), {"x": Fraction(1, 3), "y": Fraction(1, 3)}) == 0
 
 
 def test_tiny_negative_eigenvalue_is_seen(R2):
     base = R2.base_point()
     gram = _grid(R2, [[1, 0], [0, -TINY]])
-    assert inertia_at(gram, base) == (1, 1)
     w = positivity_witness(gram, base)
     assert w.value == Fraction(-1, 10**12) and w.detail == "pivot 1"
     assert w.point == tuple(sorted(base.items()))
     # a tiny positive eigenvalue is positive
-    assert inertia_at(_grid(R2, [[1, 0], [0, TINY]]), base) == (2, 0)
     assert positivity_witness(_grid(R2, [[1, 0], [0, TINY]]), base) is None
 
 
@@ -76,55 +84,43 @@ def test_positivity_of_a_generalized_metric_fails_with_the_exact_pivot(R2):
 def test_zero_diagonal_block_and_zero_matrix(R2):
     base = R2.base_point()
     hyperbolic = _grid(R2, [[0, 1], [1, 0]])
-    assert inertia_at(hyperbolic, base) == (1, 1)
     # the block splits into the pivots 2 and -1/2
     w = positivity_witness(hyperbolic, base)
     assert (w.value, w.detail) == (Fraction(-1, 2), "pivot 1")
     zero = _grid(R2, [[0, 0], [0, 0]])
-    assert rank_at(zero, base) == 0 and inertia_at(zero, base) == (0, 0)
     w = positivity_witness(zero, base)
     assert (w.value, w.detail) == (0, "pivot 0")
     with pytest.raises(ExprError):
-        inertia_at(_grid(R2, [[1, 1], [0, 1]]), base)
+        positivity_witness(_grid(R2, [[1, 1], [0, 1]]), base)
 
 
 def test_gaussian_grids(R2):
     base = R2.base_point()
     x, y, i = R2.scalar("x"), R2.scalar("y"), R2.i
-    assert rank_at(_grid(R2, [[1, i], [i, -1]]), base) == 1
-    assert rank_at(_grid(R2, [[1, i], [i, 1]]), base) == 2
-    assert rank_at(_grid(R2, [[x, i * x], [1, i]]), base) == 1
-    assert rank_at(_grid(R2, [[x, i * y], [1, i]]), base) == 2
-    # Hermitian forms: a rank-one form and a block with an imaginary b
-    assert inertia_at(_grid(R2, [[1, i], [-i, 1]]), base) == (1, 0)
-    assert inertia_at(_grid(R2, [[0, i], [-i, 0]]), base) == (1, 1)
+    # Hermitian forms: a rank-one form, a positive one and a block with an imaginary b
+    w = positivity_witness(_grid(R2, [[1, i], [-i, 1]]), base)
+    assert (w.value, w.detail) == (0, "pivot 1")
+    assert positivity_witness(_grid(R2, [[2, i], [-i, 1]]), base) is None
     w = positivity_witness(_grid(R2, [[0, i], [-i, 0]]), base)
     assert w.value < 0
+    with pytest.raises(ExprError):  # symmetric, not Hermitian
+        positivity_witness(_grid(R2, [[1, i], [i, 1]]), base)
     z = evaluate(R2.scalar(x + i * y), base)
     assert (z.x, z.y) == (Fraction(3, 7), Fraction(5, 7))
-
-
-def test_kernel_inertia_by_hand(R2):
-    R3 = ChartManifold("cert3", ["x", "y", "z"])
-    base = R3.base_point()
-    grid = _grid(R3, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
-    form = _grid(R3, [[5, 1, 1], [1, 0, 1], [1, 1, 0]])
-    # the kernel is spanned by e_1 and e_2, where the form is [[0, 1], [1, 0]]
-    assert kernel_inertia_at(grid, form, base) == (1, 1)
-    assert kernel_inertia_at(_grid(R3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]), form, base) == (0, 0)
-    # ker [1, s] is spanned by (-s, 1), where [[0, 1], [1, 0]] takes -2s
-    hyperbolic = _grid(R2, [[0, 1], [1, 0]])
-    assert kernel_inertia_at(_grid(R2, [[1, 1]]), hyperbolic, R2.base_point()) == (0, 1)
-    assert kernel_inertia_at(_grid(R2, [[1, -1]]), hyperbolic, R2.base_point()) == (1, 0)
+    # a sign is read only off a real value
+    with pytest.raises(ExprError):
+        sign_at(R2.scalar(x + i * y), base)
 
 
 def test_pole_raises(R2):
+    """A pole raises in the positivity certificate and is the sign 0."""
     with pytest.raises(ExprError):
-        rank_at(_grid(R2, [["1/(x - 3/7)", 0], [0, 1]]), R2.base_point())
+        positivity_witness(_grid(R2, [["1/(x - 3/7)", 0], [0, 1]]), R2.base_point())
+    assert sign_at(R2.scalar("1/(x - 3/7)"), R2.base_point()) == 0
 
 
 def test_metric_degenerate_at_the_base_point(R2):
-    """The base-point check of a metric is the rank certificate of [[det]]:
+    """The base-point check of a metric is the sign of its determinant:
     an exact determinant is degenerate only at 0, a 30-digit one when
     |det| <= 1e-9, and a pole of the determinant is degenerate too."""
     x0 = R2.base_point()["x"]  # 3/7
@@ -139,9 +135,9 @@ def test_metric_degenerate_at_the_base_point(R2):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**6), gaussian=st.booleans())
-def test_inertia_is_that_of_the_congruent_diagonal(R2, seed, gaussian):
-    """A = P^H D P for an invertible P has the inertia of D and the rank of
-    sympy's exact elimination."""
+def test_positivity_is_that_of_the_congruent_diagonal(R2, seed, gaussian):
+    """A = P^H D P for an invertible P has the inertia of D, so it is
+    positive definite exactly when every entry of D is positive."""
     rng = random.Random(seed)
     n = rng.randint(1, 5)
     d = [rng.randint(-2, 2) for _ in range(n)]
@@ -153,8 +149,7 @@ def test_inertia_is_that_of_the_congruent_diagonal(R2, seed, gaussian):
     A = (P.H * sp.diag(*d) * P).expand()
     grid = _grid(R2, [[to_scalar(e, R2) for e in row] for row in A.tolist()])
     base = R2.base_point()
-    assert inertia_at(grid, base) == (sum(v > 0 for v in d), sum(v < 0 for v in d))
-    assert rank_at(grid, base) == A.rank() == sum(v != 0 for v in d)
+    assert (positivity_witness(grid, base) is None) == all(v > 0 for v in d)
 
 
 # -- grids with exp/tan generators ------------------------------------------
@@ -177,28 +172,34 @@ def test_sphere_jacobian_and_metric_match_the_hand_values(sphere):
     base = S3.base_point()
     jac = emb.jacobian()
     assert not all(e.is_rational_function for e in jac._items().values())
-    assert rank_at(jac, base) == 3
+
+    def minor_signs(grid):  # of the maximal minors, as the unit normal's rank audit reads them
+        return [sign_at(_det(_minor(grid, k)), base) for k in range(4)]
+
+    # full rank 3: a maximal minor is nonzero at the base point
+    assert any(minor_signs(jac))
     g = contract("ki,kj->ij", jac, jac)
     hand = _grid(S3, [[1, 0, 0], [0, "sin(a)^2", 0], [0, 0, "sin(a)^2*sin(b)^2"]])
     assert g == hand
-    assert inertia_at(g, base) == inertia_at(hand, base) == (3, 0)
+    assert positivity_witness(g, base) is None
     assert positivity_witness(hand, base) is None
-    # the third column replaced by cos(c) d_a + sin(c) d_b: rank 2
+    # the third column replaced by cos(c) d_a + sin(c) d_b: every maximal minor is 0
     cols = [[jac[k][0], jac[k][1], jac[k][0] * S3.scalar("cos(c)") + jac[k][1] * S3.scalar(
         "sin(c)")] for k in range(4)]
-    assert rank_at(_grid(S3, cols), base) == 2
+    assert minor_signs(_grid(S3, cols)) == [0, 0, 0, 0]
 
 
 def test_atom_form_signs_by_hand(sphere):
     S3, _ = sphere
     base = S3.base_point()
-    assert inertia_at(_grid(S3, [["cos(a)", "sin(a)"], ["sin(a)", "-cos(a)"]]), base) == (1, 1)
-    # ker [[sin a, cos a], [2 sin a, 2 cos a]] is spanned by (cos a, -sin a);
-    # diag(1, -1) takes cos(2a) on it: cos(5/4) > 0, cos(2) < 0
-    grid = _grid(S3, [["sin(a)", "cos(a)"], ["2*sin(a)", "2*cos(a)"]])
-    form = _grid(S3, [[1, 0], [0, -1]])
-    assert rank_at(grid, base) == 1
-    assert kernel_inertia_at(grid, form, base) == (1, 0)
-    assert kernel_inertia_at(grid, form, dict(base, a=Fraction(1))) == (0, 1)
+    # the reflection [[cos a, sin a], [sin a, -cos a]] has the eigenvalues 1 and -1
+    w = positivity_witness(_grid(S3, [["cos(a)", "sin(a)"], ["sin(a)", "-cos(a)"]]), base)
+    assert w.value < 0 and w.detail == "pivot 1"
+    # cos(2a) at a = 5/8 and a = 1: cos(5/4) > 0, cos(2) < 0
+    cos2a = S3.scalar("cos(2*a)")
+    assert sign_at(cos2a, base) == 1
+    assert sign_at(cos2a, dict(base, a=Fraction(1))) == -1
+    # a 30-digit value within the tolerance is the sign 0
+    assert sign_at(S3.scalar("sin(a)^2 + cos(a)^2 - 1 + exp(a)/10^12"), base) == 0
     with mpmath.workdps(30):
         assert abs(evaluate(S3.scalar("cos(2*a)"), base) - mpmath.cos(mpmath.mpf(5) / 4)) < 1e-28

@@ -14,40 +14,40 @@ import sys
 from pathlib import Path
 
 DIGESTS = {
-    "S1-flat-cosymplectic": "b5b60b7c4e0387136f9deec87a1a96e9271eae7b6bbf643c971a9dfde89adefc",
-    "S2-sasakian-heisenberg": "d9e2db8ddd7a50cffd37c7ae338daf5ef1592d1378e03ed48771a24ecde339d1",
-    "S3-exp-deformation": "e23a857173a9f21affba356383a48249a135e49615ea9641d4e8bc9368e91f0b",
-    "S4-sphere-in-C2": "0a9ae7238cacb6fba97b570282166e6547b78ee8491f6db038d31d4a80db078c",
-    "S5-NxT2": "9308c56e07ed2e0f49e7b62fb60e21902eba9bc0ae4e3568c32125bdc030e67e",
-    "S6b-hyperplane-in-C2": "911173f2288788855a52b0e4b8dc926f14c72b82115822c7bff68a5d0f1c97f1",
+    "S1-flat-cosymplectic": "30ea73738b9e917a476c65b49e6333d03bdf01ccb786254786cfba6b547184e1",
+    "S2-sasakian-heisenberg": "1f538b2625c50fd6562b256e0ae7873fa847ce3efbeaa2cf4952adad5f5ba6bc",
+    "S3-exp-deformation": "4551714161caa104cf8257edf9705c6925c00f3087d254f408c35b4dd575e26d",
+    "S4-sphere-in-C2": "8b56d8803cc6953052be917d1d6274f806447d3a1c2fa0dd8b7682c892a3cd94",
+    "S5-NxT2": "27195107a4921fc3894fd3fbd8bdfa5f212356304b5cde0901f0f83ee0b65e7d",
+    "S6b-hyperplane-in-C2": "0716a39db25459d3c42a410cd54ed8a43118cccfd80d4b010bc4a9f0a27abd0c",
 }
 
 # every seed; seeds 1-3 list their digests in the order of DIGESTS
 DIGESTS_AT_SEED = {
     0: DIGESTS,
     1: dict(zip(DIGESTS, [
-        "16956f914cef4331e39ddee08c9756daa8988225a5d120690a0584827cbeff8c",
-        "af62158f6f2db71f9a4462238b00ce6b2040df4e2f0a6044dc581d19f2a3d945",
-        "c29df74f6297ff88af9d003395647bafba4a2fdd12338c636863889981e334c4",
-        "e3a97251b70ad8d832430883fcc475fddd847ec2666659c9c2dc9e09db0bf93e",
-        "8f5ca5398d586718d638ad566e2d0cf557775be32374a5f44d06beac2b299171",
-        "467a39a0c747d7665a02a64e99df3ab34c46ad797ed0cf02ea255ac4a97a32f4",
+        "29af5a9a04341a4922a7bff6926e376476702fc5b5e7b03c33344ce17a62ee9b",
+        "1d51c62832e6c977575b13a895888c4443a795265a269de4bbdfbb5580835f8e",
+        "fc9f5f5ce0d3c0501e917c4dda65df4794e044d7819eadf5a7b0f46aeb583e84",
+        "8b6385cfc2b7a00d1aa265845253b2911ed81df9a70284a3aa4ea58707fd728a",
+        "d2b95c35d6b3f0a37c5a9148a7598040680c603c0c3710539d70ac324972e28f",
+        "4431a87bb16a6dde00d90e38b4ae623e0fb2fc5dbf9600a0448f7ef709b3baa8",
     ])),
     2: dict(zip(DIGESTS, [
-        "7ed9d8b990b48dd9761df38c09850e6f0446856965796fbdb9d81d3272e0c4a5",
-        "be96dff2224eafc2a1ab55521ed237a9af82a97c4459803311085a843e23c09d",
-        "76de9994d788f4314a16244b19a71faab039e488e9d6bfbfb6c2ae857f1b8a8c",
-        "bb45c8e75d5ffe1662f0bbb8c4d45073493071cd69479a4fbeac1de170d71971",
-        "6cad050c98e6a3ebfe4c2bd83d8df932b3046d99d21477a5fba83ae3ebe01587",
-        "12e623b03422e103d3778ce72a44de5375486fd6e359d3a7b858cd4c77d9446f",
+        "3518aaef9ddc021284202425cc2401b12bf498387b5fb8f7f85d82fcfbe28cd8",
+        "77d81e6bdb371ce89e4502639b860daaa85e205f9b8551bbb4ac8015cd8818b6",
+        "6f578d1cd3777b49785c14b53d9da3c62f88a507ffa6c0957fbb3d5e3e87b677",
+        "d3e2ad60d07a9205cb38e98d2ed1fdfc0f2e5dcd388d70b49064b7c39fe06487",
+        "01aa7eef54fef3c355ae03b89c5792a433ef9169a4ac8eb2ec9013759235e4e6",
+        "891c165e5d31e9b572521ee5a08879f69a2802fbab8d85900c52d7039b8094a5",
     ])),
     3: dict(zip(DIGESTS, [
-        "09913d6e753669a2b9efdfa62d0b8d03e285b065bb194396ad9d7e3b9615fad1",
-        "51ac78472a1c4abd2a98f563a14e834387e3f1a6d364ac4514f910fd6caa1380",
-        "55d02192494975f48a73fe5f4467b5dbc46c856b941efe94b1ecaceb767c7e43",
-        "dde0ae37fcb0c82983fa8fe9fc067874b042502b5052efae1ed32228f64fb8e7",
-        "5bfa6ca1ee819a2e3105b8233068668794e77eb3e3a3b0d892c78b1d0f2ef4c4",
-        "b220257dc5caf253c5074863a540f6d76e26bb2501226c6615703ea4f6835e89",
+        "ac27d29b2c8d1c959c1cf8bdf33c5297fe7ed1e1bbddd568d11705a56c2cc9ba",
+        "2566cc646d115c6c776795512855f0f210c5ce4ca32d490de5ee3f84182ffeb4",
+        "efc34b4327bd2d7b3f3b7510ba7813122dc39216da35509d06f29c973167ffe7",
+        "7ebbc74fbcff7f498afd1814cba22cc23992c96502528a4ecd0dcdeee1fe6c47",
+        "b2034bab73c93751326526d45c65e8cf81951eb3bc638a33f79908457704a818",
+        "9763aa97cfe2eadf54228c067044f8d96205499b6b724ddcc98ab7041ee1bc13",
     ])),
 }
 

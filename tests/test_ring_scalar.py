@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 from ggwb import calculus, symexpr
 from ggwb.calculus import ChartManifold, EndoTM, OneForm, VectorField
 from ggwb.courant import BigSection, courant_bracket, pairing, partial
+from ggwb.poly import Gaussian
 from ggwb.symexpr import (
+    ScalarExpr,
     ZeroPolicy,
     _POLE,
     evaluate,
@@ -166,6 +168,24 @@ def test_gaussian_conjugate_and_derivative(chart):
     for s in symbols(chart):
         assert pdiff(w, s.name).expr == sp.cancel(sp.diff(w.expr, s))
     assert is_zero(pdiff(w, "x") - (-i * z - i * y) / (x - i * z) ** 2).kind is VerdictKind.PROVED
+
+
+def test_a_gaussian_number_times_a_scalar_is_a_scalar(chart):
+    """A Gaussian leaves an operand that is not an int, a Fraction or a
+    Gaussian to that operand's own operator, so both orders of each
+    operation give the same scalar."""
+    g, y = Gaussian(2, -3), chart.scalar("y")
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        left, right = op(g, y), op(chart.scalar(g), y)
+        assert type(left) is ScalarExpr and left == right
+        assert op(y, g) == op(y, chart.scalar(g))
+    i = chart.i
+    assert g * y == y * g == (2 - 3 * i) * y
+    assert g * y + y == (3 - 3 * i) * y
+    # the exact arithmetic of values is unchanged
+    assert g * 2 == 2 * g == Gaussian(4, -6)
+    assert g - Fraction(1, 2) == Gaussian(Fraction(3, 2), -3)
+    assert 1 - g == Gaussian(-1, 3) and g / 2 == Gaussian(1, Fraction(-3, 2))
 
 
 @settings(max_examples=80, deadline=None)

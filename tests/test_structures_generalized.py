@@ -25,7 +25,6 @@ from ggwb.structures import (
     check_gen_CRF,
     check_gen_F,
     check_gen_metric,
-    corank_and_negative_index,
     courant_bracket_Vpm,
     second_genF,
 )
@@ -166,17 +165,6 @@ def test_quadruple_precondition(s1, R3, pol):
     not_metric_F = EndoTM(R3, [[0, -2, 0], [1, 0, 0], [0, 0, 0]])
     with pytest.raises(StructureError):
         build_genF_from_quadruple(G, not_metric_F, s1.F, pol)
-
-
-def test_corank_and_negative_index(s1, s5_ctx, pol, flat_c2):
-    G = build_gen_metric(s1.gamma, None, pol)
-    gf = build_genF_from_quadruple(G, s1.F, s1.F, pol)
-    assert corank_and_negative_index(gf, pol) == (2, 1)
-    quad5 = s5_ctx.build(s5_ctx.scenario.structure("quad"))
-    assert corank_and_negative_index(quad5, pol) == (2, 1)
-    GK = build_gen_metric(flat_c2["gamma"], None, pol)
-    kahler = build_genF_from_quadruple(GK, flat_c2["J"], flat_c2["J"], pol)
-    assert corank_and_negative_index(kahler, pol) == (0, 0)
 
 
 def test_gen_crf_flat_kahler(flat_c2, pol):

@@ -132,9 +132,9 @@ def _scenario(tmp_path, path, value) -> str:
 
 
 def test_cli_error_paths_and_text_report_run_with_sympy_blocked(tmp_path):
-    """ParseError, ScenarioError, SingularMetricError and PolicyError exit 2
-    with their message, a StructureError of a hypersurface is a Failed item
-    (exit 1), and a text report prints, all with ``import sympy`` raising."""
+    """ParseError, ScenarioError, SingularMetricError, PolicyError and a
+    hypersurface whose unit normal is not in the field exit 2 with their
+    message, and a text report prints, all with ``import sympy`` raising."""
     parse = _scenario(tmp_path, ["fields", "J", "matrix", 0, 0], "x1 +")
     names = _scenario(tmp_path, ["chart", "coords"], ["x1", "y1", "x2", "x-1"])
     singular = _scenario(tmp_path, ["fields", "gamma", "matrix", 0, 0], "0")
@@ -150,8 +150,10 @@ def test_cli_error_paths_and_text_report_run_with_sympy_blocked(tmp_path):
     assert lines[2] == ("2 ggwb: error: $.fields.gamma.matrix: metric is degenerate at the base "
                         "point of chart 'C2'")
     assert lines[3] == "2 ggwb: error: samples must be at least 1, got 0"
-    assert lines[4].startswith("1 scenario: S6b-hyperplane-in-C2 | ")
-    assert "structure validation: Failed  (cannot express the normal's length" in lines[4]
+    assert lines[4] == ("2 ggwb: error: hypersurface 'N3' in 'C2': cannot express the "
+                        "normal's length in the expression grammar; use a chart in which "
+                        "gamma(n~, n~) is a perfect square (a rational parametrization, "
+                        "for instance)")
     assert lines[5].startswith("0 scenario: S1-flat-cosymplectic | ")
     assert lines[5].endswith("overall: pass")
     assert lines[6:] == ["False"]

@@ -366,7 +366,7 @@ def test_s4_check_verdicts(s4_report):
         "LXi": "Proved",
         "hermitian": "Proved",
         "gen_kahler": "Proved",
-        "two_one": "NumericallySupported",
+        "two_one": "Proved",
         "hyp_CRFK": "Failed",
     }
 
@@ -377,9 +377,9 @@ def test_s4_item_verdicts(s4_report):
     }
     for key in S4_PROVED_ITEMS:
         assert items[key]["verdict"] == "Proved", key
-    # the rank certificates are numeric by construction
-    assert items[("two_one", "corank(Fcal) = 2")]["verdict"] == "NumericallySupported"
-    assert items[("two_one", "neg(Fcal) = 1")]["verdict"] == "NumericallySupported"
+    # the rank facts follow from the proved identities
+    assert items[("two_one", "corank(Fcal) = 2")]["verdict"] == "Proved"
+    assert items[("two_one", "neg(Fcal) = 1")]["verdict"] == "Proved"
 
 
 def test_s4_crfk_witness_unchanged(s4_report):
