@@ -59,6 +59,14 @@ when the first atom generator is made (:func:`_gen`): only a field with a
 generator has mpmath values, so a job without atoms never loads it, and one
 with atoms loads it while its input is parsed.
 
+The exponentials of one base are powers of one generator: exp(q*m), for
+a rational q and m primitive (integer contents 1, positive leading
+coefficient), is ``E_{m/d}^(q*d)``.  A field holds one ``E_{m/d}`` per base
+m, d a multiple of every denominator of q (:func:`_assemble` merges two, and
+:func:`_embed` rewrites the coarser one as a power); a scalar keeps the
+least such d (:func:`_lowest`).  So exp(2/7)^2 and exp(4/7) are both
+``E_{1/7}^4``, and exp(x/6)^2 is ``E_{x/3}``.
+
 Soundness contract: ``is_zero`` answers ``Proved`` only when the reduced
 fraction is zero; the generators stand for the true functions in a ring
 homomorphism, so a zero fraction is zero as a function.  A nonzero fraction
@@ -68,7 +76,8 @@ and a ``Failed`` always carries a witness.  A wrong gcd would cost the
 uniqueness of the normal form, never this contract.
 
 ``str`` and ``repr`` print the reduced fraction in the parser's grammar
-(:func:`_text`): powers as ``^``, ``E_m`` as ``exp(m)``, ``T_m`` as
+(:func:`_text`): powers as ``^``, ``E_m`` as ``exp(m)`` (and a power
+``E_{m/d}^e`` with d > 1 as ``exp(e*m/d)``), ``T_m`` as
 ``sin(m)/(1 + cos(m))`` and a Gaussian coefficient with ``I``, so that
 ``parse_scalar(str(s), chart) == s`` on real data.  Text (coordinates,
 rational literals, integer powers, ``sin``, ``cos``, ``exp``) is read
@@ -98,6 +107,7 @@ from typing import Iterable, Optional
 from .errors import ChartMismatchError, ExprError, GgwbError, ParseError, PolicyError
 from .poly import (
     FIELD,
+    MAX_EXP,
     ONE,
     W,
     ZERO,
@@ -198,13 +208,17 @@ class _Gen:
     with ``arg`` = m in its minimal field.  It is the generator's key in a
     field; its hash is that of (kind, arg), so it does not depend on
     memory addresses.  ``order`` is its place in the one global order of
-    generators, read from the structure of ``arg`` (:func:`_order`)."""
+    generators, read from the structure of ``arg`` (:func:`_order`).  An
+    exponential's argument is ``base / den``, ``base`` primitive (see
+    :func:`_exp_gen`); a tangent's ``base`` is its argument and ``den`` 1."""
 
-    __slots__ = ("kind", "arg", "order", "_hash")
+    __slots__ = ("kind", "arg", "base", "den", "order", "_hash")
 
-    def __init__(self, kind: str, arg: Frac):
+    def __init__(self, kind: str, arg: Frac, base: Frac, den: int):
         self.kind = kind
         self.arg = arg
+        self.base = base
+        self.den = den
         self.order = (kind, _order(arg))
         self._hash = hash((kind, arg))
 
@@ -238,13 +252,24 @@ _GEN_OF_KEY: dict = {}
 mpmath = None
 
 
-def _gen(kind: str, arg: Frac) -> _Gen:
+def _gen(kind: str, arg: Frac, base: Optional[Frac] = None, den: int = 1) -> _Gen:
     g = _GEN_OF_KEY.get((kind, arg))
     if g is None:
         global mpmath
         import mpmath
-        g = _GEN_OF_KEY[(kind, arg)] = _Gen(kind, arg)
+        g = _GEN_OF_KEY[(kind, arg)] = _Gen(kind, arg, arg if base is None else base, den)
     return g
+
+
+@lru_cache(maxsize=4096)
+def _exp_gen(m: Frac, d: int) -> _Gen:
+    """E_{m/d} for a primitive m (integer contents 1, numerator's leading
+    coefficient positive) and a positive integer d.  The exponentials of
+    one base m are the powers of one generator: exp(q*m) is E_{m/d}^(q*d)
+    in a field whose d is a multiple of q's denominator (:func:`_assemble`
+    merges two of them, :func:`_lowest` keeps the least d)."""
+    arg = m if d == 1 else _field_op(operator.mul, m, _constant(m.field, Fraction(1, d)))
+    return _gen("exp", arg, m, d)
 
 
 # sympy's generator order (``sympy.polys.polyutils._sort_gens``): a name
@@ -277,8 +302,15 @@ def _layout(K: Field) -> tuple:
 
 
 def _assemble(coords, gens, gaussian: bool) -> Field:
-    """The field over ``coords`` and ``gens`` in the one global order."""
-    ordered = sorted(set(gens), key=lambda g: g.order)
+    """The field over ``coords`` and ``gens`` in the one global order.  Two
+    exponentials of one base, E_{m/a} and E_{m/b}, become E_{m/lcm(a, b)},
+    of which both are powers: a field holds one exponential per base."""
+    merged = {}
+    for g in set(gens):
+        h = merged.setdefault((g.kind, g.base), g)
+        if h.den != g.den:
+            merged[(g.kind, g.base)] = _exp_gen(g.base, math.lcm(h.den, g.den))
+    ordered = sorted(merged.values(), key=lambda g: g.order)
     return field(tuple(sorted(set(coords), key=_name_key)) + tuple(ordered), gaussian)
 
 
@@ -291,14 +323,26 @@ def _join(K1: Field, K2: Field) -> Field:
 def _embed(rf: Frac, K: Field) -> Frac:
     """rf in a field with more generators, in the same relative order.  Lex
     order does not see absent generators, so the reduced fraction stays
-    reduced and normalized."""
+    reduced and normalized.  An exponential that K merged into a finer one
+    is replaced by its power (:func:`_rescaled`)."""
     return rf if rf.field is K else _moved(rf, K)
 
 
+def _target(s, K: Field):
+    """The generator of K that stands for the generator ``s``: s itself, or
+    the exponential of s's base that :func:`_assemble` merged it into."""
+    if s in K.index:
+        return s
+    return next(g for g in _layout(K)[1] if g.kind == "exp" and g.base == s.base)
+
+
 @lru_cache(maxsize=4096)
-def _moves(F: Field, K: Field) -> tuple:
+def _moves(F: Field, K: Field) -> Optional[tuple]:
     """(old shift, new shift) of every generator of F in K; a single shift
-    when they all move by the same amount."""
+    when they all move by the same amount; None when one of F's
+    exponentials is a power of one of K's."""
+    if any(s not in K.index for s in F.symbols):
+        return None
     moves = tuple((F.shifts[j], K.shifts[K.index[s]]) for j, s in enumerate(F.symbols))
     steps = {b - a for a, b in moves}
     return (steps.pop(),) if len(steps) == 1 else moves
@@ -314,7 +358,35 @@ def _move(p: Poly, moves: tuple) -> Poly:
 @lru_cache(maxsize=65536)
 def _moved(rf: Frac, K: Field) -> Frac:
     moves = _moves(rf.field, K)
+    if moves is None:
+        return _rescaled(rf, K, [(t, Fraction(t.den, s.den) if type(s) is _Gen else 1)
+                                 for s in rf.field.symbols for t in [_target(s, K)]])
     return Frac(K, _move(rf.numer, moves), _move(rf.denom, moves))
+
+
+def _rescaled(rf: Frac, K: Field, images: list) -> Frac:
+    """rf in K, the j-th generator of rf's field replaced by t^(1/r) for
+    ``images[j]`` = (t, r), t a generator of K and r such that every
+    exponent e of the j-th generator in rf makes e*r an integer.  A monomial
+    substitution keeps numerator and denominator coprime and keeps the order
+    of monomials in each generator, but t may sit elsewhere in K's order, so
+    the sign (or Q(i) unit) is normalized again."""
+    F = rf.field
+    targets = [(K.shifts[K.index[t]], r) for t, r in images]
+
+    def move(p: Poly) -> Poly:
+        out = Poly()
+        for m, c in p.items():
+            new = 0
+            for e, (b, r) in zip(exponents(m, F.n), targets):
+                e = int(e * r)
+                if e > MAX_EXP:
+                    raise ExprError(f"an exponent exceeds {MAX_EXP}, the packed width")
+                new |= e << b
+            out[new] = c
+        return out
+
+    return _scaled(K, move(rf.numer), move(rf.denom))
 
 
 def _shrink(rf: Frac, keep_coords: bool = True) -> Frac:
@@ -347,7 +419,39 @@ def _settle(rf: Frac) -> Frac:
 def _canonical(rf: Frac, keep_coords: bool = True) -> Frac:
     if rf.field.gaussian:
         rf = _settle(rf)
-    return _shrink(rf, keep_coords)
+    return _lowest(_shrink(rf, keep_coords))
+
+
+@lru_cache(maxsize=4096)
+def _fractional(K: Field) -> tuple:
+    """The generators E_{m/d} of K with d > 1."""
+    return tuple(g for g in _layout(K)[1] if g.den > 1)
+
+
+def _lowest(rf: Frac) -> Frac:
+    """rf with each E_{m/d} of its field (d > 1) replaced by E_{m/(d/k)},
+    k the gcd of d and every exponent of E_{m/d} in rf: the least d in
+    which rf is a fraction of polynomials, so that each function has one
+    normal form (exp(x/6)^2 is exp(x/3))."""
+    K = rf.field
+    fractional = _fractional(K)
+    if not fractional:
+        return rf
+    images = []
+    for s in K.symbols:
+        k = 1
+        if s in fractional:
+            shift, k = K.shifts[K.index[s]], s.den
+            for m in (*rf.numer, *rf.denom):
+                k = math.gcd(k, (m >> shift) & FIELD)
+                if k == 1:
+                    break
+        images.append((_exp_gen(s.base, s.den // k) if k > 1 else s, Fraction(1, k)))
+    if all(r == 1 for _, r in images):
+        return rf
+    coords = _layout(K)[0]
+    return _rescaled(rf, _assemble(coords, [t for t, _ in images[len(coords):]], K.gaussian),
+                     images)
 
 
 def _unify(a: Frac, b: Frac) -> tuple:
@@ -520,7 +624,6 @@ def _terms(u: Frac, kind: str) -> list:
     if not u:
         return []
     K = u.field
-    gk, bound = ("exp", None) if kind == "exp" else ("tan", _MAX_MULTIPLE)
     if _layout(K)[1] or not u.denom.is_ground:
         # one term q*m, m with coprime integer contents and positive sign
         cn = content(u.numer)
@@ -532,15 +635,18 @@ def _terms(u: Frac, kind: str) -> list:
                  for m, coeff in sorted(u.numer.items(), reverse=True)]
     out = []
     for q, m in pairs:
+        if kind == "exp":
+            out.append((_exp_gen(m, q.denominator), q.numerator))
+            continue
         sign = 1 if q > 0 else -1
-        if m.numer.is_ground and m.denom.is_ground and kind != "exp":
+        if m.numer.is_ground and m.denom.is_ground:
             # a constant angle is its own generator: sin(5) is not expanded
             # as a multiple angle of 1
-            out.append((_gen(gk, _constant(m.field, abs(q))), sign))
-        elif q.denominator == 1 and (bound is None or abs(q) <= bound):
-            out.append((_gen(gk, m), int(q)))
+            out.append((_gen("tan", _constant(m.field, abs(q))), sign))
+        elif q.denominator == 1 and abs(q) <= _MAX_MULTIPLE:
+            out.append((_gen("tan", m), int(q)))
         else:
-            out.append((_gen(gk, _field_op(operator.mul, m, _constant(m.field, abs(q)))), sign))
+            out.append((_gen("tan", _field_op(operator.mul, m, _constant(m.field, abs(q)))), sign))
     return out
 
 
@@ -598,6 +704,10 @@ def _power(s, e: int) -> str:
     associate to the left, so a product keeps sin(m)/(1 + cos(m)) bare."""
     if type(s) is str:
         return s if e == 1 else f"{s}^{e}"
+    if s.den > 1:
+        # E_{m/d}^e is the one exponential exp(e*m/d)
+        q = _constant(s.base.field, Fraction(e, s.den))
+        return f"exp({_text(_field_op(operator.mul, s.base, q))})"
     m = _text(s.arg)
     base = f"exp({m})" if s.kind == "exp" else f"sin({m})/(1 + cos({m}))"
     return base if e == 1 else f"{base}^{e}" if s.kind == "exp" else f"({base})^{e}"
@@ -967,6 +1077,12 @@ def _diff(rf: Frac, name: str) -> Frac:
     if not parts or rf.numer.is_ground and rf.denom.is_ground:
         return K.zero
     L = reduce(_join, (dv.field for _, dv in parts if dv is not None), K)
+    if _moves(K, L) is None:
+        # an exponential of rf merged with a finer one of the same base from
+        # a generator's derivative: rf is differentiated by L's generators
+        parts = [(t, dv) for t in dict.fromkeys(_target(s, L) for s, _ in parts)
+                 for dv in [None if type(t) is str else _gen_diff(t, name)]
+                 if type(t) is str or dv]
     f = _embed(rf, L)
     n, d, B = f.numer, f.denom, None
     parts = [(L.shifts[L.index[s]], dv if dv is None else _embed(dv, L)) for s, dv in parts]

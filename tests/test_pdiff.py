@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ggwb
@@ -70,6 +70,7 @@ def test_a_name_outside_the_chart_raises(chart):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**6), atoms=st.booleans())
+@example(seed=1883, atoms=True)
 def test_pdiff_equals_sympy_diff(chart, seed, atoms):
     e = random_expr(chart, random.Random(seed), max_depth=4, atoms=atoms)
     for sym in symbols(chart):
@@ -77,20 +78,54 @@ def test_pdiff_equals_sympy_diff(chart, seed, atoms):
 
 
 def test_pdiff_matches_sympy_on_a_constant_exp_atom(chart):
-    """d/dx keeps the one generator E[2/7].  The view leaves its atom
-    factors unevaluated, so sympy.diff keeps exp(2/7)*exp(2/7) apart too;
-    an evaluated view merged them into exp(4/7), the defect below."""
+    """d/dx keeps the one generator E[1/7] of exp(-2/7).  The view leaves
+    its atom factors unevaluated, so sympy.diff keeps exp(2/7)*exp(2/7)
+    apart; an evaluated view merges them into exp(4/7), which is the same
+    field element (E[1/7]^4, see below)."""
     x, y, z = symbols(chart)
     e = to_scalar(-16 * y * z / (3 * (x**3 + sp.exp(sp.Rational(-2, 7)))), chart)
     for sym in (y, z, x):
         assert pdiff(e, sym.name) == to_scalar(sp.diff(e.expr, sym), chart)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 3B: exp(2/7)^2 is a power of the generator E[2/7] and exp(4/7) is a "
-    "second generator E[4/7], so == answers False for equal functions"))
 def test_constant_exp_arguments_have_one_normal_form(chart):
+    """exp(2/7)^2 and exp(4/7) are both E[1/7]^4: the exponentials of one
+    base are powers of one generator, so == answers True for equal
+    functions."""
     assert chart.scalar("exp(2/7)^2") == chart.scalar("exp(4/7)")
+    assert chart.scalar("exp(1/2)*exp(1/3)") == chart.scalar("exp(5/6)")
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        ("exp(-x/3)*exp(x/6)", "exp(-x/6)"),
+        ("exp(x/6)^2", "exp(x/3)"),
+        ("exp(x/3)^2", "exp(2*x/3)"),
+        ("exp(x/2)*exp(x/2)", "exp(x)"),
+        ("exp(x/2)*exp(x/3)/exp(5*x/6)", "1"),
+        ("exp(x/4 + y/6)^12", "exp(3*x)*exp(2*y)"),
+        ("exp(exp(x/6)/2)^2", "exp(exp(x/6))"),
+    ],
+)
+def test_exponentials_of_one_base_have_one_normal_form(chart, left, right):
+    """The defect of Hypothesis seed 1883 above: d/dx of -9*exp(y)/exp(x/6)
+    kept E[x/6], while sympy's derivative of the view held exp(-x/3).
+    Equal functions now have equal normal forms, the same hash and the
+    same printed text."""
+    a, b = chart.scalar(left), chart.scalar(right)
+    assert a == b and hash(a) == hash(b) and str(a) == str(b)
+
+
+def test_pdiff_of_merged_exponentials(chart):
+    """exp(x/3) and the exp(x/6) inside exp(exp(x/6)) meet in one field
+    when the derivative is taken: both are read as powers of E[x/6]."""
+    x, y, z = symbols(chart)
+    e = chart.scalar("exp(x/3) + exp(exp(x/6))")
+    assert pdiff(e, "x") == to_scalar(sp.diff(e.expr, x), chart)
+    assert pdiff(pdiff(e, "x"), "x") == to_scalar(sp.diff(e.expr, x, 2), chart)
+    e = to_scalar(-9 * sp.exp(y) / sp.exp(x / 6), chart)
+    assert pdiff(e, "x") == to_scalar(sp.diff(e.expr, x), chart)
 
 
 # -- the Courant bracket against a reference written with sympy.diff --------

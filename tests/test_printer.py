@@ -32,6 +32,7 @@ CHART = ChartManifold("print3", ["x", "y", "z"])
     ("(x + 1)^2/z^3", "(x^2 + 2*x + 1)/z^3"),
     ("exp(2/7)*exp(x*y)/y", "exp(2/7)*exp(x*y)/y"),
     ("1/exp(x)^2", "1/exp(x)^2"),
+    ("exp(x/6)^2 + exp(x/6)", "exp(x/3) + exp(x/6)"),
     ("tan_half", "sin(x)/(1 + cos(x))"),
     ("z*sin(y)", "2*z*sin(y)/(1 + cos(y))/((sin(y)/(1 + cos(y)))^2 + 1)"),
     ("0", "0"),

@@ -110,12 +110,16 @@ def test_rational_and_exp_inputs_are_untouched(chart):
         assert is_zero(e, POL).kind is VerdictKind.FAILED
 
 
-@pytest.mark.parametrize("text", ["exp(x+1) - exp(1)*exp(x)", "exp(2*x) - exp(x)^2"])
+@pytest.mark.parametrize("text", ["exp(x+1) - exp(1)*exp(x)", "exp(2*x) - exp(x)^2",
+                                  "exp(x/3) - exp(x/6)^2", "exp(4/7) - exp(2/7)^2",
+                                  "exp(x/2)*exp(x/3) - exp(5*x/6)"])
 def test_exp_constants_and_multiples_are_proved(chart, text):
     assert _kind(chart, text) is VerdictKind.PROVED
 
 
-@pytest.mark.parametrize("text", ["exp(x+1) - exp(x)", "sin(x)^2 - cos(2*x)"])
+@pytest.mark.parametrize("text", ["exp(x+1) - exp(x)", "sin(x)^2 - cos(2*x)",
+                                  "exp(x/3)^2 - exp(x/6)^3", "exp(4/7) - exp(2/7)^3",
+                                  "exp(x/2)*exp(x/3) - exp(x/6)^4"])
 def test_exp_and_angle_lookalikes_fail_with_witness(chart, text):
     v = is_zero(chart.scalar(text), POL)
     assert v.kind is VerdictKind.FAILED
