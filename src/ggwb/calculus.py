@@ -36,10 +36,15 @@ nonzeros makes the result zero before any field work.
 :class:`MetricField` takes its determinant and its adjugate inverse as
 Leibniz contractions (:func:`_det`).
 
-Every partial derivative goes through :func:`ggwb.symexpr.pdiff`, the chain
-rule in the field.  Brackets, exterior, Lie and covariant derivatives take
-the derivative array of each field once (:func:`_partials`), a core array
-of the derivatives of its stored entries, and contract it.
+Every partial derivative comes from one cached kernel,
+:func:`ggwb.symexpr._derivative`, the chain rule in the field, which
+``pdiff`` wraps for scalars.  Brackets, exterior, Lie and covariant
+derivatives take the derivative array of each field once (:func:`_partials`),
+a core array of the derivatives of its stored entries, differentiated as
+field elements, and contract it.  Integer polynomials (denominator 1, the
+usual data of the Courant identities) take a lane without fractions: their
+sums of products, derivatives and ``+ - *`` stay polynomials over 1, which
+is already their normal form.
 
 Charts are global (R^n-like); compact factors are represented by periodic
 or parametric coordinate expressions on a single chart, with sampling ranges
@@ -56,19 +61,20 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .errors import ChartMismatchError, ExprError, SingularMetricError
-from .poly import ONE, I, add, mul
+from .poly import ONE, Frac, I, Poly, add_mul, mul, prune
 from .symexpr import (
     ScalarExpr,
     _conj,
+    _derivative,
     _embed,
     _field,
     _field_op,
     _join,
+    _own_field,
     _sum_over,
     _ring,
     _scaled,
     check_coordinate_names,
-    pdiff,
     sign_at,
 )
 
@@ -251,6 +257,14 @@ def _getter(slots):
     return operator.itemgetter(*slots) if slots else lambda ix: ()
 
 
+def _picker(slots):
+    """ix -> the tuple of the values of ix at ``slots``."""
+    if len(slots) == 1:
+        s, = slots
+        return lambda ix: (ix[s],)
+    return _getter(slots)
+
+
 @functools.lru_cache(maxsize=1024)
 def _compile(spec: str, shapes: tuple) -> tuple:
     """The join of ``spec`` on operands of ``shapes``: (output shape, one
@@ -298,10 +312,12 @@ def contract(spec: str, *operands):
     already bound, returns.  The index is kept on the operand, so a sparse
     operand costs its nonzeros, not its shape.  A term's factors multiply
     in operand order, and each output entry's terms are summed in the one
-    field that holds every operand (:func:`_field_sum`); an operand without
-    nonzeros makes the result zero before any field work.  The result is a
-    ScalarExpr when nothing follows ``->`` (the chart's one zero for an
-    empty sum), and otherwise a core array.
+    field that holds every operand, in one multiply-accumulate pass
+    (:func:`_field_sum`): an entry whose factors all have denominator 1 is
+    an integer polynomial, taken without a gcd or a normalization.  An
+    operand without nonzeros makes the result zero before any field work.
+    The result is a ScalarExpr when nothing follows ``->`` (the chart's one
+    zero for an empty sum), and otherwise a core array.
     """
     ins = spec.split("->")[0].split(",")
     if len(ins) != len(operands):
@@ -356,35 +372,60 @@ def _extent(array, rank: int) -> tuple:
 
 def _field_sum(K, terms):
     """Sum of products of field elements, each product a sequence of
-    factors.  Numerators and denominators are multiplied as polynomials;
-    the numerators over one denominator are added, and each denominator
-    class is reduced once.  A lone factor is already reduced, and a lone
-    product whose factors but one are constants has no common factor to
-    cancel: it takes the constant normalization alone."""
+    factors, in one multiply-accumulate pass.  A term's denominators and
+    the numerators of all its factors but the last multiply as polynomials;
+    the last numerator multiplies straight into the running numerator of
+    the term's denominator class (:func:`ggwb.poly.add_mul`), one mutable
+    dict per class, so no term copies a sum.
+
+    When every denominator is 1 the sum is an integer polynomial over 1,
+    which is already the normal form over Q and over Q(i): it is returned
+    as it is, without a gcd or a normalization.  Otherwise each class is
+    reduced once (:func:`ggwb.symexpr._sum_over`).  A lone factor is
+    already reduced, and a lone product whose factors but one are
+    constants has no common factor to cancel: it takes the constant
+    normalization alone."""
     if len(terms) == 1:
         factors = terms[0]
         if len(factors) == 1:
             return factors[0]
-        if sum(not (f.numer.is_ground and f.denom.is_ground) for f in factors) <= 1:
+        if (sum(not (f.numer.is_ground and f.denom.is_ground) for f in factors) <= 1
+                and any(f.denom != ONE for f in factors)):
             return _scaled(K, *_product(factors))
-    groups = {}
+    whole, sums = Poly(), {}  # the class of denominator 1, the others by denominator
     for factors in terms:
-        num, den = _product(factors)
-        groups[den] = add(groups[den], num) if den in groups else num
-    return _sum_over(K, groups) if groups else K.zero
+        num, den = _product(factors, 1)
+        if den is ONE:
+            acc = whole
+        else:
+            acc = sums.get(den)
+            if acc is None:
+                acc = sums[den] = Poly()
+        add_mul(acc, num, factors[-1].numer)
+    prune(whole)
+    if not sums:
+        return Frac(K, whole, ONE) if whole else K.zero
+    for num in sums.values():
+        prune(num)
+    if whole:
+        sums[ONE] = whole
+    return _sum_over(K, sums)
 
 
-def _product(factors) -> tuple:
+def _product(factors, skip: int = 0) -> tuple:
     """(numerator, denominator) of a product of field elements, multiplied
-    as polynomials without a gcd; a product of two non-constant
-    denominators is memoized."""
-    num, den = factors[0].numer, factors[0].denom
-    for f in factors[1:]:
+    as polynomials without a gcd, the numerators of the last ``skip``
+    factors left out; a product of two non-constant denominators is
+    memoized.  Either is the object ``ONE`` when it is 1."""
+    num = den = ONE
+    for f in factors[:len(factors) - skip]:
         if f.numer != ONE:
-            num = mul(num, f.numer)
+            num = f.numer if num is ONE else mul(num, f.numer)
+    for f in factors:
         if f.denom != ONE:
             d = f.denom
-            den = mul(den, d) if den.is_ground or d.is_ground else _den_product(f.field, den, d)
+            den = (d if den is ONE else mul(den, d) if den.is_ground or d.is_ground
+                   else _den_product(f.field, den, d))
     return num, den
 
 
@@ -397,14 +438,25 @@ def _den_product(K, a, b):
 def _partials(t) -> "_Array":
     """The derivative array of a field's (or a scalar's) components: one
     more slot, last, holding d_k of the entry.  Only the stored nonzeros
-    are differentiated."""
+    are differentiated, as field elements: each is taken to its canonical
+    field, as a scalar holds it (:func:`ggwb.symexpr._own_field`), its
+    derivatives come from the cached kernel :func:`ggwb.symexpr._derivative`,
+    and they are embedded in the field that holds them all.  No scalar is
+    built on the way."""
     chart, coords = t.chart, t.chart.coords
     if isinstance(t, ScalarExpr):
-        items, shape = ({(): t} if t.rf else {}), ()
+        entries, shape = ({(): t.rf} if t.rf else {}), ()
     else:
-        items, shape = t._items(), t.shape
-    return _Array(chart, {ix + (k,): pdiff(e, c) for ix, e in items.items()
-                          for k, c in enumerate(coords)}, shape + (len(coords),))
+        entries, shape = t.entries, t.shape
+    out = {}
+    for ix, e in entries.items():
+        e = _own_field(e)
+        for k, c in enumerate(coords):
+            d = _derivative(e, c)
+            if d:
+                out[ix + (k,)] = d
+    K = functools.reduce(_join, {d.field for d in out.values()}, _field(coords))
+    return _core(chart, shape + (len(coords),), K, {ix: _embed(d, K) for ix, d in out.items()})
 
 
 MAX_DET = 8  # the largest determinant: one index letter per row, m! terms
@@ -556,10 +608,10 @@ class _Components:
         index = self._cache.get(key)
         if index is None:
             index = self._cache[key] = {}
-            at = _getter(bound)
+            at, pick = _getter(bound), _picker(new)
             for ix, e in self._in(K).items():
-                if all(ix[p] == ix[q] for p, q in same):
-                    index.setdefault(at(ix), []).append((tuple(ix[p] for p in new), e))
+                if not same or all(ix[p] == ix[q] for p, q in same):
+                    index.setdefault(at(ix), []).append((pick(ix), e))
         return index
 
     def _take(self, i: int) -> "_Array":

@@ -319,6 +319,30 @@ def _mul(p, q) -> Poly:
     return out
 
 
+def add_mul(out: Poly, p, q) -> None:
+    """out += p * q, in place: the multiply-accumulate step of a sum of
+    products.  ``out`` is a sum still being built, not yet shared; it may
+    keep zero coefficients, and exponents past ``MAX_EXP``, until
+    :func:`prune`.  (Two exponents below the top bit of their field add up
+    without a carry into the next one, so a monomial is exact until then.)"""
+    if len(p) < len(q):
+        p, q = q, p
+    get = out.get
+    for m2, c2 in q.items():
+        for m1, c1 in p.items():
+            m = m1 + m2
+            c = get(m)
+            out[m] = c1 * c2 if c is None else c + c1 * c2
+
+
+def prune(out: Poly) -> Poly:
+    """``out``, a sum of :func:`add_mul` done, without its zero
+    coefficients; an exponent past ``MAX_EXP`` raises, as in :func:`mul`."""
+    for m in [m for m, c in out.items() if not c]:
+        del out[m]
+    return _overflowed(out)
+
+
 def power(p, n: int) -> Poly:
     """p ** n for n >= 0, by repeated squaring; an exponent of the result
     above MAX_EXP raises before any product is formed."""

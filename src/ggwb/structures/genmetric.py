@@ -72,6 +72,7 @@ class GenMetric:
         self.Gcal = self.transfer(ident, -ident)
         self._gram = contract("ki,kj->ij", self.Gcal, _gram0(chart))
         self._dpsi = None
+        self._dgamma = None
         self._frames = {}
 
     def transfer(self, F_plus: EndoTM, F_minus: EndoTM) -> BigEndo:
@@ -107,6 +108,13 @@ class GenMetric:
         if self._dpsi is None:
             self._dpsi = ext_d(self.psi)
         return self._dpsi
+
+    @property
+    def dgamma(self) -> _Array:
+        """The derivative array of gamma, dgamma[i][j][k] = d_k gamma_ij."""
+        if self._dgamma is None:
+            self._dgamma = _partials(self.gamma)
+        return self._dgamma
 
     def G(self, A: BigSection, B: BigSection) -> ScalarExpr:
         """The positive pairing G(A, B) = g(Gcal A, B)."""
@@ -180,7 +188,7 @@ def courant_bracket_Vpm(
         return -courant_bracket_Vpm(G, Y, X, (1, -1))
     chart = G.chart
     g, p = G.gamma, G.psi
-    dX, dY, dg = _partials(X), _partials(Y), _partials(g)  # dX[k][i] = d_i X^k
+    dX, dY, dg = _partials(X), _partials(Y), G.dgamma  # dX[k][i] = d_i X^k
 
     def lie_flat(V, W, dV, dW):
         """(L_V flat_gamma W)_j, by the product rule on (flat_gamma W)_j = W^l g_lj."""

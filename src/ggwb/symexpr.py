@@ -25,7 +25,9 @@ by ``==``, ``hash`` and the zero test:
 A product or quotient is reduced by one gcd of the new numerator and
 denominator, a sum over the least common denominator by one gcd of the new
 numerator; a constant denominator needs no gcd, only the constant
-normalization (:func:`_scaled`).  The gcd over Z is the heuristic GCD, with
+normalization (:func:`_scaled`), and the sum, difference, product and
+derivative of integer polynomials (denominator 1) are polynomials over 1,
+in normal form with neither.  The gcd over Z is the heuristic GCD, with
 the primitive PRS when it gives up; over Q(i) it is the primitive PRS.
 
 An atom's argument is split into its constant and its additive terms
@@ -43,8 +45,9 @@ order that does not depend on hash order.
 
 Zero returns before the field: an operation with a zero operand gives the
 other operand (negated for ``0 - x``) or a zero without a union field, a
-gcd or a canonical form, ``pdiff`` of a zero returns at once, and a zero
-result on a chart is the chart's one interned zero (``chart.zero``).
+gcd or a canonical form, ``pdiff`` of a zero returns at once,
+``is_zero_all`` passes over a zero, and a zero result on a chart is the
+chart's one interned zero (``chart.zero``).
 ``x / 0`` and ``0 / 0`` still raise :class:`ExprError`.
 
 One evaluator, ``_evaluator``, gives the value of a field element at a
@@ -516,8 +519,13 @@ def _scaled(K: Field, num: Poly, den: Poly) -> Frac:
 
 
 def _field_op(op, a: Frac, b: Frac) -> Frac:
-    """``op`` (one of + - * /) on two elements of one field."""
+    """``op`` (one of + - * /) on two elements of one field.  The sum,
+    difference and product of two integer polynomials (denominator 1) are
+    those polynomials over 1, already in normal form."""
     K = a.field
+    if a.denom == ONE and b.denom == ONE and op is not operator.truediv:
+        num = (add if op is operator.add else sub if op is operator.sub else mul)(a.numer, b.numer)
+        return Frac(K, num, ONE) if num else K.zero
     if op is operator.mul:
         return _fraction(K, mul(a.numer, b.numer), mul(a.denom, b.denom))
     if op is operator.truediv:
@@ -948,10 +956,14 @@ def _init(obj: ScalarExpr, chart, rf) -> ScalarExpr:
 def _ring(chart, rf: Frac) -> ScalarExpr:
     if not rf:
         return chart.zero
+    return _init(object.__new__(ScalarExpr), chart, _own_field(rf))
+
+
+def _own_field(rf: Frac) -> Frac:
+    """rf in its canonical field, the one a scalar of its value holds: an
+    atom-free real element keeps its field."""
     K = rf.field
-    if K.gaussian or _layout(K)[1]:
-        rf = _canonical(rf)
-    return _init(object.__new__(ScalarExpr), chart, rf)
+    return _canonical(rf) if K.gaussian or _layout(K)[1] else rf
 
 
 # The arithmetic :func:`_poly_at` evaluates in: (one, product, sum, the
@@ -1037,12 +1049,14 @@ def pdiff(e: ScalarExpr, coord: str) -> ScalarExpr:
     """Partial derivative by one coordinate of the scalar's chart, given by
     its name; any other name raises :class:`ChartMismatchError`.
 
-    The one derivative of the package: every tensor operation
-    differentiates through it, and ``ggwb.differentiate`` and
-    ``ScalarExpr.diff`` are this function.  Its cached kernel is the chain
-    rule in the field: the quotient rule on the numerator and denominator
-    polynomials, with d E_m = E_m dm and d T_m = (1 + T_m^2)/2 dm for the
-    generators.  A zero returns itself.
+    The derivative of a scalar: ``ggwb.differentiate`` and
+    ``ScalarExpr.diff`` are this function.  Its cached kernel,
+    :func:`_derivative`, is the one derivative of the package: the tensor
+    layer's derivative arrays (``calculus._partials``) call it on stored
+    field elements, without a scalar.  It is the chain rule in the field:
+    the quotient rule on the numerator and denominator polynomials, with
+    d E_m = E_m dm and d T_m = (1 + T_m^2)/2 dm for the generators.  A
+    zero returns itself.
     """
     name = e.chart.coordinate(coord)
     if not e.rf:
@@ -1055,6 +1069,15 @@ differentiate = ScalarExpr.diff = pdiff
 
 @lru_cache(maxsize=65536)
 def _derivative(rf: Frac, name: str) -> Frac:
+    """d rf / d name, in its canonical field.  In a field without atom
+    generators the derivative of an integer polynomial is the derivative
+    of its numerator, over 1 (a Q(i) value with real coefficients moves to
+    the Q field, as :func:`_canonical` moves it)."""
+    K = rf.field
+    if rf.denom == ONE and not _layout(K)[1]:
+        num = diff_at(rf.numer, K.shifts[K.index[name]]) if name in K.index else ZERO
+        d = Frac(K, num, ONE) if num else K.zero
+        return _settle(d) if K.gaussian else d
     return _canonical(_diff(rf, name))
 
 
@@ -1295,6 +1318,8 @@ def is_zero_all(
     """Aggregate zero test over a family of expressions (weakest verdict)."""
     worst = Verdict.proved(criterion)
     for e in exprs:
+        if not e.rf:
+            continue  # is_zero proves a zero without a draw from the policy
         v = is_zero(e, policy, criterion)
         if not v.ok:
             return v

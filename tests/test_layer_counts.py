@@ -1,0 +1,23 @@
+"""``tools/layer_counts.py`` counts one round of builtins and ends its output
+with one JSON line."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_layer_counts_reports_the_integer_traffic():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "layer_counts.py"), str(ROOT / "src"),
+         "--builtins", "S6b"],
+        capture_output=True, text=True, check=True, timeout=300,
+        env={**os.environ, "PYTHONHASHSEED": "0"})
+    counts = json.loads(done.stdout.splitlines()[-1])
+    assert counts["contract_calls"] > 0 and counts["products"] >= counts["field_sums"] > 0
+    for kind in ("field_sums", "derivatives", "field_ops"):
+        assert 0 < counts[f"{kind}.integer"] <= counts[kind]
+    assert "symexpr._reduced.hits" in counts

@@ -50,7 +50,7 @@ from ggwb.courant import (
 )
 from ggwb.errors import ChartMismatchError, ExprError, SingularMetricError
 from ggwb.structures.genmetric import GenMetric, courant_bracket_Vpm
-from ggwb.symexpr import ScalarExpr, _embed, pdiff, random_poly
+from ggwb.symexpr import ScalarExpr, _derivative, _embed, random_poly
 from sympy_oracle import symbols, to_scalar
 
 N = 3
@@ -419,30 +419,32 @@ def test_mixing_charts_raises(chart):
 # -- derivatives in the Courant brackets -----------------------------------
 
 
-def _record_pdiff(monkeypatch):
-    """Every expression differentiated by any ggwb module, in call order."""
+def _record_derivatives(monkeypatch):
+    """Every field element differentiated by any ggwb module, in call order:
+    a spy on the derivative kernel ``symexpr._derivative``, which every
+    route (``calculus._partials`` and ``pdiff``) reaches, in each module
+    that binds it."""
     seen = []
 
-    def recording(expr, sym):
-        seen.append(expr)
-        return pdiff(expr, sym)
+    def recording(rf, name):
+        seen.append(rf)
+        return _derivative(rf, name)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("ggwb") and getattr(module, "pdiff", None) is pdiff:
-            monkeypatch.setattr(module, "pdiff", recording)
+        if name.startswith("ggwb") and getattr(module, "_derivative", None) is _derivative:
+            monkeypatch.setattr(module, "_derivative", recording)
     return seen
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_courant_bracket_differentiates_only_components(chart, monkeypatch, seed):
     f = Fields(chart, seed, atoms=seed % 2 == 1)
-    # atom-free fields are differentiated as scalars, fields with atoms
-    # through their raw components
-    inputs = {e for s in (f.s1, f.s2) for c in s.components() for e in (c, c.expr)}
-    seen = _record_pdiff(monkeypatch)
+    inputs = {c.rf for s in (f.s1, f.s2) for c in s.components()}
+    seen = _record_derivatives(monkeypatch)
     courant_bracket(f.s1, f.s2)
     assert seen
     assert [e for e in seen if e not in inputs] == []
+    assert all(seen)  # no zero is differentiated
 
 
 @pytest.fixture(scope="module")
@@ -459,14 +461,12 @@ def vpm_metrics(chart):
 def test_crvpm_differentiates_only_components(vpm_metrics, monkeypatch, signs):
     f, metrics = vpm_metrics
     for G in metrics:
-        inputs = {
-            e for T in (f.X, f.Y, G.gamma, G.psi) for c in _flat_entries(T.components)
-            for e in (c, c.expr)
-        }
-        seen = _record_pdiff(monkeypatch)
+        inputs = {c.rf for T in (f.X, f.Y, G.gamma, G.psi) for c in _flat_entries(T.components)}
+        seen = _record_derivatives(monkeypatch)
         courant_bracket_Vpm(G, f.X, f.Y, signs)
         assert seen
         assert [e for e in seen if e not in inputs] == []
+        assert all(seen)  # no zero is differentiated
         monkeypatch.undo()
 
 

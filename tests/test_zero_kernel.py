@@ -11,13 +11,14 @@ the per-pair brackets and expression lists, in order.
 
 import operator
 import random
+import sys
 
 import pytest
 import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ggwb import calculus, symexpr
+from ggwb import symexpr
 from ggwb.calculus import (
     ChartManifold,
     OneForm,
@@ -129,26 +130,33 @@ def test_zero_results_are_the_charts_one_zero(chart):
 
 @pytest.mark.parametrize("name", ["S1", "S5"])
 def test_check_runs_do_no_field_arithmetic_on_a_zero(monkeypatch, name):
-    """No field operation has a zero operand, and no zero is differentiated."""
-    calls = {"op": 0, "op_zero": 0, "pdiff": 0, "pdiff_zero": 0}
-    field_op, pdiff = symexpr._field_op, symexpr.pdiff
+    """No field operation has a zero operand, and no zero is differentiated.
+    The spies sit on the kernels ``symexpr._field_op`` and
+    ``symexpr._derivative`` (which ``calculus._partials`` and ``pdiff``
+    both reach), in every module that binds them."""
+    calls = {"op": 0, "op_zero": 0, "derivative": 0, "derivative_zero": 0}
+    field_op, derivative = symexpr._field_op, symexpr._derivative
 
     def counted_op(op, a, b):
         calls["op"] += 1
         calls["op_zero"] += (not a) or (not b)
         return field_op(op, a, b)
 
-    def counted_pdiff(e, sym):
-        calls["pdiff"] += 1
-        calls["pdiff_zero"] += e.is_syntactic_zero
-        return pdiff(e, sym)
+    def counted_derivative(rf, name):
+        calls["derivative"] += 1
+        calls["derivative_zero"] += not rf
+        return derivative(rf, name)
 
-    monkeypatch.setattr(symexpr, "_field_op", counted_op)
-    for module in (symexpr, calculus):
-        monkeypatch.setattr(module, "pdiff", counted_pdiff)
+    spies = {id(field_op): ("_field_op", counted_op),
+             id(derivative): ("_derivative", counted_derivative)}
+    for modname, module in list(sys.modules.items()):
+        if modname.startswith("ggwb"):
+            for attr, val in list(vars(module).items()):
+                if id(val) in spies and spies[id(val)][0] == attr:
+                    monkeypatch.setattr(module, attr, spies[id(val)][1])
     run_checks(load_builtin(name, 0))
-    assert calls["op"] > 0 and calls["pdiff"] > 0
-    assert calls["op_zero"] == 0 and calls["pdiff_zero"] == 0
+    assert calls["op"] > 0 and calls["derivative"] > 0
+    assert calls["op_zero"] == 0 and calls["derivative_zero"] == 0
 
 
 # -- the bracket table ---------------------------------------------------------

@@ -16,6 +16,13 @@ sides:
   order, over the nonzeros;
 - ``products``: terms formed, one per surviving index tuple, counted as the
   terms passed to ``calculus._field_sum``, and ``field_sums`` its calls;
+- ``derivatives``: calls of the derivative kernel ``symexpr._derivative``,
+  and ``field_ops``: calls of ``symexpr._field_op`` (+ - * / in one field);
+- ``field_sums.integer``, ``derivatives.integer`` and ``field_ops.integer``:
+  the calls whose operands (every factor of every term, the differentiated
+  element, both operands) all have denominator 1, the traffic of the
+  integer-polynomial lane (its derivative also needs a field without atom
+  generators, and its ``_field_op`` leaves ``/`` to the fraction path);
 - ``conversions``: calls that turn nested component sequences into field
   elements (``_wrap`` and ``_prepare`` where they exist, ``_gather``
   otherwise);
@@ -25,6 +32,8 @@ sides:
   (``symexpr._reduced``, ``symexpr._poly_lcm``, ``calculus._den_product``).
 
 The last line of standard output is one JSON object with the counts.
+``install`` and ``cache_counts`` count any other job the same way, once
+the ggwb modules of that job are imported.
 """
 
 from __future__ import annotations
@@ -98,18 +107,11 @@ def _join(ins: list, nonzeros: list) -> tuple:
     return lookups, bindings
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("src")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--builtins", default="S1,S2,S5,S6b")
-    args = parser.parse_args(argv)
-    sys.path.insert(0, args.src)
-
+def install(counts: Counter) -> None:
+    """Wrap the counted functions of the ggwb modules already imported, at
+    every module that binds them; each call adds to ``counts``."""
     from ggwb import calculus, poly, symexpr
-    from ggwb.workbench import checks, report, scenario
 
-    counts = Counter()
     contract, field_sum = calculus.contract, calculus._field_sum
 
     def counted_contract(spec, *operands):
@@ -126,10 +128,26 @@ def main(argv=None) -> int:
             counts["join_bindings"] += bindings
         return contract(spec, *operands)
 
+    def integer(*elements) -> bool:
+        return all(e.denom == poly.ONE for e in elements)
+
     def counted_field_sum(*args):  # (K, terms), or (K, one, terms) in older checkouts
         counts["field_sums"] += 1
         counts["products"] += len(args[-1])
+        counts["field_sums.integer"] += integer(*(f for t in args[-1] for f in t))
         return field_sum(*args)
+
+    derivative, field_op = symexpr._derivative, symexpr._field_op
+
+    def counted_derivative(rf, name):
+        counts["derivatives"] += 1
+        counts["derivatives.integer"] += integer(rf)
+        return derivative(rf, name)
+
+    def counted_field_op(op, a, b):
+        counts["field_ops"] += 1
+        counts["field_ops.integer"] += integer(a, b)
+        return field_op(op, a, b)
 
     depth = Counter()
 
@@ -151,7 +169,8 @@ def main(argv=None) -> int:
         return cofactors(*args)
 
     replace = {id(contract): counted_contract, id(field_sum): counted_field_sum,
-               id(cofactors): counted_cofactors}
+               id(cofactors): counted_cofactors, id(derivative): counted_derivative,
+               id(field_op): counted_field_op}
     for name in ("_wrap", "_prepare", "_gather"):
         fn = getattr(calculus, name, None)
         if fn is not None:
@@ -162,14 +181,34 @@ def main(argv=None) -> int:
                 if id(val) in replace:
                     setattr(module, attr, replace[id(val)])
 
-    for name in args.builtins.split(","):
-        report.emit_report(checks.run_checks(scenario.load_builtin(name, args.seed)), "json")
+
+def cache_counts(counts: Counter) -> None:
+    """Add the ``cache_info()`` of each denominator cache to ``counts``."""
+    from ggwb import calculus, symexpr
+
     for module, name in ((symexpr, "_reduced"), (symexpr, "_poly_lcm"), (calculus, "_den_product")):
         cache = getattr(module, name, None)
         if cache is not None:
             info = cache.cache_info()
             for field in ("hits", "misses", "currsize"):
                 counts[f"{module.__name__[5:]}.{name}.{field}"] = getattr(info, field)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--builtins", default="S1,S2,S5,S6b")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, args.src)
+
+    from ggwb.workbench import checks, report, scenario
+
+    counts = Counter()
+    install(counts)
+    for name in args.builtins.split(","):
+        report.emit_report(checks.run_checks(scenario.load_builtin(name, args.seed)), "json")
+    cache_counts(counts)
     print(json.dumps(dict(sorted(counts.items()))))
     return 0
 
