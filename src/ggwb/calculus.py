@@ -798,7 +798,7 @@ class EndoTM(_Components):
 class MetricField(_Components):
     """Symmetric 2-tensor, nondegenerate at the chart base point."""
 
-    __slots__ = ("_determinant", "_inverse", "_connection")
+    __slots__ = ("_determinant", "_inverse", "_connection", "_derivatives")
     _kind = "metric"
 
     def __init__(self, chart, matrix):
@@ -806,6 +806,7 @@ class MetricField(_Components):
         _check_mirror(self, 1, "metric matrix is not symmetric")
         self._inverse = None
         self._connection = None
+        self._derivatives = None
         self._determinant = _det(self)
         # singular: an exact det of 0, a 30-digit one with |det| <= 1e-9, or a pole
         if not sign_at(self._determinant, chart.base_point()):
@@ -824,6 +825,12 @@ class MetricField(_Components):
                     inv[i, j] = inv[j, i] = cof * (-1) ** (i + j) / d
             self._inverse = _Array(self.chart, inv, (n, n))
         return self._inverse
+
+    def derivatives(self) -> "_Array":
+        """The derivative array of the metric, [i][j][k] = d_k g_ij."""
+        if self._derivatives is None:
+            self._derivatives = _partials(self)
+        return self._derivatives
 
     def connection(self) -> "Connection":
         if self._connection is None:
@@ -919,7 +926,7 @@ def lie_derivative(X: VectorField, T):
     chart = _same_chart(X, T)
     if isinstance(T, VectorField):
         return lie_bracket(X, T)
-    dX, dT = _partials(X), _partials(T)
+    dX, dT = _partials(X), T.derivatives() if isinstance(T, MetricField) else _partials(T)
     if isinstance(T, OneForm):
         # (L_X a)_j = X^i d_i a_j + a_i d_j X^i
         return OneForm(chart, contract("i,ji->j", X, dT) + contract("i,ij->j", T, dX))
@@ -972,7 +979,7 @@ class Connection:
     def __init__(self, gamma: MetricField):
         self.gamma = gamma
         self.chart = gamma.chart
-        dg = _partials(gamma)  # dg[i][j][k] = d_k g_ij
+        dg = gamma.derivatives()  # dg[i][j][k] = d_k g_ij
         # Gamma^k_ij = (1/2) g^kl (d_i g_jl + d_j g_il - d_l g_ij), for i <= j
         v = contract("jli->lij", dg) + contract("ilj->lij", dg) - contract("ijl->lij", dg)
         v = _core(self.chart, v.shape, v.field,

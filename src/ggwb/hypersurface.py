@@ -47,11 +47,9 @@ from .symexpr import (
     ZeroPolicy,
     _fraction,
     _ring,
-    is_zero,
-    is_zero_all,
     sign_at,
 )
-from .verdict import CheckResult, Frozen, Verdict
+from .verdict import CheckResult, Frozen
 
 
 class Embedding(Frozen):
@@ -273,19 +271,16 @@ def check_hyp_geometry(
     geo: HypersurfaceGeometry, policy: ZeroPolicy = DEFAULT_POLICY
 ) -> CheckResult:
     """The defining identities of the Gauss-Weingarten data."""
-    out = CheckResult("hyp_geometry")
-    out.add("gamma(nu, nu) = 1", is_zero(
-        contract("ij,i,j->", geo.gamma_res, geo.nu, geo.nu) - 1, policy))
-    out.add("gamma(nu, d iota X) = 0", is_zero_all(
-        contract("ij,i,ja->a", geo.gamma_res, geo.nu, geo.jac)._flat(), policy))
-    out.add("b symmetric", is_zero_all(
-        frame_pairs(geo.b - contract("ac->ca", geo.b)), policy))
+    out = CheckResult("hyp_geometry", policy)
+    out.test("gamma(nu, nu) = 1", contract("ij,i,j->", geo.gamma_res, geo.nu, geo.nu) - 1)
+    out.test("gamma(nu, d iota X) = 0",
+             contract("ij,i,ja->a", geo.gamma_res, geo.nu, geo.jac)._flat())
+    out.test("b symmetric", frame_pairs(geo.b - contract("ac->ca", geo.b)))
     sw = contract("la,lc->ac", geo.weingarten, geo.s) - geo.b  # s(W d_a, d_c) - b(d_a, d_c)
-    out.add("s(W X, Y) = b(X, Y)", is_zero_all(sw._flat(), policy))
+    out.test("s(W X, Y) = b(X, Y)", sw._flat())
     # normal connection vanishes: gamma(nabla_a nu, nu) = 0
     dnu = _along(geo.christoffel_res, geo.jac, geo.nu)
-    out.add("nabla^nu nu = 0", is_zero_all(
-        contract("ij,ia,j->a", geo.gamma_res, dnu, geo.nu)._flat(), policy))
+    out.test("nabla^nu nu = 0", contract("ij,ia,j->a", geo.gamma_res, dnu, geo.nu)._flat())
     return out
 
 
@@ -320,7 +315,7 @@ def check_induced_contact(
     """Induced structure passes the almost contact axioms, the decomposition
     residuals vanish, and the fundamental form is the pullback of the Kaehler
     form."""
-    out = CheckResult("induced_contact")
+    out = CheckResult("induced_contact", policy)
     ac = geo.contact(J)
     sub = check_almost_contact(ac, policy)
     out.add("(almcont)+(clasmetric) for the induced structure", sub.verdict)
@@ -328,12 +323,10 @@ def check_induced_contact(
     # [a][k]: the k-th component of J X - F X - xi(X) nu for X = d_a
     d = contract("ka->ak", jx - contract("kb,ba->ka", geo.jac, ac.F)) - contract(
         "a,k->ak", ac.xi, geo.nu)
-    out.add("(strind1) J X = F X + xi(X) nu", is_zero_all(d._flat(), policy))
-    out.add("(strind1) Z = -J nu is tangent", is_zero_all(
-        (z_amb - geo.push(ac.Z))._flat(), policy))
+    out.test("(strind1) J X = F X + xi(X) nu", d._flat())
+    out.test("(strind1) Z = -J nu is tangent", (z_amb - geo.push(ac.Z))._flat())
     pulled = _pullback(geo.embedding.restrict_grid(_kaehler_form(geo.gamma, J)), geo.jac)
-    out.add("Xi = iota^* Omega", is_zero_all(
-        frame_pairs(ac.fundamental_form() - pulled), policy))
+    out.test("Xi = iota^* Omega", frame_pairs(ac.fundamental_form() - pulled))
     return out
 
 
@@ -350,29 +343,28 @@ def check_hermitian_identities(
     gamma: MetricField, J: EndoTM, policy: ZeroPolicy = DEFAULT_POLICY
 ) -> CheckResult:
     """(eqdinKN) and (identHerm) on all coordinate frame triples."""
-    out = CheckResult("hermitian")
+    out = CheckResult("hermitian", policy)
     dom = ext_d(_kaehler_form(gamma, J))
     # [i][j][k]: the identities on the frame triple (d_i, d_j, d_k)
     d = (contract("ilj,lk->ijk", gamma.connection().nabla_frame(J), gamma) * 2 - dom
          + contract("iab,aj,bk->ijk", dom, J, J))
-    out.add("(eqdinKN) 2 gamma(nabla_X J(Y), U) = dOmega(X,Y,U) - dOmega(X,JY,JU)",
-            is_zero_all(d._flat(), policy))
+    out.test("(eqdinKN) 2 gamma(nabla_X J(Y), U) = dOmega(X,Y,U) - dOmega(X,JY,JU)",
+             d._flat())
     d = contract("abc,ai,bj,ck->ijk", dom, J, J, J) - (
         contract("ajk,ai->ijk", dom, J) + contract("ibk,bj->ijk", dom, J)
         + contract("ijc,ck->ijk", dom, J))
-    out.add("(identHerm) dOmega(JZ,JX,JY) = dOmega(JZ,X,Y) + dOmega(Z,JX,Y) + dOmega(Z,X,JY)",
-            is_zero_all(d._flat(), policy))
+    out.test("(identHerm) dOmega(JZ,JX,JY) = dOmega(JZ,X,Y) + dOmega(Z,JX,Y) + dOmega(Z,X,JY)",
+             d._flat())
     return out
 
 
 def check_almost_hermitian(
     gamma: MetricField, J: EndoTM, policy: ZeroPolicy = DEFAULT_POLICY
 ) -> CheckResult:
-    out = CheckResult("almost_hermitian")
-    chart = gamma.chart
-    out.add("J^2 = -Id", is_zero_all((J @ J + EndoTM.identity(chart))._flat(), policy))
-    out.add("gamma(JX, JY) = gamma(X, Y)", is_zero_all(J.isometry_defect(gamma), policy))
-    out.add("N_J = 0 (integrability)", is_zero_all(frame_pairs(nijenhuis_table(J)), policy))
+    out = CheckResult("almost_hermitian", policy)
+    out.test("J^2 = -Id", (J @ J + EndoTM.identity(gamma.chart))._flat())
+    out.test("gamma(JX, JY) = gamma(X, Y)", J.isometry_defect(gamma))
+    out.test("N_J = 0 (integrability)", frame_pairs(nijenhuis_table(J)))
     return out
 
 
@@ -391,7 +383,7 @@ def check_gen_kahler(
     ``check_almost_hermitian(gamma, J, policy)``; when it is None, each
     distinct J is checked here once.
     """
-    out = CheckResult("gen_kahler")
+    out = CheckResult("gen_kahler", policy)
     dpsi = ext_d(psi)
     if hermitian is None:
         hermitian = functools.cache(lambda J: check_almost_hermitian(gamma, J, policy))
@@ -406,16 +398,10 @@ def check_gen_kahler(
         relpsij.extend((lhs + rhs * Fraction(sign, 2))._flat())
         dom = ext_d(_kaehler_form(gamma, J))
         relpsiom.extend((contract("abc,ai,bj,ck->ijk", dom, J, J, J) + dpsi * sign)._flat())
-    v_j = is_zero_all(relpsij, policy)
-    v_om = is_zero_all(relpsiom, policy)
-    out.add("(relpsiJ) gamma(nabla_X J(Y), U) = -+ (1/2)[dpsi(X,JY,U) + dpsi(X,Y,JU)]", v_j)
-    out.add("(relpsiOmega) dOmega(JX,JY,JU) = -+ dpsi(X,Y,U)", v_om)
-    out.add(
-        "(relpsiJ) <=> (relpsiOmega)",
-        Verdict.proved() if v_j.ok == v_om.ok else Verdict.failed(
-            detail=f"(relpsiJ) says {v_j.kind.value}, (relpsiOmega) says {v_om.kind.value}"
-        ),
-    )
+    v_j = out.test("(relpsiJ) gamma(nabla_X J(Y), U) = -+ (1/2)[dpsi(X,JY,U) + dpsi(X,Y,JU)]",
+                   relpsij)
+    v_om = out.test("(relpsiOmega) dOmega(JX,JY,JU) = -+ dpsi(X,Y,U)", relpsiom)
+    out.agreement("(relpsiJ) <=> (relpsiOmega)", ("(relpsiJ)", v_j), ("(relpsiOmega)", v_om))
     return out
 
 
@@ -476,10 +462,10 @@ def check_hyp_CRF(
     if hermitian is None:
         hermitian = check_almost_hermitian(geo.gamma, J, policy)
     _require(hermitian, "Hermitian")
-    out = CheckResult("hyp_CRF")
+    out = CheckResult("hyp_CRF", policy)
     lines, b_lines = _crf2_defects(geo, J)
-    out.add(_CRF2_DOMEGA, is_zero_all(lines, policy))
-    out.add("(eqCRF2) b(FX, FY) = b(X, Y) on P", is_zero_all(b_lines, policy))
+    out.test(_CRF2_DOMEGA, lines)
+    out.test("(eqCRF2) b(FX, FY) = b(X, Y) on P", b_lines)
     return out
 
 
@@ -497,7 +483,7 @@ def check_hyp_normal(
     """
     if hyp_crf is None:
         hyp_crf = check_hyp_CRF(geo, J, policy)
-    out = CheckResult("hyp_normal")
+    out = CheckResult("hyp_normal", policy)
     for lbl, v in hyp_crf.items:
         out.add(lbl, v)
     ac = geo.contact(J)
@@ -505,8 +491,7 @@ def check_hyp_normal(
     # [a]: b(Z, F d_a) + (1/2) dOmega(nu, Z, J F d_a)
     exprs = contract("ac,a,cb->b", geo.b, ac.Z, ac.F) + contract(
         "ijk,i,j,kb->b", geo.dOmega_res(J), geo.nu, geo.push(ac.Z), j_push_p) * Fraction(1, 2)
-    out.add("(eqnormal2) b(Z, X) = -(1/2) dOmega(nu, Z, JX) on P", is_zero_all(
-        exprs._flat(), policy))
+    out.test("(eqnormal2) b(Z, X) = -(1/2) dOmega(nu, Z, JX) on P", exprs._flat())
     return out
 
 
@@ -522,20 +507,15 @@ def check_fundamental_form_property(
     ``hyp_crf`` is an already computed ``check_hyp_CRF(geo, J, policy)``;
     when it is None it is computed here.
     """
-    out = CheckResult("LXi")
+    out = CheckResult("LXi", policy)
     ac = geo.contact(J)
     lxi = lie_derivative(ac.Z, ac.fundamental_form())
-    v = is_zero_all(frame_pairs(contract("ab,ai,bj->ij", lxi, ac.F, ac.F) - lxi), policy)
-    out.add("(LXi) L_Z Xi(FX, FY) = L_Z Xi(X, Y) on TN", v)
+    v = out.test("(LXi) L_Z Xi(FX, FY) = L_Z Xi(X, Y) on TN",
+                 frame_pairs(contract("ab,ai,bj->ij", lxi, ac.F, ac.F) - lxi))
     if hyp_crf is None:
         hyp_crf = check_hyp_CRF(geo, J, policy)
-    first = hyp_crf.subverdict(_CRF2_DOMEGA)
-    out.add(
-        "(LXi) equivalent to the first (eqCRF2) condition",
-        Verdict.proved() if v.ok == first.ok else Verdict.failed(
-            detail=f"(LXi) says {v.kind.value}, (eqCRF2) line 1 says {first.kind.value}"
-        ),
-    )
+    out.agreement("(LXi) equivalent to the first (eqCRF2) condition", ("(LXi)", v),
+                  ("(eqCRF2) line 1", hyp_crf.subverdict(_CRF2_DOMEGA)))
     return out
 
 
@@ -585,7 +565,7 @@ def check_hyp_CRFK(
     if gen_kahler is None:
         gen_kahler = check_gen_kahler(geo.gamma, geo.psi, J_plus, J_minus, policy)
     _require(gen_kahler, "generalized Kaehler")
-    out = CheckResult("hyp_CRFK")
+    out = CheckResult("hyp_CRFK", policy)
     e = geo.embedding
     dpsi_res = e.restrict_grid(ext_d(geo.psi))
     # iota^*(i(nu) dpsi)
@@ -593,14 +573,14 @@ def check_hyp_CRFK(
     for sign, J in ((1, J_plus), (-1, J_minus)):
         tag = "+" if sign == 1 else "-"
         F, F2, _, _ = _P_columns(geo, J)
-        out.add(f"(eqptans3) i(nu)dpsi invariance under F{tag} on P{tag}", is_zero_all(
-            frame_pairs(contract("ac,ai,cj->ij", rho, F2, F2)
-                        - contract("ac,ai,cj->ij", rho, F, F)), policy))
-        out.add(
+        out.test(f"(eqptans3) i(nu)dpsi invariance under F{tag} on P{tag}",
+                 frame_pairs(contract("ac,ai,cj->ij", rho, F2, F2)
+                             - contract("ac,ai,cj->ij", rho, F, F)))
+        out.test(
             f"(eqptans3) b(X, F{tag} U) = {'-' if sign == 1 else '+'}(1/2) "
             f"iota^*(i(nu)dpsi)(X, F{tag} U)",
-            is_zero_all((contract("ac,cu->au", geo.b, F2)
-                         + contract("ac,cu->au", rho, F2) * Fraction(sign, 2))._flat(), policy),
+            (contract("ac,cu->au", geo.b, F2)
+             + contract("ac,cu->au", rho, F2) * Fraction(sign, 2))._flat(),
         )
     if out.ok:
         from .structures.classical import check_normal_classical

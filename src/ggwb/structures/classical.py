@@ -26,8 +26,8 @@ from ..calculus import (
     tensor_oneform_vector,
 )
 from ..courant import BigEndo, frame_pairs, skew_table
-from ..errors import ChartMismatchError, StructureError
-from ..symexpr import DEFAULT_POLICY, ZeroPolicy, is_zero, is_zero_all, random_poly
+from ..errors import ChartMismatchError
+from ..symexpr import DEFAULT_POLICY, ZeroPolicy, random_poly
 from ..verdict import CheckResult, Frozen
 
 
@@ -69,20 +69,15 @@ class AlmostContact(Frozen):
 
 def check_almost_contact(s: AlmostContact, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
     """All four (almcont) identities; (clasmetric) too when a metric is given."""
-    out = CheckResult("almost_contact")
-    chart = s.chart
-    ident = EndoTM.identity(chart)
-    defect = (s.F @ s.F) - (tensor_oneform_vector(s.xi, s.Z) - ident)
-    out.add("(almcont) F^2 = -Id + xi(x)Z", is_zero_all(
-        defect._flat(), policy, "(almcont) F^2"))
-    out.add("(almcont) F Z = 0", is_zero_all(s.F(s.Z).components, policy, "(almcont) FZ"))
-    out.add("(almcont) xi o F = 0", is_zero_all(
-        s.xi.compose_endo(s.F).components, policy, "(almcont) xi o F"))
-    out.add("(almcont) xi(Z) = 1", is_zero(s.xi(s.Z) - 1, policy, "(almcont) xi(Z)"))
+    out = CheckResult("almost_contact", policy)
+    defect = (s.F @ s.F) - (tensor_oneform_vector(s.xi, s.Z) - EndoTM.identity(s.chart))
+    out.test("(almcont) F^2 = -Id + xi(x)Z", defect._flat(), "(almcont) F^2")
+    out.test("(almcont) F Z = 0", s.F(s.Z).components, "(almcont) FZ")
+    out.test("(almcont) xi o F = 0", s.xi.compose_endo(s.F).components, "(almcont) xi o F")
+    out.test("(almcont) xi(Z) = 1", s.xi(s.Z) - 1, "(almcont) xi(Z)")
     if s.gamma is not None:
         d = s.F.isometry_defect(s.gamma, contract("i,j->ij", s.xi, s.xi))
-        out.add("(clasmetric) s(FX,FY) = s(X,Y) - xi(X)xi(Y)", is_zero_all(
-            d, policy, "(clasmetric)"))
+        out.test("(clasmetric) s(FX,FY) = s(X,Y) - xi(X)xi(Y)", d, "(clasmetric)")
     return out
 
 
@@ -114,9 +109,9 @@ def _frame_tables(F: EndoTM) -> tuple[_Array, _Array]:
 
 def check_normal_classical(s: AlmostContact, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
     """(normal): N_F + d xi (x) Z = 0, evaluated on all coordinate frame pairs."""
-    out = CheckResult("normal")
+    out = CheckResult("normal", policy)
     table = nijenhuis_table(s.F) + contract("k,ab->kab", s.Z, ext_d(s.xi))
-    out.add("(normal) N_F + dxi (x) Z = 0", is_zero_all(frame_pairs(table), policy, "(normal)"))
+    out.test("(normal) N_F + dxi (x) Z = 0", frame_pairs(table), "(normal)")
     return out
 
 
@@ -126,11 +121,9 @@ def eigen_projections(A: Union[EndoTM, BigEndo], policy: ZeroPolicy = DEFAULT_PO
     pr_H = -(A^2 + iA)/2, pr_Hbar = -(A^2 - iA)/2, pr_Q = Id + A^2, pr_P = -A^2.
     """
     m2 = A @ A
-    v = is_zero_all((m2 @ A + A)._flat(), policy, "A^3 + A = 0")
-    if not v.ok:
-        raise StructureError(
-            "eigen_projections requires an F structure", [("A^3 + A = 0", v)]
-        )
+    out = CheckResult("eigen_projections", policy)
+    out.test("A^3 + A = 0", (m2 @ A + A)._flat(), "A^3 + A = 0")
+    out.require("eigen_projections requires an F structure")
     half, i = Fraction(1, 2), A.chart.i
     return {
         "pr_H": -(m2 + A * i) * half,
@@ -140,7 +133,7 @@ def eigen_projections(A: Union[EndoTM, BigEndo], policy: ZeroPolicy = DEFAULT_PO
     }
 
 
-def _cr_condition_items(F: EndoTM, policy: ZeroPolicy, out: CheckResult) -> tuple:
+def _cr_condition_items(F: EndoTM, out: CheckResult) -> tuple:
     """(CRcond) on the columns F e_a of F, which span P: the tensor N_F gives
     N_F(F e_a, F e_b) = N_F(e_c, e_d) F^c_a F^d_b.  Plus a scalar-invariance
     revalidation with one random function on two of them.  Returns the
@@ -150,9 +143,8 @@ def _cr_condition_items(F: EndoTM, policy: ZeroPolicy, out: CheckResult) -> tupl
     pr_q = EndoTM.identity(chart) + (F @ F)
     brackets, nij = _frame_tables(F)
     defect = contract("kcd,ca,db->kab", nij, F, F) - contract("kl,lab->kab", pr_q, brackets)
-    out.add("(CRcond) N_F(X,Y) = pr_Q [X,Y] on P", is_zero_all(
-        frame_pairs(defect), policy, "(CRcond)"))
-    rng = random.Random(policy.seed + 101)
+    out.test("(CRcond) N_F(X,Y) = pr_Q [X,Y] on P", frame_pairs(defect), "(CRcond)")
+    rng = random.Random(out.policy.seed + 101)
     f = random_poly(chart, rng)
     fr = frame(chart)
     X, Y = F(fr[0]), F(fr[1 % n])
@@ -161,28 +153,25 @@ def _cr_condition_items(F: EndoTM, policy: ZeroPolicy, out: CheckResult) -> tupl
         - pr_q(lie_bracket(X * f, Y))
         - (nijenhuis_classical(F, X, Y) - pr_q(lie_bracket(X, Y))) * f
     )
-    out.add("(CRcond) scalar-invariance under X -> fX", is_zero_all(
-        fd.components, policy, "(CRcond) invariance"))
+    out.test("(CRcond) scalar-invariance under X -> fX", fd.components, "(CRcond) invariance")
     return nij, pr_q
 
 
 def check_classical_CRF(s: AlmostContact, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
     """Classical CRF for an almost contact structure: CR type + (CRFcuLie)."""
-    out = CheckResult("classical_CRF")
-    _cr_condition_items(s.F, policy, out)
-    lzf = lie_derivative(s.Z, s.F)
-    comp = s.F @ lzf
-    out.add("(CRFcuLie) F o (L_Z F) = 0", is_zero_all(comp._flat(), policy, "(CRFcuLie)"))
+    out = CheckResult("classical_CRF", policy)
+    _cr_condition_items(s.F, out)
+    out.test("(CRFcuLie) F o (L_Z F) = 0", (s.F @ lie_derivative(s.Z, s.F))._flat(), "(CRFcuLie)")
     return out
 
 
 def check_crf_endo(F: EndoTM, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
     """Classical CRF for a bare F structure: (CRcond) + (CRF0), N_F(F e_a,
     pr_Q e_b) for the columns of F and of pr_Q, which span P and Q = ker F."""
-    out = CheckResult("classical_CRF")
-    nij, pr_q = _cr_condition_items(F, policy, out)
-    out.add("(CRF0) N_F(X,Y) = 0 for X in P, Y in Q", is_zero_all(
-        contract("kab,ai,bj->ijk", nij, F, pr_q)._flat(), policy, "(CRF0)"))
+    out = CheckResult("classical_CRF", policy)
+    nij, pr_q = _cr_condition_items(F, out)
+    out.test("(CRF0) N_F(X,Y) = 0 for X in P, Y in Q",
+             contract("kab,ai,bj->ijk", nij, F, pr_q)._flat(), "(CRF0)")
     return out
 
 
@@ -193,10 +182,10 @@ def check_kernel_nabla_F(
 
     Together with classical CRF this characterizes the classical CRFK
     property of a metric F structure (the psi = 0 case)."""
-    out = CheckResult("kernel_nabla_F")
+    out = CheckResult("kernel_nabla_F", policy)
     # [X][k][j]: F(nabla_X F (d_j))^k on the coordinate fields X
     comp = contract("kl,ilj->ikj", F, gamma.connection().nabla_frame(F))
-    out.add("F o (nabla_X F) = 0", is_zero_all(comp._flat(), policy, "kernel"))
+    out.test("F o (nabla_X F) = 0", comp._flat(), "kernel")
     return out
 
 
@@ -215,10 +204,8 @@ def product_J_classical(s: AlmostContact):
 
 def check_product_complex(s: AlmostContact, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
     """Normality via the product route: N_J = 0 on MxR for the (JF) structure."""
-    out = CheckResult("normal_via_product")
+    out = CheckResult("normal_via_product", policy)
     product, J = product_J_classical(s)
-    sq = (J @ J) + EndoTM.identity(product)
-    out.add("(JF) J^2 = -Id", is_zero_all(sq._flat(), policy, "(JF) square"))
-    out.add("(JF) N_J = 0 on MxR", is_zero_all(
-        frame_pairs(nijenhuis_table(J)), policy, "(JF) N_J"))
+    out.test("(JF) J^2 = -Id", ((J @ J) + EndoTM.identity(product))._flat(), "(JF) square")
+    out.test("(JF) N_J = 0 on MxR", frame_pairs(nijenhuis_table(J)), "(JF) N_J")
     return out

@@ -17,8 +17,8 @@ from ..courant import (
     skew_table,
 )
 from ..errors import StructureError
-from ..symexpr import DEFAULT_POLICY, ScalarExpr, ZeroPolicy, is_zero_all, random_poly
-from ..verdict import CheckResult, Verdict
+from ..symexpr import DEFAULT_POLICY, ScalarExpr, ZeroPolicy, random_poly
+from ..verdict import CheckResult
 from .genmetric import GenMetric
 
 
@@ -58,13 +58,10 @@ def build_genF_from_quadruple(
 ) -> GenF:
     """Assemble Fcal acting as F_pm through the V_pm isomorphisms (the
     J_pm transfer formula with F_pm in place of J_pm)."""
+    out = CheckResult("Fmetric", policy)
     for name, F in (("F_plus", F_plus), ("F_minus", F_minus)):
-        v = is_zero_all(_metric_F_defect(F, G.gamma), policy, f"(Fmetric) {name}")
-        if not v.ok:
-            raise StructureError(
-                f"{name} is not a classical metric F structure for gamma",
-                [(f"(Fmetric) {name}", v)],
-            )
+        out.test(f"(Fmetric) {name}", _metric_F_defect(F, G.gamma), f"(Fmetric) {name}")
+        out.require(f"{name} is not a classical metric F structure for gamma")
     return GenF(G.transfer(F_plus, F_minus), G, F_plus, F_minus)
 
 
@@ -78,13 +75,12 @@ def second_genF(genf: GenF) -> GenF:
 def check_gen_F(genf: GenF, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
     """Algebraic axioms: g-skewness, Fcal^3 + Fcal = 0, and in the metric
     case (G-F) plus the transfer identity (eqJrond)."""
-    out = CheckResult("gen_F")
+    out = CheckResult("gen_F", policy)
     m = genf.Fcal
-    out.add("g-skewness of Fcal", is_zero_all(m.skew_defect(), policy))
-    out.add("Fcal^3 + Fcal = 0", is_zero_all((m @ m @ m + m)._flat(), policy))
+    out.test("g-skewness of Fcal", m.skew_defect())
+    out.test("Fcal^3 + Fcal = 0", (m @ m @ m + m)._flat())
     if genf.G is not None:
-        out.add("(G-F) G(Fcal X, Y) + G(X, Fcal Y) = 0", is_zero_all(
-            m.skew_defect(genf.G._gram), policy))
+        out.test("(G-F) G(Fcal X, Y) + G(X, Fcal Y) = 0", m.skew_defect(genf.G._gram))
     if genf.has_quadruple:
         # Fcal C_pm = C_pm F_pm, section by section: tau_pm(F_pm d_i) is column i of C_pm F_pm
         exprs = []
@@ -92,7 +88,7 @@ def check_gen_F(genf: GenF, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
             C = genf.G._frame(sign)
             d = contract("ij,ja->ia", m, C) - contract("ij,ja->ia", C, F)
             exprs.extend(contract("ia->ai", d)._flat())
-        out.add("(eqJrond) Fcal(X, flat X) = (F_pm X, flat F_pm X)", is_zero_all(exprs, policy))
+        out.test("(eqJrond) Fcal(X, flat X) = (F_pm X, flat F_pm X)", exprs)
     return out
 
 
@@ -115,11 +111,11 @@ def crf_defects(Fcal: BigEndo) -> list[ScalarExpr]:
 def check_gen_CRF(genf: GenF, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
     """Integrability: N_Fcal(X, Y) = pr_S [X, Y] on a spanning set of
     L = im Fcal, with a scalar-invariance revalidation."""
-    out = CheckResult("gen_CRF")
+    out = CheckResult("gen_CRF", policy)
     chart = genf.chart
     Fcal = genf.Fcal
     pr_s = BigEndo.identity(chart) + Fcal @ Fcal
-    out.add("N_Fcal(X,Y) = pr_S [X,Y] on L", is_zero_all(crf_defects(Fcal), policy))
+    out.test("N_Fcal(X,Y) = pr_S [X,Y] on L", crf_defects(Fcal))
     rng = random.Random(policy.seed + 211)
     f = random_poly(chart, rng)
     # X = Fcal e_0 and Y the first nonzero column of Fcal after it (the last if none)
@@ -129,7 +125,7 @@ def check_gen_CRF(genf: GenF, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResul
     base = nijenhuis_big(Fcal, X, Y) - pr_s(courant_bracket(X, Y))
     scaled = nijenhuis_big(Fcal, X * f, Y) - pr_s(courant_bracket(X * f, Y))
     d = scaled - base * f
-    out.add("scalar-invariance under X -> fX", is_zero_all(d.components(), policy))
+    out.test("scalar-invariance under X -> fX", d.components())
     return out
 
 
@@ -140,15 +136,15 @@ def check_CRFK(genf: GenF, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
 
     if not genf.has_quadruple:
         raise StructureError("check_CRFK needs a quadruple-built structure")
-    out = CheckResult("CRFK")
+    out = CheckResult("CRFK", policy)
     for name, F in (("F_plus", genf.F_plus), ("F_minus", genf.F_minus)):
         sub = check_crf_endo(F, policy)
         out.add(f"classical CRF of {name}", sub.verdict)
-    out.add("(CRFK6) identity", _crfk6(genf, policy))
+    out.test("(CRFK6) identity", _crfk6_defects(genf), "(CRFK6)")
     return out
 
 
-def _crfk6(genf: GenF, policy: ZeroPolicy) -> Verdict:
+def _crfk6_defects(genf: GenF) -> list[ScalarExpr]:
     gamma, dpsi = genf.G.gamma, genf.G.dpsi
     exprs = []
     for sign, F in ((1, genf.F_plus), (-1, genf.F_minus)):
@@ -158,4 +154,4 @@ def _crfk6(genf: GenF, policy: ZeroPolicy) -> Verdict:
         t1 = contract("ijb,bk->ijk", dpsi, F @ F)
         t2 = contract("iab,aj,bk->ijk", dpsi, F, F)
         exprs.extend((lhs - (t1 + t2) * Fraction(sign, 2))._flat())
-    return is_zero_all(exprs, policy, "(CRFK6)")
+    return exprs

@@ -46,9 +46,9 @@ from ..calculus import (
     zero_twoform,
 )
 from ..courant import BigEndo, BigSection, _gram0, frame_pairs
-from ..errors import ChartMismatchError, ExprError, StructureError
+from ..errors import ChartMismatchError, ExprError
 from ..numeric import positivity_witness
-from ..symexpr import DEFAULT_POLICY, ScalarExpr, ZeroPolicy, is_zero_all
+from ..symexpr import DEFAULT_POLICY, ScalarExpr, ZeroPolicy
 from ..verdict import CheckResult, Verdict
 
 
@@ -72,7 +72,6 @@ class GenMetric:
         self.Gcal = self.transfer(ident, -ident)
         self._gram = contract("ki,kj->ij", self.Gcal, _gram0(chart))
         self._dpsi = None
-        self._dgamma = None
         self._frames = {}
 
     def transfer(self, F_plus: EndoTM, F_minus: EndoTM) -> BigEndo:
@@ -109,13 +108,6 @@ class GenMetric:
             self._dpsi = ext_d(self.psi)
         return self._dpsi
 
-    @property
-    def dgamma(self) -> _Array:
-        """The derivative array of gamma, dgamma[i][j][k] = d_k gamma_ij."""
-        if self._dgamma is None:
-            self._dgamma = _partials(self.gamma)
-        return self._dgamma
-
     def G(self, A: BigSection, B: BigSection) -> ScalarExpr:
         """The positive pairing G(A, B) = g(Gcal A, B)."""
         return contract("i,ij,j->", A, self._gram, B)
@@ -126,32 +118,24 @@ def build_gen_metric(
 ) -> GenMetric:
     """Construct and validate; raises StructureError if (condptGrond) fails."""
     G = GenMetric(gamma, psi)
-    res = check_gen_metric(G, policy)
-    if not res.ok:
-        raise StructureError(
-            "(gamma, psi) does not define a generalized metric",
-            [(lbl, v) for lbl, v in res.items if not v.ok],
-        )
+    check_gen_metric(G, policy).require("(gamma, psi) does not define a generalized metric")
     return G
 
 
 def check_gen_metric(G: GenMetric, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
-    out = CheckResult("gen_metric")
-    chart = G.chart
-    out.add("(condptGrond) Gcal^2 = Id", is_zero_all(G.Gcal.square_defect(1), policy))
-    out.add("(condptGrond) g(Gcal X, Gcal Y) = g(X, Y)", is_zero_all(
-        G.Gcal.isometry_defect(_gram0(chart)), policy))
+    out = CheckResult("gen_metric", policy)
+    out.test("(condptGrond) Gcal^2 = Id", G.Gcal.square_defect(1))
+    out.test("(condptGrond) g(Gcal X, Gcal Y) = g(X, Y)", G.Gcal.isometry_defect(_gram0(G.chart)))
     # V_pm really are the +-1 eigenbundles: Gcal C_pm = +-C_pm, section by section
     eig = []
     for sign in (1, -1):
         C = G._frame(sign)
         eig.extend(contract("ia->ai", contract("ij,ja->ia", G.Gcal, C) - C * sign)._flat())
-    out.add("(exprEpm) Gcal = +-Id on V_+-", is_zero_all(eig, policy))
+    out.test("(exprEpm) Gcal = +-Id on V_+-", eig)
     # G restricted to V_+ transfers to gamma through tau_+
     C = G._frame(1)
     tr = contract("ai,ab,bj->ij", C, G._gram, C) - G.gamma
-    out.add("(condptGrond) G|V+ = gamma via tau_+", is_zero_all(
-        frame_pairs(tr, diagonal=True), policy))
+    out.test("(condptGrond) G|V+ = gamma via tau_+", frame_pairs(tr, diagonal=True))
     out.add("G positive definite at sample points", _positivity(G, policy))
     return out
 
@@ -188,7 +172,7 @@ def courant_bracket_Vpm(
         return -courant_bracket_Vpm(G, Y, X, (1, -1))
     chart = G.chart
     g, p = G.gamma, G.psi
-    dX, dY, dg = _partials(X), _partials(Y), G.dgamma  # dX[k][i] = d_i X^k
+    dX, dY, dg = _partials(X), _partials(Y), g.derivatives()  # dX[k][i] = d_i X^k
 
     def lie_flat(V, W, dV, dW):
         """(L_V flat_gamma W)_j, by the product rule on (flat_gamma W)_j = W^l g_lj."""

@@ -37,9 +37,9 @@ from ..courant import (
     lift_big_section,
     _gram0,
 )
-from ..errors import PreconditionNotMet, StructureError
+from ..errors import PreconditionNotMet
 from ..numeric import positivity_witness
-from ..symexpr import DEFAULT_POLICY, ScalarExpr, ZeroPolicy, is_zero, is_zero_all
+from ..symexpr import DEFAULT_POLICY, ScalarExpr, ZeroPolicy
 from ..verdict import CheckResult, Verdict, Witness, combine
 from .classical import check_normal_classical
 from .twoone import TwoOneGAC, build_product_J, second_structure
@@ -53,7 +53,7 @@ class _PairData:
         if s.G is None:
             raise PreconditionNotMet("explicit normality needs a metric structure")
         self.gamma, self.dpsi, self.chart = s.G.gamma, s.G.dpsi, s.chart
-        self.dgamma = _partials(self.gamma)  # dgamma[i][j][m] = d_m gamma_ij
+        self.dgamma = self.gamma.derivatives()  # dgamma[i][j][m] = d_m gamma_ij
         self.ac, self.F, self.Z, self.dZ, self.iz_dpsi, self.dxi = ({} for _ in range(6))
         for sign, ac in zip((1, -1), s.classical_pair()):
             self.ac[sign], self.F[sign], self.Z[sign] = ac, ac.F, ac.Z
@@ -77,9 +77,9 @@ class _PairData:
 def _membership_P(data: _PairData, sign: int, X: VectorField, policy: ZeroPolicy) -> None:
     """X must satisfy pr_P X = X, i.e. -F_sign^2 X = X."""
     F, tag = data.F[sign], "+" if sign == 1 else "-"
-    v = is_zero_all((F(F(X)) + X).components, policy, "pr_P membership")
-    if not v.ok:
-        raise StructureError(f"argument is not in P_{tag} = im F_{tag}", [("pr_P X = X", v)])
+    out = CheckResult("pr_P membership", policy)
+    out.test("pr_P X = X", (F(F(X)) + X).components, "pr_P membership")
+    out.require(f"argument is not in P_{tag} = im F_{tag}")
 
 
 def _on_columns(A, cols: _Array) -> _Array:
@@ -151,29 +151,27 @@ def zeta_rho_forms(
 # (indbin0): the explicit normality system
 
 
-def _common_items(data: _PairData, policy: ZeroPolicy, out: CheckResult) -> None:
+def _common_items(data: _PairData, out: CheckResult) -> None:
     """The items (indbin0) and (indbin1) share: classical normality of both
     halves and the first line of (indbin0)."""
     for sign, tag in ((1, "+"), (-1, "-")):
-        sub = check_normal_classical(data.ac[sign], policy)
+        sub = check_normal_classical(data.ac[sign], out.policy)
         out.add(f"classical normality of (F{tag}, Z{tag}, xi{tag})", sub.verdict)
     Zp, Zm = data.Z[1], data.Z[-1]
-    out.add("(indbin0) [Z+, Z-] = 0", is_zero_all(lie_bracket(Zp, Zm).components, policy))
+    out.test("(indbin0) [Z+, Z-] = 0", lie_bracket(Zp, Zm).components)
     lhs = (lie_derivative(Zm, data.ac[1].xi) + lie_derivative(Zp, data.ac[-1].xi)
            - ext_d(data.gamma(Zp, Zm)))
     rhs = interior(Zm, interior(Zp, data.dpsi))
-    out.add(
-        "(indbin0) L_{Z-} xi+ + L_{Z+} xi- - d gamma(Z+,Z-) = i(Z-) i(Z+) d psi",
-        is_zero_all((lhs - rhs).components, policy),
-    )
+    out.test("(indbin0) L_{Z-} xi+ + L_{Z+} xi- - d gamma(Z+,Z-) = i(Z-) i(Z+) d psi",
+             (lhs - rhs).components)
 
 
 def check_normal_explicit(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
     """Explicit route: classical normality of both halves plus the (indbin0)
     condition system on the columns of F_pm, which span P_pm."""
     data = _PairData(s)
-    out = CheckResult("normal_explicit")
-    _common_items(data, policy, out)
+    out = CheckResult("normal_explicit", policy)
+    _common_items(data, out)
 
     # zeta line: zeta_s(X) o F_+ = zeta_s(X) o F_- = -zeta_s(F_s X), X in P_s;
     # [a][f][k] with F_+ (f = 0) before F_- (f = 1)
@@ -184,7 +182,7 @@ def check_normal_explicit(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> 
         z, zf = _zeta(data, sign, Fs), _zeta(data, sign, Fs @ Fs)
         d = contract("aj,fjk->afk", z, F_pm) + contract("ak,f->afk", zf, (1, 1))
         exprs.extend(d._flat())
-    out.add("(indbin0) zeta_pm(X) o F_+- = -zeta_pm(F_pm X)", is_zero_all(exprs, policy))
+    out.test("(indbin0) zeta_pm(X) o F_+- = -zeta_pm(F_pm X)", exprs)
 
     # bracket line:
     # F_s [Z_s, X] - [Z_s, F_{-s} X] = (F_- - F_+) sharp rho_s(X) / 2, X in P_{-s}
@@ -194,15 +192,15 @@ def check_normal_explicit(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> 
         b1, b2, sharp, _ = data.rho_lines(sign)
         d = _on_columns(data.F[sign], b1) - b2 - _on_columns(half_diff, sharp)
         exprs.extend(d._flat())
-    out.add("(indbin0) bracket/rho compatibility", is_zero_all(exprs, policy))
+    out.test("(indbin0) bracket/rho compatibility", exprs)
 
-    out.add("(indbin0) rho_pm(F_mp X) + rho_pm(X) o F_mp = 0", _rho_antiholomorphy(data, policy))
+    out.test("(indbin0) rho_pm(F_mp X) + rho_pm(X) o F_mp = 0", _rho_antiholomorphy(data),
+             "rho antiholomorphy")
     return out
 
 
-def _rho_antiholomorphy(data: _PairData, policy: ZeroPolicy) -> Verdict:
-    exprs = data.rho_lines(1)[3]._flat() + data.rho_lines(-1)[3]._flat()
-    return is_zero_all(exprs, policy, "rho antiholomorphy")
+def _rho_antiholomorphy(data: _PairData) -> list[ScalarExpr]:
+    return data.rho_lines(1)[3]._flat() + data.rho_lines(-1)[3]._flat()
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +221,14 @@ def check_binormal(
     from .twoone import check_normal_21
 
     data = _PairData(s)
-    out = CheckResult("binormal")
-    _common_items(data, policy, out)
+    out = CheckResult("binormal", policy)
+    _common_items(data, out)
 
     exprs = _zeta(data, 1, data.F[1])._flat() + _zeta(data, -1, data.F[-1])._flat()
-    out.add("(indbin1) zeta_pm(X_pm) = 0", is_zero_all(exprs, policy))
+    out.test("(indbin1) zeta_pm(X_pm) = 0", exprs)
 
-    out.add("(indbin1) rho_pm(F_mp X) + rho_pm(X) o F_mp = 0", _rho_antiholomorphy(data, policy))
+    out.test("(indbin1) rho_pm(F_mp X) + rho_pm(X) o F_mp = 0", _rho_antiholomorphy(data),
+             "rho antiholomorphy")
 
     # split bracket equations; sign bookkeeping: for the upper case
     # F_+[Z_+, X_-] = -(1/2) F_+ sharp rho_+(X_-); lower case flips the sign.
@@ -239,29 +238,25 @@ def check_binormal(
         sharp = sharp * data.chart.scalar(f"{sign}/2")
         exprs_a.extend(_on_columns(data.F[sign], b1 + sharp)._flat())
         exprs_b.extend((b2 + _on_columns(data.F[-sign], sharp))._flat())
-    out.add("(indbin1) F_pm [Z_pm, X_mp] = mp (1/2) F_pm sharp rho_pm", is_zero_all(exprs_a, policy))
-    out.add("(indbin1) [Z_pm, F_mp X_mp] = mp (1/2) F_mp sharp rho_pm", is_zero_all(exprs_b, policy))
+    out.test("(indbin1) F_pm [Z_pm, X_mp] = mp (1/2) F_pm sharp rho_pm", exprs_a)
+    out.test("(indbin1) [Z_pm, F_mp X_mp] = mp (1/2) F_mp sharp rho_pm", exprs_b)
 
-    direct = combine(*(v for _, v in out.items))
+    direct = _blamed("(indbin1)", combine(*(v for _, v in out.items)))
     if normal21 is None:
         normal21 = check_normal_21(s, policy)
-    sides = [
-        ("normal21 of the structure", normal21.verdict),
-        ("normal21 of the companion", check_normal_21(second_structure(s), policy).verdict),
-    ]
-    both = combine(*(v for _, v in sides))
-    cross = Verdict.proved()
-    if direct.ok != both.ok:
-        # carry the witness of the side that failed
-        side, failed = next(((n, v) for n, v in sides if not v.ok), ("(indbin1)", direct))
-        w = failed.witness
-        cross = Verdict.failed(
-            witness=w and Witness(w.point, w.value, f"{side} failed"),
-            detail=f"(indbin1) says {direct.kind.value}, "
-            f"normality of the pair says {both.kind.value}",
-        )
-    out.add("cross-check: binormal iff both the structure and its companion are normal", cross)
+    companion = check_normal_21(second_structure(s), policy)
+    pair = combine(_blamed("normal21 of the structure", normal21.verdict),
+                   _blamed("normal21 of the companion", companion.verdict))
+    out.agreement("cross-check: binormal iff both the structure and its companion are normal",
+                  ("(indbin1)", direct), ("normality of the pair", pair))
     return out
+
+
+def _blamed(route: str, v: Verdict) -> Verdict:
+    """``v``, its witness's detail naming ``route`` as the one that failed."""
+    w = v.witness
+    return v if w is None else Verdict(v.kind, v.criterion,
+                                       Witness(w.point, w.value, f"{route} failed"), v.detail)
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +269,12 @@ def check_product_metric(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> C
     Gtilde(T_+, T_-) = 0, positive at 16 sample points."""
     if s.G is None:
         raise PreconditionNotMet("the product metric check needs a metric structure")
-    out = CheckResult("product_metric")
+    out = CheckResult("product_metric", policy)
     pj = build_product_J(s, policy=policy)
     pj2 = build_product_J(second_structure(s), policy=policy)
     product = pj.chart
     gtilde_cal = -(pj.J @ pj2.J)
-    out.add("Gtilde^2 = Id", is_zero_all(gtilde_cal.square_defect(1), policy))
+    out.test("Gtilde^2 = Id", gtilde_cal.square_defect(1))
     gram = contract("ki,kj->ij", gtilde_cal, _gram0(product))
 
     def gt(a: BigSection, b: BigSection) -> ScalarExpr:
@@ -291,17 +286,17 @@ def check_product_metric(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> C
     g_l = lift_big_endo(BigEndo(s.chart, contract("ai,ab,bj->ij", s.Fcal, s.G._gram, s.Fcal)),
                         product)
     d = contract("ai,ab,bj->ij", lift, gram, lift) - g_l
-    out.add("Gtilde|_L = G|_L", is_zero_all(
-        frame_pairs(_minor(_minor(d, 2 * n + 1, 2 * n + 1), n, n), diagonal=True), policy))
+    out.test("Gtilde|_L = G|_L",
+             frame_pairs(_minor(_minor(d, 2 * n + 1, 2 * n + 1), n, n), diagonal=True))
     exprs = []
     for A in (s.Z_plus, s.Z_minus):
         for B in (s.Z_plus, s.Z_minus):
             a, b = lift_big_section(A, product), lift_big_section(B, product)
             exprs.append(gt(a, b) - s.G.G(A, B).lift(product))
-    out.add("Gtilde|_S = G|_S", is_zero_all(exprs, policy))
-    out.add("Gtilde(T+,T+) = 1", is_zero(gt(pj.T_plus, pj.T_plus) - 1, policy))
-    out.add("Gtilde(T-,T-) = 1", is_zero(gt(pj.T_minus, pj.T_minus) - 1, policy))
-    out.add("Gtilde(T+,T-) = 0", is_zero(gt(pj.T_plus, pj.T_minus), policy))
+    out.test("Gtilde|_S = G|_S", exprs)
+    out.test("Gtilde(T+,T+) = 1", gt(pj.T_plus, pj.T_plus) - 1)
+    out.test("Gtilde(T-,T-) = 1", gt(pj.T_minus, pj.T_minus) - 1)
+    out.test("Gtilde(T+,T-) = 0", gt(pj.T_plus, pj.T_minus))
 
     rng = policy.rng()
     verdict = Verdict.numeric()

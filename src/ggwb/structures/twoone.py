@@ -39,7 +39,7 @@ from ..courant import (
     skew_table,
 )
 from ..errors import PreconditionNotMet, StructureError
-from ..symexpr import DEFAULT_POLICY, ScalarExpr, ZeroPolicy, is_zero, is_zero_all
+from ..symexpr import DEFAULT_POLICY, ScalarExpr, ZeroPolicy
 from ..verdict import CheckResult, Verdict, combine
 from .classical import AlmostContact
 from .genf import crf_defects
@@ -104,15 +104,11 @@ def classical_lift(
     G = None
     if ac.gamma is not None:
         G = build_gen_metric(ac.gamma, psi, policy)
+        out = CheckResult("classical_lift", policy)
         for sign, Z in ((1, Zp), (-1, Zm)):
-            d = G.section(ac.Z, sign) - Z
-            v = is_zero_all(d.components(), policy, "Z_pm in V_pm")
-            if not v.ok:
-                raise StructureError(
-                    "classical lift needs flat_gamma Z = xi and i(Z) psi = 0 "
-                    "so that (Z, +-xi) lies in V_pm",
-                    [("Z_pm in V_pm", v)],
-                )
+            out.test("Z_pm in V_pm", (G.section(ac.Z, sign) - Z).components(), "Z_pm in V_pm")
+            out.require("classical lift needs flat_gamma Z = xi and i(Z) psi = 0 "
+                        "so that (Z, +-xi) lies in V_pm")
     return build_21gac(Fcal, Zp, Zm, G, policy, name=name)
 
 
@@ -134,55 +130,47 @@ def build_21gac(
 def require_two_one(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
     """``check_two_one(s, policy)``; raises StructureError with the failed
     items when it fails."""
-    res = check_two_one(s, policy)
-    if not res.ok:
-        raise StructureError(
-            "data does not satisfy the (2,1)-structure axioms",
-            [(lbl, v) for lbl, v in res.items if not v.ok],
-        )
-    return res
+    return check_two_one(s, policy).require("data does not satisfy the (2,1)-structure axioms")
 
 
 def check_two_one(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
-    out = CheckResult("two_one")
+    out = CheckResult("two_one", policy)
     chart = s.chart
-    out.add("(almoctZpm) g(Z+,Z-) = 0", is_zero(pairing(s.Z_plus, s.Z_minus), policy))
-    out.add("(almoctZpm) g(Z+,Z+) = 1", is_zero(pairing(s.Z_plus, s.Z_plus) - 1, policy))
-    out.add("(almoctZpm) g(Z-,Z-) = -1", is_zero(pairing(s.Z_minus, s.Z_minus) + 1, policy))
-    out.add("(almctF2) Fcal Z+- = 0", is_zero_all(
-        s.Fcal(s.Z_plus).components() + s.Fcal(s.Z_minus).components(), policy))
+    out.test("(almoctZpm) g(Z+,Z-) = 0", pairing(s.Z_plus, s.Z_minus))
+    out.test("(almoctZpm) g(Z+,Z+) = 1", pairing(s.Z_plus, s.Z_plus) - 1)
+    out.test("(almoctZpm) g(Z-,Z-) = -1", pairing(s.Z_minus, s.Z_minus) + 1)
+    out.test("(almctF2) Fcal Z+- = 0",
+             s.Fcal(s.Z_plus).components() + s.Fcal(s.Z_minus).components())
     m = s.Fcal
     m2 = m @ m
     rank1 = BigEndo.outer(s.Z_plus, s.Z_plus) - BigEndo.outer(s.Z_minus, s.Z_minus)
     # Fcal^2 + Id - rank1 is the defect of both identities
-    both = is_zero_all((m2 + BigEndo.identity(chart) - rank1)._flat(), policy)
-    out.add("(almctF2) Fcal^2 = -Id + flat_g Z+ (x) Z+ - flat_g Z- (x) Z-", both)
+    both = out.test("(almctF2) Fcal^2 = -Id + flat_g Z+ (x) Z+ - flat_g Z- (x) Z-",
+                    (m2 + BigEndo.identity(chart) - rank1)._flat())
     out.add("(prScuframe) pr_S = g(Z+,.)Z+ - g(Z-,.)Z-", both)
-    out.add("g-skewness of Fcal", is_zero_all(m.skew_defect(), policy))
+    out.test("g-skewness of Fcal", m.skew_defect())
     cube = "Fcal^3 + Fcal = 0"
-    out.add(cube, is_zero_all((m2 @ m + m)._flat(), policy))
+    out.test(cube, (m2 @ m + m)._flat())
     if s.G is not None:
         gram = s.G._gram
         qp, qm = flat_g(s.Z_plus), flat_g(s.Z_minus)
         # G(Fcal X, Fcal Y) = G(X,Y) - g(Z+,X)g(Z+,Y) - g(Z-,X)g(Z-,Y);
         # the minus on the Z- term is forced by G(Z-,Z-) = 1 and Fcal Z- = 0.
         d = m.isometry_defect(gram, contract("i,j->ij", qp, qp), contract("i,j->ij", qm, qm))
-        out.add("(21metriccuZpm) metric compatibility", is_zero_all(d, policy))
+        out.test("(21metriccuZpm) metric compatibility", d)
         eig = []
         for sign, Z in ((1, s.Z_plus), (-1, s.Z_minus)):
             dd = s.G.Gcal(Z) - Z * sign
             eig.extend(dd.components())
-        out.add("Z+- lie in V+-", is_zero_all(eig, policy))
+        out.test("Z+- lie in V+-", eig)
     # Fcal^3 + Fcal = 0 makes pr_S = Id + Fcal^2 a projection onto ker Fcal,
     # so the corank is trace(pr_S); Z+- in ker Fcal with Gram matrix
     # diag(1, -1) then span it, and the pairing on it has index 1
-    out.add("corank(Fcal) = 2", out.corollary(
-        "trace(Id + Fcal^2) = 2",
-        is_zero(contract("ii->", m2) + (2 * chart.dim - 2), policy), cube))
-    out.add("neg(Fcal) = 1", out.corollary(
-        "Z+- span ker Fcal with Gram matrix diag(1, -1)", Verdict.proved(),
-        "corank(Fcal) = 2", "(almctF2) Fcal Z+- = 0", "(almoctZpm) g(Z+,Z-) = 0",
-        "(almoctZpm) g(Z+,Z+) = 1", "(almoctZpm) g(Z-,Z-) = -1"))
+    out.corollary("corank(Fcal) = 2", "trace(Id + Fcal^2) = 2",
+                  contract("ii->", m2) + (2 * chart.dim - 2), cube)
+    out.corollary("neg(Fcal) = 1", "Z+- span ker Fcal with Gram matrix diag(1, -1)", (),
+                  "corank(Fcal) = 2", "(almctF2) Fcal Z+- = 0", "(almoctZpm) g(Z+,Z-) = 0",
+                  "(almoctZpm) g(Z+,Z+) = 1", "(almoctZpm) g(Z-,Z-) = -1")
     return out
 
 
@@ -242,15 +230,11 @@ def build_product_J(
         n = product.dim
         if any(k not in (n - 1, 2 * n - 1) for T in (Tp, Tm) for (k,) in T.entries):
             raise StructureError("basis sections must be supported on the line factor")
-        checks = [
-            ("g(T+,T+) = 1", pairing(Tp, Tp) - 1),
-            ("g(T-,T-) = -1", pairing(Tm, Tm) + 1),
-            ("g(T+,T-) = 0", pairing(Tp, Tm)),
-        ]
-        bad = [(lbl, is_zero(e, policy)) for lbl, e in checks]
-        bad = [(lbl, v) for lbl, v in bad if not v.ok]
-        if bad:
-            raise StructureError("line basis is not g-pseudo-orthonormal", bad)
+        out = CheckResult("line basis", policy)
+        out.test("g(T+,T+) = 1", pairing(Tp, Tp) - 1)
+        out.test("g(T-,T-) = -1", pairing(Tm, Tm) + 1)
+        out.test("g(T+,T-) = 0", pairing(Tp, Tm))
+        out.require("line basis is not g-pseudo-orthonormal")
     F_lift = lift_big_endo(s.Fcal, product)
     Zp = lift_big_section(s.Z_plus, product)
     Zm = lift_big_section(s.Z_minus, product)
@@ -266,22 +250,19 @@ def build_product_J(
 
 def check_product_J(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
     """Algebra of the associated structure: J^2 = -Id and g-skewness."""
-    out = CheckResult("product_J")
+    out = CheckResult("product_J", policy)
     pj = build_product_J(s, policy=policy)
-    chart = pj.chart
-    out.add("(JptFrond) J^2 = -Id", is_zero_all(
-        (e for e in pj.J.square_defect(-1)), policy))
-    out.add("(JptFrond) g-skewness", is_zero_all(pj.J.skew_defect(), policy))
-    out.add("(fKrond) J T+ = -Z+", is_zero_all(
-        (pj.J(pj.T_plus) + pj.Z_plus_lift).components(), policy))
-    out.add("(fKrond) J T- = Z-", is_zero_all(
-        (pj.J(pj.T_minus) - pj.Z_minus_lift).components(), policy))
+    out.test("(JptFrond) J^2 = -Id", pj.J.square_defect(-1))
+    out.test("(JptFrond) g-skewness", pj.J.skew_defect())
+    out.test("(fKrond) J T+ = -Z+", (pj.J(pj.T_plus) + pj.Z_plus_lift).components())
+    out.test("(fKrond) J T- = Z-", (pj.J(pj.T_minus) - pj.Z_minus_lift).components())
     return out
 
 
 def integrability_product(J: BigEndo, policy: ZeroPolicy) -> Verdict:
     """N_J = 0 over all coordinate frame pairs of the product chart."""
-    return is_zero_all(frame_pairs(nijenhuis_frame(J)), policy, "N_J = 0")
+    return CheckResult("integrability", policy).test(
+        "N_J = 0", frame_pairs(nijenhuis_frame(J)), "N_J = 0")
 
 
 def unified_normality_tensor(s: TwoOneGAC, A: BigSection, B: BigSection) -> BigSection:
@@ -340,31 +321,23 @@ def check_normal_21(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckR
     frame-pair items are read from bracket tables, in the order of the
     per-pair definitions: Z+ then Z-, then frame section, then component;
     pairs a < b, then component."""
-    out = CheckResult("normal21")
+    out = CheckResult("normal21", policy)
     F, m = s.Fcal, 2 * s.chart.dim
 
-    out.add("(normaltotal) [Z+, Z-] = 0", is_zero_all(
-        courant_bracket(s.Z_plus, s.Z_minus).components(), policy))
+    out.test("(normaltotal) [Z+, Z-] = 0", courant_bracket(s.Z_plus, s.Z_minus).components())
 
     # [Z, Fcal X] - Fcal [Z, X] for X = Fcal e_a
     zs = section_array([s.Z_plus, s.Z_minus])
     d = bracket_table(zs, F @ F) - contract("ij,jza->iza", F, bracket_table(zs, F))
     exprs = [row[z][a] for z in range(2) for a in range(m) for row in d]
-    out.add("(normaltotal) [Z+-, Fcal X] = Fcal [Z+-, X]", is_zero_all(exprs, policy))
+    out.test("(normaltotal) [Z+-, Fcal X] = Fcal [Z+-, X]", exprs)
 
-    out.add("(normaltotal) N_Fcal = pr_S [.,.] on L", is_zero_all(crf_defects(F), policy))
+    out.test("(normaltotal) N_Fcal = pr_S [.,.] on L", crf_defects(F))
 
-    unified = is_zero_all(frame_pairs(_unified_frame(s)), policy)
-    out.add("(normtotal2) unified normality tensor = 0", unified)
-
-    three = combine(*(v for _, v in out.items[:3]))
-    agree = three.ok == unified.ok
-    out.add(
-        "agreement of (normaltotal) and (normtotal2)",
-        Verdict.proved() if agree else Verdict.failed(
-            detail=f"(normaltotal) says {three.kind.value}, (normtotal2) says {unified.kind.value}"
-        ),
-    )
+    three = combine(*(v for _, v in out.items))
+    unified = out.test("(normtotal2) unified normality tensor = 0", frame_pairs(_unified_frame(s)))
+    out.agreement("agreement of (normaltotal) and (normtotal2)", ("(normaltotal)", three),
+                  ("(normtotal2)", unified))
     return out
 
 
@@ -382,12 +355,12 @@ def phi_endo(s: TwoOneGAC) -> BigEndo:
 
 
 def check_phi(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
-    out = CheckResult("phi")
+    out = CheckResult("phi", policy)
     chart = s.chart
     phi = phi_endo(s)
     square = "(eqPhi) Phi^2 = Id"
-    out.add(square, is_zero_all(phi.square_defect(1), policy))
-    out.add("(eqPhi) g-skewness", is_zero_all(phi.skew_defect(), policy))
+    out.test(square, phi.square_defect(1))
+    out.test("(eqPhi) g-skewness", phi.skew_defect())
     if s.G is not None:
         gram = s.G._gram
         qp, qm = flat_g(s.Z_plus), flat_g(s.Z_minus)
@@ -395,11 +368,10 @@ def check_phi(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
         # the rank-one terms are forced by Phi Z+- = Z-+ and G(Z+-,Z+-) = 1.
         d = (contract("ki,kl,lj->ij", phi, gram, phi) + _Array(chart, gram, phi.shape)
              - (contract("i,j->ij", qp, qp) + contract("i,j->ij", qm, qm)) * 2)
-        out.add("(PhiG) G(Phi X, Phi Y) = -G(X, Y) + 2 kernel terms", is_zero_all(
-            d._flat(), policy))
+        out.test("(PhiG) G(Phi X, Phi Y) = -G(X, Y) + 2 kernel terms", d._flat())
     # Phi^2 = Id makes (Id +- Phi)/2 projections, of rank n +- trace(Phi)/2
-    out.add("(eqGY) eigenprojections of Phi have rank n", out.corollary(
-        "trace(Phi) = 0", is_zero(contract("ii->", phi), policy), square))
+    out.corollary("(eqGY) eigenprojections of Phi have rank n", "trace(Phi) = 0",
+                  contract("ii->", phi), square)
     return out
 
 
@@ -407,14 +379,12 @@ def check_gen_contact(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> Chec
     """Generalized-contact criteria via Phi: the structure is generalized
     contact iff N_Phi + N_Phibar = 0 or N_Phi - N_Phibar = 0, and strong
     generalized contact iff N_Phi = 0."""
-    out = CheckResult("gen_contact")
+    out = CheckResult("gen_contact", policy)
     phi = phi_endo(s)
     n_phi, n_phibar = (frame_pairs(nijenhuis_frame(A)) for A in (phi, phi.conjugate()))
-    out.add("N_Phi = 0 (strong generalized contact)", is_zero_all(n_phi, policy))
-    out.add("N_Phi + N_Phibar = 0", is_zero_all(
-        (a + b for a, b in zip(n_phi, n_phibar)), policy))
-    out.add("N_Phi - N_Phibar = 0", is_zero_all(
-        (a - b for a, b in zip(n_phi, n_phibar)), policy))
+    out.test("N_Phi = 0 (strong generalized contact)", n_phi)
+    out.test("N_Phi + N_Phibar = 0", (a + b for a, b in zip(n_phi, n_phibar)))
+    out.test("N_Phi - N_Phibar = 0", (a - b for a, b in zip(n_phi, n_phibar)))
     return out
 
 
@@ -439,12 +409,12 @@ def check_sasakian(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckRe
     integrable on M x R."""
     if s.G is None:
         raise PreconditionNotMet("the Sasakian criterion needs a metric structure")
-    out = CheckResult("sasakian")
+    out = CheckResult("sasakian", policy)
     pj = build_product_J(s, policy=policy)
     pj2 = build_product_J(second_structure(s), policy=policy)
     tau = pj.chart.scalar("t")
     Jt = conformal_change(tau, pj.J)
     Jt2 = conformal_change(tau, pj2.J)
-    out.add("N of J_t = 0", integrability_product(Jt, policy))
-    out.add("N of J'_t = 0", integrability_product(Jt2, policy))
+    for label, J in (("N of J_t = 0", Jt), ("N of J'_t = 0", Jt2)):
+        out.test(label, frame_pairs(nijenhuis_frame(J)), "N_J = 0")
     return out

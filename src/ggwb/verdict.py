@@ -1,4 +1,5 @@
-"""Three-valued check outcomes.
+"""Three-valued check outcomes, and the one runner that tests and grades
+the items of a check.
 
 Every identity the engine tests resolves to one of
 
@@ -10,7 +11,14 @@ Every identity the engine tests resolves to one of
   transcendental atoms are involved),
 * ``Failed`` — a witness sample point with a nonzero residual exists.
 
-Compound checks aggregate to their weakest member.
+A check builds the defects of its items and hands each item to a
+:class:`CheckResult`, which runs the zero test (``test``), grades a fact
+read from items already tested (``corollary``) and grades the agreement of
+two routes to one property (``agreement``).  Compound checks aggregate to
+their weakest member.
+
+``symexpr`` imports this module for the records, so the runner imports
+``symexpr`` when it first runs a zero test, not at module load.
 """
 
 from __future__ import annotations
@@ -18,6 +26,8 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from typing import Optional
+
+from .errors import StructureError
 
 
 class VerdictKind(enum.Enum):
@@ -154,16 +164,39 @@ def combine(*verdicts: Verdict, criterion: str = "") -> Verdict:
 
 
 class CheckResult:
-    """Outcome of a compound check: one sub-verdict per identity tested."""
+    """The items of a compound check, one verdict per label, and the runner
+    that produces them.  ``policy`` is the :class:`~ggwb.symexpr.ZeroPolicy`
+    of the zero tests; a result that only records verdicts (a skip, the
+    failures of a structure build) needs none.
 
-    def __init__(self, name: str, items: Optional[list] = None, skipped: Optional[str] = None):
+    Each recording method records one item and returns its verdict:
+    ``test`` runs the zero test, ``corollary`` and ``agreement`` grade an
+    item from items already recorded, and ``add`` takes a verdict that no
+    zero test of this result produced (a sub-check's, a positivity
+    certificate's)."""
+
+    def __init__(self, name: str, policy=None, skipped: Optional[str] = None):
         self.name = name
-        self.items = [] if items is None else items  # list[tuple[str, Verdict]]
+        self.policy = policy
+        self.items = []  # list[tuple[str, Verdict]]
         self.skipped = skipped
 
     def add(self, label: str, verdict: Verdict) -> Verdict:
         self.items.append((label, verdict.relabel(label)))
         return verdict
+
+    def test(self, label: str, defects, tag: str = "") -> Verdict:
+        """Record ``label`` as the zero test of ``defects``: one scalar, or
+        an iterable of scalars graded by the weakest of them.  ``tag`` is
+        the detail of a witness."""
+        return self.add(label, self._zero(defects, tag))
+
+    def _zero(self, defects, tag: str) -> Verdict:
+        from .symexpr import ScalarExpr, is_zero, is_zero_all
+
+        if isinstance(defects, ScalarExpr):
+            return is_zero(defects, self.policy, tag)
+        return is_zero_all(defects, self.policy, tag)
 
     @property
     def verdict(self) -> Verdict:
@@ -175,23 +208,56 @@ class CheckResult:
     def ok(self) -> bool:
         return self.skipped is not None or self.verdict.ok
 
-    def corollary(self, fact: str, verdict: Verdict, *premises: str) -> Verdict:
-        """The verdict of a fact that follows from the items ``premises``
-        of this result, ``verdict`` being the zero test of what the fact
-        adds to them (``fact`` says what).  Every premise is a zero-test
-        item, so the fact is as strong as the weakest of them and
-        ``verdict``: a failed premise fails it with the premise's witness
-        and the detail ``rests on '<label>'``; otherwise the detail names
-        ``fact`` and every premise."""
-        given = [(label, self.subverdict(label)) for label in premises]
-        for label, v in given:
-            if not v.ok:
-                return Verdict.failed(witness=v.witness, detail=f"rests on '{label}'")
-        if not verdict.ok:
-            return Verdict.failed(witness=verdict.witness, detail=f"{fact} fails")
-        kind = combine(verdict, *(v for _, v in given)).kind
-        names = ", ".join(f"'{label}'" for label in premises)
-        return Verdict(kind, detail=f"{fact}; rests on {names}")
+    def corollary(self, label: str, fact: str, defects, *premises: str) -> Verdict:
+        """Record ``label``, a fact that follows from the items ``premises``
+        and from the zero test of ``defects``, what the fact adds to them
+        (``fact`` says what).  Every premise is a zero-test item, so the
+        fact is as strong as the weakest of them and that test: a failed
+        premise fails it with the premise's witness and the detail
+        ``rests on '<label>'``; otherwise the detail names ``fact`` and
+        every premise."""
+        adds = self._zero(defects, "")
+        given = [(name, self.subverdict(name)) for name in premises]
+        name, premise = next(((n, v) for n, v in given if not v.ok), (None, None))
+        if premise is not None:
+            verdict = Verdict.failed(witness=premise.witness, detail=f"rests on '{name}'")
+        elif not adds.ok:
+            verdict = Verdict.failed(witness=adds.witness, detail=f"{fact} fails")
+        else:
+            names = ", ".join(f"'{name}'" for name in premises)
+            verdict = Verdict(combine(adds, *(v for _, v in given)).kind,
+                              detail=f"{fact}; rests on {names}")
+        return self.add(label, verdict)
+
+    def agreement(self, label: str, route_a: tuple, route_b: tuple) -> Verdict:
+        """Record ``label``, the agreement of two routes to one property,
+        each route a (name, verdict) pair.  Routes that disagree fail it,
+        with the failing route's witness and the detail ``<a> says <kind>,
+        <b> says <kind>``.  Routes that agree grade it as ``corollary``
+        grades premises: two passing routes give the weaker of their kinds;
+        two failing routes give Proved when both witnesses are exact
+        (rational residuals) and NumericallySupported otherwise, for a
+        30-digit residual is itself a sampled judgement."""
+        (name_a, a), (name_b, b) = route_a, route_b
+        if a.ok != b.ok:
+            verdict = Verdict.failed(
+                witness=(b if a.ok else a).witness,
+                detail=f"{name_a} says {a.kind.value}, {name_b} says {b.kind.value}")
+        elif a.ok:
+            verdict = Verdict(combine(a, b).kind)
+        elif all(v.witness is not None and type(v.witness.value) is Fraction for v in (a, b)):
+            verdict = Verdict.proved()
+        else:
+            verdict = Verdict.numeric()
+        return self.add(label, verdict)
+
+    def require(self, message: str) -> "CheckResult":
+        """This result; raises :class:`StructureError` with ``message`` and
+        the failed items when an item failed."""
+        failed = [(label, v) for label, v in self.items if not v.ok]
+        if failed:
+            raise StructureError(message, failed)
+        return self
 
     def subverdict(self, label: str) -> Verdict:
         for lbl, v in self.items:

@@ -21,3 +21,5 @@ def test_layer_counts_reports_the_integer_traffic():
     for kind in ("field_sums", "derivatives", "field_ops"):
         assert 0 < counts[f"{kind}.integer"] <= counts[kind]
     assert "symexpr._reduced.hits" in counts
+    # S6b passes every zero test
+    assert counts["zero_tests.proved"] > 0 and "zero_tests.failed" not in counts

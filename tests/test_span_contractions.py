@@ -19,7 +19,6 @@ from fractions import Fraction
 
 import pytest
 
-from ggwb import hypersurface
 from ggwb.calculus import (
     ChartManifold,
     EndoTM,
@@ -45,7 +44,7 @@ from ggwb.hypersurface import (
     check_induced_contact,
     second_fundamental_form,
 )
-from ggwb.structures import classical, genf as genf_mod, genmetric, normality, twoone
+from ggwb.structures import genf as genf_mod, twoone
 from ggwb.structures.classical import check_crf_endo, nijenhuis_classical
 from ggwb.structures.genf import GenF, check_gen_F
 from ggwb.structures.genmetric import GenMetric, check_gen_metric
@@ -57,32 +56,24 @@ from ggwb.structures.normality import (
     zeta_form,
 )
 from ggwb.structures.twoone import TwoOneGAC, build_product_J, second_structure
-from ggwb.symexpr import ZeroPolicy, is_zero_all, random_poly
+from ggwb.symexpr import ScalarExpr, ZeroPolicy, is_zero_all, random_poly
 from ggwb.verdict import CheckResult
 from ggwb.workbench import load_builtin
 
 POL = ZeroPolicy(samples=4, seed=0)
 
 
-def _item_lists(monkeypatch, module, run) -> dict:
+def _item_lists(monkeypatch, run) -> dict:
     """{item label: the expressions its zero test read}, for the items of
-    ``run()`` whose verdict ``module.is_zero_all`` returned just before the
-    item was added."""
-    pending, lists = [], {}
-    real_zero, real_add = module.is_zero_all, CheckResult.add
+    ``run()`` that ``CheckResult.test`` recorded."""
+    lists, real_test = {}, CheckResult.test
 
-    def zero(exprs, *args, **kwargs):
-        exprs = list(exprs)
-        pending.append(exprs)
-        return real_zero(exprs, *args, **kwargs)
+    def test(self, label, defects, tag=""):
+        defects = [defects] if isinstance(defects, ScalarExpr) else list(defects)
+        lists[label] = defects
+        return real_test(self, label, defects, tag)
 
-    def add(self, label, verdict):
-        if pending:
-            lists[label] = pending.pop()
-        return real_add(self, label, verdict)
-
-    monkeypatch.setattr(module, "is_zero_all", zero)
-    monkeypatch.setattr(CheckResult, "add", add)
+    monkeypatch.setattr(CheckResult, "test", test)
     run()
     monkeypatch.undo()
     return lists
@@ -138,7 +129,7 @@ def _crf0_reference(F):
 
 
 def _check_crf_lists(monkeypatch, F):
-    lists = _item_lists(monkeypatch, classical, lambda: check_crf_endo(F, POL))
+    lists = _item_lists(monkeypatch, lambda: check_crf_endo(F, POL))
     _same(lists["(CRcond) N_F(X,Y) = pr_Q [X,Y] on P"], _crcond_reference(F))
     _same(lists["(CRF0) N_F(X,Y) = 0 for X in P, Y in Q"], _crf0_reference(F))
     return lists
@@ -208,7 +199,7 @@ def _gV_reference(G):
 
 @pytest.mark.parametrize("name,G", GEN_METRICS, ids=[n for n, _ in GEN_METRICS])
 def test_gen_metric_items_contract_the_V_frames(monkeypatch, name, G):
-    lists = _item_lists(monkeypatch, genmetric, lambda: check_gen_metric(G, POL))
+    lists = _item_lists(monkeypatch, lambda: check_gen_metric(G, POL))
     _same(lists["(exprEpm) Gcal = +-Id on V_+-"], _exprEpm_reference(G))
     _same(lists["(condptGrond) G|V+ = gamma via tau_+"], _gV_reference(G))
     if name == "perturbed-Gcal":
@@ -233,7 +224,7 @@ def test_eqJrond_and_classical_endos_contract_the_V_frames(monkeypatch, name, G)
         for e in frame(G.chart):
             d = genf.Fcal(G.section(e, sign)) - G.section(F(e), sign)
             ref.extend(d.components())
-    lists = _item_lists(monkeypatch, genf_mod, lambda: check_gen_F(genf, POL))
+    lists = _item_lists(monkeypatch, lambda: check_gen_F(genf, POL))
     got = lists["(eqJrond) Fcal(X, flat X) = (F_pm X, flat F_pm X)"]
     _same(got, ref)
     assert any(e.rf for e in got)
@@ -343,7 +334,7 @@ def test_hypersurface_items_contract_the_columns_of_F(monkeypatch, hyp, pol):
         check_induced_contact(geo, J, pol)
         check_hyp_geometry(geo, pol)
 
-    lists = _item_lists(monkeypatch, hypersurface, run)
+    lists = _item_lists(monkeypatch, run)
     for label, ref in _hyp_references(geo, J).items():
         _same(lists[label], ref)
         # the last three hold by construction of the induced data
@@ -372,7 +363,7 @@ def test_product_metric_on_L_contracts_the_lifted_columns_of_Fcal(monkeypatch, r
         for j in range(i, len(span_L)):
             a, b = (lift_big_section(span_L[k], product) for k in (i, j))
             ref.append(contract("i,ij,j->", a, gram, b) - s.G.G(span_L[i], span_L[j]).lift(product))
-    lists = _item_lists(monkeypatch, normality, lambda: check_product_metric(s, pol))
+    lists = _item_lists(monkeypatch, lambda: check_product_metric(s, pol))
     _same(lists["Gtilde|_L = G|_L"], ref)
     assert any(e.rf for e in ref) == which.endswith("bent-G")
 
@@ -522,7 +513,7 @@ def test_indbin_lines_contract_the_columns_of_F(monkeypatch, indbin_structure, p
         check_normal_explicit(s, pol)
         check_binormal(s, pol)
 
-    lists = _item_lists(monkeypatch, normality, run)
+    lists = _item_lists(monkeypatch, run)
     refs = _indbin_references(s)
     for key, label in _INDBIN.items():
         _same(lists[label], refs[key])

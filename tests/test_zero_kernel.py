@@ -38,7 +38,6 @@ from ggwb.courant import (
     section_array,
 )
 from ggwb.errors import ExprError
-from ggwb.structures import twoone
 from ggwb.structures.twoone import (
     check_normal_21,
     phi_endo,
@@ -46,6 +45,7 @@ from ggwb.structures.twoone import (
     unified_normality_tensor,
 )
 from ggwb.symexpr import ScalarExpr, _canonical, _field_op, _layout, _unify
+from ggwb.verdict import CheckResult
 from ggwb.workbench import load_builtin, run_checks
 from sympy_oracle import random_tree, to_scalar
 
@@ -231,17 +231,18 @@ def _per_pair_lists(s) -> list:
 
 
 def _table_lists(monkeypatch, s, pol) -> list:
+    """The expression lists check_normal_21 hands to ``CheckResult.test``."""
     seen = []
-    original = twoone.is_zero_all
+    original = CheckResult.test
 
-    def recording(exprs, *args, **kwargs):
-        exprs = list(exprs)
-        seen.append(exprs)
-        return original(exprs, *args, **kwargs)
+    def recording(self, label, defects, tag=""):
+        defects = list(defects)
+        seen.append(defects)
+        return original(self, label, defects, tag)
 
-    monkeypatch.setattr(twoone, "is_zero_all", recording)
+    monkeypatch.setattr(CheckResult, "test", recording)
     check_normal_21(s, pol)
-    monkeypatch.setattr(twoone, "is_zero_all", original)
+    monkeypatch.setattr(CheckResult, "test", original)
     return seen
 
 

@@ -27,6 +27,8 @@ sides:
   elements (``_wrap`` and ``_prepare`` where they exist, ``_gather``
   otherwise);
 - ``gcds``: calls of ``poly.cofactors``, the one gcd of the field core;
+- ``zero_tests.proved``, ``.numeric`` and ``.failed``: calls of the zero
+  test ``symexpr.is_zero`` by the kind of verdict they return;
 - ``<cache>.hits``, ``.misses`` and ``.currsize``: the ``cache_info()`` of
   each denominator cache of the field core that the checkout has
   (``symexpr._reduced``, ``symexpr._poly_lcm``, ``calculus._den_product``).
@@ -168,9 +170,16 @@ def install(counts: Counter) -> None:
         counts["gcds"] += 1
         return cofactors(*args)
 
+    zero = symexpr.is_zero
+
+    def counted_zero(*args, **kwargs):
+        verdict = zero(*args, **kwargs)
+        counts[f"zero_tests.{verdict.kind.name.lower()}"] += 1
+        return verdict
+
     replace = {id(contract): counted_contract, id(field_sum): counted_field_sum,
                id(cofactors): counted_cofactors, id(derivative): counted_derivative,
-               id(field_op): counted_field_op}
+               id(field_op): counted_field_op, id(zero): counted_zero}
     for name in ("_wrap", "_prepare", "_gather"):
         fn = getattr(calculus, name, None)
         if fn is not None:
