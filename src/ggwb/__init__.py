@@ -42,7 +42,9 @@ from .courant import (
     pairing,
     partial,
 )
-from . import structures, hypersurface, workbench
+# numeric loads with the package, though the runner imports it late: the
+# bench's layer trace (bench/spantrace.py) wraps the loaded modules
+from . import numeric, structures, hypersurface, workbench
 
 __version__ = "0.1.0"
 

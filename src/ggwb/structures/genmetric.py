@@ -47,9 +47,8 @@ from ..calculus import (
 )
 from ..courant import BigEndo, BigSection, _gram0, frame_pairs
 from ..errors import ChartMismatchError, ExprError
-from ..numeric import positivity_witness
 from ..symexpr import DEFAULT_POLICY, ScalarExpr, ZeroPolicy
-from ..verdict import CheckResult, Verdict
+from ..verdict import CheckResult
 
 
 class GenMetric:
@@ -136,20 +135,10 @@ def check_gen_metric(G: GenMetric, policy: ZeroPolicy = DEFAULT_POLICY) -> Check
     C = G._frame(1)
     tr = contract("ai,ab,bj->ij", C, G._gram, C) - G.gamma
     out.test("(condptGrond) G|V+ = gamma via tau_+", frame_pairs(tr, diagonal=True))
-    out.add("G positive definite at sample points", _positivity(G, policy))
-    return out
-
-
-def _positivity(G: GenMetric, policy: ZeroPolicy) -> Verdict:
-    """G is positive definite at the base point and 4 sample points: every
-    pivot of its symmetric reduction is positive there."""
     rng = policy.rng()
     points = [G.chart.base_point()] + [G.chart.sample_point(rng) for _ in range(4)]
-    for pt in points:
-        witness = positivity_witness(G._gram, pt, policy.tol)
-        if witness is not None:
-            return Verdict.failed("positivity", witness)
-    return Verdict.numeric("positivity")
+    out.positive("G positive definite at sample points", G._gram, points)
+    return out
 
 
 # ---------------------------------------------------------------------------

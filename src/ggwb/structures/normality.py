@@ -38,7 +38,6 @@ from ..courant import (
     _gram0,
 )
 from ..errors import PreconditionNotMet
-from ..numeric import positivity_witness
 from ..symexpr import DEFAULT_POLICY, ScalarExpr, ZeroPolicy
 from ..verdict import CheckResult, Verdict, Witness, combine
 from .classical import check_normal_classical
@@ -255,8 +254,8 @@ def check_binormal(
 def _blamed(route: str, v: Verdict) -> Verdict:
     """``v``, its witness's detail naming ``route`` as the one that failed."""
     w = v.witness
-    return v if w is None else Verdict(v.kind, v.criterion,
-                                       Witness(w.point, w.value, f"{route} failed"), v.detail)
+    return v if w is None else Verdict(v.kind, Witness(w.point, w.value, f"{route} failed"),
+                                       v.detail)
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +298,6 @@ def check_product_metric(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> C
     out.test("Gtilde(T+,T-) = 0", gt(pj.T_plus, pj.T_minus))
 
     rng = policy.rng()
-    verdict = Verdict.numeric()
-    for _ in range(16):
-        witness = positivity_witness(gram, product.sample_point(rng), policy.tol)
-        if witness is not None:
-            verdict = Verdict.failed("positivity", witness)
-            break
-    out.add("Gtilde positive at 16 sample points", verdict)
+    out.positive("Gtilde positive at 16 sample points", gram,
+                 [product.sample_point(rng) for _ in range(16)])
     return out

@@ -1260,31 +1260,31 @@ def _to_fraction(v) -> Fraction:
 
 
 def _witness_number(v):
-    """A value of :func:`_evaluator` as the number a witness prints: a
-    Fraction when it is exact and real, a float, or a complex when it has an
-    imaginary part; a 30-digit value beyond the double range keeps its
-    leading 13 digits, as a string."""
+    """A value of :func:`_evaluator` as the number a witness keeps: a
+    Fraction or a Gaussian when it is exact, else a float, or a complex when
+    it has an imaginary part; a 30-digit value beyond the double range keeps
+    its leading 13 digits, as a string."""
     if type(v) is Fraction or type(v) is int:
         return Fraction(v)
     if type(v) is Gaussian:
-        return complex(float(v.x), float(v.y))
+        return v
     v = v if v.imag else v.real
     f = complex(v) if v.imag else float(v)
     return f if cmath.isfinite(f) else mpmath.nstr(v, 13, strip_zeros=False, min_fixed=1,
                                                     max_fixed=0)
 
 
-def is_zero(e: ScalarExpr, policy: ZeroPolicy = DEFAULT_POLICY, criterion: str = "") -> Verdict:
+def is_zero(e: ScalarExpr, policy: ZeroPolicy = DEFAULT_POLICY, tag: str = "") -> Verdict:
     """Three-valued zero test, deterministic for a fixed policy seed.
 
     ``Proved`` when the reduced fraction is 0.  Otherwise the scalar is
     evaluated at ``policy.samples`` random rational points: rational
     expressions must vanish exactly, transcendental ones within
     ``policy.tol`` at 30 digits.  Any other value yields ``Failed`` with a
-    witness.  Sample points that hit a pole are redrawn (bounded retries).
+    witness (detail ``tag``).  Sample points at a pole are redrawn (bounded retries).
     """
     if not e.rf:
-        return Verdict.proved(criterion)
+        return Verdict.proved()
     chart = e.chart
     rng = policy.rng()
     drawn = 0
@@ -1305,22 +1305,21 @@ def is_zero(e: ScalarExpr, policy: ZeroPolicy = DEFAULT_POLICY, criterion: str =
         drawn += 1
         nonzero = bool(v) if exact else abs(v) > policy.tol
         if nonzero:
-            witness = Witness(tuple(sorted(point.items())), _witness_number(v), criterion)
-            return Verdict.failed(criterion, witness)
-    return Verdict.numeric(criterion)
+            return Verdict.failed(Witness(tuple(sorted(point.items())), _witness_number(v), tag))
+    return Verdict.numeric()
 
 
 def is_zero_all(
     exprs: Iterable[ScalarExpr],
     policy: ZeroPolicy = DEFAULT_POLICY,
-    criterion: str = "",
+    tag: str = "",
 ) -> Verdict:
     """Aggregate zero test over a family of expressions (weakest verdict)."""
-    worst = Verdict.proved(criterion)
+    worst = Verdict.proved()
     for e in exprs:
         if not e.rf:
             continue  # is_zero proves a zero without a draw from the policy
-        v = is_zero(e, policy, criterion)
+        v = is_zero(e, policy, tag)
         if not v.ok:
             return v
         if not v.is_proved:

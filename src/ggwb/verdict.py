@@ -12,13 +12,14 @@ Every identity the engine tests resolves to one of
 * ``Failed`` — a witness sample point with a nonzero residual exists.
 
 A check builds the defects of its items and hands each item to a
-:class:`CheckResult`, which runs the zero test (``test``), grades a fact
+:class:`CheckResult`, which runs the zero test (``test``), certifies the
+positivity of a Gram matrix at sample points (``positive``), grades a fact
 read from items already tested (``corollary``) and grades the agreement of
 two routes to one property (``agreement``).  Compound checks aggregate to
 their weakest member.
 
-``symexpr`` imports this module for the records, so the runner imports
-``symexpr`` when it first runs a zero test, not at module load.
+``symexpr`` and ``numeric`` import this module for the records, so the runner
+imports them at its first zero test or certificate, not at module load.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import StructureError
+from .poly import Gaussian
 
 
 class VerdictKind(enum.Enum):
@@ -43,7 +45,8 @@ _STRENGTH = {VerdictKind.FAILED: 0, VerdictKind.NUMERIC: 1, VerdictKind.PROVED: 
 def _num_str(v) -> str:
     if isinstance(v, Fraction):
         return f"{v.numerator}/{v.denominator}" if v.denominator != 1 else str(v.numerator)
-    if isinstance(v, complex):
+    if isinstance(v, (complex, Gaussian)):
+        v = complex(v)
         return f"{v.real:.12e}{v.imag:+.12e}j"
     if isinstance(v, float):
         return f"{v:.12e}"
@@ -74,7 +77,7 @@ class Witness(Frozen):
 
     def __init__(self, point: tuple[tuple[str, Fraction], ...], value: object, detail: str = ""):
         object.__setattr__(self, "point", point)
-        object.__setattr__(self, "value", value)  # Fraction, complex Fraction pair, or float
+        object.__setattr__(self, "value", value)  # Fraction, Gaussian, float, complex or str
         object.__setattr__(self, "detail", detail)
 
     def _key(self) -> tuple:
@@ -98,37 +101,33 @@ class Witness(Frozen):
 
 
 class Verdict(Frozen):
-    """Outcome of one identity check, with provenance of what was tested.
-    Immutable; equal to a verdict with the same fields.
+    """Outcome of one identity check: its kind, the witness of a failure,
+    and ``detail``.  Immutable; equal to a verdict with the same fields.
 
     ``detail`` is the reason a verdict was reached when no zero test of
     its own produced it (the items a corollary rests on, a disagreement
-    between two routes); it survives relabelling, so reports can show it.
+    between two routes), so reports can show it.
     """
 
-    def __init__(self, kind: VerdictKind, criterion: str = "",
-                 witness: Optional[Witness] = None, detail: str = ""):
+    def __init__(self, kind: VerdictKind, witness: Optional[Witness] = None, detail: str = ""):
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "criterion", criterion)
         object.__setattr__(self, "witness", witness)
         object.__setattr__(self, "detail", detail)
 
     def _key(self) -> tuple:
-        return self.kind, self.criterion, self.witness, self.detail
+        return self.kind, self.witness, self.detail
 
     @staticmethod
-    def proved(criterion: str = "") -> "Verdict":
-        return Verdict(VerdictKind.PROVED, criterion)
+    def proved() -> "Verdict":
+        return Verdict(VerdictKind.PROVED)
 
     @staticmethod
-    def numeric(criterion: str = "") -> "Verdict":
-        return Verdict(VerdictKind.NUMERIC, criterion)
+    def numeric() -> "Verdict":
+        return Verdict(VerdictKind.NUMERIC)
 
     @staticmethod
-    def failed(
-        criterion: str = "", witness: Optional[Witness] = None, detail: str = ""
-    ) -> "Verdict":
-        return Verdict(VerdictKind.FAILED, criterion, witness, detail)
+    def failed(witness: Optional[Witness] = None, detail: str = "") -> "Verdict":
+        return Verdict(VerdictKind.FAILED, witness, detail)
 
     @property
     def ok(self) -> bool:
@@ -138,16 +137,8 @@ class Verdict(Frozen):
     def is_proved(self) -> bool:
         return self.kind is VerdictKind.PROVED
 
-    def relabel(self, criterion: str) -> "Verdict":
-        return Verdict(self.kind, criterion, self.witness, self.detail)
-
-    def __and__(self, other: "Verdict") -> "Verdict":
-        return combine(self, other)
-
     def __str__(self) -> str:
         s = self.kind.value
-        if self.criterion:
-            s = f"{self.criterion}: {s}"
         if self.witness is not None:
             s += f" ({self.witness})"
         if self.detail:
@@ -155,12 +146,11 @@ class Verdict(Frozen):
         return s
 
 
-def combine(*verdicts: Verdict, criterion: str = "") -> Verdict:
-    """Weakest-member aggregation; keeps the first failing witness and detail."""
+def combine(*verdicts: Verdict) -> Verdict:
+    """Weakest-member aggregation: the first weakest verdict, witness and all."""
     if not verdicts:
-        return Verdict.proved(criterion)
-    worst = min(verdicts, key=lambda v: _STRENGTH[v.kind])
-    return worst.relabel(criterion or worst.criterion)
+        return Verdict.proved()
+    return min(verdicts, key=lambda v: _STRENGTH[v.kind])
 
 
 class CheckResult:
@@ -170,10 +160,10 @@ class CheckResult:
     failures of a structure build) needs none.
 
     Each recording method records one item and returns its verdict:
-    ``test`` runs the zero test, ``corollary`` and ``agreement`` grade an
-    item from items already recorded, and ``add`` takes a verdict that no
-    zero test of this result produced (a sub-check's, a positivity
-    certificate's)."""
+    ``test`` runs the zero test, ``positive`` the point certificate of a
+    Gram matrix, ``corollary`` and ``agreement`` grade an item from items
+    already recorded, and ``add`` takes a verdict that this result did not
+    produce (a sub-check's)."""
 
     def __init__(self, name: str, policy=None, skipped: Optional[str] = None):
         self.name = name
@@ -182,7 +172,7 @@ class CheckResult:
         self.skipped = skipped
 
     def add(self, label: str, verdict: Verdict) -> Verdict:
-        self.items.append((label, verdict.relabel(label)))
+        self.items.append((label, verdict))
         return verdict
 
     def test(self, label: str, defects, tag: str = "") -> Verdict:
@@ -198,11 +188,23 @@ class CheckResult:
             return is_zero(defects, self.policy, tag)
         return is_zero_all(defects, self.policy, tag)
 
+    def positive(self, label: str, gram, points) -> Verdict:
+        """Record ``label`` as the point certificate of the Hermitian matrix
+        ``gram`` at ``points``: Failed with the witness of the first point
+        where a pivot is not positive, else NumericallySupported."""
+        from .numeric import positivity_witness
+
+        for point in points:
+            witness = positivity_witness(gram, point, self.policy.tol)
+            if witness is not None:
+                return self.add(label, Verdict.failed(witness))
+        return self.add(label, Verdict.numeric())
+
     @property
     def verdict(self) -> Verdict:
         if self.skipped is not None:
-            return Verdict.proved(self.name)
-        return combine(*[v for _, v in self.items], criterion=self.name)
+            return Verdict.proved()
+        return combine(*[v for _, v in self.items])
 
     @property
     def ok(self) -> bool:
@@ -236,7 +238,7 @@ class CheckResult:
         <b> says <kind>``.  Routes that agree grade it as ``corollary``
         grades premises: two passing routes give the weaker of their kinds;
         two failing routes give Proved when both witnesses are exact
-        (rational residuals) and NumericallySupported otherwise, for a
+        (residuals in Q or Q(i)) and NumericallySupported otherwise, for a
         30-digit residual is itself a sampled judgement."""
         (name_a, a), (name_b, b) = route_a, route_b
         if a.ok != b.ok:
@@ -245,7 +247,8 @@ class CheckResult:
                 detail=f"{name_a} says {a.kind.value}, {name_b} says {b.kind.value}")
         elif a.ok:
             verdict = Verdict(combine(a, b).kind)
-        elif all(v.witness is not None and type(v.witness.value) is Fraction for v in (a, b)):
+        elif all(v.witness is not None and type(v.witness.value) in (Fraction, Gaussian)
+                 for v in (a, b)):
             verdict = Verdict.proved()
         else:
             verdict = Verdict.numeric()
@@ -264,12 +267,3 @@ class CheckResult:
             if lbl == label:
                 return v
         raise KeyError(label)
-
-    def __str__(self) -> str:
-        if self.skipped is not None:
-            return f"{self.name}: skipped ({self.skipped})"
-        lines = [f"{self.name}: {self.verdict.kind.value}"]
-        for label, v in self.items:
-            line = f"  {label}: {v.kind.value}" + (f" ({v.witness})" if v.witness else "")
-            lines.append(line + (f" ({v.detail})" if v.detail else ""))
-        return "\n".join(lines)

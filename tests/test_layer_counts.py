@@ -21,5 +21,7 @@ def test_layer_counts_reports_the_integer_traffic():
     for kind in ("field_sums", "derivatives", "field_ops"):
         assert 0 < counts[f"{kind}.integer"] <= counts[kind]
     assert "symexpr._reduced.hits" in counts
-    # S6b passes every zero test
+    # S6b passes every zero test, and the build of its induced generalized
+    # metric (hypersurface.induced_gen_structure) certifies G at its 5 points
     assert counts["zero_tests.proved"] > 0 and "zero_tests.failed" not in counts
+    assert counts["certificates.no_witness"] == 5 and "certificates.witness" not in counts

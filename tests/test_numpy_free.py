@@ -4,7 +4,9 @@ finds the certificate layer.
 The positivity certificate of :mod:`ggwb.numeric` is an exact (or
 30-digit mpmath) elimination, so numpy is neither imported by the package
 nor a dependency.  ``bench/spantrace.install`` reads ``sys.modules["ggwb.numeric"]``
-after ``import ggwb``, so that module must stay imported by the package.
+after ``import ggwb``, so that module must stay imported by the package, and
+``CheckResult.positive`` reads ``positivity_witness`` from it at each call,
+so the trace counts the certificates of a check.
 Each probe runs in a fresh interpreter: the first leaves no module behind
 from the test session, and the second patches the package's modules.
 """
@@ -42,8 +44,8 @@ from ggwb.calculus import ChartManifold, MetricField
 from ggwb.structures import genmetric
 
 chart = ChartManifold("R2", ["x", "y"])
-G = genmetric.GenMetric(MetricField(chart, [["1 + x^2", "y"], ["y", 1]]))
-assert genmetric.positivity_witness(G._gram, chart.base_point()) is None
+G = genmetric.GenMetric(MetricField(chart, [["1 + x^2", "y"], ["y", "1 + y^2"]]))
+assert genmetric.check_gen_metric(G).ok
 print(tracer.calls["numeric.positivity_witness"])
 """
 
@@ -72,4 +74,5 @@ def test_no_numpy_import_in_the_package():
 
 
 def test_bench_trace_installs_and_sees_the_certificates():
-    assert _run(_TRACE, str(ROOT / "bench")) == ["1"]
+    # the base point and the 4 drawn points of check_gen_metric
+    assert _run(_TRACE, str(ROOT / "bench")) == ["5"]

@@ -22,9 +22,9 @@ from ggwb.calculus import ChartManifold, MetricField, _Array, _det, _minor, cont
 from ggwb.errors import ExprError, SingularMetricError
 from ggwb.hypersurface import Embedding
 from ggwb.numeric import positivity_witness
-from ggwb.structures.genmetric import GenMetric, _positivity
+from ggwb.structures.genmetric import GenMetric, check_gen_metric
 from ggwb.symexpr import ZeroPolicy, evaluate, sign_at
-from ggwb.verdict import VerdictKind
+from ggwb.verdict import CheckResult, VerdictKind
 from sympy_oracle import to_scalar
 
 TINY = Fraction(1, 10**12)
@@ -68,17 +68,51 @@ def test_tiny_negative_eigenvalue_is_seen(R2):
     assert positivity_witness(_grid(R2, [[1, 0], [0, TINY]]), base) is None
 
 
+def _positivity(G):
+    return check_gen_metric(G, ZeroPolicy()).subverdict("G positive definite at sample points")
+
+
 def test_positivity_of_a_generalized_metric_fails_with_the_exact_pivot(R2):
     """G of (gamma, 0) is diag(gamma, gamma^-1)/2 in the frame (d_i; dx^i),
     so gamma = diag(1, -1e-12) gives the pivot -1e-12/2 in row 1."""
     G = GenMetric(MetricField(R2, [[1, 0], [0, -TINY]]))
-    v = _positivity(G, ZeroPolicy())
+    v = _positivity(G)
     assert v.kind is VerdictKind.FAILED
     assert v.witness.value == Fraction(-1, 2 * 10**12)
     assert v.witness.detail == "pivot 1"
     assert v.witness.point == tuple(sorted(R2.base_point().items()))
     ok = GenMetric(MetricField(R2, [[1, 0], [0, TINY]]))
-    assert _positivity(ok, ZeroPolicy()).kind is VerdictKind.NUMERIC
+    assert _positivity(ok).kind is VerdictKind.NUMERIC
+
+
+def test_positivity_fails_at_a_drawn_point_after_the_base_point(R2):
+    """gamma = diag(1, 1 - x) is positive where x < 1.  The base point
+    (3/7, 5/7) and the first three of the 4 points drawn from ZeroPolicy()
+    have x < 1; the fourth, (16/9, -25/18), does not.  There the pivots of
+    diag(gamma, gamma^-1)/2 are 1/2 and (1 - x)/2 = -7/18, in row 1."""
+    rng = ZeroPolicy().rng()
+    drawn = [R2.sample_point(rng) for _ in range(4)]
+    assert [p["x"] < 1 for p in drawn] == [True, True, True, False]
+    assert drawn[3] == {"x": Fraction(16, 9), "y": Fraction(-25, 18)}
+    v = _positivity(GenMetric(MetricField(R2, [[1, 0], [0, "1 - x"]])))
+    assert v.kind is VerdictKind.FAILED
+    assert (v.witness.value, v.witness.detail) == (Fraction(-7, 18), "pivot 1")
+    assert v.witness.point == (("x", Fraction(16, 9)), ("y", Fraction(-25, 18)))
+
+
+def test_the_runner_certifies_every_point_in_turn(R2):
+    """``CheckResult.positive`` records NumericallySupported only when every
+    point passes, and otherwise the witness of the first point that fails."""
+    gram = _grid(R2, [[1, 0], [0, "1 - x"]])
+    inside, outside = ({"x": Fraction(k, 2), "y": Fraction(0)} for k in (1, 3))
+    farther = {"x": Fraction(5), "y": Fraction(0)}
+    out = CheckResult("demo", ZeroPolicy())
+    assert out.positive("inside", gram, [inside, inside]).kind is VerdictKind.NUMERIC
+    v = out.positive("outside", gram, [inside, outside, farther])
+    assert v.kind is VerdictKind.FAILED
+    assert (v.witness.value, v.witness.detail) == (Fraction(-1, 2), "pivot 1")
+    assert v.witness.point == tuple(sorted(outside.items()))
+    assert out.items == [("inside", out.subverdict("inside")), ("outside", v)]
 
 
 def test_zero_diagonal_block_and_zero_matrix(R2):

@@ -4,8 +4,9 @@ validated by their constructor.
 ``Witness``, ``Verdict``, ``ZeroPolicy``, ``Embedding`` and ``AlmostContact``
 keep the semantics of frozen records: assigning a field raises
 ``AttributeError``, two objects with the same fields are ``==`` and
-hash-equal, and a changed copy (``Verdict.relabel``, ``combine``, the CLI's
-policy flags) goes through the validating constructor.
+hash-equal, and a changed copy (the CLI's policy flags) goes through the
+validating constructor.  ``combine`` returns the weakest of its verdicts
+itself, witness and detail included.
 """
 
 import json
@@ -23,7 +24,7 @@ _WITNESS = Witness((("x", Fraction(1, 2)),), Fraction(3), "first route")
 
 @pytest.mark.parametrize("make,field", [
     (lambda fx: ZeroPolicy(), "seed"),
-    (lambda fx: Verdict.failed("c", _WITNESS, "why"), "kind"),
+    (lambda fx: Verdict.failed(_WITNESS, "why"), "kind"),
     (lambda fx: _WITNESS, "value"),
     (lambda fx: fx["hyperplane"]["embedding"], "orientation"),
     (lambda fx: fx["s1"], "xi"),
@@ -45,21 +46,33 @@ def test_equal_fields_are_equal_and_hash_equal(hyperplane):
     assert a != (8, 3, 1.0, 8)
     w = Witness((("x", Fraction(1, 2)),), Fraction(3), "first route")
     assert w == _WITNESS and hash(w) == hash(_WITNESS)
-    v, u = Verdict(VerdictKind.FAILED, "c", w, "why"), Verdict.failed("c", _WITNESS, "why")
+    v, u = Verdict(VerdictKind.FAILED, w, "why"), Verdict.failed(_WITNESS, "why")
     assert v == u and hash(v) == hash(u)
-    assert v != v.relabel("d")
+    assert v != Verdict.failed(_WITNESS, "other reason")
     emb = hyperplane["embedding"]
     again = Embedding(emb.domain, emb.ambient, ["u1", "u2", "u3", "0"], orientation=1)
     assert again == emb and hash(again) == hash(emb)
 
 
-def test_relabel_and_combine_keep_kind_witness_and_detail():
-    failed = Verdict.failed("inner", _WITNESS, "why")
-    for v in (failed.relabel("outer"), combine(Verdict.proved("p"), failed, criterion="outer")):
-        assert (v.kind, v.criterion, v.witness, v.detail) == (
-            VerdictKind.FAILED, "outer", _WITNESS, "why")
-    assert combine(Verdict.numeric("n"), Verdict.proved("p")).criterion == "n"
-    assert combine(criterion="empty") == Verdict.proved("empty")
+def test_combine_keeps_kind_witness_and_detail():
+    failed = Verdict.failed(_WITNESS, "why")
+    v = combine(Verdict.proved(), failed, Verdict.failed(detail="later"))
+    assert (v.kind, v.witness, v.detail) == (VerdictKind.FAILED, _WITNESS, "why")
+    assert combine(Verdict.numeric(), Verdict.proved()) == Verdict.numeric()
+    assert combine() == Verdict.proved()
+
+
+def test_a_verdict_holds_only_its_evidence():
+    """A verdict is its kind, its witness and its detail; the label of an
+    item is the runner's, and ``add`` records the verdict it is given."""
+    from ggwb.verdict import CheckResult
+
+    v = Verdict.failed(_WITNESS, "why")
+    assert v._key() == (VerdictKind.FAILED, _WITNESS, "why")
+    assert not hasattr(v, "criterion") and not hasattr(v, "relabel")
+    out = CheckResult("demo")
+    assert out.add("item", v) is v and out.items[0][1] is v
+    assert out.verdict is v
 
 
 def test_cli_policy_flags_go_through_the_constructor(capsys):

@@ -390,7 +390,7 @@ def test_max_resample_counts_retries(monkeypatch, max_resample):
 def test_verdict_aggregation_order():
     from ggwb.verdict import Verdict, combine
 
-    worst = combine(Verdict.proved(), Verdict.numeric(), Verdict.failed("x"))
+    worst = combine(Verdict.proved(), Verdict.numeric(), Verdict.failed())
     assert worst.kind is VerdictKind.FAILED
     mid = combine(Verdict.proved(), Verdict.numeric())
     assert mid.kind is VerdictKind.NUMERIC

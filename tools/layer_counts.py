@@ -29,6 +29,9 @@ sides:
 - ``gcds``: calls of ``poly.cofactors``, the one gcd of the field core;
 - ``zero_tests.proved``, ``.numeric`` and ``.failed``: calls of the zero
   test ``symexpr.is_zero`` by the kind of verdict they return;
+- ``certificates.no_witness`` and ``.witness``: calls of the positivity
+  certificate ``numeric.positivity_witness`` by whether they return a
+  witness (a pivot that is not positive at the point);
 - ``<cache>.hits``, ``.misses`` and ``.currsize``: the ``cache_info()`` of
   each denominator cache of the field core that the checkout has
   (``symexpr._reduced``, ``symexpr._poly_lcm``, ``calculus._den_product``).
@@ -112,7 +115,7 @@ def _join(ins: list, nonzeros: list) -> tuple:
 def install(counts: Counter) -> None:
     """Wrap the counted functions of the ggwb modules already imported, at
     every module that binds them; each call adds to ``counts``."""
-    from ggwb import calculus, poly, symexpr
+    from ggwb import calculus, numeric, poly, symexpr
 
     contract, field_sum = calculus.contract, calculus._field_sum
 
@@ -177,9 +180,17 @@ def install(counts: Counter) -> None:
         counts[f"zero_tests.{verdict.kind.name.lower()}"] += 1
         return verdict
 
+    certificate = numeric.positivity_witness
+
+    def counted_certificate(*args, **kwargs):
+        witness = certificate(*args, **kwargs)
+        counts["certificates.no_witness" if witness is None else "certificates.witness"] += 1
+        return witness
+
     replace = {id(contract): counted_contract, id(field_sum): counted_field_sum,
                id(cofactors): counted_cofactors, id(derivative): counted_derivative,
-               id(field_op): counted_field_op, id(zero): counted_zero}
+               id(field_op): counted_field_op, id(zero): counted_zero,
+               id(certificate): counted_certificate}
     for name in ("_wrap", "_prepare", "_gather"):
         fn = getattr(calculus, name, None)
         if fn is not None:
