@@ -25,7 +25,6 @@ from .calculus import (
     frame,
     coframe,
     interior,
-    levi_civita,
     lie_bracket,
     lie_derivative,
     musical_flat,

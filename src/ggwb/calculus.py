@@ -1012,10 +1012,6 @@ class Connection:
                 - contract("mij,lm->ilj", G, F))
 
 
-def levi_civita(gamma: MetricField) -> Connection:
-    return gamma.connection()
-
-
 # ---------------------------------------------------------------------------
 # random fields for property and oracle tests
 

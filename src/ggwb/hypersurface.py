@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from .calculus import (
     ChartManifold,
@@ -36,7 +36,12 @@ from .calculus import (
 )
 from .errors import ExprError, PreconditionNotMet, StructureError
 from .courant import frame_pairs
-from .structures.classical import AlmostContact, check_almost_contact, nijenhuis_table
+from .structures.classical import (
+    AlmostContact,
+    check_almost_contact,
+    check_normal_classical,
+    nijenhuis_table,
+)
 from .structures.genf import GenF, build_genF_from_quadruple
 from .structures.genmetric import build_gen_metric
 from .structures.twoone import TwoOneGAC, require_two_one
@@ -49,7 +54,7 @@ from .symexpr import (
     _ring,
     sign_at,
 )
-from .verdict import CheckResult, Frozen
+from .verdict import CheckResult, Frozen, once, run
 
 
 class Embedding(Frozen):
@@ -317,8 +322,7 @@ def check_induced_contact(
     form."""
     out = CheckResult("induced_contact", policy)
     ac = geo.contact(J)
-    sub = check_almost_contact(ac, policy)
-    out.add("(almcont)+(clasmetric) for the induced structure", sub.verdict)
+    out.sub("(almcont)+(clasmetric) for the induced structure", check_almost_contact, ac, policy)
     jx, z_amb = _J_frame(geo, J)
     # [a][k]: the k-th component of J X - F X - xi(X) nu for X = d_a
     d = contract("ka->ak", jx - contract("kb,ba->ka", geo.jac, ac.F)) - contract(
@@ -368,27 +372,20 @@ def check_almost_hermitian(
     return out
 
 
+@run()
 def check_gen_kahler(
     gamma: MetricField,
     psi: TwoForm,
     J_plus: EndoTM,
     J_minus: EndoTM,
     policy: ZeroPolicy = DEFAULT_POLICY,
-    hermitian: Optional[Callable] = None,
 ) -> CheckResult:
     """Generalized Kaehler validation: integrable J_pm plus (relpsiJ), with
-    the equivalent (relpsiOmega) form cross-checked.
-
-    ``hermitian(J)`` gives an already computed
-    ``check_almost_hermitian(gamma, J, policy)``; when it is None, each
-    distinct J is checked here once.
-    """
+    the equivalent (relpsiOmega) form cross-checked."""
     out = CheckResult("gen_kahler", policy)
     dpsi = ext_d(psi)
-    if hermitian is None:
-        hermitian = functools.cache(lambda J: check_almost_hermitian(gamma, J, policy))
     for tag, J in (("J+", J_plus), ("J-", J_minus)):
-        out.add(f"(gamma, {tag}) is Hermitian", hermitian(J).verdict)
+        out.sub(f"(gamma, {tag}) is Hermitian", check_almost_hermitian, gamma, J, policy)
     relpsij = []
     relpsiom = []
     for sign, J in ((1, J_plus), (-1, J_minus)):
@@ -447,21 +444,11 @@ def _P_columns(geo: HypersurfaceGeometry, J: EndoTM) -> tuple:
 
 
 def check_hyp_CRF(
-    geo: HypersurfaceGeometry,
-    J: EndoTM,
-    policy: ZeroPolicy = DEFAULT_POLICY,
-    hermitian: Optional[CheckResult] = None,
+    geo: HypersurfaceGeometry, J: EndoTM, policy: ZeroPolicy = DEFAULT_POLICY
 ) -> CheckResult:
     """(eqCRF2): dOmega(JX,JY,Jnu) = dOmega(X,Y,Jnu) and b(FX,FY) = b(X,Y)
-    for X, Y in P = im F.
-
-    ``hermitian`` is an already computed
-    ``check_almost_hermitian(geo.gamma, J, policy)``; when it is None it is
-    computed here.
-    """
-    if hermitian is None:
-        hermitian = check_almost_hermitian(geo.gamma, J, policy)
-    _require(hermitian, "Hermitian")
+    for X, Y in P = im F, on a Hermitian ambient (gamma, J)."""
+    _require(once(check_almost_hermitian, geo.gamma, J, policy), "Hermitian")
     out = CheckResult("hyp_CRF", policy)
     lines, b_lines = _crf2_defects(geo, J)
     out.test(_CRF2_DOMEGA, lines)
@@ -470,21 +457,12 @@ def check_hyp_CRF(
 
 
 def check_hyp_normal(
-    geo: HypersurfaceGeometry,
-    J: EndoTM,
-    policy: ZeroPolicy = DEFAULT_POLICY,
-    hyp_crf: Optional[CheckResult] = None,
+    geo: HypersurfaceGeometry, J: EndoTM, policy: ZeroPolicy = DEFAULT_POLICY
 ) -> CheckResult:
     """The (eqCRF2) items with (eqnormal2) on top: b(Z, X) =
-    -(1/2) dOmega(nu, Z, JX) for X in P.
-
-    ``hyp_crf`` is an already computed ``check_hyp_CRF(geo, J, policy)``;
-    when it is None it is computed here.
-    """
-    if hyp_crf is None:
-        hyp_crf = check_hyp_CRF(geo, J, policy)
+    -(1/2) dOmega(nu, Z, JX) for X in P."""
     out = CheckResult("hyp_normal", policy)
-    for lbl, v in hyp_crf.items:
+    for lbl, v in once(check_hyp_CRF, geo, J, policy).items:
         out.add(lbl, v)
     ac = geo.contact(J)
     j_push_p = _P_columns(geo, J)[3]
@@ -496,26 +474,18 @@ def check_hyp_normal(
 
 
 def check_fundamental_form_property(
-    geo: HypersurfaceGeometry,
-    J: EndoTM,
-    policy: ZeroPolicy = DEFAULT_POLICY,
-    hyp_crf: Optional[CheckResult] = None,
+    geo: HypersurfaceGeometry, J: EndoTM, policy: ZeroPolicy = DEFAULT_POLICY
 ) -> CheckResult:
     """(LXi): L_Z Xi (FX, FY) = L_Z Xi (X, Y), on the full coordinate frame,
-    with the agreement against the first (eqCRF2) line as a separate item.
-
-    ``hyp_crf`` is an already computed ``check_hyp_CRF(geo, J, policy)``;
-    when it is None it is computed here.
-    """
+    with the agreement against the first (eqCRF2) line as a separate item."""
     out = CheckResult("LXi", policy)
     ac = geo.contact(J)
     lxi = lie_derivative(ac.Z, ac.fundamental_form())
     v = out.test("(LXi) L_Z Xi(FX, FY) = L_Z Xi(X, Y) on TN",
                  frame_pairs(contract("ab,ai,bj->ij", lxi, ac.F, ac.F) - lxi))
-    if hyp_crf is None:
-        hyp_crf = check_hyp_CRF(geo, J, policy)
+    line1 = once(check_hyp_CRF, geo, J, policy).subverdict(_CRF2_DOMEGA)
     out.agreement("(LXi) equivalent to the first (eqCRF2) condition", ("(LXi)", v),
-                  ("(eqCRF2) line 1", hyp_crf.subverdict(_CRF2_DOMEGA)))
+                  ("(eqCRF2) line 1", line1))
     return out
 
 
@@ -548,23 +518,17 @@ def induced_gen_structure(
     return InducedGenStructure(genf, two_one, require_two_one(two_one, policy))
 
 
+@run()
 def check_hyp_CRFK(
     geo: HypersurfaceGeometry,
     J_plus: EndoTM,
     J_minus: EndoTM,
     policy: ZeroPolicy = DEFAULT_POLICY,
-    gen_kahler: Optional[CheckResult] = None,
 ) -> CheckResult:
     """(eqptans3) for a hypersurface of a generalized Kaehler manifold; on
-    success the induced classical structures must come out normal.
-
-    ``gen_kahler`` is an already computed ``check_gen_kahler`` of the
-    ambient (gamma, psi, J_plus, J_minus); when it is None it is computed
-    here.
-    """
-    if gen_kahler is None:
-        gen_kahler = check_gen_kahler(geo.gamma, geo.psi, J_plus, J_minus, policy)
-    _require(gen_kahler, "generalized Kaehler")
+    success the induced classical structures must come out normal."""
+    _require(once(check_gen_kahler, geo.gamma, geo.psi, J_plus, J_minus, policy),
+             "generalized Kaehler")
     out = CheckResult("hyp_CRFK", policy)
     e = geo.embedding
     dpsi_res = e.restrict_grid(ext_d(geo.psi))
@@ -583,9 +547,7 @@ def check_hyp_CRFK(
              + contract("ac,cu->au", rho, F2) * Fraction(sign, 2))._flat(),
         )
     if out.ok:
-        from .structures.classical import check_normal_classical
-
-        normal = functools.cache(lambda J: check_normal_classical(geo.contact(J), policy))
         for tag, J in (("+", J_plus), ("-", J_minus)):
-            out.add(f"CRFK consequence: induced structure {tag} is normal", normal(J).verdict)
+            out.sub(f"CRFK consequence: induced structure {tag} is normal",
+                    check_normal_classical, geo.contact(J), policy)
     return out

@@ -19,6 +19,7 @@ from ..courant import (
 from ..errors import StructureError
 from ..symexpr import DEFAULT_POLICY, ScalarExpr, ZeroPolicy, random_poly
 from ..verdict import CheckResult
+from .classical import check_crf_endo
 from .genmetric import GenMetric
 
 
@@ -132,14 +133,11 @@ def check_gen_CRF(genf: GenF, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResul
 def check_CRFK(genf: GenF, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
     """CRFK criterion for a metric quadruple: both classical halves are CRF
     and the (CRFK6) identity holds on all frame triples."""
-    from .classical import check_crf_endo
-
     if not genf.has_quadruple:
         raise StructureError("check_CRFK needs a quadruple-built structure")
     out = CheckResult("CRFK", policy)
     for name, F in (("F_plus", genf.F_plus), ("F_minus", genf.F_minus)):
-        sub = check_crf_endo(F, policy)
-        out.add(f"classical CRF of {name}", sub.verdict)
+        out.sub(f"classical CRF of {name}", check_crf_endo, F, policy)
     out.test("(CRFK6) identity", _crfk6_defects(genf), "(CRFK6)")
     return out
 

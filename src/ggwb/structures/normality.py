@@ -15,8 +15,6 @@ zeta_form, rho_form and zeta_rho_forms are the one-column case.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..calculus import (
     OneForm,
     VectorField,
@@ -39,7 +37,7 @@ from ..courant import (
 )
 from ..errors import PreconditionNotMet
 from ..symexpr import DEFAULT_POLICY, ScalarExpr, ZeroPolicy
-from ..verdict import CheckResult, Verdict, Witness, combine
+from ..verdict import CheckResult, Verdict, Witness, combine, once
 from .classical import check_normal_classical
 from .twoone import TwoOneGAC, build_product_J, second_structure
 
@@ -154,8 +152,8 @@ def _common_items(data: _PairData, out: CheckResult) -> None:
     """The items (indbin0) and (indbin1) share: classical normality of both
     halves and the first line of (indbin0)."""
     for sign, tag in ((1, "+"), (-1, "-")):
-        sub = check_normal_classical(data.ac[sign], out.policy)
-        out.add(f"classical normality of (F{tag}, Z{tag}, xi{tag})", sub.verdict)
+        out.sub(f"classical normality of (F{tag}, Z{tag}, xi{tag})", check_normal_classical,
+                data.ac[sign], out.policy)
     Zp, Zm = data.Z[1], data.Z[-1]
     out.test("(indbin0) [Z+, Z-] = 0", lie_bracket(Zp, Zm).components)
     lhs = (lie_derivative(Zm, data.ac[1].xi) + lie_derivative(Zp, data.ac[-1].xi)
@@ -168,7 +166,7 @@ def _common_items(data: _PairData, out: CheckResult) -> None:
 def check_normal_explicit(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
     """Explicit route: classical normality of both halves plus the (indbin0)
     condition system on the columns of F_pm, which span P_pm."""
-    data = _PairData(s)
+    data = once(_PairData, s)
     out = CheckResult("normal_explicit", policy)
     _common_items(data, out)
 
@@ -206,20 +204,12 @@ def _rho_antiholomorphy(data: _PairData) -> list[ScalarExpr]:
 # (indbin1): binormality
 
 
-def check_binormal(
-    s: TwoOneGAC,
-    policy: ZeroPolicy = DEFAULT_POLICY,
-    normal21: Optional[CheckResult] = None,
-) -> CheckResult:
+def check_binormal(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
     """The (indbin1) condition system, with the definitional cross-check that binormality is
-    exactly normality of the structure and of its companion.
-
-    ``normal21`` is an already computed ``check_normal_21(s, policy)``; when
-    it is None the structure side is computed here.
-    """
+    exactly normality of the structure and of its companion."""
     from .twoone import check_normal_21
 
-    data = _PairData(s)
+    data = once(_PairData, s)
     out = CheckResult("binormal", policy)
     _common_items(data, out)
 
@@ -241,9 +231,8 @@ def check_binormal(
     out.test("(indbin1) [Z_pm, F_mp X_mp] = mp (1/2) F_mp sharp rho_pm", exprs_b)
 
     direct = _blamed("(indbin1)", combine(*(v for _, v in out.items)))
-    if normal21 is None:
-        normal21 = check_normal_21(s, policy)
-    companion = check_normal_21(second_structure(s), policy)
+    normal21 = once(check_normal_21, s, policy)
+    companion = once(check_normal_21, once(second_structure, s), policy)
     pair = combine(_blamed("normal21 of the structure", normal21.verdict),
                    _blamed("normal21 of the companion", companion.verdict))
     out.agreement("cross-check: binormal iff both the structure and its companion are normal",
@@ -270,7 +259,7 @@ def check_product_metric(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> C
         raise PreconditionNotMet("the product metric check needs a metric structure")
     out = CheckResult("product_metric", policy)
     pj = build_product_J(s, policy=policy)
-    pj2 = build_product_J(second_structure(s), policy=policy)
+    pj2 = build_product_J(once(second_structure, s), policy=policy)
     product = pj.chart
     gtilde_cal = -(pj.J @ pj2.J)
     out.test("Gtilde^2 = Id", gtilde_cal.square_defect(1))

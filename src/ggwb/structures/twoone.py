@@ -40,7 +40,7 @@ from ..courant import (
 )
 from ..errors import PreconditionNotMet, StructureError
 from ..symexpr import DEFAULT_POLICY, ScalarExpr, ZeroPolicy
-from ..verdict import CheckResult, Verdict, combine
+from ..verdict import CheckResult, Verdict, combine, once
 from .classical import AlmostContact
 from .genf import crf_defects
 from .genmetric import GenMetric, build_gen_metric
@@ -411,7 +411,7 @@ def check_sasakian(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckRe
         raise PreconditionNotMet("the Sasakian criterion needs a metric structure")
     out = CheckResult("sasakian", policy)
     pj = build_product_J(s, policy=policy)
-    pj2 = build_product_J(second_structure(s), policy=policy)
+    pj2 = build_product_J(once(second_structure, s), policy=policy)
     tau = pj.chart.scalar("t")
     Jt = conformal_change(tau, pj.J)
     Jt2 = conformal_change(tau, pj2.J)

@@ -1322,8 +1322,7 @@ def is_zero_all(
         v = is_zero(e, policy, tag)
         if not v.ok:
             return v
-        if not v.is_proved:
-            worst = v
+        worst = v  # a nonzero element is never Proved
     return worst
 
 

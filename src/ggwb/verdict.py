@@ -14,9 +14,12 @@ Every identity the engine tests resolves to one of
 A check builds the defects of its items and hands each item to a
 :class:`CheckResult`, which runs the zero test (``test``), certifies the
 positivity of a Gram matrix at sample points (``positive``), grades a fact
-read from items already tested (``corollary``) and grades the agreement of
-two routes to one property (``agreement``).  Compound checks aggregate to
-their weakest member.
+read from items already tested (``corollary``), grades the agreement of
+two routes to one property (``agreement``) and records the verdict of a
+sub-check (``sub``).  Compound checks aggregate to their weakest member.
+
+Sub-checks and builds that several checks read are computed through
+:func:`once`, one time per run.
 
 ``symexpr`` and ``numeric`` import this module for the records, so the runner
 imports them at its first zero test or certificate, not at module load.
@@ -24,6 +27,8 @@ imports them at its first zero test or certificate, not at module load.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import enum
 from fractions import Fraction
 from typing import Optional
@@ -153,6 +158,43 @@ def combine(*verdicts: Verdict) -> Verdict:
     return min(verdicts, key=lambda v: _STRENGTH[v.kind])
 
 
+_memo = contextvars.ContextVar("ggwb_run", default=None)
+
+
+@contextlib.contextmanager
+def run():
+    """A run: :func:`once` computes each result one time inside it.  Yields
+    the memo of the run; inside an open run it joins that run.  Usable as a
+    decorator, so that a check opens a run for its own sub-checks when
+    called alone."""
+    memo = _memo.get()
+    if memo is not None:
+        yield memo
+        return
+    memo = {}
+    token = _memo.set(memo)
+    try:
+        yield memo
+    finally:
+        _memo.reset(token)
+
+
+def once(fn, *args):
+    """``fn(*args)``, computed on the first request in the open run (a call
+    outside any run opens one for its own duration).  The key is ``fn`` and
+    the ``id`` of each argument, and the arguments are kept alive until the
+    run ends, so ``fn`` must be a module-level function or ``Class.method``
+    with ``self`` among the arguments: a lambda written at the call, or a
+    bound method, is a new object on every call and never hits.  Builds and verdicts are
+    deterministic (every zero test draws from a fresh ``policy.rng()``), so
+    a repeated request may reuse the first result."""
+    with run() as memo:
+        key = (fn, *map(id, args))
+        if key not in memo:
+            memo[key] = (args, fn(*args))
+        return memo[key][1]
+
+
 class CheckResult:
     """The items of a compound check, one verdict per label, and the runner
     that produces them.  ``policy`` is the :class:`~ggwb.symexpr.ZeroPolicy`
@@ -162,8 +204,9 @@ class CheckResult:
     Each recording method records one item and returns its verdict:
     ``test`` runs the zero test, ``positive`` the point certificate of a
     Gram matrix, ``corollary`` and ``agreement`` grade an item from items
-    already recorded, and ``add`` takes a verdict that this result did not
-    produce (a sub-check's)."""
+    already recorded, ``sub`` takes the verdict of a sub-check and ``add``
+    records a verdict as given (an item of another result, or a second
+    label for one verdict)."""
 
     def __init__(self, name: str, policy=None, skipped: Optional[str] = None):
         self.name = name
@@ -174,6 +217,10 @@ class CheckResult:
     def add(self, label: str, verdict: Verdict) -> Verdict:
         self.items.append((label, verdict))
         return verdict
+
+    def sub(self, label: str, check, *args) -> Verdict:
+        """Record ``label`` as the verdict of ``once(check, *args)``."""
+        return self.add(label, once(check, *args).verdict)
 
     def test(self, label: str, defects, tag: str = "") -> Verdict:
         """Record ``label`` as the zero test of ``defects``: one scalar, or

@@ -45,7 +45,6 @@ from ..hypersurface import (
     Embedding,
     HypersurfaceGeometry,
     InducedGenStructure,
-    check_almost_hermitian,
     check_fundamental_form_property,
     check_gen_kahler,
     check_hermitian_identities,
@@ -56,7 +55,7 @@ from ..hypersurface import (
     check_induced_contact,
     second_fundamental_form,
 )
-from ..verdict import CheckResult, Verdict
+from ..verdict import CheckResult, Verdict, once, run
 from .scenario import Scenario, StructureDecl
 
 
@@ -80,31 +79,18 @@ class Hypersurface:
 
 
 class ScenarioContext:
-    """Builds each object a scenario declares once, and keeps the check
-    results that other checks read."""
+    """Builds the objects a scenario declares, each once per run (see
+    :func:`~ggwb.verdict.once`)."""
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.policy = scenario.policy
-        self._once = {}  # (name, id(target)) -> (target, value)
-
-    def run_once(self, name, target, run: Callable):
-        """``run()``, computed on the first request for ``name`` on ``target``.
-
-        Builds and verdicts are deterministic (every zero test draws from a
-        fresh ``policy.rng()``), so a repeated request may reuse the first
-        result.
-        """
-        key = (name, id(target))
-        if key not in self._once:
-            self._once[key] = (target, run())
-        return self._once[key][1]
 
     def field(self, name: str):
         return self.scenario.fields[name]
 
     def build(self, decl: StructureDecl):
-        return self.run_once("build", decl, lambda: getattr(self, f"_build_{decl.type}")(decl))
+        return once(getattr(ScenarioContext, f"_build_{decl.type}"), self, decl)
 
     def _build_almost_contact(self, decl) -> AlmostContact:
         d = decl.data
@@ -158,17 +144,10 @@ class ScenarioContext:
         return Hypersurface(emb, gamma, psi, pair[0], pair)
 
     def geometry(self, h: Hypersurface) -> HypersurfaceGeometry:
-        return self.run_once("geometry", h, lambda: second_fundamental_form(
-            h.embedding, h.gamma, h.psi, self.policy))
+        return once(second_fundamental_form, h.embedding, h.gamma, h.psi, self.policy)
 
     def induced(self, h: Hypersurface) -> InducedGenStructure:
         return self.geometry(h).gen_structure(*h.J_pair("the induced generalized structure"))
-
-    def hermitian(self, h: Hypersurface, J: EndoTM) -> CheckResult:
-        """check_almost_hermitian of (h.gamma, J), once per hypersurface and
-        J: hyp_CRF's precondition and gen_kahler's items read one result."""
-        return self.run_once(("almost_hermitian", id(J)), h, lambda: check_almost_hermitian(
-            h.gamma, J, self.policy))
 
 
 class CheckSpec:
@@ -210,34 +189,6 @@ def _run_two_one(ctx, obj) -> CheckResult:
     if isinstance(obj, Hypersurface):  # the build of the induced structure ran it
         return ctx.induced(obj).two_one_check
     return check_two_one(obj, ctx.policy)
-
-
-def _run_normal21(ctx, obj) -> CheckResult:
-    s = _two_one_target(ctx, obj)
-    return ctx.run_once("normal21", s, lambda: check_normal_21(s, ctx.policy))
-
-
-def _run_binormal(ctx, obj) -> CheckResult:
-    # binormality cross-checks normal21 of the structure
-    return check_binormal(_two_one_target(ctx, obj), ctx.policy, normal21=_run_normal21(ctx, obj))
-
-
-def _run_hyp_crf(ctx, h) -> CheckResult:
-    return ctx.run_once("hyp_CRF", h, lambda: check_hyp_CRF(
-        ctx.geometry(h), h.J, ctx.policy, hermitian=ctx.hermitian(h, h.J)))
-
-
-def _run_gen_kahler(ctx, h) -> CheckResult:
-    J_plus, J_minus = h.J_pair("gen_kahler")
-    return ctx.run_once("gen_kahler", h, lambda: check_gen_kahler(
-        h.gamma, h.psi, J_plus, J_minus, ctx.policy, hermitian=lambda J: ctx.hermitian(h, J)))
-
-
-def _run_hyp_crfk(ctx, h) -> CheckResult:
-    J_plus, J_minus = h.J_pair("hyp_CRFK")
-    return check_hyp_CRFK(
-        ctx.geometry(h), J_plus, J_minus, ctx.policy, gen_kahler=_run_gen_kahler(ctx, h)
-    )
 
 
 _HYP = ("hypersurface",)
@@ -313,13 +264,21 @@ _register(
     lambda ctx, obj: check_product_J(_two_one_target(ctx, obj), ctx.policy),
     aliases=("JptFrond", "fKrond"),
 )
-_register("normal21", _C21, _run_normal21, aliases=("normaltotal", "normtotal2"))
+_register(
+    "normal21", _C21,
+    lambda ctx, obj: once(check_normal_21, _two_one_target(ctx, obj), ctx.policy),
+    aliases=("normaltotal", "normtotal2"),
+)
 _register(
     "normal_explicit", _C21,
     lambda ctx, obj: check_normal_explicit(_two_one_target(ctx, obj), ctx.policy),
     aliases=("indbin0", "zetarho"),
 )
-_register("binormal", _C21, _run_binormal, aliases=("indbin1",))
+_register(
+    "binormal", _C21,
+    lambda ctx, obj: check_binormal(_two_one_target(ctx, obj), ctx.policy),
+    aliases=("indbin1",),
+)
 _register(
     "product_metric", _C21,
     lambda ctx, obj: check_product_metric(_two_one_target(ctx, obj), ctx.policy),
@@ -338,27 +297,35 @@ _register(
     lambda ctx, h: check_induced_contact(ctx.geometry(h), h.J, ctx.policy),
     aliases=("strind1",),
 )
-_register("hyp_CRF", _HYP, _run_hyp_crf, aliases=("eqCRF2", "eqCRF3"))
+_register(
+    "hyp_CRF", _HYP,
+    lambda ctx, h: once(check_hyp_CRF, ctx.geometry(h), h.J, ctx.policy),
+    aliases=("eqCRF2", "eqCRF3"),
+)
 _register(
     "hyp_normal", _HYP,
-    lambda ctx, h: check_hyp_normal(
-        ctx.geometry(h), h.J, ctx.policy, hyp_crf=_run_hyp_crf(ctx, h)
-    ),
+    lambda ctx, h: check_hyp_normal(ctx.geometry(h), h.J, ctx.policy),
     aliases=("eqnormal2",),
 )
 _register(
     "LXi", _HYP,
-    lambda ctx, h: check_fundamental_form_property(
-        ctx.geometry(h), h.J, ctx.policy, hyp_crf=_run_hyp_crf(ctx, h)
-    ),
+    lambda ctx, h: check_fundamental_form_property(ctx.geometry(h), h.J, ctx.policy),
 )
-_register("hyp_CRFK", _HYP, _run_hyp_crfk, aliases=("eqptans3",))
+_register(
+    "hyp_CRFK", _HYP,
+    lambda ctx, h: check_hyp_CRFK(ctx.geometry(h), *h.J_pair("hyp_CRFK"), ctx.policy),
+    aliases=("eqptans3",),
+)
 _register(
     "hermitian", _HYP,
     lambda ctx, h: check_hermitian_identities(h.gamma, h.J, ctx.policy),
     aliases=("eqdinKN", "identHerm"),
 )
-_register("gen_kahler", _HYP, _run_gen_kahler, aliases=("relpsiJ", "relpsiOmega"))
+_register(
+    "gen_kahler", _HYP,
+    lambda ctx, h: once(check_gen_kahler, h.gamma, h.psi, *h.J_pair("gen_kahler"), ctx.policy),
+    aliases=("relpsiJ", "relpsiOmega"),
+)
 
 
 def resolve_alias(name: str) -> Optional[str]:
@@ -406,26 +373,28 @@ def _bind_structure(scenario: Scenario, req) -> StructureDecl:
 
 
 def run_checks(scenario: Scenario) -> "Report":
-    """Dispatch every requested check; preconditions that fail surface as
+    """Dispatch every requested check, all in one run (see
+    :func:`~ggwb.verdict.once`); preconditions that fail surface as
     skipped-with-reason entries, failed identities as Failed verdicts."""
     from .report import Report
 
     ctx = ScenarioContext(scenario)
     runs = []
-    for req in scenario.checks:
-        t0 = time.perf_counter()
-        decl = _bind_structure(scenario, req)
-        try:
-            obj = ctx.build(decl)
-            result = CHECKS[req.check].runner(ctx, obj)
-        except PreconditionNotMet as exc:
-            result = CheckResult(req.check, skipped=str(exc))
-        except StructureError as exc:
-            result = CheckResult(req.check)
-            failures = exc.failures or [
-                ("structure validation", Verdict.failed(detail=str(exc)))
-            ]
-            for lbl, v in failures:
-                result.add(lbl, v)
-        runs.append(CheckRun(req.check, decl.name, result, time.perf_counter() - t0))
+    with run():
+        for req in scenario.checks:
+            t0 = time.perf_counter()
+            decl = _bind_structure(scenario, req)
+            try:
+                obj = ctx.build(decl)
+                result = CHECKS[req.check].runner(ctx, obj)
+            except PreconditionNotMet as exc:
+                result = CheckResult(req.check, skipped=str(exc))
+            except StructureError as exc:
+                result = CheckResult(req.check)
+                failures = exc.failures or [
+                    ("structure validation", Verdict.failed(detail=str(exc)))
+                ]
+                for lbl, v in failures:
+                    result.add(lbl, v)
+            runs.append(CheckRun(req.check, decl.name, result, time.perf_counter() - t0))
     return Report(scenario.name, scenario.policy, runs)

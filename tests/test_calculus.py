@@ -16,7 +16,6 @@ from ggwb.calculus import (
     ext_d,
     frame,
     interior,
-    levi_civita,
     lie_bracket,
     contract,
     lie_derivative,
@@ -229,7 +228,7 @@ def test_flat_sharp_inverse(R3, s2, pol):
 
 
 def test_levi_civita_flat(R3):
-    conn = levi_civita(euclidean_metric(R3))
+    conn = euclidean_metric(R3).connection()
     assert all(
         e.is_syntactic_zero for plane in conn.christoffel for row in plane for e in row
     )
@@ -253,7 +252,7 @@ def _torsion(conn, X, Y):
 
 def test_levi_civita_properties(R3, s2, pol):
     """The Levi-Civita connection is metric and torsion-free."""
-    conn = levi_civita(s2.gamma)
+    conn = s2.gamma.connection()
     assert is_zero_all(_metric_defect(conn), pol).is_proved
     rng = random.Random(6)
     for _ in range(4):
@@ -264,7 +263,7 @@ def test_levi_civita_properties(R3, s2, pol):
 
 def test_nabla_f_cosymplectic(R3, s1, pol):
     """S1 is cosymplectic: nabla^s F = 0 with the flat metric."""
-    conn = levi_civita(s1.gamma)
+    conn = s1.gamma.connection()
     for X in frame(R3):
         nf = conn.nabla(X, s1.F)
         assert all(e.is_syntactic_zero for row in nf.matrix for e in row)

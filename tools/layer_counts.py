@@ -32,6 +32,10 @@ sides:
 - ``certificates.no_witness`` and ``.witness``: calls of the positivity
   certificate ``numeric.positivity_witness`` by whether they return a
   witness (a pivot that is not positive at the point);
+- ``subchecks.<name>``: calls of the sub-checks and builds that several
+  checks read (``check_almost_hermitian``, ``check_gen_kahler``,
+  ``check_hyp_CRF``, ``check_normal_21``, ``check_normal_classical`` and
+  ``normality._PairData``), so a result that is shared counts once;
 - ``<cache>.hits``, ``.misses`` and ``.currsize``: the ``cache_info()`` of
   each denominator cache of the field core that the checkout has
   (``symexpr._reduced``, ``symexpr._poly_lcm``, ``calculus._den_product``).
@@ -115,7 +119,8 @@ def _join(ins: list, nonzeros: list) -> tuple:
 def install(counts: Counter) -> None:
     """Wrap the counted functions of the ggwb modules already imported, at
     every module that binds them; each call adds to ``counts``."""
-    from ggwb import calculus, numeric, poly, symexpr
+    from ggwb import calculus, hypersurface, numeric, poly, symexpr
+    from ggwb.structures import classical, normality, twoone
 
     contract, field_sum = calculus.contract, calculus._field_sum
 
@@ -187,10 +192,22 @@ def install(counts: Counter) -> None:
         counts["certificates.no_witness" if witness is None else "certificates.witness"] += 1
         return witness
 
+    def counted_subcheck(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[f"subchecks.{name}"] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
     replace = {id(contract): counted_contract, id(field_sum): counted_field_sum,
                id(cofactors): counted_cofactors, id(derivative): counted_derivative,
                id(field_op): counted_field_op, id(zero): counted_zero,
                id(certificate): counted_certificate}
+    for module, name in ((hypersurface, "check_almost_hermitian"),
+                         (hypersurface, "check_gen_kahler"), (hypersurface, "check_hyp_CRF"),
+                         (twoone, "check_normal_21"), (classical, "check_normal_classical"),
+                         (normality, "_PairData")):
+        fn = getattr(module, name)
+        replace[id(fn)] = counted_subcheck(name, fn)
     for name in ("_wrap", "_prepare", "_gather"):
         fn = getattr(calculus, name, None)
         if fn is not None:
