@@ -44,7 +44,7 @@ class StructureError(GgwbError):
         if self.failures:
             details = "; ".join(f"{label}: {v.kind.value}" for label, v in self.failures)
             message = f"{message} [{details}]"
-        super().__init__(message)
+        GgwbError.__init__(self, message)
 
 
 class ScenarioError(GgwbError):
@@ -70,4 +70,8 @@ class PolicyError(GgwbError, ValueError):
 
 
 class PreconditionNotMet(GgwbError):
-    """A checker's precondition failed; surfaced as a skipped check."""
+    """A checker's precondition failed; surfaced as a skipped check.
+    ``failures`` lists the failed items of the precondition, as in
+    :class:`StructureError`."""
+
+    __init__ = StructureError.__init__

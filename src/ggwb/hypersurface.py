@@ -406,13 +406,6 @@ def check_gen_kahler(
 # hypersurface-level CRF / normality / CRFK criteria
 
 
-def _require(res: CheckResult, what: str) -> None:
-    """Raise PreconditionNotMet, naming the failed items, unless ``res`` passed."""
-    if not res.ok:
-        bad = ", ".join(lbl for lbl, v in res.items if not v.ok)
-        raise PreconditionNotMet(f"ambient structure is not {what} (failed: {bad})")
-
-
 _CRF2_DOMEGA = "(eqCRF2) dOmega(JX, JY, Jnu) = dOmega(X, Y, Jnu) on P"
 
 
@@ -448,7 +441,8 @@ def check_hyp_CRF(
 ) -> CheckResult:
     """(eqCRF2): dOmega(JX,JY,Jnu) = dOmega(X,Y,Jnu) and b(FX,FY) = b(X,Y)
     for X, Y in P = im F, on a Hermitian ambient (gamma, J)."""
-    _require(once(check_almost_hermitian, geo.gamma, J, policy), "Hermitian")
+    once(check_almost_hermitian, geo.gamma, J, policy).require(
+        "ambient structure is not Hermitian", PreconditionNotMet)
     out = CheckResult("hyp_CRF", policy)
     lines, b_lines = _crf2_defects(geo, J)
     out.test(_CRF2_DOMEGA, lines)
@@ -527,8 +521,8 @@ def check_hyp_CRFK(
 ) -> CheckResult:
     """(eqptans3) for a hypersurface of a generalized Kaehler manifold; on
     success the induced classical structures must come out normal."""
-    _require(once(check_gen_kahler, geo.gamma, geo.psi, J_plus, J_minus, policy),
-             "generalized Kaehler")
+    once(check_gen_kahler, geo.gamma, geo.psi, J_plus, J_minus, policy).require(
+        "ambient structure is not generalized Kaehler", PreconditionNotMet)
     out = CheckResult("hyp_CRFK", policy)
     e = geo.embedding
     dpsi_res = e.restrict_grid(ext_d(geo.psi))

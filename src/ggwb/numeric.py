@@ -4,7 +4,7 @@ positive definite at a rational point?
 A grid is a square core array: the Gram matrix of a generalized metric G,
 or that of Gtilde on M x R.  At a point its stored entries are evaluated
 once, in one field, by ``symexpr._evaluator``: exactly in Q or Q(i) when
-the field has no atom generator, and by mpmath at 30 digits when it has one
+the field has no atom generator, and as 30-digit Decimals when it has one
 (exp or tan generators).  A pole raises ExprError.  The symmetric reduction
 A = P^T L D L^H P gives the pivots D, whose signs are the inertia of A
 (Sylvester's law of inertia), so A is positive definite when every pivot is
@@ -21,22 +21,19 @@ points only, so it backs NumericallySupported verdicts.  Ranks need no
 certificate here: the checks read them from the identities they prove (the
 rank of a projection is its trace).
 
-An exact grid never touches mpmath: the elimination enters mpmath's
-30-digit context only on 30-digit values, and conjugates and real parts
-test the exact types first.  mpmath is imported by ``symexpr`` with the
-first atom generator, so a job without atoms never loads it.
+The elimination runs in a copy of ``symexpr._CONTEXT``, the thread's own,
+which rounds 30-digit values and leaves exact ones exact; every value type
+has ``conjugate()`` and ``real``.
 """
 
 from __future__ import annotations
 
-import contextlib
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Optional
 
-from . import symexpr
 from .errors import ExprError
-from .poly import Gaussian
-from .symexpr import _DPS, _POLE, _evaluator, _witness_number
+from .symexpr import _CONTEXT, _POLE, _evaluator, _witness_number
 from .verdict import Witness
 
 
@@ -45,7 +42,7 @@ def _values(point: dict, grid) -> tuple:
     in the arithmetic of the grid's field; whether they are exact; and the
     zero of that arithmetic."""
     value, exact = _evaluator(grid.chart, grid.field, point)
-    zero = Fraction(0) if exact else symexpr.mpmath.mpf(0)
+    zero = Fraction(0) if exact else Decimal(0)
     rows, cols = grid.shape
     a = [[zero] * cols for _ in range(rows)]
     for (i, j), e in grid.entries.items():
@@ -68,22 +65,6 @@ def _pick(candidates, thr):
     return best
 
 
-def _conj(v):
-    if type(v) is Fraction or type(v) is int:
-        return v
-    if type(v) is Gaussian:
-        return Gaussian(v.x, -v.y)
-    return v.conjugate()  # mpmath
-
-
-def _real(v):
-    if type(v) is Fraction or type(v) is int:
-        return v
-    if type(v) is Gaussian:
-        return v.x
-    return v.real  # mpmath
-
-
 def _eliminate(a: list, thr) -> list:
     """The symmetric reduction of the Hermitian rows ``a``, in place.
 
@@ -101,7 +82,7 @@ def _eliminate(a: list, thr) -> list:
             if pair is None:
                 break
             p, j = pair
-            b, bc = a[p][j], _conj(a[p][j])
+            b, bc = a[p][j], a[p][j].conjugate()
             a[p] = [x + b * y for x, y in zip(a[p], a[j])]
             for row in a:
                 row[p] += bc * row[j]
@@ -116,7 +97,7 @@ def _eliminate(a: list, thr) -> list:
                 for j in range(k + 1, n):
                     row[j] -= f * pivot[j]
                 row[k] -= row[k]
-        pivots.append((index[k], _real(a[k][k])))
+        pivots.append((index[k], a[k][k].real))
     return pivots
 
 
@@ -126,11 +107,11 @@ def positivity_witness(gram, point: dict, tol: float = 1e-9) -> Optional[Witness
     witness: the first pivot that is not (0 when the pivots run out before
     the last row), exact when the values are, with its row in ``detail``."""
     a, exact, zero = _values(point, gram)
-    with contextlib.nullcontext() if exact else symexpr.mpmath.workdps(_DPS):
-        thr = None if exact else tol * max([1] + [abs(v) for row in a for v in row])
+    with localcontext(_CONTEXT):
+        thr = None if exact else Decimal(tol) * max([1] + [abs(v) for row in a for v in row])
         for i, row in enumerate(a):
             for j in range(i, len(row)):
-                d = row[j] - _conj(a[j][i])
+                d = row[j] - a[j][i].conjugate()
                 if (d if thr is None else abs(d) > thr):
                     raise ExprError("expected a Hermitian Gram matrix")
         pivots = _eliminate(a, thr)

@@ -125,6 +125,17 @@ class Gaussian:
     def __complex__(self):
         return complex(float(self.x), float(self.y))
 
+    @property
+    def real(self):
+        return self.x
+
+    @property
+    def imag(self):
+        return self.y
+
+    def conjugate(self):
+        return Gaussian(self.x, -self.y)
+
     def __repr__(self):
         return f"({self.x}{'+' if self.y > 0 else '-'}{abs(self.y)}i)"
 
@@ -187,12 +198,19 @@ def content(p):
 
 class Poly(dict):
     """A sparse polynomial: packed monomial -> nonzero coefficient.  It is
-    not changed once built, so it hashes by its items."""
+    not changed once built, so it hashes by its items, computed on the
+    first ``hash`` and kept: a builder that changes a Poly in place
+    (:func:`add_mul`, :func:`prune`, ``_mul``, ``exquo``) does so before
+    the Poly is ever hashed."""
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
 
     def __hash__(self):
-        return hash(frozenset(self.items()))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = hash(frozenset(self.items()))
+            return h
 
     @property
     def LC(self):

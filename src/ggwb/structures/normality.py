@@ -39,7 +39,7 @@ from ..errors import PreconditionNotMet
 from ..symexpr import DEFAULT_POLICY, ScalarExpr, ZeroPolicy
 from ..verdict import CheckResult, Verdict, Witness, combine, once
 from .classical import check_normal_classical
-from .twoone import TwoOneGAC, build_product_J, second_structure
+from .twoone import TwoOneGAC, build_product_J, check_normal_21, second_structure
 
 
 class _PairData:
@@ -207,8 +207,6 @@ def _rho_antiholomorphy(data: _PairData) -> list[ScalarExpr]:
 def check_binormal(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
     """The (indbin1) condition system, with the definitional cross-check that binormality is
     exactly normality of the structure and of its companion."""
-    from .twoone import check_normal_21
-
     data = once(_PairData, s)
     out = CheckResult("binormal", policy)
     _common_items(data, out)

@@ -52,15 +52,19 @@ chart's one interned zero (``chart.zero``).
 
 One evaluator, ``_evaluator``, gives the value of a field element at a
 rational point: exactly, a Fraction or a Q(i) :class:`ggwb.poly.Gaussian`,
-when the field has no atom generator, else as an mpmath number at ``_DPS``
-(30) digits.  ``evaluate`` returns that value as it is (no sympy number, no
-``complex``), ``sign_at`` reads the sign of a real value from it (the
-metric's base-point check, the sign of a hypersurface's normal length and
-its Jacobian audit), the zero test decides on it, and the positivity
-certificate of :mod:`ggwb.numeric` eliminates over it.  mpmath is imported
-when the first atom generator is made (:func:`_gen`): only a field with a
-generator has mpmath values, so a job without atoms never loads it, and one
-with atoms loads it while its input is parsed.
+when the field has no atom generator, else at ``_DPS`` (30) digits as a
+:class:`decimal.Decimal`, a pair of them (:class:`_Complex`) over Q(i), or
+a :class:`_Wide` past a Decimal's exponent range (the exp of an argument of
+10**18 or more).  exp is ``Decimal.exp``, correctly rounded; tan(m/2) is
+summed from the sin and cos series after m/2 is reduced by a multiple of
+pi, with ``_GUARD`` digits to spare (:func:`_half_tan`).  Each evaluation runs in a copy of
+``_CONTEXT`` (``decimal.localcontext``), so precision is per thread.
+``evaluate`` returns that value as it is (no sympy number, no ``complex``),
+``sign_at`` reads the sign of a real value from it (the metric's base-point
+check, the sign of a hypersurface's normal length and its Jacobian audit),
+the zero test decides on it, and the positivity certificate of
+:mod:`ggwb.numeric` eliminates over it.  No module of the package imports
+mpmath.
 
 The exponentials of one base are powers of one generator: exp(q*m), for
 a rational q and m primitive (integer contents 1, positive leading
@@ -102,6 +106,7 @@ import math
 import operator
 import random
 import re
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, getcontext, localcontext
 from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import or_
@@ -148,6 +153,10 @@ _MAX_MULTIPLE = 8
 _DPS = 30  # digits of the float evaluation of scalars with atoms
 _NOISE = 1e-15  # a 30-digit denominator value below it is not clearly nonzero
 _LOST_BITS = 32  # an atom argument above 2**32 would cost exp and tan 10 digits
+_GUARD = 10  # digits the tan series and its reduction by pi carry beyond the value's
+# The context of the values with atoms.  Each evaluation runs in a copy of it
+# (``decimal.localcontext``), so a raised precision is the thread's own.
+_CONTEXT = Context(prec=_DPS, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 # ---------------------------------------------------------------------------
@@ -249,17 +258,9 @@ def _order(rf: Frac) -> tuple:
 _GEN_OF_KEY: dict = {}
 
 
-# mpmath evaluates atom generators, and only values in a field with one are
-# mpmath numbers, so it is imported with the first generator: a job whose
-# scalars have no atom never loads it.
-mpmath = None
-
-
 def _gen(kind: str, arg: Frac, base: Optional[Frac] = None, den: int = 1) -> _Gen:
     g = _GEN_OF_KEY.get((kind, arg))
     if g is None:
-        global mpmath
-        import mpmath
         g = _GEN_OF_KEY[(kind, arg)] = _Gen(kind, arg, arg if base is None else base, den)
     return g
 
@@ -968,7 +969,7 @@ def _own_field(rf: Frac) -> Frac:
 
 # The arithmetic :func:`_poly_at` evaluates in: (one, product, sum, the
 # coefficient as a value).  Polynomial values compose, exact values are ints
-# and Gaussian integers, and 30-digit values are mpmath numbers.
+# and Gaussian integers, and 30-digit values are Decimals (_Complex over Q(i)).
 _POLYS = (ONE, mul, add, ground)
 _EXACT = (1, operator.mul, operator.add, lambda c: c)
 
@@ -1135,7 +1136,7 @@ _POLE = object()
 def _value_at(rf: Frac, vals: list, arith: tuple, pt: Optional[dict] = None) -> object:
     """rf at ``vals`` (the pairs of :func:`_poly_at`), as one quotient of
     the values over their common denominators: a Fraction when both sides
-    are ints, else a Q(i) :class:`Gaussian` or an mpmath number.  A pole is
+    are ints, else a Q(i) :class:`Gaussian` or a 30-digit value.  A pole is
     a zero of the reduced denominator.  A 30-digit denominator value that
     is not clearly nonzero is decided at the rational point ``pt``: when
     every coefficient of the denominator, as a polynomial in the atom
@@ -1161,44 +1162,244 @@ def _generator_coefficients_vanish(rf: Frac, pt: dict) -> bool:
     return not any(_poly_at(p, vals, _EXACT)[0] for p in coefficients.values())
 
 
-def _mp(c):
-    """A coefficient (an int or a Gaussian integer) as an mpmath number."""
+class _Complex:
+    """x + y*i with Decimal parts: a value at ``_DPS`` digits in a field
+    over Q(i).  The other operand is a Decimal, an int or a _Complex; each
+    has ``real`` and ``imag``."""
+
+    __slots__ = ("real", "imag")
+
+    def __init__(self, real, imag):
+        self.real, self.imag = real, imag
+
+    def __add__(a, b):
+        return _Complex(a.real + b.real, a.imag + b.imag)
+
+    __radd__ = __add__
+
+    def __sub__(a, b):
+        return _Complex(a.real - b.real, a.imag - b.imag)
+
+    def __rsub__(a, b):
+        return _Complex(b.real - a.real, b.imag - a.imag)
+
+    def __neg__(a):
+        return _Complex(-a.real, -a.imag)
+
+    def __mul__(a, b):
+        return _Complex(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+
+    __rmul__ = __mul__
+
+    def __truediv__(a, b):
+        n = b.real * b.real + b.imag * b.imag
+        return _Complex((a.real * b.real + a.imag * b.imag) / n,
+                        (a.imag * b.real - a.real * b.imag) / n)
+
+    def __rtruediv__(a, b):
+        return _Complex(b.real, b.imag) / a
+
+    def __abs__(a):
+        return (a.real * a.real + a.imag * a.imag).sqrt()
+
+    def __bool__(a):
+        return bool(a.real or a.imag)
+
+    def conjugate(a):
+        return _Complex(a.real, -a.imag)
+
+    def __complex__(a):
+        return complex(float(a.real), float(a.imag))
+
+
+class _Wide:
+    """m * 10**e, for a Decimal m with 1 <= |m| < 10 (or 0) and an int e: a
+    value past the exponent range of a Decimal, made by the exp of an
+    argument of 10**18 or more (:func:`_exp`).  The other operand is a
+    _Wide, a Decimal or an int, and the result is a _Wide."""
+
+    __slots__ = ("m", "e")
+    imag = Decimal(0)
+
+    def __init__(self, m, e=0):
+        k = m.adjusted() if m else 0
+        self.m, self.e = m.scaleb(-k), e + k
+
+    @property
+    def real(a):
+        return a
+
+    def conjugate(a):
+        return a
+
+    def __add__(a, b):
+        b = _wide(b)
+        if not b.m or a.m and a.e - b.e > getcontext().prec + 2:
+            return a
+        if not a.m or b.e - a.e > getcontext().prec + 2:
+            return b
+        e = max(a.e, b.e)
+        return _Wide(a.m.scaleb(a.e - e) + b.m.scaleb(b.e - e), e)
+
+    __radd__ = __add__
+
+    def __sub__(a, b):
+        return a + -b
+
+    def __rsub__(a, b):
+        return -a + b
+
+    def __neg__(a):
+        return _Wide(-a.m, a.e)
+
+    def __mul__(a, b):
+        b = _wide(b)
+        return _Wide(a.m * b.m, a.e + b.e)
+
+    __rmul__ = __mul__
+
+    def __truediv__(a, b):
+        b = _wide(b)
+        return _Wide(a.m / b.m, a.e - b.e)
+
+    def __rtruediv__(a, b):
+        return _wide(b) / a
+
+    def __abs__(a):
+        return _Wide(abs(a.m), a.e)
+
+    copy_abs = __abs__
+
+    def sqrt(a):
+        return _Wide(a.m.scaleb(a.e % 2).sqrt(), a.e // 2)
+
+    def __bool__(a):
+        return bool(a.m)
+
+    def __lt__(a, b):
+        return (a - b).m < 0
+
+    def __le__(a, b):
+        return (a - b).m <= 0
+
+    def __gt__(a, b):
+        return (a - b).m > 0
+
+    def __float__(a):
+        if abs(a.e) < 400:
+            return float(a.m.scaleb(a.e))
+        return math.copysign(math.inf if a.e > 0 else 0.0, a.m)
+
+    def __format__(a, spec):
+        digits, e = format(a.m, spec).split("e")
+        return f"{digits}e{int(e) + a.e:+d}"
+
+    def __str__(a):
+        return f"{a.m}E{a.e:+d}"
+
+
+def _wide(b) -> _Wide:
+    return b if type(b) is _Wide else _Wide(Decimal(b))
+
+
+def _exp(m):
+    """exp(m) at the precision of the current context: ``Decimal.exp``, or
+    for |m| of 10**18 or more, whose exp is past the exponent range of a
+    Decimal, exp(m - k ln 10) * 10**k as a :class:`_Wide`, with ln 10 to the
+    digits of k and ``_GUARD`` more."""
+    if m.adjusted() < 18:
+        return m.exp()
+    with localcontext() as ctx:
+        ctx.prec += m.adjusted() + 1 + _GUARD
+        ln10 = Decimal(10).ln()
+        k = (m / ln10).to_integral_value()
+        r = m - k * ln10
+    return _Wide(r.exp(), int(k))
+
+
+def _dec(c):
+    """A coefficient (an int or a Gaussian integer) as a Decimal value."""
     if type(c) is Gaussian:
-        return mpmath.mpc(mpmath.mpf(c.x), mpmath.mpf(c.y))
-    return mpmath.mpf(c)
+        return _Complex(Decimal(c.x), Decimal(c.y))
+    return Decimal(c)
 
 
-_MP = (1, operator.mul, operator.add, _mp)
+_DEC = (1, operator.mul, operator.add, _dec)
+
+
+@lru_cache(maxsize=16)
+def _pi(digits: int) -> Decimal:
+    """pi to ``digits`` digits, from the series
+    3 (1 + 1/24 (1 + 9/80 (1 + 25/168 (...)))) of the ``decimal`` recipes."""
+    with localcontext(_CONTEXT) as ctx:
+        ctx.prec = digits + 2
+        last, t, s, n, na, d, da = 0, Decimal(3), Decimal(3), 1, 0, 0, 24
+        while s != last:
+            last = s
+            n, na = n + na, na + 8
+            d, da = d + da, da + 32
+            t = t * n / d
+            s += t
+        ctx.prec = digits
+        return +s
+
+
+def _half_tan(m: Decimal) -> Decimal:
+    """tan(m/2) at the precision of the current context.  m/2 is reduced
+    by the nearest multiple of pi, taken to the digits m has before its
+    point and ``_GUARD`` more, and the sin and cos of the rest (at most
+    pi/2) are summed from their series with ``_GUARD`` more digits."""
+    prec = getcontext().prec
+    with localcontext() as ctx:
+        ctx.prec = prec + _GUARD + max(0, m.adjusted() + 1)
+        x = m / 2
+        pi = _pi(ctx.prec)
+        x -= (x / pi).to_integral_value() * pi
+        ctx.prec = prec + _GUARD
+        x2 = -x * x
+        sin = t = x
+        cos = u = Decimal(1)
+        k, last = 0, None
+        while (sin, cos) != last:
+            last = sin, cos
+            k += 2
+            u = u * x2 / ((k - 1) * k)
+            t = t * x2 / (k * (k + 1))
+            sin, cos = sin + t, cos + u
+        tan = sin / cos
+    return +tan
 
 
 def _atom_at(g: _Gen, m) -> object:
-    return m if m is _POLE else (mpmath.exp(m) if g.kind == "exp" else mpmath.tan(m / 2))
+    return m if m is _POLE else (_exp(m) if g.kind == "exp" else _half_tan(m))
 
 
-def _mp_point(pt: dict) -> dict:
-    return {s: mpmath.mpf(q.numerator) / q.denominator for s, q in pt.items()}
+def _dec_point(pt: dict) -> dict:
+    return {s: Decimal(q.numerator) / q.denominator for s, q in pt.items()}
 
 
-def _eval_mp(rf: Frac, point: dict, memo: dict, pt: dict) -> object:
-    """Value at ``point`` (coordinate name -> mpf, the mpf of the rational
-    ``pt``), the generators evaluated by mpmath.  exp and tan lose one
-    digit of the value per digit of a large argument before its point, so
-    an argument above 2**_LOST_BITS is read again with that many more
-    digits."""
+def _eval_dec(rf: Frac, point: dict, memo: dict, pt: dict) -> object:
+    """Value at ``point`` (coordinate name -> the Decimal of the rational
+    ``pt``), in the current context.  exp and tan lose one digit of the
+    value per digit of a large argument before its point, so an argument
+    above 2**_LOST_BITS is read again with that many more digits."""
     vals = []
     for s in rf.field.symbols:
         if type(s) is _Gen and s not in memo:
-            m = _eval_mp(s.arg, point, memo, pt)
-            if m is not _POLE and mpmath.mag(m) > _LOST_BITS:
-                with mpmath.extradps(int(mpmath.mag(m) * 0.30103) + 1):
-                    memo[s] = _atom_at(s, _eval_mp(s.arg, _mp_point(pt), {}, pt))
+            m = _eval_dec(s.arg, point, memo, pt)
+            if type(m) is _Wide:
+                raise ExprError(f"the argument of {s!r} is past the exponent range of a Decimal")
+            if m is not _POLE and abs(m) > 2 ** _LOST_BITS:
+                with localcontext() as ctx:
+                    ctx.prec += m.adjusted() + 1
+                    memo[s] = _atom_at(s, _eval_dec(s.arg, _dec_point(pt), {}, pt))
             else:
                 memo[s] = _atom_at(s, m)
         v = memo[s] if type(s) is _Gen else point[s]
         if v is _POLE:
             return _POLE
         vals.append((v, 1))
-    return _value_at(rf, vals, _MP, pt)
+    return _value_at(rf, vals, _DEC, pt)
 
 
 def _evaluator(chart, K: Field, point: dict):
@@ -1207,9 +1408,10 @@ def _evaluator(chart, K: Field, point: dict):
 
     The one evaluator of the package.  Without an atom generator in K the
     values are exact: Fractions, or Q(i) values as :class:`Gaussian`.  With
-    one they are mpmath numbers at ``_DPS`` digits, the generators evaluated
-    by mpmath.  A pole gives ``_POLE``; a coordinate of K that the point
-    misses raises :class:`ExprError`."""
+    one they are Decimals (:class:`_Complex` over Q(i)) at ``_DPS`` digits,
+    computed in a copy of ``_CONTEXT`` that is the calling thread's own.  A
+    pole gives ``_POLE``; a coordinate of K that the point misses raises
+    :class:`ExprError`."""
     pt = {chart.coordinate(c): _to_fraction(v) for c, v in point.items()}
     coords, gens = _layout(K)
     missing = [s for s in coords if s not in pt]
@@ -1218,13 +1420,13 @@ def _evaluator(chart, K: Field, point: dict):
     if not gens:
         vals = [(pt[s].numerator, pt[s].denominator) for s in K.symbols]
         return (lambda rf: _value_at(rf, vals, _EXACT)), True
-    with mpmath.workdps(_DPS):
-        mp = _mp_point(pt)
+    with localcontext(_CONTEXT):
+        at = _dec_point(pt)
     memo = {}
 
     def value(rf):
-        with mpmath.workdps(_DPS):
-            return _eval_mp(rf, mp, memo, pt)
+        with localcontext(_CONTEXT):
+            return _eval_dec(rf, at, memo, pt)
 
     return value, False
 
@@ -1232,7 +1434,8 @@ def _evaluator(chart, K: Field, point: dict):
 def evaluate(e: ScalarExpr, point: dict) -> object:
     """The value of ``e`` at a rational point, read by :func:`_evaluator`:
     a Fraction (or a Q(i) :class:`Gaussian`) without atoms, else a
-    ``_DPS``-digit mpmath number; ``_POLE`` when the point hits a pole."""
+    ``_DPS``-digit Decimal (or :class:`_Complex`); ``_POLE`` when the point
+    hits a pole."""
     return _evaluator(e.chart, e.rf.field, point)[0](e.rf)
 
 
@@ -1245,9 +1448,9 @@ def sign_at(e: ScalarExpr, point: dict, tol: float = 1e-9) -> int:
     if v is _POLE:
         return 0
     if type(v) is not Fraction:
-        if type(v) is Gaussian or abs(v.imag) > tol:
+        if type(v) is Gaussian or v.imag.copy_abs() > tol:
             raise ExprError(f"'{e}' is not real at {point}")
-        if abs(v.real) <= tol:
+        if v.real.copy_abs() <= tol:
             return 0
         v = v.real
     return (v > 0) - (v < 0)
@@ -1263,15 +1466,19 @@ def _witness_number(v):
     """A value of :func:`_evaluator` as the number a witness keeps: a
     Fraction or a Gaussian when it is exact, else a float, or a complex when
     it has an imaginary part; a 30-digit value beyond the double range keeps
-    its leading 13 digits, as a string."""
+    its leading 13 digits, as a string: ``-1.234567890123e+400``, or
+    ``(re + imj)`` with both parts so."""
     if type(v) is Fraction or type(v) is int:
         return Fraction(v)
     if type(v) is Gaussian:
         return v
     v = v if v.imag else v.real
     f = complex(v) if v.imag else float(v)
-    return f if cmath.isfinite(f) else mpmath.nstr(v, 13, strip_zeros=False, min_fixed=1,
-                                                    max_fixed=0)
+    if cmath.isfinite(f):
+        return f
+    if not v.imag:
+        return f"{v:.12e}"
+    return f"({v.real:.12e} {'-' if v.imag < 0 else '+'} {v.imag.copy_abs():.12e}j)"
 
 
 def is_zero(e: ScalarExpr, policy: ZeroPolicy = DEFAULT_POLICY, tag: str = "") -> Verdict:
@@ -1303,7 +1510,8 @@ def is_zero(e: ScalarExpr, policy: ZeroPolicy = DEFAULT_POLICY, tag: str = "") -
         if v is _POLE:
             continue
         drawn += 1
-        nonzero = bool(v) if exact else abs(v) > policy.tol
+        with localcontext(_CONTEXT):
+            nonzero = bool(v) if exact else abs(v) > policy.tol
         if nonzero:
             return Verdict.failed(Witness(tuple(sorted(point.items())), _witness_number(v), tag))
     return Verdict.numeric()

@@ -301,12 +301,13 @@ class CheckResult:
             verdict = Verdict.numeric()
         return self.add(label, verdict)
 
-    def require(self, message: str) -> "CheckResult":
-        """This result; raises :class:`StructureError` with ``message`` and
-        the failed items when an item failed."""
+    def require(self, message: str, error: type = StructureError) -> "CheckResult":
+        """This result; raises ``error`` (:class:`StructureError`, or
+        :class:`PreconditionNotMet` for a checker's precondition) with
+        ``message`` and the failed items when an item failed."""
         failed = [(label, v) for label, v in self.items if not v.ok]
         if failed:
-            raise StructureError(message, failed)
+            raise error(message, failed)
         return self
 
     def subverdict(self, label: str) -> Verdict:

@@ -11,7 +11,9 @@ into ggwb:
   atom read by the parser from the printed text of its argument;
 * ``random_tree`` and ``random_expr``: the random expression trees of the
   property tests.  Their draws are pinned by the ``@example``s of
-  ``test_trig_normal_form.py``.
+  ``test_trig_normal_form.py``;
+* ``to_mpmath(v)``: a value of ``evaluate`` or a sympy number as an mpmath
+  number, to compare them at the current mpmath precision.
 
 The other direction is the scalar's own ``expr`` property.
 """
@@ -23,10 +25,22 @@ import operator
 import random
 from fractions import Fraction
 
+import mpmath
 import sympy as sp
 
 from ggwb.errors import ChartMismatchError, ExprError
 from ggwb.symexpr import ScalarExpr, parse_scalar
+
+
+def to_mpmath(v):
+    """A value of ``evaluate`` (a Fraction, a Gaussian, or a 30-digit
+    Decimal, complex pair or wide value, each with ``real`` and ``imag``)
+    or a sympy number, as an mpmath number."""
+    if isinstance(v, sp.Basic):
+        return mpmath.mpmathify(v)
+    if isinstance(v, (int, Fraction)):
+        return mpmath.mpf(v.numerator) / v.denominator
+    return mpmath.mpc(str(v.real), str(v.imag)) if v.imag else mpmath.mpf(str(v.real))
 
 
 @functools.lru_cache(maxsize=256)

@@ -162,8 +162,9 @@ def test_hyp_refuses_non_hermitian_ambient(hyperplane, pol):
         hyperplane["chart"],
         [[0, -2, 0, 0], ["1/2", 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
     )
-    with pytest.raises(PreconditionNotMet):
+    with pytest.raises(PreconditionNotMet, match="^ambient structure is not Hermitian ") as exc:
         check_hyp_CRF(hyperplane["geo"], bad_J, pol)
+    assert exc.value.failures and not any(v.ok for _, v in exc.value.failures)
 
 
 def test_fundamental_form_property(hyperplane, sphere, pol):

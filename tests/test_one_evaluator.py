@@ -12,7 +12,7 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ggwb"
 
-HELPERS = {"_poly_at", "_value_at", "_eval_mp", "_mp"}
+HELPERS = {"_poly_at", "_value_at", "_eval_dec", "_dec"}
 
 
 def _tree(path: Path) -> ast.Module:

@@ -287,12 +287,12 @@ def test_transcendental_builtins_run_without_sympy_algebra(monkeypatch):
 
 
 # the field arithmetic of symexpr: fractions, sums, powers, derivatives,
-# composition, moves between fields, atoms and exact or mpmath evaluation
+# composition, moves between fields, atoms and exact or 30-digit evaluation
 FIELD_ARITHMETIC = (
     "_fraction", "_scaled", "_field_op", "_lcm", "_sum_over", "_op", "_pow", "_constant",
     "_derivative", "_gen_diff", "_diff", "_poly_at", "_compose", "_conj", "_moved", "_move",
     "_moves", "_shrink", "_settle", "_canonical", "_unify", "_embed", "_join", "_terms",
-    "_angle", "_atom_minimal", "_atom", "_value_at", "_eval_mp", "_evaluator",
+    "_angle", "_atom_minimal", "_atom", "_value_at", "_eval_dec", "_evaluator",
 )
 
 

@@ -25,7 +25,7 @@ from ggwb.numeric import positivity_witness
 from ggwb.structures.genmetric import GenMetric, check_gen_metric
 from ggwb.symexpr import ZeroPolicy, evaluate, sign_at
 from ggwb.verdict import CheckResult, VerdictKind
-from sympy_oracle import to_scalar
+from sympy_oracle import to_mpmath, to_scalar
 
 TINY = Fraction(1, 10**12)
 
@@ -236,4 +236,5 @@ def test_atom_form_signs_by_hand(sphere):
     # a 30-digit value within the tolerance is the sign 0
     assert sign_at(S3.scalar("sin(a)^2 + cos(a)^2 - 1 + exp(a)/10^12"), base) == 0
     with mpmath.workdps(30):
-        assert abs(evaluate(S3.scalar("cos(2*a)"), base) - mpmath.cos(mpmath.mpf(5) / 4)) < 1e-28
+        assert abs(to_mpmath(evaluate(S3.scalar("cos(2*a)"), base))
+                   - mpmath.cos(mpmath.mpf(5) / 4)) < 1e-28

@@ -260,6 +260,31 @@ def test_yun_agrees_with_sympys_sqf_list(seed):
     assert abs(c) == abs(int(c_want))
 
 
+# -- the cached hash ---------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6), gaussian=st.booleans())
+def test_the_cached_hash_is_the_hash_of_the_items(seed, gaussian):
+    """A Poly keeps its hash from the first ``hash``; the builders that
+    change a Poly in place (add_mul, prune, _mul, exquo, _interpolate,
+    _coeffs) are done before it, so the kept hash is that of a fresh Poly
+    of the same items."""
+    rng = random.Random(seed)
+    ring_ = RI if gaussian else R
+    a, b, c = (_poly(_random(rng, ring_, 3, 2)) for _ in range(3))
+    ab = poly.mul(a, b)
+    acc = Poly()
+    poly.add_mul(acc, a, b)
+    poly.add_mul(acc, a, c)
+    built = [a, ab, poly.exquo(ab, a) if a else b, poly.prune(acc), poly.power(c, 3),
+             *poly.cofactors(poly.mul(a, c), poly.mul(b, c), gaussian)]
+    for p in built:
+        first = hash(p)
+        assert hash(p) == first == hash(Poly(dict(p))) == hash(frozenset(p.items()))
+    assert hash(poly.prune(acc)) == hash(poly.add(ab, poly.mul(a, c)))
+
+
 # -- the packed width ------------------------------------------------------------------
 
 

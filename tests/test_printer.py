@@ -9,7 +9,6 @@ takes the value of ``evaluate`` at rational points.
 """
 
 import random
-from fractions import Fraction
 
 import mpmath
 import pytest
@@ -20,7 +19,7 @@ from hypothesis import strategies as st
 from ggwb.calculus import ChartManifold
 from ggwb.poly import Gaussian
 from ggwb.symexpr import _POLE, _layout, evaluate, parse_scalar, random_poly
-from sympy_oracle import random_expr
+from sympy_oracle import random_expr, to_mpmath
 
 CHART = ChartManifold("print3", ["x", "y", "z"])
 
@@ -74,9 +73,7 @@ def _agrees_with_evaluate(s, rng):
         if v is _POLE or not ref.is_finite:
             continue  # a pole, or a pole of a half-angle generator
         with mpmath.workdps(40):
-            got = (mpmath.mpf(v.numerator) / v.denominator if isinstance(v, Fraction)
-                   else mpmath.mpmathify(v))
-            want = mpmath.mpmathify(ref)
+            got, want = to_mpmath(v), to_mpmath(ref)
             assert abs(got - want) <= 1e-20 * max(1, abs(want))
         checked += 1
     return checked

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -20,7 +21,7 @@ from ggwb.symexpr import (
     _POLE,
 )
 from ggwb.verdict import VerdictKind
-from sympy_oracle import random_expr, random_tree, symbols, to_scalar
+from sympy_oracle import random_expr, random_tree, symbols, to_mpmath, to_scalar
 
 
 @pytest.fixture(scope="module")
@@ -338,13 +339,14 @@ def test_evaluate_names_a_missing_coordinate():
 
 
 def test_values_beyond_the_double_range_keep_their_digits():
-    """An atom value is a 30-digit mpmath number, finite where a double is
-    not; a witness prints a finite value as a float and a larger one by its
+    """An atom value is a 30-digit Decimal, finite where a double is not;
+    a witness prints a finite value as a float and a larger one by its
     leading digits."""
     line = ChartManifold("line", ["x"])
+    v = evaluate(line.scalar("exp(800*x)"), {"x": 1})  # E[x]^800
+    assert type(v) is Decimal and len(v.as_tuple().digits) == 30
     with mpmath.workdps(30):
-        v = evaluate(line.scalar("exp(800*x)"), {"x": 1})
-        assert abs(v / mpmath.exp(800) - 1) < 1e-25
+        assert abs(to_mpmath(v) / mpmath.exp(800) - 1) < 1e-25
     far = ChartManifold("far", ["x"], ranges={"x": (Fraction(700), Fraction(800))})
     for seed in (2, 0):  # x = 707.7 and x = 751.0
         w = is_zero(far.scalar("exp(x)"), ZeroPolicy(samples=1, seed=seed)).witness

@@ -23,7 +23,7 @@ from ggwb.errors import ExprError, ParseError
 from ggwb.symexpr import _POLE, ZeroPolicy, evaluate, is_zero
 from ggwb.verdict import VerdictKind
 from ggwb.workbench import load_builtin, run_checks
-from sympy_oracle import random_expr, random_tree, symbols, to_scalar
+from sympy_oracle import random_expr, random_tree, symbols, to_mpmath, to_scalar
 
 POL = ZeroPolicy(samples=16, seed=0)
 
@@ -162,14 +162,6 @@ def _values(expr, chart, rng, n=3):
     return out
 
 
-def _mp(v):
-    """A value of ``evaluate`` (exact, or 30-digit mpmath) or of ``evalf`` as
-    an mpmath number."""
-    if hasattr(v, "denominator"):
-        return mpmath.mpf(v.numerator) / v.denominator
-    return mpmath.mpmathify(v)
-
-
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**6))
 @example(seed=2900)  # a value of about -8.6e2100, beyond the range of a double
@@ -179,7 +171,7 @@ def test_trig_reduce_idempotent_and_value_preserving(seed):
     assert to_scalar(e.expr, chart) == e
     for point, ref in _values(e.expr, chart, random.Random(seed)):
         with mpmath.workdps(30):
-            v, ref = _mp(evaluate(e, point)), _mp(ref)
+            v, ref = to_mpmath(evaluate(e, point)), to_mpmath(ref)
             assert abs(v - ref) <= 1e-12 * (1 + abs(ref))
 
 
@@ -297,7 +289,7 @@ def test_scalar_agrees_with_evalf_of_the_source_tree(seed):
         if v is _POLE or not ref.is_finite:
             continue  # a pole of the scalar or of the source tree
         with mpmath.workdps(30):
-            v, ref = _mp(v), _mp(ref)
+            v, ref = to_mpmath(v), to_mpmath(ref)
             assert abs(v - ref) <= 1e-12 * max(1, abs(ref))
 
 
@@ -323,7 +315,7 @@ def test_a_large_atom_argument_keeps_its_digits(text, at):
     v = evaluate(chart.scalar(text), {"x": at})
     with mpmath.workdps(80):
         ref = sp.sympify(text.replace("^", "**")).evalf(80, subs={sp.Symbol("x"): at})
-        assert abs(_mp(v) - _mp(ref)) <= 1e-25 * abs(_mp(ref))
+        assert abs(to_mpmath(v) - to_mpmath(ref)) <= 1e-25 * abs(to_mpmath(ref))
 
 
 # -- the sphere example, decided without trigsimp ------------------------------

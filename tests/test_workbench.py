@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 import time
 from pathlib import Path
 
@@ -323,7 +324,6 @@ def test_failed_item_keeps_its_detail_in_reports():
 
 def test_binormal_reuses_the_scenario_normal21_result(monkeypatch):
     from ggwb.structures import twoone
-    from ggwb.workbench import checks as checks_mod
 
     calls = []
     original = twoone.check_normal_21
@@ -332,8 +332,12 @@ def test_binormal_reuses_the_scenario_normal21_result(monkeypatch):
         calls.append(s.name)
         return original(s, policy)
 
-    monkeypatch.setattr(twoone, "check_normal_21", counted)
-    monkeypatch.setattr(checks_mod, "check_normal_21", counted)
+    # every ggwb module that binds the function calls the counted one
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("ggwb"):
+            for attr, val in list(vars(mod).items()):
+                if val is original:
+                    monkeypatch.setattr(mod, attr, counted)
     sc = load_builtin("S1", 0)
     wanted = [r.check for r in sc.checks]
     assert wanted.index("normal21") < wanted.index("binormal")
