@@ -2,12 +2,12 @@
 
 Atom values are 30-digit Decimals of the standard library (``symexpr``'s
 one evaluator), so mpmath is a test oracle only: it is not a dependency of
-the package, no module under ``src/ggwb`` imports it, and a cold check of
-every builtin, S3 and S4 with their exp and tan generators included, and a
-Courant anomaly identity built from text the way ``bench/worker.py``
-builds its courant job, leave ``"mpmath"`` out of ``sys.modules``.  Each
-probe runs in a fresh interpreter, so no module is left behind from the
-test session.
+the package, no module under ``src/ggwb`` imports it, and parsing S3 or
+S4, a cold check of every builtin, S3 and S4 with their exp and tan
+generators included, and a Courant anomaly identity built from text the
+way ``bench/worker.py`` builds its courant job, leave ``"mpmath"`` out of
+``sys.modules``.  Each probe runs in a fresh interpreter, so no module is
+left behind from the test session.
 """
 
 import ast
@@ -20,6 +20,7 @@ import tomllib
 from pathlib import Path
 
 import mpmath
+import pytest
 
 from ggwb.calculus import ChartManifold, _Array
 from ggwb.numeric import positivity_witness
@@ -59,6 +60,14 @@ rhs = (courant.courant_bracket(A, B) * f + B * A.X.apply(f)
 verdict = symexpr.is_zero_all((lhs - rhs).components(), symexpr.ZeroPolicy(seed=0))
 print("verdict", verdict.kind.value)
 report("courant")
+"""
+
+_ATOM_LOAD = """
+import sys
+from ggwb.workbench import scenario
+print("before", "mpmath" in sys.modules)
+scenario.load_builtin({name!r}, 0)
+print("after", "mpmath" in sys.modules)
 """
 
 # The atom grid has the pivots exp(1) and -10^-20/exp(1) at x = 1: with no
@@ -104,6 +113,11 @@ def test_cold_jobs_never_import_mpmath():
     steps = ["import-cli", "S1", "S2", "S3", "S4", "S5", "S6b", "courant"]
     assert [line for line in lines if line.split()[0] in steps] == [f"{s} False" for s in steps]
     assert "verdict Proved" in lines
+
+
+@pytest.mark.parametrize("name", ["S3", "S4"])
+def test_an_atom_builtin_leaves_mpmath_unloaded_while_it_is_parsed(name):
+    assert _run(_ATOM_LOAD.format(name=name)) == ["before False", "after False"]
 
 
 def test_atom_values_and_the_point_certificate_keep_30_digits_without_mpmath():
