@@ -997,14 +997,6 @@ def musical_sharp(gamma: MetricField, a: OneForm) -> VectorField:
     return VectorField(chart, contract("jk,k->j", gamma.inverse_matrix(), a))
 
 
-def flat_combination(psi: TwoForm, gamma: MetricField, sign: int, X: VectorField) -> OneForm:
-    """flat_{psi + sign*gamma} X, the V_+/V_- embeddings' covector part."""
-    if sign not in (1, -1):
-        raise ExprError("sign must be +1 or -1")
-    chart = _same_chart(psi, gamma, X)
-    return OneForm(chart, contract("i,ij->j", X, psi) + contract("i,ij->j", X, gamma) * sign)
-
-
 # ---------------------------------------------------------------------------
 # Levi-Civita connection
 

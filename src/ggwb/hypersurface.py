@@ -136,24 +136,13 @@ def _halve_exponents(p, K):
     return functools.reduce(mul, (power(f, k // 2) for f, k in factors), ground(root))
 
 
-def unit_normal(
-    e: Embedding,
-    gamma: MetricField,
-    policy: ZeroPolicy = DEFAULT_POLICY,
-    jac: Optional[_Array] = None,
-    g_res: Optional[_Array] = None,
-) -> _Array:
+def unit_normal(e: Embedding, gamma: MetricField, policy: ZeroPolicy = DEFAULT_POLICY) -> _Array:
     """gamma-unit normal along N from the cross-product/cofactor construction,
     oriented so that (frame of N, n) is positively oriented, then flipped by
-    the embedding's orientation flag.
-
-    ``jac`` and ``g_res`` are ``e.jacobian()`` and gamma restricted to N,
-    when the caller holds them already; when None they are computed here.
-    """
+    the embedding's orientation flag."""
     chart = e.domain
     n = e.ambient.dim
-    jac = e.jacobian() if jac is None else jac
-    g_res = e.restrict_grid(gamma) if g_res is None else g_res
+    jac, g_res = once(Embedding.jacobian, e), once(Embedding.restrict_grid, e, gamma)
     # omega_k = det [ jac columns | e_k ], expanded along the last column
     cof = [(-1) ** (k + n - 1) * _det(_minor(jac, k)) for k in range(n)]
     # rank audit: the Jacobian has full rank where one of its maximal minors is nonzero
@@ -178,12 +167,13 @@ def unit_normal(
 
 
 class HypersurfaceGeometry:
-    """The Gauss-Weingarten data of one hypersurface and everything built
-    from it.  The structures induced from an ambient J (its restriction,
-    the restricted dOmega, the induced almost contact structure) and from a
-    pair J_pm (the induced generalized structure) are built on first
-    request and kept, per ambient field compared by identity; every build
-    is deterministic, so a kept value is the one a rebuild would give."""
+    """The Gauss-Weingarten data of one hypersurface, and reads of the
+    structures built from it: from an ambient J its restriction, the
+    restricted dOmega and the induced almost contact structure, and from a
+    pair J_pm the induced generalized structure.  Each read is a
+    :func:`~ggwb.verdict.once` of a module-level build, so a run builds it
+    one time per ambient field (compared by identity) and separate runs
+    share nothing."""
 
     def __init__(self, embedding: Embedding, gamma: MetricField, psi: TwoForm,
                  policy: ZeroPolicy, nu: _Array, s: MetricField, kappa: TwoForm, b: _Array,
@@ -200,36 +190,30 @@ class HypersurfaceGeometry:
         self.gamma_res = gamma_res  # restricted ambient metric
         self.jac = jac
         self.christoffel_res = christoffel_res  # restricted ambient Christoffel symbols
-        self._derived = {}
 
     def push(self, X: VectorField) -> _Array:
         """Ambient components (along N) of d iota (X)."""
         return contract("ka,a->k", self.jac, X)
 
-    def _once(self, kind: str, fields: tuple, build):
-        key = (kind, *map(id, fields))
-        if key not in self._derived:
-            self._derived[key] = (fields, build())
-        return self._derived[key][1]
-
     def J_res(self, J: EndoTM) -> _Array:
         """The ambient J restricted to N."""
-        return self._once("J", (J,), lambda: self.embedding.restrict_grid(J))
+        return once(Embedding.restrict_grid, self.embedding, J)
 
     def dOmega_res(self, J: EndoTM) -> _Array:
         """d of the Kaehler form of (gamma, J), restricted to N."""
-        return self._once("dOmega", (J,), lambda: self.embedding.restrict_grid(
-            ext_d(_kaehler_form(self.gamma, J))))
+        return once(_dOmega_res, self, J)
 
     def contact(self, J: EndoTM) -> AlmostContact:
         """The almost contact structure J induces on N."""
-        return self._once("contact", (J,), lambda: induced_almost_contact(self, J))
+        return once(induced_almost_contact, self, J)
 
     def gen_structure(self, J_plus: EndoTM, J_minus: EndoTM) -> "InducedGenStructure":
         """The generalized structure the pair J_pm induces on N."""
-        return self._once(
-            "gen", (J_plus, J_minus), lambda: induced_gen_structure(self, J_plus, J_minus)
-        )
+        return once(induced_gen_structure, self, J_plus, J_minus)
+
+
+def _dOmega_res(geo: HypersurfaceGeometry, J: EndoTM) -> _Array:
+    return geo.embedding.restrict_grid(ext_d(_kaehler_form(geo.gamma, J)))
 
 
 def _along(gam_res: _Array, jac: _Array, v: _Array) -> _Array:
@@ -245,6 +229,7 @@ def _pullback(t_res, jac) -> _Array:
     return contract("ij,ia,jc->ac", t_res, jac, jac)
 
 
+@run()
 def second_fundamental_form(
     e: Embedding,
     gamma: MetricField,
@@ -256,13 +241,12 @@ def second_fundamental_form(
     b(X,Y) = gamma(nabla_X d iota(Y), nu) and the Weingarten operator with
     s(W X, Y) = b(X, Y)."""
     chart = e.domain
-    jac = e.jacobian()
-    g_res = e.restrict_grid(gamma)
+    jac, g_res = once(Embedding.jacobian, e), once(Embedding.restrict_grid, e, gamma)
     s = MetricField(chart, _pullback(g_res, jac))
     if psi is None:
         psi = zero_twoform(gamma.chart)
     kappa = TwoForm(chart, _pullback(e.restrict_grid(psi), jac))
-    nu = unit_normal(e, gamma, policy, jac, g_res)
+    nu = unit_normal(e, gamma, policy)
     gam_res = e.restrict_grid(gamma.connection().christoffel)
     # b(d_a, d_c) = gamma(nabla_a d iota(d_c), nu)
     b = contract("ica,ij,j->ac", _along(gam_res, jac, jac), g_res, nu)
@@ -314,6 +298,7 @@ def _J_frame(geo: HypersurfaceGeometry, J: EndoTM) -> tuple[_Array, _Array]:
     return contract("ij,ja->ia", j_res, geo.jac), -contract("ij,j->i", j_res, geo.nu)
 
 
+@run()
 def check_induced_contact(
     geo: HypersurfaceGeometry, J: EndoTM, policy: ZeroPolicy = DEFAULT_POLICY
 ) -> CheckResult:
@@ -413,7 +398,7 @@ def _crf2_defects(geo: HypersurfaceGeometry, J: EndoTM) -> tuple[list, list]:
     """The defects of the two (eqCRF2) lines, on the spanning set F d_a of
     P = im F: dOmega(JX, JY, Jnu) - dOmega(X, Y, Jnu) for a < b, and
     b(FX, FY) - b(X, Y) for a <= b."""
-    F, F2, push_p, j_push_p = _P_columns(geo, J)
+    F, F2, push_p, j_push_p = once(_P_columns, geo, J)
     # dOmega(., ., Jnu) along N
     dom = contract("ijk,kl,l->ij", geo.dOmega_res(J), geo.J_res(J), geo.nu)
     lines = (contract("ij,ia,jb->ab", dom, j_push_p, j_push_p)
@@ -428,14 +413,12 @@ def _P_columns(geo: HypersurfaceGeometry, J: EndoTM) -> tuple:
     P = im F, and F^2 d_a their images under F), with the pushforwards
     d iota (F d_a) and J d iota (F d_a) as the columns of ambient-by-domain
     arrays."""
-    def build():
-        F = geo.contact(J).F
-        push_p = contract("ka,ab->kb", geo.jac, F)
-        return F, F @ F, push_p, contract("ij,jb->ib", geo.J_res(J), push_p)
-
-    return geo._once("P", (J,), build)
+    F = geo.contact(J).F
+    push_p = contract("ka,ab->kb", geo.jac, F)
+    return F, F @ F, push_p, contract("ij,jb->ib", geo.J_res(J), push_p)
 
 
+@run()
 def check_hyp_CRF(
     geo: HypersurfaceGeometry, J: EndoTM, policy: ZeroPolicy = DEFAULT_POLICY
 ) -> CheckResult:
@@ -450,6 +433,7 @@ def check_hyp_CRF(
     return out
 
 
+@run()
 def check_hyp_normal(
     geo: HypersurfaceGeometry, J: EndoTM, policy: ZeroPolicy = DEFAULT_POLICY
 ) -> CheckResult:
@@ -459,7 +443,7 @@ def check_hyp_normal(
     for lbl, v in once(check_hyp_CRF, geo, J, policy).items:
         out.add(lbl, v)
     ac = geo.contact(J)
-    j_push_p = _P_columns(geo, J)[3]
+    j_push_p = once(_P_columns, geo, J)[3]
     # [a]: b(Z, F d_a) + (1/2) dOmega(nu, Z, J F d_a)
     exprs = contract("ac,a,cb->b", geo.b, ac.Z, ac.F) + contract(
         "ijk,i,j,kb->b", geo.dOmega_res(J), geo.nu, geo.push(ac.Z), j_push_p) * Fraction(1, 2)
@@ -467,6 +451,7 @@ def check_hyp_normal(
     return out
 
 
+@run()
 def check_fundamental_form_property(
     geo: HypersurfaceGeometry, J: EndoTM, policy: ZeroPolicy = DEFAULT_POLICY
 ) -> CheckResult:
@@ -489,13 +474,11 @@ def check_fundamental_form_property(
 
 class InducedGenStructure:
     """The generalized F structure a pair J_pm induces (its G is built from
-    (s, kappa)), the (2,1)-structure with the induced Z_pm, and the
-    check_two_one its build ran."""
+    (s, kappa)) and the (2,1)-structure with the induced Z_pm."""
 
-    def __init__(self, genf: GenF, two_one: TwoOneGAC, two_one_check: CheckResult):
+    def __init__(self, genf: GenF, two_one: TwoOneGAC):
         self.genf = genf
         self.two_one = two_one
-        self.two_one_check = two_one_check
 
 
 def induced_gen_structure(
@@ -509,7 +492,8 @@ def induced_gen_structure(
     G = build_gen_metric(geo.s, geo.kappa, policy)
     genf = build_genF_from_quadruple(G, acp.F, acm.F, policy)
     two_one = TwoOneGAC(genf.Fcal, G.section(acp.Z, 1), G.section(acm.Z, -1), G, "induced-21")
-    return InducedGenStructure(genf, two_one, require_two_one(two_one, policy))
+    require_two_one(two_one, policy)
+    return InducedGenStructure(genf, two_one)
 
 
 @run()
@@ -530,7 +514,7 @@ def check_hyp_CRFK(
     rho = contract("ijk,i,ja,kc->ac", dpsi_res, geo.nu, geo.jac, geo.jac)
     for sign, J in ((1, J_plus), (-1, J_minus)):
         tag = "+" if sign == 1 else "-"
-        F, F2, _, _ = _P_columns(geo, J)
+        F, F2, _, _ = once(_P_columns, geo, J)
         out.test(f"(eqptans3) i(nu)dpsi invariance under F{tag} on P{tag}",
                  frame_pairs(contract("ac,ai,cj->ij", rho, F2, F2)
                              - contract("ac,ai,cj->ij", rho, F, F)))

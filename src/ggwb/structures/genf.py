@@ -86,7 +86,7 @@ def check_gen_F(genf: GenF, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
         # Fcal C_pm = C_pm F_pm, section by section: tau_pm(F_pm d_i) is column i of C_pm F_pm
         exprs = []
         for sign, F in ((1, genf.F_plus), (-1, genf.F_minus)):
-            C = genf.G._frame(sign)
+            C = genf.G._frames[sign]
             d = contract("ij,ja->ia", m, C) - contract("ij,ja->ia", C, F)
             exprs.extend(contract("ia->ai", d)._flat())
         out.test("(eqJrond) Fcal(X, flat X) = (F_pm X, flat F_pm X)", exprs)

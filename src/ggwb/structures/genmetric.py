@@ -22,8 +22,9 @@ The closed form needs only the cached inverse of gamma, never the inverse
 of the 2n x 2n frame matrix C.
 
 The sections tau_pm(d_i) spanning V_pm are the columns of C_pm =
-[I; (psi +- gamma)^T], the block columns of C, so a criterion on V_pm
-contracts its operator with C_pm (Gcal C_pm = +-C_pm, C_+^T G C_+ = gamma).
+[I; +-gamma - psi] = [I; (psi +- gamma)^T], the block columns of C, so a
+criterion on V_pm contracts its operator with C_pm (Gcal C_pm = +-C_pm,
+C_+^T G C_+ = gamma), and tau_pm X = C_pm X.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from ..calculus import (
     contract,
     contract_sum,
     ext_d,
-    flat_combination,
     zero_twoform,
 )
 from ..courant import BigEndo, BigSection, _gram0, frame_pairs
@@ -73,7 +73,10 @@ class GenMetric:
         self.Gcal = self.transfer(ident, -ident)
         self._gram = contract("ki,kj->ij", self.Gcal, _gram0(chart))
         self._dpsi = None
-        self._frames = {}
+        # C_s = [I; s*gamma - psi]: the sections tau_s(d_i) of V_s as the
+        # columns of a 2n x n core array (psi^T = -psi and gamma^T = gamma)
+        self._frames = {s: _stack(ident, contract_sum((s, "ij->ij", gamma), (-1, "ij->ij", psi)))
+                        for s in (1, -1)}
 
     def transfer(self, F_plus: EndoTM, F_minus: EndoTM) -> BigEndo:
         """The endomorphism acting as F_pm on V_pm through tau_pm, in the
@@ -92,25 +95,20 @@ class GenMetric:
     # -- sections of V_pm -------------------------------------------------
 
     def section(self, X: VectorField, sign: int) -> BigSection:
-        """(X, flat_{psi + sign*gamma} X) in V_sign."""
-        return BigSection(X, flat_combination(self.psi, self.gamma, sign, X))
+        """(X, flat_{psi + sign*gamma} X) in V_sign: the one-column case of
+        :meth:`sections`."""
+        return BigSection.from_components(self.chart, self.sections([X], [sign])._column(0))
 
     def sections(self, Xs, signs) -> _Array:
         """The 2n x m core array whose column c is tau_s(Xs[c]) = C_s Xs[c],
         s = ``signs[c]``: one contraction sum over the frames C_pm."""
+        if any(s not in (1, -1) for s in signs):
+            raise ExprError("signs must be +-1")
         X, m = _columns(Xs), len(Xs)
         return contract_sum(*(
-            (1, "ki,ic,c->kc", self._frame(s), X,
+            (1, "ki,ic,c->kc", self._frames[s], X,
              _Array(self.chart, {(c,): 1 for c, t in enumerate(signs) if t == s}, (m,)))
             for s in (1, -1) if s in signs))
-
-    def _frame(self, sign: int) -> _Array:
-        """C_sign = [I; (psi + sign*gamma)^T]: the sections tau_sign(d_i)
-        of V_sign as the columns of a 2n x n core array."""
-        if sign not in self._frames:
-            cov = contract("ij->ji", self.psi) + contract("ij->ji", self.gamma) * sign
-            self._frames[sign] = _stack(EndoTM.identity(self.chart), cov)
-        return self._frames[sign]
 
     @property
     def dpsi(self):
@@ -139,11 +137,11 @@ def check_gen_metric(G: GenMetric, policy: ZeroPolicy = DEFAULT_POLICY) -> Check
     # V_pm really are the +-1 eigenbundles: Gcal C_pm = +-C_pm, section by section
     eig = []
     for sign in (1, -1):
-        C = G._frame(sign)
+        C = G._frames[sign]
         eig.extend(contract("ia->ai", contract("ij,ja->ia", G.Gcal, C) - C * sign)._flat())
     out.test("(exprEpm) Gcal = +-Id on V_+-", eig)
     # G restricted to V_+ transfers to gamma through tau_+
-    C = G._frame(1)
+    C = G._frames[1]
     tr = contract("ai,ab,bj->ij", C, G._gram, C) - G.gamma
     out.test("(condptGrond) G|V+ = gamma via tau_+", frame_pairs(tr, diagonal=True))
     rng = policy.rng()

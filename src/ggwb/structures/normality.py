@@ -19,6 +19,7 @@ from ..calculus import (
     OneForm,
     VectorField,
     _Array,
+    _columns,
     _minor,
     _partials,
     contract,
@@ -114,18 +115,13 @@ def _rho(data: _PairData, sign: int, P) -> tuple[_Array, _Array]:
     return bracket, (-inner if sign == 1 else inner)
 
 
-def _column(X: VectorField) -> _Array:
-    """X as the one column of an n x 1 array."""
-    return contract("i,a->ia", X, (1,))
-
-
 def zeta_form(
     s: TwoOneGAC, X: VectorField, sign: int, policy: ZeroPolicy = DEFAULT_POLICY
 ) -> OneForm:
     """zeta_sign(X) for X in P_sign."""
     data = _PairData(s)
     _membership_P(data, sign, X, policy)
-    return OneForm(s.chart, _zeta(data, sign, _column(X))._take(0))
+    return OneForm(s.chart, _zeta(data, sign, _columns([X]))._take(0))
 
 
 def rho_form(
@@ -134,7 +130,7 @@ def rho_form(
     """rho_sign(X) for X in P_{-sign}."""
     data = _PairData(s)
     _membership_P(data, -sign, X, policy)
-    return OneForm(s.chart, _rho(data, sign, _column(X))[1]._take(0))
+    return OneForm(s.chart, _rho(data, sign, _columns([X]))[1]._take(0))
 
 
 def zeta_rho_forms(

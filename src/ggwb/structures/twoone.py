@@ -72,7 +72,7 @@ class TwoOneGAC:
             raise PreconditionNotMet("classical pair needs the generalized metric")
         # the vector block of Fcal C_pm: column i is the TM part of Fcal tau_pm(d_i)
         n = self.chart.dim
-        return tuple(EndoTM(self.chart, contract("ij,ja->ia", self.Fcal, self.G._frame(s))._block(
+        return tuple(EndoTM(self.chart, contract("ij,ja->ia", self.Fcal, self.G._frames[s])._block(
             0, n)) for s in (1, -1))
 
     def classical_pair(self) -> tuple[AlmostContact, AlmostContact, TwoForm]:
@@ -128,9 +128,10 @@ def build_21gac(
 
 
 def require_two_one(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:
-    """``check_two_one(s, policy)``; raises StructureError with the failed
-    items when it fails."""
-    return check_two_one(s, policy).require("data does not satisfy the (2,1)-structure axioms")
+    """``once(check_two_one, s, policy)``; raises StructureError with the
+    failed items when it fails."""
+    return once(check_two_one, s, policy).require(
+        "data does not satisfy the (2,1)-structure axioms")
 
 
 def check_two_one(s: TwoOneGAC, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckResult:

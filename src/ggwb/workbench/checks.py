@@ -218,12 +218,6 @@ def _two_one_target(ctx, obj):
     return obj
 
 
-def _run_two_one(ctx, obj) -> CheckResult:
-    if isinstance(obj, Hypersurface):  # the build of the induced structure ran it
-        return ctx.induced(obj).two_one_check
-    return check_two_one(obj, ctx.policy)
-
-
 _HYP = ("hypersurface",)
 _C21 = ("two_one", "hypersurface")
 
@@ -280,7 +274,8 @@ _register(
 )
 _register("crvpm", ("gen_metric", "quadruple", "two_one"), _run_crvpm, aliases=("CrVpm",))
 _register(
-    "two_one", _C21, _run_two_one,
+    "two_one", _C21,
+    lambda ctx, obj: once(check_two_one, _two_one_target(ctx, obj), ctx.policy),
     aliases=("almoctZpm", "almctF2", "21metriccuZpm", "comfr", "prScuframe"),
 )
 _register(

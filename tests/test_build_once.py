@@ -9,7 +9,12 @@ from collections import Counter
 import pytest
 
 from ggwb import hypersurface, verdict
-from ggwb.hypersurface import check_hyp_CRF, check_hyp_CRFK, check_hyp_normal
+from ggwb.hypersurface import (
+    check_fundamental_form_property,
+    check_hyp_CRF,
+    check_hyp_CRFK,
+    check_hyp_normal,
+)
 from ggwb.structures import classical, normality, twoone
 from ggwb.verdict import once, run
 from ggwb.workbench import checks, load_builtin
@@ -81,6 +86,28 @@ def test_hyp_normal_is_hyp_crf_plus_eqnormal2(sphere, pol, monkeypatch):
     ]
     # within one run the hyp_CRF result is read, not recomputed
     assert calls == Counter({"_crf2_defects": 1})
+
+
+def test_each_run_builds_its_own_induced_structure(sphere, pol, monkeypatch):
+    """The geometry keeps no build of its own: two runs over one geometry
+    build the induced almost contact structure and the columns spanning P
+    once each, two builds in all."""
+    calls = _count_calls(monkeypatch, (
+        (hypersurface, "induced_almost_contact"), (hypersurface, "_P_columns")))
+    for _ in range(2):
+        with run():
+            check_hyp_normal(sphere["geo"], sphere["J"], pol)
+            check_fundamental_form_property(sphere["geo"], sphere["J"], pol)
+    assert calls == Counter({"induced_almost_contact": 2, "_P_columns": 2})
+
+
+def test_a_standalone_hyp_normal_builds_the_induced_structure_once(sphere, pol, monkeypatch):
+    """check_hyp_normal reads the induced structure itself and through
+    check_hyp_CRF; called alone it opens one run for both."""
+    calls = _count_calls(monkeypatch, ((hypersurface, "induced_almost_contact"),))
+    check_hyp_normal(sphere["geo"], sphere["J"], pol)
+    assert calls == Counter({"induced_almost_contact": 1})
+    assert verdict._memo.get() is None
 
 
 SHARED = (

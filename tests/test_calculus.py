@@ -203,15 +203,18 @@ def test_musical_examples(R3, s2):
 
 
 def test_flat_combination_splits(R3, s2, pol):
-    """flat_{psi +- gamma} X = flat_psi X +- flat_gamma X."""
-    from ggwb.calculus import TwoForm, flat_combination
+    """The covector part of tau_pm X is flat_{psi +- gamma} X = flat_psi X
+    +- flat_gamma X."""
+    from ggwb.calculus import TwoForm
+    from ggwb.structures.genmetric import GenMetric
 
     psi = TwoForm(R3, [["0", "x", "0"], ["-x", "0", "z"], ["0", "-z", "0"]])
+    G = GenMetric(s2.gamma, psi)
     rng = random.Random(44)
     for _ in range(4):
         X = random_vector_field(R3, rng, 1)
         for sign in (1, -1):
-            fused = flat_combination(psi, s2.gamma, sign, X)
+            fused = G.section(X, sign).alpha
             split = musical_flat(psi, X) + musical_flat(s2.gamma, X) * sign
             assert is_zero_all((fused - split).components, pol).is_proved
 

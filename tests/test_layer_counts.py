@@ -30,12 +30,16 @@ def test_layer_counts_reports_the_integer_traffic():
     # metric (hypersurface.induced_gen_structure) certifies G at its 5 points
     assert counts["zero_tests.proved"] > 0 and "zero_tests.failed" not in counts
     assert counts["certificates.no_witness"] == 5 and "certificates.witness" not in counts
-    # each sub-check that several of S6b's checks read is computed once
-    # (check_normal_classical by the CRFK consequences, J_plus being J_minus),
+    # each sub-check and build that several of S6b's checks read is computed
+    # once (check_normal_classical by the CRFK consequences and the induced
+    # almost contact structure once, J_plus being J_minus; check_two_one by
+    # the build of the induced generalized structure and the two_one check),
     # and S6b runs no normality check of a (2,1)-structure
     assert {k: v for k, v in counts.items() if k.startswith("subchecks.")} == {
         "subchecks.check_almost_hermitian": 1, "subchecks.check_gen_kahler": 1,
-        "subchecks.check_hyp_CRF": 1, "subchecks.check_normal_classical": 1}
+        "subchecks.check_hyp_CRF": 1, "subchecks.check_normal_classical": 1,
+        "subchecks.induced_almost_contact": 1, "subchecks.induced_gen_structure": 1,
+        "subchecks.check_two_one": 1}
 
 
 def test_layer_counts_counts_a_fused_pass_once_with_its_terms():

@@ -15,7 +15,7 @@ from ggwb.calculus import (
     zero_twoform,
 )
 from ggwb.courant import BigEndo, big_frame, courant_bracket, pairing, pairing_gram
-from ggwb.errors import StructureError
+from ggwb.errors import ExprError, StructureError
 from ggwb.structures import (
     GenF,
     GenMetric,
@@ -108,6 +108,16 @@ def test_gen_metric_transfer_to_gamma(s2_genmetric, R3, pol):
                 s2_genmetric.section(fr[i], 1), s2_genmetric.section(fr[j], 1)
             ) - s2_genmetric.gamma(fr[i], fr[j])
             assert d.is_syntactic_zero
+
+
+def test_sections_take_only_the_signs_pm1(s2_genmetric, R3):
+    """tau_s exists for s = +-1 only: any other sign is an error, not a
+    zero column."""
+    X = frame(R3)[0]
+    for call in (lambda: s2_genmetric.section(X, 0),
+                 lambda: s2_genmetric.sections([X, X], [1, 2])):
+        with pytest.raises(ExprError, match="signs must be"):
+            call()
 
 
 def test_gen_metric_rejects_indefinite(R3, pol):

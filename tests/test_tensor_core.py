@@ -32,7 +32,6 @@ from ggwb.calculus import (
     _SymBilinear,
     _levi_civita,
     contract,
-    flat_combination,
     interior,
     musical_flat,
     musical_sharp,
@@ -232,10 +231,10 @@ def test_slot_contractions(chart, f):
     _same(chart, f.a.compose_endo(f.F), ref)
     inv = _raw(f.g.inverse_matrix())
     _same(chart, musical_sharp(f.g, f.a), [_loop_sum(inv[j][k] * a[k] for k in r) for j in r])
-    g = _raw(f.g)
+    g, G = _raw(f.g), GenMetric(f.g, f.w)
     for sign in (1, -1):
         ref = [_loop_sum(X[i] * (w[i][j] + sign * g[i][j]) for i in r) for j in r]
-        _same(chart, flat_combination(f.w, f.g, sign, f.X), ref)
+        _same(chart, G.section(f.X, sign).alpha, ref)
 
 
 def test_endomorphisms_apply(chart, f):

@@ -41,8 +41,10 @@ are derived from them the same way on both sides:
   witness (a pivot that is not positive at the point);
 - ``subchecks.<name>``: calls of the sub-checks and builds that several
   checks read (``check_almost_hermitian``, ``check_gen_kahler``,
-  ``check_hyp_CRF``, ``check_normal_21``, ``check_normal_classical`` and
-  ``normality._PairData``), so a result that is shared counts once;
+  ``check_hyp_CRF``, ``check_normal_21``, ``check_normal_classical``,
+  ``check_two_one``, ``normality._PairData`` and the hypersurface builds
+  ``induced_almost_contact`` and ``induced_gen_structure``), so a result
+  that is shared counts once;
 - ``<cache>.hits``, ``.misses`` and ``.currsize``: the ``cache_info()`` of
   each denominator cache of the field core that the checkout has
   (``symexpr._reduced``, ``symexpr._poly_lcm``, ``calculus._den_product``).
@@ -237,8 +239,10 @@ def install(counts: Counter) -> None:
         replace[id(fused)] = counted_fused
     for module, name in ((hypersurface, "check_almost_hermitian"),
                          (hypersurface, "check_gen_kahler"), (hypersurface, "check_hyp_CRF"),
-                         (twoone, "check_normal_21"), (classical, "check_normal_classical"),
-                         (normality, "_PairData")):
+                         (hypersurface, "induced_almost_contact"),
+                         (hypersurface, "induced_gen_structure"),
+                         (twoone, "check_normal_21"), (twoone, "check_two_one"),
+                         (classical, "check_normal_classical"), (normality, "_PairData")):
         fn = getattr(module, name)
         replace[id(fn)] = counted_subcheck(name, fn)
     for name in ("_wrap", "_prepare", "_gather"):
